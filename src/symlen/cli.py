@@ -36,7 +36,7 @@ from .errors import (
     VerificationFailure,
 )
 from .f2space import mask_to_str
-from .milnor import kn_space, sl_field
+from .milnor import kn_space
 from .scheme import (
     Scheme,
     SquareClassGroup,
@@ -306,7 +306,7 @@ def cmd_invariants(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_sl(cfg: RunConfig) -> tuple[dict, int]:
     scheme = load_scheme(cfg)
     algebra = kn_space(scheme, cfg.n, cfg.cap_tensor)
-    best, witness = sl_field(scheme, cfg.n, cfg.cap_bfs)
+    best, witness = algebra.max_symbol_length(cfg.cap_bfs)
     try:
         classes = len(pfister_classes(scheme, cfg.n, cfg.cap_enum))
     except EnumerationTooLarge:
@@ -324,7 +324,8 @@ def cmd_sl(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
     scheme = load_scheme(cfg)
-    exact, _ = sl_field(scheme, cfg.n, cfg.cap_bfs)
+    algebra = kn_space(scheme, cfg.n, cfg.cap_tensor)
+    exact, _ = algebra.max_symbol_length(cfg.cap_bfs)
     report = make_bound_report(scheme, cfg.n, exact)
     report.check_dominance()
     payload = report.as_dict()
@@ -401,7 +402,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-enum", type=int, dest="cap_enum",
                        help="enumeration size cap")
         p.add_argument("--cap-bfs", type=int, dest="cap_bfs",
-                       help="search frontier cap")
+                       help="largest order 2^dim of k_n searched for "
+                            "symbol lengths")
         p.add_argument("--cap-tensor", type=int, dest="cap_tensor",
                        help="tensor space dimension cap")
         p.add_argument("--max-d", type=int, dest="max_d",

@@ -273,6 +273,9 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
     # maximal-ones representative computed
     work = [(slots, False) for slots in psum.entries]
     parity: dict[tuple[int, ...], int] = {}
+    # stratum 0 entries of one class share the first witness seen in this
+    # call, so the output does not depend on earlier calls
+    zero_witness: dict[tuple[int, ...], tuple[int, ...]] = {}
     steps = 0
     while work:
         steps += 1
@@ -280,10 +283,12 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
             raise VerificationFailure("rewrite did not terminate within the step cap")
         slots, settled = work.pop()
         if not settled:
-            expansion = pfister_expand(slots)
-            if scheme.witt_decompose(expansion).index:
+            wc = scheme.witt_decompose(pfister_expand(slots))
+            if wc.index:
                 continue
             m, canonical = pfister_ones_witness(scheme, PfisterForm(tuple(slots)))
+            if m == 0:
+                canonical = zero_witness.setdefault(wc.kernel, canonical)
             work.append((canonical, True))
             continue
         m = entry_stratum(slots)

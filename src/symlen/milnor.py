@@ -17,6 +17,19 @@ to it; the symbol length of the scheme in degree n is the maximum over the
 whole group, computed by one breadth first search of the Cayley graph of
 k_n with the nonzero pure symbols as generators.
 
+Pure symbols are enumerated through multilinearity: the d^n basis tensors
+are projected once, and the slots are then contracted one at a time, each
+over its nonzero vectors in Gray code order, so that every step is one XOR
+per table entry.  The search holds each BFS layer as one 2^dim-bit int,
+bit x standing for the element with coords x.  Translating a set by an
+element g swaps, for every set bit b of g, the blocks of positions with
+bit b clear and set: ((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b
+marks the positions with bit b clear.  The next layer is the union of the
+translates of the current one by the generators, less everything reached.
+The shifts are walked as a binary trie, so shifts sharing their top bits
+share those swaps, and as the sumset is symmetric the smaller of the layer
+and the generator set supplies the shifts.
+
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
 are SymbolVector values whose coordinates are indexed by the non-pivot
@@ -26,6 +39,7 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
@@ -128,7 +142,7 @@ class SymbolAlgebra:
         self.dim = len(self.free_cols)
         self._col_index = {c: j for j, c in enumerate(self.free_cols)}
         self._pures: tuple[int, ...] | None = None
-        self._dist: dict[int, int] | None = None
+        self._layers: list[int] | None = None
 
     def __repr__(self):
         return "SymbolAlgebra(%r, n=%d, dim=%d)" % (
@@ -165,48 +179,50 @@ class SymbolAlgebra:
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols."""
         if self._pures is None:
-            d = self.scheme.d
-            seen = set()
-            for idx in range((self.scheme.size - 1) ** self.n):
-                vs = []
-                k = idx
+            seen: set[int] = set()
+            if self.dim:
+                table = [self.project(1 << t).coords
+                         for t in range(self.tensor_dim)]
                 for _ in range(self.n):
-                    vs.append(1 + k % (self.scheme.size - 1))
-                    k //= self.scheme.size - 1
-                seen.add(self.project(tensor_of_vectors(vs, d)).coords)
-            seen.discard(0)
+                    table = _contract_slot(table, self.scheme.d)
+                seen = set(table)
+                seen.discard(0)
             self._pures = tuple(sorted(seen))
         return self._pures
 
-    def _distances(self, cap: int) -> dict[int, int]:
-        """Distance from 0 to every element in the pure-symbol Cayley graph."""
-        if self._dist is None:
+    def _bfs_layers(self, cap: int) -> list[int]:
+        """Layer k of the pure-symbol Cayley graph, as a bitset, at index k."""
+        if self._layers is None:
             if (1 << self.dim) > cap:
                 raise TooLarge(
                     "k_n has 2^%d elements, enumeration cap is %d"
                     % (self.dim, cap)
                 )
+            masks = _clear_bit_masks(self.dim)
             gens = self.pure_symbols()
-            dist = {0: 0}
-            frontier = [0]
-            layer = 0
-            while frontier:
-                layer += 1
-                nxt = []
-                for x in frontier:
-                    for g in gens:
-                        y = x ^ g
-                        if y not in dist:
-                            dist[y] = layer
-                            nxt.append(y)
-                frontier = nxt
-            if len(dist) != 1 << self.dim:
+            gen_set = sum(1 << g for g in gens)
+            layers = [1]
+            reached = 1
+            while True:
+                layer = layers[-1]
+                if layer.bit_count() < len(gens):
+                    # the sumset is symmetric: walk the smaller side
+                    nxt = _union_of_translates(
+                        gen_set, list(iter_bits(layer)), masks)
+                else:
+                    nxt = _union_of_translates(layer, gens, masks)
+                nxt &= ~reached
+                if not nxt:
+                    break
+                reached |= nxt
+                layers.append(nxt)
+            if reached != (1 << (1 << self.dim)) - 1:
                 raise VerificationFailure(
                     "pure symbols span only %d of %d classes"
-                    % (len(dist), 1 << self.dim)
+                    % (reached.bit_count(), 1 << self.dim)
                 )
-            self._dist = dist
-        return self._dist
+            self._layers = layers
+        return self._layers
 
     def symbol_length(self, x: SymbolVector, cap: int = DEFAULT_SL_CAP) -> int:
         if x.dim != self.dim:
@@ -214,14 +230,80 @@ class SymbolAlgebra:
                 "element dimension %d does not match algebra dimension %d"
                 % (x.dim, self.dim)
             )
-        return self._distances(cap)[x.coords]
+        layers = self._bfs_layers(cap)
+        return next(k for k, layer in enumerate(layers)
+                    if (layer >> x.coords) & 1)
 
     def max_symbol_length(self, cap: int = DEFAULT_SL_CAP) -> tuple[int, SymbolVector]:
         """Largest symbol length over k_n and the least witness attaining it."""
-        dist = self._distances(cap)
-        best = max(dist.values())
-        witness = min(c for c, k in dist.items() if k == best)
-        return best, SymbolVector(witness, self.dim)
+        layers = self._bfs_layers(cap)
+        last = layers[-1]
+        witness = (last & -last).bit_length() - 1
+        return len(layers) - 1, SymbolVector(witness, self.dim)
+
+
+def _contract_slot(table: list[int], d: int) -> list[int]:
+    """Contract the lowest slot of a multilinear table over nonzero vectors.
+
+    table[i + d * r] is the value with the basis vector e_i in the lowest
+    slot.  The result holds at r + R * (k - 1), for R = len(table) // d, the
+    value with the k-th Gray code vector k ^ (k >> 1) in that slot, so the
+    next slot becomes the lowest one.
+    """
+    cols = [table[i::d] for i in range(d)]
+    acc = [0] * (len(table) // d)
+    out: list[int] = []
+    for k in range(1, 1 << d):
+        # the Gray code vector of step k differs from the last in bit ctz(k)
+        col = cols[(k & -k).bit_length() - 1]
+        acc = [a ^ c for a, c in zip(acc, col)]
+        out.extend(acc)
+    return out
+
+
+def _clear_bit_masks(dim: int) -> list[int]:
+    """M_b for b < dim: the set of x < 2^dim with bit b of x clear."""
+    size = 1 << dim
+    masks = []
+    for b in range(dim):
+        block = 1 << b
+        mask = (1 << block) - 1
+        width = 2 * block
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
+
+
+def _union_of_translates(bitset: int, shifts, masks: list[int]) -> int:
+    """Union of the translates {s ^ x : s in bitset} over a sorted shift list.
+
+    The shifts are walked as a binary trie from the top bit down, so the
+    block swap for a bit is done once for every shift sharing the prefix.
+    """
+    def walk(s: int, lo: int, hi: int, b: int) -> int:
+        if hi - lo == 1:
+            for bit in iter_bits(shifts[lo] & ((1 << (b + 1)) - 1)):
+                s = _swap(s, bit, masks)
+            return s
+        # shifts[lo:hi] agree above bit b; those with bit b set come last
+        mid = bisect_left(shifts, ((shifts[lo] >> b) | 1) << b, lo, hi)
+        out = walk(s, lo, mid, b - 1) if mid > lo else 0
+        if hi > mid:
+            out |= walk(_swap(s, b, masks), mid, hi, b - 1)
+        return out
+
+    if not shifts:
+        return 0
+    return walk(bitset, 0, len(shifts), len(masks) - 1)
+
+
+def _swap(s: int, b: int, masks: list[int]) -> int:
+    """Translate of the bitset s by the element with only bit b set."""
+    block = 1 << b
+    keep = masks[b]
+    return ((s & keep) << block) | ((s >> block) & keep)
 
 
 def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:

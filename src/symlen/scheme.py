@@ -233,7 +233,7 @@ class Scheme:
         self._vs: dict[tuple[int, ...], int] = {}
         self._iso: dict[tuple[int, ...], bool] = {}
         self._witt: dict[tuple[int, ...], WittClass] = {}
-        self._ones: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+        self._ones: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
         self._sos_chain: list[int] | None = None
         self._d2m: list[int] | None = None
         self._round_ok: set[int] = set()
@@ -651,23 +651,32 @@ def pfister_ones_rank(scheme: Scheme, pf: PfisterForm) -> int:
 def pfister_ones_witness(scheme: Scheme, pf: PfisterForm) -> tuple[int, tuple[int, ...]]:
     """The stratum of an anisotropic Pfister form plus a witnessing slot tuple.
 
-    The witness has the stratum count of leading 1 slots; among all cofactor
-    slot multisets achieving the stratum it is the lexicographically least.
+    In a stratum m >= 1 the witness is the lexicographically least sorted
+    slot tuple with m leading 1 slots isometric to the form, so it depends
+    only on the isometry class.  In stratum 0 no slot tuple of the
+    class has a leading 1, and the witness is the form's own slots, sorted.
     """
     n = pf.degree
     expansion = pfister_expand(pf.slots)
     wc = scheme.witt_decompose(expansion)
     if wc.index:
         raise IsotropicInput("Pfister form %r is isotropic" % (pf.slots,))
-    return _ones_rank_of_kernel(scheme, n, wc.kernel, pf.slots)
+    m, witness = _ones_rank_of_kernel(scheme, n, wc.kernel)
+    if witness is None:
+        witness = tuple(sorted(pf.slots))
+    return m, witness
 
 
-def _ones_rank_of_kernel(scheme, n, kernel, fallback_slots):
+def _ones_rank_of_kernel(scheme, n, kernel):
+    """(m, least witness) for a stratum m >= 1, (0, None) for stratum 0.
+
+    Both depend on the class alone, so they are memoized on the scheme.
+    """
     memo_key = (n, kernel)
     hit = scheme._ones.get(memo_key)
     if hit is not None:
         return hit
-    result = None
+    result = (0, None)
     for m in range(n, 0, -1):
         for cand in itertools.combinations_with_replacement(range(scheme.size), n - m):
             slots = (0,) * m + cand
@@ -675,10 +684,8 @@ def _ones_rank_of_kernel(scheme, n, kernel, fallback_slots):
             if wc.kernel == kernel and wc.index == 0:
                 result = (m, slots)
                 break
-        if result is not None:
+        if result[0]:
             break
-    if result is None:
-        result = (0, tuple(sorted(fallback_slots)))
     scheme._ones[memo_key] = result
     return result
 
@@ -691,8 +698,8 @@ def enumerate_pfister_strata(scheme: Scheme, n: int, cap: int = 1 << 20) -> dict
     """
     groups = pfister_classes(scheme, n, cap)
     counts = {m: 0 for m in range(n + 1)}
-    for kernel, rep_slots in groups.items():
-        m, _ = _ones_rank_of_kernel(scheme, n, kernel, rep_slots)
+    for kernel in groups:
+        m, _ = _ones_rank_of_kernel(scheme, n, kernel)
         counts[m] += 1
     return counts
 

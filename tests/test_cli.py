@@ -96,6 +96,13 @@ def test_exit_code_cap_exceeded(capsys):
     assert code == 2
 
 
+def test_bounds_honors_tensor_cap(capsys):
+    # d = 3, n = 2 needs 9 tensor coordinates
+    code, _ = run_cli(capsys, "bounds", "--scheme", "laurent(laurent(RC))",
+                      "--n", "2", "--cap-tensor", "8")
+    assert code == 2
+
+
 def test_exit_code_verification_failure(capsys, monkeypatch):
     def boom(cfg):
         raise VerificationFailure("forced")

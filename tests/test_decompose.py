@@ -24,7 +24,7 @@ from symlen.errors import (
     InvalidCase,
     NotFactorable,
 )
-from symlen.scheme import pfister_expand
+from symlen.scheme import Scheme, pfister_expand
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,19 @@ def test_rewrite_keeps_settled_entries():
 def test_rewrite_empty_sum():
     q3 = build_from_text("laurent(F2)")
     assert rewrite_to_basis(q3, make_sum(q3, 2, [])).entries == ()
+
+
+def test_rewrite_does_not_depend_on_earlier_sums():
+    # the stratum 0 witness of a class is chosen within one call; a class
+    # seen in an earlier sum on the same scheme must not carry its slots over
+    cached = build_from_text("product(F1,product(RC,laurent(laurent(QC))))")
+    s = Scheme(cached.group, cached.values, cached.name)
+    earlier = make_sum(s, 2, [(13, 7), (14, 5), (13, 4), (15, 7), (0, 8),
+                              (12, 5), (10, 6)])
+    run_decomposition(s, earlier)
+    final, cert = run_decomposition(s, make_sum(s, 2, [(13, 8), (14, 4)]))
+    assert final.entries == ((1, 8),)
+    assert cert.passed
 
 
 def _assert_settled_shape(scheme, chain, psum):

@@ -4,14 +4,29 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import alternating_rank_sl
-from symlen.builders import build_from_text, standard_library
+from oracle_utils import (
+    alternating_rank_sl,
+    dict_bfs_distances,
+    dict_bfs_max_length,
+    tuple_pure_symbols,
+)
+from symlen.builders import (
+    build,
+    build_from_text,
+    expr_dim,
+    standard_expressions,
+    standard_library,
+)
 from symlen.errors import DegreeMismatch, TooLarge
 from symlen.f2space import in_span
 from symlen.milnor import (
     SymbolAlgebra,
     SymbolVector,
+    _clear_bit_masks,
+    _union_of_translates,
     kn_space,
     sl_element,
     sl_field,
@@ -214,3 +229,55 @@ def test_project_representative_roundtrip():
 def test_kn_space_is_cached():
     s = build_from_text("laurent(F2)")
     assert kn_space(s, 2) is kn_space(s, 2)
+
+
+# ---------------------------------------------------------------------------
+# the multilinear pure symbols and the bitset layers against their oracles
+
+
+def assert_matches_oracles(alg):
+    assert alg.pure_symbols() == tuple_pure_symbols(alg)
+    dist = dict_bfs_distances(alg)
+    assert len(dist) == 1 << alg.dim
+    for coords, k in dist.items():
+        assert alg.symbol_length(SymbolVector(coords, alg.dim)) == k
+    best, witness = dict_bfs_max_length(alg)
+    assert alg.max_symbol_length() == (best, SymbolVector(witness, alg.dim))
+
+
+def test_pure_symbols_match_tuple_oracle():
+    for s in standard_library(3):
+        for n in (2, 3):
+            alg = SymbolAlgebra(s, n)
+            assert alg.pure_symbols() == tuple_pure_symbols(alg), (s.name, n)
+
+
+def test_layers_match_dict_bfs():
+    # the last scheme has sl 3 in degree 2, so a wrong translate cannot hide
+    # in a second layer that already covers everything left
+    schemes = standard_library(3) + [build_from_text(rigid_label(k))
+                                     for k in range(4, 6)]
+    schemes.append(build_from_text("laurent(product(F1,laurent(product(F1,RC))))"))
+    for s in schemes:
+        assert_matches_oracles(SymbolAlgebra(s, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 7).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.sets(st.integers(0, (1 << dim) - 1)),
+    st.sets(st.integers(0, (1 << dim) - 1)))))
+def test_union_of_translates_matches_sets(case):
+    dim, members, shifts = case
+    bitset = sum(1 << x for x in members)
+    got = _union_of_translates(bitset, sorted(shifts), _clear_bit_masks(dim))
+    assert got == sum(1 << y for y in {x ^ g for x in members for g in shifts})
+
+
+D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(D4_EXPRESSIONS), st.sampled_from((2, 3)))
+def test_random_d4_schemes_match_oracles(expr, n):
+    assert_matches_oracles(SymbolAlgebra(build(expr), n))
