@@ -281,10 +281,6 @@ class RationalPolynomial:
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
     def __call__(self, x) -> Fraction:
         out = Fraction(0)
         for c in reversed(self.coeffs):
@@ -417,12 +413,6 @@ class BoundReport:
     rows: tuple
     exact_sl: int | None
     notes: tuple
-
-    def value_of(self, bound_id: str) -> int:
-        for row in self.rows:
-            if row.bound_id == bound_id:
-                return row.value
-        raise KeyError(bound_id)
 
     def check_dominance(self) -> None:
         if self.exact_sl is None:

@@ -21,11 +21,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DimensionCapExceeded, ParseError
-from .scheme import Scheme, SquareClassGroup, ValueSetTable, validate_scheme
+from .scheme import (
+    SCHEME_DIM_CAP,
+    Scheme,
+    SquareClassGroup,
+    ValueSetTable,
+    validate_scheme,
+)
 
 BASE_KINDS = ("QC", "RC", "F1", "F2", "Q2")
 DATA_DIR = Path(__file__).parent / "data"
-MAX_DIM = 6
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,7 @@ _BASE_TABLES = {
 # combinators
 
 
-def laurent_extend(scheme: Scheme, name: str | None = None,
-                   validate: bool = True) -> Scheme:
+def laurent_extend(scheme: Scheme, name: str | None = None) -> Scheme:
     """Adjoin a uniformizer coordinate as the new highest class bit.
 
     Value sets follow the two-residue-form rule: classes from the base keep
@@ -182,7 +186,7 @@ def laurent_extend(scheme: Scheme, name: str | None = None,
     value sets.
     """
     d = scheme.d
-    if d + 1 > MAX_DIM:
+    if d + 1 > SCHEME_DIM_CAP:
         raise DimensionCapExceeded("laurent extension would reach dimension %d" % (d + 1))
     size = scheme.size
     new_size = size * 2
@@ -201,16 +205,14 @@ def laurent_extend(scheme: Scheme, name: str | None = None,
         ValueSetTable(tuple(rows)),
         name if name is not None else "laurent(%s)" % scheme.name,
     )
-    if validate:
-        validate_scheme(out)
+    validate_scheme(out)
     return out
 
 
-def product(s1: Scheme, s2: Scheme, name: str | None = None,
-            validate: bool = True) -> Scheme:
+def product(s1: Scheme, s2: Scheme, name: str | None = None) -> Scheme:
     """Direct product scheme: class pairs, componentwise value sets."""
     d = s1.d + s2.d
-    if d > MAX_DIM:
+    if d > SCHEME_DIM_CAP:
         raise DimensionCapExceeded("product would reach dimension %d" % d)
     shift = 1 << s1.d
     eps = s1.eps | (s2.eps << s1.d)
@@ -233,8 +235,7 @@ def product(s1: Scheme, s2: Scheme, name: str | None = None,
         ValueSetTable(tuple(rows)),
         name if name is not None else "product(%s,%s)" % (s1.name, s2.name),
     )
-    if validate:
-        validate_scheme(out)
+    validate_scheme(out)
     return out
 
 
@@ -245,27 +246,25 @@ def product(s1: Scheme, s2: Scheme, name: str | None = None,
 _CACHE: dict[str, Scheme] = {}
 
 
-def build(expr, validate: bool = True) -> Scheme:
-    """Scheme for an expression; cached by canonical label."""
+def build(expr) -> Scheme:
+    """Validated scheme for an expression; cached by canonical label."""
     label = expr_label(expr)
     hit = _CACHE.get(label)
     if hit is not None:
         return hit
-    if expr_dim(expr) > MAX_DIM:
+    if expr_dim(expr) > SCHEME_DIM_CAP:
         raise DimensionCapExceeded(
             "expression %s has dimension %d, cap is %d"
-            % (label, expr_dim(expr), MAX_DIM)
+            % (label, expr_dim(expr), SCHEME_DIM_CAP)
         )
     if isinstance(expr, BaseExpr):
         group, table = _BASE_TABLES[expr.kind]()
         out = Scheme(group, table, label)
-        if validate:
-            validate_scheme(out)
+        validate_scheme(out)
     elif isinstance(expr, LaurentExpr):
-        out = laurent_extend(build(expr.child, validate), name=label, validate=validate)
+        out = laurent_extend(build(expr.child), name=label)
     else:
-        out = product(build(expr.left, validate), build(expr.right, validate),
-                      name=label, validate=validate)
+        out = product(build(expr.left), build(expr.right), name=label)
     _CACHE[label] = out
     return out
 
@@ -327,7 +326,7 @@ def parse_scheme_expr(text: str) -> object:
     return result
 
 
-def build_from_text(text: str, max_d: int = MAX_DIM) -> Scheme:
+def build_from_text(text: str, max_d: int = SCHEME_DIM_CAP) -> Scheme:
     expr = parse_scheme_expr(text)
     d = expr_dim(expr)
     if d > max_d:
@@ -373,6 +372,6 @@ def standard_expressions(max_d: int) -> list:
     return out
 
 
-def standard_library(max_d: int, validate: bool = True) -> list[Scheme]:
+def standard_library(max_d: int) -> list[Scheme]:
     """Built schemes for the standard family, ordered by (dimension, label)."""
-    return [build(e, validate) for e in standard_expressions(max_d)]
+    return [build(e) for e in standard_expressions(max_d)]

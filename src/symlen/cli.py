@@ -36,8 +36,9 @@ from .errors import (
     VerificationFailure,
 )
 from .f2space import mask_to_str
-from .milnor import kn_space
+from .milnor import DEFAULT_SL_CAP, DEFAULT_TENSOR_CAP, kn_space
 from .scheme import (
+    DEFAULT_CLASS_CAP,
     Scheme,
     SquareClassGroup,
     ValueSetTable,
@@ -54,9 +55,9 @@ DEFAULTS = {
     "n": 2,
     "format": "table",
     "seed": 2024,
-    "cap_enum": 1 << 20,
-    "cap_bfs": 1 << 24,
-    "cap_tensor": 1 << 16,
+    "cap_enum": DEFAULT_CLASS_CAP,
+    "cap_bfs": DEFAULT_SL_CAP,
+    "cap_tensor": DEFAULT_TENSOR_CAP,
     "max_d": 4,
 }
 

@@ -23,7 +23,7 @@ number of basis factors hidden in non-basic slots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bounds import bound_sl_binomial, bound_sl_linked, bound_strata_count
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
     DegreeMismatch,
     EnumerationTooLarge,
     InvalidCase,
-    NotFactorable,
     VerificationFailure,
 )
 from .f2space import in_span, rref_ints
@@ -59,56 +58,17 @@ class BasisChain:
     The first ranks[m] vectors span the subgroup generated by +-D(2^m); the
     remaining vectors project to a basis of the quotient.  ranks is indexed
     up to the stabilization degree of the tower and clamps beyond it.
+    coordinates[c] is the bitmask of basis positions whose sum is the
+    class c.
     """
 
     scheme_name: str
     basis: tuple[int, ...]
     ranks: tuple[int, ...]
+    coordinates: tuple[int, ...] = field(compare=False, repr=False)
 
     def rank(self, m: int) -> int:
         return self.ranks[min(m, len(self.ranks) - 1)]
-
-    def absorbed_basis(self, m: int) -> tuple[int, ...]:
-        """Basis of the subgroup generated by +-D(2^m)."""
-        return self.basis[: self.rank(m)]
-
-    def free_basis(self, m: int) -> tuple[int, ...]:
-        """Lifts of a basis of the quotient modulo +-D(2^m)."""
-        return self.basis[self.rank(m):]
-
-    def coordinates(self, c: int) -> int:
-        """Bitmask of basis positions whose sum is the class c."""
-        residue = c
-        picked = 0
-        for pos, row, tag in self._solver:
-            if residue and residue.bit_length() == row.bit_length():
-                residue ^= row
-                picked ^= tag
-        if residue:
-            raise ChainInconsistency(
-                "class %d outside the span of the chain basis" % c
-            )
-        return picked
-
-    @property
-    def _solver(self):
-        # echelonized copies of the basis with bookkeeping tags, built once
-        cached = getattr(self, "_solver_rows", None)
-        if cached is not None:
-            return cached
-        rows = [(v, 1 << i) for i, v in enumerate(self.basis)]
-        out = []
-        for v, tag in rows:
-            for _, rv, rt in out:
-                if v and v.bit_length() == rv.bit_length():
-                    v ^= rv
-                    tag ^= rt
-            if v == 0:
-                raise ChainInconsistency("chain basis is dependent")
-            out.append((v.bit_length(), v, tag))
-            out.sort(reverse=True)
-        object.__setattr__(self, "_solver_rows", tuple(out))
-        return self._solver_rows
 
 
 def build_basis_chain(scheme: Scheme) -> BasisChain:
@@ -117,9 +77,8 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     Raises ChainInconsistency when a +-D(2^m) fails to be a subgroup, which
     cannot happen for a table that passed validation but is checked anyway.
     """
-    cached = getattr(scheme, "_basis_chain", None)
-    if cached is not None:
-        return cached
+    if scheme._basis_chain is not None:
+        return scheme._basis_chain
     stab = scheme.invariants().stabilization
     basis: list[int] = []
     span: list[int] = []
@@ -144,7 +103,13 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
         if not in_span(c, span):
             basis.append(c)
             span = rref_ints(span + [c])
-    chain = BasisChain(scheme.name, tuple(basis), tuple(ranks))
+    # the basis is a full basis, so the table covers every class
+    coordinates = {0: 0}
+    for i, v in enumerate(basis):
+        for c, picked in list(coordinates.items()):
+            coordinates[c ^ v] = picked | (1 << i)
+    chain = BasisChain(scheme.name, tuple(basis), tuple(ranks),
+                       tuple(coordinates[c] for c in range(scheme.size)))
     scheme._basis_chain = chain
     return chain
 
@@ -213,45 +178,6 @@ def sum_residue(scheme: Scheme, psum: PfisterSum, tensor_cap: int = DEFAULT_TENS
 
 
 # ---------------------------------------------------------------------------
-# slot expansion
-
-
-def expand_slot(scheme: Scheme, slots, position: int, chain: BasisChain | None = None):
-    """Split one slot into a basis factor and the eps-corrected cofactor.
-
-    <<c, rest>> has the same symbol algebra residue as the sum of <<x, rest>>
-    and <<eps*x*c, rest>> for any x, because the shifted vectors satisfy
-    (c+eps) = (x+eps) + (eps*x*c+eps).  The factor x is the lowest indexed
-    coordinate of c over the chain basis; a slot with at most one coordinate
-    has nothing to split.
-    """
-    if chain is None:
-        chain = build_basis_chain(scheme)
-    slots = tuple(slots)
-    if not 0 <= position < len(slots):
-        raise InvalidCase("position %d outside the %d slots" % (position, len(slots)))
-    c = slots[position]
-    coords = chain.coordinates(c)
-    if bin(coords).count("1") < 2:
-        raise NotFactorable(
-            "slot %d is already a basis element or 1" % c
-        )
-    # factor off the lowest coordinate other than eps; pairing with eps
-    # itself would reproduce the original slot
-    x = None
-    for i in iter_bits(coords):
-        if chain.basis[i] != scheme.eps:
-            x = chain.basis[i]
-            break
-    if x is None:
-        raise NotFactorable("slot %d has no coordinate besides -1" % c)
-    partner = scheme.eps ^ x ^ c
-    first = slots[:position] + (x,) + slots[position + 1:]
-    second = slots[:position] + (partner,) + slots[position + 1:]
-    return first, second
-
-
-# ---------------------------------------------------------------------------
 # rewriting into the basis
 
 
@@ -296,7 +222,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
         d_mask = d2m[min(m, len(d2m) - 1)]
         for i in range(m, n):
             c = slots[i]
-            coords = chain.coordinates(c)
+            coords = chain.coordinates[c]
             low = coords & ((1 << a_rank) - 1)
             high = coords >> a_rank
             if low == 0 and bin(high).count("1") == 1:
@@ -395,8 +321,7 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum,
     return None
 
 
-def merge_linked(scheme: Scheme, psum: PfisterSum,
-                 candidate_cap: int = 1 << 14) -> PfisterSum:
+def merge_linked(scheme: Scheme, psum: PfisterSum) -> PfisterSum:
     """Merge linked entry pairs until none remain.
 
     Two entries isometric to <<X, c1>> and <<X, c2>> over a common divisor
@@ -406,7 +331,7 @@ def merge_linked(scheme: Scheme, psum: PfisterSum,
     entries = list(psum.entries)
     while True:
         current = PfisterSum(psum.scheme_name, psum.degree, tuple(entries))
-        hit = find_linked_pair(scheme, current, candidate_cap)
+        hit = find_linked_pair(scheme, current)
         if hit is None:
             break
         i, j, divisor, ci, cj = hit

@@ -16,10 +16,6 @@ class SymlenError(Exception):
 # bad input
 
 
-class MixedAmbientDim(SymlenError):
-    """Vectors or subspaces from different ambient dimensions were combined."""
-
-
 class NotProperSubspace(SymlenError):
     """A claimed subspace relation does not hold."""
 
@@ -32,10 +28,6 @@ class DimensionMismatch(SymlenError):
     """Two objects that must share a dimension do not."""
 
 
-class EmptyForm(SymlenError):
-    """A diagonal form with zero entries was supplied where not allowed."""
-
-
 class IsotropicInput(SymlenError):
     """An operation requiring an anisotropic input received an isotropic one."""
 
@@ -46,10 +38,6 @@ class DegreeMismatch(SymlenError):
 
 class InvalidCase(SymlenError):
     """Parameters fall outside every case of a piecewise formula."""
-
-
-class NotFactorable(SymlenError):
-    """A slot split was requested at a position that cannot be split."""
 
 
 class ParseError(SymlenError):

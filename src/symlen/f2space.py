@@ -1,15 +1,15 @@
 """Exact linear algebra over the two-element field.
 
-Vectors live in F2^d for d up to a configured cap and are stored as plain
-Python ints used as bitmasks: coordinate i (the coefficient of the i-th
-standard vector) is bit i of the mask.  The printed form of a vector is the
-usual binary string with the highest coordinate on the left, so in ambient
-dimension 2 the string "01" denotes the standard vector e0 (mask 1) and "10"
-denotes e1 (mask 2).
+Vectors of F2^d are plain Python ints used as bitmasks: coordinate i (the
+coefficient of the i-th standard vector) is bit i of the mask.  The printed
+form of a vector is the usual binary string with the highest coordinate on
+the left, so in ambient dimension 2 the string "01" denotes the standard
+vector e0 (mask 1) and "10" denotes e1 (mask 2).
 
 Subspaces are kept in reduced row echelon form with the pivot of each row at
-its highest set bit and rows ordered by decreasing mask.  Counting helpers
-(gaussian_count and friends) return exact big integers.
+its highest set bit and rows ordered by decreasing mask.  The counting
+helpers return exact big integers; the enumerators back the subspace
+counting check of verify-paper.
 """
 
 from __future__ import annotations
@@ -19,24 +19,17 @@ from dataclasses import dataclass
 
 from .errors import (
     DependentInput,
-    DimensionCapExceeded,
     EnumerationTooLarge,
     InvalidCase,
-    MixedAmbientDim,
     NotProperSubspace,
 )
 
-DEFAULT_AMBIENT_CAP = 24
 DEFAULT_ENUM_CAP = 10 ** 6
 
 
 def mask_to_str(mask: int, ambient_dim: int) -> str:
     """Binary string of a mask, highest coordinate first ("01" is e0)."""
     return format(mask, "0%db" % ambient_dim) if ambient_dim else ""
-
-
-def str_to_mask(text: str) -> int:
-    return int(text, 2) if text else 0
 
 
 # ---------------------------------------------------------------------------
@@ -94,46 +87,7 @@ def reduce_mod(mask: int, basis: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vector and subspace values
-
-
-@dataclass(frozen=True, order=True)
-class BitVector:
-    """A vector of F2^ambient_dim stored as an int bitmask."""
-
-    mask: int
-    ambient_dim: int
-
-    def __post_init__(self):
-        if self.ambient_dim < 0 or self.ambient_dim > DEFAULT_AMBIENT_CAP:
-            raise DimensionCapExceeded(
-                "ambient dimension %d outside [0, %d]"
-                % (self.ambient_dim, DEFAULT_AMBIENT_CAP)
-            )
-        if self.mask < 0 or self.mask >> self.ambient_dim:
-            raise InvalidCase(
-                "mask %d does not fit ambient dimension %d"
-                % (self.mask, self.ambient_dim)
-            )
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.ambient_dim))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.ambient_dim != other.ambient_dim:
-            raise MixedAmbientDim(
-                "cannot add vectors of ambient %d and %d"
-                % (self.ambient_dim, other.ambient_dim)
-            )
-        return BitVector(self.mask ^ other.mask, self.ambient_dim)
-
-    def __str__(self) -> str:
-        return mask_to_str(self.mask, self.ambient_dim)
-
-    @staticmethod
-    def from_string(text: str) -> "BitVector":
-        return BitVector(str_to_mask(text), len(text))
+# subspace values
 
 
 @dataclass(frozen=True)
@@ -152,48 +106,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, mask: int) -> bool:
-        return in_span(mask, list(self.rows))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise MixedAmbientDim("subspaces live in different ambients")
-        return all(self.contains(r) for r in other.rows)
-
-    def members(self):
-        """All 2^dim vectors of the subspace as masks, deterministic order."""
-        rows = self.rows
-        for combo in range(1 << len(rows)):
-            v = 0
-            for i in range(len(rows)):
-                if (combo >> i) & 1:
-                    v ^= rows[i]
-            yield v
-
-    def basis_vectors(self) -> list[BitVector]:
-        return [BitVector(r, self.ambient_dim) for r in self.rows]
-
     def __str__(self) -> str:
         return "{" + ", ".join(mask_to_str(r, self.ambient_dim) for r in self.rows) + "}"
-
-
-def canonicalize(vectors: list[BitVector], ambient_dim: int | None = None) -> Subspace:
-    """Canonical subspace spanned by the given vectors.
-
-    With an empty list the ambient dimension must be passed explicitly.
-    """
-    if vectors:
-        dims = {v.ambient_dim for v in vectors}
-        if len(dims) != 1:
-            raise MixedAmbientDim("vectors span mixed ambient dimensions %s" % sorted(dims))
-        d = dims.pop()
-        if ambient_dim is not None and ambient_dim != d:
-            raise MixedAmbientDim("vectors of ambient %d given with ambient %d" % (d, ambient_dim))
-    else:
-        if ambient_dim is None:
-            raise MixedAmbientDim("empty span needs an explicit ambient dimension")
-        d = ambient_dim
-    return Subspace(tuple(rref_ints(v.mask for v in vectors)), d)
 
 
 def subspace_from_masks(masks, ambient_dim: int) -> Subspace:
@@ -205,26 +119,20 @@ def subspace_from_masks(masks, ambient_dim: int) -> Subspace:
 
 
 def gaussian_count(d: int, m: int) -> int:
-    """Exact number of m-dimensional subspaces of F2^d."""
-    return gaussian_count_q(d, m, 2)
+    """Exact number of m-dimensional subspaces of F2^d.
 
-
-def gaussian_count_q(d: int, m: int, q: int) -> int:
-    """Number of m-dimensional subspaces of an F_q space of dimension d.
-
-    Reference implementation of the product formula
-    prod_{l<m} (q^d - q^l) / (q^m - q^l) over exact big integers; only the
-    q = 2 case is wired to vector data elsewhere in the package.
+    The product formula prod_{l<m} (2^d - 2^l) / (2^m - 2^l) over exact
+    big integers.
     """
-    if d < 0 or m < 0 or q < 2:
-        raise InvalidCase("gaussian_count_q needs d >= 0, m >= 0, q >= 2")
+    if d < 0 or m < 0:
+        raise InvalidCase("gaussian_count needs d >= 0, m >= 0")
     if m > d:
         return 0
     num = 1
     den = 1
     for l in range(m):
-        num *= q ** d - q ** l
-        den *= q ** m - q ** l
+        num *= (1 << d) - (1 << l)
+        den *= (1 << m) - (1 << l)
     assert num % den == 0
     return num // den
 
@@ -283,29 +191,22 @@ def enumerate_subspaces(d: int, m: int, cap: int = DEFAULT_ENUM_CAP) -> list[Sub
     return out
 
 
-def extend_basis(partial: list[BitVector], ambient: int) -> list[BitVector]:
-    """Complete an independent list to a full basis of F2^ambient.
+def extend_basis(partial: list[int], ambient: int) -> list[int]:
+    """Complete an independent list of masks to a full basis of F2^ambient.
 
     The input vectors come first, then standard vectors in ascending index
     order ("01" before "10" in ambient 2), skipping dependent ones.
     """
-    masks = [v.mask for v in partial]
-    for v in partial:
-        if v.ambient_dim != ambient:
-            raise MixedAmbientDim(
-                "partial basis vector of ambient %d, expected %d"
-                % (v.ambient_dim, ambient)
-            )
-    reduced = rref_ints(masks)
-    if len(reduced) != len(masks):
-        raise DependentInput("partial basis of %d vectors has rank %d" % (len(masks), len(reduced)))
+    reduced = rref_ints(partial)
+    if len(reduced) != len(partial):
+        raise DependentInput("partial basis of %d vectors has rank %d" % (len(partial), len(reduced)))
     full = list(partial)
     for i in range(ambient):
         if len(reduced) == ambient:
             break
         e = 1 << i
         if not in_span(e, reduced):
-            full.append(BitVector(e, ambient))
+            full.append(e)
             reduced = rref_ints(reduced + [e])
     assert len(full) == ambient
     return full
@@ -317,8 +218,7 @@ def enumerate_superspaces(w: Subspace) -> list[Subspace]:
     m = w.dim
     if m >= d:
         raise NotProperSubspace("no proper superspaces: dim %d in ambient %d" % (m, d))
-    full = extend_basis(w.basis_vectors(), d)
-    added = [v.mask for v in full[m:]]
+    added = extend_basis(list(w.rows), d)[m:]
     out = []
     for t in range(1, 1 << len(added)):
         v = 0

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import reduce_mod, rref_ints
-from .scheme import PfisterForm, Scheme, iter_bits
+from .scheme import Scheme, iter_bits
 
 DEFAULT_TENSOR_CAP = 1 << 16
 DEFAULT_SL_CAP = 1 << 24
@@ -63,10 +63,6 @@ class SymbolVector:
                 "coordinate mask %d does not fit dimension %d"
                 % (self.coords, self.dim)
             )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coords == 0
 
 
 def tensor_of_vectors(vectors, d: int) -> int:
@@ -147,9 +143,6 @@ class SymbolAlgebra:
     def __repr__(self):
         return "SymbolAlgebra(%r, n=%d, dim=%d)" % (
             self.scheme.name, self.n, self.dim)
-
-    def zero(self) -> SymbolVector:
-        return SymbolVector(0, self.dim)
 
     def project(self, tensor_mask: int) -> SymbolVector:
         """Class of a raw tensor bitmask in the quotient coordinates."""
@@ -318,26 +311,12 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
             % (scheme.d ** n, tensor_cap)
         )
     hit = scheme._kn.get(n)
-    if hit is None or not isinstance(hit, SymbolAlgebra):
+    if hit is None:
         hit = SymbolAlgebra(scheme, n, tensor_cap)
         scheme._kn[n] = hit
     return hit
 
 
-def symbol_image(scheme: Scheme, pf: PfisterForm,
-                 tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolVector:
-    """Class of an n-fold multiplicative form in k_n."""
-    alg = kn_space(scheme, pf.degree, tensor_cap)
-    return alg.image_of_slots(pf.slots)
-
-
-def sl_element(scheme: Scheme, x: SymbolVector, n: int,
-               cap: int = DEFAULT_SL_CAP) -> int:
-    """Least number of pure symbols of degree n summing to x."""
-    return kn_space(scheme, n).symbol_length(x, cap)
-
-
-def sl_field(scheme: Scheme, n: int,
-             cap: int = DEFAULT_SL_CAP) -> tuple[int, SymbolVector]:
+def sl_field(scheme: Scheme, n: int) -> tuple[int, SymbolVector]:
     """Exact degree n symbol length of the scheme with a least witness."""
-    return kn_space(scheme, n).max_symbol_length(cap)
+    return kn_space(scheme, n).max_symbol_length()

@@ -7,24 +7,25 @@ sets.  The table row for a class a is the set D<1,a> of classes represented
 by the form <1,a>, stored as a bitmask over the 2^d classes (bit b set iff
 class b is represented).
 
-Everything else is derived from the table: value sets of longer diagonal
-forms by the usual recursion, isotropy, Witt decomposition by breadth-first
-search over chain moves, isometry, the chain of subgroups represented by sums
-of squares, the level / Pythagoras number / quotient-dimension invariants,
-and the stratification of Pfister forms by how many slots can be rewritten
-as 1.
+Everything else is derived from the table: Witt decomposition by
+breadth-first search over chain moves (the one source of isotropy and
+isometry), the chain of subgroups represented by sums of squares, the
+level / Pythagoras number / quotient-dimension invariants, and the
+stratification of Pfister forms by how many slots can be rewritten as 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     AxiomViolation,
     DimensionCapExceeded,
     DimensionMismatch,
-    EmptyForm,
     EnumerationTooLarge,
     IsotropicInput,
     NotAGroup,
@@ -34,8 +35,13 @@ from .errors import (
 )
 from .f2space import Subspace, in_span, rref_ints
 
-DEFAULT_WITT_STATE_CAP = 1 << 21
+if TYPE_CHECKING:
+    from .decompose import BasisChain
+    from .milnor import SymbolAlgebra
+
+WITT_STATE_CAP = 1 << 21
 SCHEME_DIM_CAP = 6
+DEFAULT_CLASS_CAP = 1 << 20
 
 
 def iter_bits(mask: int):
@@ -97,20 +103,6 @@ class ValueSetTable:
 
 
 @dataclass(frozen=True)
-class DiagonalForm:
-    """A diagonal quadratic form given by the multiset of its entry classes."""
-
-    entries: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def scaled(self, b: int) -> "DiagonalForm":
-        return DiagonalForm(tuple(e ^ b for e in self.entries))
-
-
-@dataclass(frozen=True)
 class PfisterForm:
     """An n-fold Pfister form <<a_1,...,a_n>> = <1,a_1> x ... x <1,a_n>."""
 
@@ -119,9 +111,6 @@ class PfisterForm:
     @property
     def degree(self) -> int:
         return len(self.slots)
-
-    def expand(self) -> DiagonalForm:
-        return DiagonalForm(pfister_expand(self.slots))
 
 
 def pfister_expand(slots) -> tuple[int, ...]:
@@ -143,13 +132,6 @@ class WittClass:
 
     kernel: tuple[int, ...]
     index: int
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    checked_triples: int
-    message: str
 
 
 @dataclass(frozen=True)
@@ -200,14 +182,10 @@ class Scheme:
     """A finite quadratic form scheme with memoized derived data.
 
     Query methods are pure with respect to the table; the instance carries
-    memo dictionaries only.  assume_associative prunes the value-set union
-    to a single distinguished entry; the default recomputes over every entry
-    so that unvalidated tables cannot silently give order-dependent sets.
+    memo dictionaries only.
     """
 
-    def __init__(self, group: SquareClassGroup, values: ValueSetTable, name: str,
-                 assume_associative: bool = False,
-                 witt_state_cap: int = DEFAULT_WITT_STATE_CAP):
+    def __init__(self, group: SquareClassGroup, values: ValueSetTable, name: str):
         if group.dim > SCHEME_DIM_CAP:
             raise DimensionCapExceeded(
                 "scheme dimension %d exceeds cap %d" % (group.dim, SCHEME_DIM_CAP)
@@ -220,8 +198,6 @@ class Scheme:
         self.group = group
         self.values = values
         self.name = name
-        self.assume_associative = assume_associative
-        self.witt_state_cap = witt_state_cap
         self.d = group.dim
         self.size = 1 << group.dim
         self.eps = group.minus_one
@@ -230,23 +206,18 @@ class Scheme:
             if row < 0 or row > full:
                 raise NotAGroup("value set row %d out of range" % a)
         self._bin_cache: dict[tuple[int, int], int] = {}
-        self._vs: dict[tuple[int, ...], int] = {}
-        self._iso: dict[tuple[int, ...], bool] = {}
         self._witt: dict[tuple[int, ...], WittClass] = {}
         self._ones: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
         self._sos_chain: list[int] | None = None
         self._d2m: list[int] | None = None
         self._round_ok: set[int] = set()
-        self._kn: dict[int, object] = {}
+        self._kn: dict[int, SymbolAlgebra] = {}
+        self._basis_chain: BasisChain | None = None
         self._profile: InvariantProfile | None = None
         self._validated = False
 
     def __repr__(self):
         return "Scheme(%r, d=%d)" % (self.name, self.d)
-
-    @property
-    def classes(self):
-        return range(self.size)
 
     @property
     def full_mask(self) -> int:
@@ -265,70 +236,7 @@ class Scheme:
         """Value set D<1,a>."""
         return self.values.rows[a]
 
-    # -- value sets of longer forms -------------------------------------
-
-    def value_set(self, entries) -> int:
-        """Class bitmask of the values represented by the diagonal form."""
-        key = tuple(sorted(entries))
-        if not key:
-            raise EmptyForm("value set of the empty form")
-        hit = self._vs.get(key)
-        if hit is not None:
-            return hit
-        n = len(key)
-        if n == 1:
-            res = 1 << key[0]
-        elif n == 2:
-            res = self.binary(key[0], key[1])
-        else:
-            res = 0
-            seen_rest = set()
-            positions = (0,) if self.assume_associative else range(n)
-            for i in positions:
-                rest = key[:i] + key[i + 1:]
-                if rest in seen_rest:
-                    continue
-                seen_rest.add(rest)
-                a = key[i]
-                m = self.value_set(rest)
-                while m:
-                    low = m & -m
-                    res |= self.binary(a, low.bit_length() - 1)
-                    m ^= low
-        self._vs[key] = res
-        return res
-
-    def represents(self, entries, c: int) -> bool:
-        return bool((self.value_set(entries) >> c) & 1)
-
-    # -- isotropy and Witt decomposition --------------------------------
-
-    def isotropic(self, entries) -> bool:
-        if not entries:
-            raise EmptyForm("isotropy of the empty form")
-        key = tuple(sorted(entries))
-        hit = self._iso.get(key)
-        if hit is not None:
-            return hit
-        n = len(key)
-        if n == 1:
-            res = False
-        else:
-            res = False
-            seen_rest = set()
-            for i in range(n):
-                rest = key[:i] + key[i + 1:]
-                if rest in seen_rest:
-                    continue
-                seen_rest.add(rest)
-                if self.represents(rest, self.eps ^ key[i]):
-                    res = True
-                    break
-                if self.isotropic(rest):
-                    res = True
-                    break
-        self._iso[key] = res
-        return res
+    # -- Witt decomposition ---------------------------------------------
 
     def _find_hyperbolic_pair(self, state):
         eps = self.eps
@@ -355,8 +263,6 @@ class Scheme:
             result = WittClass((), 0)
             self._witt[key] = result
             return result
-
-        from collections import deque
 
         visited = {key}
         queue = deque([key])
@@ -388,10 +294,10 @@ class Scheme:
                         m ^= low
                         ns = tuple(sorted(rest + (z, x ^ y ^ z)))
                         if ns not in visited:
-                            if len(visited) >= self.witt_state_cap:
+                            if len(visited) >= WITT_STATE_CAP:
                                 raise TooLarge(
                                     "chain class of %r exceeds %d states"
-                                    % (key, self.witt_state_cap)
+                                    % (key, WITT_STATE_CAP)
                                 )
                             visited.add(ns)
                             queue.append(ns)
@@ -400,16 +306,6 @@ class Scheme:
         for state in visited:
             self._witt[state] = result
         return result
-
-    def isometric(self, f_entries, g_entries) -> bool:
-        f = tuple(f_entries)
-        g = tuple(g_entries)
-        if len(f) != len(g):
-            return False
-        if not f:
-            return True
-        joined = f + tuple(e ^ self.eps for e in g)
-        return self.witt_decompose(joined).kernel == ()
 
     # -- sums of squares and invariants ---------------------------------
 
@@ -547,18 +443,21 @@ class Scheme:
     def ensure_round(self, m: int) -> None:
         """Check that every value of the 2^m all-ones form is a similarity.
 
-        The stratum and rewrite logic silently replaces a form by a scaled
-        copy for scale factors represented by 2^m squares; that replacement
-        is only sound when those scalings are isometries.  Schemes built by
-        the provided constructors satisfy this; a hand-built table might
-        not, and is refused here rather than given wrong answers.
+        subspace_to_pfister lifts each quotient row to one class of its
+        coset of +-D(2^m), and the form it attaches depends on the subspace
+        alone only when scaling the 2^m all-ones form by any of its values
+        is an isometry.  The provided constructors satisfy this.  The
+        rewrite in decompose makes the same substitution without this
+        check; on a hand-built table its output is guarded by the
+        certificate's residue check, which fails with exit code 3.
         """
         if m in self._round_ok:
             return
         sigma = (0,) * (1 << m)
         base = self.witt_decompose(sigma)
-        values = self.value_set(sigma)
-        v = values
+        # sos_chain()[k - 1] is the value set of the k all-ones form
+        chain = self.sos_chain()
+        v = chain[min(1 << m, len(chain)) - 1]
         while v:
             low = v & -v
             b = low.bit_length() - 1
@@ -576,14 +475,13 @@ class Scheme:
 # validation
 
 
-def validate_scheme(scheme: Scheme, sample_triples: int | None = None,
-                    seed: int = 0) -> ValidationReport:
+def validate_scheme(scheme: Scheme) -> None:
     """Check the table axioms and order-independence of ternary value sets.
 
-    Raises AxiomViolation with a witness description at the first failure.
-    For groups of dimension at most 4 the ternary check is exhaustive; above
-    that a seeded sample of triples is used unless sample_triples forces a
-    count.
+    Raises AxiomViolation with a witness description at the first failure
+    and marks the scheme validated otherwise.  For groups of dimension at
+    most 4 the ternary check is exhaustive; above that it runs on 2,000
+    triples drawn with a fixed seed.
     """
     size = scheme.size
     eps = scheme.eps
@@ -608,17 +506,13 @@ def validate_scheme(scheme: Scheme, sample_triples: int | None = None,
                     "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
                 )
 
-    if scheme.d <= 4 and sample_triples is None:
+    if scheme.d <= 4:
         triples = itertools.combinations_with_replacement(range(size), 3)
     else:
-        import random
-
-        rng = random.Random(seed)
-        count = sample_triples if sample_triples is not None else 2000
+        rng = random.Random(0)
         triples = (
-            tuple(rng.randrange(size) for _ in range(3)) for _ in range(count)
+            tuple(rng.randrange(size) for _ in range(3)) for _ in range(2000)
         )
-    checked = 0
     for (a, b, c) in triples:
         ref = None
         for first, p, q in ((a, b, c), (b, a, c), (c, a, b)):
@@ -634,18 +528,11 @@ def validate_scheme(scheme: Scheme, sample_triples: int | None = None,
                 raise AxiomViolation(
                     "ternary value set of (%d,%d,%d) depends on the order" % (a, b, c)
                 )
-        checked += 1
     scheme._validated = True
-    return ValidationReport(True, checked, "ok")
 
 
 # ---------------------------------------------------------------------------
 # Pfister strata
-
-
-def pfister_ones_rank(scheme: Scheme, pf: PfisterForm) -> int:
-    """Largest m so the form is isometric to one with m leading slots 1."""
-    return pfister_ones_witness(scheme, pf)[0]
 
 
 def pfister_ones_witness(scheme: Scheme, pf: PfisterForm) -> tuple[int, tuple[int, ...]]:
@@ -690,13 +577,13 @@ def _ones_rank_of_kernel(scheme, n, kernel):
     return result
 
 
-def enumerate_pfister_strata(scheme: Scheme, n: int, cap: int = 1 << 20) -> dict[int, int]:
+def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
     """Counts of anisotropic degree-n Pfister classes by ones-stratum.
 
     Returns a dict with keys 0..n; the sum of the values is the number of
     anisotropic isometry classes of n-fold Pfister forms of the scheme.
     """
-    groups = pfister_classes(scheme, n, cap)
+    groups = pfister_classes(scheme, n)
     counts = {m: 0 for m in range(n + 1)}
     for kernel in groups:
         m, _ = _ones_rank_of_kernel(scheme, n, kernel)
@@ -704,7 +591,7 @@ def enumerate_pfister_strata(scheme: Scheme, n: int, cap: int = 1 << 20) -> dict
     return counts
 
 
-def pfister_classes(scheme: Scheme, n: int, cap: int = 1 << 20) -> dict[tuple[int, ...], tuple[int, ...]]:
+def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map of Witt kernel -> first representative slots, anisotropic classes only."""
     if scheme.size ** n > cap:
         raise EnumerationTooLarge(

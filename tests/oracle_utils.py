@@ -1,5 +1,6 @@
 """Independent cross-checks used by more than one test module."""
 
+import functools
 import itertools
 
 from symlen.f2space import rank_ints
@@ -70,3 +71,73 @@ def dict_bfs_max_length(algebra):
     dist = dict_bfs_distances(algebra)
     best = max(dist.values())
     return best, min(c for c, k in dist.items() if k == best)
+
+
+# ---------------------------------------------------------------------------
+# value sets and isotropy by the recursion on entries, independent of the
+# Witt search that the library uses; isometry through the Witt search
+
+
+def value_set(scheme, entries):
+    """Class bitmask of the values represented by a diagonal form.
+
+    D<a_1, ..., a_k> is the union over every position i of the values of
+    <a_i, c> for c in D of the remaining entries; every position is used,
+    so an order-dependent table cannot hide behind one choice.
+    """
+    key = tuple(sorted(entries))
+    if not key:
+        raise ValueError("value set of the empty form")
+    return _value_set(scheme, key)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_set(scheme, key):
+    if len(key) == 1:
+        return 1 << key[0]
+    if len(key) == 2:
+        return scheme.binary(key[0], key[1])
+    res = 0
+    for i in range(len(key)):
+        if i and key[i] == key[i - 1]:
+            continue  # same remaining form as position i - 1
+        for c in iter_bits(_value_set(scheme, key[:i] + key[i + 1:])):
+            res |= scheme.binary(key[i], c)
+    return res
+
+
+def represents(scheme, entries, c):
+    return bool((value_set(scheme, entries) >> c) & 1)
+
+
+def isotropic(scheme, entries):
+    """Isotropy of a diagonal form by the value-set recursion.
+
+    A form is isotropic iff for some entry a the rest represents -a or is
+    itself isotropic.
+    """
+    key = tuple(sorted(entries))
+    if not key:
+        raise ValueError("isotropy of the empty form")
+    return _isotropic(scheme, key)
+
+
+@functools.lru_cache(maxsize=None)
+def _isotropic(scheme, key):
+    if len(key) == 1:
+        return False
+    for i in range(len(key)):
+        if i and key[i] == key[i - 1]:
+            continue
+        rest = key[:i] + key[i + 1:]
+        if represents(scheme, rest, scheme.eps ^ key[i]) or _isotropic(scheme, rest):
+            return True
+    return False
+
+
+def isometric(scheme, f, g):
+    """f and g are isometric iff f + (-g) is hyperbolic (Witt cancellation)."""
+    f, g = tuple(f), tuple(g)
+    if len(f) != len(g):
+        return False
+    return scheme.witt_decompose(f + tuple(e ^ scheme.eps for e in g)).kernel == ()

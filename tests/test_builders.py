@@ -149,7 +149,7 @@ def test_product_tables():
     mixed = build_from_text("product(RC,F1)")
     assert mixed.invariants().is_real
     f2 = build(BaseExpr("F2"))
-    same = product(build(BaseExpr("QC")), f2, validate=False)
+    same = product(build(BaseExpr("QC")), f2)
     assert same.values.rows == f2.values.rows and same.eps == f2.eps
 
 

@@ -11,6 +11,7 @@ from oracle_utils import (
     alternating_rank_sl,
     dict_bfs_distances,
     dict_bfs_max_length,
+    isometric,
     tuple_pure_symbols,
 )
 from symlen.builders import (
@@ -28,13 +29,11 @@ from symlen.milnor import (
     _clear_bit_masks,
     _union_of_translates,
     kn_space,
-    sl_element,
     sl_field,
     split_pair_basis,
-    symbol_image,
     tensor_of_vectors,
 )
-from symlen.scheme import PfisterForm, pfister_expand
+from symlen.scheme import pfister_expand
 
 
 def rigid_label(k):
@@ -88,10 +87,11 @@ def test_rigid_dimensions_are_binomials():
 
 def test_symbol_image_frozen_q3():
     q3 = build_from_text("laurent(F2)")
-    nonzero = symbol_image(q3, PfisterForm((0, 2)))
-    assert not nonzero.is_zero
-    assert symbol_image(q3, PfisterForm((1, 2))).is_zero
-    assert symbol_image(q3, PfisterForm((2, 2))) == nonzero
+    alg = kn_space(q3, 2)
+    nonzero = alg.image_of_slots((0, 2))
+    assert nonzero.coords != 0
+    assert alg.image_of_slots((1, 2)).coords == 0
+    assert alg.image_of_slots((2, 2)) == nonzero
     with pytest.raises(DegreeMismatch):
         kn_space(q3, 3).image_of_slots((0, 2))
 
@@ -113,21 +113,21 @@ def test_image_invariant_under_slot_moves():
                 # replacing a pair (x, y) by (z, xyz) for z in D<x, y>
                 i, j = rng.sample(range(n), 2)
                 x, y = slots[i], slots[j]
-                choices = [z for z in s.classes if (s.binary(x, y) >> z) & 1]
+                choices = [z for z in range(s.size) if (s.binary(x, y) >> z) & 1]
                 z = rng.choice(choices)
                 moved = slots[:]
                 moved[i], moved[j] = z, x ^ y ^ z
-                assert s.isometric(pfister_expand(slots), pfister_expand(moved))
+                assert isometric(s, pfister_expand(slots), pfister_expand(moved))
                 assert alg.image_of_slots(moved) == img
 
 
 def test_degree_two_image_detects_hyperbolicity():
     for s in standard_library(3):
         alg = kn_space(s, 2)
-        for x in s.classes:
-            for y in s.classes:
+        for x in range(s.size):
+            for y in range(s.size):
                 hyperbolic = s.witt_decompose(pfister_expand((x, y))).kernel == ()
-                assert alg.image_of_slots((x, y)).is_zero == hyperbolic
+                assert (alg.image_of_slots((x, y)).coords == 0) == hyperbolic
 
 
 def test_sl_rigid_frozen():
@@ -136,8 +136,8 @@ def test_sl_rigid_frozen():
     a = alg.image_of_slots((1, 2))
     b = alg.image_of_slots((4, 8))
     x = SymbolVector(a.coords ^ b.coords, alg.dim)
-    assert sl_element(r4, a, 2) == 1
-    assert sl_element(r4, x, 2) == 2
+    assert alg.symbol_length(a) == 1
+    assert alg.symbol_length(x) == 2
     assert sl_field(r4, 2) == (2, SymbolVector(12, 6))
     sl3, _ = sl_field(build_from_text(rigid_label(3)), 2)
     assert sl3 == 1
@@ -159,7 +159,7 @@ def test_sl_field_frozen_small():
     for label, n, sl in expected:
         got, witness = sl_field(build_from_text(label), n)
         assert got == sl, (label, n)
-        assert sl_element(build_from_text(label), witness, n) == sl
+        assert kn_space(build_from_text(label), n).symbol_length(witness) == sl
 
 
 def test_sl_matches_alternating_rank_oracle():
@@ -168,7 +168,7 @@ def test_sl_matches_alternating_rank_oracle():
         alg = kn_space(s, 2)
         for coords in range(1 << alg.dim):
             x = SymbolVector(coords, alg.dim)
-            assert sl_element(s, x, 2) == alternating_rank_sl(alg, x)
+            assert alg.symbol_length(x) == alternating_rank_sl(alg, x)
 
 
 def test_rigid_sl_is_half_dimension():
@@ -219,7 +219,7 @@ def test_project_representative_roundtrip():
         s = build_from_text(label)
         for n in (2, 3):
             alg = kn_space(s, n)
-            assert alg.representative(alg.zero()) == 0
+            assert alg.representative(SymbolVector(0, alg.dim)) == 0
             for _ in range(50):
                 mask = rng.randrange(1 << alg.tensor_dim)
                 x = alg.project(mask)

@@ -12,14 +12,15 @@ import random
 
 import pytest
 
+from oracle_utils import isometric, isotropic, represents, value_set
+from symlen.builders import standard_library
 from symlen.errors import (
     AxiomViolation,
     DimensionMismatch,
-    EmptyForm,
     IsotropicInput,
     ProfileInconsistency,
 )
-from symlen.f2space import Subspace, subspace_from_masks
+from symlen.f2space import subspace_from_masks
 from symlen.scheme import (
     PfisterForm,
     Scheme,
@@ -29,7 +30,6 @@ from symlen.scheme import (
     enumerate_pfister_strata,
     pfister_classes,
     pfister_expand,
-    pfister_ones_rank,
     pfister_ones_witness,
     quotient_basis,
     subspace_to_pfister,
@@ -73,8 +73,8 @@ def test_translate():
 
 
 def test_validator_accepts_real_closed(rc):
-    report = validate_scheme(rc)
-    assert report.ok
+    validate_scheme(rc)
+    assert rc._validated
 
 
 def test_validator_rejects_missing_identity():
@@ -115,28 +115,28 @@ def test_binary_value_sets(q3):
 
 
 def test_represents(rc, q3):
-    assert rc.represents((0,), 0)
-    assert not rc.represents((0, 0), 1)
-    assert q3.represents((0, 0), 1)
-    with pytest.raises(EmptyForm):
-        q3.value_set(())
+    assert represents(rc, (0,), 0)
+    assert not represents(rc, (0, 0), 1)
+    assert represents(q3, (0, 0), 1)
+    with pytest.raises(ValueError):
+        value_set(q3, ())
 
 
 def test_value_set_chain(q3, rc):
-    assert q3.value_set((0, 0, 0)) == 0b1111
-    assert rc.value_set((0, 0, 0)) == 0b01
-    assert q3.value_set((0, 0, 2)) == 0b0111
-    assert q3.value_set((0, 2, 2)) == 0b1101
+    assert value_set(q3, (0, 0, 0)) == 0b1111
+    assert value_set(rc, (0, 0, 0)) == 0b01
+    assert value_set(q3, (0, 0, 2)) == 0b0111
+    assert value_set(q3, (0, 2, 2)) == 0b1101
 
 
 def test_isotropic(rc, q3):
-    assert rc.isotropic((0, 1))
-    assert not rc.isotropic((0, 0, 0))
-    assert q3.isotropic((0, 0, 0))
-    assert not q3.isotropic((0, 0, 2))
-    assert q3.isotropic((0, 0, 2, 2)) is False
-    with pytest.raises(EmptyForm):
-        rc.isotropic(())
+    assert isotropic(rc, (0, 1))
+    assert not isotropic(rc, (0, 0, 0))
+    assert isotropic(q3, (0, 0, 0))
+    assert not isotropic(q3, (0, 0, 2))
+    assert isotropic(q3, (0, 0, 2, 2)) is False
+    with pytest.raises(ValueError):
+        isotropic(rc, ())
 
 
 def test_witt_decompose(rc, q3):
@@ -152,19 +152,19 @@ def test_isotropy_agrees_with_witt(rc, q3, rigid2):
     for s in (rc, q3, rigid2):
         for _ in range(120):
             f = tuple(rng.randrange(s.size) for _ in range(rng.randrange(1, 6)))
-            assert s.isotropic(f) == (s.witt_decompose(f).index > 0)
+            assert isotropic(s, f) == (s.witt_decompose(f).index > 0)
 
 
 def test_isometric(rc, q3, rigid2):
-    assert rc.isometric((0, 0), (0, 0))
-    assert not rc.isometric((0, 0), (0, 1))
-    assert not rc.isometric((0,), (0, 0))
+    assert isometric(rc, (0, 0), (0, 0))
+    assert not isometric(rc, (0, 0), (0, 1))
+    assert not isometric(rc, (0,), (0, 0))
     for s in (rc, q3, rigid2):
-        for x in s.classes:
-            for y in s.classes:
+        for x in range(s.size):
+            for y in range(s.size):
                 a = pfister_expand((x, y))
                 b = pfister_expand((x, x ^ y))
-                assert s.isometric(a, b)
+                assert isometric(s, a, b)
 
 
 def test_witt_cancellation(q3, rigid2):
@@ -174,7 +174,7 @@ def test_witt_cancellation(q3, rigid2):
             f = tuple(rng.randrange(s.size) for _ in range(rng.randrange(1, 4)))
             g = tuple(rng.randrange(s.size) for _ in range(len(f)))
             h = tuple(rng.randrange(s.size) for _ in range(rng.randrange(1, 3)))
-            assert s.isometric(f + h, g + h) == s.isometric(f, g)
+            assert isometric(s, f + h, g + h) == isometric(s, f, g)
 
 
 def test_d2m_chain_frozen(rc, q3):
@@ -228,12 +228,12 @@ def test_pfister_expand():
 
 
 def test_pfister_ones_rank(rc, q3, rigid2):
-    assert pfister_ones_rank(rc, PfisterForm((0, 0))) == 2
-    assert pfister_ones_rank(rigid2, PfisterForm((1, 2))) == 0
-    assert pfister_ones_rank(q3, PfisterForm((0, 2))) == 1
-    assert pfister_ones_rank(q3, PfisterForm((2, 2))) == 1
+    assert pfister_ones_witness(rc, PfisterForm((0, 0)))[0] == 2
+    assert pfister_ones_witness(rigid2, PfisterForm((1, 2)))[0] == 0
+    assert pfister_ones_witness(q3, PfisterForm((0, 2)))[0] == 1
+    assert pfister_ones_witness(q3, PfisterForm((2, 2)))[0] == 1
     with pytest.raises(IsotropicInput):
-        pfister_ones_rank(q3, PfisterForm((1, 2)))
+        pfister_ones_witness(q3, PfisterForm((1, 2)))
 
 
 def test_pfister_ones_witness_lex(q3):
@@ -255,7 +255,7 @@ def test_pfister_classes_are_isometry_classes(q3, rigid2):
         groups = pfister_classes(s, 2)
         reps = list(groups.items())
         for (k1, s1), (k2, s2) in itertools.combinations(reps, 2):
-            assert not s.isometric(pfister_expand(s1), pfister_expand(s2))
+            assert not isometric(s, pfister_expand(s1), pfister_expand(s2))
         for kernel, slots in reps:
             assert s.witt_decompose(pfister_expand(slots)).kernel == kernel
 
@@ -287,7 +287,7 @@ def test_subspace_to_pfister(rc, q3, rigid2):
     assert pf.slots == (0, 0)
     pf = subspace_to_pfister(rigid2, 0, subspace_from_masks([1, 2], 2))
     assert pf.slots == (2, 1)
-    assert rigid2.isometric(pf.expand().entries, pfister_expand((1, 2)))
+    assert isometric(rigid2, pfister_expand(pf.slots), pfister_expand((1, 2)))
     pf = subspace_to_pfister(q3, 1, subspace_from_masks([1], 1))
     assert pf.slots == (0, 2)
     with pytest.raises(DimensionMismatch):
@@ -304,10 +304,18 @@ def test_subspace_map_well_defined(rigid2, q3):
                 a = pfister_expand((x, y))
                 b = pfister_expand((x, x ^ y))
                 c = pfister_expand((y, x))
-                assert s.isometric(a, b) and s.isometric(a, c)
+                assert isometric(s, a, b) and isometric(s, a, c)
 
 
 def test_ensure_round(rc, q3, rigid2):
     for s in (rc, q3, rigid2):
         for m in range(4):
             s.ensure_round(m)
+
+
+def test_sos_chain_gives_two_power_value_sets():
+    # ensure_round reads D(2^m) off the sum-of-squares chain
+    for s in standard_library(3):
+        chain = s.sos_chain()
+        for m in range(4):
+            assert chain[min(1 << m, len(chain)) - 1] == value_set(s, (0,) * (1 << m))
