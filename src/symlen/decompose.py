@@ -39,7 +39,6 @@ from .scheme import (
     PfisterForm,
     Scheme,
     iter_bits,
-    pfister_expand,
     pfister_ones_witness,
     set_to_sorted,
 )
@@ -194,6 +193,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
     if chain is None:
         chain = build_basis_chain(scheme)
     n = psum.degree
+    algebra = kn_space(scheme, n)
     d2m = scheme.d2m_chain()
     # work items: (slots, settled); unsettled entries still need their
     # maximal-ones representative computed
@@ -201,7 +201,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
     parity: dict[tuple[int, ...], int] = {}
     # stratum 0 entries of one class share the first witness seen in this
     # call, so the output does not depend on earlier calls
-    zero_witness: dict[tuple[int, ...], tuple[int, ...]] = {}
+    zero_witness: dict[int, tuple[int, ...]] = {}
     steps = 0
     while work:
         steps += 1
@@ -209,12 +209,12 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
             raise VerificationFailure("rewrite did not terminate within the step cap")
         slots, settled = work.pop()
         if not settled:
-            wc = scheme.witt_decompose(pfister_expand(slots))
-            if wc.index:
+            image = algebra.image_coords(slots)
+            if not image:
                 continue
             m, canonical = pfister_ones_witness(scheme, PfisterForm(tuple(slots)))
             if m == 0:
-                canonical = zero_witness.setdefault(wc.kernel, canonical)
+                canonical = zero_witness.setdefault(image, canonical)
             work.append((canonical, True))
             continue
         m = entry_stratum(slots)
@@ -262,7 +262,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
                 work.append(((0,) * m + tuple(tail), False))
                 continue
             final = (0,) * m + tuple(tail)
-            if scheme.witt_decompose(pfister_expand(final)).index:
+            if not algebra.image_coords(final):
                 continue
             parity[final] = parity.get(final, 0) ^ 1
     kept = sorted(slots for slots, odd in parity.items() if odd)
@@ -271,14 +271,6 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
 
 # ---------------------------------------------------------------------------
 # linkage merging
-
-
-def _cofactor(scheme: Scheme, kernel, divisor):
-    for c in range(scheme.size):
-        wc = scheme.witt_decompose(pfister_expand(divisor + (c,)))
-        if wc.index == 0 and wc.kernel == kernel:
-            return c
-    return None
 
 
 def find_linked_pair(scheme: Scheme, psum: PfisterSum,
@@ -299,25 +291,23 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum,
         raise EnumerationTooLarge(
             "divisor search needs %d candidates, cap is %d" % (count, candidate_cap)
         )
-    kernels = []
-    for slots in psum.entries:
-        wc = scheme.witt_decompose(pfister_expand(slots))
-        kernels.append(None if wc.index else wc.kernel)
+    algebra = kn_space(scheme, n)
+    images = [algebra.image_coords(slots) for slots in psum.entries]
     candidates = list(itertools.combinations_with_replacement(range(scheme.size), n - 1))
+    # divisor -> images of <<divisor, c>> for c = 0, 1, ...
+    cofactors: dict[tuple[int, ...], list[int]] = {}
     for i in range(len(psum.entries)):
-        if kernels[i] is None:
+        if not images[i]:
             continue
         for j in range(i + 1, len(psum.entries)):
-            if kernels[j] is None:
+            if not images[j]:
                 continue
             for divisor in candidates:
-                ci = _cofactor(scheme, kernels[i], divisor)
-                if ci is None:
-                    continue
-                cj = _cofactor(scheme, kernels[j], divisor)
-                if cj is None:
-                    continue
-                return i, j, divisor, ci, cj
+                row = cofactors.get(divisor)
+                if row is None:
+                    row = cofactors[divisor] = algebra.last_slot_images(divisor)
+                if images[i] in row and images[j] in row:
+                    return i, j, divisor, row.index(images[i]), row.index(images[j])
     return None
 
 
@@ -328,6 +318,7 @@ def merge_linked(scheme: Scheme, psum: PfisterSum) -> PfisterSum:
     X sum to the residue of <<X, eps*c1*c2>>, so the pair collapses to one
     entry, or to nothing when the merged form is hyperbolic.
     """
+    algebra = kn_space(scheme, psum.degree)
     entries = list(psum.entries)
     while True:
         current = PfisterSum(psum.scheme_name, psum.degree, tuple(entries))
@@ -338,7 +329,7 @@ def merge_linked(scheme: Scheme, psum: PfisterSum) -> PfisterSum:
         merged = tuple(sorted(divisor + (scheme.eps ^ ci ^ cj,)))
         del entries[j]
         del entries[i]
-        if scheme.witt_decompose(pfister_expand(merged)).index == 0:
+        if algebra.image_coords(merged):
             entries.append(merged)
         entries.sort()
     return PfisterSum(psum.scheme_name, psum.degree, tuple(sorted(entries)))

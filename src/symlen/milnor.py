@@ -20,15 +20,22 @@ k_n with the nonzero pure symbols as generators.
 Pure symbols are enumerated through multilinearity: the d^n basis tensors
 are projected once, and the slots are then contracted one at a time, each
 over its nonzero vectors in Gray code order, so that every step is one XOR
-per table entry.  The search holds each BFS layer as one 2^dim-bit int,
-bit x standing for the element with coords x.  Translating a set by an
-element g swaps, for every set bit b of g, the blocks of positions with
-bit b clear and set: ((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b
-marks the positions with bit b clear.  The next layer is the union of the
-translates of the current one by the generators, less everything reached.
-The shifts are walked as a binary trie, so shifts sharing their top bits
-share those swaps, and as the sumset is symmetric the smaller of the layer
-and the generator set supplies the shifts.
+per table entry.  The image table is built the same way, contracting every
+slot over all 2^d vectors, and holds the image of every slot tuple.  It
+keys the Pfister classes of the scheme: an anisotropic n-fold Pfister form
+is determined up to isometry by its image, and it is hyperbolic iff the
+image is 0 (the Arason-Pfister Hauptsatz for fields; for schemes the tests
+check it against a Witt decomposition search).
+
+The search holds each BFS layer as one 2^dim-bit int, bit x standing for
+the element with coords x.  Translating a set by an element g swaps, for
+every set bit b of g, the blocks of positions with bit b clear and set:
+((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b marks the positions with
+bit b clear.  The next layer is the union of the translates of the current
+one by the generators, less everything reached.  The shifts are walked as a
+binary trie, so shifts sharing their top bits share those swaps, and as the
+sumset is symmetric the smaller of the layer and the generator set supplies
+the shifts.
 
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
@@ -48,6 +55,8 @@ from .scheme import Scheme, iter_bits
 
 DEFAULT_TENSOR_CAP = 1 << 16
 DEFAULT_SL_CAP = 1 << 24
+# the largest image table built; above it images are projected one by one
+IMAGE_TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True, order=True)
@@ -138,6 +147,7 @@ class SymbolAlgebra:
         self.dim = len(self.free_cols)
         self._col_index = {c: j for j, c in enumerate(self.free_cols)}
         self._pures: tuple[int, ...] | None = None
+        self._images: list[int] | None = None
         self._layers: list[int] | None = None
 
     def __repr__(self):
@@ -168,6 +178,62 @@ class SymbolAlgebra:
         return self.project(
             tensor_of_vectors([a ^ eps for a in slots], self.scheme.d)
         )
+
+    def image_table(self) -> list[int] | None:
+        """Coords of the image of every slot tuple, (2^d)^n entries.
+
+        The entry at sum((a_i ^ eps) << d*i) is the image of
+        <<a_0, ..., a_{n-1}>>.  None when the table would have more than
+        IMAGE_TABLE_CAP entries.
+        """
+        if self._images is None:
+            d = self.scheme.d
+            if self.scheme.size ** self.n > IMAGE_TABLE_CAP:
+                return None
+            if d == 0:
+                # no tensor coordinates: the one slot tuple has image 0
+                table = [0]
+            else:
+                table = [self.project(1 << t).coords
+                         for t in range(self.tensor_dim)]
+                for _ in range(self.n):
+                    table = _contract_all(table, d)
+            self._images = table
+        return self._images
+
+    def image_coords(self, slots) -> int:
+        """Coords of the image of <<slots>>, read from the image table."""
+        table = self.image_table()
+        if table is None:
+            return self.image_of_slots(slots).coords
+        return table[self._table_index(slots)]
+
+    def last_slot_images(self, head) -> list[int]:
+        """Images of <<head, c>> for every class c, in class order.
+
+        The last slot is the top digit of the table index, so these are one
+        strided slice of the table.
+        """
+        head = tuple(head)
+        table = self.image_table()
+        if table is None:
+            return [self.image_coords(head + (c,)) for c in range(self.scheme.size)]
+        eps = self.scheme.eps
+        start = self._table_index(head + (eps,))
+        col = table[start::1 << (self.scheme.d * (self.n - 1))]
+        return [col[c ^ eps] for c in range(self.scheme.size)]
+
+    def _table_index(self, slots) -> int:
+        if len(slots) != self.n:
+            raise DegreeMismatch(
+                "form has %d slots, algebra degree is %d" % (len(slots), self.n)
+            )
+        d = self.scheme.d
+        eps = self.scheme.eps
+        key = 0
+        for i, a in enumerate(slots):
+            key |= (a ^ eps) << (d * i)
+        return key
 
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols."""
@@ -252,6 +318,22 @@ def _contract_slot(table: list[int], d: int) -> list[int]:
         acc = [a ^ c for a, c in zip(acc, col)]
         out.extend(acc)
     return out
+
+
+def _contract_all(table: list[int], d: int) -> list[int]:
+    """Contract the lowest slot of a multilinear table over all 2^d vectors.
+
+    table[i + d * r] is the value with the basis vector e_i in the lowest
+    slot.  The result holds at r + R * v, for R = len(table) // d, the value
+    with the vector v in that slot, so the next slot becomes the lowest one.
+    """
+    cols = [table[i::d] for i in range(d)]
+    rows = [[0] * (len(table) // d)]
+    for v in range(1, 1 << d):
+        # v is v & (v - 1) plus the basis vector of its lowest set bit
+        col = cols[(v & -v).bit_length() - 1]
+        rows.append([a ^ c for a, c in zip(rows[v & (v - 1)], col)])
+    return [x for row in rows for x in row]
 
 
 def _clear_bit_masks(dim: int) -> list[int]:

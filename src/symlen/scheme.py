@@ -7,18 +7,20 @@ sets.  The table row for a class a is the set D<1,a> of classes represented
 by the form <1,a>, stored as a bitmask over the 2^d classes (bit b set iff
 class b is represented).
 
-Everything else is derived from the table: Witt decomposition by
-breadth-first search over chain moves (the one source of isotropy and
-isometry), the chain of subgroups represented by sums of squares, the
-level / Pythagoras number / quotient-dimension invariants, and the
-stratification of Pfister forms by how many slots can be rewritten as 1.
+Everything else is derived from the table: the chain of subgroups
+represented by sums of squares, the level / Pythagoras number /
+quotient-dimension invariants, and the classes of anisotropic Pfister forms
+with their stratification by how many slots can be rewritten as 1.  A
+Pfister form is isotropic iff its image in the symbol algebra k_n is 0, and
+two anisotropic ones are isometric iff their images are equal, so the
+classes are keyed by image coords read from the image table of
+milnor.SymbolAlgebra.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,7 +33,6 @@ from .errors import (
     NotAGroup,
     ProfileInconsistency,
     RoundnessViolation,
-    TooLarge,
 )
 from .f2space import Subspace, in_span, rref_ints
 
@@ -39,7 +40,6 @@ if TYPE_CHECKING:
     from .decompose import BasisChain
     from .milnor import SymbolAlgebra
 
-WITT_STATE_CAP = 1 << 21
 SCHEME_DIM_CAP = 6
 DEFAULT_CLASS_CAP = 1 << 20
 
@@ -111,27 +111,6 @@ class PfisterForm:
     @property
     def degree(self) -> int:
         return len(self.slots)
-
-
-def pfister_expand(slots) -> tuple[int, ...]:
-    """Entries of the 2^n dimensional expansion, subset products in mask order."""
-    n = len(slots)
-    out = []
-    for t in range(1 << n):
-        v = 0
-        for i in range(n):
-            if (t >> i) & 1:
-                v ^= slots[i]
-        out.append(v)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class WittClass:
-    """Anisotropic kernel (canonical sorted entry tuple) plus Witt index."""
-
-    kernel: tuple[int, ...]
-    index: int
 
 
 @dataclass(frozen=True)
@@ -206,8 +185,7 @@ class Scheme:
             if row < 0 or row > full:
                 raise NotAGroup("value set row %d out of range" % a)
         self._bin_cache: dict[tuple[int, int], int] = {}
-        self._witt: dict[tuple[int, ...], WittClass] = {}
-        self._ones: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...] | None]] = {}
+        self._ones: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
         self._sos_chain: list[int] | None = None
         self._d2m: list[int] | None = None
         self._round_ok: set[int] = set()
@@ -235,77 +213,6 @@ class Scheme:
     def binary_unit(self, a: int) -> int:
         """Value set D<1,a>."""
         return self.values.rows[a]
-
-    # -- Witt decomposition ---------------------------------------------
-
-    def _find_hyperbolic_pair(self, state):
-        eps = self.eps
-        for i in range(len(state)):
-            for j in range(i + 1, len(state)):
-                if state[i] ^ state[j] == eps:
-                    return i, j
-        return None
-
-    def witt_decompose(self, entries) -> WittClass:
-        """Witt class of the form: canonical anisotropic kernel plus index.
-
-        Breadth-first search over the chain move set: a pair (x, y) may be
-        replaced by (z, x*y*z) for any z in D<x,y>.  Either some reachable
-        state exposes a pair multiplying to -1 (extract it and recurse), or
-        the whole chain class is exhausted and the form is anisotropic with
-        canonical kernel the least sorted tuple seen.
-        """
-        key = tuple(sorted(entries))
-        cached = self._witt.get(key)
-        if cached is not None:
-            return cached
-        if not key:
-            result = WittClass((), 0)
-            self._witt[key] = result
-            return result
-
-        visited = {key}
-        queue = deque([key])
-        result = None
-        while queue and result is None:
-            state = queue.popleft()
-            known = self._witt.get(state)
-            if known is not None:
-                result = known
-                break
-            pair = self._find_hyperbolic_pair(state)
-            if pair is not None:
-                i, j = pair
-                rest = state[:i] + state[i + 1:j] + state[j + 1:]
-                sub = self.witt_decompose(rest)
-                result = WittClass(sub.kernel, sub.index + 1)
-                break
-            n = len(state)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    x, y = state[i], state[j]
-                    if j > i + 1 and y == state[j - 1]:
-                        continue
-                    rest = state[:i] + state[i + 1:j] + state[j + 1:]
-                    m = self.binary(x, y)
-                    while m:
-                        low = m & -m
-                        z = low.bit_length() - 1
-                        m ^= low
-                        ns = tuple(sorted(rest + (z, x ^ y ^ z)))
-                        if ns not in visited:
-                            if len(visited) >= WITT_STATE_CAP:
-                                raise TooLarge(
-                                    "chain class of %r exceeds %d states"
-                                    % (key, WITT_STATE_CAP)
-                                )
-                            visited.add(ns)
-                            queue.append(ns)
-        if result is None:
-            result = WittClass(min(visited), 0)
-        for state in visited:
-            self._witt[state] = result
-        return result
 
     # -- sums of squares and invariants ---------------------------------
 
@@ -445,25 +352,21 @@ class Scheme:
 
         subspace_to_pfister lifts each quotient row to one class of its
         coset of +-D(2^m), and the form it attaches depends on the subspace
-        alone only when scaling the 2^m all-ones form by any of its values
-        is an isometry.  The provided constructors satisfy this.  The
-        rewrite in decompose makes the same substitution without this
+        alone only when scaling the 2^m all-ones form pi by any of its
+        values b is an isometry.  By Witt cancellation b*pi = pi iff
+        pi x <1,-b> is hyperbolic, that is iff the slots (0,)*m + (eps^b,)
+        have image 0 in k_{m+1}.  The provided constructors satisfy this.
+        The rewrite in decompose makes the same substitution without this
         check; on a hand-built table its output is guarded by the
         certificate's residue check, which fails with exit code 3.
         """
         if m in self._round_ok:
             return
-        sigma = (0,) * (1 << m)
-        base = self.witt_decompose(sigma)
+        algebra = _kn(self, m + 1)
         # sos_chain()[k - 1] is the value set of the k all-ones form
         chain = self.sos_chain()
-        v = chain[min(1 << m, len(chain)) - 1]
-        while v:
-            low = v & -v
-            b = low.bit_length() - 1
-            v ^= low
-            scaled = tuple(e ^ b for e in sigma)
-            if self.witt_decompose(scaled) != base:
+        for b in iter_bits(chain[min(1 << m, len(chain)) - 1]):
+            if algebra.image_of_slots((0,) * m + (self.eps ^ b,)).coords:
                 raise RoundnessViolation(
                     "class %d is a value but not a similarity of the %d-ones form"
                     % (b, 1 << m)
@@ -535,46 +438,44 @@ def validate_scheme(scheme: Scheme) -> None:
 # Pfister strata
 
 
+def _kn(scheme: Scheme, n: int) -> SymbolAlgebra:
+    from .milnor import kn_space  # milnor imports this module
+    return kn_space(scheme, n)
+
+
 def pfister_ones_witness(scheme: Scheme, pf: PfisterForm) -> tuple[int, tuple[int, ...]]:
     """The stratum of an anisotropic Pfister form plus a witnessing slot tuple.
 
     In a stratum m >= 1 the witness is the lexicographically least sorted
-    slot tuple with m leading 1 slots isometric to the form, so it depends
-    only on the isometry class.  In stratum 0 no slot tuple of the
+    slot tuple with m leading 1 slots and the image of the form, so it
+    depends only on the isometry class.  In stratum 0 no slot tuple of the
     class has a leading 1, and the witness is the form's own slots, sorted.
     """
-    n = pf.degree
-    expansion = pfister_expand(pf.slots)
-    wc = scheme.witt_decompose(expansion)
-    if wc.index:
+    image = _kn(scheme, pf.degree).image_coords(pf.slots)
+    if not image:
         raise IsotropicInput("Pfister form %r is isotropic" % (pf.slots,))
-    m, witness = _ones_rank_of_kernel(scheme, n, wc.kernel)
-    if witness is None:
-        witness = tuple(sorted(pf.slots))
-    return m, witness
+    return _ones_witnesses(scheme, pf.degree).get(image, (0, tuple(sorted(pf.slots))))
 
 
-def _ones_rank_of_kernel(scheme, n, kernel):
-    """(m, least witness) for a stratum m >= 1, (0, None) for stratum 0.
+def _ones_witnesses(scheme: Scheme, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Map of image -> (m, least witness) over the classes of stratum m >= 1.
 
-    Both depend on the class alone, so they are memoized on the scheme.
+    The slot tuples (0,)*m + cand are scanned for m = n..1, cand in
+    lexicographic order, so the first tuple met with an image gives the
+    class's stratum and least witness.  Memoized on the scheme per degree.
     """
-    memo_key = (n, kernel)
-    hit = scheme._ones.get(memo_key)
-    if hit is not None:
-        return hit
-    result = (0, None)
-    for m in range(n, 0, -1):
-        for cand in itertools.combinations_with_replacement(range(scheme.size), n - m):
-            slots = (0,) * m + cand
-            wc = scheme.witt_decompose(pfister_expand(slots))
-            if wc.kernel == kernel and wc.index == 0:
-                result = (m, slots)
-                break
-        if result[0]:
-            break
-    scheme._ones[memo_key] = result
-    return result
+    hit = scheme._ones.get(n)
+    if hit is None:
+        algebra = _kn(scheme, n)
+        hit = {}
+        for m in range(n, 0, -1):
+            for cand in itertools.combinations_with_replacement(range(scheme.size), n - m):
+                slots = (0,) * m + cand
+                image = algebra.image_coords(slots)
+                if image and image not in hit:
+                    hit[image] = (m, slots)
+        scheme._ones[n] = hit
+    return hit
 
 
 def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
@@ -584,27 +485,30 @@ def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
     anisotropic isometry classes of n-fold Pfister forms of the scheme.
     """
     groups = pfister_classes(scheme, n)
+    ones = _ones_witnesses(scheme, n)
     counts = {m: 0 for m in range(n + 1)}
-    for kernel in groups:
-        m, _ = _ones_rank_of_kernel(scheme, n, kernel)
-        counts[m] += 1
+    for image in groups:
+        counts[ones.get(image, (0,))[0]] += 1
     return counts
 
 
-def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map of Witt kernel -> first representative slots, anisotropic classes only."""
+def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dict[int, tuple[int, ...]]:
+    """Map of image coords -> first sorted slot tuple, anisotropic classes only.
+
+    The cap bounds the (2^d)^n slot tuples and is checked before the image
+    table is built.
+    """
     if scheme.size ** n > cap:
         raise EnumerationTooLarge(
             "strata enumeration needs %d slot tuples, cap is %d"
             % (scheme.size ** n, cap)
         )
-    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    algebra = _kn(scheme, n)
+    groups: dict[int, tuple[int, ...]] = {}
     for slots in itertools.combinations_with_replacement(range(scheme.size), n):
-        wc = scheme.witt_decompose(pfister_expand(slots))
-        if wc.index:
-            continue
-        if wc.kernel not in groups:
-            groups[wc.kernel] = slots
+        image = algebra.image_coords(slots)
+        if image and image not in groups:
+            groups[image] = slots
     return groups
 
 

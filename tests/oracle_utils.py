@@ -2,10 +2,15 @@
 
 import functools
 import itertools
+from collections import deque
+from dataclasses import dataclass
 
+from symlen.errors import TooLarge
 from symlen.f2space import rank_ints
 from symlen.milnor import tensor_of_vectors
 from symlen.scheme import iter_bits
+
+WITT_STATE_CAP = 1 << 21
 
 
 def alternating_rank_sl(algebra, x):
@@ -74,8 +79,122 @@ def dict_bfs_max_length(algebra):
 
 
 # ---------------------------------------------------------------------------
+# Witt decomposition by a breadth-first search over chain moves: the
+# reference that the image-keyed Pfister classes of the library are
+# checked against
+
+
+def pfister_expand(slots):
+    """Entries of the 2^n dimensional expansion, subset products in mask order."""
+    n = len(slots)
+    out = []
+    for t in range(1 << n):
+        v = 0
+        for i in range(n):
+            if (t >> i) & 1:
+                v ^= slots[i]
+        out.append(v)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class WittClass:
+    """Anisotropic kernel (canonical sorted entry tuple) plus Witt index."""
+
+    kernel: tuple
+    index: int
+
+
+# per scheme: every state visited by a search -> its Witt class
+_WITT = {}
+
+
+def _find_hyperbolic_pair(scheme, state):
+    for i in range(len(state)):
+        for j in range(i + 1, len(state)):
+            if state[i] ^ state[j] == scheme.eps:
+                return i, j
+    return None
+
+
+def witt_decompose(scheme, entries):
+    """Witt class of the form: canonical anisotropic kernel plus index.
+
+    Breadth-first search over the chain move set: a pair (x, y) may be
+    replaced by (z, x*y*z) for any z in D<x,y>.  Either some reachable
+    state exposes a pair multiplying to -1 (extract it and recurse), or
+    the whole chain class is exhausted and the form is anisotropic with
+    canonical kernel the least sorted tuple seen.
+    """
+    memo = _WITT.setdefault(scheme, {})
+    key = tuple(sorted(entries))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if not key:
+        memo[key] = WittClass((), 0)
+        return memo[key]
+
+    visited = {key}
+    queue = deque([key])
+    result = None
+    while queue and result is None:
+        state = queue.popleft()
+        known = memo.get(state)
+        if known is not None:
+            result = known
+            break
+        pair = _find_hyperbolic_pair(scheme, state)
+        if pair is not None:
+            i, j = pair
+            sub = witt_decompose(scheme, state[:i] + state[i + 1:j] + state[j + 1:])
+            result = WittClass(sub.kernel, sub.index + 1)
+            break
+        n = len(state)
+        for i in range(n):
+            for j in range(i + 1, n):
+                x, y = state[i], state[j]
+                if j > i + 1 and y == state[j - 1]:
+                    continue  # same move as with position j - 1
+                rest = state[:i] + state[i + 1:j] + state[j + 1:]
+                for z in iter_bits(scheme.binary(x, y)):
+                    ns = tuple(sorted(rest + (z, x ^ y ^ z)))
+                    if ns not in visited:
+                        if len(visited) >= WITT_STATE_CAP:
+                            raise TooLarge(
+                                "chain class of %r exceeds %d states"
+                                % (key, WITT_STATE_CAP)
+                            )
+                        visited.add(ns)
+                        queue.append(ns)
+    if result is None:
+        result = WittClass(min(visited), 0)
+    for state in visited:
+        memo[state] = result
+    return result
+
+
+def kernel_ones_witness(scheme, slots):
+    """(stratum, witness) of an anisotropic Pfister form by a kernel scan.
+
+    The stratum is the largest m such that some slot tuple (0,)*m + cand,
+    cand in lexicographic order, has the form's Witt kernel; the witness
+    is the first such tuple, or the form's own sorted slots for m = 0.
+    """
+    n = len(slots)
+    wc = witt_decompose(scheme, pfister_expand(slots))
+    assert not wc.index
+    for m in range(n, 0, -1):
+        for cand in itertools.combinations_with_replacement(range(scheme.size), n - m):
+            other = witt_decompose(scheme, pfister_expand((0,) * m + cand))
+            if other == wc:
+                return m, (0,) * m + cand
+    return 0, tuple(sorted(slots))
+
+
+# ---------------------------------------------------------------------------
 # value sets and isotropy by the recursion on entries, independent of the
-# Witt search that the library uses; isometry through the Witt search
+# Witt search; isometry through the Witt search
 
 
 def value_set(scheme, entries):
@@ -140,4 +259,4 @@ def isometric(scheme, f, g):
     f, g = tuple(f), tuple(g)
     if len(f) != len(g):
         return False
-    return scheme.witt_decompose(f + tuple(e ^ scheme.eps for e in g)).kernel == ()
+    return witt_decompose(scheme, f + tuple(e ^ scheme.eps for e in g)).kernel == ()

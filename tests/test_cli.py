@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symlen import cli
+from symlen import cli, milnor
 from symlen.errors import VerificationFailure
 
 
@@ -171,3 +171,16 @@ def test_config_file_rejects_garbage(capsys, tmp_path):
 
 def test_missing_scheme_rejected(capsys):
     assert run_cli(capsys, "sl", "--n", "2")[0] == 1
+
+
+def test_class_cap_checked_before_image_table(capsys, monkeypatch):
+    def no_table(self, cap=None):
+        raise AssertionError("image table built past the class cap")
+
+    monkeypatch.setattr(milnor.SymbolAlgebra, "image_table", no_table)
+    code, out = run_cli(capsys, "sl", "--scheme", "laurent(laurent(RC))",
+                        "--n", "2", "--cap-enum", "1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["anisotropic_classes"] is None
+    assert data["sl"] >= 1

@@ -1,5 +1,6 @@
 """Tests for the symbol algebra: k_n dimensions, images, symbol lengths."""
 
+import itertools
 import math
 import random
 
@@ -12,7 +13,9 @@ from oracle_utils import (
     dict_bfs_distances,
     dict_bfs_max_length,
     isometric,
+    pfister_expand,
     tuple_pure_symbols,
+    witt_decompose,
 )
 from symlen.builders import (
     build,
@@ -24,6 +27,7 @@ from symlen.builders import (
 from symlen.errors import DegreeMismatch, TooLarge
 from symlen.f2space import in_span
 from symlen.milnor import (
+    IMAGE_TABLE_CAP,
     SymbolAlgebra,
     SymbolVector,
     _clear_bit_masks,
@@ -33,7 +37,6 @@ from symlen.milnor import (
     split_pair_basis,
     tensor_of_vectors,
 )
-from symlen.scheme import pfister_expand
 
 
 def rigid_label(k):
@@ -126,7 +129,7 @@ def test_degree_two_image_detects_hyperbolicity():
         alg = kn_space(s, 2)
         for x in range(s.size):
             for y in range(s.size):
-                hyperbolic = s.witt_decompose(pfister_expand((x, y))).kernel == ()
+                hyperbolic = witt_decompose(s, pfister_expand((x, y))).kernel == ()
                 assert (alg.image_of_slots((x, y)).coords == 0) == hyperbolic
 
 
@@ -281,3 +284,51 @@ D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
 @given(st.sampled_from(D4_EXPRESSIONS), st.sampled_from((2, 3)))
 def test_random_d4_schemes_match_oracles(expr, n):
     assert_matches_oracles(SymbolAlgebra(build(expr), n))
+
+
+def test_image_table_matches_projection():
+    for s in standard_library(3):
+        for n in (2, 3):
+            alg = kn_space(s, n)
+            assert len(alg.image_table()) == s.size ** n
+            for slots in itertools.product(range(s.size), repeat=n):
+                image = alg.image_coords(slots)
+                assert image == alg.image_of_slots(slots).coords
+                assert alg.last_slot_images(slots[:-1])[slots[-1]] == image
+
+
+D56_EXPRESSIONS = ["laurent(laurent(laurent(laurent(laurent(QC)))))",
+                   "laurent(laurent(laurent(laurent(F1))))",
+                   "laurent(laurent(product(RC,Q2)))",
+                   "laurent(laurent(laurent(laurent(laurent(laurent(QC))))))",
+                   "laurent(laurent(Q2))",
+                   "laurent(laurent(laurent(Q2)))",
+                   "laurent(laurent(laurent(laurent(laurent(RC)))))"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(D56_EXPRESSIONS), st.sampled_from((2, 3)), st.data())
+def test_random_d56_table_matches_projection(expr, n, data):
+    s = build_from_text(expr)
+    alg = kn_space(s, n)
+    slot = st.integers(0, s.size - 1)
+    for slots in data.draw(st.lists(st.tuples(*[slot] * n), min_size=1, max_size=20)):
+        image = alg.image_coords(slots)
+        assert image == alg.image_of_slots(slots).coords
+        assert image == alg.image_coords(tuple(sorted(slots)))
+        assert alg.last_slot_images(slots[:-1])[slots[-1]] == image
+
+
+def test_images_projected_above_table_cap():
+    s = build_from_text("laurent(laurent(product(RC,Q2)))")
+    alg = kn_space(s, 4)
+    assert s.size ** 4 > IMAGE_TABLE_CAP and alg.image_table() is None
+    rng = random.Random(3)
+    for _ in range(5):
+        head = tuple(rng.randrange(s.size) for _ in range(3))
+        row = alg.last_slot_images(head)
+        c = rng.randrange(s.size)
+        assert row[c] == alg.image_coords(head + (c,))
+        assert row[c] == alg.image_of_slots(head + (c,)).coords
+    with pytest.raises(DegreeMismatch):
+        kn_space(s, 3).image_coords((1, 2))

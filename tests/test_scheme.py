@@ -11,9 +11,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import isometric, isotropic, represents, value_set
-from symlen.builders import standard_library
+from oracle_utils import (
+    WittClass,
+    isometric,
+    isotropic,
+    kernel_ones_witness,
+    pfister_expand,
+    represents,
+    value_set,
+    witt_decompose,
+)
+from symlen.builders import build, expr_dim, standard_expressions, standard_library
 from symlen.errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -21,15 +32,14 @@ from symlen.errors import (
     ProfileInconsistency,
 )
 from symlen.f2space import subspace_from_masks
+from symlen.milnor import kn_space
 from symlen.scheme import (
     PfisterForm,
     Scheme,
     SquareClassGroup,
     ValueSetTable,
-    WittClass,
     enumerate_pfister_strata,
     pfister_classes,
-    pfister_expand,
     pfister_ones_witness,
     quotient_basis,
     subspace_to_pfister,
@@ -140,11 +150,11 @@ def test_isotropic(rc, q3):
 
 
 def test_witt_decompose(rc, q3):
-    assert rc.witt_decompose((0, 1)) == WittClass((), 1)
-    assert rc.witt_decompose((0, 0, 0)) == WittClass((0, 0, 0), 0)
-    assert rc.witt_decompose((0, 0, 1)) == WittClass((0,), 1)
-    assert rc.witt_decompose(()) == WittClass((), 0)
-    assert q3.witt_decompose((0, 0, 0, 0)) == WittClass((), 2)
+    assert witt_decompose(rc, (0, 1)) == WittClass((), 1)
+    assert witt_decompose(rc, (0, 0, 0)) == WittClass((0, 0, 0), 0)
+    assert witt_decompose(rc, (0, 0, 1)) == WittClass((0,), 1)
+    assert witt_decompose(rc, ()) == WittClass((), 0)
+    assert witt_decompose(q3, (0, 0, 0, 0)) == WittClass((), 2)
 
 
 def test_isotropy_agrees_with_witt(rc, q3, rigid2):
@@ -152,7 +162,7 @@ def test_isotropy_agrees_with_witt(rc, q3, rigid2):
     for s in (rc, q3, rigid2):
         for _ in range(120):
             f = tuple(rng.randrange(s.size) for _ in range(rng.randrange(1, 6)))
-            assert isotropic(s, f) == (s.witt_decompose(f).index > 0)
+            assert isotropic(s, f) == (witt_decompose(s, f).index > 0)
 
 
 def test_isometric(rc, q3, rigid2):
@@ -256,8 +266,10 @@ def test_pfister_classes_are_isometry_classes(q3, rigid2):
         reps = list(groups.items())
         for (k1, s1), (k2, s2) in itertools.combinations(reps, 2):
             assert not isometric(s, pfister_expand(s1), pfister_expand(s2))
-        for kernel, slots in reps:
-            assert s.witt_decompose(pfister_expand(slots)).kernel == kernel
+        alg = kn_space(s, 2)
+        for image, slots in reps:
+            assert image == alg.image_of_slots(slots).coords != 0
+            assert witt_decompose(s, pfister_expand(slots)).index == 0
 
 
 def test_stratum_images_linearly_independent(q3, rigid2, rc):
@@ -266,7 +278,7 @@ def test_stratum_images_linearly_independent(q3, rigid2, rc):
     from symlen.scheme import set_to_sorted
 
     for s in (rc, q3, rigid2):
-        for kernel, slots in pfister_classes(s, 2).items():
+        for slots in pfister_classes(s, 2).values():
             m, witness = pfister_ones_witness(s, PfisterForm(slots))
             rest = witness[m:]
             pm_rows = rref_ints(set_to_sorted(s.pm_d2m(m)))
@@ -319,3 +331,88 @@ def test_sos_chain_gives_two_power_value_sets():
         chain = s.sos_chain()
         for m in range(4):
             assert chain[min(1 << m, len(chain)) - 1] == value_set(s, (0,) * (1 << m))
+
+
+# ---------------------------------------------------------------------------
+# image-keyed Pfister classes against the Witt oracle
+
+
+def assert_images_match_witt(s, n, tuples):
+    """Image 0 iff isotropic, images equal iff kernels equal, same witnesses."""
+    alg = kn_space(s, n)
+    kernel_of_image = {}
+    image_of_kernel = {}
+    for slots in tuples:
+        image = alg.image_coords(slots)
+        wc = witt_decompose(s, pfister_expand(slots))
+        assert (image == 0) == (wc.index > 0), (s.name, slots)
+        if image:
+            assert kernel_of_image.setdefault(image, wc.kernel) == wc.kernel
+            assert image_of_kernel.setdefault(wc.kernel, image) == image
+            assert (pfister_ones_witness(s, PfisterForm(slots))
+                    == kernel_ones_witness(s, slots)), (s.name, slots)
+
+
+def test_image_classes_match_witt_oracle():
+    for s in standard_library(3):
+        for n in (2, 3):
+            tuples = list(itertools.combinations_with_replacement(range(s.size), n))
+            assert_images_match_witt(s, n, tuples)
+            classes = {witt_decompose(s, pfister_expand(t)) for t in tuples}
+            assert len(pfister_classes(s, n)) == len(
+                {w for w in classes if not w.index})
+
+
+D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
+D5_EXPRESSIONS = [e for e in standard_expressions(5) if expr_dim(e) == 5]
+
+
+# d = 5, n = 3 is left out: on product schemes the Witt search spends
+# seconds on each form <<1, 1, c>> that the stratum scan visits
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.tuples(st.sampled_from(D4_EXPRESSIONS), st.sampled_from((2, 3))),
+                 st.tuples(st.sampled_from(D5_EXPRESSIONS), st.just(2))),
+       st.data())
+def test_random_d45_images_match_witt_oracle(case, data):
+    expr, n = case
+    s = build(expr)
+    slot = st.integers(0, s.size - 1)
+    tuples = data.draw(st.lists(st.tuples(*[slot] * n).map(lambda t: tuple(sorted(t))),
+                                min_size=1, max_size=8))
+    # the least witnesses of a stratum are among the tuples compared
+    tuples += [(0,) * (n - 1) + (c,) for c in range(s.size)]
+    assert_images_match_witt(s, n, tuples)
+
+
+def assert_round_image_form_matches_witt(s, m):
+    # b * pi = pi for the 2^m ones form pi iff <<1^m, -b>> has image 0,
+    # for every class b, not only the values that ensure_round checks
+    alg = kn_space(s, m + 1)
+    sigma = (0,) * (1 << m)
+    base = witt_decompose(s, sigma)
+    for b in range(s.size):
+        similar = witt_decompose(s, tuple(e ^ b for e in sigma)) == base
+        image = alg.image_of_slots((0,) * m + (s.eps ^ b,)).coords
+        assert similar == (image == 0), (s.name, m, b)
+
+
+def test_ensure_round_image_form_matches_witt():
+    for s in standard_library(4):
+        for m in range(4 if s.d <= 3 else 3):
+            assert_round_image_form_matches_witt(s, m)
+
+
+# m = 3 on all 550 d = 4 schemes takes about 40 s: a fixed sample instead
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(D4_EXPRESSIONS))
+def test_random_d4_ensure_round_m3_matches_witt(expr):
+    assert_round_image_form_matches_witt(build(expr), 3)
+
+
+def test_d0_scheme_classes_and_strata():
+    qc = make(0, 0, (1,), "qc0")
+    validate_scheme(qc)
+    for n in (1, 2, 3):
+        assert kn_space(qc, n).image_table() == [0]
+        assert pfister_classes(qc, n) == {}
+        assert enumerate_pfister_strata(qc, n) == {m: 0 for m in range(n + 1)}
