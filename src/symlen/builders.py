@@ -9,8 +9,8 @@ two-residue-form value sets, product(S1, S2) takes the direct product of the
 class groups with componentwise value sets.
 
 A small expression language (see parse_scheme_expr) names these
-constructions; build() caches schemes by canonical label and validates every
-table it returns.
+constructions; build() caches schemes by canonical label.  Every Scheme
+validates its table when it is constructed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .scheme import (
     Scheme,
     SquareClassGroup,
     ValueSetTable,
-    validate_scheme,
 )
 
 BASE_KINDS = ("QC", "RC", "F1", "F2", "Q2")
@@ -200,13 +199,11 @@ def laurent_extend(scheme: Scheme, name: str | None = None) -> Scheme:
             rows.append(scheme.values.rows[a])
         else:
             rows.append(1 | (1 << a))
-    out = Scheme(
+    return Scheme(
         SquareClassGroup(d + 1, eps),
         ValueSetTable(tuple(rows)),
         name if name is not None else "laurent(%s)" % scheme.name,
     )
-    validate_scheme(out)
-    return out
 
 
 def product(s1: Scheme, s2: Scheme, name: str | None = None) -> Scheme:
@@ -230,13 +227,11 @@ def product(s1: Scheme, s2: Scheme, name: str | None = None) -> Scheme:
             m ^= low
             row |= row1 << (y * shift)
         rows.append(row)
-    out = Scheme(
+    return Scheme(
         SquareClassGroup(d, eps),
         ValueSetTable(tuple(rows)),
         name if name is not None else "product(%s,%s)" % (s1.name, s2.name),
     )
-    validate_scheme(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +242,7 @@ _CACHE: dict[str, Scheme] = {}
 
 
 def build(expr) -> Scheme:
-    """Validated scheme for an expression; cached by canonical label."""
+    """Scheme for an expression; cached by canonical label."""
     label = expr_label(expr)
     hit = _CACHE.get(label)
     if hit is not None:
@@ -260,7 +255,6 @@ def build(expr) -> Scheme:
     if isinstance(expr, BaseExpr):
         group, table = _BASE_TABLES[expr.kind]()
         out = Scheme(group, table, label)
-        validate_scheme(out)
     elif isinstance(expr, LaurentExpr):
         out = laurent_extend(build(expr.child), name=label)
     else:

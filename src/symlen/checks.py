@@ -4,7 +4,8 @@ Each check function recomputes one family of claims from scratch and
 returns a JSON-ready dict with a "passed" flag and deterministic detail
 fields (no timings, no environment data), so that two runs with the same
 configuration serialize to identical bytes.  The final determinism check
-rebuilds the whole report and compares the serialized payloads.
+rebuilds the whole report, every scheme included, and compares the
+serialized payloads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .bounds import (
     make_bound_report,
     poly_binom_sum,
 )
+from . import builders
 from .builders import build_from_text, standard_library
 from .decompose import find_linked_pair, make_sum, run_decomposition
 from .errors import (
@@ -413,8 +415,10 @@ def render_report(report: dict) -> str:
 
 
 def run_verification(max_d: int = 4, seed: int = 2024, progress=None) -> dict:
-    """Full report, with a second build to certify deterministic output."""
+    """Full report, with a second build from an empty scheme cache to
+    certify deterministic output."""
     first = build_report(max_d, seed, progress)
+    builders._CACHE.clear()
     second = build_report(max_d, seed)
     identical = render_report(first) == render_report(second)
     entry = {

@@ -43,7 +43,6 @@ from .scheme import (
     SquareClassGroup,
     ValueSetTable,
     pfister_classes,
-    validate_scheme,
 )
 
 EXIT_OK = 0
@@ -161,19 +160,25 @@ def load_table_file(path: str) -> Scheme:
     """Raw scheme table from a JSON file: {name?, d, minus_one, rows}.
 
     Rows may be integers or binary strings (rightmost bit = class 0); the
-    table axioms are always re-validated, exhaustively for d <= 4.
+    Scheme constructor validates the table axioms.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError("table file %s: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise ParseError("table file %s: expected a JSON object" % path)
     for key in ("d", "minus_one", "rows"):
         if key not in data:
             raise ParseError("table file %s: missing key %r" % (path, key))
     d = data["d"]
     if not isinstance(d, int) or d < 0:
         raise ParseError("table file %s: d must be a nonnegative integer" % path)
+    if not isinstance(data["minus_one"], int):
+        raise ParseError("table file %s: minus_one must be an integer" % path)
+    if not isinstance(data["rows"], list):
+        raise ParseError("table file %s: rows must be a list" % path)
     rows = []
     for i, row in enumerate(data["rows"]):
         if isinstance(row, str):
@@ -186,10 +191,8 @@ def load_table_file(path: str) -> Scheme:
         else:
             raise ParseError("table file %s: row %d has unusable type" % (path, i))
     name = data.get("name", "table:%s" % path)
-    scheme = Scheme(SquareClassGroup(d, data["minus_one"]),
-                    ValueSetTable(tuple(rows)), name)
-    validate_scheme(scheme)
-    return scheme
+    return Scheme(SquareClassGroup(d, data["minus_one"]),
+                  ValueSetTable(tuple(rows)), name)
 
 
 def load_scheme(cfg: RunConfig) -> Scheme:
@@ -270,10 +273,6 @@ def render(data: dict, fmt: str) -> str:
 
 def cmd_build(cfg: RunConfig) -> tuple[dict, int]:
     scheme = load_scheme(cfg)
-    if cfg.table_path is None:
-        # builder output is already validated structurally; re-check the
-        # axioms here so `build` doubles as a self-test of the recipes
-        validate_scheme(scheme)
     payload = {
         "scheme": scheme.name,
         "d": scheme.d,

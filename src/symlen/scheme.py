@@ -20,7 +20,6 @@ milnor.SymbolAlgebra.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,17 +51,22 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+# _KEEP[k]: the classes below 2^SCHEME_DIM_CAP whose bit k is clear; a set
+# bit k of x swaps every aligned block of 2^k classes with its neighbour
+_KEEP = [int(("0" * (1 << k) + "1" * (1 << k)) * (1 << (SCHEME_DIM_CAP - 1 - k)), 2)
+         for k in range(SCHEME_DIM_CAP)]
+
+
 def translate(setmask: int, x: int) -> int:
     """Image of a set of classes under multiplication by the class x."""
-    if x == 0:
-        return setmask
-    out = 0
-    m = setmask
-    while m:
-        low = m & -m
-        out |= 1 << ((low.bit_length() - 1) ^ x)
-        m ^= low
-    return out
+    k = 0
+    while x:
+        if x & 1:
+            keep = _KEEP[k]
+            setmask = ((setmask & keep) << (1 << k)) | ((setmask >> (1 << k)) & keep)
+        x >>= 1
+        k += 1
+    return setmask
 
 
 def set_to_sorted(setmask: int) -> list[int]:
@@ -160,8 +164,9 @@ class InvariantProfile:
 class Scheme:
     """A finite quadratic form scheme with memoized derived data.
 
-    Query methods are pure with respect to the table; the instance carries
-    memo dictionaries only.
+    The constructor validates the table (validate_scheme), so a Scheme that
+    exists satisfies the axioms.  Query methods are pure with respect to the
+    table; the instance carries memo dictionaries only.
     """
 
     def __init__(self, group: SquareClassGroup, values: ValueSetTable, name: str):
@@ -184,7 +189,6 @@ class Scheme:
         for a, row in enumerate(values.rows):
             if row < 0 or row > full:
                 raise NotAGroup("value set row %d out of range" % a)
-        self._bin_cache: dict[tuple[int, int], int] = {}
         self._ones: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
         self._sos_chain: list[int] | None = None
         self._d2m: list[int] | None = None
@@ -192,7 +196,7 @@ class Scheme:
         self._kn: dict[int, SymbolAlgebra] = {}
         self._basis_chain: BasisChain | None = None
         self._profile: InvariantProfile | None = None
-        self._validated = False
+        validate_scheme(self)
 
     def __repr__(self):
         return "Scheme(%r, d=%d)" % (self.name, self.d)
@@ -203,12 +207,7 @@ class Scheme:
 
     def binary(self, x: int, y: int) -> int:
         """Value set D<x,y> as a class bitmask."""
-        key = (x ^ y, x)
-        hit = self._bin_cache.get(key)
-        if hit is None:
-            hit = translate(self.values.rows[x ^ y], x)
-            self._bin_cache[key] = hit
-        return hit
+        return translate(self.values.rows[x ^ y], x)
 
     def binary_unit(self, a: int) -> int:
         """Value set D<1,a>."""
@@ -382,9 +381,16 @@ def validate_scheme(scheme: Scheme) -> None:
     """Check the table axioms and order-independence of ternary value sets.
 
     Raises AxiomViolation with a witness description at the first failure
-    and marks the scheme validated otherwise.  For groups of dimension at
-    most 4 the ternary check is exhaustive; above that it runs on 2,000
-    triples drawn with a fixed seed.
+    and marks the scheme validated otherwise.  Scheme.__init__ calls it, so
+    every scheme is validated once, where it is built.
+
+    The ternary check is exhaustive at every dimension.  Write x + (y + z)
+    for the union of D<x,t> over t in D<y,z>; every ordered triple must
+    give a + (b + c) = b + (a + c) = c + (a + b).  As D<t^x,t^y> is the
+    t-translate of D<x,y>, the check on (a, b, c) is the a-translate of the
+    check on (0, a^b, a^c), so the triples (0, b, c) over all ordered pairs
+    (b, c) cover every triple.  Each b + (0 + c) is computed once and
+    compared for both (b, c) and (c, b).
     """
     size = scheme.size
     eps = scheme.eps
@@ -398,38 +404,31 @@ def validate_scheme(scheme: Scheme) -> None:
     if rows[eps] != scheme.full_mask:
         raise AxiomViolation("D<1,-1> is not the whole group")
     for a in range(size):
-        row = rows[a]
-        m = row
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            m ^= low
+        for b in iter_bits(rows[a]):
             if not (rows[b ^ eps] >> (a ^ eps)) & 1:
                 raise AxiomViolation(
                     "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
                 )
 
-    if scheme.d <= 4:
-        triples = itertools.combinations_with_replacement(range(size), 3)
-    else:
-        rng = random.Random(0)
-        triples = (
-            tuple(rng.randrange(size) for _ in range(3)) for _ in range(2000)
-        )
-    for (a, b, c) in triples:
-        ref = None
-        for first, p, q in ((a, b, c), (b, a, c), (c, a, b)):
+    # unions[b][y]: the union of D<1,t> over t in the b-translate of D<1,y>
+    unions = []
+    for b in range(size):
+        shifted = [rows[t ^ b] for t in range(size)]
+        line = []
+        for y in range(size):
             acc = 0
-            m = scheme.binary(p, q)
-            while m:
-                low = m & -m
-                acc |= scheme.binary(first, low.bit_length() - 1)
-                m ^= low
-            if ref is None:
-                ref = acc
-            elif acc != ref:
+            for t in iter_bits(rows[y]):
+                acc |= shifted[t]
+            line.append(acc)
+        unions.append(line)
+    # last[b][c] = b + (0 + c), the b-translate of unions[b][c]; and
+    # 0 + (b + c) = unions[b][b ^ c], as D<b,c> = b-translate of D<1,b^c>
+    last = [[translate(u, b) for u in line] for b, line in enumerate(unions)]
+    for b in range(size):
+        for c in range(size):
+            if not unions[b][b ^ c] == last[b][c] == last[c][b]:
                 raise AxiomViolation(
-                    "ternary value set of (%d,%d,%d) depends on the order" % (a, b, c)
+                    "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                 )
     scheme._validated = True
 

@@ -5,6 +5,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
+from symlen.builders import build_from_text
 from symlen.errors import TooLarge
 from symlen.f2space import rank_ints
 from symlen.milnor import tensor_of_vectors
@@ -260,3 +261,70 @@ def isometric(scheme, f, g):
     if len(f) != len(g):
         return False
     return witt_decompose(scheme, f + tuple(e ^ scheme.eps for e in g)).kernel == ()
+
+
+def table_axioms_hold(eps, rows):
+    """All scheme axioms on a raw table, the ternary one on every triple.
+
+    The reference for validate_scheme: the ternary axiom is checked on
+    every ordered triple (a, b, c) directly, with no translation argument.
+    rows[a] is the bitmask of D<1,a>.
+    """
+    size = len(rows)
+    unit = [[b for b in range(size) if (rows[a] >> b) & 1] for a in range(size)]
+    if any(0 not in unit[a] or a not in unit[a] for a in range(size)):
+        return False
+    if len(unit[eps]) != size:
+        return False
+    if any(a ^ eps not in unit[b ^ eps] for a in range(size) for b in unit[a]):
+        return False
+    # binary[x][y] = D<x,y> = {x t : t in D<1,xy>}
+    binary = [[sum(1 << (x ^ t) for t in unit[x ^ y]) for y in range(size)]
+              for x in range(size)]
+
+    def plus(x, y, z):  # the union of D<x,t> over t in D<y,z>
+        acc = 0
+        for t in range(size):
+            if (binary[y][z] >> t) & 1:
+                acc |= binary[x][t]
+        return acc
+
+    return all(plus(a, b, c) == plus(b, a, c) == plus(c, a, b)
+               for a, b, c in itertools.product(range(size), repeat=3))
+
+
+def symmetric_mutants(eps, rows):
+    """Tables with bit b of rows[a] and bit a^eps of rows[b^eps] flipped.
+
+    Over a not in {0, eps} and b not in {0, a}, each table once.  The flips
+    keep the identity, self and D<1,-1> axioms and the pairwise axiom
+    (b in D<1,a> iff a^eps in D<1,b^eps>), so only the ternary one can fail.
+    """
+    size = len(rows)
+    seen = set()
+    for a in range(size):
+        if a in (0, eps):
+            continue
+        for b in range(1, size):
+            if b == a:
+                continue
+            out = list(rows)
+            for row, bit in {(a, b), (b ^ eps, a ^ eps)}:
+                out[row] ^= 1 << bit
+            out = tuple(out)
+            if out not in seen:
+                seen.add(out)
+                yield out
+
+
+def d6_rare_failure_rows():
+    """A d = 6 table that fails the ternary axiom on few triples.
+
+    product(Q2,laurent(laurent(F2))) (eps = 9) with bit 20 of rows[16] and
+    bit 25 of rows[29] flipped: the pairwise axioms still hold, and 64
+    sorted triples fail the ternary one, the first being (0, 0, 16).
+    """
+    rows = list(build_from_text("product(Q2,laurent(laurent(F2)))").values.rows)
+    rows[16] ^= 1 << 20
+    rows[29] ^= 1 << 25
+    return rows

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracle_utils import d6_rare_failure_rows
 from symlen import cli, milnor
 from symlen.errors import VerificationFailure
 
@@ -137,6 +138,32 @@ def test_unsafe_table_rejected(capsys, tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert run_cli(capsys, "build", "--unsafe-table", str(garbage))[0] == 1
+
+
+def test_unsafe_table_rare_ternary_failure_rejected(capsys, tmp_path):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(
+        {"d": 6, "minus_one": 9, "rows": d6_rare_failure_rows()}
+    ))
+    assert run_cli(capsys, "build", "--unsafe-table", str(path)) == (1, "")
+
+
+@pytest.mark.parametrize("data", [
+    {"d": 1, "minus_one": "1", "rows": [1, 3]},
+    {"d": 1, "minus_one": 1.0, "rows": [1, 3]},
+    {"d": 0, "minus_one": 0, "rows": "1"},
+    {"d": 1, "minus_one": 1, "rows": {"0": 1, "1": 3}},
+    ["d", "minus_one", "rows"],
+    "d minus_one rows",
+])
+def test_unsafe_table_malformed(capsys, tmp_path, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["build", "--unsafe-table", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: table file ")
 
 
 def test_build_prints_table(capsys):

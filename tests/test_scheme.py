@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     WittClass,
+    d6_rare_failure_rows,
     isometric,
     isotropic,
     kernel_ones_witness,
     pfister_expand,
     represents,
+    symmetric_mutants,
+    table_axioms_hold,
     value_set,
     witt_decompose,
 )
@@ -54,25 +57,19 @@ def make(dim, eps, rows, name):
 
 @pytest.fixture(scope="module")
 def rc():
-    s = make(1, 1, (0b01, 0b11), "rc")
-    validate_scheme(s)
-    return s
+    return make(1, 1, (0b01, 0b11), "rc")
 
 
 @pytest.fixture(scope="module")
 def q3():
     # laurent extension of the two-class universal table with -1 nonsquare
-    s = make(2, 1, (3, 15, 5, 9), "q3")
-    validate_scheme(s)
-    return s
+    return make(2, 1, (3, 15, 5, 9), "q3")
 
 
 @pytest.fixture(scope="module")
 def rigid2():
     # twice Laurent over one class: every nontrivial binary set has 2 elements
-    s = make(2, 0, (15, 3, 5, 9), "rigid2")
-    validate_scheme(s)
-    return s
+    return make(2, 0, (15, 3, 5, 9), "rigid2")
 
 
 def test_translate():
@@ -88,34 +85,58 @@ def test_validator_accepts_real_closed(rc):
 
 
 def test_validator_rejects_missing_identity():
-    s = make(1, 1, (0b10, 0b11), "bad")
     with pytest.raises(AxiomViolation):
-        validate_scheme(s)
+        make(1, 1, (0b10, 0b11), "bad")
 
 
 def test_validator_rejects_missing_self():
-    s = make(2, 1, (1, 15, 1, 9), "bad")
     with pytest.raises(AxiomViolation, match="not in D"):
-        validate_scheme(s)
+        make(2, 1, (1, 15, 1, 9), "bad")
 
 
 def test_validator_rejects_non_universal_hyperbolic():
-    s = make(2, 1, (3, 0b1011, 5, 9), "bad")
     with pytest.raises(AxiomViolation, match="whole group"):
-        validate_scheme(s)
+        make(2, 1, (3, 0b1011, 5, 9), "bad")
 
 
 def test_validator_rejects_asymmetric_table():
-    s = make(2, 1, (3, 15, 7, 9), "bad")
     with pytest.raises(AxiomViolation):
-        validate_scheme(s)
+        make(2, 1, (3, 15, 7, 9), "bad")
 
 
 def test_validator_rejects_order_dependent_ternary():
     # passes every binary axiom but the ternary value set depends on the order
-    s = make(2, 0, (15, 3, 13, 13), "bad")
     with pytest.raises(AxiomViolation, match="order"):
-        validate_scheme(s)
+        make(2, 0, (15, 3, 13, 13), "bad")
+
+
+def test_validator_rejects_rare_ternary_failure():
+    # only 64 of the 45,760 sorted triples of this d = 6 table fail
+    rows = d6_rare_failure_rows()
+    with pytest.raises(AxiomViolation, match="order"):
+        make(6, 9, rows, "bad")
+    assert not table_axioms_hold(9, rows)
+
+
+def test_construction_agrees_with_axiom_oracle():
+    # b + (0 + c) = c + (0 + b) for every b, c on these two, but not 0 + (b + c)
+    tables = [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
+              (1, (73, 255, 247, 41, 29, 41, 73, 203))]
+    tables += [(s.eps, s.values.rows) for s in standard_library(3)]
+    for s in standard_library(3):
+        if s.d == 3:
+            tables.extend((s.eps, rows) for rows in symmetric_mutants(s.eps, s.values.rows))
+    verdicts = []
+    for eps, rows in tables:
+        try:
+            make(len(rows).bit_length() - 1, eps, rows, "t")
+            accepted = True
+        except AxiomViolation:
+            accepted = False
+        assert accepted == table_axioms_hold(eps, rows), (eps, rows)
+        verdicts.append(accepted)
+    # the first two are rejected, and the mutants get both verdicts
+    assert not any(verdicts[:2]) and set(verdicts[92:]) == {True, False}
 
 
 def test_binary_value_sets(q3):
@@ -215,7 +236,6 @@ def test_invariants_q3(q3):
 
 def test_invariants_laurent_qc():
     s = make(1, 0, (3, 3), "laurent_qc")
-    validate_scheme(s)
     prof = s.invariants()
     assert not prof.is_real
     assert prof.level == 1 and prof.level_exponent == 0
@@ -253,7 +273,6 @@ def test_pfister_ones_witness_lex(q3):
 
 def test_strata_counts(rc, q3, rigid2):
     qc = make(0, 0, (1,), "qc")
-    validate_scheme(qc)
     assert enumerate_pfister_strata(qc, 2) == {0: 0, 1: 0, 2: 0}
     assert enumerate_pfister_strata(rc, 2) == {0: 0, 1: 0, 2: 1}
     assert enumerate_pfister_strata(q3, 2) == {0: 0, 1: 1, 2: 0}
@@ -411,7 +430,6 @@ def test_random_d4_ensure_round_m3_matches_witt(expr):
 
 def test_d0_scheme_classes_and_strata():
     qc = make(0, 0, (1,), "qc0")
-    validate_scheme(qc)
     for n in (1, 2, 3):
         assert kn_space(qc, n).image_table() == [0]
         assert pfister_classes(qc, n) == {}
