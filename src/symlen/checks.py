@@ -170,7 +170,7 @@ def check_rigid_oracle_agreement(max_k: int = 5) -> dict:
         s = build_from_text(rigid_tower_expr(k))
         alg = kn_space(s, 2)
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        vecs = [alg.image_of_slots((1 << i, 1 << j)).coords for i, j in pairs]
+        vecs = [alg.image_coords((1 << i, 1 << j)) for i, j in pairs]
         if alg.dim != len(pairs) or rank_ints(vecs) != len(pairs):
             mismatches.append([k, "pair images are not a basis"])
             continue

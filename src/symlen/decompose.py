@@ -38,12 +38,15 @@ from .milnor import DEFAULT_TENSOR_CAP, SymbolVector, kn_space
 from .scheme import (
     PfisterForm,
     Scheme,
+    entry_stratum,
     iter_bits,
     pfister_ones_witness,
     set_to_sorted,
 )
 
 REWRITE_STEP_CAP = 1 << 20
+# the most (n-1)-fold divisor candidates find_linked_pair searches
+LINK_CANDIDATE_CAP = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +120,6 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
 # formal sums of Pfister forms
 
 
-def entry_stratum(slots) -> int:
-    """Number of leading slots equal to the class 1."""
-    m = 0
-    for a in slots:
-        if a:
-            break
-        m += 1
-    return m
-
-
 @dataclass(frozen=True)
 class PfisterSum:
     """A formal sum of n-fold Pfister forms, entries as sorted slot tuples."""
@@ -172,7 +165,7 @@ def sum_residue(scheme: Scheme, psum: PfisterSum, tensor_cap: int = DEFAULT_TENS
     algebra = kn_space(scheme, psum.degree, tensor_cap)
     coords = 0
     for slots in psum.entries:
-        coords ^= algebra.image_of_slots(slots).coords
+        coords ^= algebra.image_coords(slots)
     return SymbolVector(coords, algebra.dim)
 
 
@@ -273,8 +266,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
 # linkage merging
 
 
-def find_linked_pair(scheme: Scheme, psum: PfisterSum,
-                     candidate_cap: int = 1 << 14):
+def find_linked_pair(scheme: Scheme, psum: PfisterSum):
     """First pair of entries sharing an (n-1)-fold Pfister divisor.
 
     Returns (i, j, divisor slots, cofactor_i, cofactor_j) or None.  The
@@ -287,9 +279,10 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum,
     count = 1
     for k in range(n - 1):
         count = count * (scheme.size + k) // (k + 1)
-    if count > candidate_cap:
+    if count > LINK_CANDIDATE_CAP:
         raise EnumerationTooLarge(
-            "divisor search needs %d candidates, cap is %d" % (count, candidate_cap)
+            "divisor search needs %d candidates, cap is %d"
+            % (count, LINK_CANDIDATE_CAP)
         )
     algebra = kn_space(scheme, n)
     images = [algebra.image_coords(slots) for slots in psum.entries]
@@ -423,7 +416,12 @@ def certify(scheme: Scheme, n: int, input_sum: PfisterSum,
 
 def run_decomposition(scheme: Scheme, psum: PfisterSum, merge: bool = True,
                       tensor_cap: int = DEFAULT_TENSOR_CAP):
-    """Full pipeline: rewrite into the basis, optionally merge, certify."""
+    """Full pipeline: rewrite into the basis, optionally merge, certify.
+
+    The algebra is fetched first, under the caller's tensor cap, so that a
+    refused degree fails before any rewriting.
+    """
+    kn_space(scheme, psum.degree, tensor_cap)
     rewritten = rewrite_to_basis(scheme, psum)
     final = merge_linked(scheme, rewritten) if merge else rewritten
     cert = certify(scheme, psum.degree, psum, final, tensor_cap)

@@ -17,15 +17,18 @@ to it; the symbol length of the scheme in degree n is the maximum over the
 whole group, computed by one breadth first search of the Cayley graph of
 k_n with the nonzero pure symbols as generators.
 
-Pure symbols are enumerated through multilinearity: the d^n basis tensors
-are projected once, and the slots are then contracted one at a time, each
-over its nonzero vectors in Gray code order, so that every step is one XOR
-per table entry.  The image table is built the same way, contracting every
-slot over all 2^d vectors, and holds the image of every slot tuple.  It
-keys the Pfister classes of the scheme: an anisotropic n-fold Pfister form
-is determined up to isometry by its image, and it is hyperbolic iff the
-image is 0 (the Arason-Pfister Hauptsatz for fields; for schemes the tests
-check it against a Witt decomposition search).
+Every image is read from one head table per algebra.  The d^n basis
+tensors are projected once, and the first n - 1 slots are contracted one
+at a time over all 2^d vectors, so that every step is one XOR per table
+entry; the last slot stays in the basis.  The image of a slot tuple is the
+XOR of at most d entries, and the images of <<head, c>> for all classes c
+expand from d entries.  Pure symbols walk the last slot of every head over
+the nonzero vectors in Gray code order.  The table also keys the Pfister
+classes of the scheme: an anisotropic n-fold Pfister form is determined up
+to isometry by its image, and it is hyperbolic iff the image is 0 (the
+Arason-Pfister Hauptsatz for fields; for schemes the tests check it
+against a Witt decomposition search).  One scan of the sorted slot tuples,
+head by head, maps each class to its least slot tuple.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -46,6 +49,7 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -55,8 +59,9 @@ from .scheme import Scheme, iter_bits
 
 DEFAULT_TENSOR_CAP = 1 << 16
 DEFAULT_SL_CAP = 1 << 24
-# the largest image table built; above it images are projected one by one
-IMAGE_TABLE_CAP = 1 << 20
+# the largest head table built: 1,572,864 entries at d = 6, n = 4 fit,
+# d = 6 at n = 5 (100,663,296) does not
+HEAD_TABLE_CAP = 1 << 23
 
 
 @dataclass(frozen=True, order=True)
@@ -104,6 +109,8 @@ class SymbolAlgebra:
 
     Relation rows are kept in RREF over the d^n tensor coordinates; the
     non-pivot columns, in increasing order, index the quotient coordinates.
+    A degree whose head table would have more than HEAD_TABLE_CAP entries
+    is refused before the relations are reduced.
     """
 
     def __init__(self, scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP):
@@ -117,6 +124,11 @@ class SymbolAlgebra:
             raise TooLarge(
                 "tensor space needs %d coordinates, cap is %d"
                 % (self.tensor_dim, tensor_cap)
+            )
+        heads = d * scheme.size ** (n - 1)
+        if heads > HEAD_TABLE_CAP:
+            raise TooLarge(
+                "head table needs %d entries, cap is %d" % (heads, HEAD_TABLE_CAP)
             )
         rel: list[int] = []
         if n >= 2:
@@ -146,8 +158,9 @@ class SymbolAlgebra:
         )
         self.dim = len(self.free_cols)
         self._col_index = {c: j for j, c in enumerate(self.free_cols)}
+        self._heads: list[int] | None = None
         self._pures: tuple[int, ...] | None = None
-        self._images: list[int] | None = None
+        self._classes: dict[int, tuple[int, ...]] | None = None
         self._layers: list[int] | None = None
 
     def __repr__(self):
@@ -169,85 +182,101 @@ class SymbolAlgebra:
             mask |= 1 << self.free_cols[j]
         return mask
 
-    def image_of_slots(self, slots) -> SymbolVector:
-        if len(slots) != self.n:
-            raise DegreeMismatch(
-                "form has %d slots, algebra degree is %d" % (len(slots), self.n)
-            )
-        eps = self.scheme.eps
-        return self.project(
-            tensor_of_vectors([a ^ eps for a in slots], self.scheme.d)
-        )
+    def head_table(self) -> list[int]:
+        """Coords of the images of <<head, e_i>>, (2^d)^(n-1) * d entries.
 
-    def image_table(self) -> list[int] | None:
-        """Coords of the image of every slot tuple, (2^d)^n entries.
-
-        The entry at sum((a_i ^ eps) << d*i) is the image of
-        <<a_0, ..., a_{n-1}>>.  None when the table would have more than
-        IMAGE_TABLE_CAP entries.
+        The first n - 1 slots run over all 2^d vectors and the last one over
+        the basis vectors: the entry at i + d * sum((a_j ^ eps) << d*j) is
+        the image of (a_0 ^ eps) (x) ... (x) (a_{n-2} ^ eps) (x) e_i.
         """
-        if self._images is None:
+        if self._heads is None:
             d = self.scheme.d
-            if self.scheme.size ** self.n > IMAGE_TABLE_CAP:
-                return None
-            if d == 0:
-                # no tensor coordinates: the one slot tuple has image 0
-                table = [0]
-            else:
-                table = [self.project(1 << t).coords
-                         for t in range(self.tensor_dim)]
-                for _ in range(self.n):
+            table = [self.project(1 << t).coords
+                     for t in range(self.tensor_dim)]
+            if d:
+                for _ in range(self.n - 1):
                     table = _contract_all(table, d)
-            self._images = table
-        return self._images
+            self._heads = table
+        return self._heads
 
-    def image_coords(self, slots) -> int:
-        """Coords of the image of <<slots>>, read from the image table."""
-        table = self.image_table()
-        if table is None:
-            return self.image_of_slots(slots).coords
-        return table[self._table_index(slots)]
-
-    def last_slot_images(self, head) -> list[int]:
-        """Images of <<head, c>> for every class c, in class order.
-
-        The last slot is the top digit of the table index, so these are one
-        strided slice of the table.
-        """
-        head = tuple(head)
-        table = self.image_table()
-        if table is None:
-            return [self.image_coords(head + (c,)) for c in range(self.scheme.size)]
-        eps = self.scheme.eps
-        start = self._table_index(head + (eps,))
-        col = table[start::1 << (self.scheme.d * (self.n - 1))]
-        return [col[c ^ eps] for c in range(self.scheme.size)]
-
-    def _table_index(self, slots) -> int:
-        if len(slots) != self.n:
+    def _head_start(self, head, degree: int) -> int:
+        """Index of the entry for <<head, e_0>> in the head table, for a
+        form of the given degree."""
+        if degree != self.n:
             raise DegreeMismatch(
-                "form has %d slots, algebra degree is %d" % (len(slots), self.n)
+                "form has %d slots, algebra degree is %d" % (degree, self.n)
             )
         d = self.scheme.d
         eps = self.scheme.eps
         key = 0
-        for i, a in enumerate(slots):
-            key |= (a ^ eps) << (d * i)
-        return key
+        for j, a in enumerate(head):
+            key |= (a ^ eps) << (d * j)
+        return d * key
+
+    def image_coords(self, slots) -> int:
+        """Coords of the image of <<slots>>, the XOR of at most d entries."""
+        start = self._head_start(slots[:-1], len(slots))
+        table = self.head_table()
+        coords = 0
+        for i in iter_bits(slots[-1] ^ self.scheme.eps):
+            coords ^= table[start + i]
+        return coords
+
+    def last_slot_images(self, head) -> list[int]:
+        """Images of <<head, c>> for every class c, in class order."""
+        start = self._head_start(head, len(head) + 1)
+        # row[v]: the image with the vector v in the last slot
+        row = [0]
+        for entry in self.head_table()[start:start + self.scheme.d]:
+            row += [x ^ entry for x in row]
+        # the class c has the vector c ^ eps, and row is linear in v
+        shift = row[self.scheme.eps]
+        return [x ^ shift for x in row] if shift else row
 
     def pure_symbols(self) -> tuple[int, ...]:
-        """Sorted coords of the distinct nonzero pure symbols."""
+        """Sorted coords of the distinct nonzero pure symbols.
+
+        The last slot is walked over the nonzero vectors in Gray code order
+        for every head at once, one XOR per head and step; heads with a
+        zero vector only give 0.
+        """
         if self._pures is None:
             seen: set[int] = set()
             if self.dim:
-                table = [self.project(1 << t).coords
-                         for t in range(self.tensor_dim)]
-                for _ in range(self.n):
-                    table = _contract_slot(table, self.scheme.d)
-                seen = set(table)
+                d = self.scheme.d
+                table = self.head_table()
+                cols = [table[i::d] for i in range(d)]
+                row = [0] * len(cols[0])
+                for k in range(1, 1 << d):
+                    # the Gray code vector of step k differs from the last
+                    # in bit ctz(k)
+                    col = cols[(k & -k).bit_length() - 1]
+                    row = [a ^ c for a, c in zip(row, col)]
+                    seen.update(row)
                 seen.discard(0)
             self._pures = tuple(sorted(seen))
         return self._pures
+
+    def classes(self) -> dict[int, tuple[int, ...]]:
+        """Map of each nonzero image to its lexicographically least sorted
+        slot tuple, in the order of those tuples.
+
+        The sorted tuples are scanned head by head, the last slot through
+        last_slot_images.  Sorted tuples with more leading 1 slots come
+        first, so a class's least tuple also has its largest number of
+        leading 1 slots.
+        """
+        if self._classes is None:
+            size = self.scheme.size
+            classes: dict[int, tuple[int, ...]] = {}
+            for head in itertools.combinations_with_replacement(range(size), self.n - 1):
+                row = self.last_slot_images(head)
+                for c in range(head[-1] if head else 0, size):
+                    image = row[c]
+                    if image and image not in classes:
+                        classes[image] = head + (c,)
+            self._classes = classes
+        return self._classes
 
     def _bfs_layers(self, cap: int) -> list[int]:
         """Layer k of the pure-symbol Cayley graph, as a bitset, at index k."""
@@ -301,25 +330,6 @@ class SymbolAlgebra:
         return len(layers) - 1, SymbolVector(witness, self.dim)
 
 
-def _contract_slot(table: list[int], d: int) -> list[int]:
-    """Contract the lowest slot of a multilinear table over nonzero vectors.
-
-    table[i + d * r] is the value with the basis vector e_i in the lowest
-    slot.  The result holds at r + R * (k - 1), for R = len(table) // d, the
-    value with the k-th Gray code vector k ^ (k >> 1) in that slot, so the
-    next slot becomes the lowest one.
-    """
-    cols = [table[i::d] for i in range(d)]
-    acc = [0] * (len(table) // d)
-    out: list[int] = []
-    for k in range(1, 1 << d):
-        # the Gray code vector of step k differs from the last in bit ctz(k)
-        col = cols[(k & -k).bit_length() - 1]
-        acc = [a ^ c for a, c in zip(acc, col)]
-        out.extend(acc)
-    return out
-
-
 def _contract_all(table: list[int], d: int) -> list[int]:
     """Contract the lowest slot of a multilinear table over all 2^d vectors.
 
@@ -328,12 +338,14 @@ def _contract_all(table: list[int], d: int) -> list[int]:
     with the vector v in that slot, so the next slot becomes the lowest one.
     """
     cols = [table[i::d] for i in range(d)]
-    rows = [[0] * (len(table) // d)]
+    width = len(table) // d
+    out = [0] * width
     for v in range(1, 1 << d):
         # v is v & (v - 1) plus the basis vector of its lowest set bit
+        start = (v & (v - 1)) * width
         col = cols[(v & -v).bit_length() - 1]
-        rows.append([a ^ c for a, c in zip(rows[v & (v - 1)], col)])
-    return [x for row in rows for x in row]
+        out += [a ^ c for a, c in zip(out[start:start + width], col)]
+    return out
 
 
 def _clear_bit_masks(dim: int) -> list[int]:

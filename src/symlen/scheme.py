@@ -13,13 +13,12 @@ quotient-dimension invariants, and the classes of anisotropic Pfister forms
 with their stratification by how many slots can be rewritten as 1.  A
 Pfister form is isotropic iff its image in the symbol algebra k_n is 0, and
 two anisotropic ones are isometric iff their images are equal, so the
-classes are keyed by image coords read from the image table of
+classes are keyed by image coords, read from the class map of
 milnor.SymbolAlgebra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -87,7 +86,9 @@ class SquareClassGroup:
     def __post_init__(self):
         if self.dim < 0:
             raise NotAGroup("negative group dimension")
-        if not 0 <= self.minus_one < (1 << self.dim):
+        # bit_length, not 1 << dim: a huge dim must reach the cap check
+        # in Scheme.__init__ without building a number of dim bits
+        if self.minus_one < 0 or self.minus_one.bit_length() > self.dim:
             raise NotAGroup(
                 "class of -1 (%d) outside the group of dimension %d"
                 % (self.minus_one, self.dim)
@@ -189,7 +190,6 @@ class Scheme:
         for a, row in enumerate(values.rows):
             if row < 0 or row > full:
                 raise NotAGroup("value set row %d out of range" % a)
-        self._ones: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
         self._sos_chain: list[int] | None = None
         self._d2m: list[int] | None = None
         self._round_ok: set[int] = set()
@@ -361,11 +361,11 @@ class Scheme:
         """
         if m in self._round_ok:
             return
-        algebra = _kn(self, m + 1)
+        row = _kn(self, m + 1).last_slot_images((0,) * m)
         # sos_chain()[k - 1] is the value set of the k all-ones form
         chain = self.sos_chain()
         for b in iter_bits(chain[min(1 << m, len(chain)) - 1]):
-            if algebra.image_of_slots((0,) * m + (self.eps ^ b,)).coords:
+            if row[self.eps ^ b]:
                 raise RoundnessViolation(
                     "class %d is a value but not a similarity of the %d-ones form"
                     % (b, 1 << m)
@@ -445,36 +445,29 @@ def _kn(scheme: Scheme, n: int) -> SymbolAlgebra:
 def pfister_ones_witness(scheme: Scheme, pf: PfisterForm) -> tuple[int, tuple[int, ...]]:
     """The stratum of an anisotropic Pfister form plus a witnessing slot tuple.
 
-    In a stratum m >= 1 the witness is the lexicographically least sorted
-    slot tuple with m leading 1 slots and the image of the form, so it
-    depends only on the isometry class.  In stratum 0 no slot tuple of the
-    class has a leading 1, and the witness is the form's own slots, sorted.
+    The stratum is the largest number m of leading 1 slots over the sorted
+    slot tuples of the class.  In a stratum m >= 1 the witness is the
+    class's lexicographically least sorted slot tuple, so it depends only
+    on the isometry class.  In stratum 0 the witness is the form's own
+    slots, sorted.
     """
-    image = _kn(scheme, pf.degree).image_coords(pf.slots)
+    algebra = _kn(scheme, pf.degree)
+    image = algebra.image_coords(pf.slots)
     if not image:
         raise IsotropicInput("Pfister form %r is isotropic" % (pf.slots,))
-    return _ones_witnesses(scheme, pf.degree).get(image, (0, tuple(sorted(pf.slots))))
+    least = algebra.classes()[image]
+    m = entry_stratum(least)
+    return (m, least) if m else (0, tuple(sorted(pf.slots)))
 
 
-def _ones_witnesses(scheme: Scheme, n: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Map of image -> (m, least witness) over the classes of stratum m >= 1.
-
-    The slot tuples (0,)*m + cand are scanned for m = n..1, cand in
-    lexicographic order, so the first tuple met with an image gives the
-    class's stratum and least witness.  Memoized on the scheme per degree.
-    """
-    hit = scheme._ones.get(n)
-    if hit is None:
-        algebra = _kn(scheme, n)
-        hit = {}
-        for m in range(n, 0, -1):
-            for cand in itertools.combinations_with_replacement(range(scheme.size), n - m):
-                slots = (0,) * m + cand
-                image = algebra.image_coords(slots)
-                if image and image not in hit:
-                    hit[image] = (m, slots)
-        scheme._ones[n] = hit
-    return hit
+def entry_stratum(slots) -> int:
+    """Number of leading slots equal to the class 1."""
+    m = 0
+    for a in slots:
+        if a:
+            break
+        m += 1
+    return m
 
 
 def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
@@ -483,32 +476,24 @@ def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
     Returns a dict with keys 0..n; the sum of the values is the number of
     anisotropic isometry classes of n-fold Pfister forms of the scheme.
     """
-    groups = pfister_classes(scheme, n)
-    ones = _ones_witnesses(scheme, n)
     counts = {m: 0 for m in range(n + 1)}
-    for image in groups:
-        counts[ones.get(image, (0,))[0]] += 1
+    for slots in pfister_classes(scheme, n).values():
+        counts[entry_stratum(slots)] += 1
     return counts
 
 
 def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dict[int, tuple[int, ...]]:
-    """Map of image coords -> first sorted slot tuple, anisotropic classes only.
+    """Map of image coords -> least sorted slot tuple, anisotropic classes only.
 
-    The cap bounds the (2^d)^n slot tuples and is checked before the image
-    table is built.
+    The cap bounds the (2^d)^n slot tuples and is checked before any table
+    is read or built.
     """
     if scheme.size ** n > cap:
         raise EnumerationTooLarge(
             "strata enumeration needs %d slot tuples, cap is %d"
             % (scheme.size ** n, cap)
         )
-    algebra = _kn(scheme, n)
-    groups: dict[int, tuple[int, ...]] = {}
-    for slots in itertools.combinations_with_replacement(range(scheme.size), n):
-        image = algebra.image_coords(slots)
-        if image and image not in groups:
-            groups[image] = slots
-    return groups
+    return dict(_kn(scheme, n).classes())
 
 
 def quotient_basis(scheme: Scheme, m: int) -> list[int]:

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from symlen.builders import build_from_text
-from symlen.errors import TooLarge
+from symlen.errors import DegreeMismatch, TooLarge
 from symlen.f2space import rank_ints
 from symlen.milnor import tensor_of_vectors
 from symlen.scheme import iter_bits
@@ -33,6 +33,55 @@ def alternating_rank_sl(algebra, x):
     rank = rank_ints(alt)
     assert rank % 2 == 0
     return rank // 2
+
+
+def project_image(algebra, slots):
+    """Coords of the image of <<slots>>, projecting its tensor.
+
+    The reference for the head table: one reduction by the relations per
+    call, no table.
+    """
+    if len(slots) != algebra.n:
+        raise DegreeMismatch(
+            "form has %d slots, algebra degree is %d" % (len(slots), algebra.n)
+        )
+    eps = algebra.scheme.eps
+    tensor = tensor_of_vectors([a ^ eps for a in slots], algebra.scheme.d)
+    return algebra.project(tensor).coords
+
+
+def tuple_pfister_classes(algebra):
+    """Map of nonzero image -> first sorted slot tuple, tuple by tuple.
+
+    The reference for SymbolAlgebra.classes: every sorted slot tuple is
+    projected on its own, in lexicographic order.
+    """
+    classes = {}
+    for slots in itertools.combinations_with_replacement(
+            range(algebra.scheme.size), algebra.n):
+        image = project_image(algebra, slots)
+        if image and image not in classes:
+            classes[image] = slots
+    return classes
+
+
+def scan_ones_witnesses(algebra):
+    """Map of nonzero image -> (m, least witness) over the strata m >= 1.
+
+    The reference for the strata read off the class map: the slot tuples
+    (0,)*m + cand are projected for m = n..1, cand in lexicographic order,
+    and the first tuple met with an image gives its stratum and witness.
+    """
+    n = algebra.n
+    found = {}
+    for m in range(n, 0, -1):
+        for cand in itertools.combinations_with_replacement(
+                range(algebra.scheme.size), n - m):
+            slots = (0,) * m + cand
+            image = project_image(algebra, slots)
+            if image and image not in found:
+                found[image] = (m, slots)
+    return found
 
 
 def tuple_pure_symbols(algebra):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oracle_utils import d6_rare_failure_rows
-from symlen import cli, milnor
+from symlen import builders, cli, decompose, milnor
 from symlen.errors import VerificationFailure
 
 
@@ -201,13 +201,45 @@ def test_missing_scheme_rejected(capsys):
 
 
 def test_class_cap_checked_before_image_table(capsys, monkeypatch):
-    def no_table(self, cap=None):
-        raise AssertionError("image table built past the class cap")
+    args = ("sl", "--scheme", "laurent(laurent(RC))", "--n", "2",
+            "--format", "json")
+    code, out = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["anisotropic_classes"] >= 1
 
-    monkeypatch.setattr(milnor.SymbolAlgebra, "image_table", no_table)
-    code, out = run_cli(capsys, "sl", "--scheme", "laurent(laurent(RC))",
-                        "--n", "2", "--cap-enum", "1", "--format", "json")
+    def no_classes(self):
+        raise AssertionError("class map read past the class cap")
+
+    monkeypatch.setattr(milnor.SymbolAlgebra, "classes", no_classes)
+    # warm: the class map of the cached scheme is already built
+    code, out = run_cli(capsys, *args, "--cap-enum", "1")
     assert code == 0
     data = json.loads(out)
     assert data["anisotropic_classes"] is None
     assert data["sl"] >= 1
+    # cold: a fresh scheme cache
+    monkeypatch.setattr(builders, "_CACHE", {})
+    code, out = run_cli(capsys, *args, "--cap-enum", "1")
+    assert code == 0 and json.loads(out) == data
+
+
+def test_unsafe_table_huge_dimension_hits_cap(capsys, tmp_path):
+    # the dimension cap is checked before anything of size d is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": 10 ** 12, "minus_one": 1, "rows": [1, 3]}))
+    code = cli.main(["build", "--unsafe-table", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded: ")
+
+
+def test_decompose_tensor_cap_checked_before_rewrite(capsys, monkeypatch):
+    def no_rewrite(*args):
+        raise AssertionError("rewrite ran past the tensor cap")
+
+    monkeypatch.setattr(decompose, "rewrite_to_basis", no_rewrite)
+    code, out = run_cli(capsys, "decompose", "--scheme",
+                        "laurent(laurent(laurent(QC)))", "--n", "2",
+                        "--form", "011,100", "--cap-tensor", "1")
+    assert code == 2
+    assert out == ""

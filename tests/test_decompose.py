@@ -1,6 +1,7 @@
 """Tests for basis chains, Pfister sum rewriting, merging, and certificates."""
 
 import json
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from symlen.builders import build, build_from_text, standard_expressions, standard_library
 from symlen.decompose import (
+    LINK_CANDIDATE_CAP,
     build_basis_chain,
     certify,
     entry_stratum,
@@ -247,10 +249,12 @@ def test_merge_leaves_unlinked_pair():
 
 
 def test_find_linked_pair_respects_cap():
-    r4 = build_from_text("laurent(laurent(laurent(laurent(QC))))")
-    psum = make_sum(r4, 2, [(1, 2), (1, 4)])
+    # a d = 6, n = 4 sum has C(66, 3) = 45,760 divisor candidates
+    r6 = build_from_text("laurent(laurent(laurent(laurent(laurent(laurent(QC))))))")
+    psum = make_sum(r6, 4, [(1, 2, 4, 8), (1, 2, 4, 16)])
+    assert math.comb(66, 3) == 45760 > LINK_CANDIDATE_CAP
     with pytest.raises(EnumerationTooLarge):
-        find_linked_pair(r4, psum, candidate_cap=1)
+        find_linked_pair(r6, psum)
 
 
 # ---------------------------------------------------------------------------

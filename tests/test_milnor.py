@@ -14,6 +14,7 @@ from oracle_utils import (
     dict_bfs_max_length,
     isometric,
     pfister_expand,
+    project_image,
     tuple_pure_symbols,
     witt_decompose,
 )
@@ -26,8 +27,9 @@ from symlen.builders import (
 )
 from symlen.errors import DegreeMismatch, TooLarge
 from symlen.f2space import in_span
+from symlen import milnor
 from symlen.milnor import (
-    IMAGE_TABLE_CAP,
+    HEAD_TABLE_CAP,
     SymbolAlgebra,
     SymbolVector,
     _clear_bit_masks,
@@ -91,12 +93,12 @@ def test_rigid_dimensions_are_binomials():
 def test_symbol_image_frozen_q3():
     q3 = build_from_text("laurent(F2)")
     alg = kn_space(q3, 2)
-    nonzero = alg.image_of_slots((0, 2))
-    assert nonzero.coords != 0
-    assert alg.image_of_slots((1, 2)).coords == 0
-    assert alg.image_of_slots((2, 2)) == nonzero
+    nonzero = alg.image_coords((0, 2))
+    assert nonzero != 0
+    assert alg.image_coords((1, 2)) == 0
+    assert alg.image_coords((2, 2)) == nonzero
     with pytest.raises(DegreeMismatch):
-        kn_space(q3, 3).image_of_slots((0, 2))
+        kn_space(q3, 3).image_coords((0, 2))
 
 
 def test_image_invariant_under_slot_moves():
@@ -108,11 +110,11 @@ def test_image_invariant_under_slot_moves():
             alg = kn_space(s, n)
             for _ in range(40):
                 slots = [rng.randrange(s.size) for _ in range(n)]
-                img = alg.image_of_slots(slots)
+                img = alg.image_coords(slots)
                 # permuting slots
                 perm = slots[:]
                 rng.shuffle(perm)
-                assert alg.image_of_slots(perm) == img
+                assert alg.image_coords(perm) == img
                 # replacing a pair (x, y) by (z, xyz) for z in D<x, y>
                 i, j = rng.sample(range(n), 2)
                 x, y = slots[i], slots[j]
@@ -121,7 +123,7 @@ def test_image_invariant_under_slot_moves():
                 moved = slots[:]
                 moved[i], moved[j] = z, x ^ y ^ z
                 assert isometric(s, pfister_expand(slots), pfister_expand(moved))
-                assert alg.image_of_slots(moved) == img
+                assert alg.image_coords(moved) == img
 
 
 def test_degree_two_image_detects_hyperbolicity():
@@ -130,14 +132,14 @@ def test_degree_two_image_detects_hyperbolicity():
         for x in range(s.size):
             for y in range(s.size):
                 hyperbolic = witt_decompose(s, pfister_expand((x, y))).kernel == ()
-                assert (alg.image_of_slots((x, y)).coords == 0) == hyperbolic
+                assert (alg.image_coords((x, y)) == 0) == hyperbolic
 
 
 def test_sl_rigid_frozen():
     r4 = build_from_text(rigid_label(4))
     alg = kn_space(r4, 2)
-    a = alg.image_of_slots((1, 2))
-    b = alg.image_of_slots((4, 8))
+    a = SymbolVector(alg.image_coords((1, 2)), alg.dim)
+    b = SymbolVector(alg.image_coords((4, 8)), alg.dim)
     x = SymbolVector(a.coords ^ b.coords, alg.dim)
     assert alg.symbol_length(a) == 1
     assert alg.symbol_length(x) == 2
@@ -286,15 +288,21 @@ def test_random_d4_schemes_match_oracles(expr, n):
     assert_matches_oracles(SymbolAlgebra(build(expr), n))
 
 
+def assert_images_match_projection(alg, tuples):
+    for slots in tuples:
+        image = alg.image_coords(slots)
+        assert image == project_image(alg, slots), (alg, slots)
+        assert image == alg.image_coords(tuple(sorted(slots)))
+        assert alg.last_slot_images(slots[:-1])[slots[-1]] == image
+
+
 def test_image_table_matches_projection():
     for s in standard_library(3):
-        for n in (2, 3):
+        for n in (1, 2, 3):
             alg = kn_space(s, n)
-            assert len(alg.image_table()) == s.size ** n
-            for slots in itertools.product(range(s.size), repeat=n):
-                image = alg.image_coords(slots)
-                assert image == alg.image_of_slots(slots).coords
-                assert alg.last_slot_images(slots[:-1])[slots[-1]] == image
+            assert len(alg.head_table()) == s.d * s.size ** (n - 1)
+            assert_images_match_projection(
+                alg, itertools.product(range(s.size), repeat=n))
 
 
 D56_EXPRESSIONS = ["laurent(laurent(laurent(laurent(laurent(QC)))))",
@@ -310,25 +318,25 @@ D56_EXPRESSIONS = ["laurent(laurent(laurent(laurent(laurent(QC)))))",
 @given(st.sampled_from(D56_EXPRESSIONS), st.sampled_from((2, 3)), st.data())
 def test_random_d56_table_matches_projection(expr, n, data):
     s = build_from_text(expr)
-    alg = kn_space(s, n)
     slot = st.integers(0, s.size - 1)
-    for slots in data.draw(st.lists(st.tuples(*[slot] * n), min_size=1, max_size=20)):
-        image = alg.image_coords(slots)
-        assert image == alg.image_of_slots(slots).coords
-        assert image == alg.image_coords(tuple(sorted(slots)))
-        assert alg.last_slot_images(slots[:-1])[slots[-1]] == image
+    tuples = data.draw(st.lists(st.tuples(*[slot] * n), min_size=1, max_size=20))
+    assert_images_match_projection(kn_space(s, n), tuples)
 
 
-def test_images_projected_above_table_cap():
-    s = build_from_text("laurent(laurent(product(RC,Q2)))")
-    alg = kn_space(s, 4)
-    assert s.size ** 4 > IMAGE_TABLE_CAP and alg.image_table() is None
-    rng = random.Random(3)
-    for _ in range(5):
-        head = tuple(rng.randrange(s.size) for _ in range(3))
-        row = alg.last_slot_images(head)
-        c = rng.randrange(s.size)
-        assert row[c] == alg.image_coords(head + (c,))
-        assert row[c] == alg.image_of_slots(head + (c,)).coords
+def test_head_table_refused_above_cap(monkeypatch):
+    def no_projection(*args):
+        raise AssertionError("projected past the head table cap")
+
+    monkeypatch.setattr(SymbolAlgebra, "project", no_projection)
+    monkeypatch.setattr(milnor, "_contract_all", no_projection)
+    # RC has dim k_n = 1 in every degree; at n = 25 its head table would
+    # have 2^24 entries
+    rc = build_from_text("RC")
+    assert rc.d * rc.size ** 24 > HEAD_TABLE_CAP
+    with pytest.raises(TooLarge, match="head table"):
+        kn_space(rc, 25)
+    assert 25 not in rc._kn
+    with pytest.raises(TooLarge, match="head table"):
+        SymbolAlgebra(rc, 25, tensor_cap=1)
     with pytest.raises(DegreeMismatch):
-        kn_space(s, 3).image_coords((1, 2))
+        kn_space(build_from_text("laurent(F2)"), 3).image_coords((1, 2))

@@ -21,9 +21,12 @@ from oracle_utils import (
     isotropic,
     kernel_ones_witness,
     pfister_expand,
+    project_image,
     represents,
+    scan_ones_witnesses,
     symmetric_mutants,
     table_axioms_hold,
+    tuple_pfister_classes,
     value_set,
     witt_decompose,
 )
@@ -287,7 +290,7 @@ def test_pfister_classes_are_isometry_classes(q3, rigid2):
             assert not isometric(s, pfister_expand(s1), pfister_expand(s2))
         alg = kn_space(s, 2)
         for image, slots in reps:
-            assert image == alg.image_of_slots(slots).coords != 0
+            assert image == project_image(alg, slots) != 0
             assert witt_decompose(s, pfister_expand(slots)).index == 0
 
 
@@ -403,6 +406,35 @@ def test_random_d45_images_match_witt_oracle(case, data):
     assert_images_match_witt(s, n, tuples)
 
 
+def assert_class_map_matches_scans(s, n):
+    """The class map against the tuple-by-tuple class and stratum scans."""
+    alg = kn_space(s, n)
+    classes = tuple_pfister_classes(alg)
+    ones = scan_ones_witnesses(alg)
+    # the same classes, least tuples and order
+    assert list(pfister_classes(s, n).items()) == list(classes.items())
+    strata = {m: 0 for m in range(n + 1)}
+    for image in classes:
+        strata[ones.get(image, (0,))[0]] += 1
+    assert enumerate_pfister_strata(s, n) == strata
+    for image, least in classes.items():
+        for slots in {least, least[::-1], tuple(sorted(least, reverse=True))}:
+            assert (pfister_ones_witness(s, PfisterForm(slots))
+                    == ones.get(image, (0, least))), (s.name, slots)
+
+
+def test_class_map_matches_scans():
+    for s in standard_library(3):
+        for n in (1, 2, 3):
+            assert_class_map_matches_scans(s, n)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(D4_EXPRESSIONS + D5_EXPRESSIONS), st.sampled_from((2, 3)))
+def test_random_d45_class_map_matches_scans(expr, n):
+    assert_class_map_matches_scans(build(expr), n)
+
+
 def assert_round_image_form_matches_witt(s, m):
     # b * pi = pi for the 2^m ones form pi iff <<1^m, -b>> has image 0,
     # for every class b, not only the values that ensure_round checks
@@ -411,7 +443,7 @@ def assert_round_image_form_matches_witt(s, m):
     base = witt_decompose(s, sigma)
     for b in range(s.size):
         similar = witt_decompose(s, tuple(e ^ b for e in sigma)) == base
-        image = alg.image_of_slots((0,) * m + (s.eps ^ b,)).coords
+        image = alg.image_coords((0,) * m + (s.eps ^ b,))
         assert similar == (image == 0), (s.name, m, b)
 
 
@@ -431,6 +463,10 @@ def test_random_d4_ensure_round_m3_matches_witt(expr):
 def test_d0_scheme_classes_and_strata():
     qc = make(0, 0, (1,), "qc0")
     for n in (1, 2, 3):
-        assert kn_space(qc, n).image_table() == [0]
+        alg = kn_space(qc, n)
+        assert alg.head_table() == []
+        assert alg.image_coords((0,) * n) == 0
+        assert alg.last_slot_images((0,) * (n - 1)) == [0]
+        assert alg.pure_symbols() == ()
         assert pfister_classes(qc, n) == {}
         assert enumerate_pfister_strata(qc, n) == {m: 0 for m in range(n + 1)}
