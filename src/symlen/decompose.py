@@ -23,6 +23,7 @@ number of basis factors hidden in non-basic slots.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .bounds import bound_sl_binomial, bound_sl_linked, bound_strata_count
@@ -266,6 +267,17 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
 # linkage merging
 
 
+def check_link_candidates(size: int, n: int) -> None:
+    """Refuse a divisor search over more than LINK_CANDIDATE_CAP candidates,
+    the (n-1)-slot multisets of the size classes (n >= 1)."""
+    count = math.comb(size + n - 2, n - 1)
+    if count > LINK_CANDIDATE_CAP:
+        raise EnumerationTooLarge(
+            "divisor search needs %d candidates, cap is %d"
+            % (count, LINK_CANDIDATE_CAP)
+        )
+
+
 def find_linked_pair(scheme: Scheme, psum: PfisterSum):
     """First pair of entries sharing an (n-1)-fold Pfister divisor.
 
@@ -276,14 +288,7 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum):
     n = psum.degree
     if n < 2:
         return None
-    count = 1
-    for k in range(n - 1):
-        count = count * (scheme.size + k) // (k + 1)
-    if count > LINK_CANDIDATE_CAP:
-        raise EnumerationTooLarge(
-            "divisor search needs %d candidates, cap is %d"
-            % (count, LINK_CANDIDATE_CAP)
-        )
+    check_link_candidates(scheme.size, n)
     algebra = kn_space(scheme, n)
     images = [algebra.image_coords(slots) for slots in psum.entries]
     candidates = list(itertools.combinations_with_replacement(range(scheme.size), n - 1))
@@ -418,10 +423,13 @@ def run_decomposition(scheme: Scheme, psum: PfisterSum, merge: bool = True,
                       tensor_cap: int = DEFAULT_TENSOR_CAP):
     """Full pipeline: rewrite into the basis, optionally merge, certify.
 
-    The algebra is fetched first, under the caller's tensor cap, so that a
-    refused degree fails before any rewriting.
+    The algebra is fetched first, under the caller's tensor cap, and the
+    merge's divisor search is sized, so that a refused degree or merge
+    fails before any rewriting.
     """
     kn_space(scheme, psum.degree, tensor_cap)
+    if merge:
+        check_link_candidates(scheme.size, psum.degree)
     rewritten = rewrite_to_basis(scheme, psum)
     final = merge_linked(scheme, rewritten) if merge else rewritten
     cert = certify(scheme, psum.degree, psum, final, tensor_cap)

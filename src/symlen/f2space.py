@@ -7,9 +7,10 @@ the left, so in ambient dimension 2 the string "01" denotes the standard
 vector e0 (mask 1) and "10" denotes e1 (mask 2).
 
 Subspaces are kept in reduced row echelon form with the pivot of each row at
-its highest set bit and rows ordered by decreasing mask.  The counting
-helpers return exact big integers; the enumerators back the subspace
-counting check of verify-paper.
+its highest set bit and rows ordered by decreasing mask.  rref_ints touches
+only the kept rows that an incoming row meets, so its cost follows those,
+not the rank.  The counting helpers return exact big integers; the
+enumerators back the subspace counting check of verify-paper.
 """
 
 from __future__ import annotations
@@ -36,32 +37,48 @@ def mask_to_str(mask: int, ambient_dim: int) -> str:
 # raw integer-row helpers, shared with the tensor algebra module
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def rref_ints(rows) -> list[int]:
     """Reduced row echelon form of integer bitmask rows.
 
     Pivot of a row is its highest set bit.  Returns the canonical basis of
-    the span, sorted by decreasing mask; the zero span gives [].
+    the span, sorted by decreasing mask; the zero span gives [].  The kept
+    rows stay fully reduced, so an incoming row is reduced in one pass by
+    the rows at its pivot bits, and a new pivot is cleared from the rows
+    an index of the non-pivot columns lists: no step scans the basis.
     """
-    basis: list[int] = []  # kept with strictly decreasing pivot bits
-    pivots: list[int] = []
+    basis: dict[int, int] = {}
+    pivmask = 0
+    # non-pivot column -> mask of the pivots whose rows have that bit
+    holders: dict[int, int] = {}
     for row in rows:
-        r = row
-        for p, b in zip(pivots, basis):
-            if (r >> p) & 1:
-                r ^= b
-        if not r:
+        hit = row & pivmask  # the loop of iter_bits, inlined: hot
+        while hit:
+            low = hit & -hit
+            row ^= basis[low.bit_length() - 1]
+            hit ^= low
+        if not row:
             continue
-        p = r.bit_length() - 1
-        # clear the new pivot column in the existing rows
-        for k in range(len(basis)):
-            if (basis[k] >> p) & 1:
-                basis[k] ^= r
-        basis.append(r)
-        pivots.append(p)
-        order = sorted(range(len(basis)), key=lambda k: -pivots[k])
-        basis = [basis[k] for k in order]
-        pivots = [pivots[k] for k in order]
-    return basis
+        p = row.bit_length() - 1
+        bit = 1 << p
+        cols = list(iter_bits(row ^ bit))
+        for q in iter_bits(holders.pop(p, 0)):
+            basis[q] ^= row
+            for c in cols:
+                holders[c] = holders.get(c, 0) ^ (1 << q)
+        for c in cols:
+            holders[c] = holders.get(c, 0) | bit
+        basis[p] = row
+        pivmask |= bit
+    # distinct pivots: decreasing masks are decreasing pivots
+    return sorted(basis.values(), reverse=True)
 
 
 def rank_ints(rows) -> int:
@@ -75,15 +92,6 @@ def in_span(mask: int, basis: list[int]) -> bool:
         if r and r.bit_length() == b.bit_length():
             r ^= b
     return r == 0
-
-
-def reduce_mod(mask: int, basis: list[int]) -> int:
-    """Canonical representative of mask modulo the span of RREF rows."""
-    r = mask
-    for b in basis:
-        if (r >> (b.bit_length() - 1)) & 1:
-            r ^= b
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +209,7 @@ def extend_basis(partial: list[int], ambient: int) -> list[int]:
     if len(reduced) != len(partial):
         raise DependentInput("partial basis of %d vectors has rank %d" % (len(partial), len(reduced)))
     full = list(partial)
-    for i in range(ambient):
-        if len(reduced) == ambient:
-            break
-        e = 1 << i
+    for e in (1 << i for i in range(ambient)):
         if not in_span(e, reduced):
             full.append(e)
             reduced = rref_ints(reduced + [e])

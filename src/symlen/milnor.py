@@ -17,9 +17,12 @@ to it; the symbol length of the scheme in degree n is the maximum over the
 whole group, computed by one breadth first search of the Cayley graph of
 k_n with the nonzero pure symbols as generators.
 
-Every image is read from one head table per algebra.  The d^n basis
-tensors are projected once, and the first n - 1 slots are contracted one
-at a time over all 2^d vectors, so that every step is one XOR per table
+The relations, the split 2-tensors (built once per scheme) shifted into
+every adjacent slot pair, are reduced once per algebra; their fully reduced
+rows give a tensor's class by XORing the rows at its pivot bits.  The head
+table reads the d^n basis tensor images off the rows (a free column is its
+own image, a pivot column's is its row less the pivot bit), then contracts
+the first n - 1 slots one at a time over all 2^d vectors, one XOR per
 entry; the last slot stays in the basis.  The image of a slot tuple is the
 XOR of at most d entries, and the images of <<head, c>> for all classes c
 expand from d entries.  Pure symbols walk the last slot of every head over
@@ -54,8 +57,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
-from .f2space import reduce_mod, rref_ints
-from .scheme import Scheme, iter_bits
+from .f2space import iter_bits, rref_ints
+from .scheme import Scheme
 
 DEFAULT_TENSOR_CAP = 1 << 16
 DEFAULT_SL_CAP = 1 << 24
@@ -79,29 +82,34 @@ class SymbolVector:
             )
 
 
-def tensor_of_vectors(vectors, d: int) -> int:
-    """Bitmask of v_0 (x) ... (x) v_{k-1} for vector masks in F2^d."""
-    out = 1
-    width = 1
-    for v in vectors:
-        nxt = 0
-        for i in iter_bits(v):
-            nxt |= out << (i * width)
-        out = nxt
-        width *= d
-        if not out:
-            break
-    return out
-
-
 def split_pair_basis(scheme: Scheme) -> list[int]:
-    """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>."""
-    d = scheme.d
-    rows = []
-    for a in range(1, scheme.size):
-        for b in iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1):
-            rows.append(tensor_of_vectors((a, b), d))
-    return rref_ints(rows)
+    """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>.
+
+    a (x) b is the sum of the disjoint shifts a << d*j over the bits j of b.
+    For each a the tensors span a (x) span(D<1, -a>), so a basis of each
+    value set gives the same span on any table.  Built once per scheme.
+    """
+    if scheme._split_pairs is None:
+        rows = []
+        for a in range(1, scheme.size):
+            for b in rref_ints(iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1)):
+                rows.append(sum(a << (scheme.d * j) for j in iter_bits(b)))
+        scheme._split_pairs = rref_ints(rows)
+    return scheme._split_pairs
+
+
+def _relation_rows(pair: list[int], d: int, n: int):
+    """The split 2-tensors in every adjacent slot pair (pos, pos + 1) of
+    the degree n tensors, times every basis tensor in the other slots."""
+    for pos in range(n - 1):
+        lo = d ** pos
+        # bit i + d*j of a 2-tensor (e_i in slot pos, e_j in slot pos + 1)
+        # lands at bit lo * (i + d*j)
+        spread = [sum(1 << (lo * e) for e in iter_bits(r)) for r in pair]
+        for high in range(d ** (n - pos - 2)):
+            for low in range(lo):
+                for row in spread:
+                    yield row << (high * lo * d * d + low)
 
 
 class SymbolAlgebra:
@@ -130,34 +138,15 @@ class SymbolAlgebra:
             raise TooLarge(
                 "head table needs %d entries, cap is %d" % (heads, HEAD_TABLE_CAP)
             )
-        rel: list[int] = []
-        if n >= 2:
-            pair = split_pair_basis(scheme)
-            outer = d ** (n - 2)
-            for pos in range(n - 1):
-                lo, hi = d ** pos, d ** (pos + 1)
-                for rest in range(outer):
-                    base = 0
-                    digits = rest
-                    slot = 0
-                    for j in range(n):
-                        if j in (pos, pos + 1):
-                            continue
-                        base += (digits % d) * d ** j
-                        digits //= d
-                        slot += 1
-                    for r in pair:
-                        row = 0
-                        for e in iter_bits(r):
-                            row |= 1 << (base + (e % d) * lo + (e // d) * hi)
-                        rel.append(row)
-        self.relations = rref_ints(rel)
-        pivots = {r.bit_length() - 1 for r in self.relations}
+        # fully reduced rows by decreasing pivot: the row with pivot p is at
+        # the number of pivots above p, its other bits are free columns
+        self.relations = rref_ints(
+            _relation_rows(split_pair_basis(scheme), d, n) if n >= 2 else ())
+        self._pivots = sum(1 << (r.bit_length() - 1) for r in self.relations)
         self.free_cols = tuple(
-            c for c in range(self.tensor_dim) if c not in pivots
+            c for c in range(self.tensor_dim) if not (self._pivots >> c) & 1
         )
         self.dim = len(self.free_cols)
-        self._col_index = {c: j for j, c in enumerate(self.free_cols)}
         self._heads: list[int] | None = None
         self._pures: tuple[int, ...] | None = None
         self._classes: dict[int, tuple[int, ...]] | None = None
@@ -169,11 +158,18 @@ class SymbolAlgebra:
 
     def project(self, tensor_mask: int) -> SymbolVector:
         """Class of a raw tensor bitmask in the quotient coordinates."""
-        red = reduce_mod(tensor_mask, self.relations)
+        red = tensor_mask
+        pivots = self._pivots
+        for p in iter_bits(tensor_mask & pivots):
+            red ^= self.relations[(pivots >> p).bit_count() - 1]
+        return SymbolVector(self._coords(red), self.dim)
+
+    def _coords(self, reduced: int) -> int:
+        """Quotient coords of a tensor bitmask supported on free columns."""
         coords = 0
-        for c in iter_bits(red):
-            coords |= 1 << self._col_index[c]
-        return SymbolVector(coords, self.dim)
+        for c in iter_bits(reduced):
+            coords |= 1 << bisect_left(self.free_cols, c)
+        return coords
 
     def representative(self, x: SymbolVector) -> int:
         """Canonical tensor bitmask representing x (supported on free columns)."""
@@ -191,8 +187,14 @@ class SymbolAlgebra:
         """
         if self._heads is None:
             d = self.scheme.d
-            table = [self.project(1 << t).coords
-                     for t in range(self.tensor_dim)]
+            # a free column is its own image, a pivot column reduces to
+            # its row less the pivot bit
+            table = [0] * self.tensor_dim
+            for j, c in enumerate(self.free_cols):
+                table[c] = 1 << j
+            for row in self.relations:
+                p = row.bit_length() - 1
+                table[p] = self._coords(row ^ (1 << p))
             if d:
                 for _ in range(self.n - 1):
                     table = _contract_all(table, d)
@@ -339,12 +341,14 @@ def _contract_all(table: list[int], d: int) -> list[int]:
     """
     cols = [table[i::d] for i in range(d)]
     width = len(table) // d
-    out = [0] * width
+    # allocated at its final size: a list grown by += keeps up to 1/8 spare
+    out = [0] * (width << d)
     for v in range(1, 1 << d):
         # v is v & (v - 1) plus the basis vector of its lowest set bit
         start = (v & (v - 1)) * width
         col = cols[(v & -v).bit_length() - 1]
-        out += [a ^ c for a, c in zip(out[start:start + width], col)]
+        out[v * width:(v + 1) * width] = [
+            a ^ c for a, c in zip(out[start:start + width], col)]
     return out
 
 

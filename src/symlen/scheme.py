@@ -32,7 +32,7 @@ from .errors import (
     ProfileInconsistency,
     RoundnessViolation,
 )
-from .f2space import Subspace, in_span, rref_ints
+from .f2space import Subspace, in_span, iter_bits, rref_ints
 
 if TYPE_CHECKING:
     from .decompose import BasisChain
@@ -40,14 +40,6 @@ if TYPE_CHECKING:
 
 SCHEME_DIM_CAP = 6
 DEFAULT_CLASS_CAP = 1 << 20
-
-
-def iter_bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # _KEEP[k]: the classes below 2^SCHEME_DIM_CAP whose bit k is clear; a set
@@ -194,6 +186,7 @@ class Scheme:
         self._d2m: list[int] | None = None
         self._round_ok: set[int] = set()
         self._kn: dict[int, SymbolAlgebra] = {}
+        self._split_pairs: list[int] | None = None
         self._basis_chain: BasisChain | None = None
         self._profile: InvariantProfile | None = None
         validate_scheme(self)
@@ -239,19 +232,10 @@ class Scheme:
         members = set_to_sorted(setmask)
         if 0 not in members:
             raise NotAGroup("represented set lacks the identity class")
-        rows = rref_ints(members)
-        count = 1 << len(rows)
-        if count != len(members):
+        # the members lie in their span, which has 2^rank elements, so they
+        # are the span iff there are 2^rank of them
+        if 1 << len(rref_ints(members)) != len(members):
             raise NotAGroup("represented set of size %d is not a subgroup" % len(members))
-        span = 0
-        for combo in range(count):
-            v = 0
-            for i in range(len(rows)):
-                if (combo >> i) & 1:
-                    v ^= rows[i]
-            span |= 1 << v
-        if span != setmask:
-            raise NotAGroup("represented set is not closed under products")
 
     def d2m_chain(self) -> list[int]:
         """Subgroup chain D(2^m) for m = 0..stabilization, as bitmasks."""
@@ -498,10 +482,8 @@ def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dic
 
 def quotient_basis(scheme: Scheme, m: int) -> list[int]:
     """Deterministic class lifts of a basis of G modulo +-D(2^m)."""
-    pm = scheme.pm_d2m(m)
-    h_rows = rref_ints(set_to_sorted(pm))
+    span = rref_ints(set_to_sorted(scheme.pm_d2m(m)))
     basis: list[int] = []
-    span = list(h_rows)
     for c in range(1, scheme.size):
         if not in_span(c, span):
             basis.append(c)

@@ -8,10 +8,118 @@ from dataclasses import dataclass
 from symlen.builders import build_from_text
 from symlen.errors import DegreeMismatch, TooLarge
 from symlen.f2space import rank_ints
-from symlen.milnor import tensor_of_vectors
 from symlen.scheme import iter_bits
 
 WITT_STATE_CAP = 1 << 21
+
+
+def tensor_of_vectors(vectors, d):
+    """Bitmask of v_0 (x) ... (x) v_{k-1} for vector masks in F2^d."""
+    out = 1
+    width = 1
+    for v in vectors:
+        nxt = 0
+        for i in iter_bits(v):
+            nxt |= out << (i * width)
+        out = nxt
+        width *= d
+        if not out:
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the k_n relations reduced row by row against a sorted basis: the
+# reference for the pivot-keyed reduction and the images read off its rows
+
+
+def list_rref(rows):
+    """RREF rows sorted by decreasing mask, each incoming row reduced
+    against every kept row in turn and the basis re-sorted per insert."""
+    basis = []
+    pivots = []
+    for row in rows:
+        r = row
+        for p, b in zip(pivots, basis):
+            if (r >> p) & 1:
+                r ^= b
+        if not r:
+            continue
+        p = r.bit_length() - 1
+        for k in range(len(basis)):
+            if (basis[k] >> p) & 1:
+                basis[k] ^= r
+        basis.append(r)
+        pivots.append(p)
+        order = sorted(range(len(basis)), key=lambda k: -pivots[k])
+        basis = [basis[k] for k in order]
+        pivots = [pivots[k] for k in order]
+    return basis
+
+
+def reduce_by_rows(mask, basis):
+    """Representative of mask modulo the span of sorted RREF rows."""
+    r = mask
+    for b in basis:
+        if (r >> (b.bit_length() - 1)) & 1:
+            r ^= b
+    return r
+
+
+def all_pairs_split_basis(scheme):
+    """RREF of a (x) b over every a != 0 and every b in D<1, -a>, b != 0."""
+    rows = []
+    for a in range(1, scheme.size):
+        for b in iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1):
+            rows.append(tensor_of_vectors((a, b), scheme.d))
+    return list_rref(rows)
+
+
+def reduced_relations(scheme, n):
+    """(relation rows, free columns, head table) of k_n, built by placing
+    the split pairs in each adjacent slot pair coordinate by coordinate, a
+    generic RREF over the d^n columns, then every basis tensor reduced."""
+    d = scheme.d
+    rel = []
+    if n >= 2:
+        pair = all_pairs_split_basis(scheme)
+        for pos in range(n - 1):
+            lo, hi = d ** pos, d ** (pos + 1)
+            for rest in range(d ** (n - 2)):
+                base = 0
+                digits = rest
+                for j in range(n):
+                    if j in (pos, pos + 1):
+                        continue
+                    base += (digits % d) * d ** j
+                    digits //= d
+                for r in pair:
+                    row = 0
+                    for e in iter_bits(r):
+                        row |= 1 << (base + (e % d) * lo + (e // d) * hi)
+                    rel.append(row)
+    relations = list_rref(rel)
+    pivots = {r.bit_length() - 1 for r in relations}
+    free_cols = tuple(c for c in range(d ** n) if c not in pivots)
+    col_index = {c: j for j, c in enumerate(free_cols)}
+    table = []
+    for t in range(d ** n):
+        coords = 0
+        for c in iter_bits(reduce_by_rows(1 << t, relations)):
+            coords |= 1 << col_index[c]
+        table.append(coords)
+    for _ in range(n - 1 if d else 0):
+        # contract the lowest slot over all 2^d vectors, v in ascending order
+        width = len(table) // d
+        out = []
+        for v in range(1 << d):
+            for r in range(width):
+                x = 0
+                for i in iter_bits(v):
+                    x ^= table[i + d * r]
+                out.append(x)
+        table = out
+    return relations, free_cols, table
 
 
 def alternating_rank_sl(algebra, x):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symlen import decompose
 from symlen.builders import build, build_from_text, standard_expressions, standard_library
 from symlen.decompose import (
     LINK_CANDIDATE_CAP,
@@ -255,6 +256,19 @@ def test_find_linked_pair_respects_cap():
     assert math.comb(66, 3) == 45760 > LINK_CANDIDATE_CAP
     with pytest.raises(EnumerationTooLarge):
         find_linked_pair(r6, psum)
+
+
+def test_merge_cap_refused_before_rewrite(monkeypatch):
+    def no_rewrite(*args):
+        raise AssertionError("rewrote a sum whose merge is refused")
+
+    monkeypatch.setattr(decompose, "rewrite_to_basis", no_rewrite)
+    r6 = build_from_text("laurent(laurent(laurent(laurent(laurent(laurent(QC))))))")
+    psum = make_sum(r6, 4, [(1, 2, 4, 8), (1, 2, 4, 16)])
+    with pytest.raises(EnumerationTooLarge):
+        run_decomposition(r6, psum)
+    with pytest.raises(AssertionError, match="rewrote"):
+        run_decomposition(r6, psum, merge=False)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle_utils import list_rref
 
 from symlen.errors import (
     DependentInput,
@@ -56,7 +60,21 @@ def test_rref_frozen_examples():
     assert rref_ints([0b100, 0b010, 0b110]) == [0b100, 0b010]
     assert rref_ints([0b11, 0b11]) == [0b11]
     assert rref_ints([]) == []
+    # the new pivot 1 is cleared from the kept row 110, which gains bit 0
+    assert rref_ints([0b110, 0b011]) == [0b101, 0b011]
     assert rank_ints([0b101, 0b011, 0b110]) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 70).flatmap(lambda width: st.lists(
+    st.integers(0, (1 << width) - 1), max_size=24)), st.data())
+def test_rref_matches_list_oracle(rows, data):
+    # zero rows and repeats of drawn rows, in a drawn order
+    extra = [0] * data.draw(st.integers(0, 2))
+    if rows:
+        extra += data.draw(st.lists(st.sampled_from(rows), max_size=8))
+    rows = data.draw(st.permutations(rows + extra))
+    assert rref_ints(rows) == list_rref(rows)
 
 
 def test_rref_is_canonical():

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
+    all_pairs_split_basis,
     alternating_rank_sl,
     dict_bfs_distances,
     dict_bfs_max_length,
     isometric,
     pfister_expand,
     project_image,
+    reduced_relations,
+    tensor_of_vectors,
     tuple_pure_symbols,
     witt_decompose,
 )
@@ -37,7 +40,6 @@ from symlen.milnor import (
     kn_space,
     sl_field,
     split_pair_basis,
-    tensor_of_vectors,
 )
 
 
@@ -63,6 +65,38 @@ def test_split_pair_basis_q3():
     assert len(basis) == 3
     assert in_span(tensor_of_vectors((1, 1), 2), basis)
     assert not in_span(tensor_of_vectors((2, 2), 2), basis)
+
+
+def test_split_pair_basis_matches_all_pairs():
+    for s in standard_library(4):
+        basis = split_pair_basis(s)
+        assert basis == all_pairs_split_basis(s), s.name
+        assert split_pair_basis(s) is basis
+
+
+def assert_matches_reduction_oracle(alg):
+    relations, free_cols, table = reduced_relations(alg.scheme, alg.n)
+    assert alg.relations == relations
+    assert alg.free_cols == free_cols
+    assert alg.dim == len(free_cols)
+    assert alg.head_table() == table
+
+
+def test_relations_match_list_reduction():
+    for s in standard_library(3):
+        for n in (1, 2, 3, 4):
+            assert_matches_reduction_oracle(SymbolAlgebra(s, n))
+
+
+D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
+D5_EXPRESSIONS = [e for e in standard_expressions(5) if expr_dim(e) == 5]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(D4_EXPRESSIONS) | st.sampled_from(D5_EXPRESSIONS),
+       st.sampled_from((2, 3)))
+def test_random_d45_relations_match_list_reduction(expr, n):
+    assert_matches_reduction_oracle(SymbolAlgebra(build(expr), n))
 
 
 def test_dimensions_frozen():
@@ -279,9 +313,6 @@ def test_union_of_translates_matches_sets(case):
     assert got == sum(1 << y for y in {x ^ g for x in members for g in shifts})
 
 
-D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(D4_EXPRESSIONS), st.sampled_from((2, 3)))
 def test_random_d4_schemes_match_oracles(expr, n):
@@ -333,10 +364,13 @@ def test_head_table_refused_above_cap(monkeypatch):
     # have 2^24 entries
     rc = build_from_text("RC")
     assert rc.d * rc.size ** 24 > HEAD_TABLE_CAP
-    with pytest.raises(TooLarge, match="head table"):
-        kn_space(rc, 25)
-    assert 25 not in rc._kn
-    with pytest.raises(TooLarge, match="head table"):
-        SymbolAlgebra(rc, 25, tensor_cap=1)
+    with monkeypatch.context() as m:
+        # nor are the relations reduced
+        m.setattr(milnor, "rref_ints", no_projection)
+        with pytest.raises(TooLarge, match="head table"):
+            kn_space(rc, 25)
+        assert 25 not in rc._kn
+        with pytest.raises(TooLarge, match="head table"):
+            SymbolAlgebra(rc, 25, tensor_cap=1)
     with pytest.raises(DegreeMismatch):
         kn_space(build_from_text("laurent(F2)"), 3).image_coords((1, 2))
