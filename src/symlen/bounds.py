@@ -6,8 +6,8 @@ the two-element invariants s_m and the quotient dimensions d_m).  The s
 entering the case splits is the Kaplansky exponent with 2^s <= p < 2^{s+1};
 summation limits that depend on the level of a nonreal scheme use the level
 exponent instead.  Exponents in the closed-form stratum caps can be negative
-on small profiles, so terms are accumulated as exact rationals and each
-bound is floored once at the end.
+on small profiles, so a sum of powers of two is floored once at the end,
+exactly, by carrying from the smallest exponent up.
 
 Two closed-form displays are implemented in a corrected form; the shipped
 formulas are the ones the underlying counting argument actually supports,
@@ -57,10 +57,18 @@ def kaplansky_s(p: int) -> int:
     return p.bit_length() - 1
 
 
-def pow2(exponent: int) -> Fraction:
-    if exponent >= 0:
-        return Fraction(1 << exponent)
-    return Fraction(1, 1 << -exponent)
+def floor_pow2_sum(exponents: list[int]) -> int:
+    """floor of the sum of 2^e over the exponents, exactly.
+
+    The negative exponents are carried from the smallest up, the carry
+    floored at each step: floor((k + y) / 2) = floor((k + floor(y)) / 2)
+    for an integer k, so no fraction (nor 2^-e) is ever built.
+    """
+    neg = sorted(e for e in exponents if e < 0)
+    carry = 0
+    for lo, hi in zip(neg, neg[1:] + [0]):
+        carry = (carry + 1) >> (hi - lo)
+    return carry + sum(1 << e for e in exponents if e >= 0)
 
 
 def _check_args(d, s, m):
@@ -125,8 +133,7 @@ def bound_strata_count(profile, n: int, m: int) -> int:
     if not profile.is_real and m > profile.level_exponent:
         return 0
     codim = profile.d_m(m) + _sm_exponent(m, profile.is_real, profile.level_exponent)
-    exponent = (n - m) * (codim - n + m + 1)
-    return math.floor(pow2(exponent))
+    return floor_pow2_sum([(n - m) * (codim - n + m + 1)])
 
 
 def _stratum_cap_exponent(d, s, n, m, sm):
@@ -140,24 +147,24 @@ def bound_sl_exponential(profile, n: int) -> int:
     p = profile.pythagoras
     s = kaplansky_s(p)
     sigma = profile.level_exponent
-    terms = []
+    exponents = []
     if s > n:
         for m in range(n + 1):
             sm = _sm_exponent(m, profile.is_real, sigma)
-            terms.append(pow2(_stratum_cap_exponent(d, s, n, m, sm)))
+            exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
     elif not profile.is_real:
         for m in range(s):
             sm = _sm_exponent(m, False, sigma)
-            terms.append(pow2(_stratum_cap_exponent(d, s, n, m, sm)))
-        terms.append(pow2((n - s) * (d - s * (s - 1) // 2 - n + 1)))
+            exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
+        exponents.append((n - s) * (d - s * (s - 1) // 2 - n + 1))
     else:
         for m in range(s + 1):
-            terms.append(pow2(_stratum_cap_exponent(d, s, n, m, 1)))
+            exponents.append(_stratum_cap_exponent(d, s, n, m, 1))
         stationary = d - s * (s + 1) // 2 - n
         shift = 0 if p & (p - 1) == 0 else 1
         for m in range(s + 1, n + 1):
-            terms.append(pow2((n - m) * (stationary + m - shift)))
-    return math.floor(sum(terms))
+            exponents.append((n - m) * (stationary + m - shift))
+    return floor_pow2_sum(exponents)
 
 
 def linked_stratum_cap(d, d_m, n, m, is_real, s, use_exact_subspace_count=False):
@@ -231,10 +238,13 @@ def bound_sl_paired(profile, n: int) -> int:
 
 
 def split_basis_term(d_m: int, j: int) -> int:
-    """Number of j-subsets of a basis split into halves, even on one side."""
+    """Number of j-subsets of a basis split into halves, even on one side.
+
+    The terms with 2r > d_m // 2 are 0, so r stops there as well as at j // 2.
+    """
     return sum(
         math.comb(d_m // 2, 2 * r) * _comb0((d_m + 1) // 2, j - 2 * r)
-        for r in range(j // 2 + 1)
+        for r in range(min(j, d_m // 2) // 2 + 1)
     )
 
 

@@ -95,66 +95,8 @@ def _f2_table():
     return SquareClassGroup(1, 1), ValueSetTable((0b11, 0b11))
 
 
-def _hilbert2(u: int, v: int) -> int:
-    """2-adic Hilbert symbol of two nonzero integers, +1 or -1."""
-    alpha, u1 = _split_two(u)
-    beta, v1 = _split_two(v)
-    e = ((u1 - 1) // 2) * ((v1 - 1) // 2)
-    e += alpha * ((v1 * v1 - 1) // 8)
-    e += beta * ((u1 * u1 - 1) // 8)
-    return -1 if e & 1 else 1
-
-
-def _split_two(u: int):
-    k = 0
-    while u % 2 == 0:
-        u //= 2
-        k += 1
-    return k, u
-
-
-def _dyadic_rep(a: int) -> int:
-    """Integer representative of dyadic class mask a (bits: sign, 2, 5)."""
-    r = 1
-    if a & 1:
-        r = -r
-    if a & 2:
-        r *= 2
-    if a & 4:
-        r *= 5
-    return r
-
-
-def generate_dyadic_table() -> dict:
-    """Recompute the dyadic base table from the 2-adic Hilbert symbol.
-
-    b is a value of <1,a> exactly when the ternary form <1, a, -b> is
-    isotropic over the dyadic field; for a not in the class of -1 that is
-    the symbol condition (b, -a) = 1, and for a in the class of -1 the form
-    <1,a> is hyperbolic, hence universal.  The shipped JSON file freezes
-    this table; a test regenerates and compares it.
-    """
-    eps = 1
-    rows = []
-    for a in range(8):
-        if a == eps:
-            rows.append(255)
-            continue
-        row = 0
-        for b in range(8):
-            if _hilbert2(_dyadic_rep(b), -_dyadic_rep(a)) == 1:
-                row |= 1 << b
-        assert row & 1 and (row >> a) & 1
-        rows.append(row)
-    return {
-        "dim": 3,
-        "minus_one": eps,
-        "coordinates": ["-1", "2", "5"],
-        "rows": rows,
-    }
-
-
 def _q2_table():
+    # the 2-adic Hilbert symbol gives the rows; the tests regenerate them
     with open(DATA_DIR / "dyadic_table.json") as fh:
         data = json.load(fh)
     return (

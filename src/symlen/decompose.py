@@ -23,7 +23,6 @@ number of basis factors hidden in non-basic slots.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .bounds import bound_sl_binomial, bound_sl_linked, bound_strata_count
@@ -269,13 +268,16 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
 
 def check_link_candidates(size: int, n: int) -> None:
     """Refuse a divisor search over more than LINK_CANDIDATE_CAP candidates,
-    the (n-1)-slot multisets of the size classes (n >= 1)."""
-    count = math.comb(size + n - 2, n - 1)
-    if count > LINK_CANDIDATE_CAP:
-        raise EnumerationTooLarge(
-            "divisor search needs %d candidates, cap is %d"
-            % (count, LINK_CANDIDATE_CAP)
-        )
+    the C(size + n - 2, size - 1) multisets of n - 1 slots (n >= 1)."""
+    count = 1
+    for i in range(1, size):
+        # count is C(n - 1 + i, i), which grows with i: stop past the cap
+        count = count * (n - 1 + i) // i
+        if count > LINK_CANDIDATE_CAP:
+            raise EnumerationTooLarge(
+                "divisor search over %d classes at n = %d needs more than "
+                "%d candidates, the cap" % (size, n, LINK_CANDIDATE_CAP)
+            )
 
 
 def find_linked_pair(scheme: Scheme, psum: PfisterSum):
@@ -291,19 +293,20 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum):
     check_link_candidates(scheme.size, n)
     algebra = kn_space(scheme, n)
     images = [algebra.image_coords(slots) for slots in psum.entries]
-    candidates = list(itertools.combinations_with_replacement(range(scheme.size), n - 1))
-    # divisor -> images of <<divisor, c>> for c = 0, 1, ...
-    cofactors: dict[tuple[int, ...], list[int]] = {}
+    # images of <<divisor, c>> for c = 0, 1, ..., by the divisor's rank in
+    # the candidate order; the candidates themselves are not kept
+    cofactors: list[list[int]] = []
     for i in range(len(psum.entries)):
         if not images[i]:
             continue
         for j in range(i + 1, len(psum.entries)):
             if not images[j]:
                 continue
-            for divisor in candidates:
-                row = cofactors.get(divisor)
-                if row is None:
-                    row = cofactors[divisor] = algebra.last_slot_images(divisor)
+            for k, divisor in enumerate(itertools.combinations_with_replacement(
+                    range(scheme.size), n - 1)):
+                if k == len(cofactors):
+                    cofactors.append(algebra.last_slot_images(divisor))
+                row = cofactors[k]
                 if images[i] in row and images[j] in row:
                     return i, j, divisor, row.index(images[i]), row.index(images[j])
     return None
@@ -394,8 +397,8 @@ def certify(scheme: Scheme, n: int, input_sum: PfisterSum,
     residues_equal = r_in == r_out
     profile = scheme.invariants()
     caps = tuple(bound_strata_count(profile, n, m) for m in range(n + 1))
-    strata_in = tuple(input_sum.strata_counts()[m] for m in range(n + 1))
-    strata_out = tuple(output_sum.strata_counts()[m] for m in range(n + 1))
+    strata_in = tuple(input_sum.strata_counts().values())
+    strata_out = tuple(output_sum.strata_counts().values())
     counts_ok = all(strata_out[m] <= caps[m] for m in range(n + 1))
     binomial = bound_sl_binomial(profile, n)
     linked = bound_sl_linked(profile, n)

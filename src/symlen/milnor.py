@@ -17,21 +17,22 @@ to it; the symbol length of the scheme in degree n is the maximum over the
 whole group, computed by one breadth first search of the Cayley graph of
 k_n with the nonzero pure symbols as generators.
 
-The relations, the split 2-tensors (built once per scheme) shifted into
-every adjacent slot pair, are reduced once per algebra; their fully reduced
-rows give a tensor's class by XORing the rows at its pivot bits.  The head
-table reads the d^n basis tensor images off the rows (a free column is its
-own image, a pivot column's is its row less the pivot bit), then contracts
-the first n - 1 slots one at a time over all 2^d vectors, one XOR per
-entry; the last slot stays in the basis.  The image of a slot tuple is the
-XOR of at most d entries, and the images of <<head, c>> for all classes c
-expand from d entries.  Pure symbols walk the last slot of every head over
-the nonzero vectors in Gray code order.  The table also keys the Pfister
-classes of the scheme: an anisotropic n-fold Pfister form is determined up
-to isometry by its image, and it is hyperbolic iff the image is 0 (the
-Arason-Pfister Hauptsatz for fields; for schemes the tests check it
-against a Witt decomposition search).  One scan of the sorted slot tuples,
-head by head, maps each class to its least slot tuple.
+k_* is generated in degree 1 with quadratic relations (Milnor, "Algebraic
+K-theory and quadratic forms", 1970), so degree n is built on degree n - 1:
+its relations are R_{n-1} (x) G plus the split 2-tensors in the last slot
+pair (the same span), reduced once; the fully reduced rows give a tensor's
+class by XORing the rows at its pivot bits.  As R_{n-1} (x) G lies in R_n,
+x (x) v has a bilinear class mu_n(x, v) for x in k_{n-1} and v in G, and
+degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
+v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
+<<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2,
+and pure(n) is mu_n of pure(n - 1) and the nonzero vectors.  An anisotropic
+n-fold Pfister form is determined up to isometry by its image, and it is
+hyperbolic iff the image is 0 (the Arason-Pfister Hauptsatz for fields; for
+schemes the tests check it against a Witt decomposition search); a walk of
+the sorted slot prefixes, keeping the least prefix of each image, maps each
+class to its least slot tuple.  Every degree below n is kept, so the tensor
+cap bounds n as well as d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -52,7 +53,6 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -60,11 +60,22 @@ from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
 from .scheme import Scheme
 
-DEFAULT_TENSOR_CAP = 1 << 16
+# bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
+DEFAULT_TENSOR_CAP = 1 << 13
 DEFAULT_SL_CAP = 1 << 24
-# the largest head table built: 1,572,864 entries at d = 6, n = 4 fit,
-# d = 6 at n = 5 (100,663,296) does not
-HEAD_TABLE_CAP = 1 << 23
+
+
+def _check_degree(d: int, n: int, tensor_cap: int) -> None:
+    """Refuse a degree below 1, or one whose d^n or n exceeds the cap,
+    without building d^n when d >= 2 and n > cap.bit_length()."""
+    if n < 1:
+        raise DegreeMismatch("symbol degree must be at least 1, got %d" % n)
+    if n > tensor_cap or (d > 1 and (n > tensor_cap.bit_length()
+                                     or d ** n > tensor_cap)):
+        raise TooLarge(
+            "k_n with d = %d, n = %d needs d^n tensor coordinates and n "
+            "degrees, cap is %d" % (d, n, tensor_cap)
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -98,57 +109,53 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
     return scheme._split_pairs
 
 
-def _relation_rows(pair: list[int], d: int, n: int):
-    """The split 2-tensors in every adjacent slot pair (pos, pos + 1) of
-    the degree n tensors, times every basis tensor in the other slots."""
-    for pos in range(n - 1):
-        lo = d ** pos
-        # bit i + d*j of a 2-tensor (e_i in slot pos, e_j in slot pos + 1)
-        # lands at bit lo * (i + d*j)
-        spread = [sum(1 << (lo * e) for e in iter_bits(r)) for r in pair]
-        for high in range(d ** (n - pos - 2)):
-            for low in range(lo):
-                for row in spread:
-                    yield row << (high * lo * d * d + low)
+def _relation_rows(lower: list[int], pair: list[int], d: int, n: int):
+    """R_{n-1} (x) G and the split 2-tensors in the last slot pair
+    (n - 2, n - 1) times every basis tensor in the slots below."""
+    block = d ** (n - 1)
+    for i in range(d):
+        for row in lower:
+            yield row << (i * block)
+    lo = d ** (n - 2)
+    # bit i + d*j of a 2-tensor (e_i in slot n - 2, e_j in slot n - 1)
+    # lands at bit lo * (i + d*j)
+    spread = [sum(1 << (lo * e) for e in iter_bits(r)) for r in pair]
+    for low in range(lo):
+        for row in spread:
+            yield row << low
 
 
 class SymbolAlgebra:
-    """k_n of a scheme with a fixed coordinate choice.
+    """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}.
 
     Relation rows are kept in RREF over the d^n tensor coordinates; the
     non-pivot columns, in increasing order, index the quotient coordinates.
-    A degree whose head table would have more than HEAD_TABLE_CAP entries
-    is refused before the relations are reduced.
+    The degrees below n are built first, and cached, by kn_space; a degree
+    whose d^n or n exceeds the tensor cap is refused before any of them.
     """
 
     def __init__(self, scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP):
-        if n < 1:
-            raise DegreeMismatch("symbol degree must be at least 1, got %d" % n)
+        d = scheme.d
+        _check_degree(d, n, tensor_cap)
         self.scheme = scheme
         self.n = n
-        d = scheme.d
         self.tensor_dim = d ** n
-        if self.tensor_dim > tensor_cap:
-            raise TooLarge(
-                "tensor space needs %d coordinates, cap is %d"
-                % (self.tensor_dim, tensor_cap)
-            )
-        heads = d * scheme.size ** (n - 1)
-        if heads > HEAD_TABLE_CAP:
-            raise TooLarge(
-                "head table needs %d entries, cap is %d" % (heads, HEAD_TABLE_CAP)
-            )
+        self.lower = kn_space(scheme, n - 1, tensor_cap) if n > 1 else None
         # fully reduced rows by decreasing pivot: the row with pivot p is at
         # the number of pivots above p, its other bits are free columns
-        self.relations = rref_ints(
-            _relation_rows(split_pair_basis(scheme), d, n) if n >= 2 else ())
+        self.relations = rref_ints(_relation_rows(
+            self.lower.relations, split_pair_basis(scheme), d, n)
+            if self.lower is not None else ())
         self._pivots = sum(1 << (r.bit_length() - 1) for r in self.relations)
         self.free_cols = tuple(
             c for c in range(self.tensor_dim) if not (self._pivots >> c) & 1
         )
         self.dim = len(self.free_cols)
-        self._heads: list[int] | None = None
-        self._pures: tuple[int, ...] | None = None
+        self._mul: list[list[int]] | None = None
+        self._last_slot_rows: dict[int, list[int]] = {}
+        self._tables: list[list[list[int]]] | None = None
+        # k_1 = G: its pure symbols are the nonzero vectors
+        self._pures = tuple(range(1, scheme.size)) if n == 1 else None
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._layers: list[int] | None = None
 
@@ -158,16 +165,16 @@ class SymbolAlgebra:
 
     def project(self, tensor_mask: int) -> SymbolVector:
         """Class of a raw tensor bitmask in the quotient coordinates."""
+        return SymbolVector(self._reduce(tensor_mask), self.dim)
+
+    def _reduce(self, tensor_mask: int) -> int:
+        """Quotient coords of a raw tensor bitmask."""
         red = tensor_mask
         pivots = self._pivots
         for p in iter_bits(tensor_mask & pivots):
             red ^= self.relations[(pivots >> p).bit_count() - 1]
-        return SymbolVector(self._coords(red), self.dim)
-
-    def _coords(self, reduced: int) -> int:
-        """Quotient coords of a tensor bitmask supported on free columns."""
         coords = 0
-        for c in iter_bits(reduced):
+        for c in iter_bits(red):
             coords |= 1 << bisect_left(self.free_cols, c)
         return coords
 
@@ -178,77 +185,107 @@ class SymbolAlgebra:
             mask |= 1 << self.free_cols[j]
         return mask
 
-    def head_table(self) -> list[int]:
-        """Coords of the images of <<head, e_i>>, (2^d)^(n-1) * d entries.
-
-        The first n - 1 slots run over all 2^d vectors and the last one over
-        the basis vectors: the entry at i + d * sum((a_j ^ eps) << d*j) is
-        the image of (a_0 ^ eps) (x) ... (x) (a_{n-2} ^ eps) (x) e_i.
-        """
-        if self._heads is None:
+    def _mul_table(self) -> list[list[int]]:
+        """mul[j][v]: coords of mu_n(e_j, v) for the basis vector e_j of
+        k_{n-1} and the vector v.  rep(e_j) (x) e_i is the basis tensor at
+        c + i * d^(n-1) for the free column c of e_j (k_0 has column 0)."""
+        if self._mul is None:
             d = self.scheme.d
-            # a free column is its own image, a pivot column reduces to
-            # its row less the pivot bit
-            table = [0] * self.tensor_dim
-            for j, c in enumerate(self.free_cols):
-                table[c] = 1 << j
-            for row in self.relations:
-                p = row.bit_length() - 1
-                table[p] = self._coords(row ^ (1 << p))
-            if d:
-                for _ in range(self.n - 1):
-                    table = _contract_all(table, d)
-            self._heads = table
-        return self._heads
+            block = d ** (self.n - 1)
+            mul = []
+            for c in self.lower.free_cols if self.lower is not None else (0,):
+                row = [0]
+                for i in range(d):
+                    image = self._reduce(1 << (c + i * block))
+                    row += [x ^ image for x in row]
+                mul.append(row)
+            self._mul = mul
+        return self._mul
 
-    def _head_start(self, head, degree: int) -> int:
-        """Index of the entry for <<head, e_0>> in the head table, for a
-        form of the given degree."""
-        if degree != self.n:
-            raise DegreeMismatch(
-                "form has %d slots, algebra degree is %d" % (degree, self.n)
-            )
-        d = self.scheme.d
+    def _row(self, x: int) -> list[int]:
+        """mu_n(x, v) for every vector v, in vector order, for x in k_{n-1}:
+        the XOR of the table rows at the bits of x.  Not to be modified: it
+        may be a row of the table."""
+        mul = self._mul_table()
+        row = None
+        for j in iter_bits(x):
+            row = mul[j] if row is None else [a ^ b for a, b in zip(row, mul[j])]
+        return row if row is not None else [0] * self.scheme.size
+
+    def _chain(self) -> list[SymbolAlgebra]:
+        """The algebras of degrees 1..n, lowest first."""
+        chain = []
+        alg = self
+        while alg is not None:
+            chain.append(alg)
+            alg = alg.lower
+        chain.reverse()
+        return chain
+
+    def _image(self, slots) -> int:
+        """Coords of the image of <<slots>> in the degree len(slots), at
+        most n: mu of each degree applied to the image below, from 1 in k_0."""
+        if self._tables is None:
+            self._tables = [alg._mul_table() for alg in self._chain()]
         eps = self.scheme.eps
-        key = 0
-        for j, a in enumerate(head):
-            key |= (a ^ eps) << (d * j)
-        return d * key
+        x = 1
+        for mul, a in zip(self._tables, slots):
+            v = a ^ eps
+            y = 0
+            for j in iter_bits(x):
+                y ^= mul[j][v]
+            x = y
+        return x
 
     def image_coords(self, slots) -> int:
-        """Coords of the image of <<slots>>, the XOR of at most d entries."""
-        start = self._head_start(slots[:-1], len(slots))
-        table = self.head_table()
-        coords = 0
-        for i in iter_bits(slots[-1] ^ self.scheme.eps):
-            coords ^= table[start + i]
-        return coords
+        """Coords of the image of <<slots>>."""
+        if len(slots) != self.n:
+            raise DegreeMismatch(
+                "form has %d slots, algebra degree is %d" % (len(slots), self.n)
+            )
+        return self._image(slots)
 
     def last_slot_images(self, head) -> list[int]:
-        """Images of <<head, c>> for every class c, in class order."""
-        start = self._head_start(head, len(head) + 1)
-        # row[v]: the image with the vector v in the last slot
-        row = [0]
-        for entry in self.head_table()[start:start + self.scheme.d]:
-            row += [x ^ entry for x in row]
-        # the class c has the vector c ^ eps, and row is linear in v
-        shift = row[self.scheme.eps]
-        return [x ^ shift for x in row] if shift else row
+        """Images of <<head, c>> for every class c, in class order.
+
+        Memoized by the image of the head, a pure symbol or 0, as the
+        merge asks for every divisor of a degree.
+        """
+        if len(head) + 1 != self.n:
+            raise DegreeMismatch(
+                "form has %d slots, algebra degree is %d" % (len(head) + 1, self.n)
+            )
+        x = self._image(head)
+        images = self._last_slot_rows.get(x)
+        if images is None:
+            row = self._row(x)
+            # the class c has the vector c ^ eps, and row is linear in v
+            shift = row[self.scheme.eps]
+            images = self._last_slot_rows[x] = [y ^ shift for y in row]
+        return list(images)
 
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols.
 
-        The last slot is walked over the nonzero vectors in Gray code order
-        for every head at once, one XOR per head and step; heads with a
-        zero vector only give 0.
+        pure(n) is mu_n(p, v) over the pure symbols p of degree n - 1 and
+        the nonzero vectors v, filled in from the lowest degree that lacks
+        them; v is walked in Gray code order for every p at once.
         """
         if self._pures is None:
-            seen: set[int] = set()
-            if self.dim:
-                d = self.scheme.d
-                table = self.head_table()
-                cols = [table[i::d] for i in range(d)]
-                row = [0] * len(cols[0])
+            d = self.scheme.d
+            for alg in self._chain():
+                if alg._pures is not None:
+                    continue
+                pures = alg.lower._pures
+                # cols[i][k] = mu(p_k, e_i)
+                mul = alg._mul_table()
+                cols = [[0] * len(pures) for _ in range(d)]
+                for k, p in enumerate(pures):
+                    for j in iter_bits(p):
+                        for i in range(d):
+                            cols[i][k] ^= mul[j][1 << i]
+                row = [0] * len(pures)
+                seen: set[int] = set()
                 for k in range(1, 1 << d):
                     # the Gray code vector of step k differs from the last
                     # in bit ctz(k)
@@ -256,28 +293,33 @@ class SymbolAlgebra:
                     row = [a ^ c for a, c in zip(row, col)]
                     seen.update(row)
                 seen.discard(0)
-            self._pures = tuple(sorted(seen))
+                alg._pures = tuple(sorted(seen))
         return self._pures
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
         slot tuple, in the order of those tuples.
 
-        The sorted tuples are scanned head by head, the last slot through
-        last_slot_images.  Sorted tuples with more leading 1 slots come
-        first, so a class's least tuple also has its largest number of
-        leading 1 slots.
+        Built from the same map one degree down, each least prefix extended
+        in order by every slot from its last one up.  A prefix P that is not
+        the least P' of its image is not needed: P + (e) has the image of
+        sorted(P' + (e)), which is smaller.  Sorted tuples with more leading
+        1 slots come first, so a class's least tuple also has the most.
         """
         if self._classes is None:
             size = self.scheme.size
-            classes: dict[int, tuple[int, ...]] = {}
-            for head in itertools.combinations_with_replacement(range(size), self.n - 1):
-                row = self.last_slot_images(head)
-                for c in range(head[-1] if head else 0, size):
-                    image = row[c]
-                    if image and image not in classes:
-                        classes[image] = head + (c,)
-            self._classes = classes
+            eps = self.scheme.eps
+            least: dict[int, tuple[int, ...]] = {1: ()}
+            for alg in self._chain():
+                nxt: dict[int, tuple[int, ...]] = {}
+                for x, prefix in least.items():
+                    row = alg._row(x)
+                    for c in range(prefix[-1] if prefix else 0, size):
+                        image = row[c ^ eps]
+                        if image and image not in nxt:
+                            nxt[image] = prefix + (c,)
+                least = nxt
+            self._classes = least
         return self._classes
 
     def _bfs_layers(self, cap: int) -> list[int]:
@@ -332,26 +374,6 @@ class SymbolAlgebra:
         return len(layers) - 1, SymbolVector(witness, self.dim)
 
 
-def _contract_all(table: list[int], d: int) -> list[int]:
-    """Contract the lowest slot of a multilinear table over all 2^d vectors.
-
-    table[i + d * r] is the value with the basis vector e_i in the lowest
-    slot.  The result holds at r + R * v, for R = len(table) // d, the value
-    with the vector v in that slot, so the next slot becomes the lowest one.
-    """
-    cols = [table[i::d] for i in range(d)]
-    width = len(table) // d
-    # allocated at its final size: a list grown by += keeps up to 1/8 spare
-    out = [0] * (width << d)
-    for v in range(1, 1 << d):
-        # v is v & (v - 1) plus the basis vector of its lowest set bit
-        start = (v & (v - 1)) * width
-        col = cols[(v & -v).bit_length() - 1]
-        out[v * width:(v + 1) * width] = [
-            a ^ c for a, c in zip(out[start:start + width], col)]
-    return out
-
-
 def _clear_bit_masks(dim: int) -> list[int]:
     """M_b for b < dim: the set of x < 2^dim with bit b of x clear."""
     size = 1 << dim
@@ -400,19 +422,19 @@ def _swap(s: int, b: int, masks: list[int]) -> int:
 def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:
     """The degree n symbol algebra of a scheme, cached on the scheme.
 
-    The cap is enforced on cache hits too, so that a request refused on a
-    cold cache is refused identically on a warm one.
+    The missing degrees up to n are built bottom-up, each on the one below,
+    and cached too.  The cap is enforced on cache hits too, so that a
+    request refused on a cold cache is refused identically on a warm one.
     """
-    if scheme.d ** n > tensor_cap:
-        raise TooLarge(
-            "tensor space needs %d coordinates, cap is %d"
-            % (scheme.d ** n, tensor_cap)
-        )
-    hit = scheme._kn.get(n)
-    if hit is None:
-        hit = SymbolAlgebra(scheme, n, tensor_cap)
-        scheme._kn[n] = hit
-    return hit
+    _check_degree(scheme.d, n, tensor_cap)
+    cache = scheme._kn
+    if n not in cache:
+        low = n
+        while low > 1 and low - 1 not in cache:
+            low -= 1
+        for m in range(low, n + 1):
+            cache[m] = SymbolAlgebra(scheme, m, tensor_cap)
+    return cache[n]
 
 
 def sl_field(scheme: Scheme, n: int) -> tuple[int, SymbolVector]:

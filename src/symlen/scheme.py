@@ -470,12 +470,13 @@ def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dic
     """Map of image coords -> least sorted slot tuple, anisotropic classes only.
 
     The cap bounds the (2^d)^n slot tuples and is checked before any table
-    is read or built.
+    is read or built, without building the power: 2^(d*n) > cap iff
+    d*n >= cap.bit_length().
     """
-    if scheme.size ** n > cap:
+    if scheme.d * n >= cap.bit_length():
         raise EnumerationTooLarge(
-            "strata enumeration needs %d slot tuples, cap is %d"
-            % (scheme.size ** n, cap)
+            "strata enumeration needs (2^%d)^%d slot tuples, cap is %d"
+            % (scheme.d, n, cap)
         )
     return dict(_kn(scheme, n).classes())
 

@@ -78,7 +78,12 @@ def all_pairs_split_basis(scheme):
 def reduced_relations(scheme, n):
     """(relation rows, free columns, head table) of k_n, built by placing
     the split pairs in each adjacent slot pair coordinate by coordinate, a
-    generic RREF over the d^n columns, then every basis tensor reduced."""
+    generic RREF over the d^n columns, then every basis tensor reduced.
+
+    The head table holds the images of <<head, e_i ^ eps>> at
+    i + d * key, the first n - 1 slots contracted over all 2^d vectors: the
+    reference that the degree by degree multiplication tables are checked
+    against."""
     d = scheme.d
     rel = []
     if n >= 2:
@@ -146,8 +151,8 @@ def alternating_rank_sl(algebra, x):
 def project_image(algebra, slots):
     """Coords of the image of <<slots>>, projecting its tensor.
 
-    The reference for the head table: one reduction by the relations per
-    call, no table.
+    The reference for the multiplication tables: one reduction by the
+    relations per call, no table.
     """
     if len(slots) != algebra.n:
         raise DegreeMismatch(
@@ -485,3 +490,67 @@ def d6_rare_failure_rows():
     rows[16] ^= 1 << 20
     rows[29] ^= 1 << 25
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the dyadic base table from the 2-adic Hilbert symbol: the reference that
+# the frozen table of the Q2 scheme is compared with
+
+
+def _hilbert2(u: int, v: int) -> int:
+    """2-adic Hilbert symbol of two nonzero integers, +1 or -1."""
+    alpha, u1 = _split_two(u)
+    beta, v1 = _split_two(v)
+    e = ((u1 - 1) // 2) * ((v1 - 1) // 2)
+    e += alpha * ((v1 * v1 - 1) // 8)
+    e += beta * ((u1 * u1 - 1) // 8)
+    return -1 if e & 1 else 1
+
+
+def _split_two(u: int):
+    k = 0
+    while u % 2 == 0:
+        u //= 2
+        k += 1
+    return k, u
+
+
+def _dyadic_rep(a: int) -> int:
+    """Integer representative of dyadic class mask a (bits: sign, 2, 5)."""
+    r = 1
+    if a & 1:
+        r = -r
+    if a & 2:
+        r *= 2
+    if a & 4:
+        r *= 5
+    return r
+
+
+def generate_dyadic_table() -> dict:
+    """Recompute the dyadic base table from the 2-adic Hilbert symbol.
+
+    b is a value of <1,a> exactly when the ternary form <1, a, -b> is
+    isotropic over the dyadic field; for a not in the class of -1 that is
+    the symbol condition (b, -a) = 1, and for a in the class of -1 the form
+    <1,a> is hyperbolic, hence universal.  The shipped JSON file freezes
+    this table.
+    """
+    eps = 1
+    rows = []
+    for a in range(8):
+        if a == eps:
+            rows.append(255)
+            continue
+        row = 0
+        for b in range(8):
+            if _hilbert2(_dyadic_rep(b), -_dyadic_rep(a)) == 1:
+                row |= 1 << b
+        assert row & 1 and (row >> a) & 1
+        rows.append(row)
+    return {
+        "dim": 3,
+        "minus_one": eps,
+        "coordinates": ["-1", "2", "5"],
+        "rows": rows,
+    }

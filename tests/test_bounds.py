@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlen.bounds import (
     RationalPolynomial,
@@ -18,6 +20,7 @@ from symlen.bounds import (
     bound_strata_count,
     compare_quotient_floor_bases,
     dm_estimate_for_profile,
+    floor_pow2_sum,
     kaplansky_s,
     linked_stratum_cap,
     make_bound_report,
@@ -296,3 +299,28 @@ def test_split_basis_term_direct():
         math.comb(2, 2 * r) * math.comb(3, 2 - 2 * r) for r in range(2)
     )
     assert split_basis_term(0, 0) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-12, 6), max_size=12))
+def test_floor_pow2_sum_matches_fractions(exponents):
+    exact = sum(Fraction(2) ** e for e in exponents)
+    assert floor_pow2_sum(exponents) == math.floor(exact)
+
+
+def test_split_basis_term_matches_unclipped_sum():
+    for d_m in range(13):
+        for j in range(-2, 30):
+            assert split_basis_term(d_m, j) == sum(
+                math.comb(d_m // 2, 2 * r) * math.comb((d_m + 1) // 2, j - 2 * r)
+                for r in range(j // 2 + 1) if j - 2 * r >= 0
+            )
+
+
+def test_real_bounds_at_large_degree():
+    # the exponential terms reach 2^-(n^2 / 4): floored without fractions
+    rc = profile_of("RC")
+    n = 4000
+    assert bound_sl_exponential(rc, n) == 2
+    assert bound_sl_split_basis(rc, n) == 1
+    assert bound_strata_count(rc, n, 0) == 0

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from oracle_utils import _dyadic_rep, generate_dyadic_table
 from symlen.builders import (
     BaseExpr,
     LaurentExpr,
@@ -21,7 +22,6 @@ from symlen.builders import (
     build_from_text,
     expr_dim,
     expr_label,
-    generate_dyadic_table,
     laurent_extend,
     parse_scheme_expr,
     product,
@@ -71,17 +71,6 @@ def _two_adic_class(t: int) -> int:
         v += 1
     unit_bits = {1: 0, 7: 1, 5: 4, 3: 5}[t % 8]
     return ((v & 1) << 1) | unit_bits
-
-
-def _dyadic_rep(a: int) -> int:
-    r = 1
-    if a & 1:
-        r = -r
-    if a & 2:
-        r *= 2
-    if a & 4:
-        r *= 5
-    return r
 
 
 def test_dyadic_against_primitive_search_oracle():

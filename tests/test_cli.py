@@ -243,3 +243,26 @@ def test_decompose_tensor_cap_checked_before_rewrite(capsys, monkeypatch):
                         "--form", "011,100", "--cap-tensor", "1")
     assert code == 2
     assert out == ""
+
+
+def test_huge_degree_exits_cap_without_big_powers(capsys):
+    # d^n here has more digits than int -> str conversion allows
+    for label, n in (("laurent(RC)", "20000"),
+                     ("laurent(laurent(RC))", "3000000")):
+        code = cli.main(["sl", "--scheme", label, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: ")
+        assert "n = %s" % n in captured.err
+
+
+def test_sl_degree_five_at_d6(capsys):
+    code, out = run_cli(capsys, "sl", "--scheme",
+                        "laurent(laurent(laurent(laurent(laurent(laurent(QC))))))",
+                        "--n", "5", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["sl"] == 1
+    assert data["witness"] == {"coords": 1, "dim": 6}
+    assert data["dim_kn"] == 6

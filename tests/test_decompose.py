@@ -14,6 +14,7 @@ from symlen.decompose import (
     LINK_CANDIDATE_CAP,
     build_basis_chain,
     certify,
+    check_link_candidates,
     entry_stratum,
     find_linked_pair,
     make_sum,
@@ -269,6 +270,41 @@ def test_merge_cap_refused_before_rewrite(monkeypatch):
         run_decomposition(r6, psum)
     with pytest.raises(AssertionError, match="rewrote"):
         run_decomposition(r6, psum, merge=False)
+
+
+def test_link_candidate_count_matches_binomial():
+    for d in range(7):
+        size = 1 << d
+        for n in range(1, 12):
+            over = math.comb(size + n - 2, n - 1) > LINK_CANDIDATE_CAP
+            try:
+                check_link_candidates(size, n)
+            except EnumerationTooLarge:
+                assert over, (size, n)
+            else:
+                assert not over, (size, n)
+
+
+def test_d6_degree_five_sum_certifies():
+    r6 = build_from_text("laurent(laurent(laurent(laurent(laurent(laurent(QC))))))")
+    psum = make_sum(r6, 5, [(1, 2, 4, 8, 16), (3, 5, 9, 17, 33)])
+    final, cert = run_decomposition(r6, psum, merge=False)
+    assert cert.passed and final.length == 5
+    # the merge's divisor search is still refused: C(67, 4) candidates
+    with pytest.raises(EnumerationTooLarge):
+        run_decomposition(r6, psum)
+
+
+def test_large_degree_sum_certifies():
+    # every step is linear in n: the strata are counted once, and the
+    # divisor candidates are walked, not listed
+    rc = build_from_text("RC")
+    n = 4000
+    psum = make_sum(rc, n, [(0,) * n, (0,) * (n - 1) + (1,), (0,) * n])
+    final, cert = run_decomposition(rc, psum)
+    assert final.entries == ()
+    assert cert.passed and cert.residue_coords == 0
+    assert cert.strata_input[n] == 2 and cert.strata_input[n - 1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ from symlen.builders import (
     standard_library,
 )
 from symlen.errors import DegreeMismatch, TooLarge
-from symlen.f2space import in_span
+from symlen.f2space import in_span, iter_bits
+from symlen.scheme import Scheme
 from symlen import milnor
 from symlen.milnor import (
-    HEAD_TABLE_CAP,
+    DEFAULT_TENSOR_CAP,
     SymbolAlgebra,
     SymbolVector,
     _clear_bit_masks,
@@ -74,12 +75,33 @@ def test_split_pair_basis_matches_all_pairs():
         assert split_pair_basis(s) is basis
 
 
+def assert_images_match_table(alg, table):
+    """image_coords and last_slot_images against the oracle head table,
+    whose entry at i + d * key is the image of <<head, e_i ^ eps>> for the
+    head whose vectors a ^ eps are the d-bit digits of key."""
+    s = alg.scheme
+    d = s.d
+    assert len(table) == d * s.size ** (alg.n - 1)
+    for head in itertools.product(range(s.size), repeat=alg.n - 1):
+        key = sum((a ^ s.eps) << (d * j) for j, a in enumerate(head))
+        entries = table[d * key:d * key + d]
+        for i in range(d):
+            assert alg.image_coords(head + ((1 << i) ^ s.eps,)) == entries[i]
+        expected = []
+        for c in range(s.size):
+            x = 0
+            for i in iter_bits(c ^ s.eps):
+                x ^= entries[i]
+            expected.append(x)
+        assert alg.last_slot_images(head) == expected, (alg, head)
+
+
 def assert_matches_reduction_oracle(alg):
     relations, free_cols, table = reduced_relations(alg.scheme, alg.n)
     assert alg.relations == relations
     assert alg.free_cols == free_cols
     assert alg.dim == len(free_cols)
-    assert alg.head_table() == table
+    assert_images_match_table(alg, table)
 
 
 def test_relations_match_list_reduction():
@@ -331,7 +353,7 @@ def test_image_table_matches_projection():
     for s in standard_library(3):
         for n in (1, 2, 3):
             alg = kn_space(s, n)
-            assert len(alg.head_table()) == s.d * s.size ** (n - 1)
+            assert_images_match_table(alg, reduced_relations(s, n)[2])
             assert_images_match_projection(
                 alg, itertools.product(range(s.size), repeat=n))
 
@@ -354,23 +376,45 @@ def test_random_d56_table_matches_projection(expr, n, data):
     assert_images_match_projection(kn_space(s, n), tuples)
 
 
-def test_head_table_refused_above_cap(monkeypatch):
-    def no_projection(*args):
-        raise AssertionError("projected past the head table cap")
+def fresh_scheme(label):
+    """An uncached copy of a library scheme, with no algebra built yet."""
+    s = build_from_text(label)
+    return Scheme(s.group, s.values, s.name)
 
-    monkeypatch.setattr(SymbolAlgebra, "project", no_projection)
-    monkeypatch.setattr(milnor, "_contract_all", no_projection)
-    # RC has dim k_n = 1 in every degree; at n = 25 its head table would
-    # have 2^24 entries
-    rc = build_from_text("RC")
-    assert rc.d * rc.size ** 24 > HEAD_TABLE_CAP
-    with monkeypatch.context() as m:
-        # nor are the relations reduced
-        m.setattr(milnor, "rref_ints", no_projection)
-        with pytest.raises(TooLarge, match="head table"):
-            kn_space(rc, 25)
-        assert 25 not in rc._kn
-        with pytest.raises(TooLarge, match="head table"):
-            SymbolAlgebra(rc, 25, tensor_cap=1)
+
+def test_large_degree_builds_bottom_up():
+    # far past the recursion limit: each degree reads the cached one below
+    n = 5000
+    rc = fresh_scheme("RC")
+    alg = kn_space(rc, n)
+    assert sorted(rc._kn) == list(range(1, n + 1))
+    assert alg.dim == 1
+    assert sl_field(rc, n) == (1, SymbolVector(1, 1))
+    assert alg.image_coords((0,) * n) == 1
+    assert alg.image_coords((0,) * (n - 1) + (1,)) == 0
+    qc = fresh_scheme("QC")
+    assert kn_space(qc, n).dim == 0
+    assert sl_field(qc, n) == (0, SymbolVector(0, 0))
+
+
+def test_degree_above_tensor_cap_refused(monkeypatch):
+    def no_reduction(*args):
+        raise AssertionError("reduced relations past the tensor cap")
+
+    # d^n is 1, but every degree up to n would be kept
+    n = DEFAULT_TENSOR_CAP + 1
+    rc = fresh_scheme("RC")
+    monkeypatch.setattr(milnor, "rref_ints", no_reduction)
+    with pytest.raises(TooLarge, match="n = %d" % n):
+        kn_space(rc, n)
+    with pytest.raises(TooLarge, match="n = %d" % n):
+        SymbolAlgebra(rc, n)
+    assert rc._kn == {}
+
+
+def test_wrong_slot_count_raises():
+    alg = kn_space(build_from_text("laurent(F2)"), 3)
     with pytest.raises(DegreeMismatch):
-        kn_space(build_from_text("laurent(F2)"), 3).image_coords((1, 2))
+        alg.image_coords((1, 2))
+    with pytest.raises(DegreeMismatch):
+        alg.last_slot_images((1,))

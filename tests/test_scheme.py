@@ -30,15 +30,23 @@ from oracle_utils import (
     value_set,
     witt_decompose,
 )
-from symlen.builders import build, expr_dim, standard_expressions, standard_library
+from symlen.builders import (
+    build,
+    build_from_text,
+    expr_dim,
+    standard_expressions,
+    standard_library,
+)
 from symlen.errors import (
     AxiomViolation,
     DimensionMismatch,
+    EnumerationTooLarge,
     IsotropicInput,
     ProfileInconsistency,
 )
 from symlen.f2space import subspace_from_masks
 from symlen.milnor import kn_space
+from symlen import scheme as scheme_module
 from symlen.scheme import (
     PfisterForm,
     Scheme,
@@ -464,9 +472,31 @@ def test_d0_scheme_classes_and_strata():
     qc = make(0, 0, (1,), "qc0")
     for n in (1, 2, 3):
         alg = kn_space(qc, n)
-        assert alg.head_table() == []
         assert alg.image_coords((0,) * n) == 0
         assert alg.last_slot_images((0,) * (n - 1)) == [0]
         assert alg.pure_symbols() == ()
         assert pfister_classes(qc, n) == {}
         assert enumerate_pfister_strata(qc, n) == {m: 0 for m in range(n + 1)}
+
+
+def test_class_cap_compares_without_the_power(monkeypatch):
+    class NoClasses:
+        def classes(self):
+            return {}
+
+    monkeypatch.setattr(scheme_module, "_kn", lambda s, n: NoClasses())
+    for label in ("QC", "RC", "laurent(F2)", "Q2", "laurent(laurent(Q2))",
+                  "laurent(laurent(laurent(Q2)))"):
+        s = build_from_text(label)
+        for n in range(1, 12):
+            for cap in (1, 2, 3, 63, 64, 65, (1 << 20) - 1, 1 << 20):
+                refused = s.size ** n > cap
+                try:
+                    pfister_classes(s, n, cap)
+                except EnumerationTooLarge:
+                    assert refused, (s.name, n, cap)
+                else:
+                    assert not refused, (s.name, n, cap)
+    # no power of 2^d is built: (2^1)^100000 has 30,103 digits
+    with pytest.raises(EnumerationTooLarge, match=r"\(2\^1\)\^100000"):
+        pfister_classes(build_from_text("F1"), 100000)
