@@ -308,7 +308,7 @@ def cmd_sl(cfg: RunConfig) -> tuple[dict, int]:
     algebra = kn_space(scheme, cfg.n, cfg.cap_tensor)
     best, witness = algebra.max_symbol_length(cfg.cap_bfs)
     try:
-        classes = len(pfister_classes(scheme, cfg.n, cfg.cap_enum))
+        classes = len(pfister_classes(scheme, cfg.n, cfg.cap_enum, cfg.cap_tensor))
     except EnumerationTooLarge:
         classes = None
     payload = {
@@ -353,9 +353,10 @@ def cmd_decompose(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_verify_paper(cfg: RunConfig) -> tuple[dict, int]:
     progress = None
     if cfg.verbosity:
-        def progress(entry):
-            print("check %2d %-28s %s" % (entry["id"], entry["name"],
-                                          "ok" if entry["passed"] else "FAIL"),
+        def progress(entry, seconds):
+            print("check %2d %-28s %-4s %8.2fs"
+                  % (entry["id"], entry["name"],
+                     "ok" if entry["passed"] else "FAIL", seconds),
                   file=sys.stderr)
     report = run_verification(cfg.max_d, cfg.seed, progress)
     code = EXIT_OK if report["all_passed"] else EXIT_VERIFY

@@ -174,7 +174,8 @@ def sum_residue(scheme: Scheme, psum: PfisterSum, tensor_cap: int = DEFAULT_TENS
 
 
 def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
-                     chain: BasisChain | None = None) -> PfisterSum:
+                     chain: BasisChain | None = None,
+                     tensor_cap: int = DEFAULT_TENSOR_CAP) -> PfisterSum:
     """Rewrite a sum so every entry draws its non-1 slots from the chain.
 
     The output entries of stratum m have m leading 1 slots and the remaining
@@ -186,7 +187,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
     if chain is None:
         chain = build_basis_chain(scheme)
     n = psum.degree
-    algebra = kn_space(scheme, n)
+    algebra = kn_space(scheme, n, tensor_cap)
     d2m = scheme.d2m_chain()
     # work items: (slots, settled); unsettled entries still need their
     # maximal-ones representative computed
@@ -205,7 +206,8 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
             image = algebra.image_coords(slots)
             if not image:
                 continue
-            m, canonical = pfister_ones_witness(scheme, PfisterForm(tuple(slots)))
+            m, canonical = pfister_ones_witness(scheme, PfisterForm(tuple(slots)),
+                                                tensor_cap)
             if m == 0:
                 canonical = zero_witness.setdefault(image, canonical)
             work.append((canonical, True))
@@ -280,7 +282,8 @@ def check_link_candidates(size: int, n: int) -> None:
             )
 
 
-def find_linked_pair(scheme: Scheme, psum: PfisterSum):
+def find_linked_pair(scheme: Scheme, psum: PfisterSum,
+                     tensor_cap: int = DEFAULT_TENSOR_CAP):
     """First pair of entries sharing an (n-1)-fold Pfister divisor.
 
     Returns (i, j, divisor slots, cofactor_i, cofactor_j) or None.  The
@@ -291,7 +294,7 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum):
     if n < 2:
         return None
     check_link_candidates(scheme.size, n)
-    algebra = kn_space(scheme, n)
+    algebra = kn_space(scheme, n, tensor_cap)
     images = [algebra.image_coords(slots) for slots in psum.entries]
     # images of <<divisor, c>> for c = 0, 1, ..., by the divisor's rank in
     # the candidate order; the candidates themselves are not kept
@@ -312,18 +315,19 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum):
     return None
 
 
-def merge_linked(scheme: Scheme, psum: PfisterSum) -> PfisterSum:
+def merge_linked(scheme: Scheme, psum: PfisterSum,
+                 tensor_cap: int = DEFAULT_TENSOR_CAP) -> PfisterSum:
     """Merge linked entry pairs until none remain.
 
     Two entries isometric to <<X, c1>> and <<X, c2>> over a common divisor
     X sum to the residue of <<X, eps*c1*c2>>, so the pair collapses to one
     entry, or to nothing when the merged form is hyperbolic.
     """
-    algebra = kn_space(scheme, psum.degree)
+    algebra = kn_space(scheme, psum.degree, tensor_cap)
     entries = list(psum.entries)
     while True:
         current = PfisterSum(psum.scheme_name, psum.degree, tuple(entries))
-        hit = find_linked_pair(scheme, current)
+        hit = find_linked_pair(scheme, current, tensor_cap)
         if hit is None:
             break
         i, j, divisor, ci, cj = hit
@@ -433,7 +437,7 @@ def run_decomposition(scheme: Scheme, psum: PfisterSum, merge: bool = True,
     kn_space(scheme, psum.degree, tensor_cap)
     if merge:
         check_link_candidates(scheme.size, psum.degree)
-    rewritten = rewrite_to_basis(scheme, psum)
-    final = merge_linked(scheme, rewritten) if merge else rewritten
+    rewritten = rewrite_to_basis(scheme, psum, tensor_cap=tensor_cap)
+    final = merge_linked(scheme, rewritten, tensor_cap) if merge else rewritten
     cert = certify(scheme, psum.degree, psum, final, tensor_cap)
     return final, cert

@@ -58,10 +58,8 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
-from .scheme import Scheme
+from .scheme import DEFAULT_TENSOR_CAP, Scheme
 
-# bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
-DEFAULT_TENSOR_CAP = 1 << 13
 DEFAULT_SL_CAP = 1 << 24
 
 

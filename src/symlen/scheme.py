@@ -19,6 +19,7 @@ milnor.SymbolAlgebra.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,8 @@ if TYPE_CHECKING:
 
 SCHEME_DIM_CAP = 6
 DEFAULT_CLASS_CAP = 1 << 20
+# bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
+DEFAULT_TENSOR_CAP = 1 << 13
 
 
 # _KEEP[k]: the classes below 2^SCHEME_DIM_CAP whose bit k is clear; a set
@@ -47,17 +50,28 @@ DEFAULT_CLASS_CAP = 1 << 20
 _KEEP = [int(("0" * (1 << k) + "1" * (1 << k)) * (1 << (SCHEME_DIM_CAP - 1 - k)), 2)
          for k in range(SCHEME_DIM_CAP)]
 
+# validate_scheme packs one class set per 64-bit block of an int, the
+# struct format 'Q'; 2^SCHEME_DIM_CAP classes fill one block
+_BLOCK = 64
+
 
 def translate(setmask: int, x: int) -> int:
     """Image of a set of classes under multiplication by the class x."""
+    return _swap_runs(setmask, x, _KEEP, 1)
+
+
+def _swap_runs(mask: int, x: int, keep: list[int], unit: int) -> int:
+    """For each set bit k of x, swap the runs of unit * 2^k bits marked by
+    keep[k] with the runs just above them: the index permutation i -> i ^ x
+    on runs of unit bits."""
     k = 0
     while x:
         if x & 1:
-            keep = _KEEP[k]
-            setmask = ((setmask & keep) << (1 << k)) | ((setmask >> (1 << k)) & keep)
+            shift = unit << k
+            mask = ((mask & keep[k]) << shift) | ((mask >> shift) & keep[k])
         x >>= 1
         k += 1
-    return setmask
+    return mask
 
 
 def set_to_sorted(setmask: int) -> list[int]:
@@ -375,6 +389,16 @@ def validate_scheme(scheme: Scheme) -> None:
     check on (0, a^b, a^c), so the triples (0, b, c) over all ordered pairs
     (b, c) cover every triple.  Each b + (0 + c) is computed once and
     compared for both (b, c) and (c, b).
+
+    The sets are bit-packed, one class set per 64-bit block: for each b
+    one int holds in block y the union of D<1,t> over t in the b-translate
+    of D<1,y>.  It is a boolean matrix product, the OR over t of the
+    blocks y with t in D<1,y> masked onto D<1,t^b> copied into every block.
+    Translating within each block by b gives b + (0 + c) in block c, and
+    permuting the blocks by b gives 0 + (b + c) there, so the first
+    equality is one int comparison per b.  The symmetry in (b, c) compares
+    the unpacked blocks with their transpose.  On a failure the first
+    (b, c) in row-major order is named.
     """
     size = scheme.size
     eps = scheme.eps
@@ -394,39 +418,64 @@ def validate_scheme(scheme: Scheme) -> None:
                     "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
                 )
 
-    # unions[b][y]: the union of D<1,t> over t in the b-translate of D<1,y>
-    unions = []
+    ones = _pack([1] * size)
+    full = (1 << _BLOCK) - 1
+    packed = _pack(rows)
+    # rep[t]: D<1,t> in every block; col[t]: the full blocks y with t in
+    # D<1,y>, bit t of each block of the packed rows spread over its block
+    rep = [row * ones for row in rows]
+    col = [((packed >> t) & ones) * full for t in range(size)]
+    within = [keep * ones for keep in _KEEP]
+    across = [_pack([full * (keep >> y & 1) for y in range(size)])
+              for keep in _KEEP]
+    # inner[b] holds 0 + (b + c) in block c: the union in block b ^ c, as
+    # D<b,c> is the b-translate of D<1,b^c>; last[b] holds b + (0 + c) in
+    # block c, the b-translate of the union in block c
+    inner = []
+    last = []
     for b in range(size):
-        shifted = [rows[t ^ b] for t in range(size)]
-        line = []
-        for y in range(size):
-            acc = 0
-            for t in iter_bits(rows[y]):
-                acc |= shifted[t]
-            line.append(acc)
-        unions.append(line)
-    # last[b][c] = b + (0 + c), the b-translate of unions[b][c]; and
-    # 0 + (b + c) = unions[b][b ^ c], as D<b,c> = b-translate of D<1,b^c>
-    last = [[translate(u, b) for u in line] for b, line in enumerate(unions)]
-    for b in range(size):
-        for c in range(size):
-            if not unions[b][b ^ c] == last[b][c] == last[c][b]:
-                raise AxiomViolation(
-                    "ternary value set of (0,%d,%d) depends on the order" % (b, c)
-                )
+        unions = 0
+        for t in range(size):
+            unions |= col[t] & rep[t ^ b]
+        inner.append(_swap_runs(unions, b, across, _BLOCK))
+        last.append(_swap_runs(unions, b, within, 1))
+    # table[b * size + c] is last[b][c], so row b of the matrix is compared
+    # with column b; the byte order of a block does not change equalities
+    table = _blocks(last, size)
+    if inner != last or any(table[b * size:(b + 1) * size] != table[b::size]
+                            for b in range(size)):
+        for b in range(size):
+            line = _blocks([inner[b]], size)
+            for c in range(size):
+                if not line[c] == table[b * size + c] == table[c * size + b]:
+                    raise AxiomViolation(
+                        "ternary value set of (0,%d,%d) depends on the order" % (b, c)
+                    )
     scheme._validated = True
+
+
+def _pack(sets: list[int]) -> int:
+    """One int holding the i-th class set in its i-th 64-bit block."""
+    return int.from_bytes(struct.pack("<%dQ" % len(sets), *sets), "little")
+
+
+def _blocks(packed: list[int], count: int) -> memoryview:
+    """The first count 64-bit blocks of each packed int, in one flat view."""
+    data = b"".join(v.to_bytes(8 * count, "little") for v in packed)
+    return memoryview(data).cast("Q")
 
 
 # ---------------------------------------------------------------------------
 # Pfister strata
 
 
-def _kn(scheme: Scheme, n: int) -> SymbolAlgebra:
+def _kn(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:
     from .milnor import kn_space  # milnor imports this module
-    return kn_space(scheme, n)
+    return kn_space(scheme, n, tensor_cap)
 
 
-def pfister_ones_witness(scheme: Scheme, pf: PfisterForm) -> tuple[int, tuple[int, ...]]:
+def pfister_ones_witness(scheme: Scheme, pf: PfisterForm,
+                         tensor_cap: int = DEFAULT_TENSOR_CAP) -> tuple[int, tuple[int, ...]]:
     """The stratum of an anisotropic Pfister form plus a witnessing slot tuple.
 
     The stratum is the largest number m of leading 1 slots over the sorted
@@ -435,7 +484,7 @@ def pfister_ones_witness(scheme: Scheme, pf: PfisterForm) -> tuple[int, tuple[in
     on the isometry class.  In stratum 0 the witness is the form's own
     slots, sorted.
     """
-    algebra = _kn(scheme, pf.degree)
+    algebra = _kn(scheme, pf.degree, tensor_cap)
     image = algebra.image_coords(pf.slots)
     if not image:
         raise IsotropicInput("Pfister form %r is isotropic" % (pf.slots,))
@@ -466,7 +515,8 @@ def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
     return counts
 
 
-def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dict[int, tuple[int, ...]]:
+def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP,
+                    tensor_cap: int = DEFAULT_TENSOR_CAP) -> dict[int, tuple[int, ...]]:
     """Map of image coords -> least sorted slot tuple, anisotropic classes only.
 
     The cap bounds the (2^d)^n slot tuples and is checked before any table
@@ -478,7 +528,7 @@ def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP) -> dic
             "strata enumeration needs (2^%d)^%d slot tuples, cap is %d"
             % (scheme.d, n, cap)
         )
-    return dict(_kn(scheme, n).classes())
+    return dict(_kn(scheme, n, tensor_cap).classes())
 
 
 def quotient_basis(scheme: Scheme, m: int) -> list[int]:

@@ -6,9 +6,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from symlen.builders import build_from_text
-from symlen.errors import DegreeMismatch, TooLarge
+from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge
 from symlen.f2space import rank_ints
-from symlen.scheme import iter_bits
+from symlen.scheme import iter_bits, translate
 
 WITT_STATE_CAP = 1 << 21
 
@@ -453,6 +453,50 @@ def table_axioms_hold(eps, rows):
 
     return all(plus(a, b, c) == plus(b, a, c) == plus(c, a, b)
                for a, b, c in itertools.product(range(size), repeat=3))
+
+
+def validate_by_loops(eps, rows):
+    """validate_scheme as one loop per class pair: the reference for the
+    bit-packed ternary check, raising the same AxiomViolation texts.
+
+    Checks the triples (0, b, c) over all ordered pairs, with each union
+    b + (0 + c) built class by class and translated set by set.
+    """
+    size = len(rows)
+    for a in range(size):
+        row = rows[a]
+        if not (row >> 0) & 1:
+            raise AxiomViolation("identity not in D<1,%d>" % a)
+        if not (row >> a) & 1:
+            raise AxiomViolation("class %d not in D<1,%d>" % (a, a))
+    if rows[eps] != (1 << size) - 1:
+        raise AxiomViolation("D<1,-1> is not the whole group")
+    for a in range(size):
+        for b in iter_bits(rows[a]):
+            if not (rows[b ^ eps] >> (a ^ eps)) & 1:
+                raise AxiomViolation(
+                    "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
+                )
+    # unions[b][y]: the union of D<1,t> over t in the b-translate of D<1,y>
+    unions = []
+    for b in range(size):
+        shifted = [rows[t ^ b] for t in range(size)]
+        line = []
+        for y in range(size):
+            acc = 0
+            for t in iter_bits(rows[y]):
+                acc |= shifted[t]
+            line.append(acc)
+        unions.append(line)
+    # last[b][c] = b + (0 + c), the b-translate of unions[b][c]; and
+    # 0 + (b + c) = unions[b][b ^ c], as D<b,c> = b-translate of D<1,b^c>
+    last = [[translate(u, b) for u in line] for b, line in enumerate(unions)]
+    for b in range(size):
+        for c in range(size):
+            if not unions[b][b ^ c] == last[b][c] == last[c][b]:
+                raise AxiomViolation(
+                    "ternary value set of (0,%d,%d) depends on the order" % (b, c)
+                )
 
 
 def symmetric_mutants(eps, rows):

@@ -1,6 +1,8 @@
 """Tests for the verification driver behind verify-paper."""
 
-from symlen import builders, checks
+import re
+
+from symlen import builders, checks, cli
 
 
 def test_determinism_check_starts_cold(monkeypatch):
@@ -18,3 +20,21 @@ def test_determinism_check_starts_cold(monkeypatch):
     assert cache_sizes == [0, 0]
     assert len(builders._CACHE) > 0
     assert report["all_passed"] and report["checks"][-1]["repeat_identical"]
+
+
+def test_verbose_progress_times_each_check(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "CHECKS", checks.CHECKS[4:6])
+    outputs = []
+    for flags in ([], ["-v"]):
+        assert cli.main(["verify-paper", "--max-d", "1"] + flags) == 0
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    lines = captured.err.splitlines()
+    assert [line.split()[:4] for line in lines[:3]] == [
+        ["check", "5", "small-field-facts", "ok"],
+        ["check", "6", "polynomial-lemma", "ok"],
+        ["check", "10", "deterministic-output", "ok"],
+    ]
+    assert all(re.fullmatch(r"\d+\.\d\ds", line.split()[4]) for line in lines[:3])
+    assert lines[3].startswith("elapsed ")

@@ -234,7 +234,7 @@ def test_unsafe_table_huge_dimension_hits_cap(capsys, tmp_path):
 
 
 def test_decompose_tensor_cap_checked_before_rewrite(capsys, monkeypatch):
-    def no_rewrite(*args):
+    def no_rewrite(*args, **kwargs):
         raise AssertionError("rewrite ran past the tensor cap")
 
     monkeypatch.setattr(decompose, "rewrite_to_basis", no_rewrite)
@@ -266,3 +266,26 @@ def test_sl_degree_five_at_d6(capsys):
     assert data["sl"] == 1
     assert data["witness"] == {"coords": 1, "dim": 6}
     assert data["dim_kn"] == 6
+
+
+def test_raised_tensor_cap_reaches_class_map(capsys):
+    # d^n = 2^14 is over the default tensor cap, under the raised one
+    code, out = run_cli(capsys, "sl", "--scheme", "laurent(RC)", "--n", "14",
+                        "--cap-tensor", "65536", "--cap-enum", "1000000000",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["anisotropic_classes"] == 3
+
+
+@pytest.mark.parametrize("form, merge, output", [
+    (",".join(["10"] * 14), False, [[0] * 13 + [2]]),
+    (",".join(["11"] * 14) + ";" + ",".join(["10"] * 14), True, [[0] * 14]),
+])
+def test_raised_tensor_cap_reaches_rewrite_and_merge(capsys, form, merge, output):
+    argv = ["decompose", "--scheme", "laurent(RC)", "--n", "14",
+            "--cap-tensor", "65536", "--form", form, "--format", "json"]
+    code, out = run_cli(capsys, *(argv if merge else argv + ["--no-merge"]))
+    assert code == 0
+    data = json.loads(out)
+    assert data["output"] == output
+    assert data["passed"] is True

@@ -260,7 +260,7 @@ def test_find_linked_pair_respects_cap():
 
 
 def test_merge_cap_refused_before_rewrite(monkeypatch):
-    def no_rewrite(*args):
+    def no_rewrite(*args, **kwargs):
         raise AssertionError("rewrote a sum whose merge is refused")
 
     monkeypatch.setattr(decompose, "rewrite_to_basis", no_rewrite)

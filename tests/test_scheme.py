@@ -27,6 +27,7 @@ from oracle_utils import (
     symmetric_mutants,
     table_axioms_hold,
     tuple_pfister_classes,
+    validate_by_loops,
     value_set,
     witt_decompose,
 )
@@ -117,16 +118,60 @@ def test_validator_rejects_asymmetric_table():
 
 def test_validator_rejects_order_dependent_ternary():
     # passes every binary axiom but the ternary value set depends on the order
-    with pytest.raises(AxiomViolation, match="order"):
+    with pytest.raises(AxiomViolation,
+                       match=r"^ternary value set of \(0,1,2\) depends on the order$"):
         make(2, 0, (15, 3, 13, 13), "bad")
 
 
 def test_validator_rejects_rare_ternary_failure():
     # only 64 of the 45,760 sorted triples of this d = 6 table fail
     rows = d6_rare_failure_rows()
-    with pytest.raises(AxiomViolation, match="order"):
+    with pytest.raises(AxiomViolation,
+                       match=r"^ternary value set of \(0,0,16\) depends on the order$"):
         make(6, 9, rows, "bad")
     assert not table_axioms_hold(9, rows)
+
+
+def _violation(check, *args):
+    """The AxiomViolation text check raises on args, None if it passes."""
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_packed_validation_agrees_with_loop_oracle():
+    # same verdict and witness text as one loop per class pair: the d <= 4
+    # library, every d = 3 symmetric mutant, a seeded sample of d = 4, 5, 6
+    # symmetric mutants with their d = 5, 6 bases, and the rare d = 6 failure
+    rng = random.Random(12)
+    library = standard_library(4)
+    d5 = [build(e) for e in rng.sample(
+        [e for e in standard_expressions(5) if expr_dim(e) == 5], 4)]
+    d6 = [build_from_text("laurent(%s)" % s.name) for s in d5]
+    tables = [(s.eps, s.values.rows) for s in library + d5 + d6]
+    for s in library:
+        if s.d == 3:
+            tables += [(s.eps, rows) for rows in symmetric_mutants(s.eps, s.values.rows)]
+    mutated = [(s, 3) for s in rng.sample([s for s in library if s.d == 4], 20)]
+    mutated += [(s, 5) for s in d5] + [(s, 2) for s in d6]
+    for s, count in mutated:
+        mutants = list(symmetric_mutants(s.eps, s.values.rows))
+        tables += [(s.eps, rows) for rows in rng.sample(mutants, min(count, len(mutants)))]
+    tables.append((9, tuple(d6_rare_failure_rows())))
+    # each equality fails alone: b + (0 + c) = c + (0 + b) for every b, c
+    # on the first two but not 0 + (b + c), and the reverse on the third
+    tables += [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
+               (1, (73, 255, 247, 41, 29, 41, 73, 203)),
+               (7, (227, 175, 223, 63, 121, 113, 241, 255))]
+    verdicts = {}
+    for eps, rows in tables:
+        d = len(rows).bit_length() - 1
+        got = _violation(make, d, eps, rows, "t")
+        assert got == _violation(validate_by_loops, eps, rows), (eps, rows)
+        verdicts.setdefault(d, set()).add(got is None)
+    assert all(verdicts[d] == {True, False} for d in (3, 4, 5, 6))
 
 
 def test_construction_agrees_with_axiom_oracle():
@@ -484,7 +529,7 @@ def test_class_cap_compares_without_the_power(monkeypatch):
         def classes(self):
             return {}
 
-    monkeypatch.setattr(scheme_module, "_kn", lambda s, n: NoClasses())
+    monkeypatch.setattr(scheme_module, "_kn", lambda s, n, tensor_cap: NoClasses())
     for label in ("QC", "RC", "laurent(F2)", "Q2", "laurent(laurent(Q2))",
                   "laurent(laurent(laurent(Q2)))"):
         s = build_from_text(label)
