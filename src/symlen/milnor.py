@@ -42,7 +42,9 @@ bit b clear.  The next layer is the union of the translates of the current
 one by the generators, less everything reached.  The shifts are walked as a
 binary trie, so shifts sharing their top bits share those swaps, and as the
 sumset is symmetric the smaller of the layer and the generator set supplies
-the shifts.
+the shifts.  A pass keeps only the classes not yet reached, and stops as
+soon as its translates cover them all; the search ends as soon as every
+class is reached.
 
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
@@ -331,26 +333,25 @@ class SymbolAlgebra:
             masks = _clear_bit_masks(self.dim)
             gens = self.pure_symbols()
             gen_set = sum(1 << g for g in gens)
+            full = (1 << (1 << self.dim)) - 1
             layers = [1]
             reached = 1
-            while True:
+            while reached != full:
                 layer = layers[-1]
+                todo = full ^ reached
                 if layer.bit_count() < len(gens):
                     # the sumset is symmetric: walk the smaller side
                     nxt = _union_of_translates(
-                        gen_set, list(iter_bits(layer)), masks)
+                        gen_set, list(iter_bits(layer)), masks, todo)
                 else:
-                    nxt = _union_of_translates(layer, gens, masks)
-                nxt &= ~reached
+                    nxt = _union_of_translates(layer, gens, masks, todo)
                 if not nxt:
-                    break
+                    raise VerificationFailure(
+                        "pure symbols span only %d of %d classes"
+                        % (reached.bit_count(), 1 << self.dim)
+                    )
                 reached |= nxt
                 layers.append(nxt)
-            if reached != (1 << (1 << self.dim)) - 1:
-                raise VerificationFailure(
-                    "pure symbols span only %d of %d classes"
-                    % (reached.bit_count(), 1 << self.dim)
-                )
             self._layers = layers
         return self._layers
 
@@ -387,27 +388,32 @@ def _clear_bit_masks(dim: int) -> list[int]:
     return masks
 
 
-def _union_of_translates(bitset: int, shifts, masks: list[int]) -> int:
-    """Union of the translates {s ^ x : s in bitset} over a sorted shift list.
+def _union_of_translates(bitset: int, shifts, masks: list[int], todo: int) -> int:
+    """The union of the translates {s ^ x : s in bitset} over a sorted shift
+    list, intersected with todo.
 
     The shifts are walked as a binary trie from the top bit down, so the
     block swap for a bit is done once for every shift sharing the prefix.
+    The walk stops as soon as the union covers todo.
     """
-    def walk(s: int, lo: int, hi: int, b: int) -> int:
+    out = 0
+
+    def walk(s: int, lo: int, hi: int, b: int) -> bool:
+        nonlocal out
         if hi - lo == 1:
             for bit in iter_bits(shifts[lo] & ((1 << (b + 1)) - 1)):
                 s = _swap(s, bit, masks)
-            return s
+            out |= s & todo
+            return out == todo
         # shifts[lo:hi] agree above bit b; those with bit b set come last
         mid = bisect_left(shifts, ((shifts[lo] >> b) | 1) << b, lo, hi)
-        out = walk(s, lo, mid, b - 1) if mid > lo else 0
-        if hi > mid:
-            out |= walk(_swap(s, b, masks), mid, hi, b - 1)
-        return out
+        if mid > lo and walk(s, lo, mid, b - 1):
+            return True
+        return hi > mid and walk(_swap(s, b, masks), mid, hi, b - 1)
 
-    if not shifts:
-        return 0
-    return walk(bitset, 0, len(shifts), len(masks) - 1)
+    if shifts:
+        walk(bitset, 0, len(shifts), len(masks) - 1)
+    return out
 
 
 def _swap(s: int, b: int, masks: list[int]) -> int:

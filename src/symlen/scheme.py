@@ -390,15 +390,17 @@ def validate_scheme(scheme: Scheme) -> None:
     (b, c) cover every triple.  Each b + (0 + c) is computed once and
     compared for both (b, c) and (c, b).
 
-    The sets are bit-packed, one class set per 64-bit block: for each b
-    one int holds in block y the union of D<1,t> over t in the b-translate
-    of D<1,y>.  It is a boolean matrix product, the OR over t of the
-    blocks y with t in D<1,y> masked onto D<1,t^b> copied into every block.
-    Translating within each block by b gives b + (0 + c) in block c, and
-    permuting the blocks by b gives 0 + (b + c) there, so the first
+    The sets are bit-packed, one class set per 64-bit block.  The pairwise
+    axiom, b in D<1,a> implying a^eps in D<1,b^eps>, compares the packed
+    rows with the transpose of their eps-conjugate.  For the ternary one,
+    for each b one int holds in block y the union of D<1,t> over t in the
+    b-translate of D<1,y>.  It is a boolean matrix product, the OR over t
+    of the blocks y with t in D<1,y> masked onto D<1,t^b> copied into every
+    block.  Translating within each block by b gives b + (0 + c) in block
+    c, and permuting the blocks by b gives 0 + (b + c) there, so the first
     equality is one int comparison per b.  The symmetry in (b, c) compares
-    the unpacked blocks with their transpose.  On a failure the first
-    (b, c) in row-major order is named.
+    the unpacked blocks with their transpose.  On a failure of either
+    axiom the first pair in row-major order is named.
     """
     size = scheme.size
     eps = scheme.eps
@@ -411,23 +413,29 @@ def validate_scheme(scheme: Scheme) -> None:
             raise AxiomViolation("class %d not in D<1,%d>" % (a, a))
     if rows[eps] != scheme.full_mask:
         raise AxiomViolation("D<1,-1> is not the whole group")
-    for a in range(size):
-        for b in iter_bits(rows[a]):
-            if not (rows[b ^ eps] >> (a ^ eps)) & 1:
-                raise AxiomViolation(
-                    "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
-                )
 
     ones = _pack([1] * size)
     full = (1 << _BLOCK) - 1
     packed = _pack(rows)
+    within = [keep * ones for keep in _KEEP]
+    across = [_pack([full * (keep >> y & 1) for y in range(size)])
+              for keep in _KEEP]
+    # b in D<1,a> must give a^eps in D<1,b^eps>: block x of conj is the
+    # eps-translate of block x^eps, so bit a of block b of conj is bit a^eps
+    # of D<1,b^eps>, and the transpose of conj must cover the rows
+    conj = _swap_runs(_swap_runs(packed, eps, within, 1), eps, across, _BLOCK)
+    bad = packed & ~_transpose(conj, scheme.d)
+    if bad:
+        # the lowest bit is the first (a, b) in row-major order
+        a, b = divmod((bad & -bad).bit_length() - 1, _BLOCK)
+        raise AxiomViolation(
+            "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
+        )
+
     # rep[t]: D<1,t> in every block; col[t]: the full blocks y with t in
     # D<1,y>, bit t of each block of the packed rows spread over its block
     rep = [row * ones for row in rows]
     col = [((packed >> t) & ones) * full for t in range(size)]
-    within = [keep * ones for keep in _KEEP]
-    across = [_pack([full * (keep >> y & 1) for y in range(size)])
-              for keep in _KEEP]
     # inner[b] holds 0 + (b + c) in block c: the union in block b ^ c, as
     # D<b,c> is the b-translate of D<1,b^c>; last[b] holds b + (0 + c) in
     # block c, the b-translate of the union in block c
@@ -463,6 +471,24 @@ def _blocks(packed: list[int], count: int) -> memoryview:
     """The first count 64-bit blocks of each packed int, in one flat view."""
     data = b"".join(v.to_bytes(8 * count, "little") for v in packed)
     return memoryview(data).cast("Q")
+
+
+# _LOWER[k]: the bits (r, c) of a 64 x 64 bit matrix packed one row per
+# block with bit k of c set and bit k of r clear, each swapped with the bit
+# whose r and c differ from its own in bit k only
+_LOWER = [_pack([0 if r >> k & 1 else ((1 << _BLOCK) - 1) ^ keep
+                 for r in range(_BLOCK)])
+          for k, keep in enumerate(_KEEP)]
+
+
+def _transpose(packed: int, d: int) -> int:
+    """The transpose of a 2^d x 2^d bit matrix packed one row per block:
+    one delta swap per bit of the row and column indices."""
+    for k in range(d):
+        shift = (_BLOCK - 1) << k
+        t = (packed ^ (packed >> shift)) & _LOWER[k]
+        packed ^= t ^ (t << shift)
+    return packed
 
 
 # ---------------------------------------------------------------------------

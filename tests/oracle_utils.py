@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 from symlen.builders import build_from_text
-from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge
+from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import rank_ints
+from symlen.milnor import _clear_bit_masks, _swap
 from symlen.scheme import iter_bits, translate
 
 WITT_STATE_CAP = 1 << 21
@@ -239,6 +241,62 @@ def dict_bfs_max_length(algebra):
     dist = dict_bfs_distances(algebra)
     best = max(dist.values())
     return best, min(c for c, k in dist.items() if k == best)
+
+
+def bfs_layers_by_full_passes(algebra):
+    """The bitset layers with every translate pass run to its end.
+
+    The reference for SymbolAlgebra._bfs_layers: each pass walks every
+    shift and is cut to the unreached classes afterwards, and the search
+    stops at the first empty pass.
+    """
+    masks = _clear_bit_masks(algebra.dim)
+    gens = algebra.pure_symbols()
+    gen_set = sum(1 << g for g in gens)
+    layers = [1]
+    reached = 1
+    while True:
+        layer = layers[-1]
+        if layer.bit_count() < len(gens):
+            # the sumset is symmetric: walk the smaller side
+            nxt = _full_union_of_translates(
+                gen_set, list(iter_bits(layer)), masks)
+        else:
+            nxt = _full_union_of_translates(layer, gens, masks)
+        nxt &= ~reached
+        if not nxt:
+            break
+        reached |= nxt
+        layers.append(nxt)
+    if reached != (1 << (1 << algebra.dim)) - 1:
+        raise VerificationFailure(
+            "pure symbols span only %d of %d classes"
+            % (reached.bit_count(), 1 << algebra.dim)
+        )
+    return layers
+
+
+def _full_union_of_translates(bitset, shifts, masks):
+    """Union of the translates {s ^ x : s in bitset} over a sorted shift list.
+
+    The shifts are walked as a binary trie from the top bit down, so the
+    block swap for a bit is done once for every shift sharing the prefix.
+    """
+    def walk(s: int, lo: int, hi: int, b: int) -> int:
+        if hi - lo == 1:
+            for bit in iter_bits(shifts[lo] & ((1 << (b + 1)) - 1)):
+                s = _swap(s, bit, masks)
+            return s
+        # shifts[lo:hi] agree above bit b; those with bit b set come last
+        mid = bisect_left(shifts, ((shifts[lo] >> b) | 1) << b, lo, hi)
+        out = walk(s, lo, mid, b - 1) if mid > lo else 0
+        if hi > mid:
+            out |= walk(_swap(s, b, masks), mid, hi, b - 1)
+        return out
+
+    if not shifts:
+        return 0
+    return walk(bitset, 0, len(shifts), len(masks) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +579,25 @@ def symmetric_mutants(eps, rows):
             if out not in seen:
                 seen.add(out)
                 yield out
+
+
+def pairwise_mutants(eps, rows):
+    """Tables with bit b of rows[a] flipped alone.
+
+    Over a not in {0, eps} and b not in {0, a, a^eps}, each table once.
+    The flip keeps the identity, self and D<1,-1> axioms, and on a valid
+    table it breaks the pairwise one: bit a^eps of rows[b^eps] is left as
+    it was.
+    """
+    size = len(rows)
+    for a in range(size):
+        if a in (0, eps):
+            continue
+        for b in range(1, size):
+            if b not in (a, a ^ eps):
+                out = list(rows)
+                out[a] ^= 1 << b
+                yield tuple(out)
 
 
 def d6_rare_failure_rows():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracle_utils import (
     all_pairs_split_basis,
     alternating_rank_sl,
+    bfs_layers_by_full_passes,
     dict_bfs_distances,
     dict_bfs_max_length,
     isometric,
@@ -28,11 +29,12 @@ from symlen.builders import (
     standard_expressions,
     standard_library,
 )
-from symlen.errors import DegreeMismatch, TooLarge
+from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import in_span, iter_bits
 from symlen.scheme import Scheme
 from symlen import milnor
 from symlen.milnor import (
+    DEFAULT_SL_CAP,
     DEFAULT_TENSOR_CAP,
     SymbolAlgebra,
     SymbolVector,
@@ -42,6 +44,9 @@ from symlen.milnor import (
     sl_field,
     split_pair_basis,
 )
+
+
+LAURENT5_RC = "laurent(laurent(laurent(laurent(laurent(RC)))))"
 
 
 def rigid_label(k):
@@ -323,16 +328,57 @@ def test_layers_match_dict_bfs():
         assert_matches_oracles(SymbolAlgebra(s, 2))
 
 
+def test_layers_match_full_pass_oracle():
+    # the d <= 4 library at n = 2, 3, laurent^5(RC) and laurent^6(QC) at n = 2
+    algebras = [SymbolAlgebra(s, n) for s in standard_library(4) for n in (2, 3)]
+    algebras += [SymbolAlgebra(build_from_text(expr), 2)
+                 for expr in (LAURENT5_RC, rigid_label(6))]
+    assert [a.dim for a in algebras[-2:]] == [16, 15]
+    for alg in algebras:
+        assert alg._bfs_layers(DEFAULT_SL_CAP) == bfs_layers_by_full_passes(alg), alg
+
+
+def test_bfs_stops_without_an_empty_pass(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _union_of_translates(*args)
+
+    monkeypatch.setattr(milnor, "_union_of_translates", counted)
+    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
+    layers = alg._bfs_layers(DEFAULT_SL_CAP)
+    assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
+    assert len(calls) == len(layers) - 1
+
+
+def test_bfs_refuses_non_spanning_generators(monkeypatch):
+    # the pure symbols 1 and 2 of laurent^3(QC) span 4 of its 8 classes
+    alg = SymbolAlgebra(build_from_text(rigid_label(3)), 2)
+    gens = alg.pure_symbols()
+    monkeypatch.setattr(alg, "pure_symbols", lambda: gens[:2])
+    message = "^pure symbols span only 4 of %d classes$" % (1 << alg.dim)
+    with pytest.raises(VerificationFailure, match=message):
+        alg._bfs_layers(DEFAULT_SL_CAP)
+    with pytest.raises(VerificationFailure, match=message):
+        bfs_layers_by_full_passes(alg)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 7).flatmap(lambda dim: st.tuples(
     st.just(dim),
     st.sets(st.integers(0, (1 << dim) - 1)),
+    st.sets(st.integers(0, (1 << dim) - 1)),
     st.sets(st.integers(0, (1 << dim) - 1)))))
 def test_union_of_translates_matches_sets(case):
-    dim, members, shifts = case
+    dim, members, shifts, kept = case
     bitset = sum(1 << x for x in members)
-    got = _union_of_translates(bitset, sorted(shifts), _clear_bit_masks(dim))
-    assert got == sum(1 << y for y in {x ^ g for x in members for g in shifts})
+    masks = _clear_bit_masks(dim)
+    union = sum(1 << y for y in {x ^ g for x in members for g in shifts})
+    everything = (1 << (1 << dim)) - 1
+    assert _union_of_translates(bitset, sorted(shifts), masks, everything) == union
+    todo = sum(1 << y for y in kept)
+    assert _union_of_translates(bitset, sorted(shifts), masks, todo) == union & todo
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

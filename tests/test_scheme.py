@@ -20,6 +20,7 @@ from oracle_utils import (
     isometric,
     isotropic,
     kernel_ones_witness,
+    pairwise_mutants,
     pfister_expand,
     project_image,
     represents,
@@ -144,7 +145,8 @@ def _violation(check, *args):
 def test_packed_validation_agrees_with_loop_oracle():
     # same verdict and witness text as one loop per class pair: the d <= 4
     # library, every d = 3 symmetric mutant, a seeded sample of d = 4, 5, 6
-    # symmetric mutants with their d = 5, 6 bases, and the rare d = 6 failure
+    # symmetric mutants with their d = 5, 6 bases, the rare d = 6 failure,
+    # and pairwise-only mutants at d = 3 to 6
     rng = random.Random(12)
     library = standard_library(4)
     d5 = [build(e) for e in rng.sample(
@@ -160,6 +162,13 @@ def test_packed_validation_agrees_with_loop_oracle():
         mutants = list(symmetric_mutants(s.eps, s.values.rows))
         tables += [(s.eps, rows) for rows in rng.sample(mutants, min(count, len(mutants)))]
     tables.append((9, tuple(d6_rare_failure_rows())))
+    # only the pairwise axiom fails: one bit flipped, or two, so that the
+    # first failure in row-major order must be found among several
+    for s in rng.sample([s for s in library if s.d >= 3], 10) + d5[:2] + d6[:2]:
+        flips = list(pairwise_mutants(s.eps, s.values.rows))
+        tables += [(s.eps, rows) for rows in rng.sample(flips, 2)]
+        x, y = rng.sample(flips, 2)
+        tables.append((s.eps, tuple(r ^ u ^ v for r, u, v in zip(s.values.rows, x, y))))
     # each equality fails alone: b + (0 + c) = c + (0 + b) for every b, c
     # on the first two but not 0 + (b + c), and the reverse on the third
     tables += [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
