@@ -22,14 +22,12 @@ number of basis factors hidden in non-basic slots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .bounds import bound_sl_binomial, bound_sl_linked, bound_strata_count
 from .errors import (
     ChainInconsistency,
     DegreeMismatch,
-    EnumerationTooLarge,
     InvalidCase,
     VerificationFailure,
 )
@@ -45,8 +43,6 @@ from .scheme import (
 )
 
 REWRITE_STEP_CAP = 1 << 20
-# the most (n-1)-fold divisor candidates find_linked_pair searches
-LINK_CANDIDATE_CAP = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -268,48 +264,31 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
 # linkage merging
 
 
-def check_link_candidates(size: int, n: int) -> None:
-    """Refuse a divisor search over more than LINK_CANDIDATE_CAP candidates,
-    the C(size + n - 2, size - 1) multisets of n - 1 slots (n >= 1)."""
-    count = 1
-    for i in range(1, size):
-        # count is C(n - 1 + i, i), which grows with i: stop past the cap
-        count = count * (n - 1 + i) // i
-        if count > LINK_CANDIDATE_CAP:
-            raise EnumerationTooLarge(
-                "divisor search over %d classes at n = %d needs more than "
-                "%d candidates, the cap" % (size, n, LINK_CANDIDATE_CAP)
-            )
-
-
 def find_linked_pair(scheme: Scheme, psum: PfisterSum,
                      tensor_cap: int = DEFAULT_TENSOR_CAP):
     """First pair of entries sharing an (n-1)-fold Pfister divisor.
 
     Returns (i, j, divisor slots, cofactor_i, cofactor_j) or None.  The
-    divisor search is exhaustive over slot multisets, so entries linked
-    through slots outside their own spans are found too.
+    divisors searched are the class map of k_{n-1}, each nonzero image's
+    least sorted slot tuple in tuple order.  The images of <<X, c>> depend
+    only on the image of X, and image 0 links no nonzero entry, so the
+    first hit is the first over all slot multisets: entries linked through
+    slots outside their own spans are found too.
     """
     n = psum.degree
     if n < 2:
         return None
-    check_link_candidates(scheme.size, n)
     algebra = kn_space(scheme, n, tensor_cap)
     images = [algebra.image_coords(slots) for slots in psum.entries]
-    # images of <<divisor, c>> for c = 0, 1, ..., by the divisor's rank in
-    # the candidate order; the candidates themselves are not kept
-    cofactors: list[list[int]] = []
+    divisors = algebra.lower.classes()
     for i in range(len(psum.entries)):
         if not images[i]:
             continue
         for j in range(i + 1, len(psum.entries)):
             if not images[j]:
                 continue
-            for k, divisor in enumerate(itertools.combinations_with_replacement(
-                    range(scheme.size), n - 1)):
-                if k == len(cofactors):
-                    cofactors.append(algebra.last_slot_images(divisor))
-                row = cofactors[k]
+            for x, divisor in divisors.items():
+                row = algebra.last_slot_row(x)
                 if images[i] in row and images[j] in row:
                     return i, j, divisor, row.index(images[i]), row.index(images[j])
     return None
@@ -430,13 +409,10 @@ def run_decomposition(scheme: Scheme, psum: PfisterSum, merge: bool = True,
                       tensor_cap: int = DEFAULT_TENSOR_CAP):
     """Full pipeline: rewrite into the basis, optionally merge, certify.
 
-    The algebra is fetched first, under the caller's tensor cap, and the
-    merge's divisor search is sized, so that a refused degree or merge
-    fails before any rewriting.
+    The algebra is fetched first, under the caller's tensor cap, so that a
+    refused degree fails before any rewriting.
     """
     kn_space(scheme, psum.degree, tensor_cap)
-    if merge:
-        check_link_candidates(scheme.size, psum.degree)
     rewritten = rewrite_to_basis(scheme, psum, tensor_cap=tensor_cap)
     final = merge_linked(scheme, rewritten, tensor_cap) if merge else rewritten
     cert = certify(scheme, psum.degree, psum, final, tensor_cap)

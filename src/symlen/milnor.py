@@ -246,23 +246,27 @@ class SymbolAlgebra:
         return self._image(slots)
 
     def last_slot_images(self, head) -> list[int]:
-        """Images of <<head, c>> for every class c, in class order.
-
-        Memoized by the image of the head, a pure symbol or 0, as the
-        merge asks for every divisor of a degree.
-        """
+        """Images of <<head, c>> for every class c, in class order."""
         if len(head) + 1 != self.n:
             raise DegreeMismatch(
                 "form has %d slots, algebra degree is %d" % (len(head) + 1, self.n)
             )
-        x = self._image(head)
+        return list(self.last_slot_row(self._image(head)))
+
+    def last_slot_row(self, x: int) -> list[int]:
+        """Images of <<X, c>> for every class c, in class order, for a head
+        X whose image in k_{n-1} is x.  Not to be modified.
+
+        Memoized by x, a pure symbol or 0, as the merge asks for the row of
+        every class of k_{n-1}.
+        """
         images = self._last_slot_rows.get(x)
         if images is None:
             row = self._row(x)
             # the class c has the vector c ^ eps, and row is linear in v
             shift = row[self.scheme.eps]
             images = self._last_slot_rows[x] = [y ^ shift for y in row]
-        return list(images)
+        return images
 
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols.
@@ -305,21 +309,24 @@ class SymbolAlgebra:
         the least P' of its image is not needed: P + (e) has the image of
         sorted(P' + (e)), which is smaller.  Sorted tuples with more leading
         1 slots come first, so a class's least tuple also has the most.
+        Each degree's map is kept on its algebra as the walk passes it, and
+        a degree that already has its map is not walked again.
         """
         if self._classes is None:
             size = self.scheme.size
             eps = self.scheme.eps
             least: dict[int, tuple[int, ...]] = {1: ()}
             for alg in self._chain():
-                nxt: dict[int, tuple[int, ...]] = {}
-                for x, prefix in least.items():
-                    row = alg._row(x)
-                    for c in range(prefix[-1] if prefix else 0, size):
-                        image = row[c ^ eps]
-                        if image and image not in nxt:
-                            nxt[image] = prefix + (c,)
-                least = nxt
-            self._classes = least
+                if alg._classes is None:
+                    nxt: dict[int, tuple[int, ...]] = {}
+                    for x, prefix in least.items():
+                        row = alg._row(x)
+                        for c in range(prefix[-1] if prefix else 0, size):
+                            image = row[c ^ eps]
+                            if image and image not in nxt:
+                                nxt[image] = prefix + (c,)
+                    alg._classes = nxt
+                least = alg._classes
         return self._classes
 
     def _bfs_layers(self, cap: int) -> list[int]:

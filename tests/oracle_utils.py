@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import rank_ints
-from symlen.milnor import _clear_bit_masks, _swap
+from symlen.milnor import DEFAULT_TENSOR_CAP, _clear_bit_masks, _swap, kn_space
 from symlen.scheme import iter_bits, translate
 
 WITT_STATE_CAP = 1 << 21
@@ -297,6 +297,37 @@ def _full_union_of_translates(bitset, shifts, masks):
     if not shifts:
         return 0
     return walk(bitset, 0, len(shifts), len(masks) - 1)
+
+
+def find_linked_pair_by_multisets(scheme, psum, tensor_cap=DEFAULT_TENSOR_CAP):
+    """First pair of entries sharing an (n-1)-fold Pfister divisor.
+
+    The reference for decompose.find_linked_pair: every slot multiset of
+    n - 1 slots is tried as the divisor, in lexicographic order, with no
+    cap on their number.
+    """
+    n = psum.degree
+    if n < 2:
+        return None
+    algebra = kn_space(scheme, n, tensor_cap)
+    images = [algebra.image_coords(slots) for slots in psum.entries]
+    # images of <<divisor, c>> for c = 0, 1, ..., by the divisor's rank in
+    # the candidate order; the candidates themselves are not kept
+    cofactors: list[list[int]] = []
+    for i in range(len(psum.entries)):
+        if not images[i]:
+            continue
+        for j in range(i + 1, len(psum.entries)):
+            if not images[j]:
+                continue
+            for k, divisor in enumerate(itertools.combinations_with_replacement(
+                    range(scheme.size), n - 1)):
+                if k == len(cofactors):
+                    cofactors.append(algebra.last_slot_images(divisor))
+                row = cofactors[k]
+                if images[i] in row and images[j] in row:
+                    return i, j, divisor, row.index(images[i]), row.index(images[j])
+    return None
 
 
 # ---------------------------------------------------------------------------

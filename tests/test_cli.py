@@ -289,3 +289,21 @@ def test_raised_tensor_cap_reaches_rewrite_and_merge(capsys, form, merge, output
     data = json.loads(out)
     assert data["output"] == output
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize("label", [
+    "laurent(laurent(laurent(laurent(laurent(laurent(QC))))))",
+    "laurent(laurent(laurent(laurent(laurent(RC)))))",
+])
+def test_decompose_merge_at_d6_degree_four(capsys, label):
+    # the merge searches the class map of k_3, not C(66, 3) divisor
+    # multisets; the chain basis of both is 1, 2, 4, ..., so a slot's
+    # coordinate bitstring is its class in binary
+    entries = [(1, 2, 4, 8), (3, 5, 9, 17), (7, 11, 19, 35), (1, 2, 4, 16)]
+    form = ";".join(",".join(format(a, "06b") for a in e) for e in entries)
+    code, out = run_cli(capsys, "decompose", "--scheme", label, "--n", "4",
+                        "--form", form, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["input"] == sorted(list(e) for e in entries)
+    assert data["passed"] is True

@@ -1,20 +1,16 @@
 """Tests for basis chains, Pfister sum rewriting, merging, and certificates."""
 
 import json
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlen import decompose
 from symlen.builders import build, build_from_text, standard_expressions, standard_library
 from symlen.decompose import (
-    LINK_CANDIDATE_CAP,
     build_basis_chain,
     certify,
-    check_link_candidates,
     entry_stratum,
     find_linked_pair,
     make_sum,
@@ -25,11 +21,14 @@ from symlen.decompose import (
 )
 from symlen.errors import (
     DegreeMismatch,
-    EnumerationTooLarge,
     InvalidCase,
 )
-from oracle_utils import pfister_expand, witt_decompose
+from oracle_utils import find_linked_pair_by_multisets, pfister_expand, witt_decompose
 from symlen.scheme import Scheme
+
+
+LAURENT6_QC = "laurent(laurent(laurent(laurent(laurent(laurent(QC))))))"
+LAURENT5_RC = "laurent(laurent(laurent(laurent(laurent(RC)))))"
 
 
 # ---------------------------------------------------------------------------
@@ -250,54 +249,61 @@ def test_merge_leaves_unlinked_pair():
     assert merge_linked(r4, psum).entries == ((1, 2), (4, 8))
 
 
-def test_find_linked_pair_respects_cap():
-    # a d = 6, n = 4 sum has C(66, 3) = 45,760 divisor candidates
-    r6 = build_from_text("laurent(laurent(laurent(laurent(laurent(laurent(QC))))))")
+def test_find_linked_pair_at_d6_degree_four():
+    # C(66, 3) = 45,760 divisor multisets; the class map of k_3 is searched
+    r6 = build_from_text(LAURENT6_QC)
     psum = make_sum(r6, 4, [(1, 2, 4, 8), (1, 2, 4, 16)])
-    assert math.comb(66, 3) == 45760 > LINK_CANDIDATE_CAP
-    with pytest.raises(EnumerationTooLarge):
-        find_linked_pair(r6, psum)
+    hit = find_linked_pair(r6, psum)
+    assert hit == (0, 1, (1, 2, 4), 8, 16)
+    assert hit == find_linked_pair_by_multisets(r6, psum)
+    final, cert = run_decomposition(r6, psum)
+    assert cert.passed
+    assert find_linked_pair(r6, final) is None
 
 
-def test_merge_cap_refused_before_rewrite(monkeypatch):
-    def no_rewrite(*args, **kwargs):
-        raise AssertionError("rewrote a sum whose merge is refused")
-
-    monkeypatch.setattr(decompose, "rewrite_to_basis", no_rewrite)
-    r6 = build_from_text("laurent(laurent(laurent(laurent(laurent(laurent(QC))))))")
-    psum = make_sum(r6, 4, [(1, 2, 4, 8), (1, 2, 4, 16)])
-    with pytest.raises(EnumerationTooLarge):
-        run_decomposition(r6, psum)
-    with pytest.raises(AssertionError, match="rewrote"):
-        run_decomposition(r6, psum, merge=False)
+def random_sum(rng, s, n):
+    """A sum of 2 to 5 random entries, some of them linked on purpose."""
+    entries = [tuple(rng.randrange(s.size) for _ in range(n))
+               for _ in range(rng.randint(2, 5))]
+    if rng.random() < 0.5:
+        # the last entry shares its first n - 1 slots with an earlier one
+        entries[-1] = rng.choice(entries[:-1])[:-1] + (rng.randrange(s.size),)
+    rng.shuffle(entries)
+    return make_sum(s, n, entries)
 
 
-def test_link_candidate_count_matches_binomial():
-    for d in range(7):
-        size = 1 << d
-        for n in range(1, 12):
-            over = math.comb(size + n - 2, n - 1) > LINK_CANDIDATE_CAP
-            try:
-                check_link_candidates(size, n)
-            except EnumerationTooLarge:
-                assert over, (size, n)
-            else:
-                assert not over, (size, n)
+def test_linked_pair_matches_multiset_oracle():
+    # the same pair, divisor and cofactors as the walk over all slot
+    # multisets: on the d <= 4 library at n = 2, 3, then at d = 6
+    rng = random.Random(1401)
+    cases = [(s, n, 4) for s in standard_library(4) for n in (2, 3)]
+    for expr in (LAURENT6_QC, LAURENT5_RC):
+        s = build_from_text(expr)
+        cases += [(s, 3, 6), (s, 4, 1)]
+    hits = 0
+    for s, n, count in cases:
+        for _ in range(count):
+            psum = random_sum(rng, s, n)
+            hit = find_linked_pair(s, psum)
+            assert hit == find_linked_pair_by_multisets(s, psum), (s.name, psum)
+            hits += hit is not None
+    assert hits > 1000, hits
 
 
 def test_d6_degree_five_sum_certifies():
-    r6 = build_from_text("laurent(laurent(laurent(laurent(laurent(laurent(QC))))))")
+    r6 = build_from_text(LAURENT6_QC)
     psum = make_sum(r6, 5, [(1, 2, 4, 8, 16), (3, 5, 9, 17, 33)])
     final, cert = run_decomposition(r6, psum, merge=False)
     assert cert.passed and final.length == 5
-    # the merge's divisor search is still refused: C(67, 4) candidates
-    with pytest.raises(EnumerationTooLarge):
-        run_decomposition(r6, psum)
+    # the merge searches the class map of k_4, not C(67, 4) multisets
+    final, cert = run_decomposition(r6, psum)
+    assert cert.passed
+    assert find_linked_pair(r6, final) is None
 
 
 def test_large_degree_sum_certifies():
     # every step is linear in n: the strata are counted once, and the
-    # divisor candidates are walked, not listed
+    # divisors are the one class of k_{n-1}
     rc = build_from_text("RC")
     n = 4000
     psum = make_sum(rc, n, [(0,) * n, (0,) * (n - 1) + (1,), (0,) * n])

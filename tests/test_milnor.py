@@ -19,6 +19,7 @@ from oracle_utils import (
     project_image,
     reduced_relations,
     tensor_of_vectors,
+    tuple_pfister_classes,
     tuple_pure_symbols,
     witt_decompose,
 )
@@ -441,6 +442,19 @@ def test_large_degree_builds_bottom_up():
     qc = fresh_scheme("QC")
     assert kn_space(qc, n).dim == 0
     assert sl_field(qc, n) == (0, SymbolVector(0, 0))
+
+
+def test_class_maps_kept_per_degree():
+    # k_2's class map, cold, left by the walk of k_3's, and tuple by tuple:
+    # the same least tuples in the same order
+    for s in standard_library(4):
+        cold = kn_space(Scheme(s.group, s.values, s.name), 2).classes()
+        walked = Scheme(s.group, s.values, s.name)
+        kn_space(walked, 3).classes()
+        assert walked._kn[2]._classes is not None, s.name
+        left = kn_space(walked, 2).classes()
+        oracle = tuple_pfister_classes(kn_space(s, 2))
+        assert list(cold.items()) == list(left.items()) == list(oracle.items()), s.name
 
 
 def test_degree_above_tensor_cap_refused(monkeypatch):
