@@ -25,14 +25,16 @@ class by XORing the rows at its pivot bits.  As R_{n-1} (x) G lies in R_n,
 x (x) v has a bilinear class mu_n(x, v) for x in k_{n-1} and v in G, and
 degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
 v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
-<<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2,
-and pure(n) is mu_n of pure(n - 1) and the nonzero vectors.  An anisotropic
-n-fold Pfister form is determined up to isometry by its image, and it is
-hyperbolic iff the image is 0 (the Arason-Pfister Hauptsatz for fields; for
-schemes the tests check it against a Witt decomposition search); a walk of
-the sorted slot prefixes, keeping the least prefix of each image, maps each
-class to its least slot tuple.  Every degree below n is kept, so the tensor
-cap bounds n as well as d^n.
+<<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2.
+An anisotropic n-fold Pfister form is determined up to isometry by its
+image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
+Hauptsatz for fields; for schemes the tests check it against a Witt
+decomposition search).  One walk of the sorted slot prefixes, keeping the
+least prefix of each nonzero image, reaches them all: they are the pure
+symbols.  Each degree keeps, per image, the image of its least tuple's
+prefix one degree down and the last slot, and a class's least slot tuple
+is read off these links.  Every degree below n is kept, so the tensor cap
+bounds n as well as d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -154,8 +156,7 @@ class SymbolAlgebra:
         self._mul: list[list[int]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
         self._tables: list[list[list[int]]] | None = None
-        # k_1 = G: its pure symbols are the nonzero vectors
-        self._pures = tuple(range(1, scheme.size)) if n == 1 else None
+        self._link_map: dict[int, tuple[int, int]] | None = None
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._layers: list[int] | None = None
 
@@ -269,64 +270,59 @@ class SymbolAlgebra:
         return images
 
     def pure_symbols(self) -> tuple[int, ...]:
-        """Sorted coords of the distinct nonzero pure symbols.
+        """Sorted coords of the distinct nonzero pure symbols: the images
+        the class walk reaches."""
+        return tuple(sorted(self._links()))
 
-        pure(n) is mu_n(p, v) over the pure symbols p of degree n - 1 and
-        the nonzero vectors v, filled in from the lowest degree that lacks
-        them; v is walked in Gray code order for every p at once.
+    def _links(self) -> dict[int, tuple[int, int]]:
+        """Map of each nonzero image to (image of its least slot tuple's
+        prefix one degree down, its last slot), in least-tuple order.
+
+        Built from the same map one degree down, each least prefix extended
+        in order by every slot from its last one up.  A prefix P that is not
+        the least P' of its image is not needed: P + (e) has the image of
+        sorted(P' + (e)), which is smaller.  Each degree's map is kept on
+        its algebra as the walk passes it, and a degree that already has
+        its map is not walked again.
         """
-        if self._pures is None:
-            d = self.scheme.d
+        if self._link_map is None:
+            size = self.scheme.size
+            eps = self.scheme.eps
+            # k_0: the empty tuple has image 1, and its extensions start at 0
+            links: dict[int, tuple[int, int]] = {1: (0, 0)}
             for alg in self._chain():
-                if alg._pures is not None:
-                    continue
-                pures = alg.lower._pures
-                # cols[i][k] = mu(p_k, e_i)
-                mul = alg._mul_table()
-                cols = [[0] * len(pures) for _ in range(d)]
-                for k, p in enumerate(pures):
-                    for j in iter_bits(p):
-                        for i in range(d):
-                            cols[i][k] ^= mul[j][1 << i]
-                row = [0] * len(pures)
-                seen: set[int] = set()
-                for k in range(1, 1 << d):
-                    # the Gray code vector of step k differs from the last
-                    # in bit ctz(k)
-                    col = cols[(k & -k).bit_length() - 1]
-                    row = [a ^ c for a, c in zip(row, col)]
-                    seen.update(row)
-                seen.discard(0)
-                alg._pures = tuple(sorted(seen))
-        return self._pures
+                if alg._link_map is None:
+                    nxt: dict[int, tuple[int, int]] = {}
+                    for x, (_, last) in links.items():
+                        row = alg._row(x)
+                        for c in range(last, size):
+                            image = row[c ^ eps]
+                            if image and image not in nxt:
+                                nxt[image] = (x, c)
+                    alg._link_map = nxt
+                links = alg._link_map
+        return self._link_map
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
         slot tuple, in the order of those tuples.
 
-        Built from the same map one degree down, each least prefix extended
-        in order by every slot from its last one up.  A prefix P that is not
-        the least P' of its image is not needed: P + (e) has the image of
-        sorted(P' + (e)), which is smaller.  Sorted tuples with more leading
-        1 slots come first, so a class's least tuple also has the most.
-        Each degree's map is kept on its algebra as the walk passes it, and
-        a degree that already has its map is not walked again.
+        Each tuple is read off the link maps of degrees n down to 1, and
+        the map is kept for this degree only.  Sorted tuples with more
+        leading 1 slots come first, so a class's least tuple also has the
+        most.
         """
         if self._classes is None:
-            size = self.scheme.size
-            eps = self.scheme.eps
-            least: dict[int, tuple[int, ...]] = {1: ()}
-            for alg in self._chain():
-                if alg._classes is None:
-                    nxt: dict[int, tuple[int, ...]] = {}
-                    for x, prefix in least.items():
-                        row = alg._row(x)
-                        for c in range(prefix[-1] if prefix else 0, size):
-                            image = row[c ^ eps]
-                            if image and image not in nxt:
-                                nxt[image] = prefix + (c,)
-                    alg._classes = nxt
-                least = alg._classes
+            chain = self._chain()[::-1]
+            least = {}
+            for image in self._links():
+                slots = []
+                x = image
+                for alg in chain:
+                    x, c = alg._link_map[x]
+                    slots.append(c)
+                least[image] = tuple(reversed(slots))
+            self._classes = least
         return self._classes
 
     def _bfs_layers(self, cap: int) -> list[int]:

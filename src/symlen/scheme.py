@@ -545,9 +545,11 @@ def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP,
                     tensor_cap: int = DEFAULT_TENSOR_CAP) -> dict[int, tuple[int, ...]]:
     """Map of image coords -> least sorted slot tuple, anisotropic classes only.
 
-    The cap bounds the (2^d)^n slot tuples and is checked before any table
-    is read or built, without building the power: 2^(d*n) > cap iff
-    d*n >= cap.bit_length().
+    The cap refuses a degree whose (2^d)^n slot tuples exceed it, a count
+    that bounds the classes and the prefixes the walk extends.  It is
+    checked before any table is read or built, without building the power:
+    2^(d*n) > cap iff d*n >= cap.bit_length().  The BFS walks the same
+    classes for its generators without it.
     """
     if scheme.d * n >= cap.bit_length():
         raise EnumerationTooLarge(

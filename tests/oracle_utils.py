@@ -213,6 +213,36 @@ def tuple_pure_symbols(algebra):
     return tuple(sorted(seen))
 
 
+def gray_pure_symbols(algebra):
+    """Pure symbols as products of those one degree down, by a Gray walk.
+
+    The reference for SymbolAlgebra.pure_symbols: pure(1) is the nonzero
+    vectors, and pure(m) is mu_m(p, v) over the pure symbols p of degree
+    m - 1 and the nonzero vectors v, filled in from degree 1 up; v is
+    walked in Gray code order for every p at once.
+    """
+    d = algebra.scheme.d
+    pures = tuple(range(1, algebra.scheme.size))
+    for alg in algebra._chain()[1:]:
+        # cols[i][k] = mu(p_k, e_i)
+        mul = alg._mul_table()
+        cols = [[0] * len(pures) for _ in range(d)]
+        for k, p in enumerate(pures):
+            for j in iter_bits(p):
+                for i in range(d):
+                    cols[i][k] ^= mul[j][1 << i]
+        row = [0] * len(pures)
+        seen = set()
+        for k in range(1, 1 << d):
+            # the Gray code vector of step k differs from the last in bit ctz(k)
+            col = cols[(k & -k).bit_length() - 1]
+            row = [a ^ c for a, c in zip(row, col)]
+            seen.update(row)
+        seen.discard(0)
+        pures = tuple(sorted(seen))
+    return pures
+
+
 def dict_bfs_distances(algebra):
     """Distance from 0 to every reachable element, by a dict BFS.
 

@@ -1,12 +1,18 @@
 """Tests for basis chains, Pfister sum rewriting, merging, and certificates."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symlen
 from symlen.builders import build, build_from_text, standard_expressions, standard_library
 from symlen.decompose import (
     build_basis_chain,
@@ -311,6 +317,32 @@ def test_large_degree_sum_certifies():
     assert final.entries == ()
     assert cert.passed and cert.residue_coords == 0
     assert cert.strata_input[n] == 2 and cert.strata_input[n - 1] == 1
+
+
+def test_large_degree_memory_is_linear_in_n():
+    # each degree below n keeps two ints per class, not its least tuple:
+    # with an n-slot tuple kept per degree this run peaked near 160 MB
+    script = textwrap.dedent("""
+        import resource
+        from symlen.builders import build_from_text
+        from symlen.decompose import make_sum, run_decomposition
+        n = 6000
+        rc = build_from_text("RC")
+        final, cert = run_decomposition(rc, make_sum(rc, n, [(0,) * n]))
+        assert cert.passed and final.entries == ((0,) * n,)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    # ru_maxrss is kept across exec, so the run is started from a small
+    # process: a child of this one would report at least this one's peak
+    launch = ("import subprocess, sys; "
+              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+    src = str(Path(symlen.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", launch, script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    # ru_maxrss is in KiB on Linux
+    assert int(run.stdout) < 60 * 1024
 
 
 # ---------------------------------------------------------------------------

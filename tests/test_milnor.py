@@ -14,6 +14,7 @@ from oracle_utils import (
     bfs_layers_by_full_passes,
     dict_bfs_distances,
     dict_bfs_max_length,
+    gray_pure_symbols,
     isometric,
     pfister_expand,
     project_image,
@@ -319,6 +320,17 @@ def test_pure_symbols_match_tuple_oracle():
             assert alg.pure_symbols() == tuple_pure_symbols(alg), (s.name, n)
 
 
+def test_pure_symbols_match_gray_oracle():
+    # the images of the class walk against the products of the pure
+    # symbols one degree down
+    cases = [(s, n) for s in standard_library(4) for n in (2, 3)]
+    cases += [(build_from_text(rigid_label(6)), n) for n in (3, 4)]
+    cases.append((build_from_text(LAURENT5_RC), 3))
+    for s, n in cases:
+        alg = kn_space(s, n)
+        assert alg.pure_symbols() == gray_pure_symbols(alg), (s.name, n)
+
+
 def test_layers_match_dict_bfs():
     # the last scheme has sl 3 in degree 2, so a wrong translate cannot hide
     # in a second layer that already covers everything left
@@ -444,17 +456,30 @@ def test_large_degree_builds_bottom_up():
     assert sl_field(qc, n) == (0, SymbolVector(0, 0))
 
 
-def test_class_maps_kept_per_degree():
+def test_class_maps_kept_per_degree(monkeypatch):
     # k_2's class map, cold, left by the walk of k_3's, and tuple by tuple:
-    # the same least tuples in the same order
+    # the same least tuples in the same order; and no degree is walked
+    # twice, whichever of k_2 and k_3 is asked for first
+    cases = []
     for s in standard_library(4):
-        cold = kn_space(Scheme(s.group, s.values, s.name), 2).classes()
-        walked = Scheme(s.group, s.values, s.name)
-        kn_space(walked, 3).classes()
-        assert walked._kn[2]._classes is not None, s.name
-        left = kn_space(walked, 2).classes()
+        low_first = Scheme(s.group, s.values, s.name)
+        cold = kn_space(low_first, 2).classes()
         oracle = tuple_pfister_classes(kn_space(s, 2))
-        assert list(cold.items()) == list(left.items()) == list(oracle.items()), s.name
+        high_first = Scheme(s.group, s.values, s.name)
+        high = kn_space(high_first, 3).classes()
+        cases.append((s.name, cold, oracle, high, low_first, high_first))
+    row = SymbolAlgebra._row
+
+    def walk_above_two(self, x):
+        assert self.n > 2, "k_%d walked a second time" % self.n
+        return row(self, x)
+
+    monkeypatch.setattr(SymbolAlgebra, "_row", walk_above_two)
+    for name, cold, oracle, high, low_first, high_first in cases:
+        left = kn_space(high_first, 2).classes()
+        assert list(cold.items()) == list(left.items()) == list(oracle.items()), name
+        assert kn_space(high_first, 2).pure_symbols() == tuple(sorted(cold)), name
+        assert list(kn_space(low_first, 3).classes().items()) == list(high.items()), name
 
 
 def test_degree_above_tensor_cap_refused(monkeypatch):
