@@ -71,11 +71,6 @@ def floor_pow2_sum(exponents: list[int]) -> int:
     return carry + sum(1 << e for e in exponents if e >= 0)
 
 
-def _check_args(d, s, m):
-    if d < 0 or s < 0 or m < 0:
-        raise InvalidCase("arguments must be nonnegative: d=%r s=%r m=%r" % (d, s, m))
-
-
 def _sm_exponent(m: int, is_real: bool, level_exponent) -> int:
     """log2 of the index of D(2^m) in its plus-minus closure."""
     if is_real:
@@ -93,11 +88,10 @@ def bound_dm_estimate(d, s, m, is_real, p_equals_power=None, level_exponent=None
     whose Pythagoras number is not a power of two gains one further factor
     of two at degree s+1.  The nonreal value for m > s is exactly 0.
     """
-    _check_args(d, s, m)
-    if m < s:
+    if d < 0 or s < 0 or m < 0:
+        raise InvalidCase("arguments must be nonnegative: d=%r s=%r m=%r" % (d, s, m))
+    if m <= s:
         return d - m * (2 * s - m + 1) // 2 - _sm_exponent(m, is_real, level_exponent)
-    if m == s:
-        return d - s * (s + 1) // 2 - _sm_exponent(m, is_real, level_exponent)
     if not is_real:
         return 0
     if p_equals_power is None:
@@ -106,6 +100,7 @@ def bound_dm_estimate(d, s, m, is_real, p_equals_power=None, level_exponent=None
 
 
 def dm_estimate_for_profile(profile, m: int) -> int:
+    """bound_dm_estimate on the invariants of a profile."""
     p = profile.pythagoras
     return bound_dm_estimate(
         profile.d,
@@ -136,35 +131,16 @@ def bound_strata_count(profile, n: int, m: int) -> int:
     return floor_pow2_sum([(n - m) * (codim - n + m + 1)])
 
 
-def _stratum_cap_exponent(d, s, n, m, sm):
-    """Closed-form cap exponent for strata below the stationary range."""
-    return (n - m) * (d - m * (2 * s - m - 1) // 2 - n + 1 - sm)
-
-
 def bound_sl_exponential(profile, n: int) -> int:
-    """Symbol length bound by summing power-of-two stratum caps."""
-    d = profile.d
-    p = profile.pythagoras
-    s = kaplansky_s(p)
-    sigma = profile.level_exponent
-    exponents = []
-    if s > n:
-        for m in range(n + 1):
-            sm = _sm_exponent(m, profile.is_real, sigma)
-            exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
-    elif not profile.is_real:
-        for m in range(s):
-            sm = _sm_exponent(m, False, sigma)
-            exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
-        exponents.append((n - s) * (d - s * (s - 1) // 2 - n + 1))
-    else:
-        for m in range(s + 1):
-            exponents.append(_stratum_cap_exponent(d, s, n, m, 1))
-        stationary = d - s * (s + 1) // 2 - n
-        shift = 0 if p & (p - 1) == 0 else 1
-        for m in range(s + 1, n + 1):
-            exponents.append((n - m) * (stationary + m - shift))
-    return floor_pow2_sum(exponents)
+    """Symbol length bound by summing power-of-two stratum caps.
+
+    Each cap uses the estimate of d_m.  A nonreal scheme stops at m = s, at
+    least its level exponent, above which the strata are empty.
+    """
+    s = kaplansky_s(profile.pythagoras)
+    top = n if profile.is_real else min(s, n)
+    return floor_pow2_sum([(n - m) * (dm_estimate_for_profile(profile, m) - n + m + 1)
+                           for m in range(top + 1)])
 
 
 def linked_stratum_cap(d, d_m, n, m, is_real, s, use_exact_subspace_count=False):
@@ -251,20 +227,6 @@ def split_basis_term(d_m: int, j: int) -> int:
 def bound_sl_split_basis(profile, n: int) -> int:
     top = n - 1 if profile.is_real else min(profile.level_exponent, n - 1)
     return sum(split_basis_term(profile.d_m(m), n - m - 1) for m in range(top + 1))
-
-
-def compare_quotient_floor_bases(d: int, d_m: int, k: int):
-    """Linked caps over the full group and over a quotient, as exact rationals.
-
-    Returns (full, reduced) for cofactor dimension k.  For k = 0 the full
-    value never exceeds the reduced one; for k >= 1 and d_m < d the
-    reduced base gives the strictly smaller cap.
-    """
-    if not 0 <= k < d_m <= d:
-        raise InvalidCase("need 0 <= k < d_m <= d, got k=%r d_m=%r d=%r" % (k, d_m, d))
-    full = Fraction(1 << ((k + 1) * (d - k)), (1 << (d - k)) - 1)
-    reduced = Fraction(1 << ((k + 1) * (d_m - k)), (1 << (d_m - k)) - 1)
-    return full, reduced
 
 
 # ---------------------------------------------------------------------------

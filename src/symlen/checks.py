@@ -19,6 +19,8 @@ from .bounds import (
     bound_sl_binomial,
     bound_sl_polynomial,
     bound_sl_split_basis,
+    dm_estimate_for_profile,
+    kaplansky_s,
     make_bound_report,
     poly_binom_sum,
 )
@@ -89,8 +91,10 @@ def check_invariant_formulas(max_d: int = 4) -> dict:
 
     For every library scheme: d_m equals d minus the two-logs of s_m and of
     the chain indices q_1..q_m; s_m is 2 exactly when the scheme is real or
-    m is below the level exponent; and for finite level 2^sigma the index
-    q_k is at least 2^(sigma+1-k) for k up to sigma.
+    m is below the level exponent; for finite level 2^sigma the index q_k
+    is at least 2^(sigma+1-k) for k up to sigma; and the d_m estimate of the
+    exponential bound is at least d_m up to m = max(s, stabilization) + 1,
+    past which neither side changes.
     """
     schemes = 0
     mismatches = []
@@ -111,6 +115,10 @@ def check_invariant_formulas(max_d: int = 4) -> dict:
             for k in range(1, sig + 1):
                 if prof.q_m(k) < (1 << (sig + 1 - k)):
                     mismatches.append([s.name, k, "q_k", prof.q_m(k), 1 << (sig + 1 - k)])
+        for m in range(max(kaplansky_s(prof.pythagoras), prof.stabilization) + 2):
+            estimate = dm_estimate_for_profile(prof, m)
+            if estimate < prof.d_m(m):
+                mismatches.append([s.name, m, "d_m estimate", estimate, prof.d_m(m)])
         schemes += 1
     return {
         "passed": not mismatches,

@@ -179,6 +179,12 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
     entries cancel in pairs.  The residue in the symbol algebra is preserved
     exactly, and the number of entries is bounded by the binomial bound of
     the profile.
+
+    Slots behind m leading 1 slots move within their coset of +-D(2^m),
+    unchecked: that needs the 2^m all-ones form to be round (<<1^m, -b>> has
+    image 0 in k_{m+1} for each of its values b), as on the provided
+    constructors.  On a hand-built table that breaks it, the certificate's
+    residue check fails (exit code 3).
     """
     if chain is None:
         chain = build_basis_chain(scheme)

@@ -24,10 +24,6 @@ class DependentInput(SymlenError):
     """An input vector list was required to be independent but is not."""
 
 
-class DimensionMismatch(SymlenError):
-    """Two objects that must share a dimension do not."""
-
-
 class IsotropicInput(SymlenError):
     """An operation requiring an anisotropic input received an isotropic one."""
 
@@ -97,10 +93,6 @@ class DegreeViolation(SymlenError):
 
 class ChainInconsistency(SymlenError):
     """A basis chain is not actually nested or not of the declared ranks."""
-
-
-class RoundnessViolation(SymlenError):
-    """A scheme fails the multiplicativity property the rewrite relies on."""
 
 
 class VerificationFailure(SymlenError):

@@ -26,14 +26,12 @@ from typing import TYPE_CHECKING
 from .errors import (
     AxiomViolation,
     DimensionCapExceeded,
-    DimensionMismatch,
     EnumerationTooLarge,
     IsotropicInput,
     NotAGroup,
     ProfileInconsistency,
-    RoundnessViolation,
 )
-from .f2space import Subspace, in_span, iter_bits, rref_ints
+from .f2space import iter_bits, rref_ints
 
 if TYPE_CHECKING:
     from .decompose import BasisChain
@@ -198,7 +196,6 @@ class Scheme:
                 raise NotAGroup("value set row %d out of range" % a)
         self._sos_chain: list[int] | None = None
         self._d2m: list[int] | None = None
-        self._round_ok: set[int] = set()
         self._kn: dict[int, SymbolAlgebra] = {}
         self._split_pairs: list[int] | None = None
         self._basis_chain: BasisChain | None = None
@@ -341,34 +338,6 @@ class Scheme:
         )
         self._profile = profile
         return profile
-
-    # -- roundness of the 2-power all-ones forms ------------------------
-
-    def ensure_round(self, m: int) -> None:
-        """Check that every value of the 2^m all-ones form is a similarity.
-
-        subspace_to_pfister lifts each quotient row to one class of its
-        coset of +-D(2^m), and the form it attaches depends on the subspace
-        alone only when scaling the 2^m all-ones form pi by any of its
-        values b is an isometry.  By Witt cancellation b*pi = pi iff
-        pi x <1,-b> is hyperbolic, that is iff the slots (0,)*m + (eps^b,)
-        have image 0 in k_{m+1}.  The provided constructors satisfy this.
-        The rewrite in decompose makes the same substitution without this
-        check; on a hand-built table its output is guarded by the
-        certificate's residue check, which fails with exit code 3.
-        """
-        if m in self._round_ok:
-            return
-        row = _kn(self, m + 1).last_slot_images((0,) * m)
-        # sos_chain()[k - 1] is the value set of the k all-ones form
-        chain = self.sos_chain()
-        for b in iter_bits(chain[min(1 << m, len(chain)) - 1]):
-            if row[self.eps ^ b]:
-                raise RoundnessViolation(
-                    "class %d is a value but not a similarity of the %d-ones form"
-                    % (b, 1 << m)
-                )
-        self._round_ok.add(m)
 
 
 # ---------------------------------------------------------------------------
@@ -557,40 +526,3 @@ def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP,
             % (scheme.d, n, cap)
         )
     return dict(_kn(scheme, n, tensor_cap).classes())
-
-
-def quotient_basis(scheme: Scheme, m: int) -> list[int]:
-    """Deterministic class lifts of a basis of G modulo +-D(2^m)."""
-    span = rref_ints(set_to_sorted(scheme.pm_d2m(m)))
-    basis: list[int] = []
-    for c in range(1, scheme.size):
-        if not in_span(c, span):
-            basis.append(c)
-            span = rref_ints(span + [c])
-    return basis
-
-
-def subspace_to_pfister(scheme: Scheme, m: int, u: Subspace) -> PfisterForm:
-    """The Pfister form with m leading 1 slots attached to a quotient subspace.
-
-    u lives in the quotient of the class group by +-D(2^m), coordinatized by
-    quotient_basis; each basis row of u is lifted to the least class in its
-    coset and the lifts fill the remaining slots.
-    """
-    scheme.ensure_round(m)
-    profile = scheme.invariants()
-    dm = profile.d_m(m)
-    if u.ambient_dim != dm:
-        raise DimensionMismatch(
-            "subspace ambient %d but quotient dimension is %d" % (u.ambient_dim, dm)
-        )
-    basis = quotient_basis(scheme, m)
-    pm = scheme.pm_d2m(m)
-    coset = set_to_sorted(pm)
-    lifts = []
-    for row in u.rows:
-        raw = 0
-        for i in iter_bits(row):
-            raw ^= basis[i]
-        lifts.append(min(raw ^ h for h in coset))
-    return PfisterForm((0,) * m + tuple(lifts))

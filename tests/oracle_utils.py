@@ -6,6 +6,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
+from symlen.bounds import _sm_exponent, floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import rank_ints
@@ -241,6 +242,42 @@ def gray_pure_symbols(algebra):
         seen.discard(0)
         pures = tuple(sorted(seen))
     return pures
+
+
+# ---------------------------------------------------------------------------
+# the exponential bound split by cases: the reference for its sum over
+# dm_estimate_for_profile
+
+
+def _stratum_cap_exponent(d, s, n, m, sm):
+    """Closed-form cap exponent for strata below the stationary range."""
+    return (n - m) * (d - m * (2 * s - m - 1) // 2 - n + 1 - sm)
+
+
+def exponential_bound_by_cases(profile, n: int) -> int:
+    """Symbol length bound by summing power-of-two stratum caps."""
+    d = profile.d
+    p = profile.pythagoras
+    s = kaplansky_s(p)
+    sigma = profile.level_exponent
+    exponents = []
+    if s > n:
+        for m in range(n + 1):
+            sm = _sm_exponent(m, profile.is_real, sigma)
+            exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
+    elif not profile.is_real:
+        for m in range(s):
+            sm = _sm_exponent(m, False, sigma)
+            exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
+        exponents.append((n - s) * (d - s * (s - 1) // 2 - n + 1))
+    else:
+        for m in range(s + 1):
+            exponents.append(_stratum_cap_exponent(d, s, n, m, 1))
+        stationary = d - s * (s + 1) // 2 - n
+        shift = 0 if p & (p - 1) == 0 else 1
+        for m in range(s + 1, n + 1):
+            exponents.append((n - m) * (stationary + m - shift))
+    return floor_pow2_sum(exponents)
 
 
 def dict_bfs_distances(algebra):

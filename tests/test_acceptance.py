@@ -33,7 +33,7 @@ def test_criterion_02_invariant_formulas():
     t0 = time.time()
     res = checks.check_invariant_formulas(max_d=4)
     assert res["schemes"] == 550
-    _finish(2, "index identities for every library scheme, d <= 4",
+    _finish(2, "index identities and the d_m estimate, every library scheme, d <= 4",
             res["passed"], t0, 30)
 
 

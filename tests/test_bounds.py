@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import exponential_bound_by_cases
 from symlen.bounds import (
+    BOUND_NOTES,
     RationalPolynomial,
     binom_poly,
     bound_dm_estimate,
@@ -18,7 +20,6 @@ from symlen.bounds import (
     bound_sl_polynomial,
     bound_sl_split_basis,
     bound_strata_count,
-    compare_quotient_floor_bases,
     dm_estimate_for_profile,
     floor_pow2_sum,
     kaplansky_s,
@@ -137,6 +138,33 @@ def test_exponential_synthetic_cases():
     assert bound_sl_exponential(off, 3) == 512 + 64 + 8 + 1
 
 
+def synthetic_profiles():
+    """Real profiles, and nonreal ones at each level 2^sigma with
+    2^sigma <= p <= 2^sigma + 1, for d 0..13 and p 1..39."""
+    for d in range(14):
+        for p in range(1, 40):
+            yield FakeProfile(d, True, None, p, (d,))
+            for sigma in range(p.bit_length()):
+                if (1 << sigma) <= p <= (1 << sigma) + 1:
+                    yield FakeProfile(d, False, sigma, p, (d,))
+
+
+def test_exponential_matches_case_oracle():
+    profiles = list(synthetic_profiles())
+    assert len(profiles) == 714
+    for prof in profiles:
+        for n in range(1, 12):
+            assert (bound_sl_exponential(prof, n)
+                    == exponential_bound_by_cases(prof, n)), (vars(prof), n)
+    for s in standard_library(4):
+        prof = s.invariants()
+        for n in range(1, 9):
+            assert (bound_sl_exponential(prof, n)
+                    == exponential_bound_by_cases(prof, n)), (s.name, n)
+    rc = profile_of("RC")
+    assert bound_sl_exponential(rc, 4000) == exponential_bound_by_cases(rc, 4000)
+
+
 def test_linked_frozen():
     assert bound_sl_linked(profile_of("laurent(F2)"), 2) == 2
     assert bound_sl_linked(profile_of("laurent(F2)"), 2, True) == 2
@@ -198,19 +226,24 @@ def test_report_contents_and_failure():
 
 
 def test_quotient_floor_base_comparison():
+    assert ("base-change comparison for the linked cap holds for "
+            "one-dimensional cofactors only") in BOUND_NOTES
+
+    def linked_cap(base, k):
+        # 2^((k+1)(b-k)) / (2^(b-k) - 1) over a base of dimension b, for
+        # cofactor dimension k, as an exact rational
+        return Fraction(1 << ((k + 1) * (base - k)), (1 << (base - k)) - 1)
+
     # one-dimensional cofactors: the full-group cap never beats the
     # reduced-base cap, matching the exact ratio identity
     for d in range(1, 13):
         for d_m in range(1, d + 1):
-            full, reduced = compare_quotient_floor_bases(d, d_m, 0)
+            full, reduced = linked_cap(d, 0), linked_cap(d_m, 0)
             assert full <= reduced
             ratio = Fraction((1 << d) - (1 << (d - d_m)), (1 << d) - 1)
             assert full / reduced == ratio
     # the comparison does not extend to larger cofactors
-    full, reduced = compare_quotient_floor_bases(4, 3, 1)
-    assert full > reduced
-    with pytest.raises(InvalidCase):
-        compare_quotient_floor_bases(4, 3, 3)
+    assert linked_cap(4, 1) > linked_cap(3, 1)
 
 
 def test_rational_polynomial_basics():

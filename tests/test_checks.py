@@ -2,7 +2,7 @@
 
 import re
 
-from symlen import builders, checks, cli
+from symlen import bounds, builders, checks, cli
 
 
 def test_determinism_check_starts_cold(monkeypatch):
@@ -38,3 +38,21 @@ def test_verbose_progress_times_each_check(monkeypatch, capsys):
     ]
     assert all(re.fullmatch(r"\d+\.\d\ds", line.split()[4]) for line in lines[:3])
     assert lines[3].startswith("elapsed ")
+
+
+def test_invariant_formulas_catch_a_wrong_dm_estimate(monkeypatch):
+    # the drop m(2s+m+3)/2 in place of m(2s-m+1)/2 up to m = s, which the
+    # bounds module rejects: it would assert d_1 <= -1 on laurent(F2)
+    def wrong_drop(profile, m):
+        s = bounds.kaplansky_s(profile.pythagoras)
+        if m > s:
+            return bounds.dm_estimate_for_profile(profile, m)
+        sm = bounds._sm_exponent(m, profile.is_real, profile.level_exponent)
+        return profile.d - m * (2 * s + m + 3) // 2 - sm
+
+    assert checks.check_invariant_formulas(max_d=3)["passed"]
+    monkeypatch.setattr(checks, "dm_estimate_for_profile", wrong_drop)
+    res = checks.check_invariant_formulas(max_d=3)
+    assert not res["passed"]
+    assert ["Q2", 1, "d_m estimate"] in [row[:3] for row in res["mismatches"]]
+    assert ["laurent(F2)", 1, "d_m estimate", -1, 1] in res["mismatches"]

@@ -41,12 +41,10 @@ from symlen.builders import (
 )
 from symlen.errors import (
     AxiomViolation,
-    DimensionMismatch,
     EnumerationTooLarge,
     IsotropicInput,
     ProfileInconsistency,
 )
-from symlen.f2space import subspace_from_masks
 from symlen.milnor import kn_space
 from symlen import scheme as scheme_module
 from symlen.scheme import (
@@ -57,8 +55,6 @@ from symlen.scheme import (
     enumerate_pfister_strata,
     pfister_classes,
     pfister_ones_witness,
-    quotient_basis,
-    subspace_to_pfister,
     translate,
     validate_scheme,
 )
@@ -371,25 +367,6 @@ def test_stratum_images_linearly_independent(q3, rigid2, rc):
             assert joint == len(pm_rows) + len(rest)
 
 
-def test_quotient_basis(q3, rigid2):
-    assert quotient_basis(rigid2, 0) == [1, 2]
-    # q3: +-D(1) = {1, -1} so the quotient has the two classes of t
-    assert quotient_basis(q3, 0) == [2]
-    assert quotient_basis(q3, 1) == [2]
-
-
-def test_subspace_to_pfister(rc, q3, rigid2):
-    pf = subspace_to_pfister(rc, 2, subspace_from_masks([], 0))
-    assert pf.slots == (0, 0)
-    pf = subspace_to_pfister(rigid2, 0, subspace_from_masks([1, 2], 2))
-    assert pf.slots == (2, 1)
-    assert isometric(rigid2, pfister_expand(pf.slots), pfister_expand((1, 2)))
-    pf = subspace_to_pfister(q3, 1, subspace_from_masks([1], 1))
-    assert pf.slots == (0, 2)
-    with pytest.raises(DimensionMismatch):
-        subspace_to_pfister(q3, 1, subspace_from_masks([1, 2], 2))
-
-
 def test_subspace_map_well_defined(rigid2, q3):
     """Two bases of the same slot span give isometric Pfister forms."""
     for s in (rigid2, q3):
@@ -403,14 +380,8 @@ def test_subspace_map_well_defined(rigid2, q3):
                 assert isometric(s, a, b) and isometric(s, a, c)
 
 
-def test_ensure_round(rc, q3, rigid2):
-    for s in (rc, q3, rigid2):
-        for m in range(4):
-            s.ensure_round(m)
-
-
 def test_sos_chain_gives_two_power_value_sets():
-    # ensure_round reads D(2^m) off the sum-of-squares chain
+    # d2m_chain reads D(2^m) off the sum-of-squares chain
     for s in standard_library(3):
         chain = s.sos_chain()
         for m in range(4):
@@ -499,7 +470,8 @@ def test_random_d45_class_map_matches_scans(expr, n):
 
 def assert_round_image_form_matches_witt(s, m):
     # b * pi = pi for the 2^m ones form pi iff <<1^m, -b>> has image 0,
-    # for every class b, not only the values that ensure_round checks
+    # for every class b, not only the values of pi, which are all that the
+    # rewrite in decompose relies on
     alg = kn_space(s, m + 1)
     sigma = (0,) * (1 << m)
     base = witt_decompose(s, sigma)
