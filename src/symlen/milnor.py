@@ -20,10 +20,11 @@ k_n with the nonzero pure symbols as generators.
 k_* is generated in degree 1 with quadratic relations (Milnor, "Algebraic
 K-theory and quadratic forms", 1970), so degree n is built on degree n - 1:
 its relations are R_{n-1} (x) G plus the split 2-tensors in the last slot
-pair (the same span), reduced once; the fully reduced rows give a tensor's
-class by XORing the rows at its pivot bits.  As R_{n-1} (x) G lies in R_n,
-x (x) v has a bilinear class mu_n(x, v) for x in k_{n-1} and v in G, and
-degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
+pair (the same span).  As R_{n-1} (x) G lies in R_n, x (x) v has a
+bilinear class mu_n(x, v) for x in k_{n-1} and v in G, so k_n is
+k_{n-1} (x) G modulo x (x) s for the basis vectors x of k_{n-2} and the
+split pairs s, rows read off the table of degree n - 1 and reduced once.
+Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
 v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
 <<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2.
 An anisotropic n-fold Pfister form is determined up to isometry by its
@@ -51,7 +52,8 @@ class is reached.
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
 are SymbolVector values whose coordinates are indexed by the non-pivot
-columns of the row reduced relation matrix, so representatives and
+columns of the relations row reduced over the d^n tensor columns (found in
+k_{n-1} (x) G coordinates, see _quotient), so representatives and
 dimensions are deterministic.
 """
 
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
-from .scheme import DEFAULT_TENSOR_CAP, Scheme
+from .scheme import DEFAULT_TENSOR_CAP, Scheme, translate
 
 DEFAULT_SL_CAP = 1 << 24
 
@@ -99,41 +101,92 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
     """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>.
 
     a (x) b is the sum of the disjoint shifts a << d*j over the bits j of b.
-    For each a the tensors span a (x) span(D<1, -a>), so a basis of each
-    value set gives the same span on any table.  Built once per scheme.
+    For each a the tensors span a (x) span(D<1, -a>), so the reduced rows of
+    each value set give the same span.  Built once per scheme.
     """
     if scheme._split_pairs is None:
-        rows = []
-        for a in range(1, scheme.size):
-            for b in rref_ints(iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1)):
-                rows.append(sum(a << (scheme.d * j) for j in iter_bits(b)))
-        scheme._split_pairs = rref_ints(rows)
+        d = scheme.d
+        # spread[b] has bit d*j for each bit j of b: a (x) b = a * spread[b]
+        spread = [0]
+        for j in range(d):
+            spread += [x | (1 << (d * j)) for x in spread]
+        scheme._split_pairs = rref_ints(
+            a * spread[b] for a in range(1, scheme.size)
+            for b in _value_set_rows(scheme.binary_unit(a ^ scheme.eps), d))
     return scheme._split_pairs
 
 
-def _relation_rows(lower: list[int], pair: list[int], d: int, n: int):
-    """R_{n-1} (x) G and the split 2-tensors in the last slot pair
-    (n - 2, n - 1) times every basis tensor in the slots below."""
-    block = d ** (n - 1)
-    for i in range(d):
-        for row in lower:
-            yield row << (i * block)
-    lo = d ** (n - 2)
-    # bit i + d*j of a 2-tensor (e_i in slot n - 2, e_j in slot n - 1)
-    # lands at bit lo * (i + d*j)
-    spread = [sum(1 << (lo * e) for e in iter_bits(r)) for r in pair]
-    for low in range(lo):
-        for row in spread:
-            yield row << low
+def _value_set_rows(values: int, d: int) -> list[int]:
+    """RREF basis of the span of a class set of F2^d, by decreasing pivot.
+
+    A subgroup's row with pivot p is its least element in [2^p, 2^(p+1)),
+    as any other one there also has the top pivot of the rows it adds.  The
+    span of these rows is the set iff the set is a subgroup; the table
+    axioms allow value sets that are not, and those are row reduced.
+    """
+    rows = []
+    span = 1
+    for p in range(d):
+        run = (values >> (1 << p)) & ((1 << (1 << p)) - 1)
+        if run:
+            low = (run & -run).bit_length() - 1
+            rows.append((1 << p) | low)
+            # the span so far lies below 2^p: add its translate by the row
+            span |= translate(span, low) << (1 << p)
+    if span != values:
+        return rref_ints(iter_bits(values & ~1))
+    return rows[::-1]
+
+
+def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
+    """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}.
+
+    Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the split pair
+    s, the sum of a_b (x) e_b, x (x) s is mu_{n-1}(x, a_b) in block b.
+    Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
+    i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
+    column of rep(e_j) (x) e_i: the free columns are those of the reduction
+    over d^n columns.
+    """
+    d = scheme.d
+    width = lower.dim
+    if n == 2:
+        # k_1 is G in its own coordinates: the rows are the split pairs
+        rows = split_pair_basis(scheme)
+    else:
+        rows = []
+        for s in split_pair_basis(scheme):
+            # x (x) s for every x at once: lower._mul has a row per x
+            acc = [0] * len(lower._mul)
+            for b in range(d):
+                a = (s >> (d * b)) & (scheme.size - 1)
+                if a:
+                    acc = [y | (m[a] << (b * width)) for y, m in zip(acc, lower._mul)]
+            rows += acc
+        rows = rref_ints(rows)
+    pivots = sum(1 << (r.bit_length() - 1) for r in rows)
+    free = [c for c in range(d * width) if not (pivots >> c) & 1]
+    image = {c: 1 << k for k, c in enumerate(free)}
+    for r in rows:
+        p = r.bit_length() - 1
+        image[p] = sum(image[c] for c in iter_bits(r ^ (1 << p)))
+    free_cols = tuple(lower.free_cols[c % width] + (c // width) * d ** (n - 1)
+                      for c in free)
+    mul = []
+    for j in range(width):
+        row = [0]
+        for i in range(d):
+            x = image[i * width + j]
+            row += [y ^ x for y in row]
+        mul.append(row)
+    return free_cols, mul
 
 
 class SymbolAlgebra:
-    """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}.
-
-    Relation rows are kept in RREF over the d^n tensor coordinates; the
-    non-pivot columns, in increasing order, index the quotient coordinates.
-    The degrees below n are built first, and cached, by kn_space; a degree
-    whose d^n or n exceeds the tensor cap is refused before any of them.
+    """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}
+    by _quotient.  The degrees below n are built first, and cached, by
+    kn_space; a degree whose d^n or n exceeds the tensor cap is refused
+    before any of them.
     """
 
     def __init__(self, scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP):
@@ -141,19 +194,12 @@ class SymbolAlgebra:
         _check_degree(d, n, tensor_cap)
         self.scheme = scheme
         self.n = n
-        self.tensor_dim = d ** n
         self.lower = kn_space(scheme, n - 1, tensor_cap) if n > 1 else None
-        # fully reduced rows by decreasing pivot: the row with pivot p is at
-        # the number of pivots above p, its other bits are free columns
-        self.relations = rref_ints(_relation_rows(
-            self.lower.relations, split_pair_basis(scheme), d, n)
-            if self.lower is not None else ())
-        self._pivots = sum(1 << (r.bit_length() - 1) for r in self.relations)
-        self.free_cols = tuple(
-            c for c in range(self.tensor_dim) if not (self._pivots >> c) & 1
-        )
+        if self.lower is None:  # k_1 is G, and mu_1(1, v) = v
+            self.free_cols, self._mul = tuple(range(d)), [list(range(scheme.size))]
+        else:
+            self.free_cols, self._mul = _quotient(self.lower, scheme, n)
         self.dim = len(self.free_cols)
-        self._mul: list[list[int]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
         self._tables: list[list[list[int]]] | None = None
         self._link_map: dict[int, tuple[int, int]] | None = None
@@ -164,21 +210,6 @@ class SymbolAlgebra:
         return "SymbolAlgebra(%r, n=%d, dim=%d)" % (
             self.scheme.name, self.n, self.dim)
 
-    def project(self, tensor_mask: int) -> SymbolVector:
-        """Class of a raw tensor bitmask in the quotient coordinates."""
-        return SymbolVector(self._reduce(tensor_mask), self.dim)
-
-    def _reduce(self, tensor_mask: int) -> int:
-        """Quotient coords of a raw tensor bitmask."""
-        red = tensor_mask
-        pivots = self._pivots
-        for p in iter_bits(tensor_mask & pivots):
-            red ^= self.relations[(pivots >> p).bit_count() - 1]
-        coords = 0
-        for c in iter_bits(red):
-            coords |= 1 << bisect_left(self.free_cols, c)
-        return coords
-
     def representative(self, x: SymbolVector) -> int:
         """Canonical tensor bitmask representing x (supported on free columns)."""
         mask = 0
@@ -186,28 +217,11 @@ class SymbolAlgebra:
             mask |= 1 << self.free_cols[j]
         return mask
 
-    def _mul_table(self) -> list[list[int]]:
-        """mul[j][v]: coords of mu_n(e_j, v) for the basis vector e_j of
-        k_{n-1} and the vector v.  rep(e_j) (x) e_i is the basis tensor at
-        c + i * d^(n-1) for the free column c of e_j (k_0 has column 0)."""
-        if self._mul is None:
-            d = self.scheme.d
-            block = d ** (self.n - 1)
-            mul = []
-            for c in self.lower.free_cols if self.lower is not None else (0,):
-                row = [0]
-                for i in range(d):
-                    image = self._reduce(1 << (c + i * block))
-                    row += [x ^ image for x in row]
-                mul.append(row)
-            self._mul = mul
-        return self._mul
-
     def _row(self, x: int) -> list[int]:
         """mu_n(x, v) for every vector v, in vector order, for x in k_{n-1}:
         the XOR of the table rows at the bits of x.  Not to be modified: it
         may be a row of the table."""
-        mul = self._mul_table()
+        mul = self._mul
         row = None
         for j in iter_bits(x):
             row = mul[j] if row is None else [a ^ b for a, b in zip(row, mul[j])]
@@ -227,7 +241,7 @@ class SymbolAlgebra:
         """Coords of the image of <<slots>> in the degree len(slots), at
         most n: mu of each degree applied to the image below, from 1 in k_0."""
         if self._tables is None:
-            self._tables = [alg._mul_table() for alg in self._chain()]
+            self._tables = [alg._mul for alg in self._chain()]
         eps = self.scheme.eps
         x = 1
         for mul, a in zip(self._tables, slots):
@@ -245,14 +259,6 @@ class SymbolAlgebra:
                 "form has %d slots, algebra degree is %d" % (len(slots), self.n)
             )
         return self._image(slots)
-
-    def last_slot_images(self, head) -> list[int]:
-        """Images of <<head, c>> for every class c, in class order."""
-        if len(head) + 1 != self.n:
-            raise DegreeMismatch(
-                "form has %d slots, algebra degree is %d" % (len(head) + 1, self.n)
-            )
-        return list(self.last_slot_row(self._image(head)))
 
     def last_slot_row(self, x: int) -> list[int]:
         """Images of <<X, c>> for every class c, in class order, for a head

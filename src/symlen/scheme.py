@@ -209,10 +209,6 @@ class Scheme:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def binary(self, x: int, y: int) -> int:
-        """Value set D<x,y> as a class bitmask."""
-        return translate(self.values.rows[x ^ y], x)
-
     def binary_unit(self, a: int) -> int:
         """Value set D<1,a>."""
         return self.values.rows[a]

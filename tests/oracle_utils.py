@@ -9,8 +9,14 @@ from dataclasses import dataclass
 from symlen.bounds import _sm_exponent, floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
-from symlen.f2space import rank_ints
-from symlen.milnor import DEFAULT_TENSOR_CAP, _clear_bit_masks, _swap, kn_space
+from symlen.f2space import rank_ints, rref_ints
+from symlen.milnor import (
+    DEFAULT_TENSOR_CAP,
+    SymbolVector,
+    _clear_bit_masks,
+    _swap,
+    kn_space,
+)
 from symlen.scheme import iter_bits, translate
 
 WITT_STATE_CAP = 1 << 21
@@ -130,6 +136,117 @@ def reduced_relations(scheme, n):
     return relations, free_cols, table
 
 
+# ---------------------------------------------------------------------------
+# k_n over the d^n tensor columns, degree by degree: the construction that
+# the reduction in k_{n-1} (x) G coordinates replaced, kept as the reference
+# for its coordinates and tables, and behind the projection oracles
+
+
+def binary(scheme, x, y):
+    """Value set D<x,y> as a class bitmask: the x-translate of D<1,xy>."""
+    return translate(scheme.values.rows[x ^ y], x)
+
+
+@functools.lru_cache(maxsize=None)
+def tensor_split_pair_basis(scheme):
+    """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>, each
+    value set row reduced from its elements."""
+    rows = []
+    for a in range(1, scheme.size):
+        for b in rref_ints(iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1)):
+            rows.append(sum(a << (scheme.d * j) for j in iter_bits(b)))
+    return rref_ints(rows)
+
+
+def _relation_rows(lower, pair, d, n):
+    """R_{n-1} (x) G and the split 2-tensors in the last slot pair
+    (n - 2, n - 1) times every basis tensor in the slots below."""
+    block = d ** (n - 1)
+    for i in range(d):
+        for row in lower:
+            yield row << (i * block)
+    lo = d ** (n - 2)
+    # bit i + d*j of a 2-tensor (e_i in slot n - 2, e_j in slot n - 1)
+    # lands at bit lo * (i + d*j)
+    spread = [sum(1 << (lo * e) for e in iter_bits(r)) for r in pair]
+    for low in range(lo):
+        for row in spread:
+            yield row << low
+
+
+@dataclass(frozen=True)
+class TensorSpace:
+    """k_n of a scheme as the quotient of the d^n tensor columns."""
+
+    # fully reduced rows by decreasing pivot: the row with pivot p is at
+    # the number of pivots above p, its other bits are free columns
+    relations: list
+    pivots: int
+    free_cols: tuple
+    lower: "TensorSpace | None"
+
+
+@functools.lru_cache(maxsize=None)
+def tensor_space(scheme, n):
+    """k_n with its relations R_{n-1} (x) G plus the split 2-tensors in the
+    last slot pair, reduced once over the d^n columns; memoized per
+    (scheme, n), each degree built on the one below."""
+    d = scheme.d
+    lower = tensor_space(scheme, n - 1) if n > 1 else None
+    relations = rref_ints(_relation_rows(
+        lower.relations, tensor_split_pair_basis(scheme), d, n)
+        if lower is not None else ())
+    pivots = sum(1 << (r.bit_length() - 1) for r in relations)
+    free_cols = tuple(c for c in range(d ** n) if not (pivots >> c) & 1)
+    return TensorSpace(relations, pivots, free_cols, lower)
+
+
+def _reduce(space, tensor_mask):
+    """Quotient coords of a raw tensor bitmask."""
+    red = tensor_mask
+    pivots = space.pivots
+    for p in iter_bits(tensor_mask & pivots):
+        red ^= space.relations[(pivots >> p).bit_count() - 1]
+    coords = 0
+    for c in iter_bits(red):
+        coords |= 1 << bisect_left(space.free_cols, c)
+    return coords
+
+
+def tensor_space_mul_table(scheme, n):
+    """mul[j][v]: coords of mu_n(e_j, v) for the basis vector e_j of
+    k_{n-1} and the vector v.  rep(e_j) (x) e_i is the basis tensor at
+    c + i * d^(n-1) for the free column c of e_j (k_0 has column 0)."""
+    space = tensor_space(scheme, n)
+    d = scheme.d
+    block = d ** (n - 1)
+    mul = []
+    for c in space.lower.free_cols if space.lower is not None else (0,):
+        row = [0]
+        for i in range(d):
+            image = _reduce(space, 1 << (c + i * block))
+            row += [x ^ image for x in row]
+        mul.append(row)
+    return mul
+
+
+def project(algebra, tensor_mask):
+    """Class of a raw tensor bitmask in the quotient coordinates, reduced
+    by the relations over the d^n tensor columns."""
+    space = tensor_space(algebra.scheme, algebra.n)
+    return SymbolVector(_reduce(space, tensor_mask), len(space.free_cols))
+
+
+def last_slot_images(algebra, head):
+    """Images of <<head, c>> for every class c, in class order, read off
+    the multiplication tables."""
+    if len(head) + 1 != algebra.n:
+        raise DegreeMismatch(
+            "form has %d slots, algebra degree is %d" % (len(head) + 1, algebra.n)
+        )
+    return list(algebra.last_slot_row(algebra._image(head)))
+
+
 def alternating_rank_sl(algebra, x):
     """Symbol length oracle for rigid schemes with -1 a square, degree 2.
 
@@ -163,7 +280,7 @@ def project_image(algebra, slots):
         )
     eps = algebra.scheme.eps
     tensor = tensor_of_vectors([a ^ eps for a in slots], algebra.scheme.d)
-    return algebra.project(tensor).coords
+    return project(algebra, tensor).coords
 
 
 def tuple_pfister_classes(algebra):
@@ -209,7 +326,7 @@ def tuple_pure_symbols(algebra):
     size = algebra.scheme.size
     seen = set()
     for vs in itertools.product(range(1, size), repeat=algebra.n):
-        seen.add(algebra.project(tensor_of_vectors(vs, algebra.scheme.d)).coords)
+        seen.add(project(algebra, tensor_of_vectors(vs, algebra.scheme.d)).coords)
     seen.discard(0)
     return tuple(sorted(seen))
 
@@ -226,7 +343,7 @@ def gray_pure_symbols(algebra):
     pures = tuple(range(1, algebra.scheme.size))
     for alg in algebra._chain()[1:]:
         # cols[i][k] = mu(p_k, e_i)
-        mul = alg._mul_table()
+        mul = alg._mul
         cols = [[0] * len(pures) for _ in range(d)]
         for k, p in enumerate(pures):
             for j in iter_bits(p):
@@ -390,7 +507,7 @@ def find_linked_pair_by_multisets(scheme, psum, tensor_cap=DEFAULT_TENSOR_CAP):
             for k, divisor in enumerate(itertools.combinations_with_replacement(
                     range(scheme.size), n - 1)):
                 if k == len(cofactors):
-                    cofactors.append(algebra.last_slot_images(divisor))
+                    cofactors.append(last_slot_images(algebra, divisor))
                 row = cofactors[k]
                 if images[i] in row and images[j] in row:
                     return i, j, divisor, row.index(images[i]), row.index(images[j])
@@ -476,7 +593,7 @@ def witt_decompose(scheme, entries):
                 if j > i + 1 and y == state[j - 1]:
                     continue  # same move as with position j - 1
                 rest = state[:i] + state[i + 1:j] + state[j + 1:]
-                for z in iter_bits(scheme.binary(x, y)):
+                for z in iter_bits(binary(scheme, x, y)):
                     ns = tuple(sorted(rest + (z, x ^ y ^ z)))
                     if ns not in visited:
                         if len(visited) >= WITT_STATE_CAP:
@@ -534,13 +651,13 @@ def _value_set(scheme, key):
     if len(key) == 1:
         return 1 << key[0]
     if len(key) == 2:
-        return scheme.binary(key[0], key[1])
+        return binary(scheme, key[0], key[1])
     res = 0
     for i in range(len(key)):
         if i and key[i] == key[i - 1]:
             continue  # same remaining form as position i - 1
         for c in iter_bits(_value_set(scheme, key[:i] + key[i + 1:])):
-            res |= scheme.binary(key[i], c)
+            res |= binary(scheme, key[i], c)
     return res
 
 

@@ -12,14 +12,20 @@ from oracle_utils import (
     all_pairs_split_basis,
     alternating_rank_sl,
     bfs_layers_by_full_passes,
+    binary,
     dict_bfs_distances,
     dict_bfs_max_length,
     gray_pure_symbols,
     isometric,
+    last_slot_images,
     pfister_expand,
+    project,
     project_image,
     reduced_relations,
+    symmetric_mutants,
     tensor_of_vectors,
+    tensor_space,
+    tensor_space_mul_table,
     tuple_pfister_classes,
     tuple_pure_symbols,
     witt_decompose,
@@ -31,9 +37,9 @@ from symlen.builders import (
     standard_expressions,
     standard_library,
 )
-from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
-from symlen.f2space import in_span, iter_bits
-from symlen.scheme import Scheme
+from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
+from symlen.f2space import in_span, iter_bits, rank_ints, rref_ints
+from symlen.scheme import Scheme, SquareClassGroup, ValueSetTable
 from symlen import milnor
 from symlen.milnor import (
     DEFAULT_SL_CAP,
@@ -42,6 +48,7 @@ from symlen.milnor import (
     SymbolVector,
     _clear_bit_masks,
     _union_of_translates,
+    _value_set_rows,
     kn_space,
     sl_field,
     split_pair_basis,
@@ -100,12 +107,18 @@ def assert_images_match_table(alg, table):
             for i in iter_bits(c ^ s.eps):
                 x ^= entries[i]
             expected.append(x)
-        assert alg.last_slot_images(head) == expected, (alg, head)
+        assert last_slot_images(alg, head) == expected, (alg, head)
 
 
 def assert_matches_reduction_oracle(alg):
+    """The tensor-space RREF, rebuilt from the pivots of alg and the class
+    of each basis tensor: the row with pivot p is e_p plus the
+    representative of its class."""
     relations, free_cols, table = reduced_relations(alg.scheme, alg.n)
-    assert alg.relations == relations
+    rebuilt = [(1 << p) | alg.representative(project(alg, 1 << p))
+               for p in reversed(range(alg.scheme.d ** alg.n))
+               if p not in alg.free_cols]
+    assert rebuilt == relations
     assert alg.free_cols == free_cols
     assert alg.dim == len(free_cols)
     assert_images_match_table(alg, table)
@@ -119,6 +132,56 @@ def test_relations_match_list_reduction():
 
 D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
 D5_EXPRESSIONS = [e for e in standard_expressions(5) if expr_dim(e) == 5]
+
+
+def test_tables_match_tensor_space_path():
+    # the k_{n-1} (x) G reduction against the reduction over d^n columns:
+    # the d <= 4 library at n = 1..4, a seeded sample of 500 of the 3,294
+    # d = 5 schemes at n = 2, 3 (all of them take about 4 s more), and two
+    # d = 6 towers at n = 3, 4
+    sample = [build(e) for e in random.Random(19).sample(D5_EXPRESSIONS, 500)]
+    towers = [build_from_text(expr) for expr in (rigid_label(6), LAURENT5_RC)]
+    cases = [(s, n) for s in standard_library(4) for n in (1, 2, 3, 4)]
+    cases += [(s, n) for s in sample for n in (2, 3)]
+    cases += [(s, n) for s in towers for n in (3, 4)]
+    for s, n in cases:
+        alg = kn_space(s, n)
+        assert alg.free_cols == tensor_space(s, n).free_cols, (s.name, n)
+        assert alg.dim == len(alg.free_cols)
+        assert alg._mul == tensor_space_mul_table(s, n), (s.name, n)
+    # every value set there is a subgroup, read off without a reduction
+    for s in standard_library(4) + sample + towers:
+        for values in s.values.rows:
+            rows = rref_ints(iter_bits(values & ~1))
+            assert _value_set_rows(values, s.d) == rows, (s.name, values)
+
+
+def test_value_set_rows_span_any_set():
+    # every class set holding 0 at d <= 4, subgroup or not
+    for d in range(5):
+        for values in range(1, 1 << (1 << d), 2):
+            assert _value_set_rows(values, d) == rref_ints(iter_bits(values & ~1))
+
+
+def test_tables_match_tensor_space_path_off_subgroups():
+    # tables that pass validation with a value set that is not a subgroup:
+    # every such mutant of the d <= 3 library, at n = 2, 3
+    count = 0
+    for s in standard_library(3):
+        for rows in symmetric_mutants(s.eps, s.values.rows):
+            try:
+                t = Scheme(SquareClassGroup(s.d, s.eps), ValueSetTable(rows), "mutant")
+            except AxiomViolation:
+                continue
+            # a set holding 0 is a subgroup iff it has 2^rank elements
+            if all(1 << rank_ints(iter_bits(v & ~1)) == v.bit_count() for v in rows):
+                continue
+            count += 1
+            for n in (2, 3):
+                alg = kn_space(t, n)
+                assert alg.free_cols == tensor_space(t, n).free_cols, (rows, n)
+                assert alg._mul == tensor_space_mul_table(t, n), (rows, n)
+    assert count == 811
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -181,7 +244,7 @@ def test_image_invariant_under_slot_moves():
                 # replacing a pair (x, y) by (z, xyz) for z in D<x, y>
                 i, j = rng.sample(range(n), 2)
                 x, y = slots[i], slots[j]
-                choices = [z for z in range(s.size) if (s.binary(x, y) >> z) & 1]
+                choices = [z for z in range(s.size) if (binary(s, x, y) >> z) & 1]
                 z = rng.choice(choices)
                 moved = slots[:]
                 moved[i], moved[j] = z, x ^ y ^ z
@@ -289,9 +352,9 @@ def test_project_representative_roundtrip():
             alg = kn_space(s, n)
             assert alg.representative(SymbolVector(0, alg.dim)) == 0
             for _ in range(50):
-                mask = rng.randrange(1 << alg.tensor_dim)
-                x = alg.project(mask)
-                assert alg.project(alg.representative(x)) == x
+                mask = rng.randrange(1 << (s.d ** n))
+                x = project(alg, mask)
+                assert project(alg, alg.representative(x)) == x
 
 
 def test_kn_space_is_cached():
@@ -405,7 +468,7 @@ def assert_images_match_projection(alg, tuples):
         image = alg.image_coords(slots)
         assert image == project_image(alg, slots), (alg, slots)
         assert image == alg.image_coords(tuple(sorted(slots)))
-        assert alg.last_slot_images(slots[:-1])[slots[-1]] == image
+        assert last_slot_images(alg, slots[:-1])[slots[-1]] == image
 
 
 def test_image_table_matches_projection():
@@ -502,4 +565,4 @@ def test_wrong_slot_count_raises():
     with pytest.raises(DegreeMismatch):
         alg.image_coords((1, 2))
     with pytest.raises(DegreeMismatch):
-        alg.last_slot_images((1,))
+        last_slot_images(alg, (1,))

@@ -21,9 +21,6 @@ ALLOWED = {
     "__repr__": "debugging aid, printed by no command",
     "__str__": "debugging aid, printed by no command",
     "milnor.py:representative": "called by the benchmark ops, perfbench/ops.py",
-    "milnor.py:project": "test-oracle interface, called from the tests only",
-    "milnor.py:last_slot_images": "test-oracle interface, called from the tests only",
-    "scheme.py:binary": "test-oracle interface, called from the tests only",
 }
 
 TABLE = '{"name": "rc-table", "d": 1, "minus_one": 1, "rows": [1, 3]}'

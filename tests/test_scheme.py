@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     WittClass,
+    binary,
     d6_rare_failure_rows,
     isometric,
     isotropic,
     kernel_ones_witness,
+    last_slot_images,
     pairwise_mutants,
     pfister_expand,
     project_image,
@@ -201,9 +203,9 @@ def test_construction_agrees_with_axiom_oracle():
 
 
 def test_binary_value_sets(q3):
-    assert q3.binary(0, 0) == 0b0011
-    assert q3.binary(2, 3) == 0b1111
-    assert q3.binary(2, 2) == translate(q3.binary_unit(0), 2) == 0b1100
+    assert binary(q3, 0, 0) == 0b0011
+    assert binary(q3, 2, 3) == 0b1111
+    assert binary(q3, 2, 2) == translate(q3.binary_unit(0), 2) == 0b1100
 
 
 def test_represents(rc, q3):
@@ -499,7 +501,7 @@ def test_d0_scheme_classes_and_strata():
     for n in (1, 2, 3):
         alg = kn_space(qc, n)
         assert alg.image_coords((0,) * n) == 0
-        assert alg.last_slot_images((0,) * (n - 1)) == [0]
+        assert last_slot_images(alg, (0,) * (n - 1)) == [0]
         assert alg.pure_symbols() == ()
         assert pfister_classes(qc, n) == {}
         assert enumerate_pfister_strata(qc, n) == {m: 0 for m in range(n + 1)}
