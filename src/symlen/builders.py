@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DimensionCapExceeded, ParseError
+from .f2space import iter_bits
 from .scheme import (
     SCHEME_DIM_CAP,
     Scheme,
@@ -155,20 +156,9 @@ def product(s1: Scheme, s2: Scheme, name: str | None = None) -> Scheme:
         raise DimensionCapExceeded("product would reach dimension %d" % d)
     shift = 1 << s1.d
     eps = s1.eps | (s2.eps << s1.d)
-    rows = []
-    for a in range(1 << d):
-        a1 = a & (shift - 1)
-        a2 = a >> s1.d
-        row1 = s1.values.rows[a1]
-        row2 = s2.values.rows[a2]
-        row = 0
-        m = row2
-        while m:
-            low = m & -m
-            y = low.bit_length() - 1
-            m ^= low
-            row |= row1 << (y * shift)
-        rows.append(row)
+    # D<1,a>: row a % shift of s1 in each slot y of row a >> s1.d of s2
+    spread = [sum(1 << (y * shift) for y in iter_bits(row2)) for row2 in s2.values.rows]
+    rows = [s1.values.rows[a & (shift - 1)] * spread[a >> s1.d] for a in range(1 << d)]
     return Scheme(
         SquareClassGroup(d, eps),
         ValueSetTable(tuple(rows)),

@@ -358,10 +358,11 @@ def validate_scheme(scheme: Scheme) -> None:
     The sets are bit-packed, one class set per 64-bit block.  The pairwise
     axiom, b in D<1,a> implying a^eps in D<1,b^eps>, compares the packed
     rows with the transpose of their eps-conjugate.  For the ternary one,
-    for each b one int holds in block y the union of D<1,t> over t in the
-    b-translate of D<1,y>.  It is a boolean matrix product, the OR over t
-    of the blocks y with t in D<1,y> masked onto D<1,t^b> copied into every
-    block.  Translating within each block by b gives b + (0 + c) in block
+    the t-th of 2^d block-permuted copies of the table holds D<1,b^t> in
+    block b.  Per distinct row D<1,y>, the OR of the copies over t in it
+    holds in block b the union of D<1,t> over t in the b-translate of
+    D<1,y>; read with stride 2^d, column b is one int with that union in
+    block y.  Translating within each block by b gives b + (0 + c) in block
     c, and permuting the blocks by b gives 0 + (b + c) there, so the first
     equality is one int comparison per b.  The symmetry in (b, c) compares
     the unpacked blocks with their transpose.  On a failure of either
@@ -379,16 +380,11 @@ def validate_scheme(scheme: Scheme) -> None:
     if rows[eps] != scheme.full_mask:
         raise AxiomViolation("D<1,-1> is not the whole group")
 
-    ones = _pack([1] * size)
-    full = (1 << _BLOCK) - 1
     packed = _pack(rows)
-    within = [keep * ones for keep in _KEEP]
-    across = [_pack([full * (keep >> y & 1) for y in range(size)])
-              for keep in _KEEP]
     # b in D<1,a> must give a^eps in D<1,b^eps>: block x of conj is the
     # eps-translate of block x^eps, so bit a of block b of conj is bit a^eps
     # of D<1,b^eps>, and the transpose of conj must cover the rows
-    conj = _swap_runs(_swap_runs(packed, eps, within, 1), eps, across, _BLOCK)
+    conj = _swap_runs(_swap_runs(packed, eps, _WITHIN, 1), eps, _ACROSS, _BLOCK)
     bad = packed & ~_transpose(conj, scheme.d)
     if bad:
         # the lowest bit is the first (a, b) in row-major order
@@ -397,21 +393,27 @@ def validate_scheme(scheme: Scheme) -> None:
             "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
         )
 
-    # rep[t]: D<1,t> in every block; col[t]: the full blocks y with t in
-    # D<1,y>, bit t of each block of the packed rows spread over its block
-    rep = [row * ones for row in rows]
-    col = [((packed >> t) & ones) * full for t in range(size)]
-    # inner[b] holds 0 + (b + c) in block c: the union in block b ^ c, as
-    # D<b,c> is the b-translate of D<1,b^c>; last[b] holds b + (0 + c) in
-    # block c, the b-translate of the union in block c
+    # shifted[t] holds D<1,b^t> in block b, one swap from shifted[t & (t - 1)]
+    shifted = [packed]
+    for t in range(1, size):
+        shifted.append(_swap_runs(shifted[t & (t - 1)], t & -t, _ACROSS, _BLOCK))
+    union_of = {}
+    for row in set(rows):
+        acc = 0
+        for t in iter_bits(row):
+            acc |= shifted[t]
+        union_of[row] = acc
+    flat = _blocks([union_of[row] for row in rows], size)
+    # column b of flat holds the union for D<1,y> in block y.  inner[b]
+    # holds 0 + (b + c) in block c: the union in block b ^ c, as D<b,c> is
+    # the b-translate of D<1,b^c>; last[b] holds b + (0 + c) in block c,
+    # the b-translate of the union in block c
     inner = []
     last = []
     for b in range(size):
-        unions = 0
-        for t in range(size):
-            unions |= col[t] & rep[t ^ b]
-        inner.append(_swap_runs(unions, b, across, _BLOCK))
-        last.append(_swap_runs(unions, b, within, 1))
+        unions = int.from_bytes(flat[b::size], "little")
+        inner.append(_swap_runs(unions, b, _ACROSS, _BLOCK))
+        last.append(_swap_runs(unions, b, _WITHIN, 1))
     # table[b * size + c] is last[b][c], so row b of the matrix is compared
     # with column b; the byte order of a block does not change equalities
     table = _blocks(last, size)
@@ -444,6 +446,11 @@ def _blocks(packed: list[int], count: int) -> memoryview:
 _LOWER = [_pack([0 if r >> k & 1 else ((1 << _BLOCK) - 1) ^ keep
                  for r in range(_BLOCK)])
           for k, keep in enumerate(_KEEP)]
+# _WITHIN[k], _ACROSS[k]: _KEEP[k] in every block, and the whole blocks
+# whose index has bit k clear; a table of 2^d < 64 blocks meets the low ones
+_WITHIN = [keep * _pack([1] * _BLOCK) for keep in _KEEP]
+_ACROSS = [_pack([((1 << _BLOCK) - 1) * (keep >> y & 1) for y in range(_BLOCK)])
+           for keep in _KEEP]
 
 
 def _transpose(packed: int, d: int) -> int:

@@ -38,6 +38,7 @@ from symlen.builders import (
     build,
     build_from_text,
     expr_dim,
+    product,
     standard_expressions,
     standard_library,
 )
@@ -144,7 +145,8 @@ def test_packed_validation_agrees_with_loop_oracle():
     # same verdict and witness text as one loop per class pair: the d <= 4
     # library, every d = 3 symmetric mutant, a seeded sample of d = 4, 5, 6
     # symmetric mutants with their d = 5, 6 bases, the rare d = 6 failure,
-    # and pairwise-only mutants at d = 3 to 6
+    # pairwise-only mutants at d = 3 to 6, sampled d = 6 products with
+    # their mutants, and every d <= 2 table that passes the first axioms
     rng = random.Random(12)
     library = standard_library(4)
     d5 = [build(e) for e in rng.sample(
@@ -167,6 +169,23 @@ def test_packed_validation_agrees_with_loop_oracle():
         tables += [(s.eps, rows) for rows in rng.sample(flips, 2)]
         x, y = rng.sample(flips, 2)
         tables.append((s.eps, tuple(r ^ u ^ v for r, u, v in zip(s.values.rows, x, y))))
+    # d = 6 products, whose value sets reach 64 classes and whose rows
+    # repeat, with 2 symmetric and 1 pairwise mutant each
+    for _ in range(2):
+        s1 = rng.choice([s for s in library if s.d >= 2])
+        p = product(s1, rng.choice([s for s in library if s.d == 6 - s1.d]))
+        tables.append((p.eps, p.values.rows))
+        tables += [(p.eps, rows) for rows in
+                   rng.sample(list(symmetric_mutants(p.eps, p.values.rows)), 2)]
+        tables.append((p.eps, rng.choice(list(pairwise_mutants(p.eps, p.values.rows)))))
+    # every d <= 2 table that has the identity, self and D<1,-1> axioms
+    for d in range(3):
+        size = 1 << d
+        for eps in range(size):
+            tables += [(eps, rows) for rows in itertools.product(
+                *[[(1 << size) - 1] if a == eps else
+                  [r for r in range(1 << size) if r & 1 and r >> a & 1]
+                  for a in range(size)])]
     # each equality fails alone: b + (0 + c) = c + (0 + b) for every b, c
     # on the first two but not 0 + (b + c), and the reverse on the third
     tables += [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
