@@ -41,13 +41,13 @@ The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
 every set bit b of g, the blocks of positions with bit b clear and set:
 ((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b marks the positions with
-bit b clear.  The next layer is the union of the translates of the current
-one by the generators, less everything reached.  The shifts are walked as a
-binary trie, so shifts sharing their top bits share those swaps, and as the
-sumset is symmetric the smaller of the layer and the generator set supplies
-the shifts.  A pass keeps only the classes not yet reached, and stops as
-soon as its translates cover them all; the search ends as soon as every
-class is reached.
+bit b clear.  Layer 1 is the pure symbols.  For a head x of the class walk,
+W_x = {mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i),
+its nonzero elements are pure symbols, and each image lies in the W_x of
+its head; so the ball of radius k is the union over the heads of the ball
+of radius k - 1 saturated by W_x, S |= translate(S, w) per unit image w.
+A pass keeps only the classes not yet reached, and stops as soon as its
+saturations cover them all; the search ends when every class is reached.
 
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
@@ -59,7 +59,6 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
@@ -331,6 +330,17 @@ class SymbolAlgebra:
             self._classes = least
         return self._classes
 
+    def _head_bases(self):
+        """Yield the nonzero mu_n(x, e_i), i < d, for each distinct head x
+        of the class walk in link order: d table entries per bit of x."""
+        mul = self._mul
+        units = [1 << i for i in range(self.scheme.d)]
+        for x in dict.fromkeys(x for x, _ in self._links().values()):
+            basis = [0] * len(units)
+            for j in iter_bits(x):
+                basis = [w ^ mul[j][u] for w, u in zip(basis, units)]
+            yield [w for w in basis if w]
+
     def _bfs_layers(self, cap: int) -> list[int]:
         """Layer k of the pure-symbol Cayley graph, as a bitset, at index k."""
         if self._layers is None:
@@ -339,21 +349,18 @@ class SymbolAlgebra:
                     "k_n has 2^%d elements, enumeration cap is %d"
                     % (self.dim, cap)
                 )
+            packed = bytearray(((1 << self.dim) + 7) >> 3)
+            for g in self.pure_symbols():
+                packed[g >> 3] |= 1 << (g & 7)
+            gens = int.from_bytes(packed, "little")
             masks = _clear_bit_masks(self.dim)
-            gens = self.pure_symbols()
-            gen_set = sum(1 << g for g in gens)
             full = (1 << (1 << self.dim)) - 1
             layers = [1]
             reached = 1
             while reached != full:
-                layer = layers[-1]
                 todo = full ^ reached
-                if layer.bit_count() < len(gens):
-                    # the sumset is symmetric: walk the smaller side
-                    nxt = _union_of_translates(
-                        gen_set, list(iter_bits(layer)), masks, todo)
-                else:
-                    nxt = _union_of_translates(layer, gens, masks, todo)
+                nxt = (gens & todo if len(layers) == 1 else
+                       _union_of_saturations(reached, self._head_bases(), masks, todo))
                 if not nxt:
                     raise VerificationFailure(
                         "pure symbols span only %d of %d classes"
@@ -397,31 +404,20 @@ def _clear_bit_masks(dim: int) -> list[int]:
     return masks
 
 
-def _union_of_translates(bitset: int, shifts, masks: list[int], todo: int) -> int:
-    """The union of the translates {s ^ x : s in bitset} over a sorted shift
-    list, intersected with todo.
-
-    The shifts are walked as a binary trie from the top bit down, so the
-    block swap for a bit is done once for every shift sharing the prefix.
-    The walk stops as soon as the union covers todo.
-    """
+def _union_of_saturations(ball: int, bases, masks: list[int], todo: int) -> int:
+    """The union over the bases of ball + span(basis), intersected with todo,
+    saturating by each basis vector w in turn; it stops once it covers todo."""
     out = 0
-
-    def walk(s: int, lo: int, hi: int, b: int) -> bool:
-        nonlocal out
-        if hi - lo == 1:
-            for bit in iter_bits(shifts[lo] & ((1 << (b + 1)) - 1)):
-                s = _swap(s, bit, masks)
-            out |= s & todo
-            return out == todo
-        # shifts[lo:hi] agree above bit b; those with bit b set come last
-        mid = bisect_left(shifts, ((shifts[lo] >> b) | 1) << b, lo, hi)
-        if mid > lo and walk(s, lo, mid, b - 1):
-            return True
-        return hi > mid and walk(_swap(s, b, masks), mid, hi, b - 1)
-
-    if shifts:
-        walk(bitset, 0, len(shifts), len(masks) - 1)
+    for basis in bases:
+        s = ball
+        for w in basis:
+            t = s
+            for b in iter_bits(w):
+                t = _swap(t, b, masks)
+            s |= t
+        out |= s & todo
+        if out == todo:
+            break
     return out
 
 

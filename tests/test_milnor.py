@@ -1,8 +1,10 @@
 """Tests for the symbol algebra: k_n dimensions, images, symbol lengths."""
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +49,8 @@ from symlen.milnor import (
     SymbolAlgebra,
     SymbolVector,
     _clear_bit_masks,
-    _union_of_translates,
+    _swap,
+    _union_of_saturations,
     _value_set_rows,
     kn_space,
     sl_field,
@@ -414,25 +417,80 @@ def test_layers_match_full_pass_oracle():
         assert alg._bfs_layers(DEFAULT_SL_CAP) == bfs_layers_by_full_passes(alg), alg
 
 
+LARGE_KN = Path(__file__).resolve().parents[1] / "perfbench/reference/large-kn.json"
+
+
+def test_layers_match_full_pass_oracle_on_large_kn_sample():
+    # a seeded sample of the frozen d = 6 towers, with their frozen sl and
+    # witness
+    ops = json.loads(LARGE_KN.read_text(encoding="utf-8"))["ops"]
+    for op in random.Random(22).sample(ops, 20):
+        alg = SymbolAlgebra(build_from_text(op["scheme"]), op["n"])
+        assert alg._bfs_layers(DEFAULT_SL_CAP) == bfs_layers_by_full_passes(alg), alg
+        sl, witness = alg.max_symbol_length()
+        assert (alg.dim, sl, witness.coords) == (
+            op["expect"]["dim_kn"], op["expect"]["sl"], op["expect"]["witness"]), alg
+
+
+def span(basis):
+    out = {0}
+    for w in basis:
+        out |= {x ^ w for x in out}
+    return out
+
+
+def test_head_bases_span_the_pure_symbols():
+    algebras = [SymbolAlgebra(s, n) for s in standard_library(4) for n in (1, 2, 3)]
+    algebras += [kn_space(build_from_text(expr), n)
+                 for expr in (LAURENT5_RC, rigid_label(6)) for n in (2, 3)]
+    assert [a.dim for a in algebras[-4:]] == [16, 26, 15, 20]
+    for alg in algebras:
+        bases = list(alg._head_bases())
+        assert all(len(basis) <= alg.scheme.d for basis in bases), alg
+        assert {0}.union(*map(span, bases)) == {0, *alg.pure_symbols()}, alg
+
+
 def test_bfs_stops_without_an_empty_pass(monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _union_of_translates(*args)
+        return _union_of_saturations(*args)
 
-    monkeypatch.setattr(milnor, "_union_of_translates", counted)
+    monkeypatch.setattr(milnor, "_union_of_saturations", counted)
     alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
     layers = alg._bfs_layers(DEFAULT_SL_CAP)
     assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
-    assert len(calls) == len(layers) - 1
+    # layer 1 is the generator set; each later layer is one pass
+    assert len(calls) == len(layers) - 2
+
+
+def test_bfs_swap_count(monkeypatch):
+    # the swaps are deterministic: the n = 2 searches of the two dim 15-16
+    # towers take at most 500 each (a translate per generator took 1,480
+    # and 1,276)
+    swaps = []
+
+    def counted(*args):
+        swaps.append(args)
+        return _swap(*args)
+
+    monkeypatch.setattr(milnor, "_swap", counted)
+    for expr in (LAURENT5_RC, rigid_label(6)):
+        swaps.clear()
+        SymbolAlgebra(build_from_text(expr), 2)._bfs_layers(DEFAULT_SL_CAP)
+        assert 0 < len(swaps) <= 500, (expr, len(swaps))
 
 
 def test_bfs_refuses_non_spanning_generators(monkeypatch):
-    # the pure symbols 1 and 2 of laurent^3(QC) span 4 of its 8 classes
+    # the pure symbols 1 and 2 of laurent^3(QC) span 4 of its 8 classes;
+    # the heads are replaced by one line through each, so that the nonzero
+    # elements of their spans are those two generators
     alg = SymbolAlgebra(build_from_text(rigid_label(3)), 2)
-    gens = alg.pure_symbols()
-    monkeypatch.setattr(alg, "pure_symbols", lambda: gens[:2])
+    gens = alg.pure_symbols()[:2]
+    assert gens == (1, 2)
+    monkeypatch.setattr(alg, "pure_symbols", lambda: gens)
+    monkeypatch.setattr(alg, "_head_bases", lambda: [[g] for g in gens])
     message = "^pure symbols span only 4 of %d classes$" % (1 << alg.dim)
     with pytest.raises(VerificationFailure, match=message):
         alg._bfs_layers(DEFAULT_SL_CAP)
@@ -440,21 +498,26 @@ def test_bfs_refuses_non_spanning_generators(monkeypatch):
         bfs_layers_by_full_passes(alg)
 
 
+def subsets(dim):
+    return st.sets(st.integers(0, (1 << dim) - 1))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 7).flatmap(lambda dim: st.tuples(
     st.just(dim),
-    st.sets(st.integers(0, (1 << dim) - 1)),
-    st.sets(st.integers(0, (1 << dim) - 1)),
-    st.sets(st.integers(0, (1 << dim) - 1)))))
-def test_union_of_translates_matches_sets(case):
-    dim, members, shifts, kept = case
-    bitset = sum(1 << x for x in members)
+    subsets(dim),
+    st.lists(st.lists(st.integers(0, (1 << dim) - 1), max_size=4), max_size=4),
+    subsets(dim))))
+def test_union_of_saturations_matches_sets(case):
+    dim, members, bases, kept = case
+    ball = sum(1 << x for x in members)
     masks = _clear_bit_masks(dim)
-    union = sum(1 << y for y in {x ^ g for x in members for g in shifts})
+    union = sum(1 << y for y in {x ^ w for basis in bases
+                                 for w in span(basis) for x in members})
     everything = (1 << (1 << dim)) - 1
-    assert _union_of_translates(bitset, sorted(shifts), masks, everything) == union
+    assert _union_of_saturations(ball, bases, masks, everything) == union
     todo = sum(1 << y for y in kept)
-    assert _union_of_translates(bitset, sorted(shifts), masks, todo) == union & todo
+    assert _union_of_saturations(ball, bases, masks, todo) == union & todo
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
