@@ -92,7 +92,8 @@ class DegreeViolation(SymlenError):
 
 
 class ChainInconsistency(SymlenError):
-    """A basis chain is not actually nested or not of the declared ranks."""
+    """The rewrite left a slot remainder outside the +-D(2^m) of its basis
+    chain."""
 
 
 class VerificationFailure(SymlenError):

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
-from .scheme import DEFAULT_TENSOR_CAP, Scheme, translate
+from .scheme import DEFAULT_TENSOR_CAP, Scheme, subgroup_rows
 
 DEFAULT_SL_CAP = 1 << 24
 
@@ -100,8 +100,9 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
     """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>.
 
     a (x) b is the sum of the disjoint shifts a << d*j over the bits j of b.
-    For each a the tensors span a (x) span(D<1, -a>), so the reduced rows of
-    each value set give the same span.  Built once per scheme.
+    For each a the tensors span a (x) D<1, -a>, and as every value set is a
+    subgroup (validate_scheme), its subgroup_rows give the same span.
+    Built once per scheme.
     """
     if scheme._split_pairs is None:
         d = scheme.d
@@ -111,37 +112,16 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
             spread += [x | (1 << (d * j)) for x in spread]
         scheme._split_pairs = rref_ints(
             a * spread[b] for a in range(1, scheme.size)
-            for b in _value_set_rows(scheme.binary_unit(a ^ scheme.eps), d))
+            for b in subgroup_rows(scheme.binary_unit(a ^ scheme.eps), d))
     return scheme._split_pairs
-
-
-def _value_set_rows(values: int, d: int) -> list[int]:
-    """RREF basis of the span of a class set of F2^d, by decreasing pivot.
-
-    A subgroup's row with pivot p is its least element in [2^p, 2^(p+1)),
-    as any other one there also has the top pivot of the rows it adds.  The
-    span of these rows is the set iff the set is a subgroup; the table
-    axioms allow value sets that are not, and those are row reduced.
-    """
-    rows = []
-    span = 1
-    for p in range(d):
-        run = (values >> (1 << p)) & ((1 << (1 << p)) - 1)
-        if run:
-            low = (run & -run).bit_length() - 1
-            rows.append((1 << p) | low)
-            # the span so far lies below 2^p: add its translate by the row
-            span |= translate(span, low) << (1 << p)
-    if span != values:
-        return rref_ints(iter_bits(values & ~1))
-    return rows[::-1]
 
 
 def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}.
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the split pair
-    s, the sum of a_b (x) e_b, x (x) s is mu_{n-1}(x, a_b) in block b.
+    s, the sum of a_b (x) e_b, x (x) s is mu_{n-1}(x, a_b) in block b; at
+    n = 2, x is 1 in k_0 and the rows are the split pairs themselves.
     Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
     i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
     column of rep(e_j) (x) e_i: the free columns are those of the reduction
@@ -149,20 +129,18 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     """
     d = scheme.d
     width = lower.dim
-    if n == 2:
-        # k_1 is G in its own coordinates: the rows are the split pairs
-        rows = split_pair_basis(scheme)
-    else:
-        rows = []
+    rows = []
+    # x (x) s for each basis vector x, whose row of lower._mul is m, and
+    # each split pair s, read d bits (one a_b) at a time; m[0] is 0
+    for m in lower._mul:
         for s in split_pair_basis(scheme):
-            # x (x) s for every x at once: lower._mul has a row per x
-            acc = [0] * len(lower._mul)
-            for b in range(d):
-                a = (s >> (d * b)) & (scheme.size - 1)
-                if a:
-                    acc = [y | (m[a] << (b * width)) for y, m in zip(acc, lower._mul)]
-            rows += acc
-        rows = rref_ints(rows)
+            y = shift = 0
+            while s:
+                y |= m[s & (scheme.size - 1)] << shift
+                s >>= d
+                shift += width
+            rows.append(y)
+    rows = rref_ints(rows)
     pivots = sum(1 << (r.bit_length() - 1) for r in rows)
     free = [c for c in range(d * width) if not (pivots >> c) & 1]
     image = {c: 1 << k for k, c in enumerate(free)}
@@ -342,13 +320,15 @@ class SymbolAlgebra:
             yield [w for w in basis if w]
 
     def _bfs_layers(self, cap: int) -> list[int]:
-        """Layer k of the pure-symbol Cayley graph, as a bitset, at index k."""
+        """Layer k of the pure-symbol Cayley graph, as a bitset, at index k.
+
+        The cap is checked on every call, so that a search refused on a
+        cold cache is refused identically on a warm one."""
+        if (1 << self.dim) > cap:
+            raise TooLarge(
+                "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
+            )
         if self._layers is None:
-            if (1 << self.dim) > cap:
-                raise TooLarge(
-                    "k_n has 2^%d elements, enumeration cap is %d"
-                    % (self.dim, cap)
-                )
             packed = bytearray(((1 << self.dim) + 7) >> 3)
             for g in self.pure_symbols():
                 packed[g >> 3] |= 1 << (g & 7)

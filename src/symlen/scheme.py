@@ -31,7 +31,7 @@ from .errors import (
     NotAGroup,
     ProfileInconsistency,
 )
-from .f2space import iter_bits, rref_ints
+from .f2space import iter_bits
 
 if TYPE_CHECKING:
     from .decompose import BasisChain
@@ -72,8 +72,25 @@ def _swap_runs(mask: int, x: int, keep: list[int], unit: int) -> int:
     return mask
 
 
-def set_to_sorted(setmask: int) -> list[int]:
-    return list(iter_bits(setmask))
+def subgroup_rows(values: int, d: int) -> list[int] | None:
+    """RREF basis of a class set of F2^d by decreasing pivot, or None when
+    the set is not a subgroup.
+
+    A subgroup's row with pivot p is its least element in [2^p, 2^(p+1)),
+    as any other one there also has the top pivot of the rows it adds.  The
+    set is a subgroup iff it is the span of these rows, built as a class
+    mask one translate per row.
+    """
+    rows = []
+    span = 1
+    for p in range(d):
+        run = (values >> (1 << p)) & ((1 << (1 << p)) - 1)
+        if run:
+            low = (run & -run).bit_length() - 1
+            rows.append((1 << p) | low)
+            # the span so far lies below 2^p: add its translate by the row
+            span |= translate(span, low) << (1 << p)
+    return rows[::-1] if span == values else None
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +253,11 @@ class Scheme:
         return self._sos_chain
 
     def _check_subgroup(self, setmask: int) -> None:
-        members = set_to_sorted(setmask)
-        if 0 not in members:
+        if not setmask & 1:
             raise NotAGroup("represented set lacks the identity class")
-        # the members lie in their span, which has 2^rank elements, so they
-        # are the span iff there are 2^rank of them
-        if 1 << len(rref_ints(members)) != len(members):
-            raise NotAGroup("represented set of size %d is not a subgroup" % len(members))
+        if subgroup_rows(setmask, self.d) is None:
+            raise NotAGroup("represented set of size %d is not a subgroup"
+                            % setmask.bit_count())
 
     def d2m_chain(self) -> list[int]:
         """Subgroup chain D(2^m) for m = 0..stabilization, as bitmasks."""
@@ -341,7 +356,8 @@ class Scheme:
 
 
 def validate_scheme(scheme: Scheme) -> None:
-    """Check the table axioms and order-independence of ternary value sets.
+    """Check the table axioms, order-independence of ternary value sets and
+    that every value set is a subgroup.
 
     Raises AxiomViolation with a witness description at the first failure
     and marks the scheme validated otherwise.  Scheme.__init__ calls it, so
@@ -367,6 +383,10 @@ def validate_scheme(scheme: Scheme) -> None:
     equality is one int comparison per b.  The symmetry in (b, c) compares
     the unpacked blocks with their transpose.  On a failure of either
     axiom the first pair in row-major order is named.
+
+    Last, each D<1,a> must be a subgroup of G, as the value sets of a field
+    are (norm groups).  subgroup_rows tests each distinct row once, and the
+    least a with a row that is not a subgroup is named.
     """
     size = scheme.size
     eps = scheme.eps
@@ -426,6 +446,10 @@ def validate_scheme(scheme: Scheme) -> None:
                     raise AxiomViolation(
                         "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                     )
+    # distinct rows in the order of their least a
+    for row in dict.fromkeys(rows):
+        if subgroup_rows(row, scheme.d) is None:
+            raise AxiomViolation("D<1,%d> is not a subgroup" % rows.index(row))
     scheme._validated = True
 
 

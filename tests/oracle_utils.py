@@ -699,7 +699,8 @@ def isometric(scheme, f, g):
 
 
 def table_axioms_hold(eps, rows):
-    """All scheme axioms on a raw table, the ternary one on every triple.
+    """All scheme axioms on a raw table, the ternary one on every triple and
+    the subgroup one on every pair of members of each value set.
 
     The reference for validate_scheme: the ternary axiom is checked on
     every ordered triple (a, b, c) directly, with no translation argument.
@@ -724,8 +725,12 @@ def table_axioms_hold(eps, rows):
                 acc |= binary[x][t]
         return acc
 
-    return all(plus(a, b, c) == plus(b, a, c) == plus(c, a, b)
-               for a, b, c in itertools.product(range(size), repeat=3))
+    if not all(plus(a, b, c) == plus(b, a, c) == plus(c, a, b)
+               for a, b, c in itertools.product(range(size), repeat=3)):
+        return False
+    # each D<1,a> is a subgroup: closed under the class product
+    return all(x ^ y in unit[a] for a in range(size)
+               for x in unit[a] for y in unit[a])
 
 
 def validate_by_loops(eps, rows):
@@ -733,7 +738,8 @@ def validate_by_loops(eps, rows):
     bit-packed ternary check, raising the same AxiomViolation texts.
 
     Checks the triples (0, b, c) over all ordered pairs, with each union
-    b + (0 + c) built class by class and translated set by set.
+    b + (0 + c) built class by class and translated set by set, and last
+    that x, y in D<1,a> give x^y in D<1,a> for every a.
     """
     size = len(rows)
     for a in range(size):
@@ -770,6 +776,11 @@ def validate_by_loops(eps, rows):
                 raise AxiomViolation(
                     "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                 )
+    for a in range(size):
+        for x in iter_bits(rows[a]):
+            for y in iter_bits(rows[a]):
+                if not (rows[a] >> (x ^ y)) & 1:
+                    raise AxiomViolation("D<1,%d> is not a subgroup" % a)
 
 
 def symmetric_mutants(eps, rows):
@@ -777,7 +788,9 @@ def symmetric_mutants(eps, rows):
 
     Over a not in {0, eps} and b not in {0, a}, each table once.  The flips
     keep the identity, self and D<1,-1> axioms and the pairwise axiom
-    (b in D<1,a> iff a^eps in D<1,b^eps>), so only the ternary one can fail.
+    (b in D<1,a> iff a^eps in D<1,b^eps>), so only the ternary and subgroup
+    ones can fail; on a library table the subgroup one always does, as the
+    flipped row has 2^k +- 1 elements, k >= 1.
     """
     size = len(rows)
     seen = set()

@@ -140,6 +140,23 @@ def test_unsafe_table_rejected(capsys, tmp_path):
     assert run_cli(capsys, "build", "--unsafe-table", str(garbage))[0] == 1
 
 
+def test_unsafe_table_value_set_off_subgroup_rejected(capsys, tmp_path):
+    # D<1,1> = {0, 1, 2} is not a subgroup; every other axiom holds
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({"d": 2, "minus_one": 0, "rows": [15, 7, 15, 13]}))
+    assert run_cli(capsys, "sl", "--unsafe-table", str(path), "--n", "2") == (1, "")
+
+
+def test_bfs_cap_enforced_on_warm_cache(capsys):
+    # dim k_2 = 10, so 2^10 elements exceed a cap of 100 whether or not an
+    # uncapped run has cached the layers
+    scheme = "laurent(laurent(laurent(laurent(laurent(QC)))))"
+    args = ("sl", "--scheme", scheme, "--n", "2")
+    assert run_cli(capsys, *args, "--cap-bfs", "100")[0] == 2
+    assert run_cli(capsys, *args)[0] == 0
+    assert run_cli(capsys, *args, "--cap-bfs", "100")[0] == 2
+
+
 def test_unsafe_table_rare_ternary_failure_rejected(capsys, tmp_path):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(

@@ -24,7 +24,6 @@ from oracle_utils import (
     project,
     project_image,
     reduced_relations,
-    symmetric_mutants,
     tensor_of_vectors,
     tensor_space,
     tensor_space_mul_table,
@@ -39,9 +38,9 @@ from symlen.builders import (
     standard_expressions,
     standard_library,
 )
-from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
-from symlen.f2space import in_span, iter_bits, rank_ints, rref_ints
-from symlen.scheme import Scheme, SquareClassGroup, ValueSetTable
+from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
+from symlen.f2space import in_span, iter_bits, rref_ints
+from symlen.scheme import Scheme, subgroup_rows
 from symlen import milnor
 from symlen.milnor import (
     DEFAULT_SL_CAP,
@@ -51,7 +50,6 @@ from symlen.milnor import (
     _clear_bit_masks,
     _swap,
     _union_of_saturations,
-    _value_set_rows,
     kn_space,
     sl_field,
     split_pair_basis,
@@ -156,35 +154,17 @@ def test_tables_match_tensor_space_path():
     for s in standard_library(4) + sample + towers:
         for values in s.values.rows:
             rows = rref_ints(iter_bits(values & ~1))
-            assert _value_set_rows(values, s.d) == rows, (s.name, values)
+            assert subgroup_rows(values, s.d) == rows, (s.name, values)
 
 
 def test_value_set_rows_span_any_set():
-    # every class set holding 0 at d <= 4, subgroup or not
+    # every class set at d <= 4: the reduced rows of a subgroup, None for
+    # any other set; a set holding 0 is a subgroup iff it has 2^rank elements
     for d in range(5):
-        for values in range(1, 1 << (1 << d), 2):
-            assert _value_set_rows(values, d) == rref_ints(iter_bits(values & ~1))
-
-
-def test_tables_match_tensor_space_path_off_subgroups():
-    # tables that pass validation with a value set that is not a subgroup:
-    # every such mutant of the d <= 3 library, at n = 2, 3
-    count = 0
-    for s in standard_library(3):
-        for rows in symmetric_mutants(s.eps, s.values.rows):
-            try:
-                t = Scheme(SquareClassGroup(s.d, s.eps), ValueSetTable(rows), "mutant")
-            except AxiomViolation:
-                continue
-            # a set holding 0 is a subgroup iff it has 2^rank elements
-            if all(1 << rank_ints(iter_bits(v & ~1)) == v.bit_count() for v in rows):
-                continue
-            count += 1
-            for n in (2, 3):
-                alg = kn_space(t, n)
-                assert alg.free_cols == tensor_space(t, n).free_cols, (rows, n)
-                assert alg._mul == tensor_space_mul_table(t, n), (rows, n)
-    assert count == 811
+        for values in range(1 << (1 << d)):
+            rows = rref_ints(iter_bits(values & ~1))
+            subgroup = values & 1 and 1 << len(rows) == values.bit_count()
+            assert subgroup_rows(values, d) == (rows if subgroup else None), values
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -46,8 +46,10 @@ from symlen.errors import (
     AxiomViolation,
     EnumerationTooLarge,
     IsotropicInput,
+    NotAGroup,
     ProfileInconsistency,
 )
+from symlen.f2space import iter_bits, rank_ints, rref_ints
 from symlen.milnor import kn_space
 from symlen import scheme as scheme_module
 from symlen.scheme import (
@@ -200,14 +202,42 @@ def test_packed_validation_agrees_with_loop_oracle():
     assert all(verdicts[d] == {True, False} for d in (3, 4, 5, 6))
 
 
+def relabel(eps, rows, images):
+    """The table moved by the automorphism of G sending bit i to images[i]."""
+    def phi(c):
+        out = 0
+        for i in iter_bits(c):
+            out ^= images[i]
+        return out
+    moved = [0] * len(rows)
+    for a, row in enumerate(rows):
+        moved[phi(a)] = sum(1 << phi(b) for b in iter_bits(row))
+    return phi(eps), tuple(moved)
+
+
 def test_construction_agrees_with_axiom_oracle():
     # b + (0 + c) = c + (0 + b) for every b, c on these two, but not 0 + (b + c)
     tables = [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
               (1, (73, 255, 247, 41, 29, 41, 73, 203))]
-    tables += [(s.eps, s.values.rows) for s in standard_library(3)]
-    for s in standard_library(3):
+    library = standard_library(3)
+    tables += [(s.eps, s.values.rows) for s in library]
+    known = set(tables)
+    # the symmetric mutants of d = 3 are all rejected; each d = 3 table
+    # relabelled by a seeded basis change of G is a scheme not in the library
+    rng = random.Random(23)
+    relabelled = []
+    for s in library:
         if s.d == 3:
             tables.extend((s.eps, rows) for rows in symmetric_mutants(s.eps, s.values.rows))
+            images = [0, 0, 0]
+            while rank_ints(images) < 3:
+                images = [rng.randrange(1, 8) for _ in range(3)]
+            moved = relabel(s.eps, s.values.rows, images)
+            if moved not in known:
+                known.add(moved)
+                relabelled.append(moved)
+    assert len(relabelled) == 38
+    tables += relabelled
     verdicts = []
     for eps, rows in tables:
         try:
@@ -217,8 +247,50 @@ def test_construction_agrees_with_axiom_oracle():
             accepted = False
         assert accepted == table_axioms_hold(eps, rows), (eps, rows)
         verdicts.append(accepted)
-    # the first two are rejected, and the mutants get both verdicts
+    # the first two are rejected, and the tables past the library get both
+    # verdicts
     assert not any(verdicts[:2]) and set(verdicts[92:]) == {True, False}
+    assert all(verdicts[-len(relabelled):])
+
+
+def test_validator_rejects_value_set_off_subgroup():
+    # every other axiom holds, but D<1,1> = {0, 1, 2}
+    with pytest.raises(AxiomViolation, match=r"^D<1,1> is not a subgroup$"):
+        make(2, 0, (15, 7, 15, 13), "bad")
+
+
+def test_represented_set_must_be_subgroup(q3):
+    with pytest.raises(NotAGroup, match="lacks the identity class"):
+        q3._check_subgroup(0b0110)
+    with pytest.raises(NotAGroup, match="of size 3 is not a subgroup"):
+        q3._check_subgroup(0b0111)
+    q3._check_subgroup(0b1001)
+
+
+def test_subgroup_axiom_exhaustive_small():
+    # every d <= 2 table with the identity, self and D<1,-1> axioms: 63 pass
+    # every axiom but the subgroup one, checked last, and exactly the 21
+    # whose value sets are all subgroups are schemes
+    others = accepted = 0
+    for d in range(3):
+        size = 1 << d
+        for eps in range(size):
+            for rows in itertools.product(
+                    *[[(1 << size) - 1] if a == eps else
+                      [r for r in range(1 << size) if r & 1 and r >> a & 1]
+                      for a in range(size)]):
+                closed = [all(r >> (x ^ y) & 1 for x in iter_bits(r)
+                              for y in iter_bits(r)) for r in rows]
+                got = _violation(make, d, eps, rows, "t")
+                if got is None:
+                    assert all(closed), (eps, rows)
+                    accepted += 1
+                elif got.endswith("is not a subgroup"):
+                    assert got == "D<1,%d> is not a subgroup" % closed.index(False)
+                else:
+                    continue
+                others += 1
+    assert (others, accepted) == (63, 21)
 
 
 def test_binary_value_sets(q3):
@@ -375,14 +447,11 @@ def test_pfister_classes_are_isometry_classes(q3, rigid2):
 
 def test_stratum_images_linearly_independent(q3, rigid2, rc):
     """Non-1 slots of a maximal-ones witness are independent mod +-D(2^m)."""
-    from symlen.f2space import rank_ints, rref_ints
-    from symlen.scheme import set_to_sorted
-
     for s in (rc, q3, rigid2):
         for slots in pfister_classes(s, 2).values():
             m, witness = pfister_ones_witness(s, PfisterForm(slots))
             rest = witness[m:]
-            pm_rows = rref_ints(set_to_sorted(s.pm_d2m(m)))
+            pm_rows = rref_ints(iter_bits(s.pm_d2m(m)))
             vecs = [r for r in rest]
             joint = rank_ints(pm_rows + vecs)
             assert joint == len(pm_rows) + len(rest)
