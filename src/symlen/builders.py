@@ -9,8 +9,11 @@ two-residue-form value sets, product(S1, S2) takes the direct product of the
 class groups with componentwise value sets.
 
 A small expression language (see parse_scheme_expr) names these
-constructions; build() caches schemes by canonical label.  Every Scheme
-validates its table when it is constructed.
+constructions; build() caches schemes by canonical label and by table.
+Many labels name one table (the d <= 4 library has 550 labels on 272
+tables); a label whose table is cached is that scheme renamed, sharing its
+validation and TableCore, so each distinct table is validated, and its k_n
+built, once per cache.  A Scheme constructed directly starts cold.
 """
 
 from __future__ import annotations
@@ -119,8 +122,9 @@ _BASE_TABLES = {
 # combinators
 
 
-def laurent_extend(scheme: Scheme, name: str | None = None) -> Scheme:
-    """Adjoin a uniformizer coordinate as the new highest class bit.
+def laurent_table(scheme: Scheme) -> tuple[SquareClassGroup, ValueSetTable]:
+    """Table of laurent(scheme): a uniformizer coordinate adjoined as the
+    new highest class bit.
 
     Value sets follow the two-residue-form rule: classes from the base keep
     their base value sets, except the class of -1 whose binary form stays
@@ -142,15 +146,11 @@ def laurent_extend(scheme: Scheme, name: str | None = None) -> Scheme:
             rows.append(scheme.values.rows[a])
         else:
             rows.append(1 | (1 << a))
-    return Scheme(
-        SquareClassGroup(d + 1, eps),
-        ValueSetTable(tuple(rows)),
-        name if name is not None else "laurent(%s)" % scheme.name,
-    )
+    return SquareClassGroup(d + 1, eps), ValueSetTable(tuple(rows))
 
 
-def product(s1: Scheme, s2: Scheme, name: str | None = None) -> Scheme:
-    """Direct product scheme: class pairs, componentwise value sets."""
+def product_table(s1: Scheme, s2: Scheme) -> tuple[SquareClassGroup, ValueSetTable]:
+    """Table of the direct product: class pairs, componentwise value sets."""
     d = s1.d + s2.d
     if d > SCHEME_DIM_CAP:
         raise DimensionCapExceeded("product would reach dimension %d" % d)
@@ -159,22 +159,21 @@ def product(s1: Scheme, s2: Scheme, name: str | None = None) -> Scheme:
     # D<1,a>: row a % shift of s1 in each slot y of row a >> s1.d of s2
     spread = [sum(1 << (y * shift) for y in iter_bits(row2)) for row2 in s2.values.rows]
     rows = [s1.values.rows[a & (shift - 1)] * spread[a >> s1.d] for a in range(1 << d)]
-    return Scheme(
-        SquareClassGroup(d, eps),
-        ValueSetTable(tuple(rows)),
-        name if name is not None else "product(%s,%s)" % (s1.name, s2.name),
-    )
+    return SquareClassGroup(d, eps), ValueSetTable(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # building from expressions
 
 
-_CACHE: dict[str, Scheme] = {}
+# canonical label -> scheme, and (group, table) -> the first scheme built
+# on that table; clearing it makes every later build cold
+_CACHE: dict[str | tuple[SquareClassGroup, ValueSetTable], Scheme] = {}
 
 
 def build(expr) -> Scheme:
-    """Scheme for an expression; cached by canonical label."""
+    """Scheme for an expression; cached by canonical label.  A label whose
+    table is cached is the cached scheme renamed (Scheme.renamed)."""
     label = expr_label(expr)
     hit = _CACHE.get(label)
     if hit is not None:
@@ -185,12 +184,16 @@ def build(expr) -> Scheme:
             % (label, expr_dim(expr), SCHEME_DIM_CAP)
         )
     if isinstance(expr, BaseExpr):
-        group, table = _BASE_TABLES[expr.kind]()
-        out = Scheme(group, table, label)
+        key = _BASE_TABLES[expr.kind]()
     elif isinstance(expr, LaurentExpr):
-        out = laurent_extend(build(expr.child), name=label)
+        key = laurent_table(build(expr.child))
     else:
-        out = product(build(expr.left), build(expr.right), name=label)
+        key = product_table(build(expr.left), build(expr.right))
+    twin = _CACHE.get(key)
+    if twin is None:
+        out = _CACHE[key] = Scheme(*key, label)
+    else:
+        out = twin.renamed(label)
     _CACHE[label] = out
     return out
 

@@ -59,7 +59,6 @@ class BasisChain:
     class c.
     """
 
-    scheme_name: str
     basis: tuple[int, ...]
     ranks: tuple[int, ...]
     coordinates: tuple[int, ...] = field(compare=False, repr=False)
@@ -76,9 +75,11 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     with no rank test needed: pm_d2m reads D(2^m), which d2m_chain has
     checked is a subgroup; D u eps*D is the group generated by D and eps;
     and the chain is nested, as sos_chain checks that it increases.
+    Built once per table.
     """
-    if scheme._basis_chain is not None:
-        return scheme._basis_chain
+    core = scheme._core
+    if core.basis_chain is not None:
+        return core.basis_chain
     stab = scheme.invariants().stabilization
     basis: list[int] = []
     span: list[int] = []
@@ -100,9 +101,9 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     for i, v in enumerate(basis):
         for c, picked in list(coordinates.items()):
             coordinates[c ^ v] = picked | (1 << i)
-    chain = BasisChain(scheme.name, tuple(basis), tuple(ranks),
+    chain = BasisChain(tuple(basis), tuple(ranks),
                        tuple(coordinates[c] for c in range(scheme.size)))
-    scheme._basis_chain = chain
+    core.basis_chain = chain
     return chain
 
 

@@ -49,11 +49,23 @@ def rref_ints(rows) -> list[int]:
     """Reduced row echelon form of integer bitmask rows.
 
     Pivot of a row is its highest set bit.  Returns the canonical basis of
-    the span, sorted by decreasing mask; the zero span gives [].  The kept
-    rows stay fully reduced, so an incoming row is reduced in one pass by
-    the rows at its pivot bits, and a new pivot is cleared from the rows
-    an index of the non-pivot columns lists: no step scans the basis.
+    the span, sorted by decreasing mask; the zero span gives [].  Rows that
+    already are that basis are returned as they are, after one check: read
+    from the last, each row must exceed the pivots below it and meet none
+    of them.  Otherwise the kept rows stay fully reduced, so an incoming
+    row is reduced in one pass by the rows at its pivot bits, and a new
+    pivot is cleared from the rows an index of the non-pivot columns lists:
+    no step scans the basis.
     """
+    rows = list(rows)
+    below = 0
+    for row in reversed(rows):
+        # also fails on a zero row, or a pivot at or below one of below's
+        if row & below or row <= below:
+            break
+        below |= 1 << (row.bit_length() - 1)
+    else:
+        return rows
     basis: dict[int, int] = {}
     pivmask = 0
     # non-pivot column -> mask of the pivots whose rows have that bit

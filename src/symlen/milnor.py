@@ -59,11 +59,12 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
-from .scheme import DEFAULT_TENSOR_CAP, Scheme, subgroup_rows
+from .scheme import DEFAULT_TENSOR_CAP, Scheme
 
 DEFAULT_SL_CAP = 1 << 24
 
@@ -99,21 +100,28 @@ class SymbolVector:
 def split_pair_basis(scheme: Scheme) -> list[int]:
     """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>.
 
-    a (x) b is the sum of the disjoint shifts a << d*j over the bits j of b.
-    For each a the tensors span a (x) D<1, -a>, and as every value set is a
-    subgroup (validate_scheme), its subgroup_rows give the same span.
-    Built once per scheme.
+    a (x) b is a * spread[b], the sum of the disjoint shifts a << d*j over
+    the bits j of b.  Let A_H be the classes a with D<1, -a> = H.  The
+    tensors of the a in A_H span span(A_H) (x) H, as every value set is a
+    subgroup (validate_scheme), so a basis of span(A_H) times the
+    subgroup_rows of H, kept on the TableCore, spans them: one product per
+    distinct value set.  Built once per table.
     """
-    if scheme._split_pairs is None:
+    core = scheme._core
+    if core.split_pairs is None:
         d = scheme.d
         # spread[b] has bit d*j for each bit j of b: a (x) b = a * spread[b]
         spread = [0]
         for j in range(d):
             spread += [x | (1 << (d * j)) for x in spread]
-        scheme._split_pairs = rref_ints(
-            a * spread[b] for a in range(1, scheme.size)
-            for b in subgroup_rows(scheme.binary_unit(a ^ scheme.eps), d))
-    return scheme._split_pairs
+        rows = scheme.values.rows
+        classes_of: dict[int, list[int]] = {}
+        for a in range(1, scheme.size):
+            classes_of.setdefault(rows[a ^ scheme.eps], []).append(a)
+        core.split_pairs = rref_ints(
+            a * spread[b] for value_set, classes in classes_of.items()
+            for a in rref_ints(classes) for b in core.subgroups[value_set])
+    return core.split_pairs
 
 
 def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
@@ -159,11 +167,23 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     return free_cols, mul
 
 
+@dataclass(eq=False)
+class _Memo:
+    """The memos of one degree of k_n of a table, shared by the algebras
+    of the schemes with that table (SymbolAlgebra.for_scheme)."""
+
+    last_slot_rows: dict[int, list[int]] = field(default_factory=dict)
+    links: dict[int, tuple[int, int]] | None = None
+    classes: dict[int, tuple[int, ...]] | None = None
+    pure: tuple[int, ...] | None = None
+    layers: list[int] | None = None
+
+
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}
     by _quotient.  The degrees below n are built first, and cached, by
     kn_space; a degree whose d^n or n exceeds the tensor cap is refused
-    before any of them.
+    before any of them.  A constructed algebra starts with cold memos.
     """
 
     def __init__(self, scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP):
@@ -177,11 +197,17 @@ class SymbolAlgebra:
         else:
             self.free_cols, self._mul = _quotient(self.lower, scheme, n)
         self.dim = len(self.free_cols)
-        self._last_slot_rows: dict[int, list[int]] = {}
         self._tables: list[list[list[int]]] | None = None
-        self._link_map: dict[int, tuple[int, int]] | None = None
-        self._classes: dict[int, tuple[int, ...]] | None = None
-        self._layers: list[int] | None = None
+        self._memo = _Memo()
+
+    def for_scheme(self, scheme: Scheme) -> SymbolAlgebra:
+        """This algebra for a scheme with the same table: the same
+        coordinates, tables and memos, over that scheme's own lower
+        degrees, which kn_space has built."""
+        alg = copy.copy(self)
+        alg.scheme = scheme
+        alg.lower = scheme._kn.get(self.n - 1)
+        return alg
 
     def __repr__(self):
         return "SymbolAlgebra(%r, n=%d, dim=%d)" % (
@@ -244,18 +270,22 @@ class SymbolAlgebra:
         Memoized by x, a pure symbol or 0, as the merge asks for the row of
         every class of k_{n-1}.
         """
-        images = self._last_slot_rows.get(x)
+        memo = self._memo.last_slot_rows
+        images = memo.get(x)
         if images is None:
             row = self._row(x)
             # the class c has the vector c ^ eps, and row is linear in v
             shift = row[self.scheme.eps]
-            images = self._last_slot_rows[x] = [y ^ shift for y in row]
+            images = memo[x] = [y ^ shift for y in row]
         return images
 
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols: the images
         the class walk reaches."""
-        return tuple(sorted(self._links()))
+        memo = self._memo
+        if memo.pure is None:
+            memo.pure = tuple(sorted(self._links()))
+        return memo.pure
 
     def _links(self) -> dict[int, tuple[int, int]]:
         """Map of each nonzero image to (image of its least slot tuple's
@@ -268,13 +298,13 @@ class SymbolAlgebra:
         its algebra as the walk passes it, and a degree that already has
         its map is not walked again.
         """
-        if self._link_map is None:
+        if self._memo.links is None:
             size = self.scheme.size
             eps = self.scheme.eps
             # k_0: the empty tuple has image 1, and its extensions start at 0
             links: dict[int, tuple[int, int]] = {1: (0, 0)}
             for alg in self._chain():
-                if alg._link_map is None:
+                if alg._memo.links is None:
                     nxt: dict[int, tuple[int, int]] = {}
                     for x, (_, last) in links.items():
                         row = alg._row(x)
@@ -282,9 +312,9 @@ class SymbolAlgebra:
                             image = row[c ^ eps]
                             if image and image not in nxt:
                                 nxt[image] = (x, c)
-                    alg._link_map = nxt
-                links = alg._link_map
-        return self._link_map
+                    alg._memo.links = nxt
+                links = alg._memo.links
+        return self._memo.links
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
@@ -295,18 +325,19 @@ class SymbolAlgebra:
         leading 1 slots come first, so a class's least tuple also has the
         most.
         """
-        if self._classes is None:
+        memo = self._memo
+        if memo.classes is None:
             chain = self._chain()[::-1]
             least = {}
             for image in self._links():
                 slots = []
                 x = image
                 for alg in chain:
-                    x, c = alg._link_map[x]
+                    x, c = alg._memo.links[x]
                     slots.append(c)
                 least[image] = tuple(reversed(slots))
-            self._classes = least
-        return self._classes
+            memo.classes = least
+        return memo.classes
 
     def _head_bases(self):
         """Yield the nonzero mu_n(x, e_i), i < d, for each distinct head x
@@ -323,14 +354,19 @@ class SymbolAlgebra:
         """Layer k of the pure-symbol Cayley graph, as a bitset, at index k.
 
         The cap is checked on every call, so that a search refused on a
-        cold cache is refused identically on a warm one."""
+        cold cache is refused identically on a warm one.  Layer 1, the
+        pure symbols, is also read on every call (it is memoized), so that
+        each scheme's algebra reads its generators when it is searched,
+        as perfbench/tracer.py counts them."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
             )
-        if self._layers is None:
+        pures = self.pure_symbols()
+        memo = self._memo
+        if memo.layers is None:
             packed = bytearray(((1 << self.dim) + 7) >> 3)
-            for g in self.pure_symbols():
+            for g in pures:
                 packed[g >> 3] |= 1 << (g & 7)
             gens = int.from_bytes(packed, "little")
             masks = _clear_bit_masks(self.dim)
@@ -348,8 +384,8 @@ class SymbolAlgebra:
                     )
                 reached |= nxt
                 layers.append(nxt)
-            self._layers = layers
-        return self._layers
+            memo.layers = layers
+        return memo.layers
 
     def symbol_length(self, x: SymbolVector, cap: int = DEFAULT_SL_CAP) -> int:
         if x.dim != self.dim:
@@ -412,8 +448,10 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
     """The degree n symbol algebra of a scheme, cached on the scheme.
 
     The missing degrees up to n are built bottom-up, each on the one below,
-    and cached too.  The cap is enforced on cache hits too, so that a
-    request refused on a cold cache is refused identically on a warm one.
+    and cached too.  A degree that a scheme with the same TableCore has
+    built is not built again: the scheme gets it through for_scheme.  The
+    cap is enforced on cache hits too, so that a request refused on a cold
+    cache is refused identically on a warm one.
     """
     _check_degree(scheme.d, n, tensor_cap)
     cache = scheme._kn
@@ -421,8 +459,12 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
         low = n
         while low > 1 and low - 1 not in cache:
             low -= 1
+        built = scheme._core.kn
         for m in range(low, n + 1):
-            cache[m] = SymbolAlgebra(scheme, m, tensor_cap)
+            if m in built:
+                cache[m] = built[m].for_scheme(scheme)
+            else:
+                cache[m] = built[m] = SymbolAlgebra(scheme, m, tensor_cap)
     return cache[n]
 
 

@@ -19,8 +19,9 @@ milnor.SymbolAlgebra.
 
 from __future__ import annotations
 
+import copy
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -183,12 +184,31 @@ class InvariantProfile:
 # the scheme itself
 
 
+@dataclass(eq=False)
+class TableCore:
+    """What a scheme derives from its table alone: the subgroup rows of each
+    distinct value set, kept from validation; the square-sum and D(2^m)
+    chains; the invariant profile; the split pairs; the basis chain; and,
+    per degree n, the first k_n algebra built on the table (kn_space).
+    Memoized here, and shared by the schemes that Scheme.renamed makes."""
+
+    subgroups: dict[int, list[int]]
+    sos_chain: list[int] | None = None
+    d2m: list[int] | None = None
+    profile: InvariantProfile | None = None
+    split_pairs: list[int] | None = None
+    basis_chain: BasisChain | None = None
+    kn: dict[int, SymbolAlgebra] = field(default_factory=dict)
+
+
 class Scheme:
     """A finite quadratic form scheme with memoized derived data.
 
     The constructor validates the table (validate_scheme), so a Scheme that
-    exists satisfies the axioms.  Query methods are pure with respect to the
-    table; the instance carries memo dictionaries only.
+    exists satisfies the axioms, and starts a cold TableCore.  renamed
+    shares both under another name.  The k_n algebras in _kn name their
+    scheme, so each scheme has its own, over the core's coordinates and
+    memos.  Query methods are pure with respect to the table.
     """
 
     def __init__(self, group: SquareClassGroup, values: ValueSetTable, name: str):
@@ -211,30 +231,30 @@ class Scheme:
         for a, row in enumerate(values.rows):
             if row < 0 or row > full:
                 raise NotAGroup("value set row %d out of range" % a)
-        self._sos_chain: list[int] | None = None
-        self._d2m: list[int] | None = None
         self._kn: dict[int, SymbolAlgebra] = {}
-        self._split_pairs: list[int] | None = None
-        self._basis_chain: BasisChain | None = None
-        self._profile: InvariantProfile | None = None
-        validate_scheme(self)
+        self._core = TableCore(validate_scheme(self))
 
     def __repr__(self):
         return "Scheme(%r, d=%d)" % (self.name, self.d)
+
+    def renamed(self, name: str) -> Scheme:
+        """This scheme under another name: the same validated table and
+        TableCore, and no k_n algebra of its own yet."""
+        twin = copy.copy(self)
+        twin.name = name
+        twin._kn = {}
+        return twin
 
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def binary_unit(self, a: int) -> int:
-        """Value set D<1,a>."""
-        return self.values.rows[a]
-
     # -- sums of squares and invariants ---------------------------------
 
     def sos_chain(self) -> list[int]:
         """Bitmasks of D(k ones) for k = 1.. until the chain stabilizes."""
-        if self._sos_chain is None:
+        core = self._core
+        if core.sos_chain is None:
             chain = [1]  # D of a single <1> is {identity}
             while True:
                 cur = chain[-1]
@@ -249,8 +269,8 @@ class Scheme:
                 if nxt & cur != cur:
                     raise ProfileInconsistency("sum of squares chain not increasing")
                 chain.append(nxt)
-            self._sos_chain = chain
-        return self._sos_chain
+            core.sos_chain = chain
+        return core.sos_chain
 
     def _check_subgroup(self, setmask: int) -> None:
         if not setmask & 1:
@@ -261,8 +281,9 @@ class Scheme:
 
     def d2m_chain(self) -> list[int]:
         """Subgroup chain D(2^m) for m = 0..stabilization, as bitmasks."""
-        if self._d2m is not None:
-            return self._d2m
+        core = self._core
+        if core.d2m is not None:
+            return core.d2m
         chain = self.sos_chain()
         p = len(chain)
         masks = [chain[0]]
@@ -275,7 +296,7 @@ class Scheme:
             m += 1
         for sm in masks:
             self._check_subgroup(sm)
-        self._d2m = masks
+        core.d2m = masks
         return masks
 
     def pm_d2m(self, m: int) -> int:
@@ -285,8 +306,9 @@ class Scheme:
         return sm | translate(sm, self.eps)
 
     def invariants(self) -> InvariantProfile:
-        if self._profile is not None:
-            return self._profile
+        core = self._core
+        if core.profile is not None:
+            return core.profile
         chain = self.sos_chain()
         fixpoint = chain[-1]
         p = len(chain)
@@ -347,7 +369,7 @@ class Scheme:
             d_seq=tuple(d_seq),
             chain=tuple(masks),
         )
-        self._profile = profile
+        core.profile = profile
         return profile
 
 
@@ -355,13 +377,15 @@ class Scheme:
 # validation
 
 
-def validate_scheme(scheme: Scheme) -> None:
+def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     """Check the table axioms, order-independence of ternary value sets and
     that every value set is a subgroup.
 
-    Raises AxiomViolation with a witness description at the first failure
-    and marks the scheme validated otherwise.  Scheme.__init__ calls it, so
-    every scheme is validated once, where it is built.
+    Raises AxiomViolation with a witness description at the first failure.
+    Otherwise it marks the scheme validated and returns the subgroup_rows
+    of each distinct value set, which Scheme.__init__ keeps on the
+    TableCore.  Every scheme is validated once, where it is built, and a
+    renamed one not again.
 
     The ternary check is exhaustive at every dimension.  Write x + (y + z)
     for the union of D<x,t> over t in D<y,z>; every ordered triple must
@@ -447,10 +471,13 @@ def validate_scheme(scheme: Scheme) -> None:
                         "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                     )
     # distinct rows in the order of their least a
+    subgroups = {}
     for row in dict.fromkeys(rows):
-        if subgroup_rows(row, scheme.d) is None:
+        basis = subgroups[row] = subgroup_rows(row, scheme.d)
+        if basis is None:
             raise AxiomViolation("D<1,%d> is not a subgroup" % rows.index(row))
     scheme._validated = True
+    return subgroups
 
 
 def _pack(sets: list[int]) -> int:

@@ -79,7 +79,7 @@ def all_pairs_split_basis(scheme):
     """RREF of a (x) b over every a != 0 and every b in D<1, -a>, b != 0."""
     rows = []
     for a in range(1, scheme.size):
-        for b in iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1):
+        for b in iter_bits(scheme.values.rows[a ^ scheme.eps] & ~1):
             rows.append(tensor_of_vectors((a, b), scheme.d))
     return list_rref(rows)
 
@@ -153,7 +153,7 @@ def tensor_split_pair_basis(scheme):
     value set row reduced from its elements."""
     rows = []
     for a in range(1, scheme.size):
-        for b in rref_ints(iter_bits(scheme.binary_unit(a ^ scheme.eps) & ~1)):
+        for b in rref_ints(iter_bits(scheme.values.rows[a ^ scheme.eps] & ~1)):
             rows.append(sum(a << (scheme.d * j) for j in iter_bits(b)))
     return rref_ints(rows)
 

@@ -10,10 +10,14 @@ symbol code cannot hide in the oracle.
 """
 
 import json
+import random
 
 import pytest
 
 from oracle_utils import _dyadic_rep, generate_dyadic_table
+from symlen import builders, cli
+from symlen import scheme as scheme_module
+from symlen.bounds import make_bound_report
 from symlen.builders import (
     BaseExpr,
     LaurentExpr,
@@ -22,15 +26,17 @@ from symlen.builders import (
     build_from_text,
     expr_dim,
     expr_label,
-    laurent_extend,
+    laurent_table,
     parse_scheme_expr,
-    product,
+    product_table,
     standard_expressions,
     standard_library,
     DATA_DIR,
 )
+from symlen.decompose import make_sum, run_decomposition
 from symlen.errors import DimensionCapExceeded, ParseError
-from symlen.scheme import validate_scheme
+from symlen.milnor import sl_field
+from symlen.scheme import Scheme, pfister_classes, validate_scheme
 
 
 def test_base_tables_exact():
@@ -110,7 +116,7 @@ def test_laurent_tables():
 def test_laurent_preserves_level_and_realness():
     for text in ("QC", "RC", "F1", "F2", "laurent(QC)", "laurent(RC)"):
         base = build(parse_scheme_expr(text))
-        ext = laurent_extend(base)
+        ext = Scheme(*laurent_table(base), "laurent(%s)" % text)
         bp, ep = base.invariants(), ext.invariants()
         assert bp.is_real == ep.is_real
         assert bp.level_exponent == ep.level_exponent
@@ -138,7 +144,7 @@ def test_product_tables():
     mixed = build_from_text("product(RC,F1)")
     assert mixed.invariants().is_real
     f2 = build(BaseExpr("F2"))
-    same = product(build(BaseExpr("QC")), f2)
+    same = Scheme(*product_table(build(BaseExpr("QC")), f2), "product(QC,F2)")
     assert same.values.rows == f2.values.rows and same.eps == f2.eps
 
 
@@ -199,3 +205,94 @@ def test_standard_family_valid_small():
         if not prof.is_real:
             for k in range(1, sigma + 1):
                 assert prof.q_m(k) >= 1 << (sigma + 1 - k)
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def cold_build(expr):
+    """The scheme of expr built in an empty cache: a tree of laurent and
+    product nodes has no other node with the root's table, so the root is
+    constructed and validated, not renamed."""
+    cache = builders._CACHE
+    builders._CACHE = {}
+    try:
+        return build(expr)
+    finally:
+        builders._CACHE = cache
+
+
+def test_twin_matches_cold_build(monkeypatch, capsys):
+    # a twin is a label whose table was already built: build gives it the
+    # first scheme's validation and memos under its own name.  In library
+    # order each table's first label is queried before its twins, so the
+    # twins read warm memos; each must answer as a cold Scheme does
+    monkeypatch.setattr(builders, "_CACHE", {})
+    rng = random.Random(25)
+    twins = []
+    for expr in standard_expressions(4):
+        label = expr_label(expr)
+        s = build(expr)
+        cold = cold_build(expr)
+        assert (s.name, s.group, s.values) == (cold.name, cold.group, cold.values)
+        if builders._CACHE[(s.group, s.values)] is not s:
+            twins.append(label)
+        for n in (2, 3):
+            sl = sl_field(s, n)
+            assert sl == sl_field(cold, n), (label, n)
+            report = make_bound_report(s, n, sl[0]).as_dict()
+            assert report == make_bound_report(cold, n, sl[0]).as_dict(), (label, n)
+            assert report["scheme"] == label
+            assert (list(pfister_classes(s, n).items())
+                    == list(pfister_classes(cold, n).items())), (label, n)
+        n = rng.choice((2, 3))
+        entries = [[rng.randrange(s.size) for _ in range(n)]
+                   for _ in range(rng.randint(1, 6))]
+        warm_out, warm_cert = run_decomposition(s, make_sum(s, n, entries))
+        cold_out, cold_cert = run_decomposition(cold, make_sum(cold, n, entries))
+        assert warm_out == cold_out, label
+        assert warm_cert.as_dict() == cold_cert.as_dict(), label
+        assert warm_cert.as_dict()["scheme"] == label
+    assert len(twins) == 550 - 272
+    # the caps refuse on a warm twin as on a cold scheme: the same exit
+    # code, stdout and stderr from `symlen sl`, and a payload that names
+    # the twin
+    refused = dict.fromkeys(["--cap-bfs", "--cap-enum", "--cap-tensor"], 0)
+    parser = cli.make_parser()  # one parser for the 1,668 calls
+    monkeypatch.setattr(cli, "make_parser", lambda: parser)
+    for label in twins:
+        warm = builders._CACHE[label]
+        for cap in (["--cap-bfs", "2"], ["--cap-enum", "8"], ["--cap-tensor", "8"]):
+            argv = ["sl", "--scheme", label, "--n", "3", "--format", "json"] + cap
+            outcomes = []
+            for s in (warm, Scheme(warm.group, warm.values, label)):
+                monkeypatch.setattr(cli, "load_scheme", lambda cfg, s=s: s)
+                outcomes.append(run_cli(capsys, argv))
+            assert outcomes[0] == outcomes[1], (label, cap)
+            code, out, _ = outcomes[0]
+            if code == 0:
+                assert json.loads(out)["scheme"] == label
+            refused[cap[0]] += code == 2
+    assert refused["--cap-bfs"] > 0 and refused["--cap-tensor"] > 0
+    assert refused["--cap-enum"] == 0  # sl prints null classes instead
+
+
+def test_each_table_validated_once(monkeypatch):
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme.name)
+        return validate_scheme(scheme)
+
+    monkeypatch.setattr(builders, "_CACHE", {})
+    monkeypatch.setattr(scheme_module, "validate_scheme", counted)
+    library = standard_library(4)
+    tables = {(s.group, s.values) for s in library}
+    assert (len(library), len(tables), len(calls)) == (550, 272, 272)
+    for s in library:
+        first = builders._CACHE[(s.group, s.values)]
+        assert s._core is first._core and s._validated
+        assert (s is first) == (s.name in calls)

@@ -3,22 +3,36 @@
 import re
 
 from symlen import bounds, builders, checks, cli
+from symlen import scheme as scheme_module
+from symlen.scheme import validate_scheme
 
 
 def test_determinism_check_starts_cold(monkeypatch):
     cache_sizes = []
+    validated = []
+
+    def counted(s):
+        validated.append(s.name)
+        return validate_scheme(s)
 
     def fake_report(max_d, seed, progress=None):
-        cache_sizes.append(len(builders._CACHE))
-        builders.build_from_text("laurent(F2)")
+        # labels, and tables, cached when the pass starts
+        cache_sizes.append((len(builders._CACHE),
+                            sum(not isinstance(key, str) for key in builders._CACHE)))
+        # laurent(QC) has the table of F1, so it is F1 renamed
+        for label in ("laurent(F2)", "F1", "laurent(QC)"):
+            builders.build_from_text(label)
         return {"max_d": max_d, "seed": seed, "checks": []}
 
     # a private cache, so that the schemes other tests built stay cached
     monkeypatch.setattr(builders, "_CACHE", {})
     monkeypatch.setattr(checks, "build_report", fake_report)
+    monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     report = checks.run_verification(max_d=1)
-    assert cache_sizes == [0, 0]
-    assert len(builders._CACHE) > 0
+    assert cache_sizes == [(0, 0), (0, 0)]
+    # each pass validates F2, laurent(F2), F1 and QC
+    assert validated == ["F2", "laurent(F2)", "F1", "QC"] * 2
+    assert len(builders._CACHE) == 9
     assert report["all_passed"] and report["checks"][-1]["repeat_identical"]
 
 

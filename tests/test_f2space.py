@@ -77,6 +77,27 @@ def test_rref_matches_list_oracle(rows, data):
     assert rref_ints(rows) == list_rref(rows)
 
 
+def test_rref_of_near_reduced_rows():
+    # rref_ints returns rows that already are the reduced basis after one
+    # check; each way of missing that shape must still be reduced
+    rng = random.Random(25)
+    for _ in range(300):
+        d = rng.randrange(2, 12)
+        a = rref_ints(rng.randrange(1 << d) for _ in range(rng.randrange(2, 8)))
+        assert rref_ints(a) == a == list_rref(a)
+        if len(a) < 2:
+            continue
+        i, j = sorted(rng.sample(range(len(a)), 2))
+        same_span = [a[:i] + [a[j]] + a[i + 1:j] + [a[i]] + a[j + 1:],  # order
+                     a[:i] + [a[i] ^ a[j]] + a[i + 1:],  # a sum
+                     a + [0], [0] + a, a + [a[j]], a[:j] + a[j + 1:] + [a[j]]]
+        for rows in same_span:
+            assert rref_ints(rows) == list_rref(rows) == a, rows
+        # a row that meets a lower pivot
+        rows = a[:i] + [a[i] ^ (1 << (a[j].bit_length() - 1))] + a[i + 1:]
+        assert rref_ints(rows) == list_rref(rows), rows
+
+
 def test_rref_is_canonical():
     rng = random.Random(7)
     for _ in range(200):

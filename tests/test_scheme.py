@@ -38,7 +38,7 @@ from symlen.builders import (
     build,
     build_from_text,
     expr_dim,
-    product,
+    product_table,
     standard_expressions,
     standard_library,
 )
@@ -175,11 +175,12 @@ def test_packed_validation_agrees_with_loop_oracle():
     # repeat, with 2 symmetric and 1 pairwise mutant each
     for _ in range(2):
         s1 = rng.choice([s for s in library if s.d >= 2])
-        p = product(s1, rng.choice([s for s in library if s.d == 6 - s1.d]))
-        tables.append((p.eps, p.values.rows))
-        tables += [(p.eps, rows) for rows in
-                   rng.sample(list(symmetric_mutants(p.eps, p.values.rows)), 2)]
-        tables.append((p.eps, rng.choice(list(pairwise_mutants(p.eps, p.values.rows)))))
+        group, table = product_table(s1, rng.choice([s for s in library if s.d == 6 - s1.d]))
+        eps, rows = group.minus_one, table.rows
+        tables.append((eps, rows))
+        tables += [(eps, mutant) for mutant in
+                   rng.sample(list(symmetric_mutants(eps, rows)), 2)]
+        tables.append((eps, rng.choice(list(pairwise_mutants(eps, rows)))))
     # every d <= 2 table that has the identity, self and D<1,-1> axioms
     for d in range(3):
         size = 1 << d
@@ -296,7 +297,7 @@ def test_subgroup_axiom_exhaustive_small():
 def test_binary_value_sets(q3):
     assert binary(q3, 0, 0) == 0b0011
     assert binary(q3, 2, 3) == 0b1111
-    assert binary(q3, 2, 2) == translate(q3.binary_unit(0), 2) == 0b1100
+    assert binary(q3, 2, 2) == translate(q3.values.rows[0], 2) == 0b1100
 
 
 def test_represents(rc, q3):
