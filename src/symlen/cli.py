@@ -98,8 +98,13 @@ class InvalidConfig(SymlenError):
 # configuration plumbing
 
 
+_INT_KEYS = ("n", "seed", "cap_enum", "cap_bfs", "cap_tensor", "max_d")
+_STR_KEYS = ("scheme", "unsafe_table", "format", "form")
+
+
 def read_config_file(path: str) -> dict:
-    """Plain key=value lines; blank lines and # comments are skipped."""
+    """Plain key=value lines; blank lines and # comments are skipped.  A
+    key is an option name, with - or _; any other key is refused."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -111,11 +116,14 @@ def read_config_file(path: str) -> dict:
                 raise InvalidConfig(
                     "%s:%d: expected key=value, got %r" % (path, lineno, line)
                 )
-            out[key.strip().replace("-", "_")] = value.strip()
+            name = key.strip()
+            key = name.replace("-", "_")
+            if key not in _INT_KEYS + _STR_KEYS:
+                raise InvalidConfig(
+                    "%s:%d: unknown config key %r" % (path, lineno, name)
+                )
+            out[key] = value.strip()
     return out
-
-
-_INT_KEYS = ("n", "seed", "cap_enum", "cap_bfs", "cap_tensor", "max_d")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -131,8 +139,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                                     % (key, value))
         else:
             merged[key] = value
-    for key in ("scheme", "unsafe_table", "n", "format", "seed", "cap_enum",
-                "cap_bfs", "cap_tensor", "max_d", "form"):
+    for key in _INT_KEYS + _STR_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag

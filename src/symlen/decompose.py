@@ -3,7 +3,9 @@
 The functions here rewrite a formal sum of Pfister forms into a normal form
 whose entries draw their slots from a fixed basis chain, merge entries that
 share a common divisor of codimension one, and certify that every step
-preserved the class of the sum in the degree-n symbol algebra.
+preserved the class of the sum in the degree-n symbol algebra.  Every
+stage takes that algebra, k_n, which run_decomposition fetches once per
+request under the caller's tensor cap.
 
 The engine works with the shifted slot vectors v = a + eps rather than the
 slot classes a themselves, because the image of <<a_1,...,a_n>> in the
@@ -32,14 +34,8 @@ from .errors import (
     VerificationFailure,
 )
 from .f2space import in_span, rref_ints
-from .milnor import DEFAULT_TENSOR_CAP, SymbolVector, kn_space
-from .scheme import (
-    PfisterForm,
-    Scheme,
-    entry_stratum,
-    iter_bits,
-    pfister_ones_witness,
-)
+from .milnor import DEFAULT_TENSOR_CAP, SymbolAlgebra, SymbolVector, kn_space
+from .scheme import Scheme, entry_stratum, iter_bits, pfister_ones_witness
 
 REWRITE_STEP_CAP = 1 << 20
 
@@ -115,7 +111,6 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
 class PfisterSum:
     """A formal sum of n-fold Pfister forms, entries as sorted slot tuples."""
 
-    scheme_name: str
     degree: int
     entries: tuple[tuple[int, ...], ...]
 
@@ -148,12 +143,11 @@ def make_sum(scheme: Scheme, n: int, entries) -> PfisterSum:
                 raise InvalidCase("slot %r is not a class of %s" % (a, scheme.name))
         normalized.append(tuple(sorted(slots)))
     normalized.sort()
-    return PfisterSum(scheme.name, n, tuple(normalized))
+    return PfisterSum(n, tuple(normalized))
 
 
-def sum_residue(scheme: Scheme, psum: PfisterSum, tensor_cap: int = DEFAULT_TENSOR_CAP):
-    """Class of the sum in the degree-n symbol algebra."""
-    algebra = kn_space(scheme, psum.degree, tensor_cap)
+def sum_residue(algebra: SymbolAlgebra, psum: PfisterSum) -> SymbolVector:
+    """Class of the sum in the symbol algebra of its degree."""
     coords = 0
     for slots in psum.entries:
         coords ^= algebra.image_coords(slots)
@@ -164,9 +158,8 @@ def sum_residue(scheme: Scheme, psum: PfisterSum, tensor_cap: int = DEFAULT_TENS
 # rewriting into the basis
 
 
-def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
-                     chain: BasisChain | None = None,
-                     tensor_cap: int = DEFAULT_TENSOR_CAP) -> PfisterSum:
+def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum,
+                     chain: BasisChain | None = None) -> PfisterSum:
     """Rewrite a sum so every entry draws its non-1 slots from the chain.
 
     The output entries of stratum m have m leading 1 slots and the remaining
@@ -181,10 +174,10 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
     constructors.  On a hand-built table that breaks it, the certificate's
     residue check fails (exit code 3).
     """
+    scheme = algebra.scheme
     if chain is None:
         chain = build_basis_chain(scheme)
     n = psum.degree
-    algebra = kn_space(scheme, n, tensor_cap)
     d2m = scheme.d2m_chain()
     # work items: (slots, settled); unsettled entries still need their
     # maximal-ones representative computed
@@ -203,8 +196,7 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
             image = algebra.image_coords(slots)
             if not image:
                 continue
-            m, canonical = pfister_ones_witness(scheme, PfisterForm(tuple(slots)),
-                                                tensor_cap)
+            m, canonical = pfister_ones_witness(algebra, slots)
             if m == 0:
                 canonical = zero_witness.setdefault(image, canonical)
             work.append((canonical, True))
@@ -258,15 +250,14 @@ def rewrite_to_basis(scheme: Scheme, psum: PfisterSum,
                 continue
             parity[final] = parity.get(final, 0) ^ 1
     kept = sorted(slots for slots, odd in parity.items() if odd)
-    return PfisterSum(scheme.name, n, tuple(kept))
+    return PfisterSum(n, tuple(kept))
 
 
 # ---------------------------------------------------------------------------
 # linkage merging
 
 
-def find_linked_pair(scheme: Scheme, psum: PfisterSum,
-                     tensor_cap: int = DEFAULT_TENSOR_CAP):
+def _linked_pair(algebra: SymbolAlgebra, entries):
     """First pair of entries sharing an (n-1)-fold Pfister divisor.
 
     Returns (i, j, divisor slots, cofactor_i, cofactor_j) or None.  The
@@ -276,16 +267,14 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum,
     first hit is the first over all slot multisets: entries linked through
     slots outside their own spans are found too.
     """
-    n = psum.degree
-    if n < 2:
+    if algebra.n < 2:
         return None
-    algebra = kn_space(scheme, n, tensor_cap)
-    images = [algebra.image_coords(slots) for slots in psum.entries]
+    images = [algebra.image_coords(slots) for slots in entries]
     divisors = algebra.lower.classes()
-    for i in range(len(psum.entries)):
+    for i in range(len(entries)):
         if not images[i]:
             continue
-        for j in range(i + 1, len(psum.entries)):
+        for j in range(i + 1, len(entries)):
             if not images[j]:
                 continue
             for x, divisor in divisors.items():
@@ -295,29 +284,29 @@ def find_linked_pair(scheme: Scheme, psum: PfisterSum,
     return None
 
 
-def merge_linked(scheme: Scheme, psum: PfisterSum,
-                 tensor_cap: int = DEFAULT_TENSOR_CAP) -> PfisterSum:
+def find_linked_pair(scheme: Scheme, psum: PfisterSum):
+    """_linked_pair of the sum's entries in the k_n of its degree."""
+    return _linked_pair(kn_space(scheme, psum.degree), psum.entries)
+
+
+def merge_linked(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
     """Merge linked entry pairs until none remain.
 
     Two entries isometric to <<X, c1>> and <<X, c2>> over a common divisor
     X sum to the residue of <<X, eps*c1*c2>>, so the pair collapses to one
     entry, or to nothing when the merged form is hyperbolic.
     """
-    algebra = kn_space(scheme, psum.degree, tensor_cap)
+    eps = algebra.scheme.eps
     entries = list(psum.entries)
-    while True:
-        current = PfisterSum(psum.scheme_name, psum.degree, tuple(entries))
-        hit = find_linked_pair(scheme, current, tensor_cap)
-        if hit is None:
-            break
+    while (hit := _linked_pair(algebra, entries)) is not None:
         i, j, divisor, ci, cj = hit
-        merged = tuple(sorted(divisor + (scheme.eps ^ ci ^ cj,)))
+        merged = tuple(sorted(divisor + (eps ^ ci ^ cj,)))
         del entries[j]
         del entries[i]
         if algebra.image_coords(merged):
             entries.append(merged)
         entries.sort()
-    return PfisterSum(psum.scheme_name, psum.degree, tuple(sorted(entries)))
+    return PfisterSum(psum.degree, tuple(sorted(entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +356,17 @@ class DecompositionCertificate:
         }
 
 
-def certify(scheme: Scheme, n: int, input_sum: PfisterSum,
-            output_sum: PfisterSum,
-            tensor_cap: int = DEFAULT_TENSOR_CAP) -> DecompositionCertificate:
+def certify(algebra: SymbolAlgebra, input_sum: PfisterSum,
+            output_sum: PfisterSum) -> DecompositionCertificate:
     """Check residue equality, per-stratum counts and the length bound."""
+    scheme, n = algebra.scheme, algebra.n
     if input_sum.degree != n or output_sum.degree != n:
         raise DegreeMismatch(
             "certificate degree %d does not match the sums (%d, %d)"
             % (n, input_sum.degree, output_sum.degree)
         )
-    r_in = sum_residue(scheme, input_sum, tensor_cap)
-    r_out = sum_residue(scheme, output_sum, tensor_cap)
+    r_in = sum_residue(algebra, input_sum)
+    r_out = sum_residue(algebra, output_sum)
     residues_equal = r_in == r_out
     profile = scheme.invariants()
     caps = tuple(bound_strata_count(profile, n, m) for m in range(n + 1))
@@ -410,11 +399,10 @@ def run_decomposition(scheme: Scheme, psum: PfisterSum, merge: bool = True,
                       tensor_cap: int = DEFAULT_TENSOR_CAP):
     """Full pipeline: rewrite into the basis, optionally merge, certify.
 
-    The algebra is fetched first, under the caller's tensor cap, so that a
-    refused degree fails before any rewriting.
+    k_n is fetched once, under the caller's tensor cap, and every stage
+    works in it; a refused degree fails before any rewriting.
     """
-    kn_space(scheme, psum.degree, tensor_cap)
-    rewritten = rewrite_to_basis(scheme, psum, tensor_cap=tensor_cap)
-    final = merge_linked(scheme, rewritten, tensor_cap) if merge else rewritten
-    cert = certify(scheme, psum.degree, psum, final, tensor_cap)
-    return final, cert
+    algebra = kn_space(scheme, psum.degree, tensor_cap)
+    rewritten = rewrite_to_basis(algebra, psum)
+    final = merge_linked(algebra, rewritten) if merge else rewritten
+    return final, certify(algebra, psum, final)

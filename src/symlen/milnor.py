@@ -41,8 +41,9 @@ The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
 every set bit b of g, the blocks of positions with bit b clear and set:
 ((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b marks the positions with
-bit b clear.  Layer 1 is the pure symbols.  For a head x of the class walk,
-W_x = {mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i),
+bit b clear; scheme._swap_runs does it, as for sets of classes.  Layer 1
+is the pure symbols.  For a head x of the class walk, W_x =
+{mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i),
 its nonzero elements are pure symbols, and each image lies in the W_x of
 its head; so the ball of radius k is the union over the heads of the ball
 of radius k - 1 saturated by W_x, S |= translate(S, w) per unit image w.
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
-from .scheme import DEFAULT_TENSOR_CAP, Scheme
+from .scheme import DEFAULT_TENSOR_CAP, Scheme, _swap_runs, clear_bit_masks
 
 DEFAULT_SL_CAP = 1 << 24
 
@@ -240,9 +241,13 @@ class SymbolAlgebra:
         chain.reverse()
         return chain
 
-    def _image(self, slots) -> int:
-        """Coords of the image of <<slots>> in the degree len(slots), at
-        most n: mu of each degree applied to the image below, from 1 in k_0."""
+    def image_coords(self, slots) -> int:
+        """Coords of the image of <<slots>>: mu of each degree applied to
+        the image below, from 1 in k_0."""
+        if len(slots) != self.n:
+            raise DegreeMismatch(
+                "form has %d slots, algebra degree is %d" % (len(slots), self.n)
+            )
         if self._tables is None:
             self._tables = [alg._mul for alg in self._chain()]
         eps = self.scheme.eps
@@ -254,14 +259,6 @@ class SymbolAlgebra:
                 y ^= mul[j][v]
             x = y
         return x
-
-    def image_coords(self, slots) -> int:
-        """Coords of the image of <<slots>>."""
-        if len(slots) != self.n:
-            raise DegreeMismatch(
-                "form has %d slots, algebra degree is %d" % (len(slots), self.n)
-            )
-        return self._image(slots)
 
     def last_slot_row(self, x: int) -> list[int]:
         """Images of <<X, c>> for every class c, in class order, for a head
@@ -369,7 +366,7 @@ class SymbolAlgebra:
             for g in pures:
                 packed[g >> 3] |= 1 << (g & 7)
             gens = int.from_bytes(packed, "little")
-            masks = _clear_bit_masks(self.dim)
+            masks = clear_bit_masks(self.dim)
             full = (1 << (1 << self.dim)) - 1
             layers = [1]
             reached = 1
@@ -405,21 +402,6 @@ class SymbolAlgebra:
         return len(layers) - 1, SymbolVector(witness, self.dim)
 
 
-def _clear_bit_masks(dim: int) -> list[int]:
-    """M_b for b < dim: the set of x < 2^dim with bit b of x clear."""
-    size = 1 << dim
-    masks = []
-    for b in range(dim):
-        block = 1 << b
-        mask = (1 << block) - 1
-        width = 2 * block
-        while width < size:
-            mask |= mask << width
-            width *= 2
-        masks.append(mask)
-    return masks
-
-
 def _union_of_saturations(ball: int, bases, masks: list[int], todo: int) -> int:
     """The union over the bases of ball + span(basis), intersected with todo,
     saturating by each basis vector w in turn; it stops once it covers todo."""
@@ -427,21 +409,11 @@ def _union_of_saturations(ball: int, bases, masks: list[int], todo: int) -> int:
     for basis in bases:
         s = ball
         for w in basis:
-            t = s
-            for b in iter_bits(w):
-                t = _swap(t, b, masks)
-            s |= t
+            s |= _swap_runs(s, w, masks, 1)
         out |= s & todo
         if out == todo:
             break
     return out
-
-
-def _swap(s: int, b: int, masks: list[int]) -> int:
-    """Translate of the bitset s by the element with only bit b set."""
-    block = 1 << b
-    keep = masks[b]
-    return ((s & keep) << block) | ((s >> block) & keep)
 
 
 def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:

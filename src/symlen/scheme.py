@@ -44,19 +44,24 @@ DEFAULT_CLASS_CAP = 1 << 20
 DEFAULT_TENSOR_CAP = 1 << 13
 
 
-# _KEEP[k]: the classes below 2^SCHEME_DIM_CAP whose bit k is clear; a set
-# bit k of x swaps every aligned block of 2^k classes with its neighbour
-_KEEP = [int(("0" * (1 << k) + "1" * (1 << k)) * (1 << (SCHEME_DIM_CAP - 1 - k)), 2)
-         for k in range(SCHEME_DIM_CAP)]
-
 # validate_scheme packs one class set per 64-bit block of an int, the
 # struct format 'Q'; 2^SCHEME_DIM_CAP classes fill one block
 _BLOCK = 64
 
 
-def translate(setmask: int, x: int) -> int:
-    """Image of a set of classes under multiplication by the class x."""
-    return _swap_runs(setmask, x, _KEEP, 1)
+def clear_bit_masks(dim: int) -> list[int]:
+    """keep[k] for k < dim: the x < 2^dim whose bit k is clear, as a set of
+    2^dim bits; a set bit k of a translate swaps every aligned block of 2^k
+    bits with its neighbour.  Built by doubling, without a 2^dim-character
+    string."""
+    masks = []
+    for k in range(dim):
+        mask, width = (1 << (1 << k)) - 1, 2 << k
+        while width < 1 << dim:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
 
 
 def _swap_runs(mask: int, x: int, keep: list[int], unit: int) -> int:
@@ -71,6 +76,15 @@ def _swap_runs(mask: int, x: int, keep: list[int], unit: int) -> int:
         x >>= 1
         k += 1
     return mask
+
+
+# _KEEP[k]: the classes below 2^SCHEME_DIM_CAP whose bit k is clear
+_KEEP = clear_bit_masks(SCHEME_DIM_CAP)
+
+
+def translate(setmask: int, x: int) -> int:
+    """Image of a set of classes under multiplication by the class x."""
+    return _swap_runs(setmask, x, _KEEP, 1)
 
 
 def subgroup_rows(values: int, d: int) -> list[int] | None:
@@ -127,17 +141,6 @@ class ValueSetTable:
         size = len(self.rows)
         if size & (size - 1):
             raise NotAGroup("table size %d is not a power of two" % size)
-
-
-@dataclass(frozen=True)
-class PfisterForm:
-    """An n-fold Pfister form <<a_1,...,a_n>> = <1,a_1> x ... x <1,a_n>."""
-
-    slots: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.slots)
 
 
 @dataclass(frozen=True)
@@ -518,14 +521,9 @@ def _transpose(packed: int, d: int) -> int:
 # Pfister strata
 
 
-def _kn(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:
-    from .milnor import kn_space  # milnor imports this module
-    return kn_space(scheme, n, tensor_cap)
-
-
-def pfister_ones_witness(scheme: Scheme, pf: PfisterForm,
-                         tensor_cap: int = DEFAULT_TENSOR_CAP) -> tuple[int, tuple[int, ...]]:
-    """The stratum of an anisotropic Pfister form plus a witnessing slot tuple.
+def pfister_ones_witness(algebra: SymbolAlgebra, slots) -> tuple[int, tuple[int, ...]]:
+    """The stratum of the anisotropic Pfister form <<slots>> of the
+    algebra's degree plus a witnessing slot tuple.
 
     The stratum is the largest number m of leading 1 slots over the sorted
     slot tuples of the class.  In a stratum m >= 1 the witness is the
@@ -533,13 +531,12 @@ def pfister_ones_witness(scheme: Scheme, pf: PfisterForm,
     on the isometry class.  In stratum 0 the witness is the form's own
     slots, sorted.
     """
-    algebra = _kn(scheme, pf.degree, tensor_cap)
-    image = algebra.image_coords(pf.slots)
+    image = algebra.image_coords(slots)
     if not image:
-        raise IsotropicInput("Pfister form %r is isotropic" % (pf.slots,))
+        raise IsotropicInput("Pfister form %r is isotropic" % (tuple(slots),))
     least = algebra.classes()[image]
     m = entry_stratum(least)
-    return (m, least) if m else (0, tuple(sorted(pf.slots)))
+    return (m, least) if m else (0, tuple(sorted(slots)))
 
 
 def entry_stratum(slots) -> int:
@@ -579,4 +576,5 @@ def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP,
             "strata enumeration needs (2^%d)^%d slot tuples, cap is %d"
             % (scheme.d, n, cap)
         )
-    return dict(_kn(scheme, n, tensor_cap).classes())
+    from .milnor import kn_space  # milnor imports this module
+    return dict(kn_space(scheme, n, tensor_cap).classes())

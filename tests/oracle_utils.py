@@ -10,14 +10,8 @@ from symlen.bounds import _sm_exponent, floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import rank_ints, rref_ints
-from symlen.milnor import (
-    DEFAULT_TENSOR_CAP,
-    SymbolVector,
-    _clear_bit_masks,
-    _swap,
-    kn_space,
-)
-from symlen.scheme import iter_bits, translate
+from symlen.milnor import SymbolVector, kn_space
+from symlen.scheme import _swap_runs, clear_bit_masks, iter_bits, translate
 
 WITT_STATE_CAP = 1 << 21
 
@@ -244,7 +238,8 @@ def last_slot_images(algebra, head):
         raise DegreeMismatch(
             "form has %d slots, algebra degree is %d" % (len(head) + 1, algebra.n)
         )
-    return list(algebra.last_slot_row(algebra._image(head)))
+    x = algebra.lower.image_coords(head) if head else 1
+    return list(algebra.last_slot_row(x))
 
 
 def alternating_rank_sl(algebra, x):
@@ -434,7 +429,7 @@ def bfs_layers_by_full_passes(algebra):
     shift and is cut to the unreached classes afterwards, and the search
     stops at the first empty pass.
     """
-    masks = _clear_bit_masks(algebra.dim)
+    masks = clear_bit_masks(algebra.dim)
     gens = algebra.pure_symbols()
     gen_set = sum(1 << g for g in gens)
     layers = [1]
@@ -469,13 +464,13 @@ def _full_union_of_translates(bitset, shifts, masks):
     def walk(s: int, lo: int, hi: int, b: int) -> int:
         if hi - lo == 1:
             for bit in iter_bits(shifts[lo] & ((1 << (b + 1)) - 1)):
-                s = _swap(s, bit, masks)
+                s = _swap_runs(s, 1 << bit, masks, 1)
             return s
         # shifts[lo:hi] agree above bit b; those with bit b set come last
         mid = bisect_left(shifts, ((shifts[lo] >> b) | 1) << b, lo, hi)
         out = walk(s, lo, mid, b - 1) if mid > lo else 0
         if hi > mid:
-            out |= walk(_swap(s, b, masks), mid, hi, b - 1)
+            out |= walk(_swap_runs(s, 1 << b, masks, 1), mid, hi, b - 1)
         return out
 
     if not shifts:
@@ -483,7 +478,7 @@ def _full_union_of_translates(bitset, shifts, masks):
     return walk(bitset, 0, len(shifts), len(masks) - 1)
 
 
-def find_linked_pair_by_multisets(scheme, psum, tensor_cap=DEFAULT_TENSOR_CAP):
+def find_linked_pair_by_multisets(scheme, psum):
     """First pair of entries sharing an (n-1)-fold Pfister divisor.
 
     The reference for decompose.find_linked_pair: every slot multiset of
@@ -493,7 +488,7 @@ def find_linked_pair_by_multisets(scheme, psum, tensor_cap=DEFAULT_TENSOR_CAP):
     n = psum.degree
     if n < 2:
         return None
-    algebra = kn_space(scheme, n, tensor_cap)
+    algebra = kn_space(scheme, n)
     images = [algebra.image_coords(slots) for slots in psum.entries]
     # images of <<divisor, c>> for c = 0, 1, ..., by the divisor's rank in
     # the candidate order; the candidates themselves are not kept

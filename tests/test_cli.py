@@ -213,6 +213,21 @@ def test_config_file_rejects_garbage(capsys, tmp_path):
     assert run_cli(capsys, "sl", "--config", str(cfg))[0] == 1
 
 
+@pytest.mark.parametrize("key", ["cap-bsf", "cap_bsf", "merge", "config"])
+def test_config_file_rejects_unknown_keys(capsys, tmp_path, key):
+    # a misspelt cap must not run with the default one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme=laurent(F2)\n%s = 1\n" % key)
+    code = cli.main(["sl", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: %s:2: unknown config key %r\n" % (cfg, key)
+    # the option names are known with - or _
+    cfg.write_text("scheme=laurent(F2)\ncap-bfs = 1\ncap_tensor = 8192\n")
+    assert run_cli(capsys, "sl", "--config", str(cfg))[0] == 2
+
+
 def test_missing_scheme_rejected(capsys):
     assert run_cli(capsys, "sl", "--n", "2")[0] == 1
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symlen
+from symlen import decompose
 from symlen.builders import build, build_from_text, standard_expressions, standard_library
 from symlen.decompose import (
     build_basis_chain,
@@ -30,6 +31,7 @@ from symlen.errors import (
     InvalidCase,
 )
 from oracle_utils import find_linked_pair_by_multisets, pfister_expand, witt_decompose
+from symlen.milnor import kn_space
 from symlen.scheme import Scheme
 
 
@@ -135,9 +137,10 @@ def test_expand_slot_preserves_residue(expr, slots):
     # the rewrite splits a composite slot into basis factors plus the
     # eps-corrected remainder; the symbol algebra residue must not move
     s = build_from_text(expr)
+    k2 = kn_space(s, 2)
     whole = make_sum(s, 2, [slots])
-    parts = rewrite_to_basis(s, whole)
-    assert sum_residue(s, whole).coords == sum_residue(s, parts).coords
+    parts = rewrite_to_basis(k2, whole)
+    assert sum_residue(k2, whole).coords == sum_residue(k2, parts).coords
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ def test_expand_slot_preserves_residue(expr, slots):
 
 def test_rewrite_rigid_splits_composite_slot():
     r3 = build_from_text("laurent(laurent(laurent(QC)))")
-    out = rewrite_to_basis(r3, make_sum(r3, 2, [(3, 4)]))
+    out = rewrite_to_basis(kn_space(r3, 2), make_sum(r3, 2, [(3, 4)]))
     assert out.entries == ((1, 4), (2, 4))
 
 
@@ -153,30 +156,30 @@ def test_rewrite_maximizes_leading_ones():
     # <<ut, ut>> is anisotropic and isometric to the unique four
     # dimensional anisotropic form <<1, t>>
     q3 = build_from_text("laurent(F2)")
-    out = rewrite_to_basis(q3, make_sum(q3, 2, [(3, 3)]))
+    out = rewrite_to_basis(kn_space(q3, 2), make_sum(q3, 2, [(3, 3)]))
     assert out.entries == ((0, 2),)
 
 
 def test_rewrite_drops_hyperbolic_entries():
     q3 = build_from_text("laurent(F2)")
-    assert rewrite_to_basis(q3, make_sum(q3, 2, [(1, 2)])).entries == ()
+    assert rewrite_to_basis(kn_space(q3, 2), make_sum(q3, 2, [(1, 2)])).entries == ()
 
 
 def test_rewrite_cancels_identical_pair():
     rc = build_from_text("RC")
-    out = rewrite_to_basis(rc, make_sum(rc, 2, [(0, 0), (0, 0)]))
+    out = rewrite_to_basis(kn_space(rc, 2), make_sum(rc, 2, [(0, 0), (0, 0)]))
     assert out.entries == ()
 
 
 def test_rewrite_keeps_settled_entries():
     rr = build_from_text("laurent(laurent(RC))")
-    out = rewrite_to_basis(rr, make_sum(rr, 2, [(0, 2), (2, 4)]))
+    out = rewrite_to_basis(kn_space(rr, 2), make_sum(rr, 2, [(0, 2), (2, 4)]))
     assert out.entries == ((0, 2), (2, 4))
 
 
 def test_rewrite_empty_sum():
     q3 = build_from_text("laurent(F2)")
-    assert rewrite_to_basis(q3, make_sum(q3, 2, [])).entries == ()
+    assert rewrite_to_basis(kn_space(q3, 2), make_sum(q3, 2, [])).entries == ()
 
 
 def test_rewrite_does_not_depend_on_earlier_sums():
@@ -218,8 +221,9 @@ def test_rewrite_random_sums_settle():
                     for _ in range(k)
                 ]
                 psum = make_sum(s, n, entries)
-                out = rewrite_to_basis(s, psum)
-                assert sum_residue(s, psum).coords == sum_residue(s, out).coords
+                kn = kn_space(s, n)
+                out = rewrite_to_basis(kn, psum)
+                assert sum_residue(kn, psum).coords == sum_residue(kn, out).coords
                 _assert_settled_shape(s, chain, out)
 
 
@@ -228,7 +232,7 @@ def test_rewrite_random_sums_settle():
 
 def test_merge_common_slot_pair():
     r4 = build_from_text("laurent(laurent(laurent(laurent(QC))))")
-    out = merge_linked(r4, make_sum(r4, 2, [(1, 2), (1, 4)]))
+    out = merge_linked(kn_space(r4, 2), make_sum(r4, 2, [(1, 2), (1, 4)]))
     assert out.entries == ((1, 6),)
 
 
@@ -238,21 +242,23 @@ def test_merge_cross_stratum_pair():
     rr = build_from_text("laurent(laurent(RC))")
     psum = make_sum(rr, 2, [(0, 2), (2, 4)])
     assert find_linked_pair(rr, psum) == (0, 1, (2,), 0, 4)
-    out = merge_linked(rr, psum)
+    k2 = kn_space(rr, 2)
+    out = merge_linked(k2, psum)
     assert out.entries == ((2, 5),)
-    assert sum_residue(rr, psum).coords == sum_residue(rr, out).coords
+    assert sum_residue(k2, psum).coords == sum_residue(k2, out).coords
 
 
 def test_merge_identical_pair_cancels():
     rc = build_from_text("RC")
-    assert merge_linked(rc, make_sum(rc, 2, [(0, 0), (0, 0)])).entries == ()
+    out = merge_linked(kn_space(rc, 2), make_sum(rc, 2, [(0, 0), (0, 0)]))
+    assert out.entries == ()
 
 
 def test_merge_leaves_unlinked_pair():
     r4 = build_from_text("laurent(laurent(laurent(laurent(QC))))")
     psum = make_sum(r4, 2, [(1, 2), (4, 8)])
     assert find_linked_pair(r4, psum) is None
-    assert merge_linked(r4, psum).entries == ((1, 2), (4, 8))
+    assert merge_linked(kn_space(r4, 2), psum).entries == ((1, 2), (4, 8))
 
 
 def test_find_linked_pair_at_d6_degree_four():
@@ -305,6 +311,22 @@ def test_d6_degree_five_sum_certifies():
     final, cert = run_decomposition(r6, psum)
     assert cert.passed
     assert find_linked_pair(r6, final) is None
+
+
+def test_decomposition_fetches_kn_once(monkeypatch):
+    # every stage works in the one k_n fetched under the caller's cap
+    r3 = build_from_text("laurent(laurent(laurent(QC)))")
+    fetched = []
+
+    def counted(*args):
+        fetched.append(args)
+        return kn_space(*args)
+
+    monkeypatch.setattr(decompose, "kn_space", counted)
+    psum = make_sum(r3, 2, [(3, 4), (5, 6), (7, 1), (3, 2)])
+    final, cert = run_decomposition(r3, psum, tensor_cap=64)
+    assert cert.passed and final.length < psum.length
+    assert fetched == [(r3, 2, 64)]
 
 
 def test_large_degree_sum_certifies():
@@ -380,7 +402,7 @@ def test_certify_detects_corruption():
     r3 = build_from_text("laurent(laurent(laurent(QC)))")
     psum = make_sum(r3, 2, [(3, 4)])
     bad = make_sum(r3, 2, [(1, 4)])
-    cert = certify(r3, 2, psum, bad)
+    cert = certify(kn_space(r3, 2), psum, bad)
     assert not cert.residues_equal
     assert not cert.passed
 
@@ -388,7 +410,7 @@ def test_certify_detects_corruption():
 def test_certify_degree_mismatch():
     r3 = build_from_text("laurent(laurent(laurent(QC)))")
     with pytest.raises(DegreeMismatch):
-        certify(r3, 3, make_sum(r3, 2, [(3, 4)]), make_sum(r3, 2, []))
+        certify(kn_space(r3, 3), make_sum(r3, 2, [(3, 4)]), make_sum(r3, 2, []))
 
 
 def test_seeded_decompositions_certify():
@@ -444,5 +466,7 @@ def test_random_sums_certify_and_do_not_depend_on_order(case):
         assert find_linked_pair(warm, final) is None
         # each sum again on a scheme with cold memos
         cold = Scheme(s.group, s.values, s.name)
-        assert rewrite_to_basis(cold, psum) == rewrite_to_basis(warm, psum)
+        n = psum.degree
+        assert (rewrite_to_basis(kn_space(cold, n), psum)
+                == rewrite_to_basis(kn_space(warm, n), psum))
         assert run_decomposition(cold, psum) == (final, cert)

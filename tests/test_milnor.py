@@ -40,15 +40,13 @@ from symlen.builders import (
 )
 from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import in_span, iter_bits, rref_ints
-from symlen.scheme import Scheme, subgroup_rows
+from symlen.scheme import Scheme, _swap_runs, clear_bit_masks, subgroup_rows
 from symlen import milnor
 from symlen.milnor import (
     DEFAULT_SL_CAP,
     DEFAULT_TENSOR_CAP,
     SymbolAlgebra,
     SymbolVector,
-    _clear_bit_masks,
-    _swap,
     _union_of_saturations,
     kn_space,
     sl_field,
@@ -448,18 +446,18 @@ def test_bfs_stops_without_an_empty_pass(monkeypatch):
 def test_bfs_swap_count(monkeypatch):
     # the swaps are deterministic: the n = 2 searches of the two dim 15-16
     # towers take at most 500 each (a translate per generator took 1,480
-    # and 1,276)
+    # and 1,276); a translate by w swaps once per set bit of w
     swaps = []
 
-    def counted(*args):
-        swaps.append(args)
-        return _swap(*args)
+    def counted(s, w, masks, unit):
+        swaps.append(w.bit_count())
+        return _swap_runs(s, w, masks, unit)
 
-    monkeypatch.setattr(milnor, "_swap", counted)
+    monkeypatch.setattr(milnor, "_swap_runs", counted)
     for expr in (LAURENT5_RC, rigid_label(6)):
         swaps.clear()
         SymbolAlgebra(build_from_text(expr), 2)._bfs_layers(DEFAULT_SL_CAP)
-        assert 0 < len(swaps) <= 500, (expr, len(swaps))
+        assert 0 < sum(swaps) <= 500, (expr, sum(swaps))
 
 
 def test_bfs_refuses_non_spanning_generators(monkeypatch):
@@ -491,7 +489,7 @@ def subsets(dim):
 def test_union_of_saturations_matches_sets(case):
     dim, members, bases, kept = case
     ball = sum(1 << x for x in members)
-    masks = _clear_bit_masks(dim)
+    masks = clear_bit_masks(dim)
     union = sum(1 << y for y in {x ^ w for basis in bases
                                  for w in span(basis) for x in members})
     everything = (1 << (1 << dim)) - 1

@@ -50,10 +50,9 @@ from symlen.errors import (
     ProfileInconsistency,
 )
 from symlen.f2space import iter_bits, rank_ints, rref_ints
+from symlen import milnor
 from symlen.milnor import kn_space
-from symlen import scheme as scheme_module
 from symlen.scheme import (
-    PfisterForm,
     Scheme,
     SquareClassGroup,
     ValueSetTable,
@@ -413,16 +412,16 @@ def test_pfister_expand():
 
 
 def test_pfister_ones_rank(rc, q3, rigid2):
-    assert pfister_ones_witness(rc, PfisterForm((0, 0)))[0] == 2
-    assert pfister_ones_witness(rigid2, PfisterForm((1, 2)))[0] == 0
-    assert pfister_ones_witness(q3, PfisterForm((0, 2)))[0] == 1
-    assert pfister_ones_witness(q3, PfisterForm((2, 2)))[0] == 1
+    assert pfister_ones_witness(kn_space(rc, 2), (0, 0))[0] == 2
+    assert pfister_ones_witness(kn_space(rigid2, 2), (1, 2))[0] == 0
+    assert pfister_ones_witness(kn_space(q3, 2), (0, 2))[0] == 1
+    assert pfister_ones_witness(kn_space(q3, 2), (2, 2))[0] == 1
     with pytest.raises(IsotropicInput):
-        pfister_ones_witness(q3, PfisterForm((1, 2)))
+        pfister_ones_witness(kn_space(q3, 2), (1, 2))
 
 
 def test_pfister_ones_witness_lex(q3):
-    m, slots = pfister_ones_witness(q3, PfisterForm((2, 2)))
+    m, slots = pfister_ones_witness(kn_space(q3, 2), (2, 2))
     assert m == 1 and slots == (0, 2)
 
 
@@ -450,7 +449,7 @@ def test_stratum_images_linearly_independent(q3, rigid2, rc):
     """Non-1 slots of a maximal-ones witness are independent mod +-D(2^m)."""
     for s in (rc, q3, rigid2):
         for slots in pfister_classes(s, 2).values():
-            m, witness = pfister_ones_witness(s, PfisterForm(slots))
+            m, witness = pfister_ones_witness(kn_space(s, 2), slots)
             rest = witness[m:]
             pm_rows = rref_ints(iter_bits(s.pm_d2m(m)))
             vecs = [r for r in rest]
@@ -495,7 +494,7 @@ def assert_images_match_witt(s, n, tuples):
         if image:
             assert kernel_of_image.setdefault(image, wc.kernel) == wc.kernel
             assert image_of_kernel.setdefault(wc.kernel, image) == image
-            assert (pfister_ones_witness(s, PfisterForm(slots))
+            assert (pfister_ones_witness(alg, slots)
                     == kernel_ones_witness(s, slots)), (s.name, slots)
 
 
@@ -543,7 +542,7 @@ def assert_class_map_matches_scans(s, n):
     assert enumerate_pfister_strata(s, n) == strata
     for image, least in classes.items():
         for slots in {least, least[::-1], tuple(sorted(least, reverse=True))}:
-            assert (pfister_ones_witness(s, PfisterForm(slots))
+            assert (pfister_ones_witness(alg, slots)
                     == ones.get(image, (0, least))), (s.name, slots)
 
 
@@ -601,7 +600,7 @@ def test_class_cap_compares_without_the_power(monkeypatch):
         def classes(self):
             return {}
 
-    monkeypatch.setattr(scheme_module, "_kn", lambda s, n, tensor_cap: NoClasses())
+    monkeypatch.setattr(milnor, "kn_space", lambda s, n, tensor_cap: NoClasses())
     for label in ("QC", "RC", "laurent(F2)", "Q2", "laurent(laurent(Q2))",
                   "laurent(laurent(laurent(Q2)))"):
         s = build_from_text(label)
