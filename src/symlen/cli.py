@@ -6,8 +6,8 @@ family, run certified Pfister decompositions, and run the full
 verification report.  All stdout payloads are deterministic for a fixed
 configuration; timings and progress go to stderr.
 
-Exit codes: 0 success, 1 invalid input, 2 a resource cap was exceeded,
-3 a verification failed.
+Exit codes: 0 success (or --help), 1 invalid input or a usage error,
+2 a resource cap was exceeded, 3 a verification failed.
 """
 
 from __future__ import annotations
@@ -18,16 +18,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from functools import partial
 
 from .bounds import make_bound_report
 from .builders import build_from_text
 from .checks import render_report, run_verification
-from .decompose import (
-    build_basis_chain,
-    make_sum,
-    run_decomposition,
-)
+from .decompose import build_basis_chain, make_sum, run_decomposition
 from .errors import (
     DimensionCapExceeded,
     EnumerationTooLarge,
@@ -50,56 +46,68 @@ EXIT_INVALID = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
 
-DEFAULTS = {
-    "n": 2,
-    "format": "table",
-    "seed": 2024,
-    "cap_enum": DEFAULT_CLASS_CAP,
-    "cap_bfs": DEFAULT_SL_CAP,
-    "cap_tensor": DEFAULT_TENSOR_CAP,
-    "max_d": 4,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    scheme_text: str | None
-    table_path: str | None
-    n: int
-    fmt: str
-    seed: int
-    cap_enum: int
-    cap_bfs: int
-    cap_tensor: int
-    max_d: int
-    verbosity: int
-    form_text: str | None = None
-    merge: bool = True
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidConfig("degree n must be at least 2, got %d" % self.n)
-        for label, cap in (("cap-enum", self.cap_enum),
-                           ("cap-bfs", self.cap_bfs),
-                           ("cap-tensor", self.cap_tensor)):
-            if cap <= 0:
-                raise InvalidConfig("%s must be positive, got %d" % (label, cap))
-        if self.fmt not in ("json", "csv", "table"):
-            raise InvalidConfig("unknown format %r" % self.fmt)
-
 
 class InvalidConfig(SymlenError):
     """Command line or config file options are unusable."""
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# options
 
 
-_INT_KEYS = ("n", "seed", "cap_enum", "cap_bfs", "cap_tensor", "max_d")
-_STR_KEYS = ("scheme", "unsafe_table", "format", "form")
+def int_at_least(low: int, text: str) -> int:
+    """argparse type, with low bound by partial: an integer no smaller than low."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < low:
+        raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+    return value
+
+
+SCHEME_COMMANDS = ("build", "invariants", "sl", "bounds", "decompose")
+ALL_COMMANDS = SCHEME_COMMANDS + ("verify-paper",)
+
+# every option once: its flags, the subcommands that read it, and its
+# argparse keywords; a subcommand accepts only the options it reads
+OPTIONS = [
+    (("--scheme",), SCHEME_COMMANDS,
+     dict(help="scheme expression, e.g. laurent(F2)")),
+    (("--unsafe-table",), SCHEME_COMMANDS,
+     dict(metavar="FILE", help="raw scheme table (JSON); axioms are re-validated")),
+    (("--format",), SCHEME_COMMANDS,
+     dict(choices=("json", "csv", "table"), default="table",
+          help="output format (default table)")),
+    (("--n",), ("sl", "bounds", "decompose"),
+     dict(type=partial(int_at_least, 2), default=2, help="Pfister degree (default 2)")),
+    (("--cap-enum",), ("sl",),
+     dict(type=partial(int_at_least, 1), default=DEFAULT_CLASS_CAP,
+          help="slot tuple count (2^d)^n above which anisotropic_classes is "
+               "null; the class walk of the search runs whatever its value")),
+    (("--cap-bfs",), ("sl", "bounds"),
+     dict(type=partial(int_at_least, 1), default=DEFAULT_SL_CAP,
+          help="largest order 2^dim of k_n searched for symbol lengths")),
+    (("--cap-tensor",), ("sl", "bounds", "decompose"),
+     dict(type=partial(int_at_least, 1), default=DEFAULT_TENSOR_CAP,
+          help="bound on the d^n tensor coordinates of k_n and on n")),
+    (("--form",), ("decompose",),
+     dict(help="entries 'c1,c2;c1,c2' as coordinate bitstrings over the "
+               "chain basis (rightmost bit first)")),
+    (("--no-merge",), ("decompose",),
+     dict(action="store_true", help="skip the linkage merge after rewriting")),
+    (("--max-d",), ("verify-paper",),
+     dict(type=int, default=4, help="library dimension limit (default 4)")),
+    (("--seed",), ("verify-paper",),
+     dict(type=int, default=2024, help="seed for sampled checks (default 2024)")),
+    (("--config",), ALL_COMMANDS,
+     dict(metavar="FILE", help="key=value option file; flags win")),
+    (("-v", "--verbose"), ALL_COMMANDS, dict(action="count", default=0)),
+]
+
+# a config file may set any option that takes a value, except --config
+CONFIG_KEYS = {flags[-1][2:] for flags, _, kwargs in OPTIONS
+               if "action" not in kwargs and flags != ("--config",)}
 
 
 def read_config_file(path: str) -> dict:
@@ -117,46 +125,13 @@ def read_config_file(path: str) -> dict:
                     "%s:%d: expected key=value, got %r" % (path, lineno, line)
                 )
             name = key.strip()
-            key = name.replace("-", "_")
-            if key not in _INT_KEYS + _STR_KEYS:
+            key = name.replace("_", "-")
+            if key not in CONFIG_KEYS:
                 raise InvalidConfig(
                     "%s:%d: unknown config key %r" % (path, lineno, name)
                 )
             out[key] = value.strip()
     return out
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Explicit flags win over the config file, which wins over defaults."""
-    file_values = read_config_file(args.config) if args.config else {}
-    merged = dict(DEFAULTS)
-    for key, value in file_values.items():
-        if key in _INT_KEYS:
-            try:
-                merged[key] = int(value)
-            except ValueError:
-                raise InvalidConfig("config key %s needs an integer, got %r"
-                                    % (key, value))
-        else:
-            merged[key] = value
-    for key in _INT_KEYS + _STR_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return RunConfig(
-        scheme_text=merged.get("scheme"),
-        table_path=merged.get("unsafe_table"),
-        n=int(merged["n"]),
-        fmt=str(merged["format"]),
-        seed=int(merged["seed"]),
-        cap_enum=int(merged["cap_enum"]),
-        cap_bfs=int(merged["cap_bfs"]),
-        cap_tensor=int(merged["cap_tensor"]),
-        max_d=int(merged["max_d"]),
-        verbosity=getattr(args, "verbose", 0),
-        form_text=merged.get("form"),
-        merge=not getattr(args, "no_merge", False),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +177,12 @@ def load_table_file(path: str) -> Scheme:
                   ValueSetTable(tuple(rows)), name)
 
 
-def load_scheme(cfg: RunConfig) -> Scheme:
-    if cfg.table_path is not None:
-        return load_table_file(cfg.table_path)
-    if not cfg.scheme_text:
+def load_scheme(args: argparse.Namespace) -> Scheme:
+    if args.unsafe_table is not None:
+        return load_table_file(args.unsafe_table)
+    if not args.scheme:
         raise InvalidConfig("no scheme given; use --scheme or --unsafe-table")
-    return build_from_text(cfg.scheme_text)
+    return build_from_text(args.scheme)
 
 
 def parse_form_text(text: str, scheme: Scheme) -> list[tuple[int, ...]]:
@@ -278,8 +253,9 @@ def render(data: dict, fmt: str) -> str:
 # subcommands
 
 
-def cmd_build(cfg: RunConfig) -> tuple[dict, int]:
-    scheme = load_scheme(cfg)
+def cmd_build(args: argparse.Namespace) -> tuple[dict, int]:
+    """Validate a scheme and print its table."""
+    scheme = load_scheme(args)
     payload = {
         "scheme": scheme.name,
         "d": scheme.d,
@@ -291,8 +267,9 @@ def cmd_build(cfg: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_invariants(cfg: RunConfig) -> tuple[dict, int]:
-    scheme = load_scheme(cfg)
+def cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
+    """Print the invariant profile of a scheme."""
+    scheme = load_scheme(args)
     prof = scheme.invariants()
     payload = {
         "scheme": scheme.name,
@@ -310,17 +287,18 @@ def cmd_invariants(cfg: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_sl(cfg: RunConfig) -> tuple[dict, int]:
-    scheme = load_scheme(cfg)
-    algebra = kn_space(scheme, cfg.n, cfg.cap_tensor)
-    best, witness = algebra.max_symbol_length(cfg.cap_bfs)
+def cmd_sl(args: argparse.Namespace) -> tuple[dict, int]:
+    """Exact symbol length with witness."""
+    scheme = load_scheme(args)
+    algebra = kn_space(scheme, args.n, args.cap_tensor)
+    best, witness = algebra.max_symbol_length(args.cap_bfs)
     try:
-        classes = len(pfister_classes(scheme, cfg.n, cfg.cap_enum, cfg.cap_tensor))
+        classes = len(pfister_classes(scheme, args.n, args.cap_enum, args.cap_tensor))
     except EnumerationTooLarge:
         classes = None
     payload = {
         "scheme": scheme.name,
-        "n": cfg.n,
+        "n": args.n,
         "dim_kn": algebra.dim,
         "sl": best,
         "witness": {"coords": witness.coords, "dim": witness.dim},
@@ -329,43 +307,40 @@ def cmd_sl(cfg: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> tuple[dict, int]:
-    scheme = load_scheme(cfg)
-    algebra = kn_space(scheme, cfg.n, cfg.cap_tensor)
-    exact, _ = algebra.max_symbol_length(cfg.cap_bfs)
-    report = make_bound_report(scheme, cfg.n, exact)
+def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
+    """Evaluate every length bound with tightness."""
+    scheme = load_scheme(args)
+    algebra = kn_space(scheme, args.n, args.cap_tensor)
+    exact, _ = algebra.max_symbol_length(args.cap_bfs)
+    report = make_bound_report(scheme, args.n, exact)
     report.check_dominance()
     payload = report.as_dict()
     payload["dominance"] = "pass"
     return payload, EXIT_OK
 
 
-def cmd_decompose(cfg: RunConfig) -> tuple[dict, int]:
-    scheme = load_scheme(cfg)
-    if not cfg.form_text:
+def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
+    """Rewrite a Pfister sum and emit the certificate."""
+    scheme = load_scheme(args)
+    if not args.form:
         raise InvalidConfig("decompose needs --form")
-    entries = parse_form_text(cfg.form_text, scheme)
-    if entries and len(entries[0]) != cfg.n:
-        raise InvalidConfig(
-            "entries have %d slots but n is %d" % (len(entries[0]), cfg.n)
-        )
-    psum = make_sum(scheme, cfg.n, entries)
-    final, cert = run_decomposition(scheme, psum, merge=cfg.merge,
-                                    tensor_cap=cfg.cap_tensor)
-    payload = cert.as_dict()
+    psum = make_sum(scheme, args.n, parse_form_text(args.form, scheme))
+    _, cert = run_decomposition(scheme, psum, merge=not args.no_merge,
+                                tensor_cap=args.cap_tensor)
     code = EXIT_OK if cert.passed else EXIT_VERIFY
-    return payload, code
+    return cert.as_dict(), code
 
 
-def cmd_verify_paper(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_verify_paper(args: argparse.Namespace) -> tuple[dict, int]:
+    """Run the complete verification report."""
     progress = None
-    if cfg.verbosity:
+    if args.verbose:
         def progress(entry, seconds):
             print("check %2d %-28s %-4s %8.2fs"
                   % (entry["id"], entry["name"],
                      "ok" if entry["passed"] else "FAIL", seconds),
                   file=sys.stderr)
-    report = run_verification(cfg.max_d, cfg.seed, progress)
+    report = run_verification(args.max_d, args.seed, progress)
     code = EXIT_OK if report["all_passed"] else EXIT_VERIFY
     return report, code
 
@@ -391,67 +366,55 @@ def make_parser() -> argparse.ArgumentParser:
                     "quadratic form schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("build", "validate a scheme and print its table"),
-        ("invariants", "print the invariant profile of a scheme"),
-        ("sl", "exact symbol length with witness"),
-        ("bounds", "evaluate every length bound with tightness"),
-        ("decompose", "rewrite a Pfister sum and emit the certificate"),
-        ("verify-paper", "run the complete verification report"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scheme", help="scheme expression, e.g. laurent(F2)")
-        p.add_argument("--unsafe-table", metavar="FILE",
-                       help="raw scheme table (JSON); axioms are re-validated")
-        p.add_argument("--n", type=int, help="Pfister degree (default 2)")
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       help="output format (default table)")
-        p.add_argument("--seed", type=int, help="seed for sampled checks")
-        p.add_argument("--cap-enum", type=int, dest="cap_enum",
-                       help="enumeration size cap")
-        p.add_argument("--cap-bfs", type=int, dest="cap_bfs",
-                       help="largest order 2^dim of k_n searched for "
-                            "symbol lengths")
-        p.add_argument("--cap-tensor", type=int, dest="cap_tensor",
-                       help="tensor space dimension cap")
-        p.add_argument("--max-d", type=int, dest="max_d",
-                       help="library dimension limit for verify-paper")
-        p.add_argument("--config", metavar="FILE",
-                       help="key=value option file; flags win")
-        p.add_argument("-v", "--verbose", action="count", default=0)
-        if name == "decompose":
-            p.add_argument("--form", help="entries 'c1,c2;c1,c2' as coordinate "
-                                          "bitstrings over the chain basis "
-                                          "(rightmost bit first)")
-            p.add_argument("--no-merge", action="store_true",
-                           help="skip the linkage merge after rewriting")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        for flags, commands, kwargs in OPTIONS:
+            if name in commands:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """Explicit flags win over the config file, which wins over defaults:
+    the file's values go in as --key=value ahead of the flags and the same
+    parser reads them again.  Keys the subcommand does not read are skipped,
+    so one file serves several subcommands."""
     parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if args.config:
+        read = {flags[-1] for flags, commands, _ in OPTIONS
+                if args.command in commands}
+        tokens = ["--%s=%s" % item for item in read_config_file(args.config).items()
+                  if "--" + item[0] in read]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    return args
+
+
+def main(argv=None) -> int:
     t0 = time.time()
     try:
-        cfg = resolve_config(args)
-        payload, code = COMMANDS[args.command](cfg)
+        args = parse_args(argv)
+        payload, code = COMMANDS[args.command](args)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # invalid input here: 2 means a cap was exceeded
+        return EXIT_INVALID if exc.code else EXIT_OK
     except (EnumerationTooLarge, DimensionCapExceeded) as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP
     except VerificationFailure as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return EXIT_VERIFY
-    except SymlenError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (SymlenError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     if args.command == "verify-paper":
         sys.stdout.write(render_report(payload))
     else:
-        sys.stdout.write(render(payload, cfg.fmt))
-    if cfg.verbosity:
+        sys.stdout.write(render(payload, args.format))
+    if args.verbose:
         print("elapsed %.2fs" % (time.time() - t0), file=sys.stderr)
     return code
 

@@ -158,8 +158,7 @@ def sum_residue(algebra: SymbolAlgebra, psum: PfisterSum) -> SymbolVector:
 # rewriting into the basis
 
 
-def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum,
-                     chain: BasisChain | None = None) -> PfisterSum:
+def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
     """Rewrite a sum so every entry draws its non-1 slots from the chain.
 
     The output entries of stratum m have m leading 1 slots and the remaining
@@ -175,8 +174,7 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum,
     residue check fails (exit code 3).
     """
     scheme = algebra.scheme
-    if chain is None:
-        chain = build_basis_chain(scheme)
+    chain = build_basis_chain(scheme)
     n = psum.degree
     d2m = scheme.d2m_chain()
     # work items: (slots, settled); unsettled entries still need their

@@ -1,5 +1,6 @@
 """Tests for the command line surface: formats, exit codes, config plumbing."""
 
+import argparse
 import json
 
 import pytest
@@ -339,3 +340,93 @@ def test_decompose_merge_at_d6_degree_four(capsys, label):
     data = json.loads(out)
     assert data["input"] == sorted(list(e) for e in entries)
     assert data["passed"] is True
+
+
+RIGID3 = "laurent(laurent(laurent(QC)))"
+
+# the options each subcommand reads, and so accepts
+ACCEPTED = {
+    "build": ["--config", "--format", "--scheme", "--unsafe-table", "--verbose"],
+    "invariants": ["--config", "--format", "--scheme", "--unsafe-table", "--verbose"],
+    "sl": ["--cap-bfs", "--cap-enum", "--cap-tensor", "--config", "--format", "--n",
+           "--scheme", "--unsafe-table", "--verbose"],
+    "bounds": ["--cap-bfs", "--cap-tensor", "--config", "--format", "--n",
+               "--scheme", "--unsafe-table", "--verbose"],
+    "decompose": ["--cap-tensor", "--config", "--form", "--format", "--n",
+                  "--no-merge", "--scheme", "--unsafe-table", "--verbose"],
+    "verify-paper": ["--config", "--max-d", "--seed", "--verbose"],
+}
+
+
+def test_each_subcommand_accepts_the_options_it_reads():
+    parser = cli.make_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {name: sorted(a.option_strings[-1] for a in p._actions
+                             if a.option_strings and a.dest != "help")
+                for name, p in sub.choices.items()}
+    assert accepted == ACCEPTED
+    assert sum(map(len, accepted.values())) == 40
+
+
+@pytest.mark.parametrize("argv", [
+    ["sl", "--scheme", "RC", "--n", "abc"],
+    ["sl", "--scheme", "RC", "--n", "1"],
+    ["sl", "--scheme", "RC", "--format", "xml"],
+    ["sl", "--scheme", "RC", "--bogus"],
+    ["sl", "--scheme", "RC", "--cap-tensor", "0"],
+    [],
+])
+def test_usage_errors_exit_invalid(capsys, argv):
+    # argparse's own exit code 2 would read as a refused search
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "usage: symlen" in captured.err
+
+
+def test_config_value_checked_as_a_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = RC\ncap-bfs = 0\n")
+    code = cli.main(["sl", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "argument --cap-bfs: must be at least 1, got 0" in captured.err
+
+
+def test_help_exits_ok(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: symlen")
+    assert cli.main(["sl", "--help"]) == 0
+    assert "--cap-enum" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--scheme", "RC", "--n", "3"],
+    ["invariants", "--scheme", "RC", "--seed", "1"],
+    ["bounds", "--scheme", "RC", "--cap-enum", "5"],
+    ["decompose", "--scheme", RIGID3, "--form", "011,100", "--cap-bfs", "2"],
+    ["verify-paper", "--max-d", "1", "--cap-bfs", "1"],
+    ["verify-paper", "--max-d", "1", "--format", "csv"],
+])
+def test_dropped_options_refused(capsys, argv):
+    # an option the subcommand never reads must not pass for one it obeys
+    assert run_cli(capsys, *argv) == (1, "")
+
+
+def test_config_keys_a_subcommand_does_not_read_are_skipped(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = RC\nn = 1\nseed = x\nmax_d = 9\nform = 1\n")
+    for command in ("build", "invariants"):
+        plain = run_cli(capsys, command, "--scheme", "RC")
+        assert plain[0] == 0
+        assert run_cli(capsys, command, "--config", str(cfg)) == plain
+    # sl reads n
+    assert run_cli(capsys, "sl", "--config", str(cfg)) == (1, "")
+
+
+@pytest.mark.parametrize("form", ["011,100,001", "011,100;011"])
+def test_decompose_slot_count_mismatch(capsys, form):
+    code = cli.main(["decompose", "--scheme", RIGID3, "--n", "2", "--form", form])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: entry ")
