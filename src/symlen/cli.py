@@ -112,7 +112,7 @@ CONFIG_KEYS = {flags[-1][2:] for flags, _, kwargs in OPTIONS
 
 def read_config_file(path: str) -> dict:
     """Plain key=value lines; blank lines and # comments are skipped.  A
-    key is an option name, with - or _; any other key is refused."""
+    key names an option that takes a value, with - or _; others are refused."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
