@@ -10,8 +10,10 @@ class groups with componentwise value sets.
 
 A small expression language (see parse_scheme_expr) names these
 constructions; build() caches schemes by canonical label and by table.
-Many labels name one table (the d <= 4 library has 550 labels on 272
-tables); a label whose table is cached is that scheme renamed, sharing its
+The combinators map tables to tables, so a sub-expression is a table, not
+a Scheme: only the requested label is constructed and validated.  Many
+labels name one table (the d <= 4 library has 550 labels on 272 tables);
+a label whose table is cached is that scheme renamed, sharing its
 validation and TableCore, so each distinct table is validated, and its k_n
 built, once per cache.  A Scheme constructed directly starts cold.
 """
@@ -122,43 +124,50 @@ _BASE_TABLES = {
 # combinators
 
 
-def laurent_table(scheme: Scheme) -> tuple[SquareClassGroup, ValueSetTable]:
-    """Table of laurent(scheme): a uniformizer coordinate adjoined as the
-    new highest class bit.
+Table = tuple[SquareClassGroup, ValueSetTable]
+
+
+def laurent_table(table: Table) -> Table:
+    """Table of laurent(S) from the table of S: a uniformizer coordinate
+    adjoined as the new highest class bit.
 
     Value sets follow the two-residue-form rule: classes from the base keep
     their base value sets, except the class of -1 whose binary form stays
     universal; classes carrying the new coordinate have rigid two-element
     value sets.
     """
-    d = scheme.d
+    group, values = table
+    d = group.dim
     if d + 1 > SCHEME_DIM_CAP:
         raise DimensionCapExceeded("laurent extension would reach dimension %d" % (d + 1))
-    size = scheme.size
+    size = 1 << d
     new_size = size * 2
     full = (1 << new_size) - 1
-    eps = scheme.eps
+    eps = group.minus_one
     rows = []
     for a in range(new_size):
         if a == eps:
             rows.append(full)
         elif a < size:
-            rows.append(scheme.values.rows[a])
+            rows.append(values.rows[a])
         else:
             rows.append(1 | (1 << a))
     return SquareClassGroup(d + 1, eps), ValueSetTable(tuple(rows))
 
 
-def product_table(s1: Scheme, s2: Scheme) -> tuple[SquareClassGroup, ValueSetTable]:
-    """Table of the direct product: class pairs, componentwise value sets."""
-    d = s1.d + s2.d
+def product_table(left: Table, right: Table) -> Table:
+    """Table of the direct product of two tables: class pairs,
+    componentwise value sets."""
+    (g1, v1), (g2, v2) = left, right
+    d = g1.dim + g2.dim
     if d > SCHEME_DIM_CAP:
         raise DimensionCapExceeded("product would reach dimension %d" % d)
-    shift = 1 << s1.d
-    eps = s1.eps | (s2.eps << s1.d)
-    # D<1,a>: row a % shift of s1 in each slot y of row a >> s1.d of s2
-    spread = [sum(1 << (y * shift) for y in iter_bits(row2)) for row2 in s2.values.rows]
-    rows = [s1.values.rows[a & (shift - 1)] * spread[a >> s1.d] for a in range(1 << d)]
+    shift = 1 << g1.dim
+    eps = g1.minus_one | (g2.minus_one << g1.dim)
+    # D<1,a>: row a % shift of the left table in each slot y of row
+    # a >> g1.dim of the right one
+    spread = [sum(1 << (y * shift) for y in iter_bits(row2)) for row2 in v2.rows]
+    rows = [v1.rows[a & (shift - 1)] * spread[a >> g1.dim] for a in range(1 << d)]
     return SquareClassGroup(d, eps), ValueSetTable(tuple(rows))
 
 
@@ -168,12 +177,14 @@ def product_table(s1: Scheme, s2: Scheme) -> tuple[SquareClassGroup, ValueSetTab
 
 # canonical label -> scheme, and (group, table) -> the first scheme built
 # on that table; clearing it makes every later build cold
-_CACHE: dict[str | tuple[SquareClassGroup, ValueSetTable], Scheme] = {}
+_CACHE: dict[str | Table, Scheme] = {}
 
 
 def build(expr) -> Scheme:
-    """Scheme for an expression; cached by canonical label.  A label whose
-    table is cached is the cached scheme renamed (Scheme.renamed)."""
+    """Scheme for an expression; cached by canonical label.  On a miss the
+    table of expr is computed (_table) and only this label gets a Scheme:
+    a new one, validated, or, if the table is cached, the cached scheme
+    renamed (Scheme.renamed)."""
     label = expr_label(expr)
     hit = _CACHE.get(label)
     if hit is not None:
@@ -183,12 +194,7 @@ def build(expr) -> Scheme:
             "expression %s has dimension %d, cap is %d"
             % (label, expr_dim(expr), SCHEME_DIM_CAP)
         )
-    if isinstance(expr, BaseExpr):
-        key = _BASE_TABLES[expr.kind]()
-    elif isinstance(expr, LaurentExpr):
-        key = laurent_table(build(expr.child))
-    else:
-        key = product_table(build(expr.left), build(expr.right))
+    key = _table(expr)
     twin = _CACHE.get(key)
     if twin is None:
         out = _CACHE[key] = Scheme(*key, label)
@@ -196,6 +202,19 @@ def build(expr) -> Scheme:
         out = twin.renamed(label)
     _CACHE[label] = out
     return out
+
+
+def _table(expr) -> Table:
+    """(group, table) of expr: a cached label gives its scheme's, any other
+    node is computed from its children's, with no Scheme constructed."""
+    hit = _CACHE.get(expr_label(expr))
+    if hit is not None:
+        return hit.group, hit.values
+    if isinstance(expr, BaseExpr):
+        return _BASE_TABLES[expr.kind]()
+    if isinstance(expr, LaurentExpr):
+        return laurent_table(_table(expr.child))
+    return product_table(_table(expr.left), _table(expr.right))
 
 
 def parse_scheme_expr(text: str) -> object:

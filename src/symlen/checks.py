@@ -29,6 +29,7 @@ from .builders import build_from_text, standard_library
 from .decompose import find_linked_pair, make_sum, run_decomposition
 from .errors import (
     DegreeViolation,
+    DimensionCapExceeded,
     LemmaViolation,
     VerificationFailure,
 )
@@ -41,7 +42,7 @@ from .f2space import (
     superspace_count,
 )
 from .milnor import SymbolVector, kn_space, sl_field
-from .scheme import enumerate_pfister_strata, pfister_classes
+from .scheme import SCHEME_DIM_CAP, enumerate_pfister_strata, pfister_classes
 
 
 def rigid_tower_expr(k: int) -> str:
@@ -430,7 +431,11 @@ def render_report(report: dict) -> str:
 
 def run_verification(max_d: int = 4, seed: int = 2024, progress=None) -> dict:
     """Full report, with a second build from an empty scheme cache to
-    certify deterministic output."""
+    certify deterministic output.  A max_d above the scheme dimension cap
+    is refused before any check runs."""
+    if max_d > SCHEME_DIM_CAP:
+        raise DimensionCapExceeded(
+            "library dimension %d exceeds cap %d" % (max_d, SCHEME_DIM_CAP))
     first = build_report(max_d, seed, progress)
     builders._CACHE.clear()
     start = time.perf_counter()

@@ -7,7 +7,11 @@ verification report.  All stdout payloads are deterministic for a fixed
 configuration; timings and progress go to stderr.
 
 Exit codes: 0 success (or --help), 1 invalid input or a usage error,
-2 a resource cap was exceeded, 3 a verification failed.
+2 a resource cap was exceeded, 3 a verification failed.  Usage errors
+include an abbreviated option name (--cap for --cap-tensor), a --max-d
+below 0, and --scheme given together with --unsafe-table, each from a flag
+or the config file.  A --max-d above the scheme dimension cap exits 2
+before any check runs.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .f2space import mask_to_str
 from .milnor import DEFAULT_SL_CAP, DEFAULT_TENSOR_CAP, kn_space
 from .scheme import (
     DEFAULT_CLASS_CAP,
+    SCHEME_DIM_CAP,
     Scheme,
     SquareClassGroup,
     ValueSetTable,
@@ -97,7 +102,8 @@ OPTIONS = [
     (("--no-merge",), ("decompose",),
      dict(action="store_true", help="skip the linkage merge after rewriting")),
     (("--max-d",), ("verify-paper",),
-     dict(type=int, default=4, help="library dimension limit (default 4)")),
+     dict(type=partial(int_at_least, 0), default=4,
+          help="library dimension limit, at most %d (default 4)" % SCHEME_DIM_CAP)),
     (("--seed",), ("verify-paper",),
      dict(type=int, default=2024, help="seed for sampled checks (default 2024)")),
     (("--config",), ALL_COMMANDS,
@@ -179,6 +185,8 @@ def load_table_file(path: str) -> Scheme:
 
 def load_scheme(args: argparse.Namespace) -> Scheme:
     if args.unsafe_table is not None:
+        if args.scheme is not None:
+            raise InvalidConfig("--scheme and --unsafe-table exclude each other")
         return load_table_file(args.unsafe_table)
     if not args.scheme:
         raise InvalidConfig("no scheme given; use --scheme or --unsafe-table")
@@ -362,12 +370,13 @@ COMMANDS = {
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symlen",
+        allow_abbrev=False,
         description="Symbol lengths and Pfister decompositions over finite "
                     "quadratic form schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+        p = sub.add_parser(name, help=command.__doc__, allow_abbrev=False)
         for flags, commands, kwargs in OPTIONS:
             if name in commands:
                 p.add_argument(*flags, **kwargs)

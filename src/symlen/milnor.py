@@ -61,6 +61,7 @@ dimensions are deterministic.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
@@ -354,7 +355,10 @@ class SymbolAlgebra:
         cold cache is refused identically on a warm one.  Layer 1, the
         pure symbols, is also read on every call (it is memoized), so that
         each scheme's algebra reads its generators when it is searched,
-        as perfbench/tracer.py counts them."""
+        as perfbench/tracer.py counts them.  The head bases are derived
+        (_head_bases) once per search, when the first saturation pass
+        needs them, and later passes read them again through a tee; a
+        pass that covers every class stops before the rest are derived."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
@@ -370,10 +374,16 @@ class SymbolAlgebra:
             full = (1 << (1 << self.dim)) - 1
             layers = [1]
             reached = 1
+            heads = None
             while reached != full:
                 todo = full ^ reached
-                nxt = (gens & todo if len(layers) == 1 else
-                       _union_of_saturations(reached, self._head_bases(), masks, todo))
+                if len(layers) == 1:
+                    nxt = gens & todo
+                else:
+                    if heads is None:
+                        heads = self._head_bases()
+                    heads, bases = itertools.tee(heads)
+                    nxt = _union_of_saturations(reached, bases, masks, todo)
                 if not nxt:
                     raise VerificationFailure(
                         "pure symbols span only %d of %d classes"

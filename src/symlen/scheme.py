@@ -387,8 +387,9 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     Raises AxiomViolation with a witness description at the first failure.
     Otherwise it marks the scheme validated and returns the subgroup_rows
     of each distinct value set, which Scheme.__init__ keeps on the
-    TableCore.  Every scheme is validated once, where it is built, and a
-    renamed one not again.
+    TableCore.  Every Scheme is validated once, when it is constructed,
+    and a renamed one not again; builders.build constructs one only for a
+    requested label, never for its sub-expressions.
 
     The ternary check is exhaustive at every dimension.  Write x + (y + z)
     for the union of D<x,t> over t in D<y,z>; every ordered triple must

@@ -116,7 +116,7 @@ def test_laurent_tables():
 def test_laurent_preserves_level_and_realness():
     for text in ("QC", "RC", "F1", "F2", "laurent(QC)", "laurent(RC)"):
         base = build(parse_scheme_expr(text))
-        ext = Scheme(*laurent_table(base), "laurent(%s)" % text)
+        ext = Scheme(*laurent_table((base.group, base.values)), "laurent(%s)" % text)
         bp, ep = base.invariants(), ext.invariants()
         assert bp.is_real == ep.is_real
         assert bp.level_exponent == ep.level_exponent
@@ -144,7 +144,9 @@ def test_product_tables():
     mixed = build_from_text("product(RC,F1)")
     assert mixed.invariants().is_real
     f2 = build(BaseExpr("F2"))
-    same = Scheme(*product_table(build(BaseExpr("QC")), f2), "product(QC,F2)")
+    qc = build(BaseExpr("QC"))
+    same = Scheme(*product_table((qc.group, qc.values), (f2.group, f2.values)),
+                  "product(QC,F2)")
     assert same.values.rows == f2.values.rows and same.eps == f2.eps
 
 
@@ -296,3 +298,22 @@ def test_each_table_validated_once(monkeypatch):
         first = builders._CACHE[(s.group, s.values)]
         assert s._core is first._core and s._validated
         assert (s is first) == (s.name in calls)
+
+
+def test_only_the_requested_label_is_validated(monkeypatch):
+    # the four inner laurent nodes and RC are tables, not schemes
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme.name)
+        return validate_scheme(scheme)
+
+    monkeypatch.setattr(builders, "_CACHE", {})
+    monkeypatch.setattr(scheme_module, "validate_scheme", counted)
+    label = "laurent(laurent(laurent(laurent(laurent(RC)))))"
+    s = build_from_text(label)
+    assert calls == [label]
+    assert builders._CACHE == {label: s, (s.group, s.values): s}
+    build_from_text("laurent(RC)")
+    assert calls == [label, "laurent(RC)"]
+    assert len(builders._CACHE) == 4

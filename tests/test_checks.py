@@ -30,9 +30,11 @@ def test_determinism_check_starts_cold(monkeypatch):
     monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     report = checks.run_verification(max_d=1)
     assert cache_sizes == [(0, 0), (0, 0)]
-    # each pass validates F2, laurent(F2), F1 and QC
-    assert validated == ["F2", "laurent(F2)", "F1", "QC"] * 2
-    assert len(builders._CACHE) == 9
+    # each pass validates laurent(F2) and F1 alone: the sub-expressions F2
+    # and QC are tables, not schemes
+    assert validated == ["laurent(F2)", "F1"] * 2
+    # three labels and the two tables they name
+    assert len(builders._CACHE) == 5
     assert report["all_passed"] and report["checks"][-1]["repeat_identical"]
 
 

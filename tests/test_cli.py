@@ -6,7 +6,7 @@ import json
 import pytest
 
 from oracle_utils import d6_rare_failure_rows
-from symlen import builders, cli, decompose, milnor
+from symlen import builders, checks, cli, decompose, milnor
 from symlen.errors import VerificationFailure
 
 
@@ -375,6 +375,11 @@ def test_each_subcommand_accepts_the_options_it_reads():
     ["sl", "--scheme", "RC", "--bogus"],
     ["sl", "--scheme", "RC", "--cap-tensor", "0"],
     [],
+    ["verify-paper", "--max-d", "-1"],
+    # no abbreviations: a prefix of one option is not taken for it
+    ["decompose", "--scheme", RIGID3, "--form", "011,100", "--cap", "100"],
+    ["verify-paper", "--max-d", "1", "--s", "1"],
+    ["sl", "--sch", "RC"],
 ])
 def test_usage_errors_exit_invalid(capsys, argv):
     # argparse's own exit code 2 would read as a refused search
@@ -430,3 +435,31 @@ def test_decompose_slot_count_mismatch(capsys, form):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith("error: entry ")
+
+
+@pytest.mark.parametrize("in_file", [(), ("scheme",), ("unsafe-table",),
+                                     ("scheme", "unsafe-table")])
+def test_scheme_and_unsafe_table_refused_together(capsys, tmp_path, in_file):
+    table = tmp_path / "rc.json"
+    table.write_text(json.dumps({"d": 1, "minus_one": 1, "rows": [1, 3]}))
+    options = {"scheme": "laurent(F2)", "unsafe-table": str(table)}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join("%s = %s\n" % (key, options[key]) for key in in_file))
+    argv = ["build", "--config", str(cfg)]
+    for key in options.keys() - set(in_file):
+        argv += ["--" + key, options[key]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: --scheme and --unsafe-table exclude each other\n"
+
+
+def test_max_d_above_the_cap_refused_before_any_check(capsys, monkeypatch):
+    def no_report(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "build_report", no_report)
+    code = cli.main(["verify-paper", "--max-d", "7"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "cap exceeded: library dimension 7 exceeds cap 6\n"

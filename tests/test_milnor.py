@@ -443,6 +443,26 @@ def test_bfs_stops_without_an_empty_pass(monkeypatch):
     assert len(calls) == len(layers) - 2
 
 
+def test_head_bases_derived_once_per_search(monkeypatch):
+    # passes 2 and 3 both saturate by the head bases; each basis is
+    # derived once, in the first of them, and read again by the second
+    head_bases = SymbolAlgebra._head_bases
+    calls, derived = [], []
+
+    def counted(self):
+        calls.append(self)
+        for basis in head_bases(self):
+            derived.append(basis)
+            yield basis
+
+    monkeypatch.setattr(SymbolAlgebra, "_head_bases", counted)
+    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
+    assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
+    assert calls == [alg]
+    heads = dict.fromkeys(x for x, _ in alg._links().values())
+    assert len(derived) == len(heads)
+
+
 def test_bfs_swap_count(monkeypatch):
     # the swaps are deterministic: the n = 2 searches of the two dim 15-16
     # towers take at most 500 each (a translate per generator took 1,480

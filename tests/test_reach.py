@@ -42,6 +42,11 @@ def sweep(tmp):
         (0, ["bounds", "--scheme", RIGID3]),
         (0, ["decompose", "--scheme", RIGID3, "--form", "011,100;001,110;010,101"]),
         (0, ["verify-paper", "--max-d", "2", "-v"]),
+        # refusals: both scheme sources, an abbreviation, --max-d out of range
+        (1, ["build", "--scheme", "RC", "--unsafe-table", str(table)]),
+        (1, ["sl", "--sch", "RC"]),
+        (1, ["verify-paper", "--max-d", "-1"]),
+        (2, ["verify-paper", "--max-d", "7"]),
     ]
 
 

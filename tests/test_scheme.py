@@ -174,7 +174,8 @@ def test_packed_validation_agrees_with_loop_oracle():
     # repeat, with 2 symmetric and 1 pairwise mutant each
     for _ in range(2):
         s1 = rng.choice([s for s in library if s.d >= 2])
-        group, table = product_table(s1, rng.choice([s for s in library if s.d == 6 - s1.d]))
+        s2 = rng.choice([s for s in library if s.d == 6 - s1.d])
+        group, table = product_table((s1.group, s1.values), (s2.group, s2.values))
         eps, rows = group.minus_one, table.rows
         tables.append((eps, rows))
         tables += [(eps, mutant) for mutant in
