@@ -160,10 +160,11 @@ def load_table_file(path: str) -> Scheme:
     for key in ("d", "minus_one", "rows"):
         if key not in data:
             raise ParseError("table file %s: missing key %r" % (path, key))
+    # type() is int, not isinstance(): a JSON true or false is a bool
     d = data["d"]
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:
         raise ParseError("table file %s: d must be a nonnegative integer" % path)
-    if not isinstance(data["minus_one"], int):
+    if type(data["minus_one"]) is not int:
         raise ParseError("table file %s: minus_one must be an integer" % path)
     if not isinstance(data["rows"], list):
         raise ParseError("table file %s: rows must be a list" % path)
@@ -174,11 +175,13 @@ def load_table_file(path: str) -> Scheme:
                 rows.append(int(row, 2))
             except ValueError:
                 raise ParseError("table file %s: row %d is not binary" % (path, i))
-        elif isinstance(row, int):
+        elif type(row) is int:
             rows.append(row)
         else:
             raise ParseError("table file %s: row %d has unusable type" % (path, i))
     name = data.get("name", "table:%s" % path)
+    if not isinstance(name, str):
+        raise ParseError("table file %s: name must be a string" % path)
     return Scheme(SquareClassGroup(d, data["minus_one"]),
                   ValueSetTable(tuple(rows)), name)
 

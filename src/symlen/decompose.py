@@ -33,9 +33,8 @@ from .errors import (
     InvalidCase,
     VerificationFailure,
 )
-from .f2space import in_span, rref_ints
 from .milnor import DEFAULT_TENSOR_CAP, SymbolAlgebra, SymbolVector, kn_space
-from .scheme import Scheme, entry_stratum, iter_bits, pfister_ones_witness
+from .scheme import Scheme, entry_stratum, iter_bits, pfister_ones_witness, translate
 
 REWRITE_STEP_CAP = 1 << 20
 
@@ -67,31 +66,32 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     """Basis of the class group with a prefix spanning each +-D(2^m).
 
     Each +-D(2^m), in class order, extends the basis by its members not
-    yet spanned.  The first ranks[m] vectors then span exactly +-D(2^m),
-    with no rank test needed: pm_d2m reads D(2^m), which d2m_chain has
-    checked is a subgroup; D u eps*D is the group generated by D and eps;
-    and the chain is nested, as sos_chain checks that it increases.
-    Built once per table.
+    yet spanned.  The span is a class mask, and grows by its translate by
+    each class that joins the basis.  The first ranks[m] vectors then span
+    exactly +-D(2^m), with no rank test needed: pm_d2m reads D(2^m), which
+    d2m_chain has checked is a subgroup; D u eps*D is the group generated
+    by D and eps; and the chain is nested, as sos_chain checks that it
+    increases.  Built once per table.
     """
     core = scheme._core
     if core.basis_chain is not None:
         return core.basis_chain
     stab = scheme.invariants().stabilization
     basis: list[int] = []
-    span: list[int] = []
+    span = 1
     ranks: list[int] = []
     for m in range(stab + 1):
         for e in iter_bits(scheme.pm_d2m(m)):
-            if e and not in_span(e, span):
+            if not span >> e & 1:
                 basis.append(e)
-                span = rref_ints(span + [e])
+                span |= translate(span, e)
         ranks.append(len(basis))
     for c in range(1, scheme.size):
         if len(basis) == scheme.d:
             break
-        if not in_span(c, span):
+        if not span >> c & 1:
             basis.append(c)
-            span = rref_ints(span + [c])
+            span |= translate(span, c)
     # the basis is a full basis, so the table covers every class
     coordinates = {0: 0}
     for i, v in enumerate(basis):

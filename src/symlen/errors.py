@@ -16,14 +16,6 @@ class SymlenError(Exception):
 # bad input
 
 
-class NotProperSubspace(SymlenError):
-    """A claimed subspace relation does not hold."""
-
-
-class DependentInput(SymlenError):
-    """An input vector list was required to be independent but is not."""
-
-
 class IsotropicInput(SymlenError):
     """An operation requiring an anisotropic input received an isotropic one."""
 

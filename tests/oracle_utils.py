@@ -69,6 +69,45 @@ def reduce_by_rows(mask, basis):
     return r
 
 
+# ---------------------------------------------------------------------------
+# subspaces of F2^d as RREF rows: the references for the class-mask
+# subgroups of check 1 and of build_basis_chain
+
+
+def brute_force_subspaces(d, m):
+    """All m-dim subspaces of F2^d as RREF row tuples, found by reducing
+    every m-subset of the nonzero vectors."""
+    seen = set()
+    for combo in itertools.combinations(range(1, 1 << d), m):
+        rows = tuple(rref_ints(combo))
+        if len(rows) == m:
+            seen.add(rows)
+    return seen
+
+
+def rref_basis_chain(scheme):
+    """(basis, ranks, coordinates) of build_basis_chain, with the span kept
+    as RREF rows and membership read by reducing against them."""
+    basis, span, ranks = [], [], []
+    for m in range(scheme.invariants().stabilization + 1):
+        for e in iter_bits(scheme.pm_d2m(m)):
+            if e and reduce_by_rows(e, span):
+                basis.append(e)
+                span = rref_ints(span + [e])
+        ranks.append(len(basis))
+    for c in range(1, scheme.size):
+        if len(basis) == scheme.d:
+            break
+        if reduce_by_rows(c, span):
+            basis.append(c)
+            span = rref_ints(span + [c])
+    coordinates = {0: 0}
+    for i, v in enumerate(basis):
+        for c, picked in list(coordinates.items()):
+            coordinates[c ^ v] = picked | (1 << i)
+    return tuple(basis), tuple(ranks), tuple(coordinates[c] for c in range(scheme.size))
+
+
 def all_pairs_split_basis(scheme):
     """RREF of a (x) b over every a != 0 and every b in D<1, -a>, b != 0."""
     rows = []

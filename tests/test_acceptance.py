@@ -24,7 +24,7 @@ def _finish(cid, label, passed, t0, budget):
 
 def test_criterion_01_subspace_counting():
     t0 = time.time()
-    res = checks.check_subspace_counts(max_dim=6)
+    res = checks.check_subspace_counts()
     _finish(1, "subspace counts match the Gaussian formula, d <= 6",
             res["passed"] and not res["mismatches"], t0, 10)
 

@@ -72,3 +72,35 @@ def test_invariant_formulas_catch_a_wrong_dm_estimate(monkeypatch):
     assert not res["passed"]
     assert ["Q2", 1, "d_m estimate"] in [row[:3] for row in res["mismatches"]]
     assert ["laurent(F2)", 1, "d_m estimate", -1, 1] in res["mismatches"]
+
+
+def test_subspace_counts_report_a_wrong_count(monkeypatch):
+    # a formula off by one for (d, m) = (4, 2) is one mismatch, not a crash
+    gaussian_count = checks.gaussian_count
+
+    def off_by_one(d, m):
+        return gaussian_count(d, m) + ((d, m) == (4, 2))
+
+    assert checks.check_subspace_counts() == {
+        "passed": True, "max_dim": 6, "cases": 28, "mismatches": []}
+    monkeypatch.setattr(checks, "gaussian_count", off_by_one)
+    res = checks.check_subspace_counts()
+    assert not res["passed"]
+    assert res["mismatches"] == [[4, 2, "count", 35, 36]]
+
+
+def test_subspace_counts_name_a_subgroup_short_of_extensions(monkeypatch):
+    # the classes 2 and 3 move the line {0, 1} as 4 does, so it misses the
+    # extension by {2, 3} in every ambient that has the class 4; in F2^2,
+    # which has not, the top layer gains a mask outside the group
+    translate = checks.translate
+
+    def merged(w, v):
+        return translate(w, 4 if w == 0b11 and v in (2, 3) else v)
+
+    monkeypatch.setattr(checks, "translate", merged)
+    res = checks.check_subspace_counts()
+    assert not res["passed"]
+    assert res["mismatches"] == [[2, 2, "count", 2, 1]] + [
+        [d, 1, "superspaces", "{%s1}" % ("0" * (d - 1)), (1 << (d - 1)) - 1]
+        for d in range(3, 7)]

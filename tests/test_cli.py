@@ -173,6 +173,13 @@ def test_unsafe_table_rare_ternary_failure_rejected(capsys, tmp_path):
     {"d": 1, "minus_one": 1, "rows": {"0": 1, "1": 3}},
     ["d", "minus_one", "rows"],
     "d minus_one rows",
+    # JSON booleans are not integers
+    {"d": True, "minus_one": 1, "rows": [1, 3]},
+    {"d": 1, "minus_one": True, "rows": [1, 3]},
+    {"d": 1, "minus_one": 1, "rows": [True, 3]},
+    # the name is printed as the scheme label, so it must be a string
+    {"name": ["x"], "d": 1, "minus_one": 1, "rows": [1, 3]},
+    {"name": {"a": 1}, "d": 1, "minus_one": 1, "rows": [1, 3]},
 ])
 def test_unsafe_table_malformed(capsys, tmp_path, data):
     path = tmp_path / "malformed.json"

@@ -30,7 +30,12 @@ from symlen.errors import (
     DegreeMismatch,
     InvalidCase,
 )
-from oracle_utils import find_linked_pair_by_multisets, pfister_expand, witt_decompose
+from oracle_utils import (
+    find_linked_pair_by_multisets,
+    pfister_expand,
+    rref_basis_chain,
+    witt_decompose,
+)
 from symlen.milnor import kn_space
 from symlen.scheme import Scheme
 
@@ -92,6 +97,15 @@ def test_chain_coordinates_roundtrip():
             assert rebuilt == c
         assert chain.coordinates[0] == 0
         assert build_basis_chain(s) is chain
+
+
+def test_chain_matches_rref_oracle():
+    # the class-mask span against RREF rows, on each distinct d <= 5 table
+    tables = {(s.eps, s.values.rows): s for s in standard_library(5)}
+    assert len(tables) == 1255
+    for s in tables.values():
+        chain = build_basis_chain(s)
+        assert (chain.basis, chain.ranks, chain.coordinates) == rref_basis_chain(s)
 
 
 # ---------------------------------------------------------------------------

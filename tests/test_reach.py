@@ -19,7 +19,6 @@ PACKAGE = SRC / "symlen"
 
 ALLOWED = {
     "__repr__": "debugging aid, printed by no command",
-    "__str__": "debugging aid, printed by no command",
     "milnor.py:representative": "called by the benchmark ops, perfbench/ops.py",
 }
 
