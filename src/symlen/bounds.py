@@ -9,6 +9,12 @@ exponent instead.  Exponents in the closed-form stratum caps can be negative
 on small profiles, so a sum of powers of two is floored once at the end,
 exactly, by carrying from the smallest exponent up.
 
+Since the bounds depend on nothing else, profile_bounds evaluates the six
+report rows and the per-stratum caps once per (profile, n) and memoizes
+them in builders._CACHE, keyed by the frozen InvariantProfile itself and n.
+Bound reports and decomposition certificates read that record, so schemes
+with equal profiles share it, and clearing the cache clears it too.
+
 Two closed-form displays are implemented in a corrected form; the shipped
 formulas are the ones the underlying counting argument actually supports,
 and both corrections are observable on small schemes:
@@ -34,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import builders
 from .errors import (
     DegenerateDenominator,
     DegreeViolation,
@@ -423,8 +430,26 @@ BOUND_FORMULAS = {
 }
 
 
-def make_bound_report(scheme, n: int, exact_sl: int | None = None) -> BoundReport:
-    profile = scheme.invariants()
+@dataclass(frozen=True)
+class ProfileBounds:
+    """The bound data of one (profile, n): the six report rows, in report
+    order, and the stratum caps bound_strata_count(profile, n, m) for
+    m = 0..n."""
+
+    rows: tuple[BoundRow, ...]
+    strata_caps: tuple[int, ...]
+
+    def value(self, bound_id: str) -> int:
+        return next(row.value for row in self.rows if row.bound_id == bound_id)
+
+
+def profile_bounds(profile, n: int) -> ProfileBounds:
+    """Every bound of a (profile, n), evaluated on the first request and
+    memoized in builders._CACHE under the key (profile, n)."""
+    key = (profile, n)
+    hit = builders._CACHE.get(key)
+    if hit is not None:
+        return hit
     rows = (
         BoundRow("exponential", bound_sl_exponential(profile, n),
                  BOUND_FORMULAS["exponential"]),
@@ -439,4 +464,13 @@ def make_bound_report(scheme, n: int, exact_sl: int | None = None) -> BoundRepor
         BoundRow("split-basis", bound_sl_split_basis(profile, n),
                  BOUND_FORMULAS["split-basis"]),
     )
+    caps = tuple(bound_strata_count(profile, n, m) for m in range(n + 1))
+    out = builders._CACHE[key] = ProfileBounds(rows, caps)
+    return out
+
+
+def make_bound_report(scheme, n: int, exact_sl: int | None = None) -> BoundReport:
+    """The bound report of a scheme in degree n: the memoized rows of its
+    profile (profile_bounds), under the scheme's own name and exact_sl."""
+    rows = profile_bounds(scheme.invariants(), n).rows
     return BoundReport(scheme.name, n, rows, exact_sl, BOUND_NOTES)

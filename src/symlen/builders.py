@@ -15,7 +15,9 @@ a Scheme: only the requested label is constructed and validated.  Many
 labels name one table (the d <= 4 library has 550 labels on 272 tables);
 a label whose table is cached is that scheme renamed, sharing its
 validation and TableCore, so each distinct table is validated, and its k_n
-built, once per cache.  A Scheme constructed directly starts cold.
+built, once per cache.  A Scheme constructed directly starts cold, except
+for its bound data: bounds.profile_bounds keeps that here too, keyed by
+(profile, n), so it is shared by every scheme with an equal profile.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DimensionCapExceeded, ParseError
 from .f2space import iter_bits
@@ -33,6 +36,10 @@ from .scheme import (
     SquareClassGroup,
     ValueSetTable,
 )
+
+if TYPE_CHECKING:
+    from .bounds import ProfileBounds
+    from .scheme import InvariantProfile
 
 BASE_KINDS = ("QC", "RC", "F1", "F2", "Q2")
 DATA_DIR = Path(__file__).parent / "data"
@@ -175,9 +182,12 @@ def product_table(left: Table, right: Table) -> Table:
 # building from expressions
 
 
-# canonical label -> scheme, and (group, table) -> the first scheme built
-# on that table; clearing it makes every later build cold
-_CACHE: dict[str | Table, Scheme] = {}
+# canonical label -> scheme, (group, table) -> the first scheme built on
+# that table, and (profile, n) -> the bound data of that profile in degree n
+# (bounds.profile_bounds); clearing it makes every later build and bound
+# evaluation cold
+_CACHE: dict[str | Table | tuple[InvariantProfile, int],
+             Scheme | ProfileBounds] = {}
 
 
 def build(expr) -> Scheme:

@@ -147,8 +147,8 @@ def read_config_file(path: str) -> dict:
 def load_table_file(path: str) -> Scheme:
     """Raw scheme table from a JSON file: {name?, d, minus_one, rows}.
 
-    Rows may be integers or binary strings (rightmost bit = class 0); the
-    Scheme constructor validates the table axioms.
+    Rows may be integers or nonempty strings of 0s and 1s (rightmost bit =
+    class 0); the Scheme constructor validates the table axioms.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -171,10 +171,10 @@ def load_table_file(path: str) -> Scheme:
     rows = []
     for i, row in enumerate(data["rows"]):
         if isinstance(row, str):
-            try:
-                rows.append(int(row, 2))
-            except ValueError:
+            # only 0 and 1: int(row, 2) alone also takes "0b1", "1_1", " 1"
+            if not row or set(row) - {"0", "1"}:
                 raise ParseError("table file %s: row %d is not binary" % (path, i))
+            rows.append(int(row, 2))
         elif type(row) is int:
             rows.append(row)
         else:

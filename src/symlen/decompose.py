@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import bound_sl_binomial, bound_sl_linked, bound_strata_count
+from .bounds import profile_bounds
 from .errors import (
     ChainInconsistency,
     DegreeMismatch,
@@ -356,7 +356,11 @@ class DecompositionCertificate:
 
 def certify(algebra: SymbolAlgebra, input_sum: PfisterSum,
             output_sum: PfisterSum) -> DecompositionCertificate:
-    """Check residue equality, per-stratum counts and the length bound."""
+    """Check residue equality, per-stratum counts and the length bound.
+
+    The stratum caps and the binomial and linked-power bounds are read from
+    the memoized bound record of the scheme's profile (profile_bounds).
+    """
     scheme, n = algebra.scheme, algebra.n
     if input_sum.degree != n or output_sum.degree != n:
         raise DegreeMismatch(
@@ -366,13 +370,13 @@ def certify(algebra: SymbolAlgebra, input_sum: PfisterSum,
     r_in = sum_residue(algebra, input_sum)
     r_out = sum_residue(algebra, output_sum)
     residues_equal = r_in == r_out
-    profile = scheme.invariants()
-    caps = tuple(bound_strata_count(profile, n, m) for m in range(n + 1))
+    record = profile_bounds(scheme.invariants(), n)
+    caps = record.strata_caps
     strata_in = tuple(input_sum.strata_counts().values())
     strata_out = tuple(output_sum.strata_counts().values())
     counts_ok = all(strata_out[m] <= caps[m] for m in range(n + 1))
-    binomial = bound_sl_binomial(profile, n)
-    linked = bound_sl_linked(profile, n)
+    binomial = record.value("binomial")
+    linked = record.value("linked-power")
     length_ok = output_sum.length <= binomial
     return DecompositionCertificate(
         scheme_name=scheme.name,

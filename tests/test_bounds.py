@@ -1,6 +1,9 @@
 """Tests for the invariant-based symbol length bounds."""
 
+import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import exponential_bound_by_cases
+from symlen import bounds, builders, cli
 from symlen.bounds import (
     BOUND_NOTES,
     RationalPolynomial,
@@ -30,13 +34,14 @@ from symlen.bounds import (
     split_basis_term,
 )
 from symlen.builders import build_from_text, standard_library
+from symlen.decompose import make_sum, run_decomposition
 from symlen.errors import (
     DegenerateDenominator,
     InvalidCase,
     VerificationFailure,
 )
 from symlen.milnor import sl_field
-from symlen.scheme import enumerate_pfister_strata
+from symlen.scheme import Scheme, enumerate_pfister_strata
 
 
 class FakeProfile:
@@ -357,3 +362,102 @@ def test_real_bounds_at_large_degree():
     assert bound_sl_exponential(rc, n) == 2
     assert bound_sl_split_basis(rc, n) == 1
     assert bound_strata_count(rc, n, 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# the bound record memoized per (profile, n)
+
+
+BOUND_FUNCTIONS = ("bound_sl_exponential", "bound_sl_linked", "bound_sl_binomial",
+                   "bound_sl_paired", "bound_sl_split_basis", "bound_strata_count")
+
+
+def direct_bounds(profile, n):
+    """The six report values evaluated on the profile, with no memo."""
+    return {
+        "exponential": bound_sl_exponential(profile, n),
+        "linked-power": bound_sl_linked(profile, n),
+        "linked-exact": bound_sl_linked(profile, n, True),
+        "binomial": bound_sl_binomial(profile, n),
+        "paired": bound_sl_paired(profile, n),
+        "split-basis": bound_sl_split_basis(profile, n),
+    }
+
+
+def test_memo_never_changes_an_answer(monkeypatch, tmp_path):
+    # every d <= 4 label at n = 2, 3, a raw table with a library profile,
+    # and RC at n = 4000: with the memo warm, the report equals the six
+    # bounds evaluated directly, and the report and a certificate equal
+    # those of a cold Scheme in an empty cache
+    monkeypatch.setattr(builders, "_CACHE", {})
+    rng = random.Random(30)
+    cases = [(s, n, [[rng.randrange(s.size) for _ in range(n)]
+                     for _ in range(rng.randint(1, 6))])
+             for s in standard_library(4) for n in (2, 3)]
+    raw = build_from_text("laurent(Q2)")
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({
+        "name": "raw", "d": raw.d, "minus_one": raw.eps,
+        "rows": [format(row, "b") for row in raw.values.rows],
+    }))
+    cases.append((cli.load_table_file(str(path)), 3, [[1, 2, 4], [3, 5, 9]]))
+    n = 4000
+    cases.append((build_from_text("RC"), n,
+                  [(0,) * n, (0,) * (n - 1) + (1,), (0,) * n]))
+    for s, n, _ in cases:
+        make_bound_report(s, n)
+    warm_cache = builders._CACHE
+    for s, n, entries in cases:
+        profile = s.invariants()
+        assert (profile, n) in warm_cache
+        exact = rng.choice((None, 1, 2))
+        report = make_bound_report(s, n, exact).as_dict()
+        assert (report["scheme"], report["exact_sl"]) == (s.name, exact)
+        direct = direct_bounds(profile, n)
+        assert report["bounds"] == direct, (s.name, n)
+        cert = run_decomposition(s, make_sum(s, n, entries))[1].as_dict()
+        assert cert["bounds"] == {"binomial": direct["binomial"],
+                                  "linked": direct["linked-power"]}
+        assert cert["strata"]["caps"] == [bound_strata_count(profile, n, m)
+                                          for m in range(n + 1)]
+        cold = Scheme(s.group, s.values, s.name)
+        monkeypatch.setattr(builders, "_CACHE", {})
+        assert make_bound_report(cold, n, exact).as_dict() == report, (s.name, n)
+        builders._CACHE.clear()
+        cold_cert = run_decomposition(cold, make_sum(cold, n, entries))[1]
+        assert cold_cert.as_dict() == cert, (s.name, n)
+        monkeypatch.setattr(builders, "_CACHE", warm_cache)
+
+
+def test_bounds_evaluated_once_per_profile_and_degree(monkeypatch):
+    calls = Counter()
+
+    def counted(name, func):
+        def wrapper(profile, n, *rest):
+            calls[(name, profile, n) + rest] += 1
+            return func(profile, n, *rest)
+        return wrapper
+
+    for name in BOUND_FUNCTIONS:
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    monkeypatch.setattr(builders, "_CACHE", {})
+    library = standard_library(4)
+    pairs = [(s, n) for s in library for n in (2, 3)]
+    for s, n in pairs:
+        make_bound_report(s, n)
+    keys = {(s.invariants(), n) for s, n in pairs}
+    assert (len(pairs), len(keys)) == (1100, 112)
+    # one call of each function per key: bound_sl_linked once per
+    # numerator, bound_strata_count once per stratum m = 0..n
+    assert set(calls.values()) == {1}
+    per_key = Counter(key[1:3] for key in calls)
+    assert per_key == {(profile, n): 6 + n + 1 for profile, n in keys}
+    # a certificate reads the same record
+    s = library[-1]
+    run_decomposition(s, make_sum(s, 2, [(1, 2), (3, 5)]))
+    assert set(calls.values()) == {1}
+    # clearing the one cache clears the memo
+    builders._CACHE.clear()
+    make_bound_report(s, 2)
+    assert calls[("bound_sl_binomial", s.invariants(), 2)] == 2
+    assert calls[("bound_strata_count", s.invariants(), 2, 2)] == 2

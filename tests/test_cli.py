@@ -180,6 +180,11 @@ def test_unsafe_table_rare_ternary_failure_rejected(capsys, tmp_path):
     # the name is printed as the scheme label, so it must be a string
     {"name": ["x"], "d": 1, "minus_one": 1, "rows": [1, 3]},
     {"name": {"a": 1}, "d": 1, "minus_one": 1, "rows": [1, 3]},
+    # a string row holds only 0s and 1s: no prefix, underscore or space
+    {"d": 1, "minus_one": 1, "rows": ["0b1", "11"]},
+    {"d": 1, "minus_one": 1, "rows": ["01", "1_1"]},
+    {"d": 1, "minus_one": 1, "rows": [" 1", "11"]},
+    {"d": 1, "minus_one": 1, "rows": ["", "11"]},
 ])
 def test_unsafe_table_malformed(capsys, tmp_path, data):
     path = tmp_path / "malformed.json"
