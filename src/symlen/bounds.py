@@ -41,13 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import builders
-from .errors import (
-    DegenerateDenominator,
-    DegreeViolation,
-    InvalidCase,
-    LemmaViolation,
-    VerificationFailure,
-)
+from .errors import DegreeViolation, InvalidCase, LemmaViolation, VerificationFailure
 from .f2space import gaussian_count
 
 BOUND_NOTES = (
@@ -162,10 +156,7 @@ def linked_stratum_cap(d, d_m, n, m, is_real, s, use_exact_subspace_count=False)
         return 0
     if n - m >= d_m - 1:
         return 1
-    if d - n + m <= 0:
-        raise DegenerateDenominator(
-            "no proper superspaces in dimension %d for cofactor %d" % (d, n - m)
-        )
+    # d_m <= d, so n - m < d_m - 1 leaves d - n + m >= 2
     if use_exact_subspace_count:
         numerator = gaussian_count(d, n - m + 1)
     else:
@@ -390,12 +381,10 @@ class BoundReport:
     scheme_name: str
     degree: int
     rows: tuple
-    exact_sl: int | None
+    exact_sl: int
     notes: tuple
 
     def check_dominance(self) -> None:
-        if self.exact_sl is None:
-            return
         for row in self.rows:
             if row.value < self.exact_sl:
                 raise VerificationFailure(
@@ -406,7 +395,7 @@ class BoundReport:
     def as_dict(self) -> dict:
         bounds = {row.bound_id: row.value for row in self.rows}
         tightness = {}
-        if self.exact_sl is not None and self.exact_sl > 0:
+        if self.exact_sl > 0:
             for row in self.rows:
                 tightness[row.bound_id] = str(Fraction(row.value, self.exact_sl))
         return {
@@ -469,7 +458,7 @@ def profile_bounds(profile, n: int) -> ProfileBounds:
     return out
 
 
-def make_bound_report(scheme, n: int, exact_sl: int | None = None) -> BoundReport:
+def make_bound_report(scheme, n: int, exact_sl: int) -> BoundReport:
     """The bound report of a scheme in degree n: the memoized rows of its
     profile (profile_bounds), under the scheme's own name and exact_sl."""
     rows = profile_bounds(scheme.invariants(), n).rows

@@ -33,7 +33,7 @@ from .errors import (
     LemmaViolation,
     VerificationFailure,
 )
-from .f2space import count_upper_bound, gaussian_count, mask_to_str, rank_ints
+from .f2space import count_upper_bound, gaussian_count, iter_bits, mask_to_str, rank_ints
 from .milnor import SymbolVector, kn_space, sl_field
 from .scheme import (
     SCHEME_DIM_CAP,
@@ -106,18 +106,19 @@ def check_subspace_counts() -> dict:
 def check_invariant_formulas(max_d: int = 4) -> dict:
     """Index identities between the d_m, s_m and q_m sequences.
 
-    For every library scheme: d_m equals d minus the two-logs of s_m and of
-    the chain indices q_1..q_m; s_m is 2 exactly when the scheme is real or
-    m is below the level exponent; for finite level 2^sigma the index q_k
-    is at least 2^(sigma+1-k) for k up to sigma; and the d_m estimate of the
-    exponential bound is at least d_m up to m = max(s, stabilization) + 1,
-    past which neither side changes.
+    For every library scheme, up to one degree past stabilization, where
+    the three sequences hold still: d_m equals d minus the two-logs of s_m
+    and of the chain indices q_1..q_m; s_m is 2 exactly when the scheme is
+    real or m is below the level exponent; for finite level 2^sigma the
+    index q_k is at least 2^(sigma+1-k) for k up to sigma; and the d_m
+    estimate of the exponential bound is at least d_m up to
+    m = max(s, stabilization) + 1, past which neither side changes.
     """
     schemes = 0
     mismatches = []
     for s in standard_library(max_d):
         prof = s.invariants()
-        for m in range(prof.stabilization + 1):
+        for m in range(prof.stabilization + 2):
             sm = prof.s_m(m)
             expected_sm = 2 if _sm_exponent(m, prof.is_real, prof.level_exponent) else 1
             if sm != expected_sm:
@@ -125,8 +126,8 @@ def check_invariant_formulas(max_d: int = 4) -> dict:
             acc = prof.d - (sm.bit_length() - 1)
             for i in range(1, m + 1):
                 acc -= prof.q_m(i).bit_length() - 1
-            if prof.d_seq[m] != acc:
-                mismatches.append([s.name, m, "d_m", prof.d_seq[m], acc])
+            if prof.d_m(m) != acc:
+                mismatches.append([s.name, m, "d_m", prof.d_m(m), acc])
         if not prof.is_real and prof.level_exponent is not None:
             sig = prof.level_exponent
             for k in range(1, sig + 1):
@@ -200,30 +201,16 @@ def check_rigid_oracle_agreement(max_k: int = 5) -> dict:
         if alg.dim != len(pairs) or rank_ints(vecs) != len(pairs):
             mismatches.append([k, "pair images are not a basis"])
             continue
-        rows = {}
-        for idx, v in enumerate(vecs):
-            t = 1 << idx
-            while v:
-                lead = v.bit_length() - 1
-                if lead in rows:
-                    rv, rt = rows[lead]
-                    v ^= rv
-                    t ^= rt
-                else:
-                    rows[lead] = (v, t)
-                    break
-        for x in range(1 << alg.dim):
-            v, t = x, 0
-            while v:
-                rv, rt = rows[v.bit_length() - 1]
-                v ^= rv
-                t ^= rt
+        # the pair images are a basis: each element x is their sum over the
+        # bits of one mask t, whose matrix has the pairs at those bits
+        for t in range(1 << alg.dim):
+            x = 0
             mat = [0] * k
-            for idx in range(len(pairs)):
-                if (t >> idx) & 1:
-                    i, j = pairs[idx]
-                    mat[i] |= 1 << j
-                    mat[j] |= 1 << i
+            for idx in iter_bits(t):
+                x ^= vecs[idx]
+                i, j = pairs[idx]
+                mat[i] |= 1 << j
+                mat[j] |= 1 << i
             r = rank_ints(mat)
             bfs = alg.symbol_length(SymbolVector(x, alg.dim))
             if r % 2 or bfs != r // 2:

@@ -24,6 +24,7 @@ number of basis factors hidden in non-basic slots.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .bounds import profile_bounds
@@ -129,8 +130,8 @@ class PfisterSum:
 
 
 def make_sum(scheme: Scheme, n: int, entries) -> PfisterSum:
-    if n < 1:
-        raise DegreeMismatch("degree must be at least 1, got %d" % n)
+    if n < 2:
+        raise DegreeMismatch("degree must be at least 2, got %d" % n)
     normalized = []
     for slots in entries:
         slots = tuple(slots)
@@ -224,13 +225,11 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
                 if leftover == 0 or (d_mask >> leftover) & 1:
                     # the slot reduces to 1: the stratum rises
                     work.append((slots[:i] + (0,) + slots[i + 1:], False))
-                elif (d_mask >> w) & 1:
-                    # the slot reduces to eps and the entry is hyperbolic
-                    pass
-                else:
+                elif not (d_mask >> w) & 1:
                     raise ChainInconsistency(
                         "remainder %d escapes +-D(2^%d)" % (w, m)
                     )
+                # else the slot reduces to eps and the entry is hyperbolic
             break
         else:
             tail = sorted(slots[m:])
@@ -265,20 +264,15 @@ def _linked_pair(algebra: SymbolAlgebra, entries):
     first hit is the first over all slot multisets: entries linked through
     slots outside their own spans are found too.
     """
-    if algebra.n < 2:
-        return None
     images = [algebra.image_coords(slots) for slots in entries]
+    # an isotropic entry (image 0) is in every row, at c = 1, yet links nothing
+    nonzero = [i for i, image in enumerate(images) if image]
     divisors = algebra.lower.classes()
-    for i in range(len(entries)):
-        if not images[i]:
-            continue
-        for j in range(i + 1, len(entries)):
-            if not images[j]:
-                continue
-            for x, divisor in divisors.items():
-                row = algebra.last_slot_row(x)
-                if images[i] in row and images[j] in row:
-                    return i, j, divisor, row.index(images[i]), row.index(images[j])
+    for i, j in itertools.combinations(nonzero, 2):
+        for x, divisor in divisors.items():
+            row = algebra.last_slot_row(x)
+            if images[i] in row and images[j] in row:
+                return i, j, divisor, row.index(images[i]), row.index(images[j])
     return None
 
 

@@ -1,10 +1,17 @@
 """Exception hierarchy for the symlen package.
 
 Every error raised deliberately by the library derives from SymlenError, so
-callers can catch one type at the CLI boundary.  The subclasses are split into
-three rough families: bad input (wrong dimensions, malformed text), resource
-caps (enumerations that would be too large), and verification failures (a
-structure failed an internal consistency check).
+callers can catch one type at the CLI boundary.  The classes are grouped by
+the exit code cli.main gives them:
+
+* 1, invalid input: every SymlenError not listed below.  Besides malformed
+  text, tables and arguments, this covers the consistency errors
+  (AxiomViolation, ProfileInconsistency, LemmaViolation, DegreeViolation,
+  ChainInconsistency); verify-paper catches the two polynomial ones and
+  reports them as failed checks.
+* 2, a resource cap: EnumerationTooLarge (TooLarge with it) and
+  DimensionCapExceeded.
+* 3, a verification failure: VerificationFailure alone.
 """
 
 
@@ -13,7 +20,7 @@ class SymlenError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# bad input
+# exit code 1
 
 
 class IsotropicInput(SymlenError):
@@ -21,7 +28,8 @@ class IsotropicInput(SymlenError):
 
 
 class DegreeMismatch(SymlenError):
-    """Polynomial arithmetic with incompatible degrees or slot counts."""
+    """A symbol degree, slot count or coordinate mask that does not fit
+    its algebra or Pfister sum."""
 
 
 class InvalidCase(SymlenError):
@@ -39,8 +47,33 @@ class ParseError(SymlenError):
         self.position = position
 
 
+class AxiomViolation(SymlenError):
+    """A value set table fails one of the scheme axioms."""
+
+
+class NotAGroup(SymlenError):
+    """The proposed square class group data is not an elementary 2-group."""
+
+
+class ProfileInconsistency(SymlenError):
+    """Two independent routes to an invariant disagree."""
+
+
+class LemmaViolation(SymlenError):
+    """A polynomial identity check failed."""
+
+
+class DegreeViolation(SymlenError):
+    """A polynomial has the wrong degree or leading coefficient."""
+
+
+class ChainInconsistency(SymlenError):
+    """The rewrite left a slot remainder outside the +-D(2^m) of its basis
+    chain."""
+
+
 # ---------------------------------------------------------------------------
-# resource caps
+# exit code 2
 
 
 class EnumerationTooLarge(SymlenError):
@@ -56,36 +89,7 @@ class DimensionCapExceeded(SymlenError):
 
 
 # ---------------------------------------------------------------------------
-# verification failures
-
-
-class AxiomViolation(SymlenError):
-    """A value set table fails one of the scheme axioms."""
-
-
-class NotAGroup(SymlenError):
-    """The proposed square class group data is not an elementary 2-group."""
-
-
-class ProfileInconsistency(SymlenError):
-    """Two independent routes to an invariant disagree."""
-
-
-class DegenerateDenominator(SymlenError):
-    """A quotient bound hit a zero denominator outside its guarded cases."""
-
-
-class LemmaViolation(SymlenError):
-    """A polynomial identity check failed."""
-
-
-class DegreeViolation(SymlenError):
-    """A polynomial has the wrong degree or leading coefficient."""
-
-
-class ChainInconsistency(SymlenError):
-    """The rewrite left a slot remainder outside the +-D(2^m) of its basis
-    chain."""
+# exit code 3
 
 
 class VerificationFailure(SymlenError):

@@ -1,9 +1,12 @@
 """Tests for the verification driver behind verify-paper."""
 
+import dataclasses
 import re
 
-from symlen import bounds, builders, checks, cli
+from symlen import bounds, builders, checks, cli, decompose
 from symlen import scheme as scheme_module
+from symlen.errors import DegreeViolation, LemmaViolation
+from symlen.milnor import DEFAULT_SL_CAP, SymbolAlgebra
 from symlen.scheme import validate_scheme
 
 
@@ -104,3 +107,172 @@ def test_subspace_counts_name_a_subgroup_short_of_extensions(monkeypatch):
     assert res["mismatches"] == [[2, 2, "count", 2, 1]] + [
         [d, 1, "superspaces", "{%s1}" % ("0" * (d - 1)), (1 << (d - 1)) - 1]
         for d in range(3, 7)]
+
+
+def test_subspace_counts_report_a_count_above_its_cap(monkeypatch):
+    gaussian_count = checks.gaussian_count
+    monkeypatch.setattr(checks, "count_upper_bound",
+                        lambda d, m: gaussian_count(d, m) - ((d, m) == (5, 1)))
+    assert checks.check_subspace_counts()["mismatches"] == [[5, 1, "cap", 31, 30]]
+
+
+def test_invariant_formulas_report_a_wrong_profile(monkeypatch):
+    # Q2 has q = (4, 2) and s_seq = (2, 2, 1): halving s_1 and q_1 breaks
+    # the s_m rule at m = 1, the d_m identity from m = 1 on, one degree past
+    # stabilization included, and the level bound q_1 >= 4
+    q2 = builders.build_from_text("Q2")
+    doctored = dataclasses.replace(q2.invariants(), q=(1, 2), s_seq=(2, 1, 1))
+
+    class Doctored:
+        name = q2.name
+
+        def invariants(self):
+            return doctored
+
+    monkeypatch.setattr(checks, "standard_library", lambda max_d: [Doctored()])
+    assert checks.check_invariant_formulas(max_d=3) == {
+        "passed": False, "max_d": 3, "schemes": 1, "mismatches": [
+            ["Q2", 1, "s_m", 1, 2], ["Q2", 1, "d_m", 0, 3], ["Q2", 2, "d_m", 0, 2],
+            ["Q2", 3, "d_m", 0, 2], ["Q2", 1, "q_k", 1, 4]]}
+
+
+def test_bound_dominance_reports_an_exact_length_above_the_bounds(monkeypatch):
+    sl_field = checks.sl_field
+
+    def too_long(s, n):
+        best, witness = sl_field(s, n)
+        return best + 5 * (s.name == "laurent(F2)"), witness
+
+    monkeypatch.setattr(checks, "sl_field", too_long)
+    res = checks.check_bound_dominance(max_d=2)
+    assert not res["passed"]
+    assert res["violations"] == [
+        ["laurent(F2)", 2, "bound exponential = 3 is below the exact symbol "
+                           "length 6 for laurent(F2)"],
+        ["laurent(F2)", 2, "exact 6 > classes 1"],
+        ["laurent(F2)", 3, "bound exponential = 1 is below the exact symbol "
+                           "length 5 for laurent(F2)"],
+        ["laurent(F2)", 3, "exact 5 > classes 0"],
+    ]
+
+
+def test_rigid_oracle_reports_a_wrong_search_length(monkeypatch):
+    # on the 3-fold tower k_2 has the pair images 1, 2, 4: x = 5 is the sum
+    # of two of them, a matrix of rank 2 and symbol length 1
+    symbol_length = SymbolAlgebra.symbol_length
+
+    def one_too_many(self, x, cap=DEFAULT_SL_CAP):
+        return symbol_length(self, x, cap) + (self.dim == 3 and x.coords == 5)
+
+    monkeypatch.setattr(SymbolAlgebra, "symbol_length", one_too_many)
+    assert checks.check_rigid_oracle_agreement(max_k=3) == {
+        "passed": False, "max_k": 3, "towers": [[1, 0, 0], [2, 1, 1], [3, 3, 1]],
+        "mismatches": [[3, 5, "rank", 2, "bfs", 2]]}
+
+
+def test_rigid_oracle_reports_a_wrong_field_length(monkeypatch):
+    sl_field = checks.sl_field
+    monkeypatch.setattr(checks, "sl_field",
+                        lambda s, n: (sl_field(s, n)[0] + (s.d == 2), None))
+    res = checks.check_rigid_oracle_agreement(max_k=3)
+    assert res["towers"] == [[1, 0, 0], [2, 1, 2], [3, 3, 1]]
+    assert res["mismatches"] == [[2, "field length", 2, "expected", 1]]
+
+
+def test_rigid_oracle_reports_pair_images_short_of_a_basis(monkeypatch):
+    kn_space = checks.kn_space
+
+    class OneImage:
+        """k_2 with every pair image read as that of the first pair."""
+
+        def __init__(self, alg):
+            self.alg = alg
+            self.dim = alg.dim
+            self.symbol_length = alg.symbol_length
+
+        def image_coords(self, slots):
+            return self.alg.image_coords((1, 2))
+
+    monkeypatch.setattr(checks, "kn_space", lambda s, n: OneImage(kn_space(s, n)))
+    assert checks.check_rigid_oracle_agreement(max_k=4) == {
+        "passed": False, "max_k": 4, "towers": [[1, 0, 0], [2, 1, 1]],
+        "mismatches": [[3, "pair images are not a basis"],
+                       [4, "pair images are not a basis"]]}
+
+
+def test_polynomial_lemma_reports_a_violation(monkeypatch):
+    poly_binom_sum = checks.poly_binom_sum
+
+    def violated(n, m):
+        if n == 4:
+            raise LemmaViolation("leading coefficient too large")
+        return poly_binom_sum(n, m)
+
+    monkeypatch.setattr(checks, "poly_binom_sum", violated)
+    assert checks.check_polynomial_lemma(max_j=4) == {
+        "passed": False, "max_j": 4, "exempt_edge": 0,
+        "checked": [[0, 0, 0], [1, 1, 1], [2, 2, 2], [4, 4, 4]],
+        "failures": [[3, "leading coefficient too large"]]}
+
+
+def test_constant_profile_corollary_reports_a_wrong_direct_bound(monkeypatch):
+    split_basis = checks.bound_sl_split_basis
+    monkeypatch.setattr(checks, "bound_sl_split_basis",
+                        lambda p, n: split_basis(p, n) + ((n, p.d) == (3, 5)))
+    res = checks.check_constant_profile_corollary(max_n=3, max_d0=6)
+    assert (res["passed"], res["cases"]) == (False, 14)
+    assert res["failures"] == [[3, 5, "poly 8 != direct 9"]]
+
+
+def test_constant_profile_corollary_reports_a_wrong_polynomial(monkeypatch):
+    # a refused expansion at (d0, n) = (2, 2), and at (4, 3) a cube moved
+    # from the leading monomial into the remainder: the same value, of
+    # too high a degree
+    polynomial = checks.bound_sl_polynomial
+    cube = bounds.RationalPolynomial.make([0, 0, 0, 1])
+
+    def wrong(d0, n):
+        if (d0, n) == (2, 2):
+            raise DegreeViolation("remainder degree 1 exceeds 0")
+        leading, f = polynomial(d0, n)
+        if (d0, n) == (4, 3):
+            return leading - cube, f + cube
+        return leading, f
+
+    monkeypatch.setattr(checks, "bound_sl_polynomial", wrong)
+    res = checks.check_constant_profile_corollary(max_n=3, max_d0=6)
+    assert (res["passed"], res["cases"]) == (False, 13)
+    assert res["failures"] == [[2, 2, "remainder degree 1 exceeds 0"],
+                               [3, 4, "remainder degree 3"]]
+
+
+def test_decomposition_certificates_report_a_failed_certificate(monkeypatch):
+    certify = decompose.certify
+    calls = []
+
+    def failed_third(algebra, input_sum, output_sum):
+        calls.append(input_sum)
+        cert = certify(algebra, input_sum, output_sum)
+        return dataclasses.replace(cert, passed=cert.passed and len(calls) != 3)
+
+    monkeypatch.setattr(decompose, "certify", failed_third)
+    res = checks.check_decomposition_certificates(runs=5, max_d=2)
+    assert not res["passed"]
+    assert res["failures"] == [[2, "F1", 3, "certificate failed"]]
+
+
+def test_decomposition_certificates_report_a_surviving_link(monkeypatch):
+    assert checks.check_decomposition_certificates(runs=30)["nonempty"] == 2
+    monkeypatch.setattr(checks, "find_linked_pair", lambda s, psum: (0, 1))
+    res = checks.check_decomposition_certificates(runs=30)
+    assert not res["passed"]
+    assert [row[3] for row in res["failures"]] == ["linked pair survived"] * 2
+
+
+def test_rigid_strata_bijection_reports_a_wrong_count(monkeypatch):
+    gaussian_count = checks.gaussian_count
+    monkeypatch.setattr(checks, "gaussian_count",
+                        lambda d, m: gaussian_count(d, m) + ((d, m) == (3, 2)))
+    assert checks.check_rigid_strata_bijection(max_k=3, max_n=3) == {
+        "passed": False, "max_k": 3, "max_n": 3, "cases": 21,
+        "mismatches": [[3, 2, 0, 7, 8]]}
