@@ -378,7 +378,6 @@ class BoundRow:
 
 @dataclass(frozen=True)
 class BoundReport:
-    scheme_name: str
     degree: int
     rows: tuple
     exact_sl: int
@@ -388,8 +387,8 @@ class BoundReport:
         for row in self.rows:
             if row.value < self.exact_sl:
                 raise VerificationFailure(
-                    "bound %s = %d is below the exact symbol length %d for %s"
-                    % (row.bound_id, row.value, self.exact_sl, self.scheme_name)
+                    "bound %s = %d is below the exact symbol length %d"
+                    % (row.bound_id, row.value, self.exact_sl)
                 )
 
     def as_dict(self) -> dict:
@@ -399,7 +398,6 @@ class BoundReport:
             for row in self.rows:
                 tightness[row.bound_id] = str(Fraction(row.value, self.exact_sl))
         return {
-            "scheme": self.scheme_name,
             "n": self.degree,
             "bounds": bounds,
             "exact_sl": self.exact_sl,
@@ -460,6 +458,6 @@ def profile_bounds(profile, n: int) -> ProfileBounds:
 
 def make_bound_report(scheme, n: int, exact_sl: int) -> BoundReport:
     """The bound report of a scheme in degree n: the memoized rows of its
-    profile (profile_bounds), under the scheme's own name and exact_sl."""
+    profile (profile_bounds), with exact_sl."""
     rows = profile_bounds(scheme.invariants(), n).rows
-    return BoundReport(scheme.name, n, rows, exact_sl, BOUND_NOTES)
+    return BoundReport(n, rows, exact_sl, BOUND_NOTES)

@@ -12,12 +12,14 @@ A small expression language (see parse_scheme_expr) names these
 constructions; build() caches schemes by canonical label and by table.
 The combinators map tables to tables, so a sub-expression is a table, not
 a Scheme: only the requested label is constructed and validated.  Many
-labels name one table (the d <= 4 library has 550 labels on 272 tables);
-a label whose table is cached is that scheme renamed, sharing its
-validation and TableCore, so each distinct table is validated, and its k_n
-built, once per cache.  A Scheme constructed directly starts cold, except
-for its bound data: bounds.profile_bounds keeps that here too, keyed by
-(profile, n), so it is shared by every scheme with an equal profile.
+labels name one table (the d <= 4 library has 550 labels on 272 tables),
+and every label of a table gets the one Scheme of that table, so each
+distinct table is validated, and its k_n built, once per cache.  A label
+is the name of a request, not of a scheme: the CLI and the verify-paper
+checks put it into their payloads.  A Scheme constructed directly starts
+cold, except for its bound data: bounds.profile_bounds keeps that here
+too, keyed by (profile, n), so it is shared by every scheme with an equal
+profile.
 """
 
 from __future__ import annotations
@@ -145,8 +147,6 @@ def laurent_table(table: Table) -> Table:
     """
     group, values = table
     d = group.dim
-    if d + 1 > SCHEME_DIM_CAP:
-        raise DimensionCapExceeded("laurent extension would reach dimension %d" % (d + 1))
     size = 1 << d
     new_size = size * 2
     full = (1 << new_size) - 1
@@ -167,8 +167,6 @@ def product_table(left: Table, right: Table) -> Table:
     componentwise value sets."""
     (g1, v1), (g2, v2) = left, right
     d = g1.dim + g2.dim
-    if d > SCHEME_DIM_CAP:
-        raise DimensionCapExceeded("product would reach dimension %d" % d)
     shift = 1 << g1.dim
     eps = g1.minus_one | (g2.minus_one << g1.dim)
     # D<1,a>: row a % shift of the left table in each slot y of row
@@ -182,8 +180,8 @@ def product_table(left: Table, right: Table) -> Table:
 # building from expressions
 
 
-# canonical label -> scheme, (group, table) -> the first scheme built on
-# that table, and (profile, n) -> the bound data of that profile in degree n
+# canonical label -> the scheme of its table, (group, table) -> that
+# scheme, and (profile, n) -> the bound data of that profile in degree n
 # (bounds.profile_bounds); clearing it makes every later build and bound
 # evaluation cold
 _CACHE: dict[str | Table | tuple[InvariantProfile, int],
@@ -191,10 +189,10 @@ _CACHE: dict[str | Table | tuple[InvariantProfile, int],
 
 
 def build(expr) -> Scheme:
-    """Scheme for an expression; cached by canonical label.  On a miss the
-    table of expr is computed (_table) and only this label gets a Scheme:
-    a new one, validated, or, if the table is cached, the cached scheme
-    renamed (Scheme.renamed)."""
+    """The scheme of an expression's table; cached by canonical label and
+    by table.  On a label miss the table of expr is computed (_table), and
+    a Scheme is constructed, and validated, only if no label built that
+    table before; so build(F1) is build(laurent(QC))."""
     label = expr_label(expr)
     hit = _CACHE.get(label)
     if hit is not None:
@@ -205,11 +203,9 @@ def build(expr) -> Scheme:
             % (label, expr_dim(expr), SCHEME_DIM_CAP)
         )
     key = _table(expr)
-    twin = _CACHE.get(key)
-    if twin is None:
-        out = _CACHE[key] = Scheme(*key, label)
-    else:
-        out = twin.renamed(label)
+    out = _CACHE.get(key)
+    if out is None:
+        out = _CACHE[key] = Scheme(*key)
     _CACHE[label] = out
     return out
 
@@ -284,12 +280,8 @@ def parse_scheme_expr(text: str) -> object:
     return result
 
 
-def build_from_text(text: str, max_d: int = SCHEME_DIM_CAP) -> Scheme:
-    expr = parse_scheme_expr(text)
-    d = expr_dim(expr)
-    if d > max_d:
-        raise DimensionCapExceeded("scheme dimension %d exceeds limit %d" % (d, max_d))
-    return build(expr)
+def build_from_text(text: str) -> Scheme:
+    return build(parse_scheme_expr(text))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +322,7 @@ def standard_expressions(max_d: int) -> list:
     return out
 
 
-def standard_library(max_d: int) -> list[Scheme]:
-    """Built schemes for the standard family, ordered by (dimension, label)."""
-    return [build(e) for e in standard_expressions(max_d)]
+def standard_library(max_d: int) -> list[tuple[str, Scheme]]:
+    """(label, built scheme) for the standard family, ordered by (dimension,
+    label); the labels of one table share its scheme."""
+    return [(expr_label(e), build(e)) for e in standard_expressions(max_d)]

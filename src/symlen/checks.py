@@ -116,27 +116,27 @@ def check_invariant_formulas(max_d: int = 4) -> dict:
     """
     schemes = 0
     mismatches = []
-    for s in standard_library(max_d):
+    for label, s in standard_library(max_d):
         prof = s.invariants()
         for m in range(prof.stabilization + 2):
             sm = prof.s_m(m)
             expected_sm = 2 if _sm_exponent(m, prof.is_real, prof.level_exponent) else 1
             if sm != expected_sm:
-                mismatches.append([s.name, m, "s_m", sm, expected_sm])
+                mismatches.append([label, m, "s_m", sm, expected_sm])
             acc = prof.d - (sm.bit_length() - 1)
             for i in range(1, m + 1):
                 acc -= prof.q_m(i).bit_length() - 1
             if prof.d_m(m) != acc:
-                mismatches.append([s.name, m, "d_m", prof.d_m(m), acc])
+                mismatches.append([label, m, "d_m", prof.d_m(m), acc])
         if not prof.is_real and prof.level_exponent is not None:
             sig = prof.level_exponent
             for k in range(1, sig + 1):
                 if prof.q_m(k) < (1 << (sig + 1 - k)):
-                    mismatches.append([s.name, k, "q_k", prof.q_m(k), 1 << (sig + 1 - k)])
+                    mismatches.append([label, k, "q_k", prof.q_m(k), 1 << (sig + 1 - k)])
         for m in range(max(kaplansky_s(prof.pythagoras), prof.stabilization) + 2):
             estimate = dm_estimate_for_profile(prof, m)
             if estimate < prof.d_m(m):
-                mismatches.append([s.name, m, "d_m estimate", estimate, prof.d_m(m)])
+                mismatches.append([label, m, "d_m estimate", estimate, prof.d_m(m)])
         schemes += 1
     return {
         "passed": not mismatches,
@@ -155,17 +155,17 @@ def check_bound_dominance(max_d: int = 4, degrees=(2, 3)) -> dict:
     schemes = 0
     comparisons = 0
     violations = []
-    for s in standard_library(max_d):
+    for label, s in standard_library(max_d):
         for n in degrees:
             exact, _ = sl_field(s, n)
             report = make_bound_report(s, n, exact)
             try:
                 report.check_dominance()
             except VerificationFailure as exc:
-                violations.append([s.name, n, str(exc)])
+                violations.append([label, n, str(exc)])
             classes = len(pfister_classes(s, n))
             if exact > classes:
-                violations.append([s.name, n, "exact %d > classes %d" % (exact, classes)])
+                violations.append([label, n, "exact %d > classes %d" % (exact, classes)])
             comparisons += len(report.rows) + 1
         schemes += 1
     return {
@@ -332,7 +332,7 @@ def check_decomposition_certificates(seed: int = 2024, runs: int = 200,
     nonempty = 0
     total_output = 0
     for run in range(runs):
-        s = family[rng.randrange(len(family))]
+        label, s = family[rng.randrange(len(family))]
         n = rng.choice(tuple(degrees))
         k = rng.randrange(4)
         entries = [
@@ -341,12 +341,12 @@ def check_decomposition_certificates(seed: int = 2024, runs: int = 200,
         psum = make_sum(s, n, entries)
         final, cert = run_decomposition(s, psum)
         if not cert.passed:
-            failures.append([run, s.name, n, "certificate failed"])
+            failures.append([run, label, n, "certificate failed"])
             continue
         if final.entries:
             nonempty += 1
             if find_linked_pair(s, final) is not None:
-                failures.append([run, s.name, n, "linked pair survived"])
+                failures.append([run, label, n, "linked pair survived"])
         total_output += final.length
     return {
         "passed": not failures,

@@ -25,7 +25,7 @@ import time
 from functools import partial
 
 from .bounds import make_bound_report
-from .builders import build_from_text
+from .builders import build, expr_label, parse_scheme_expr
 from .checks import render_report, run_verification
 from .decompose import build_basis_chain, make_sum, run_decomposition
 from .errors import (
@@ -144,8 +144,9 @@ def read_config_file(path: str) -> dict:
 # scheme loading
 
 
-def load_table_file(path: str) -> Scheme:
-    """Raw scheme table from a JSON file: {name?, d, minus_one, rows}.
+def load_table_file(path: str) -> tuple[str, Scheme]:
+    """(name, scheme) of a raw table in a JSON file: {name?, d, minus_one,
+    rows}, named table:PATH when it has no name.
 
     Rows may be integers or nonempty strings of 0s and 1s (rightmost bit =
     class 0); the Scheme constructor validates the table axioms.
@@ -182,23 +183,27 @@ def load_table_file(path: str) -> Scheme:
     name = data.get("name", "table:%s" % path)
     if not isinstance(name, str):
         raise ParseError("table file %s: name must be a string" % path)
-    return Scheme(SquareClassGroup(d, data["minus_one"]),
-                  ValueSetTable(tuple(rows)), name)
+    return name, Scheme(SquareClassGroup(d, data["minus_one"]),
+                        ValueSetTable(tuple(rows)))
 
 
-def load_scheme(args: argparse.Namespace) -> Scheme:
+def load_scheme(args: argparse.Namespace) -> tuple[str, Scheme]:
+    """(name, scheme) of the request: the canonical label of --scheme, or
+    the table file's name; every payload names its answer by it."""
     if args.unsafe_table is not None:
         if args.scheme is not None:
             raise InvalidConfig("--scheme and --unsafe-table exclude each other")
         return load_table_file(args.unsafe_table)
     if not args.scheme:
         raise InvalidConfig("no scheme given; use --scheme or --unsafe-table")
-    return build_from_text(args.scheme)
+    expr = parse_scheme_expr(args.scheme)
+    return expr_label(expr), build(expr)
 
 
 def parse_form_text(text: str, scheme: Scheme) -> list[tuple[int, ...]]:
     """Entries separated by ';', slots by ','; slots are coordinate
-    bitstrings over the chain basis with the rightmost bit first."""
+    bitstrings over the chain basis with the rightmost bit first; on a
+    scheme of dimension 0 a slot has no coordinates and is empty."""
     chain = build_basis_chain(scheme)
     width = len(chain.basis)
     entries = []
@@ -209,14 +214,14 @@ def parse_form_text(text: str, scheme: Scheme) -> list[tuple[int, ...]]:
         slots = []
         for token in part.split(","):
             token = token.strip()
-            if not token or set(token) - {"0", "1"}:
+            if set(token) - {"0", "1"}:
                 raise ParseError("slot %r is not a bitstring" % token)
             if len(token) != width:
                 raise ParseError(
                     "slot %r has %d coordinates, the chain basis has %d"
                     % (token, len(token), width)
                 )
-            coords = int(token, 2)
+            coords = int(token or "0", 2)
             value = 0
             for i in range(width):
                 if (coords >> i) & 1:
@@ -266,9 +271,9 @@ def render(data: dict, fmt: str) -> str:
 
 def cmd_build(args: argparse.Namespace) -> tuple[dict, int]:
     """Validate a scheme and print its table."""
-    scheme = load_scheme(args)
+    name, scheme = load_scheme(args)
     payload = {
-        "scheme": scheme.name,
+        "scheme": name,
         "d": scheme.d,
         "size": scheme.size,
         "minus_one": scheme.eps,
@@ -280,10 +285,10 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
     """Print the invariant profile of a scheme."""
-    scheme = load_scheme(args)
+    name, scheme = load_scheme(args)
     prof = scheme.invariants()
     payload = {
-        "scheme": scheme.name,
+        "scheme": name,
         "d": prof.d,
         "is_real": prof.is_real,
         "level_exponent": prof.level_exponent,
@@ -300,7 +305,7 @@ def cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_sl(args: argparse.Namespace) -> tuple[dict, int]:
     """Exact symbol length with witness."""
-    scheme = load_scheme(args)
+    name, scheme = load_scheme(args)
     algebra = kn_space(scheme, args.n, args.cap_tensor)
     best, witness = algebra.max_symbol_length(args.cap_bfs)
     try:
@@ -308,7 +313,7 @@ def cmd_sl(args: argparse.Namespace) -> tuple[dict, int]:
     except EnumerationTooLarge:
         classes = None
     payload = {
-        "scheme": scheme.name,
+        "scheme": name,
         "n": args.n,
         "dim_kn": algebra.dim,
         "sl": best,
@@ -320,26 +325,29 @@ def cmd_sl(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     """Evaluate every length bound with tightness."""
-    scheme = load_scheme(args)
+    name, scheme = load_scheme(args)
     algebra = kn_space(scheme, args.n, args.cap_tensor)
     exact, _ = algebra.max_symbol_length(args.cap_bfs)
     report = make_bound_report(scheme, args.n, exact)
     report.check_dominance()
     payload = report.as_dict()
+    payload["scheme"] = name
     payload["dominance"] = "pass"
     return payload, EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
     """Rewrite a Pfister sum and emit the certificate."""
-    scheme = load_scheme(args)
+    name, scheme = load_scheme(args)
     if not args.form:
         raise InvalidConfig("decompose needs --form")
     psum = make_sum(scheme, args.n, parse_form_text(args.form, scheme))
     _, cert = run_decomposition(scheme, psum, merge=not args.no_merge,
                                 tensor_cap=args.cap_tensor)
+    payload = cert.as_dict()
+    payload["scheme"] = name
     code = EXIT_OK if cert.passed else EXIT_VERIFY
-    return cert.as_dict(), code
+    return payload, code
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> tuple[dict, int]:

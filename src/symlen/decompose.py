@@ -74,9 +74,8 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     by D and eps; and the chain is nested, as sos_chain checks that it
     increases.  Built once per table.
     """
-    core = scheme._core
-    if core.basis_chain is not None:
-        return core.basis_chain
+    if scheme._basis_chain is not None:
+        return scheme._basis_chain
     stab = scheme.invariants().stabilization
     basis: list[int] = []
     span = 1
@@ -100,7 +99,7 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
             coordinates[c ^ v] = picked | (1 << i)
     chain = BasisChain(tuple(basis), tuple(ranks),
                        tuple(coordinates[c] for c in range(scheme.size)))
-    core.basis_chain = chain
+    scheme._basis_chain = chain
     return chain
 
 
@@ -141,7 +140,8 @@ def make_sum(scheme: Scheme, n: int, entries) -> PfisterSum:
             )
         for a in slots:
             if not 0 <= a < scheme.size:
-                raise InvalidCase("slot %r is not a class of %s" % (a, scheme.name))
+                raise InvalidCase("slot %r is not one of the %d classes"
+                                  % (a, scheme.size))
         normalized.append(tuple(sorted(slots)))
     normalized.sort()
     return PfisterSum(n, tuple(normalized))
@@ -309,7 +309,6 @@ def merge_linked(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
 class DecompositionCertificate:
     """Verification record tying an input sum to its decomposition."""
 
-    scheme_name: str
     degree: int
     input_sum: PfisterSum
     output_sum: PfisterSum
@@ -327,7 +326,6 @@ class DecompositionCertificate:
 
     def as_dict(self) -> dict:
         return {
-            "scheme": self.scheme_name,
             "degree": self.degree,
             "input": self.input_sum.as_lists(),
             "output": self.output_sum.as_lists(),
@@ -373,7 +371,6 @@ def certify(algebra: SymbolAlgebra, input_sum: PfisterSum,
     linked = record.value("linked-power")
     length_ok = output_sum.length <= binomial
     return DecompositionCertificate(
-        scheme_name=scheme.name,
         degree=n,
         input_sum=input_sum,
         output_sum=output_sum,

@@ -60,9 +60,8 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
@@ -106,11 +105,10 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
     the bits j of b.  Let A_H be the classes a with D<1, -a> = H.  The
     tensors of the a in A_H span span(A_H) (x) H, as every value set is a
     subgroup (validate_scheme), so a basis of span(A_H) times the
-    subgroup_rows of H, kept on the TableCore, spans them: one product per
-    distinct value set.  Built once per table.
+    subgroup_rows of H, kept by the scheme from validation, spans them: one
+    product per distinct value set.  Built once per table.
     """
-    core = scheme._core
-    if core.split_pairs is None:
+    if scheme._split_pairs is None:
         d = scheme.d
         # spread[b] has bit d*j for each bit j of b: a (x) b = a * spread[b]
         spread = [0]
@@ -120,10 +118,10 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
         classes_of: dict[int, list[int]] = {}
         for a in range(1, scheme.size):
             classes_of.setdefault(rows[a ^ scheme.eps], []).append(a)
-        core.split_pairs = rref_ints(
+        scheme._split_pairs = rref_ints(
             a * spread[b] for value_set, classes in classes_of.items()
-            for a in rref_ints(classes) for b in core.subgroups[value_set])
-    return core.split_pairs
+            for a in rref_ints(classes) for b in scheme._subgroups[value_set])
+    return scheme._split_pairs
 
 
 def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
@@ -169,18 +167,6 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     return free_cols, mul
 
 
-@dataclass(eq=False)
-class _Memo:
-    """The memos of one degree of k_n of a table, shared by the algebras
-    of the schemes with that table (SymbolAlgebra.for_scheme)."""
-
-    last_slot_rows: dict[int, list[int]] = field(default_factory=dict)
-    links: dict[int, tuple[int, int]] | None = None
-    classes: dict[int, tuple[int, ...]] | None = None
-    pure: tuple[int, ...] | None = None
-    layers: list[int] | None = None
-
-
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}
     by _quotient.  The degrees below n are built first, and cached, by
@@ -200,20 +186,14 @@ class SymbolAlgebra:
             self.free_cols, self._mul = _quotient(self.lower, scheme, n)
         self.dim = len(self.free_cols)
         self._tables: list[list[list[int]]] | None = None
-        self._memo = _Memo()
-
-    def for_scheme(self, scheme: Scheme) -> SymbolAlgebra:
-        """This algebra for a scheme with the same table: the same
-        coordinates, tables and memos, over that scheme's own lower
-        degrees, which kn_space has built."""
-        alg = copy.copy(self)
-        alg.scheme = scheme
-        alg.lower = scheme._kn.get(self.n - 1)
-        return alg
+        self._last_slot_rows: dict[int, list[int]] = {}
+        self._link_map: dict[int, tuple[int, int]] | None = None
+        self._classes: dict[int, tuple[int, ...]] | None = None
+        self._pure: tuple[int, ...] | None = None
+        self._layers: list[int] | None = None
 
     def __repr__(self):
-        return "SymbolAlgebra(%r, n=%d, dim=%d)" % (
-            self.scheme.name, self.n, self.dim)
+        return "SymbolAlgebra(d=%d, n=%d, dim=%d)" % (self.scheme.d, self.n, self.dim)
 
     def representative(self, x: SymbolVector) -> int:
         """Canonical tensor bitmask representing x (supported on free columns)."""
@@ -268,7 +248,7 @@ class SymbolAlgebra:
         Memoized by x, a pure symbol or 0, as the merge asks for the row of
         every class of k_{n-1}.
         """
-        memo = self._memo.last_slot_rows
+        memo = self._last_slot_rows
         images = memo.get(x)
         if images is None:
             row = self._row(x)
@@ -280,10 +260,9 @@ class SymbolAlgebra:
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols: the images
         the class walk reaches."""
-        memo = self._memo
-        if memo.pure is None:
-            memo.pure = tuple(sorted(self._links()))
-        return memo.pure
+        if self._pure is None:
+            self._pure = tuple(sorted(self._links()))
+        return self._pure
 
     def _links(self) -> dict[int, tuple[int, int]]:
         """Map of each nonzero image to (image of its least slot tuple's
@@ -296,13 +275,13 @@ class SymbolAlgebra:
         its algebra as the walk passes it, and a degree that already has
         its map is not walked again.
         """
-        if self._memo.links is None:
+        if self._link_map is None:
             size = self.scheme.size
             eps = self.scheme.eps
             # k_0: the empty tuple has image 1, and its extensions start at 0
             links: dict[int, tuple[int, int]] = {1: (0, 0)}
             for alg in self._chain():
-                if alg._memo.links is None:
+                if alg._link_map is None:
                     nxt: dict[int, tuple[int, int]] = {}
                     for x, (_, last) in links.items():
                         row = alg._row(x)
@@ -310,9 +289,9 @@ class SymbolAlgebra:
                             image = row[c ^ eps]
                             if image and image not in nxt:
                                 nxt[image] = (x, c)
-                    alg._memo.links = nxt
-                links = alg._memo.links
-        return self._memo.links
+                    alg._link_map = nxt
+                links = alg._link_map
+        return self._link_map
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
@@ -323,19 +302,18 @@ class SymbolAlgebra:
         leading 1 slots come first, so a class's least tuple also has the
         most.
         """
-        memo = self._memo
-        if memo.classes is None:
+        if self._classes is None:
             chain = self._chain()[::-1]
             least = {}
             for image in self._links():
                 slots = []
                 x = image
                 for alg in chain:
-                    x, c = alg._memo.links[x]
+                    x, c = alg._link_map[x]
                     slots.append(c)
                 least[image] = tuple(reversed(slots))
-            memo.classes = least
-        return memo.classes
+            self._classes = least
+        return self._classes
 
     def _head_bases(self):
         """Yield the nonzero mu_n(x, e_i), i < d, for each distinct head x
@@ -352,22 +330,20 @@ class SymbolAlgebra:
         """Layer k of the pure-symbol Cayley graph, as a bitset, at index k.
 
         The cap is checked on every call, so that a search refused on a
-        cold cache is refused identically on a warm one.  Layer 1, the
-        pure symbols, is also read on every call (it is memoized), so that
-        each scheme's algebra reads its generators when it is searched,
-        as perfbench/tracer.py counts them.  The head bases are derived
-        (_head_bases) once per search, when the first saturation pass
-        needs them, and later passes read them again through a tee; a
-        pass that covers every class stops before the rest are derived."""
+        cold cache is refused identically on a warm one.  The layers are
+        memoized, and one algebra serves every label of the table, so the
+        search, and its read of layer 1, the pure symbols, runs once per
+        (table, n).  The head bases are derived (_head_bases) once per
+        search, when the first saturation pass needs them, and later passes
+        read them again through a tee; a pass that covers every class stops
+        before the rest are derived."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
             )
-        pures = self.pure_symbols()
-        memo = self._memo
-        if memo.layers is None:
+        if self._layers is None:
             packed = bytearray(((1 << self.dim) + 7) >> 3)
-            for g in pures:
+            for g in self.pure_symbols():
                 packed[g >> 3] |= 1 << (g & 7)
             gens = int.from_bytes(packed, "little")
             masks = clear_bit_masks(self.dim)
@@ -391,8 +367,8 @@ class SymbolAlgebra:
                     )
                 reached |= nxt
                 layers.append(nxt)
-            memo.layers = layers
-        return memo.layers
+            self._layers = layers
+        return self._layers
 
     def symbol_length(self, x: SymbolVector, cap: int = DEFAULT_SL_CAP) -> int:
         if x.dim != self.dim:
@@ -427,13 +403,12 @@ def _union_of_saturations(ball: int, bases, masks: list[int], todo: int) -> int:
 
 
 def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:
-    """The degree n symbol algebra of a scheme, cached on the scheme.
+    """The degree n symbol algebra of a scheme, cached on the scheme: one
+    algebra per (table, n), as builders.build gives a table one scheme.
 
     The missing degrees up to n are built bottom-up, each on the one below,
-    and cached too.  A degree that a scheme with the same TableCore has
-    built is not built again: the scheme gets it through for_scheme.  The
-    cap is enforced on cache hits too, so that a request refused on a cold
-    cache is refused identically on a warm one.
+    and cached too.  The cap is enforced on cache hits too, so that a
+    request refused on a cold cache is refused identically on a warm one.
     """
     _check_degree(scheme.d, n, tensor_cap)
     cache = scheme._kn
@@ -441,12 +416,8 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
         low = n
         while low > 1 and low - 1 not in cache:
             low -= 1
-        built = scheme._core.kn
         for m in range(low, n + 1):
-            if m in built:
-                cache[m] = built[m].for_scheme(scheme)
-            else:
-                cache[m] = built[m] = SymbolAlgebra(scheme, m, tensor_cap)
+            cache[m] = SymbolAlgebra(scheme, m, tensor_cap)
     return cache[n]
 
 

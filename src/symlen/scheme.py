@@ -19,9 +19,8 @@ milnor.SymbolAlgebra.
 
 from __future__ import annotations
 
-import copy
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -187,34 +186,20 @@ class InvariantProfile:
 # the scheme itself
 
 
-@dataclass(eq=False)
-class TableCore:
-    """What a scheme derives from its table alone: the subgroup rows of each
-    distinct value set, kept from validation; the square-sum and D(2^m)
-    chains; the invariant profile; the split pairs; the basis chain; and,
-    per degree n, the first k_n algebra built on the table (kn_space).
-    Memoized here, and shared by the schemes that Scheme.renamed makes."""
-
-    subgroups: dict[int, list[int]]
-    sos_chain: list[int] | None = None
-    d2m: list[int] | None = None
-    profile: InvariantProfile | None = None
-    split_pairs: list[int] | None = None
-    basis_chain: BasisChain | None = None
-    kn: dict[int, SymbolAlgebra] = field(default_factory=dict)
-
-
 class Scheme:
     """A finite quadratic form scheme with memoized derived data.
 
     The constructor validates the table (validate_scheme), so a Scheme that
-    exists satisfies the axioms, and starts a cold TableCore.  renamed
-    shares both under another name.  The k_n algebras in _kn name their
-    scheme, so each scheme has its own, over the core's coordinates and
-    memos.  Query methods are pure with respect to the table.
+    exists satisfies the axioms.  Everything else is derived from the table
+    alone and memoized here on first use: the subgroup rows of each
+    distinct value set, kept from validation; the square-sum and D(2^m)
+    chains; the invariant profile; the split pairs; the basis chain; and,
+    per degree n, the k_n algebra (kn_space).  A scheme carries no name:
+    builders.build gives every label of one table the same scheme, and the
+    CLI names each answer by the label it was asked for.
     """
 
-    def __init__(self, group: SquareClassGroup, values: ValueSetTable, name: str):
+    def __init__(self, group: SquareClassGroup, values: ValueSetTable):
         if group.dim > SCHEME_DIM_CAP:
             raise DimensionCapExceeded(
                 "scheme dimension %d exceeds cap %d" % (group.dim, SCHEME_DIM_CAP)
@@ -226,7 +211,6 @@ class Scheme:
             )
         self.group = group
         self.values = values
-        self.name = name
         self.d = group.dim
         self.size = 1 << group.dim
         self.eps = group.minus_one
@@ -234,19 +218,16 @@ class Scheme:
         for a, row in enumerate(values.rows):
             if row < 0 or row > full:
                 raise NotAGroup("value set row %d out of range" % a)
+        self._subgroups = validate_scheme(self)
+        self._sos_chain: list[int] | None = None
+        self._d2m: list[int] | None = None
+        self._profile: InvariantProfile | None = None
+        self._split_pairs: list[int] | None = None
+        self._basis_chain: BasisChain | None = None
         self._kn: dict[int, SymbolAlgebra] = {}
-        self._core = TableCore(validate_scheme(self))
 
     def __repr__(self):
-        return "Scheme(%r, d=%d)" % (self.name, self.d)
-
-    def renamed(self, name: str) -> Scheme:
-        """This scheme under another name: the same validated table and
-        TableCore, and no k_n algebra of its own yet."""
-        twin = copy.copy(self)
-        twin.name = name
-        twin._kn = {}
-        return twin
+        return "Scheme(d=%d, eps=%d)" % (self.d, self.eps)
 
     @property
     def full_mask(self) -> int:
@@ -256,8 +237,7 @@ class Scheme:
 
     def sos_chain(self) -> list[int]:
         """Bitmasks of D(k ones) for k = 1.. until the chain stabilizes."""
-        core = self._core
-        if core.sos_chain is None:
+        if self._sos_chain is None:
             chain = [1]  # D of a single <1> is {identity}
             while True:
                 cur = chain[-1]
@@ -272,8 +252,8 @@ class Scheme:
                 if nxt & cur != cur:
                     raise ProfileInconsistency("sum of squares chain not increasing")
                 chain.append(nxt)
-            core.sos_chain = chain
-        return core.sos_chain
+            self._sos_chain = chain
+        return self._sos_chain
 
     def _check_subgroup(self, setmask: int) -> None:
         if not setmask & 1:
@@ -284,9 +264,8 @@ class Scheme:
 
     def d2m_chain(self) -> list[int]:
         """Subgroup chain D(2^m) for m = 0..stabilization, as bitmasks."""
-        core = self._core
-        if core.d2m is not None:
-            return core.d2m
+        if self._d2m is not None:
+            return self._d2m
         chain = self.sos_chain()
         p = len(chain)
         masks = [chain[0]]
@@ -299,7 +278,7 @@ class Scheme:
             m += 1
         for sm in masks:
             self._check_subgroup(sm)
-        core.d2m = masks
+        self._d2m = masks
         return masks
 
     def pm_d2m(self, m: int) -> int:
@@ -309,9 +288,8 @@ class Scheme:
         return sm | translate(sm, self.eps)
 
     def invariants(self) -> InvariantProfile:
-        core = self._core
-        if core.profile is not None:
-            return core.profile
+        if self._profile is not None:
+            return self._profile
         chain = self.sos_chain()
         fixpoint = chain[-1]
         p = len(chain)
@@ -372,7 +350,7 @@ class Scheme:
             d_seq=tuple(d_seq),
             chain=tuple(masks),
         )
-        core.profile = profile
+        self._profile = profile
         return profile
 
 
@@ -386,10 +364,10 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
 
     Raises AxiomViolation with a witness description at the first failure.
     Otherwise it marks the scheme validated and returns the subgroup_rows
-    of each distinct value set, which Scheme.__init__ keeps on the
-    TableCore.  Every Scheme is validated once, when it is constructed,
-    and a renamed one not again; builders.build constructs one only for a
-    requested label, never for its sub-expressions.
+    of each distinct value set, which Scheme.__init__ keeps.  Every Scheme
+    is validated once, when it is constructed; builders.build constructs
+    one per table, and only for a requested label, never for its
+    sub-expressions.
 
     The ternary check is exhaustive at every dimension.  Write x + (y + z)
     for the union of D<x,t> over t in D<y,z>; every ordered triple must

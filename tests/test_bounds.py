@@ -88,10 +88,10 @@ def test_dm_estimate_errors():
 
 
 def test_dm_estimate_dominates_family():
-    for s in standard_library(3):
+    for label, s in standard_library(3):
         prof = s.invariants()
         for m in range(5):
-            assert dm_estimate_for_profile(prof, m) >= prof.d_m(m), (s.name, m)
+            assert dm_estimate_for_profile(prof, m) >= prof.d_m(m), (label, m)
 
 
 def test_dm_estimate_tight_cases():
@@ -108,14 +108,14 @@ def test_strata_count_frozen_and_dominant():
     # the m = 2 stratum dies at level two: too many slots equal to eps
     assert [bound_strata_count(prof, 2, m) for m in range(3)] == [4, 2, 0]
     assert bound_strata_count(prof, 3, 2) == 0
-    for s in standard_library(3):
+    for label, s in standard_library(3):
         p = s.invariants()
         for n in (2, 3):
             if s.size ** n > 1 << 10:
                 continue
             strata = enumerate_pfister_strata(s, n)
             for m, count in strata.items():
-                assert bound_strata_count(p, n, m) >= count, (s.name, n, m)
+                assert bound_strata_count(p, n, m) >= count, (label, n, m)
 
 
 def test_exponential_frozen():
@@ -157,11 +157,11 @@ def test_exponential_matches_case_oracle():
         for n in range(1, 12):
             assert (bound_sl_exponential(prof, n)
                     == exponential_bound_by_cases(prof, n)), (vars(prof), n)
-    for s in standard_library(4):
+    for label, s in standard_library(4):
         prof = s.invariants()
         for n in range(1, 9):
             assert (bound_sl_exponential(prof, n)
-                    == exponential_bound_by_cases(prof, n)), (s.name, n)
+                    == exponential_bound_by_cases(prof, n)), (label, n)
     rc = profile_of("RC")
     assert bound_sl_exponential(rc, 4000) == exponential_bound_by_cases(rc, 4000)
 
@@ -201,7 +201,7 @@ def test_paired_covers_all_ones_stratum():
 
 
 def test_all_bounds_dominate_exact_sl():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         for n in (2, 3):
             sl, _ = sl_field(s, n)
             report = make_bound_report(s, n, exact_sl=sl)
@@ -212,7 +212,6 @@ def test_report_contents_and_failure():
     s = build_from_text("laurent(F2)")
     report = make_bound_report(s, 2, exact_sl=1)
     data = report.as_dict()
-    assert data["scheme"] == "laurent(F2)"
     assert data["bounds"]["binomial"] == 1
     assert data["tightness"]["split-basis"] == "2"
     assert data["bounds"]["paired"] == 1
@@ -382,41 +381,41 @@ def test_memo_never_changes_an_answer(monkeypatch, tmp_path):
     # those of a cold Scheme in an empty cache
     monkeypatch.setattr(builders, "_CACHE", {})
     rng = random.Random(30)
-    cases = [(s, n, [[rng.randrange(s.size) for _ in range(n)]
-                     for _ in range(rng.randint(1, 6))])
-             for s in standard_library(4) for n in (2, 3)]
+    cases = [(label, s, n, [[rng.randrange(s.size) for _ in range(n)]
+                            for _ in range(rng.randint(1, 6))])
+             for label, s in standard_library(4) for n in (2, 3)]
     raw = build_from_text("laurent(Q2)")
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({
         "name": "raw", "d": raw.d, "minus_one": raw.eps,
         "rows": [format(row, "b") for row in raw.values.rows],
     }))
-    cases.append((cli.load_table_file(str(path)), 3, [[1, 2, 4], [3, 5, 9]]))
+    cases.append(cli.load_table_file(str(path)) + (3, [[1, 2, 4], [3, 5, 9]]))
     n = 4000
-    cases.append((build_from_text("RC"), n,
+    cases.append(("RC", build_from_text("RC"), n,
                   [(0,) * n, (0,) * (n - 1) + (1,), (0,) * n]))
-    for s, n, _ in cases:
+    for _, s, n, _ in cases:
         profile_bounds(s.invariants(), n)
     warm_cache = builders._CACHE
-    for s, n, entries in cases:
+    for label, s, n, entries in cases:
         profile = s.invariants()
         assert (profile, n) in warm_cache
         exact = rng.choice((0, 1, 2))
         report = make_bound_report(s, n, exact).as_dict()
-        assert (report["scheme"], report["exact_sl"]) == (s.name, exact)
+        assert report["exact_sl"] == exact, (label, n)
         direct = direct_bounds(profile, n)
-        assert report["bounds"] == direct, (s.name, n)
+        assert report["bounds"] == direct, (label, n)
         cert = run_decomposition(s, make_sum(s, n, entries))[1].as_dict()
         assert cert["bounds"] == {"binomial": direct["binomial"],
                                   "linked": direct["linked-power"]}
         assert cert["strata"]["caps"] == [bound_strata_count(profile, n, m)
                                           for m in range(n + 1)]
-        cold = Scheme(s.group, s.values, s.name)
+        cold = Scheme(s.group, s.values)
         monkeypatch.setattr(builders, "_CACHE", {})
-        assert make_bound_report(cold, n, exact).as_dict() == report, (s.name, n)
+        assert make_bound_report(cold, n, exact).as_dict() == report, (label, n)
         builders._CACHE.clear()
         cold_cert = run_decomposition(cold, make_sum(cold, n, entries))[1]
-        assert cold_cert.as_dict() == cert, (s.name, n)
+        assert cold_cert.as_dict() == cert, (label, n)
         monkeypatch.setattr(builders, "_CACHE", warm_cache)
 
 
@@ -433,7 +432,7 @@ def test_bounds_evaluated_once_per_profile_and_degree(monkeypatch):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     monkeypatch.setattr(builders, "_CACHE", {})
     library = standard_library(4)
-    pairs = [(s, n) for s in library for n in (2, 3)]
+    pairs = [(s, n) for _, s in library for n in (2, 3)]
     for s, n in pairs:
         profile_bounds(s.invariants(), n)
     keys = {(s.invariants(), n) for s, n in pairs}
@@ -444,7 +443,7 @@ def test_bounds_evaluated_once_per_profile_and_degree(monkeypatch):
     per_key = Counter(key[1:3] for key in calls)
     assert per_key == {(profile, n): 6 + n + 1 for profile, n in keys}
     # a certificate reads the same record
-    s = library[-1]
+    _, s = library[-1]
     run_decomposition(s, make_sum(s, 2, [(1, 2), (3, 5)]))
     assert set(calls.values()) == {1}
     # clearing the one cache clears the memo

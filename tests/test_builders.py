@@ -10,7 +10,12 @@ symbol code cannot hide in the oracle.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +38,7 @@ from symlen.builders import (
     standard_library,
     DATA_DIR,
 )
-from symlen.decompose import make_sum, run_decomposition
+from symlen.decompose import build_basis_chain, make_sum, run_decomposition
 from symlen.errors import DimensionCapExceeded, ParseError
 from symlen.milnor import sl_field
 from symlen.scheme import Scheme, pfister_classes, validate_scheme
@@ -61,6 +66,8 @@ def test_build_caches():
     a = build(parse_scheme_expr("laurent(F2)"))
     b = build(parse_scheme_expr("Laurent( f2 )"))
     assert a is b
+    # one scheme per table, whichever label asks first
+    assert build(parse_scheme_expr("F1")) is build(parse_scheme_expr("laurent(QC)"))
 
 
 def test_dyadic_frozen_file_matches_generator():
@@ -116,7 +123,7 @@ def test_laurent_tables():
 def test_laurent_preserves_level_and_realness():
     for text in ("QC", "RC", "F1", "F2", "laurent(QC)", "laurent(RC)"):
         base = build(parse_scheme_expr(text))
-        ext = Scheme(*laurent_table((base.group, base.values)), "laurent(%s)" % text)
+        ext = Scheme(*laurent_table((base.group, base.values)))
         bp, ep = base.invariants(), ext.invariants()
         assert bp.is_real == ep.is_real
         assert bp.level_exponent == ep.level_exponent
@@ -145,8 +152,7 @@ def test_product_tables():
     assert mixed.invariants().is_real
     f2 = build(BaseExpr("F2"))
     qc = build(BaseExpr("QC"))
-    same = Scheme(*product_table((qc.group, qc.values), (f2.group, f2.values)),
-                  "product(QC,F2)")
+    same = Scheme(*product_table((qc.group, qc.values), (f2.group, f2.values)))
     assert same.values.rows == f2.values.rows and same.eps == f2.eps
 
 
@@ -178,8 +184,6 @@ def test_parser_errors():
 def test_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
         build_from_text("product(Q2,product(Q2,RC))")
-    with pytest.raises(DimensionCapExceeded):
-        build_from_text("laurent(RC)", max_d=1)
 
 
 def test_standard_family_counts():
@@ -195,7 +199,7 @@ def test_standard_family_counts():
 
 
 def test_standard_family_valid_small():
-    for s in standard_library(2):
+    for _, s in standard_library(2):
         assert s._validated
         prof = s.invariants()
         sigma = prof.level_exponent
@@ -218,7 +222,7 @@ def run_cli(capsys, argv):
 def cold_build(expr):
     """The scheme of expr built in an empty cache: a tree of laurent and
     product nodes has no other node with the root's table, so the root is
-    constructed and validated, not renamed."""
+    constructed and validated."""
     cache = builders._CACHE
     builders._CACHE = {}
     try:
@@ -227,29 +231,45 @@ def cold_build(expr):
         builders._CACHE = cache
 
 
+def cli_json(capsys, argv):
+    assert cli.main(argv + ["--format", "json"]) == 0, argv
+    return json.loads(capsys.readouterr().out)
+
+
 def test_twin_matches_cold_build(monkeypatch, capsys):
-    # a twin is a label whose table was already built: build gives it the
-    # first scheme's validation and memos under its own name.  In library
-    # order each table's first label is queried before its twins, so the
-    # twins read warm memos; each must answer as a cold Scheme does
+    # a twin is a label whose table was already built: build gives it that
+    # table's scheme, with its validation and memos.  In library order each
+    # table's first label is queried before its twins, so the twins read
+    # warm memos; each must answer as a cold Scheme does, and the CLI must
+    # name each answer by the twin's own label
     monkeypatch.setattr(builders, "_CACHE", {})
+    parser = cli.make_parser()  # one parser for the 2,502 calls
+    monkeypatch.setattr(cli, "make_parser", lambda: parser)
     rng = random.Random(25)
     twins = []
     for expr in standard_expressions(4):
         label = expr_label(expr)
-        s = build(expr)
         cold = cold_build(expr)
-        assert (s.name, s.group, s.values) == (cold.name, cold.group, cold.values)
-        if builders._CACHE[(s.group, s.values)] is not s:
+        key = (cold.group, cold.values)
+        twin = key in builders._CACHE
+        s = build(expr)
+        assert s is builders._CACHE[key]
+        if twin:
             twins.append(label)
         for n in (2, 3):
             sl = sl_field(s, n)
             assert sl == sl_field(cold, n), (label, n)
             report = make_bound_report(s, n, sl[0]).as_dict()
             assert report == make_bound_report(cold, n, sl[0]).as_dict(), (label, n)
-            assert report["scheme"] == label
             assert (list(pfister_classes(s, n).items())
                     == list(pfister_classes(cold, n).items())), (label, n)
+            if twin:
+                argv = ["--scheme", label, "--n", str(n)]
+                data = cli_json(capsys, ["sl"] + argv)
+                assert (data["scheme"], data["sl"], data["witness"]["coords"]) == (
+                    label, sl[0], sl[1].coords)
+                assert cli_json(capsys, ["bounds"] + argv) == dict(
+                    report, scheme=label, dominance="pass")
         n = rng.choice((2, 3))
         entries = [[rng.randrange(s.size) for _ in range(n)]
                    for _ in range(rng.randint(1, 6))]
@@ -257,21 +277,25 @@ def test_twin_matches_cold_build(monkeypatch, capsys):
         cold_out, cold_cert = run_decomposition(cold, make_sum(cold, n, entries))
         assert warm_out == cold_out, label
         assert warm_cert.as_dict() == cold_cert.as_dict(), label
-        assert warm_cert.as_dict()["scheme"] == label
+        if twin:
+            coords = build_basis_chain(s).coordinates
+            form = ";".join(",".join(format(coords[a], "0%db" % s.d) for a in e)
+                            for e in entries)
+            argv = ["decompose", "--scheme", label, "--n", str(n), "--form", form]
+            assert cli_json(capsys, argv) == dict(warm_cert.as_dict(), scheme=label)
     assert len(twins) == 550 - 272
     # the caps refuse on a warm twin as on a cold scheme: the same exit
     # code, stdout and stderr from `symlen sl`, and a payload that names
     # the twin
     refused = dict.fromkeys(["--cap-bfs", "--cap-enum", "--cap-tensor"], 0)
-    parser = cli.make_parser()  # one parser for the 1,668 calls
-    monkeypatch.setattr(cli, "make_parser", lambda: parser)
     for label in twins:
         warm = builders._CACHE[label]
         for cap in (["--cap-bfs", "2"], ["--cap-enum", "8"], ["--cap-tensor", "8"]):
             argv = ["sl", "--scheme", label, "--n", "3", "--format", "json"] + cap
             outcomes = []
-            for s in (warm, Scheme(warm.group, warm.values, label)):
-                monkeypatch.setattr(cli, "load_scheme", lambda cfg, s=s: s)
+            for s in (warm, Scheme(warm.group, warm.values)):
+                monkeypatch.setattr(cli, "load_scheme",
+                                    lambda cfg, named=(label, s): named)
                 outcomes.append(run_cli(capsys, argv))
             assert outcomes[0] == outcomes[1], (label, cap)
             code, out, _ = outcomes[0]
@@ -286,18 +310,59 @@ def test_each_table_validated_once(monkeypatch):
     calls = []
 
     def counted(scheme):
-        calls.append(scheme.name)
+        calls.append((scheme.group, scheme.values))
         return validate_scheme(scheme)
 
     monkeypatch.setattr(builders, "_CACHE", {})
     monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     library = standard_library(4)
-    tables = {(s.group, s.values) for s in library}
+    tables = {(s.group, s.values) for _, s in library}
     assert (len(library), len(tables), len(calls)) == (550, 272, 272)
-    for s in library:
+    assert set(calls) == tables
+    for _, s in library:
         first = builders._CACHE[(s.group, s.values)]
-        assert s._core is first._core and s._validated
-        assert (s is first) == (s.name in calls)
+        assert s is first and s._validated
+
+
+# library-sl at n = 2 on two labels of one table, whose k_2 has dimension
+# 1, under the benchmark's tracer in a child process, as a traced benchmark
+# process runs its ops
+TRACED_TWINS = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import ops, tracer
+    with open("%s/reference/library-sl.json" % sys.argv[1]) as fh:
+        reference = json.load(fh)["ops"]
+    labels = ["laurent(F1)", "laurent(laurent(QC))"]
+    trace = tracer.Tracer()
+    trace.install([ops])
+    schemes = ops.build_schemes(labels)
+    results = []
+    for i, label in enumerate(labels):
+        op = next(op for op in reference
+                  if (op["scheme"], op["n"]) == (label, 2))
+        trace.op = i
+        raw = ops.run_op("library-sl", schemes[label], op)
+        results.append([ops.summarize("library-sl", raw) == op["expect"],
+                        ops.oracle_problems("library-sl", schemes[label], op, raw)])
+    trace.active = False
+    print(json.dumps({"results": results, "layers": trace.layer_totals(),
+                      "counts": dict(trace.counts)}))
+""")
+
+
+def test_tracer_searches_a_shared_table_once():
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = str(Path(builders.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", TRACED_TWINS, str(bench)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["results"] == [[True, []], [True, []]]
+    # the second label reads the search of the first
+    assert result["layers"]["milnor.pure_symbols"]["calls"] == 1
+    assert result["counts"]["milnor.generators"] == 1
 
 
 def test_only_the_requested_label_is_validated(monkeypatch):
@@ -305,15 +370,15 @@ def test_only_the_requested_label_is_validated(monkeypatch):
     calls = []
 
     def counted(scheme):
-        calls.append(scheme.name)
+        calls.append((scheme.group, scheme.values))
         return validate_scheme(scheme)
 
     monkeypatch.setattr(builders, "_CACHE", {})
     monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     label = "laurent(laurent(laurent(laurent(laurent(RC)))))"
     s = build_from_text(label)
-    assert calls == [label]
+    assert calls == [(s.group, s.values)]
     assert builders._CACHE == {label: s, (s.group, s.values): s}
-    build_from_text("laurent(RC)")
-    assert calls == [label, "laurent(RC)"]
+    rc = build_from_text("laurent(RC)")
+    assert calls == [(s.group, s.values), (rc.group, rc.values)]
     assert len(builders._CACHE) == 4

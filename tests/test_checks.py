@@ -15,14 +15,14 @@ def test_determinism_check_starts_cold(monkeypatch):
     validated = []
 
     def counted(s):
-        validated.append(s.name)
+        validated.append(s.values.rows)
         return validate_scheme(s)
 
     def fake_report(max_d, seed, progress=None):
         # labels, and tables, cached when the pass starts
         cache_sizes.append((len(builders._CACHE),
                             sum(not isinstance(key, str) for key in builders._CACHE)))
-        # laurent(QC) has the table of F1, so it is F1 renamed
+        # laurent(QC) has the table of F1, so it is the scheme of F1
         for label in ("laurent(F2)", "F1", "laurent(QC)"):
             builders.build_from_text(label)
         return {"max_d": max_d, "seed": seed, "checks": []}
@@ -33,9 +33,9 @@ def test_determinism_check_starts_cold(monkeypatch):
     monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     report = checks.run_verification(max_d=1)
     assert cache_sizes == [(0, 0), (0, 0)]
-    # each pass validates laurent(F2) and F1 alone: the sub-expressions F2
-    # and QC are tables, not schemes
-    assert validated == ["laurent(F2)", "F1"] * 2
+    # each pass validates the tables of laurent(F2) and F1 alone: the
+    # sub-expressions F2 and QC are tables, not schemes
+    assert validated == [(3, 15, 5, 9), (3, 3)] * 2
     # three labels and the two tables they name
     assert len(builders._CACHE) == 5
     assert report["all_passed"] and report["checks"][-1]["repeat_identical"]
@@ -124,12 +124,10 @@ def test_invariant_formulas_report_a_wrong_profile(monkeypatch):
     doctored = dataclasses.replace(q2.invariants(), q=(1, 2), s_seq=(2, 1, 1))
 
     class Doctored:
-        name = q2.name
-
         def invariants(self):
             return doctored
 
-    monkeypatch.setattr(checks, "standard_library", lambda max_d: [Doctored()])
+    monkeypatch.setattr(checks, "standard_library", lambda max_d: [("Q2", Doctored())])
     assert checks.check_invariant_formulas(max_d=3) == {
         "passed": False, "max_d": 3, "schemes": 1, "mismatches": [
             ["Q2", 1, "s_m", 1, 2], ["Q2", 1, "d_m", 0, 3], ["Q2", 2, "d_m", 0, 2],
@@ -138,20 +136,21 @@ def test_invariant_formulas_report_a_wrong_profile(monkeypatch):
 
 def test_bound_dominance_reports_an_exact_length_above_the_bounds(monkeypatch):
     sl_field = checks.sl_field
+    q3 = builders.build_from_text("laurent(F2)")
 
     def too_long(s, n):
         best, witness = sl_field(s, n)
-        return best + 5 * (s.name == "laurent(F2)"), witness
+        return best + 5 * (s is q3), witness
 
     monkeypatch.setattr(checks, "sl_field", too_long)
     res = checks.check_bound_dominance(max_d=2)
     assert not res["passed"]
     assert res["violations"] == [
         ["laurent(F2)", 2, "bound exponential = 3 is below the exact symbol "
-                           "length 6 for laurent(F2)"],
+                           "length 6"],
         ["laurent(F2)", 2, "exact 6 > classes 1"],
         ["laurent(F2)", 3, "bound exponential = 1 is below the exact symbol "
-                           "length 5 for laurent(F2)"],
+                           "length 5"],
         ["laurent(F2)", 3, "exact 5 > classes 0"],
     ]
 

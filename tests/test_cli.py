@@ -475,3 +475,22 @@ def test_max_d_above_the_cap_refused_before_any_check(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "cap exceeded: library dimension 7 exceeds cap 6\n"
+
+
+
+@pytest.mark.parametrize("n, form, entries", [(2, ",", 1), (3, ",,;,,", 2)])
+def test_decompose_on_the_one_class_scheme(capsys, n, form, entries):
+    # on QC the chain basis is empty, so every slot is the empty bitstring
+    code, out = run_cli(capsys, "decompose", "--scheme", "QC", "--n", str(n),
+                        "--form", form, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["input"], data["output"]) == ([[0] * n] * entries, [])
+    assert data["passed"] is True
+
+
+def test_empty_slot_refused_on_a_nontrivial_group(capsys):
+    code = cli.main(["decompose", "--scheme", "RC", "--form", ","])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: slot '' has 0 coordinates, the chain basis has 1\n"

@@ -67,7 +67,7 @@ def test_chain_frozen(expr, basis, ranks):
 
 
 def test_chain_structure():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         chain = build_basis_chain(s)
         assert len(chain.basis) == s.d
         prof = s.invariants()
@@ -86,7 +86,7 @@ def test_chain_structure():
 
 
 def test_chain_coordinates_roundtrip():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         chain = build_basis_chain(s)
         for c in range(s.size):
             coords = chain.coordinates[c]
@@ -101,7 +101,7 @@ def test_chain_coordinates_roundtrip():
 
 def test_chain_matches_rref_oracle():
     # the class-mask span against RREF rows, on each distinct d <= 5 table
-    tables = {(s.eps, s.values.rows): s for s in standard_library(5)}
+    tables = {(s.eps, s.values.rows): s for _, s in standard_library(5)}
     assert len(tables) == 1255
     for s in tables.values():
         chain = build_basis_chain(s)
@@ -202,7 +202,7 @@ def test_rewrite_does_not_depend_on_earlier_sums():
     # the stratum 0 witness of a class is chosen within one call; a class
     # seen in an earlier sum on the same scheme must not carry its slots over
     cached = build_from_text("product(F1,product(RC,laurent(laurent(QC))))")
-    s = Scheme(cached.group, cached.values, cached.name)
+    s = Scheme(cached.group, cached.values)
     earlier = make_sum(s, 2, [(13, 7), (14, 5), (13, 4), (15, 7), (0, 8),
                               (12, 5), (10, 6)])
     run_decomposition(s, earlier)
@@ -228,7 +228,7 @@ def _assert_settled_shape(scheme, chain, psum):
 
 def test_rewrite_random_sums_settle():
     rng = random.Random(11)
-    for s in standard_library(2):
+    for _, s in standard_library(2):
         chain = build_basis_chain(s)
         for n in (2, 3):
             for k in range(4):
@@ -304,16 +304,16 @@ def test_linked_pair_matches_multiset_oracle():
     # the same pair, divisor and cofactors as the walk over all slot
     # multisets: on the d <= 4 library at n = 2, 3, then at d = 6
     rng = random.Random(1401)
-    cases = [(s, n, 4) for s in standard_library(4) for n in (2, 3)]
+    cases = [(label, s, n, 4) for label, s in standard_library(4) for n in (2, 3)]
     for expr in (LAURENT6_QC, LAURENT5_RC):
         s = build_from_text(expr)
-        cases += [(s, 3, 6), (s, 4, 1)]
+        cases += [(expr, s, 3, 6), (expr, s, 4, 1)]
     hits = 0
-    for s, n, count in cases:
+    for label, s, n, count in cases:
         for _ in range(count):
             psum = random_sum(rng, s, n)
             hit = find_linked_pair(s, psum)
-            assert hit == find_linked_pair_by_multisets(s, psum), (s.name, psum)
+            assert hit == find_linked_pair_by_multisets(s, psum), (label, psum)
             hits += hit is not None
     assert hits > 1000, hits
 
@@ -396,7 +396,7 @@ def test_certificate_passes_and_serializes():
     assert cert.strata_output == (2, 0, 0)
     data = cert.as_dict()
     assert set(data) == {
-        "scheme", "degree", "input", "output", "residue", "residues_equal",
+        "degree", "input", "output", "residue", "residues_equal",
         "strata", "counts_ok", "bounds", "length_ok", "passed",
     }
     json.dumps(data)
@@ -435,7 +435,7 @@ def test_seeded_decompositions_certify():
     checked = 0
     nonempty = 0
     for _ in range(60):
-        s = family[rng.randrange(len(family))]
+        _, s = family[rng.randrange(len(family))]
         n = rng.choice((2, 3))
         k = rng.randrange(4)
         entries = [
@@ -475,13 +475,13 @@ def test_random_sums_certify_and_do_not_depend_on_order(case):
     # rewrites alike from each of its members, so memo order cannot show;
     # the rewrite is compared too, as the merge often hides a difference
     s, sums = case
-    warm = Scheme(s.group, s.values, s.name)
+    warm = Scheme(s.group, s.values)
     for psum in sums:
         final, cert = run_decomposition(warm, psum)
         assert cert.passed
         assert find_linked_pair(warm, final) is None
         # each sum again on a scheme with cold memos
-        cold = Scheme(s.group, s.values, s.name)
+        cold = Scheme(s.group, s.values)
         n = psum.degree
         assert (rewrite_to_basis(kn_space(cold, n), psum)
                 == rewrite_to_basis(kn_space(warm, n), psum))

@@ -82,9 +82,9 @@ def test_split_pair_basis_q3():
 
 
 def test_split_pair_basis_matches_all_pairs():
-    for s in standard_library(4):
+    for label, s in standard_library(4):
         basis = split_pair_basis(s)
-        assert basis == all_pairs_split_basis(s), s.name
+        assert basis == all_pairs_split_basis(s), label
         assert split_pair_basis(s) is basis
 
 
@@ -124,7 +124,7 @@ def assert_matches_reduction_oracle(alg):
 
 
 def test_relations_match_list_reduction():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         for n in (1, 2, 3, 4):
             assert_matches_reduction_oracle(SymbolAlgebra(s, n))
 
@@ -140,19 +140,20 @@ def test_tables_match_tensor_space_path():
     # d = 6 towers at n = 3, 4
     sample = [build(e) for e in random.Random(19).sample(D5_EXPRESSIONS, 500)]
     towers = [build_from_text(expr) for expr in (rigid_label(6), LAURENT5_RC)]
-    cases = [(s, n) for s in standard_library(4) for n in (1, 2, 3, 4)]
+    library = [s for _, s in standard_library(4)]
+    cases = [(s, n) for s in library for n in (1, 2, 3, 4)]
     cases += [(s, n) for s in sample for n in (2, 3)]
     cases += [(s, n) for s in towers for n in (3, 4)]
     for s, n in cases:
         alg = kn_space(s, n)
-        assert alg.free_cols == tensor_space(s, n).free_cols, (s.name, n)
+        assert alg.free_cols == tensor_space(s, n).free_cols, (s, n)
         assert alg.dim == len(alg.free_cols)
-        assert alg._mul == tensor_space_mul_table(s, n), (s.name, n)
+        assert alg._mul == tensor_space_mul_table(s, n), (s, n)
     # every value set there is a subgroup, read off without a reduction
-    for s in standard_library(4) + sample + towers:
+    for s in library + sample + towers:
         for values in s.values.rows:
             rows = rref_ints(iter_bits(values & ~1))
-            assert subgroup_rows(values, s.d) == rows, (s.name, values)
+            assert subgroup_rows(values, s.d) == rows, (s, values)
 
 
 def test_value_set_rows_span_any_set():
@@ -234,7 +235,7 @@ def test_image_invariant_under_slot_moves():
 
 
 def test_degree_two_image_detects_hyperbolicity():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         alg = kn_space(s, 2)
         for x in range(s.size):
             for y in range(s.size):
@@ -302,7 +303,7 @@ def test_pure_symbol_counts_frozen():
 
 
 def test_sl_bounded_by_pure_symbol_count():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         alg = kn_space(s, 2)
         sl, witness = alg.max_symbol_length()
         assert sl <= max(1, len(alg.pure_symbols()))
@@ -341,6 +342,8 @@ def test_project_representative_roundtrip():
 def test_kn_space_is_cached():
     s = build_from_text("laurent(F2)")
     assert kn_space(s, 2) is kn_space(s, 2)
+    # one algebra per (table, n): F1 and laurent(QC) share a table
+    assert kn_space(build_from_text("F1"), 2) is kn_space(build_from_text("laurent(QC)"), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +361,28 @@ def assert_matches_oracles(alg):
 
 
 def test_pure_symbols_match_tuple_oracle():
-    for s in standard_library(3):
+    for label, s in standard_library(3):
         for n in (2, 3):
             alg = SymbolAlgebra(s, n)
-            assert alg.pure_symbols() == tuple_pure_symbols(alg), (s.name, n)
+            assert alg.pure_symbols() == tuple_pure_symbols(alg), (label, n)
 
 
 def test_pure_symbols_match_gray_oracle():
     # the images of the class walk against the products of the pure
     # symbols one degree down
-    cases = [(s, n) for s in standard_library(4) for n in (2, 3)]
+    cases = [(s, n) for _, s in standard_library(4) for n in (2, 3)]
     cases += [(build_from_text(rigid_label(6)), n) for n in (3, 4)]
     cases.append((build_from_text(LAURENT5_RC), 3))
     for s, n in cases:
         alg = kn_space(s, n)
-        assert alg.pure_symbols() == gray_pure_symbols(alg), (s.name, n)
+        assert alg.pure_symbols() == gray_pure_symbols(alg), alg
 
 
 def test_layers_match_dict_bfs():
     # the last scheme has sl 3 in degree 2, so a wrong translate cannot hide
     # in a second layer that already covers everything left
-    schemes = standard_library(3) + [build_from_text(rigid_label(k))
-                                     for k in range(4, 6)]
+    schemes = [s for _, s in standard_library(3)]
+    schemes += [build_from_text(rigid_label(k)) for k in range(4, 6)]
     schemes.append(build_from_text("laurent(product(F1,laurent(product(F1,RC))))"))
     for s in schemes:
         assert_matches_oracles(SymbolAlgebra(s, 2))
@@ -387,7 +390,7 @@ def test_layers_match_dict_bfs():
 
 def test_layers_match_full_pass_oracle():
     # the d <= 4 library at n = 2, 3, laurent^5(RC) and laurent^6(QC) at n = 2
-    algebras = [SymbolAlgebra(s, n) for s in standard_library(4) for n in (2, 3)]
+    algebras = [SymbolAlgebra(s, n) for _, s in standard_library(4) for n in (2, 3)]
     algebras += [SymbolAlgebra(build_from_text(expr), 2)
                  for expr in (LAURENT5_RC, rigid_label(6))]
     assert [a.dim for a in algebras[-2:]] == [16, 15]
@@ -418,7 +421,7 @@ def span(basis):
 
 
 def test_head_bases_span_the_pure_symbols():
-    algebras = [SymbolAlgebra(s, n) for s in standard_library(4) for n in (1, 2, 3)]
+    algebras = [SymbolAlgebra(s, n) for _, s in standard_library(4) for n in (1, 2, 3)]
     algebras += [kn_space(build_from_text(expr), n)
                  for expr in (LAURENT5_RC, rigid_label(6)) for n in (2, 3)]
     assert [a.dim for a in algebras[-4:]] == [16, 26, 15, 20]
@@ -533,7 +536,7 @@ def assert_images_match_projection(alg, tuples):
 
 
 def test_image_table_matches_projection():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         for n in (1, 2, 3):
             alg = kn_space(s, n)
             assert_images_match_table(alg, reduced_relations(s, n)[2])
@@ -562,7 +565,7 @@ def test_random_d56_table_matches_projection(expr, n, data):
 def fresh_scheme(label):
     """An uncached copy of a library scheme, with no algebra built yet."""
     s = build_from_text(label)
-    return Scheme(s.group, s.values, s.name)
+    return Scheme(s.group, s.values)
 
 
 def test_large_degree_builds_bottom_up():
@@ -585,13 +588,13 @@ def test_class_maps_kept_per_degree(monkeypatch):
     # the same least tuples in the same order; and no degree is walked
     # twice, whichever of k_2 and k_3 is asked for first
     cases = []
-    for s in standard_library(4):
-        low_first = Scheme(s.group, s.values, s.name)
+    for label, s in standard_library(4):
+        low_first = Scheme(s.group, s.values)
         cold = kn_space(low_first, 2).classes()
         oracle = tuple_pfister_classes(kn_space(s, 2))
-        high_first = Scheme(s.group, s.values, s.name)
+        high_first = Scheme(s.group, s.values)
         high = kn_space(high_first, 3).classes()
-        cases.append((s.name, cold, oracle, high, low_first, high_first))
+        cases.append((label, cold, oracle, high, low_first, high_first))
     row = SymbolAlgebra._row
 
     def walk_above_two(self, x):

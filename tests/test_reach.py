@@ -74,6 +74,7 @@ def sweep(tmp):
         (0, ["bounds", "--scheme", "laurent(laurent(laurent(laurent(RC))))"]),
         (0, ["decompose", "--scheme", RIGID3,
              "--form", "011,100;001,110;;010,101"]),
+        (0, ["decompose", "--scheme", "QC", "--form", ","]),
         (0, ["verify-paper", "--max-d", "3", "-v"]),
         # refusals: a table axiom, both scheme sources, an abbreviation,
         # --max-d out of range

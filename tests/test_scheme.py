@@ -35,6 +35,7 @@ from oracle_utils import (
     witt_decompose,
 )
 from symlen.builders import (
+    LaurentExpr,
     build,
     build_from_text,
     expr_dim,
@@ -64,25 +65,25 @@ from symlen.scheme import (
 )
 
 
-def make(dim, eps, rows, name):
-    return Scheme(SquareClassGroup(dim, eps), ValueSetTable(tuple(rows)), name)
+def make(dim, eps, rows):
+    return Scheme(SquareClassGroup(dim, eps), ValueSetTable(tuple(rows)))
 
 
 @pytest.fixture(scope="module")
 def rc():
-    return make(1, 1, (0b01, 0b11), "rc")
+    return make(1, 1, (0b01, 0b11))
 
 
 @pytest.fixture(scope="module")
 def q3():
     # laurent extension of the two-class universal table with -1 nonsquare
-    return make(2, 1, (3, 15, 5, 9), "q3")
+    return make(2, 1, (3, 15, 5, 9))
 
 
 @pytest.fixture(scope="module")
 def rigid2():
     # twice Laurent over one class: every nontrivial binary set has 2 elements
-    return make(2, 0, (15, 3, 5, 9), "rigid2")
+    return make(2, 0, (15, 3, 5, 9))
 
 
 def test_translate():
@@ -99,29 +100,29 @@ def test_validator_accepts_real_closed(rc):
 
 def test_validator_rejects_missing_identity():
     with pytest.raises(AxiomViolation):
-        make(1, 1, (0b10, 0b11), "bad")
+        make(1, 1, (0b10, 0b11))
 
 
 def test_validator_rejects_missing_self():
     with pytest.raises(AxiomViolation, match="not in D"):
-        make(2, 1, (1, 15, 1, 9), "bad")
+        make(2, 1, (1, 15, 1, 9))
 
 
 def test_validator_rejects_non_universal_hyperbolic():
     with pytest.raises(AxiomViolation, match="whole group"):
-        make(2, 1, (3, 0b1011, 5, 9), "bad")
+        make(2, 1, (3, 0b1011, 5, 9))
 
 
 def test_validator_rejects_asymmetric_table():
     with pytest.raises(AxiomViolation):
-        make(2, 1, (3, 15, 7, 9), "bad")
+        make(2, 1, (3, 15, 7, 9))
 
 
 def test_validator_rejects_order_dependent_ternary():
     # passes every binary axiom but the ternary value set depends on the order
     with pytest.raises(AxiomViolation,
                        match=r"^ternary value set of \(0,1,2\) depends on the order$"):
-        make(2, 0, (15, 3, 13, 13), "bad")
+        make(2, 0, (15, 3, 13, 13))
 
 
 def test_validator_rejects_rare_ternary_failure():
@@ -129,7 +130,7 @@ def test_validator_rejects_rare_ternary_failure():
     rows = d6_rare_failure_rows()
     with pytest.raises(AxiomViolation,
                        match=r"^ternary value set of \(0,0,16\) depends on the order$"):
-        make(6, 9, rows, "bad")
+        make(6, 9, rows)
     assert not table_axioms_hold(9, rows)
 
 
@@ -149,10 +150,10 @@ def test_packed_validation_agrees_with_loop_oracle():
     # pairwise-only mutants at d = 3 to 6, sampled d = 6 products with
     # their mutants, and every d <= 2 table that passes the first axioms
     rng = random.Random(12)
-    library = standard_library(4)
-    d5 = [build(e) for e in rng.sample(
-        [e for e in standard_expressions(5) if expr_dim(e) == 5], 4)]
-    d6 = [build_from_text("laurent(%s)" % s.name) for s in d5]
+    library = [s for _, s in standard_library(4)]
+    d5_exprs = rng.sample([e for e in standard_expressions(5) if expr_dim(e) == 5], 4)
+    d5 = [build(e) for e in d5_exprs]
+    d6 = [build(LaurentExpr(e)) for e in d5_exprs]
     tables = [(s.eps, s.values.rows) for s in library + d5 + d6]
     for s in library:
         if s.d == 3:
@@ -197,7 +198,7 @@ def test_packed_validation_agrees_with_loop_oracle():
     verdicts = {}
     for eps, rows in tables:
         d = len(rows).bit_length() - 1
-        got = _violation(make, d, eps, rows, "t")
+        got = _violation(make, d, eps, rows)
         assert got == _violation(validate_by_loops, eps, rows), (eps, rows)
         verdicts.setdefault(d, set()).add(got is None)
     assert all(verdicts[d] == {True, False} for d in (3, 4, 5, 6))
@@ -220,7 +221,7 @@ def test_construction_agrees_with_axiom_oracle():
     # b + (0 + c) = c + (0 + b) for every b, c on these two, but not 0 + (b + c)
     tables = [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
               (1, (73, 255, 247, 41, 29, 41, 73, 203))]
-    library = standard_library(3)
+    library = [s for _, s in standard_library(3)]
     tables += [(s.eps, s.values.rows) for s in library]
     known = set(tables)
     # the symmetric mutants of d = 3 are all rejected; each d = 3 table
@@ -242,7 +243,7 @@ def test_construction_agrees_with_axiom_oracle():
     verdicts = []
     for eps, rows in tables:
         try:
-            make(len(rows).bit_length() - 1, eps, rows, "t")
+            make(len(rows).bit_length() - 1, eps, rows)
             accepted = True
         except AxiomViolation:
             accepted = False
@@ -257,7 +258,7 @@ def test_construction_agrees_with_axiom_oracle():
 def test_validator_rejects_value_set_off_subgroup():
     # every other axiom holds, but D<1,1> = {0, 1, 2}
     with pytest.raises(AxiomViolation, match=r"^D<1,1> is not a subgroup$"):
-        make(2, 0, (15, 7, 15, 13), "bad")
+        make(2, 0, (15, 7, 15, 13))
 
 
 def test_represented_set_must_be_subgroup(q3):
@@ -282,7 +283,7 @@ def test_subgroup_axiom_exhaustive_small():
                       for a in range(size)]):
                 closed = [all(r >> (x ^ y) & 1 for x in iter_bits(r)
                               for y in iter_bits(r)) for r in rows]
-                got = _violation(make, d, eps, rows, "t")
+                got = _violation(make, d, eps, rows)
                 if got is None:
                     assert all(closed), (eps, rows)
                     accepted += 1
@@ -390,7 +391,7 @@ def test_invariants_q3(q3):
 
 
 def test_invariants_laurent_qc():
-    s = make(1, 0, (3, 3), "laurent_qc")
+    s = make(1, 0, (3, 3))
     prof = s.invariants()
     assert not prof.is_real
     assert prof.level == 1 and prof.level_exponent == 0
@@ -427,7 +428,7 @@ def test_pfister_ones_witness_lex(q3):
 
 
 def test_strata_counts(rc, q3, rigid2):
-    qc = make(0, 0, (1,), "qc")
+    qc = make(0, 0, (1,))
     assert enumerate_pfister_strata(qc, 2) == {0: 0, 1: 0, 2: 0}
     assert enumerate_pfister_strata(rc, 2) == {0: 0, 1: 0, 2: 1}
     assert enumerate_pfister_strata(q3, 2) == {0: 0, 1: 1, 2: 0}
@@ -473,7 +474,7 @@ def test_subspace_map_well_defined(rigid2, q3):
 
 def test_sos_chain_gives_two_power_value_sets():
     # d2m_chain reads D(2^m) off the sum-of-squares chain
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         chain = s.sos_chain()
         for m in range(4):
             assert chain[min(1 << m, len(chain)) - 1] == value_set(s, (0,) * (1 << m))
@@ -491,16 +492,16 @@ def assert_images_match_witt(s, n, tuples):
     for slots in tuples:
         image = alg.image_coords(slots)
         wc = witt_decompose(s, pfister_expand(slots))
-        assert (image == 0) == (wc.index > 0), (s.name, slots)
+        assert (image == 0) == (wc.index > 0), (s, slots)
         if image:
             assert kernel_of_image.setdefault(image, wc.kernel) == wc.kernel
             assert image_of_kernel.setdefault(wc.kernel, image) == image
             assert (pfister_ones_witness(alg, slots)
-                    == kernel_ones_witness(s, slots)), (s.name, slots)
+                    == kernel_ones_witness(s, slots)), (s, slots)
 
 
 def test_image_classes_match_witt_oracle():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         for n in (2, 3):
             tuples = list(itertools.combinations_with_replacement(range(s.size), n))
             assert_images_match_witt(s, n, tuples)
@@ -544,11 +545,11 @@ def assert_class_map_matches_scans(s, n):
     for image, least in classes.items():
         for slots in {least, least[::-1], tuple(sorted(least, reverse=True))}:
             assert (pfister_ones_witness(alg, slots)
-                    == ones.get(image, (0, least))), (s.name, slots)
+                    == ones.get(image, (0, least))), (s, slots)
 
 
 def test_class_map_matches_scans():
-    for s in standard_library(3):
+    for _, s in standard_library(3):
         for n in (1, 2, 3):
             assert_class_map_matches_scans(s, n)
 
@@ -569,11 +570,11 @@ def assert_round_image_form_matches_witt(s, m):
     for b in range(s.size):
         similar = witt_decompose(s, tuple(e ^ b for e in sigma)) == base
         image = alg.image_coords((0,) * m + (s.eps ^ b,))
-        assert similar == (image == 0), (s.name, m, b)
+        assert similar == (image == 0), (s, m, b)
 
 
 def test_ensure_round_image_form_matches_witt():
-    for s in standard_library(4):
+    for _, s in standard_library(4):
         for m in range(4 if s.d <= 3 else 3):
             assert_round_image_form_matches_witt(s, m)
 
@@ -586,7 +587,7 @@ def test_random_d4_ensure_round_m3_matches_witt(expr):
 
 
 def test_d0_scheme_classes_and_strata():
-    qc = make(0, 0, (1,), "qc0")
+    qc = make(0, 0, (1,))
     for n in (1, 2, 3):
         alg = kn_space(qc, n)
         assert alg.image_coords((0,) * n) == 0
@@ -611,9 +612,9 @@ def test_class_cap_compares_without_the_power(monkeypatch):
                 try:
                     pfister_classes(s, n, cap)
                 except EnumerationTooLarge:
-                    assert refused, (s.name, n, cap)
+                    assert refused, (label, n, cap)
                 else:
-                    assert not refused, (s.name, n, cap)
+                    assert not refused, (label, n, cap)
     # no power of 2^d is built: (2^1)^100000 has 30,103 digits
     with pytest.raises(EnumerationTooLarge, match=r"\(2\^1\)\^100000"):
         pfister_classes(build_from_text("F1"), 100000)
