@@ -243,7 +243,7 @@ def test_twin_matches_cold_build(monkeypatch, capsys):
     # warm memos; each must answer as a cold Scheme does, and the CLI must
     # name each answer by the twin's own label
     monkeypatch.setattr(builders, "_CACHE", {})
-    parser = cli.make_parser()  # one parser for the 2,502 calls
+    parser = cli.make_parser()  # one parser for the 3,058 calls
     monkeypatch.setattr(cli, "make_parser", lambda: parser)
     rng = random.Random(25)
     twins = []
