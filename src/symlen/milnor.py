@@ -32,10 +32,10 @@ image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
 Hauptsatz for fields; for schemes the tests check it against a Witt
 decomposition search).  One walk of the sorted slot prefixes, keeping the
 least prefix of each nonzero image, reaches them all: they are the pure
-symbols.  Each degree keeps, per image, the image of its least tuple's
-prefix one degree down and the last slot, and a class's least slot tuple
-is read off these links.  Every degree below n is kept, so the tensor cap
-bounds n as well as d^n.
+symbols.  Each degree's walk reads its rows off one table, and keeps,
+per image, the image of its least tuple's prefix one degree down and the
+last slot; a class's least slot tuple is read off these links.  Every
+degree below n is kept, so the tensor cap bounds n as well as d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -44,9 +44,10 @@ every set bit b of g, the blocks of positions with bit b clear and set:
 bit b clear; scheme._swap_runs does it, as for sets of classes.  Layer 1
 is the pure symbols.  For a head x of the class walk, W_x =
 {mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i),
-its nonzero elements are pure symbols, and each image lies in the W_x of
-its head; so the ball of radius k is the union over the heads of the ball
-of radius k - 1 saturated by W_x, S |= translate(S, w) per unit image w.
+which the walk records, its nonzero elements are pure symbols, and each
+image lies in the W_x of its head; so the ball of radius k is the union
+over the heads of the ball of radius k - 1 saturated by W_x,
+S |= translate(S, w) per unit image w.
 A pass keeps only the classes not yet reached, and stops as soon as its
 saturations cover them all; the search ends when every class is reached.
 
@@ -60,7 +61,6 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
@@ -102,11 +102,10 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
     """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>.
 
     a (x) b is a * spread[b], the sum of the disjoint shifts a << d*j over
-    the bits j of b.  Let A_H be the classes a with D<1, -a> = H.  The
-    tensors of the a in A_H span span(A_H) (x) H, as every value set is a
-    subgroup (validate_scheme), so a basis of span(A_H) times the
-    subgroup_rows of H, kept by the scheme from validation, spans them: one
-    product per distinct value set.  Built once per table.
+    the bits j of b.  Every value set is a subgroup (validate_scheme), so
+    the tensors of a class a are spanned by a times the subgroup_rows of
+    D<1, -a>, kept by the scheme from validation: one product per class
+    and row, then one row reduction.  Built once per table.
     """
     if scheme._split_pairs is None:
         d = scheme.d
@@ -115,12 +114,9 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
         for j in range(d):
             spread += [x | (1 << (d * j)) for x in spread]
         rows = scheme.values.rows
-        classes_of: dict[int, list[int]] = {}
-        for a in range(1, scheme.size):
-            classes_of.setdefault(rows[a ^ scheme.eps], []).append(a)
         scheme._split_pairs = rref_ints(
-            a * spread[b] for value_set, classes in classes_of.items()
-            for a in rref_ints(classes) for b in scheme._subgroups[value_set])
+            a * spread[b] for a in range(1, scheme.size)
+            for b in scheme._subgroups[rows[a ^ scheme.eps]])
     return scheme._split_pairs
 
 
@@ -188,6 +184,7 @@ class SymbolAlgebra:
         self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
         self._link_map: dict[int, tuple[int, int]] | None = None
+        self._bases: list[tuple[int, ...]] | None = None
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._pure: tuple[int, ...] | None = None
         self._layers: list[int] | None = None
@@ -268,30 +265,52 @@ class SymbolAlgebra:
         """Map of each nonzero image to (image of its least slot tuple's
         prefix one degree down, its last slot), in least-tuple order.
 
-        Built from the same map one degree down, each least prefix extended
-        in order by every slot from its last one up.  A prefix P that is not
-        the least P' of its image is not needed: P + (e) has the image of
-        sorted(P' + (e)), which is smaller.  Each degree's map is kept on
-        its algebra as the walk passes it, and a degree that already has
-        its map is not walked again.
+        Built degree by degree by _walk and kept on each degree's algebra:
+        a degree that already has its map is not walked again.
         """
         if self._link_map is None:
-            size = self.scheme.size
-            eps = self.scheme.eps
             # k_0: the empty tuple has image 1, and its extensions start at 0
             links: dict[int, tuple[int, int]] = {1: (0, 0)}
             for alg in self._chain():
                 if alg._link_map is None:
-                    nxt: dict[int, tuple[int, int]] = {}
-                    for x, (_, last) in links.items():
-                        row = alg._row(x)
-                        for c in range(last, size):
-                            image = row[c ^ eps]
-                            if image and image not in nxt:
-                                nxt[image] = (x, c)
-                    alg._link_map = nxt
+                    alg._walk(links)
                 links = alg._link_map
         return self._link_map
+
+    def _walk(self, links: dict[int, tuple[int, int]]) -> None:
+        """Set this degree's link map and head bases from the links one
+        degree down, each least prefix x extended in order by every slot
+        from its last one up.  A prefix P that is not the least P' of its
+        image is not needed: P + (e) has the image of sorted(P' + (e)).
+
+        Row x, mu_n(x, v) over v, is the entry at the low bits of x of a
+        table of the XORs of the first min(d, dim k_{n-1}) rows of _mul,
+        XOR the rows at its other bits.  A head is an x whose row adds an
+        image; its basis is its nonzero unit images row[e_i].
+        """
+        d, size, eps = self.scheme.d, self.scheme.size, self.scheme.eps
+        mul = self._mul
+        low = min(d, len(mul))
+        table = [[0] * size]
+        for m in mul[:low]:
+            table += [m] + [[a ^ b for a, b in zip(r, m)] for r in table[1:]]
+        nxt: dict[int, tuple[int, int]] = {}
+        bases = []
+        mask = (1 << low) - 1
+        for x, (_, last) in links.items():
+            row = table[x & mask]
+            if x > mask:
+                for j in iter_bits(x >> low):
+                    row = [a ^ b for a, b in zip(row, mul[low + j])]
+            known = len(nxt)
+            for c in range(last, size):
+                image = row[c ^ eps]
+                if image and image not in nxt:
+                    nxt[image] = (x, c)
+            if len(nxt) > known:
+                bases.append(tuple([row[1 << i] for i in range(d) if row[1 << i]]))
+        self._link_map = nxt
+        self._bases = bases
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
@@ -315,16 +334,11 @@ class SymbolAlgebra:
             self._classes = least
         return self._classes
 
-    def _head_bases(self):
-        """Yield the nonzero mu_n(x, e_i), i < d, for each distinct head x
-        of the class walk in link order: d table entries per bit of x."""
-        mul = self._mul
-        units = [1 << i for i in range(self.scheme.d)]
-        for x in dict.fromkeys(x for x, _ in self._links().values()):
-            basis = [0] * len(units)
-            for j in iter_bits(x):
-                basis = [w ^ mul[j][u] for w, u in zip(basis, units)]
-            yield [w for w in basis if w]
+    def _head_bases(self) -> list[tuple[int, ...]]:
+        """The nonzero mu_n(x, e_i), i < d, for each head x of the class
+        walk in link order, as the walk recorded them.  Not to be modified."""
+        self._links()
+        return self._bases
 
     def _bfs_layers(self, cap: int) -> list[int]:
         """Layer k of the pure-symbol Cayley graph, as a bitset, at index k.
@@ -333,10 +347,8 @@ class SymbolAlgebra:
         cold cache is refused identically on a warm one.  The layers are
         memoized, and one algebra serves every label of the table, so the
         search, and its read of layer 1, the pure symbols, runs once per
-        (table, n).  The head bases are derived (_head_bases) once per
-        search, when the first saturation pass needs them, and later passes
-        read them again through a tee; a pass that covers every class stops
-        before the rest are derived."""
+        (table, n).  The saturation passes read the head bases that the
+        class walk recorded (_head_bases), fetched once per search."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
@@ -350,16 +362,13 @@ class SymbolAlgebra:
             full = (1 << (1 << self.dim)) - 1
             layers = [1]
             reached = 1
-            heads = None
+            heads = list(self._head_bases())
             while reached != full:
                 todo = full ^ reached
                 if len(layers) == 1:
                     nxt = gens & todo
                 else:
-                    if heads is None:
-                        heads = self._head_bases()
-                    heads, bases = itertools.tee(heads)
-                    nxt = _union_of_saturations(reached, bases, masks, todo)
+                    nxt = _union_of_saturations(reached, heads, masks, todo)
                 if not nxt:
                     raise VerificationFailure(
                         "pure symbols span only %d of %d classes"

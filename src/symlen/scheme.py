@@ -67,13 +67,12 @@ def _swap_runs(mask: int, x: int, keep: list[int], unit: int) -> int:
     """For each set bit k of x, swap the runs of unit * 2^k bits marked by
     keep[k] with the runs just above them: the index permutation i -> i ^ x
     on runs of unit bits."""
-    k = 0
     while x:
-        if x & 1:
-            shift = unit << k
-            mask = ((mask & keep[k]) << shift) | ((mask >> shift) & keep[k])
-        x >>= 1
-        k += 1
+        low = x & -x
+        k = low.bit_length() - 1
+        shift = unit * low
+        mask = ((mask & keep[k]) << shift) | ((mask >> shift) & keep[k])
+        x ^= low
     return mask
 
 

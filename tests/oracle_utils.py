@@ -117,6 +117,24 @@ def all_pairs_split_basis(scheme):
     return list_rref(rows)
 
 
+def value_set_split_basis(scheme):
+    """RREF of a basis of span(A_H) times the subgroup rows of H, for each
+    value set H and the classes A_H with D<1, -a> = H, row reduced per
+    A_H and then once over all.
+
+    The reference for split_pair_basis, which takes one product per class
+    and subgroup row: both RREFs are canonical, so they are equal.
+    """
+    rows = scheme.values.rows
+    classes_of = {}
+    for a in range(1, scheme.size):
+        classes_of.setdefault(rows[a ^ scheme.eps], []).append(a)
+    return rref_ints(
+        tensor_of_vectors((a, b), scheme.d)
+        for value_set, classes in classes_of.items()
+        for a in rref_ints(classes) for b in scheme._subgroups[value_set])
+
+
 def reduced_relations(scheme, n):
     """(relation rows, free columns, head table) of k_n, built by placing
     the split pairs in each adjacent slot pair coordinate by coordinate, a
@@ -393,6 +411,48 @@ def gray_pure_symbols(algebra):
         seen.discard(0)
         pures = tuple(sorted(seen))
     return pures
+
+
+def row_walk_links(algebra):
+    """The link map of each degree 1..n, lowest first, by the class walk
+    with one row per key, the XOR of the table rows at the bits of the key.
+
+    The reference for SymbolAlgebra._walk, which reads its rows off one
+    table per degree: each least prefix extended in order by every slot
+    from its last one up.
+    """
+    size = algebra.scheme.size
+    eps = algebra.scheme.eps
+    links = {1: (0, 0)}
+    maps = []
+    for alg in algebra._chain():
+        nxt = {}
+        for x, (_, last) in links.items():
+            row = alg._row(x)
+            for c in range(last, size):
+                image = row[c ^ eps]
+                if image and image not in nxt:
+                    nxt[image] = (x, c)
+        maps.append(nxt)
+        links = nxt
+    return maps
+
+
+def derived_head_bases(algebra, links):
+    """The nonzero mu_n(x, e_i), i < d, for each distinct head x of a link
+    map of algebra, in link order: d table entries per bit of x.
+
+    The reference for the head bases that the class walk records.
+    """
+    mul = algebra._mul
+    units = [1 << i for i in range(algebra.scheme.d)]
+    bases = []
+    for x in dict.fromkeys(x for x, _ in links.values()):
+        basis = [0] * len(units)
+        for j in iter_bits(x):
+            basis = [w ^ mul[j][u] for w, u in zip(basis, units)]
+        bases.append(tuple(w for w in basis if w))
+    return bases
 
 
 # ---------------------------------------------------------------------------

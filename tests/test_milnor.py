@@ -15,6 +15,7 @@ from oracle_utils import (
     alternating_rank_sl,
     bfs_layers_by_full_passes,
     binary,
+    derived_head_bases,
     dict_bfs_distances,
     dict_bfs_max_length,
     gray_pure_symbols,
@@ -24,11 +25,13 @@ from oracle_utils import (
     project,
     project_image,
     reduced_relations,
+    row_walk_links,
     tensor_of_vectors,
     tensor_space,
     tensor_space_mul_table,
     tuple_pfister_classes,
     tuple_pure_symbols,
+    value_set_split_basis,
     witt_decompose,
 )
 from symlen.builders import (
@@ -85,7 +88,12 @@ def test_split_pair_basis_matches_all_pairs():
     for label, s in standard_library(4):
         basis = split_pair_basis(s)
         assert basis == all_pairs_split_basis(s), label
+        assert basis == value_set_split_basis(s), label
         assert split_pair_basis(s) is basis
+    # the d = 5, 6 towers of the large-kn population
+    for op in json.loads(LARGE_KN.read_text(encoding="utf-8"))["ops"]:
+        s = build_from_text(op["scheme"])
+        assert split_pair_basis(s) == value_set_split_basis(s), op["scheme"]
 
 
 def assert_images_match_table(alg, table):
@@ -378,6 +386,19 @@ def test_pure_symbols_match_gray_oracle():
         assert alg.pure_symbols() == gray_pure_symbols(alg), alg
 
 
+def test_walk_matches_row_oracle():
+    # the table walk against a row per key: the same link maps, items and
+    # order, at every degree up to 3, and the recorded head bases equal to
+    # those derived from the tables
+    schemes = [s for _, s in standard_library(4)]
+    schemes += [build_from_text(expr) for expr in (LAURENT5_RC, rigid_label(6))]
+    for s in schemes:
+        alg = kn_space(s, 3)
+        for low, oracle in zip(alg._chain(), row_walk_links(alg)):
+            assert list(low._links().items()) == list(oracle.items()), low
+            assert low._head_bases() == derived_head_bases(low, oracle), low
+
+
 def test_layers_match_dict_bfs():
     # the last scheme has sl 3 in degree 2, so a wrong translate cannot hide
     # in a second layer that already covers everything left
@@ -595,18 +616,22 @@ def test_class_maps_kept_per_degree(monkeypatch):
         high_first = Scheme(s.group, s.values)
         high = kn_space(high_first, 3).classes()
         cases.append((label, cold, oracle, high, low_first, high_first))
-    row = SymbolAlgebra._row
+    walk = SymbolAlgebra._walk
+    walked = []
 
-    def walk_above_two(self, x):
+    def walk_above_two(self, links):
         assert self.n > 2, "k_%d walked a second time" % self.n
-        return row(self, x)
+        walked.append(self)
+        return walk(self, links)
 
-    monkeypatch.setattr(SymbolAlgebra, "_row", walk_above_two)
+    monkeypatch.setattr(SymbolAlgebra, "_walk", walk_above_two)
     for name, cold, oracle, high, low_first, high_first in cases:
         left = kn_space(high_first, 2).classes()
         assert list(cold.items()) == list(left.items()) == list(oracle.items()), name
         assert kn_space(high_first, 2).pure_symbols() == tuple(sorted(cold)), name
         assert list(kn_space(low_first, 3).classes().items()) == list(high.items()), name
+    # the guard is live: each low_first table walks its k_3 under it
+    assert walked == [kn_space(low_first, 3) for *_, low_first, _ in cases]
 
 
 def test_degree_above_tensor_cap_refused(monkeypatch):
