@@ -8,11 +8,11 @@ vector e0 (mask 1) and "10" denotes e1 (mask 2).
 
 rref_ints reduces rows of any width (the k_n relations) to reduced row
 echelon form, with the pivot of each row at its highest set bit and rows
-ordered by decreasing mask.  It touches only the kept rows that an incoming
-row meets, so its cost follows those, not the rank.  A subgroup of the
-square class group is held elsewhere as a class mask, not as rows.  The
-counting helpers return exact big integers for the subspace counting check
-of verify-paper.
+ordered by decreasing mask.  Each incoming row is reduced by the echelon
+rows at the pivots it meets, highest first, and the rows are fully reduced
+once, at the end.  A subgroup of the square class group is held elsewhere
+as a class mask, not as rows.  The counting helpers return exact big
+integers for the subspace counting check of verify-paper.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ def rref_ints(rows) -> list[int]:
     the span, sorted by decreasing mask; the zero span gives [].  Rows that
     already are that basis are returned as they are, after one check: read
     from the last, each row must exceed the pivots below it and meet none
-    of them.  Otherwise the kept rows stay fully reduced, so an incoming
-    row is reduced in one pass by the rows at its pivot bits, and a new
-    pivot is cleared from the rows an index of the non-pivot columns lists:
-    no step scans the basis.
+    of them.  Otherwise each incoming row is reduced from its highest
+    pivot hit downward by an echelon basis, a row per pivot with no bit at
+    a pivot above its own, and a nonzero remainder joins it at its highest
+    bit.  One back substitution in increasing pivot order then clears the
+    lower pivots from each row, by rows already fully reduced.
     """
     rows = list(rows)
     below = 0
@@ -58,31 +59,32 @@ def rref_ints(rows) -> list[int]:
         below |= 1 << (row.bit_length() - 1)
     else:
         return rows
-    basis: dict[int, int] = {}
+    # pivot -> its row, echelon, then fully reduced in increasing pivot order
+    pivot_rows: dict[int, int] = {}
     pivmask = 0
-    # non-pivot column -> mask of the pivots whose rows have that bit
-    holders: dict[int, int] = {}
     for row in rows:
-        hit = row & pivmask  # the loop of iter_bits, inlined: hot
+        # reducing by the row of pivot p leaves the bits above p as they are
+        hit = row & pivmask
+        while hit:
+            row ^= pivot_rows[hit.bit_length() - 1]
+            hit = row & pivmask
+        if row:
+            p = row.bit_length() - 1
+            pivot_rows[p] = row
+            pivmask |= 1 << p
+    basis = []
+    for p in sorted(pivot_rows):
+        # the rows of the pivots below p are already fully reduced
+        row = pivot_rows[p]
+        hit = row & pivmask ^ (1 << p)  # the loop of iter_bits, inlined: hot
         while hit:
             low = hit & -hit
-            row ^= basis[low.bit_length() - 1]
+            row ^= pivot_rows[low.bit_length() - 1]
             hit ^= low
-        if not row:
-            continue
-        p = row.bit_length() - 1
-        bit = 1 << p
-        cols = list(iter_bits(row ^ bit))
-        for q in iter_bits(holders.pop(p, 0)):
-            basis[q] ^= row
-            for c in cols:
-                holders[c] = holders.get(c, 0) ^ (1 << q)
-        for c in cols:
-            holders[c] = holders.get(c, 0) | bit
-        basis[p] = row
-        pivmask |= bit
-    # distinct pivots: decreasing masks are decreasing pivots
-    return sorted(basis.values(), reverse=True)
+        pivot_rows[p] = row
+        basis.append(row)
+    basis.reverse()
+    return basis
 
 
 def rank_ints(rows) -> int:

@@ -23,9 +23,10 @@ its relations are R_{n-1} (x) G plus the split 2-tensors in the last slot
 pair (the same span).  As R_{n-1} (x) G lies in R_n, x (x) v has a
 bilinear class mu_n(x, v) for x in k_{n-1} and v in G, so k_n is
 k_{n-1} (x) G modulo x (x) s for the basis vectors x of k_{n-2} and the
-split pairs s, rows read off the table of degree n - 1 and reduced once.
-Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
-v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
+split pairs s, rows read off the table of degree n - 1 and reduced once
+(at n = 2 they are the split pairs, already reduced).  Degree n keeps
+mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every v:
+dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
 <<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2.
 An anisotropic n-fold Pfister form is determined up to isometry by its
 image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
@@ -125,32 +126,56 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the split pair
     s, the sum of a_b (x) e_b, x (x) s is mu_{n-1}(x, a_b) in block b; at
-    n = 2, x is 1 in k_0 and the rows are the split pairs themselves.
-    Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
-    i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
-    column of rep(e_j) (x) e_i: the free columns are those of the reduction
-    over d^n columns.
+    n = 2, x is 1 in k_0 and the rows are the split pairs themselves,
+    already reduced.  Reducing modulo R_{n-1} (x) G first keeps every
+    pivot, and column i * dim k_{n-1} + j maps in order to
+    f_j + i * d^(n-1), the tensor column of rep(e_j) (x) e_i: the free
+    columns are those of the reduction over d^n columns.  The image of a
+    free column is its coordinate, and that of a pivot the XOR of the
+    images of its reduced row's other bits, all of them free.
     """
     d = scheme.d
     width = lower.dim
-    rows = []
-    # x (x) s for each basis vector x, whose row of lower._mul is m, and
-    # each split pair s, read d bits (one a_b) at a time; m[0] is 0
-    for m in lower._mul:
+    if n == 2:
+        rows = split_pair_basis(scheme)
+    else:
+        # each split pair as its nonzero (a_b, b * width), d bits at a time
+        mask = scheme.size - 1
+        chunks = []
         for s in split_pair_basis(scheme):
-            y = shift = 0
+            pair = []
+            shift = 0
             while s:
-                y |= m[s & (scheme.size - 1)] << shift
+                if s & mask:
+                    pair.append((s & mask, shift))
                 s >>= d
                 shift += width
-            rows.append(y)
-    rows = rref_ints(rows)
-    pivots = sum(1 << (r.bit_length() - 1) for r in rows)
+            chunks.append(pair)
+        # x (x) s for each basis vector x, whose row of lower._mul is m
+        rows = []
+        for m in lower._mul:
+            for pair in chunks:
+                y = 0
+                for a, shift in pair:
+                    y |= m[a] << shift
+                rows.append(y)
+        rows = rref_ints(rows)
+    pivots = 0
+    for r in rows:
+        pivots |= 1 << (r.bit_length() - 1)
     free = [c for c in range(d * width) if not (pivots >> c) & 1]
-    image = {c: 1 << k for k, c in enumerate(free)}
+    image = [0] * (d * width)
+    for k, c in enumerate(free):
+        image[c] = 1 << k
     for r in rows:
         p = r.bit_length() - 1
-        image[p] = sum(image[c] for c in iter_bits(r ^ (1 << p)))
+        r ^= 1 << p
+        x = 0
+        while r:  # the loop of iter_bits, inlined: hot
+            low = r & -r
+            x ^= image[low.bit_length() - 1]
+            r ^= low
+        image[p] = x
     free_cols = tuple(lower.free_cols[c % width] + (c // width) * d ** (n - 1)
                       for c in free)
     mul = []
@@ -233,8 +258,10 @@ class SymbolAlgebra:
         for mul, a in zip(self._tables, slots):
             v = a ^ eps
             y = 0
-            for j in iter_bits(x):
-                y ^= mul[j][v]
+            while x:  # the loop of iter_bits, inlined: hot
+                low = x & -x
+                y ^= mul[low.bit_length() - 1][v]
+                x ^= low
             x = y
         return x
 

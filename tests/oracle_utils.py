@@ -10,7 +10,7 @@ from symlen.bounds import _sm_exponent, floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import rank_ints, rref_ints
-from symlen.milnor import SymbolVector, kn_space
+from symlen.milnor import SymbolVector, kn_space, split_pair_basis
 from symlen.scheme import _swap_runs, clear_bit_masks, iter_bits, translate
 
 WITT_STATE_CAP = 1 << 21
@@ -58,6 +58,46 @@ def list_rref(rows):
         basis = [basis[k] for k in order]
         pivots = [pivots[k] for k in order]
     return basis
+
+
+def holder_rref_ints(rows):
+    """RREF rows sorted by decreasing mask, the kept rows fully reduced at
+    every step: an incoming row is reduced by the rows at its pivot bits,
+    and a new pivot is cleared from the rows that an index of the
+    non-pivot columns lists.
+
+    The reference for rref_ints, which keeps an echelon basis and back
+    substitutes once.
+    """
+    rows = list(rows)
+    below = 0
+    for row in reversed(rows):
+        if row & below or row <= below:
+            break
+        below |= 1 << (row.bit_length() - 1)
+    else:
+        return rows
+    basis = {}
+    pivmask = 0
+    # non-pivot column -> mask of the pivots whose rows have that bit
+    holders = {}
+    for row in rows:
+        for p in iter_bits(row & pivmask):
+            row ^= basis[p]
+        if not row:
+            continue
+        p = row.bit_length() - 1
+        bit = 1 << p
+        cols = list(iter_bits(row ^ bit))
+        for q in iter_bits(holders.pop(p, 0)):
+            basis[q] ^= row
+            for c in cols:
+                holders[c] = holders.get(c, 0) ^ (1 << q)
+        for c in cols:
+            holders[c] = holders.get(c, 0) | bit
+        basis[p] = row
+        pivmask |= bit
+    return sorted(basis.values(), reverse=True)
 
 
 def reduce_by_rows(mask, basis):
@@ -279,6 +319,44 @@ def tensor_space_mul_table(scheme, n):
             row += [x ^ image for x in row]
         mul.append(row)
     return mul
+
+
+def dict_image_quotient(lower, scheme, n):
+    """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}:
+    the relation rows read d bits of each split pair at a time, reduced by
+    holder_rref_ints, and the images of the columns kept in a dict.
+
+    The reference for milnor._quotient, which decodes each split pair once
+    and keeps the images in a flat list.
+    """
+    d = scheme.d
+    width = lower.dim
+    rows = []
+    for m in lower._mul:
+        for s in split_pair_basis(scheme):
+            y = shift = 0
+            while s:
+                y |= m[s & (scheme.size - 1)] << shift
+                s >>= d
+                shift += width
+            rows.append(y)
+    rows = holder_rref_ints(rows)
+    pivots = sum(1 << (r.bit_length() - 1) for r in rows)
+    free = [c for c in range(d * width) if not (pivots >> c) & 1]
+    image = {c: 1 << k for k, c in enumerate(free)}
+    for r in rows:
+        p = r.bit_length() - 1
+        image[p] = sum(image[c] for c in iter_bits(r ^ (1 << p)))
+    free_cols = tuple(lower.free_cols[c % width] + (c // width) * d ** (n - 1)
+                      for c in free)
+    mul = []
+    for j in range(width):
+        row = [0]
+        for i in range(d):
+            x = image[i * width + j]
+            row += [y ^ x for y in row]
+        mul.append(row)
+    return free_cols, mul
 
 
 def project(algebra, tensor_mask):

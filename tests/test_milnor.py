@@ -16,9 +16,11 @@ from oracle_utils import (
     bfs_layers_by_full_passes,
     binary,
     derived_head_bases,
+    dict_image_quotient,
     dict_bfs_distances,
     dict_bfs_max_length,
     gray_pure_symbols,
+    holder_rref_ints,
     isometric,
     last_slot_images,
     pfister_expand,
@@ -162,6 +164,35 @@ def test_tables_match_tensor_space_path():
         for values in s.values.rows:
             rows = rref_ints(iter_bits(values & ~1))
             assert subgroup_rows(values, s.d) == rows, (s, values)
+
+
+def test_build_matches_dict_image_oracle(monkeypatch):
+    # the echelon reduction and the flat image list against the holder
+    # index and the dict of images: the same free columns and tables at
+    # every degree built, and the same reduction of every row set that a
+    # cold build reduces; the d <= 4 library at n = 1..4, laurent^5(RC)
+    # and laurent^6(QC) at n = 3..5
+    reduced = []
+
+    def recorded(rows):
+        rows = list(rows)
+        out = rref_ints(rows)
+        reduced.append((rows, out))
+        return out
+
+    monkeypatch.setattr(milnor, "rref_ints", recorded)
+    cases = [(label, n) for label, _ in standard_library(4) for n in (1, 2, 3, 4)]
+    cases += [(label, n) for label in (LAURENT5_RC, rigid_label(6)) for n in (3, 4, 5)]
+    for label, n in cases:
+        reduced.clear()
+        s = fresh_scheme(label)
+        for alg in kn_space(s, n)._chain()[1:]:
+            oracle = dict_image_quotient(alg.lower, s, alg.n)
+            assert (alg.free_cols, alg._mul) == oracle, (label, alg.n)
+        # the split pairs from n = 2 up, then one row set per degree from 3 up
+        assert len(reduced) == n - 1, (label, n)
+        for rows, out in reduced:
+            assert out == holder_rref_ints(rows), (label, n)
 
 
 def test_value_set_rows_span_any_set():
@@ -468,8 +499,8 @@ def test_bfs_stops_without_an_empty_pass(monkeypatch):
 
 
 def test_head_bases_derived_once_per_search(monkeypatch):
-    # passes 2 and 3 both saturate by the head bases; each basis is
-    # derived once, in the first of them, and read again by the second
+    # passes 2 and 3 both saturate by the head bases, which the class walk
+    # records: one _head_bases call per search, and one basis per head
     head_bases = SymbolAlgebra._head_bases
     calls, derived = [], []
 
