@@ -16,9 +16,9 @@ from oracle_utils import (
     bfs_layers_by_full_passes,
     binary,
     derived_head_bases,
-    dict_image_quotient,
     dict_bfs_distances,
     dict_bfs_max_length,
+    dict_image_quotient,
     gray_pure_symbols,
     holder_rref_ints,
     isometric,
