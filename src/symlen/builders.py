@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DimensionCapExceeded, ParseError
+from .errors import ParseError, TooLarge
 from .f2space import iter_bits
 from .scheme import (
     SCHEME_DIM_CAP,
@@ -198,7 +198,7 @@ def build(expr) -> Scheme:
     if hit is not None:
         return hit
     if expr_dim(expr) > SCHEME_DIM_CAP:
-        raise DimensionCapExceeded(
+        raise TooLarge(
             "expression %s has dimension %d, cap is %d"
             % (label, expr_dim(expr), SCHEME_DIM_CAP)
         )

@@ -29,8 +29,8 @@ from .builders import build_from_text, standard_library
 from .decompose import find_linked_pair, make_sum, run_decomposition
 from .errors import (
     DegreeViolation,
-    DimensionCapExceeded,
     LemmaViolation,
+    TooLarge,
     VerificationFailure,
 )
 from .f2space import count_upper_bound, gaussian_count, iter_bits, mask_to_str, rank_ints
@@ -437,7 +437,7 @@ def run_verification(max_d: int = 4, seed: int = 2024, progress=None) -> dict:
     certify deterministic output.  A max_d above the scheme dimension cap
     is refused before any check runs."""
     if max_d > SCHEME_DIM_CAP:
-        raise DimensionCapExceeded(
+        raise TooLarge(
             "library dimension %d exceeds cap %d" % (max_d, SCHEME_DIM_CAP))
     first = build_report(max_d, seed, progress)
     builders._CACHE.clear()

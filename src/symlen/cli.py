@@ -28,23 +28,10 @@ from .bounds import make_bound_report
 from .builders import build, expr_label, parse_scheme_expr
 from .checks import render_report, run_verification
 from .decompose import build_basis_chain, make_sum, run_decomposition
-from .errors import (
-    DimensionCapExceeded,
-    EnumerationTooLarge,
-    ParseError,
-    SymlenError,
-    VerificationFailure,
-)
+from .errors import ParseError, SymlenError, TooLarge, VerificationFailure
 from .f2space import mask_to_str
 from .milnor import DEFAULT_SL_CAP, DEFAULT_TENSOR_CAP, kn_space
-from .scheme import (
-    DEFAULT_CLASS_CAP,
-    SCHEME_DIM_CAP,
-    Scheme,
-    SquareClassGroup,
-    ValueSetTable,
-    pfister_classes,
-)
+from .scheme import SCHEME_DIM_CAP, Scheme, SquareClassGroup, ValueSetTable
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -86,10 +73,6 @@ OPTIONS = [
           help="output format (default table)")),
     (("--n",), ("sl", "bounds", "decompose"),
      dict(type=partial(int_at_least, 2), default=2, help="Pfister degree (default 2)")),
-    (("--cap-enum",), ("sl",),
-     dict(type=partial(int_at_least, 1), default=DEFAULT_CLASS_CAP,
-          help="slot tuple count (2^d)^n above which anisotropic_classes is "
-               "null; the class walk of the search runs whatever its value")),
     (("--cap-bfs",), ("sl", "bounds"),
      dict(type=partial(int_at_least, 1), default=DEFAULT_SL_CAP,
           help="largest order 2^dim of k_n searched for symbol lengths")),
@@ -119,24 +102,28 @@ CONFIG_KEYS = {flags[-1][2:] for flags, _, kwargs in OPTIONS
 def read_config_file(path: str) -> dict:
     """Plain key=value lines; blank lines and # comments are skipped.  A
     key names an option that takes a value, with - or _; others are refused."""
-    out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise InvalidConfig(
-                    "%s:%d: expected key=value, got %r" % (path, lineno, line)
-                )
-            name = key.strip()
-            key = name.replace("_", "-")
-            if key not in CONFIG_KEYS:
-                raise InvalidConfig(
-                    "%s:%d: unknown config key %r" % (path, lineno, name)
-                )
-            out[key] = value.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig("%s: %s" % (path, exc))
+    out = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise InvalidConfig(
+                "%s:%d: expected key=value, got %r" % (path, lineno, line)
+            )
+        name = key.strip()
+        key = name.replace("_", "-")
+        if key not in CONFIG_KEYS:
+            raise InvalidConfig(
+                "%s:%d: unknown config key %r" % (path, lineno, name)
+            )
+        out[key] = value.strip()
     return out
 
 
@@ -154,7 +141,9 @@ def load_table_file(path: str) -> tuple[str, Scheme]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, a UnicodeDecodeError, or an int past
+            # Python's digit limit for str -> int conversion
             raise ParseError("table file %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise ParseError("table file %s: expected a JSON object" % path)
@@ -308,17 +297,13 @@ def cmd_sl(args: argparse.Namespace) -> tuple[dict, int]:
     name, scheme = load_scheme(args)
     algebra = kn_space(scheme, args.n, args.cap_tensor)
     best, witness = algebra.max_symbol_length(args.cap_bfs)
-    try:
-        classes = len(pfister_classes(scheme, args.n, args.cap_enum, args.cap_tensor))
-    except EnumerationTooLarge:
-        classes = None
     payload = {
         "scheme": name,
         "n": args.n,
         "dim_kn": algebra.dim,
         "sl": best,
         "witness": {"coords": witness.coords, "dim": witness.dim},
-        "anisotropic_classes": classes,
+        "anisotropic_classes": len(algebra.classes()),
     }
     return payload, EXIT_OK
 
@@ -421,7 +406,7 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a usage error, which is
         # invalid input here: 2 means a cap was exceeded
         return EXIT_INVALID if exc.code else EXIT_OK
-    except (EnumerationTooLarge, DimensionCapExceeded) as exc:
+    except TooLarge as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP
     except VerificationFailure as exc:

@@ -9,8 +9,7 @@ the exit code cli.main gives them:
   (AxiomViolation, ProfileInconsistency, LemmaViolation, DegreeViolation,
   ChainInconsistency); verify-paper catches the two polynomial ones and
   reports them as failed checks.
-* 2, a resource cap: EnumerationTooLarge (TooLarge with it) and
-  DimensionCapExceeded.
+* 2, a resource cap: TooLarge alone.
 * 3, a verification failure: VerificationFailure alone.
 """
 
@@ -76,16 +75,9 @@ class ChainInconsistency(SymlenError):
 # exit code 2
 
 
-class EnumerationTooLarge(SymlenError):
-    """An exact enumeration would exceed the configured cap."""
-
-
-class TooLarge(EnumerationTooLarge):
-    """A derived object (tensor space, search frontier) exceeds its cap."""
-
-
-class DimensionCapExceeded(SymlenError):
-    """A construction would exceed the square class dimension cap."""
+class TooLarge(SymlenError):
+    """A request exceeds a resource cap: the scheme dimension cap, or a
+    cap on a derived object (tensor space, search frontier)."""
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,11 @@ from dataclasses import dataclass
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
-from .scheme import DEFAULT_TENSOR_CAP, Scheme, _swap_runs, clear_bit_masks
+from .scheme import Scheme, _swap_runs, clear_bit_masks
 
 DEFAULT_SL_CAP = 1 << 24
+# bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
+DEFAULT_TENSOR_CAP = 1 << 13
 
 
 def _check_degree(d: int, n: int, tensor_cap: int) -> None:

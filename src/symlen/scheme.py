@@ -25,11 +25,10 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     AxiomViolation,
-    DimensionCapExceeded,
-    EnumerationTooLarge,
     IsotropicInput,
     NotAGroup,
     ProfileInconsistency,
+    TooLarge,
 )
 from .f2space import iter_bits
 
@@ -38,9 +37,6 @@ if TYPE_CHECKING:
     from .milnor import SymbolAlgebra
 
 SCHEME_DIM_CAP = 6
-DEFAULT_CLASS_CAP = 1 << 20
-# bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
-DEFAULT_TENSOR_CAP = 1 << 13
 
 
 # validate_scheme packs one class set per 64-bit block of an int, the
@@ -200,7 +196,7 @@ class Scheme:
 
     def __init__(self, group: SquareClassGroup, values: ValueSetTable):
         if group.dim > SCHEME_DIM_CAP:
-            raise DimensionCapExceeded(
+            raise TooLarge(
                 "scheme dimension %d exceeds cap %d" % (group.dim, SCHEME_DIM_CAP)
             )
         if len(values.rows) != (1 << group.dim):
@@ -539,20 +535,10 @@ def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
     return counts
 
 
-def pfister_classes(scheme: Scheme, n: int, cap: int = DEFAULT_CLASS_CAP,
-                    tensor_cap: int = DEFAULT_TENSOR_CAP) -> dict[int, tuple[int, ...]]:
-    """Map of image coords -> least sorted slot tuple, anisotropic classes only.
-
-    The cap refuses a degree whose (2^d)^n slot tuples exceed it, a count
-    that bounds the classes and the prefixes the walk extends.  It is
-    checked before any table is read or built, without building the power:
-    2^(d*n) > cap iff d*n >= cap.bit_length().  The BFS walks the same
-    classes for its generators without it.
-    """
-    if scheme.d * n >= cap.bit_length():
-        raise EnumerationTooLarge(
-            "strata enumeration needs (2^%d)^%d slot tuples, cap is %d"
-            % (scheme.d, n, cap)
-        )
+def pfister_classes(scheme: Scheme, n: int) -> dict[int, tuple[int, ...]]:
+    """Map of image coords -> least sorted slot tuple, anisotropic classes
+    only: a copy of the class map of kn_space(scheme, n), which the BFS
+    walks for its generators too.  A degree over the default tensor cap is
+    refused with TooLarge before anything is built."""
     from .milnor import kn_space  # milnor imports this module
-    return dict(kn_space(scheme, n, tensor_cap).classes())
+    return dict(kn_space(scheme, n).classes())

@@ -39,7 +39,7 @@ from symlen.builders import (
     DATA_DIR,
 )
 from symlen.decompose import build_basis_chain, make_sum, run_decomposition
-from symlen.errors import DimensionCapExceeded, ParseError
+from symlen.errors import ParseError, TooLarge
 from symlen.milnor import sl_field
 from symlen.scheme import Scheme, pfister_classes, validate_scheme
 
@@ -182,7 +182,7 @@ def test_parser_errors():
 
 
 def test_dimension_cap():
-    with pytest.raises(DimensionCapExceeded):
+    with pytest.raises(TooLarge):
         build_from_text("product(Q2,product(Q2,RC))")
 
 
@@ -287,10 +287,10 @@ def test_twin_matches_cold_build(monkeypatch, capsys):
     # the caps refuse on a warm twin as on a cold scheme: the same exit
     # code, stdout and stderr from `symlen sl`, and a payload that names
     # the twin
-    refused = dict.fromkeys(["--cap-bfs", "--cap-enum", "--cap-tensor"], 0)
+    refused = dict.fromkeys(["--cap-bfs", "--cap-tensor"], 0)
     for label in twins:
         warm = builders._CACHE[label]
-        for cap in (["--cap-bfs", "2"], ["--cap-enum", "8"], ["--cap-tensor", "8"]):
+        for cap in (["--cap-bfs", "2"], ["--cap-tensor", "8"]):
             argv = ["sl", "--scheme", label, "--n", "3", "--format", "json"] + cap
             outcomes = []
             for s in (warm, Scheme(warm.group, warm.values)):
@@ -303,7 +303,6 @@ def test_twin_matches_cold_build(monkeypatch, capsys):
                 assert json.loads(out)["scheme"] == label
             refused[cap[0]] += code == 2
     assert refused["--cap-bfs"] > 0 and refused["--cap-tensor"] > 0
-    assert refused["--cap-enum"] == 0  # sl prints null classes instead
 
 
 def test_each_table_validated_once(monkeypatch):

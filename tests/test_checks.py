@@ -2,6 +2,11 @@
 
 import dataclasses
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from symlen import bounds, builders, checks, cli, decompose
 from symlen import scheme as scheme_module
@@ -275,3 +280,16 @@ def test_rigid_strata_bijection_reports_a_wrong_count(monkeypatch):
     assert checks.check_rigid_strata_bijection(max_k=3, max_n=3) == {
         "passed": False, "max_k": 3, "max_n": 3, "cases": 21,
         "mismatches": [[3, 2, 0, 7, 8]]}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("max_d", [4, 5])
+def test_report_matches_golden_bytes(max_d):
+    # a cold CLI run: the report is a fixed payload, byte for byte
+    cmd = [sys.executable, "-m", "symlen", "verify-paper", "--max-d", str(max_d)]
+    run = subprocess.run(cmd, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    golden = GOLDEN / ("verify-paper-max-d-%d.json" % max_d)
+    assert run.stdout == golden.read_bytes()

@@ -245,26 +245,37 @@ def test_missing_scheme_rejected(capsys):
     assert run_cli(capsys, "sl", "--n", "2")[0] == 1
 
 
-def test_class_cap_checked_before_image_table(capsys, monkeypatch):
-    args = ("sl", "--scheme", "laurent(laurent(RC))", "--n", "2",
-            "--format", "json")
-    code, out = run_cli(capsys, *args)
-    assert code == 0 and json.loads(out)["anisotropic_classes"] >= 1
+def test_sl_counts_classes_at_large_slot_tuple_counts(capsys, tmp_path):
+    # d * n >= 21: the count is the class walk's, with no cap on (2^d)^n
+    rigid6 = "laurent(laurent(laurent(laurent(laurent(laurent(QC))))))"
+    for label, n, classes in (("RC", 21, 1), (rigid6, 4, 651), (rigid6, 5, 63)):
+        code, out = run_cli(capsys, "sl", "--scheme", label, "--n", str(n),
+                            "--format", "json")
+        assert code == 0
+        pure = milnor.kn_space(builders.build_from_text(label), n).pure_symbols()
+        assert json.loads(out)["anisotropic_classes"] == len(pure) == classes
+    # the option that made it null is gone, from the flags and the file
+    assert run_cli(capsys, "sl", "--scheme", "RC", "--cap-enum", "1") == (1, "")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = RC\ncap-enum = 5\n")
+    assert run_cli(capsys, "sl", "--config", str(cfg)) == (1, "")
 
-    def no_classes(self):
-        raise AssertionError("class map read past the class cap")
 
-    monkeypatch.setattr(milnor.SymbolAlgebra, "classes", no_classes)
-    # warm: the class map of the cached scheme is already built
-    code, out = run_cli(capsys, *args, "--cap-enum", "1")
-    assert code == 0
-    data = json.loads(out)
-    assert data["anisotropic_classes"] is None
-    assert data["sl"] >= 1
-    # cold: a fresh scheme cache
-    monkeypatch.setattr(builders, "_CACHE", {})
-    code, out = run_cli(capsys, *args, "--cap-enum", "1")
-    assert code == 0 and json.loads(out) == data
+@pytest.mark.parametrize("argv, text", [
+    # bytes that are not UTF-8
+    (["build", "--unsafe-table"], b'{"d": 1, "minus_one": 1, "rows": [1, 3]}\xff'),
+    (["sl", "--config"], b"scheme = RC\n# \xff\n"),
+    # an int past Python's digit limit for str -> int conversion
+    (["build", "--unsafe-table"], b'{"d": 1%s, "minus_one": 1}' % (b"0" * 5000)),
+], ids=["table-bytes", "config-bytes", "table-digits"])
+def test_unreadable_file_named_in_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    code = cli.main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ")
+    assert str(path) in captured.err
 
 
 def test_unsafe_table_huge_dimension_hits_cap(capsys, tmp_path):
@@ -316,8 +327,7 @@ def test_sl_degree_five_at_d6(capsys):
 def test_raised_tensor_cap_reaches_class_map(capsys):
     # d^n = 2^14 is over the default tensor cap, under the raised one
     code, out = run_cli(capsys, "sl", "--scheme", "laurent(RC)", "--n", "14",
-                        "--cap-tensor", "65536", "--cap-enum", "1000000000",
-                        "--format", "json")
+                        "--cap-tensor", "65536", "--format", "json")
     assert code == 0
     assert json.loads(out)["anisotropic_classes"] == 3
 
@@ -360,7 +370,7 @@ RIGID3 = "laurent(laurent(laurent(QC)))"
 ACCEPTED = {
     "build": ["--config", "--format", "--scheme", "--unsafe-table", "--verbose"],
     "invariants": ["--config", "--format", "--scheme", "--unsafe-table", "--verbose"],
-    "sl": ["--cap-bfs", "--cap-enum", "--cap-tensor", "--config", "--format", "--n",
+    "sl": ["--cap-bfs", "--cap-tensor", "--config", "--format", "--n",
            "--scheme", "--unsafe-table", "--verbose"],
     "bounds": ["--cap-bfs", "--cap-tensor", "--config", "--format", "--n",
                "--scheme", "--unsafe-table", "--verbose"],
@@ -377,7 +387,7 @@ def test_each_subcommand_accepts_the_options_it_reads():
                              if a.option_strings and a.dest != "help")
                 for name, p in sub.choices.items()}
     assert accepted == ACCEPTED
-    assert sum(map(len, accepted.values())) == 40
+    assert sum(map(len, accepted.values())) == 39
 
 
 @pytest.mark.parametrize("argv", [
@@ -414,13 +424,13 @@ def test_help_exits_ok(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: symlen")
     assert cli.main(["sl", "--help"]) == 0
-    assert "--cap-enum" in capsys.readouterr().out
+    assert "--cap-bfs" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
     ["build", "--scheme", "RC", "--n", "3"],
     ["invariants", "--scheme", "RC", "--seed", "1"],
-    ["bounds", "--scheme", "RC", "--cap-enum", "5"],
+    ["sl", "--scheme", "RC", "--cap-enum", "5"],
     ["decompose", "--scheme", RIGID3, "--form", "011,100", "--cap-bfs", "2"],
     ["verify-paper", "--max-d", "1", "--cap-bfs", "1"],
     ["verify-paper", "--max-d", "1", "--format", "csv"],

@@ -69,7 +69,7 @@ def sweep(tmp):
         (0, ["invariants", "--scheme", "Q2", "--format", "csv"]),
         (0, ["invariants", "--scheme", "RC"]),
         (0, ["sl", "--config", str(config)]),
-        (0, ["sl", "--scheme", " product( RC , laurent(F2) ) ", "--cap-enum", "1"]),
+        (0, ["sl", "--scheme", " product( RC , laurent(F2) ) "]),
         (0, ["bounds", "--scheme", RIGID3]),
         (0, ["bounds", "--scheme", "laurent(laurent(laurent(laurent(RC))))"]),
         (0, ["decompose", "--scheme", RIGID3,
