@@ -3,7 +3,7 @@
 Five base schemes are provided: QC (one square class), RC (two classes,
 binary form <1,1> definite), F1 and F2 (two classes with universal binary
 forms; -1 a square for F1, a nonsquare for F2), and Q2 (the eight-class
-dyadic local scheme, loaded from a frozen table).  Larger schemes come from
+dyadic local scheme, a literal table).  Larger schemes come from
 two combinators: laurent(S) adjoins a uniformizer coordinate with the usual
 two-residue-form value sets, product(S1, S2) takes the direct product of the
 class groups with componentwise value sets.
@@ -25,9 +25,7 @@ profile.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, TooLarge
@@ -44,7 +42,8 @@ if TYPE_CHECKING:
     from .scheme import InvariantProfile
 
 BASE_KINDS = ("QC", "RC", "F1", "F2", "Q2")
-DATA_DIR = Path(__file__).parent / "data"
+# laurent and product nest at most this deep: far inside the recursion limit
+MAX_NESTING = 64
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +110,9 @@ def _f2_table():
 
 
 def _q2_table():
-    # the 2-adic Hilbert symbol gives the rows; the tests regenerate them
-    with open(DATA_DIR / "dyadic_table.json") as fh:
-        data = json.load(fh)
-    return (
-        SquareClassGroup(data["dim"], data["minus_one"]),
-        ValueSetTable(tuple(data["rows"])),
-    )
+    # coordinates (-1, 2, 5); the 2-adic Hilbert symbol gives the rows, and
+    # the tests regenerate them
+    return SquareClassGroup(3, 1), ValueSetTable((85, 255, 165, 15, 153, 51, 105, 195))
 
 
 _BASE_TABLES = {
@@ -228,6 +223,7 @@ def parse_scheme_expr(text: str) -> object:
 
     expr := base | "laurent" "(" expr ")" | "product" "(" expr "," expr ")"
     with base one of QC, RC, F1, F2, Q2; case and whitespace insensitive.
+    Nesting deeper than MAX_NESTING is refused with TooLarge.
     """
     pos = 0
 
@@ -253,7 +249,9 @@ def parse_scheme_expr(text: str) -> object:
             raise ParseError("expected a name at offset %d" % pos, position=pos)
         return text[start:pos], start
 
-    def expr():
+    def expr(depth):
+        if depth > MAX_NESTING:
+            raise TooLarge("scheme expression nests deeper than %d" % MAX_NESTING)
         w, start = word()
         up = w.upper()
         if up in BASE_KINDS:
@@ -261,19 +259,19 @@ def parse_scheme_expr(text: str) -> object:
         low = w.lower()
         if low == "laurent":
             expect("(")
-            inner = expr()
+            inner = expr(depth + 1)
             expect(")")
             return LaurentExpr(inner)
         if low == "product":
             expect("(")
-            left = expr()
+            left = expr(depth + 1)
             expect(",")
-            right = expr()
+            right = expr(depth + 1)
             expect(")")
             return ProductExpr(left, right)
         raise ParseError("unknown scheme name %r at offset %d" % (w, start), position=start)
 
-    result = expr()
+    result = expr(0)
     skip_ws()
     if pos != len(text):
         raise ParseError("trailing input at offset %d" % pos, position=pos)

@@ -141,9 +141,9 @@ def load_table_file(path: str) -> tuple[str, Scheme]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
-            # a JSONDecodeError, a UnicodeDecodeError, or an int past
-            # Python's digit limit for str -> int conversion
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, a UnicodeDecodeError, an int past Python's
+            # digit limit for str -> int conversion, or too deep a nesting
             raise ParseError("table file %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise ParseError("table file %s: expected a JSON object" % path)

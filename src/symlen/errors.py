@@ -76,8 +76,9 @@ class ChainInconsistency(SymlenError):
 
 
 class TooLarge(SymlenError):
-    """A request exceeds a resource cap: the scheme dimension cap, or a
-    cap on a derived object (tensor space, search frontier)."""
+    """A request exceeds a resource cap: the scheme dimension cap, the
+    nesting bound of scheme expressions, or a cap on a derived object
+    (tensor space, search frontier)."""
 
 
 # ---------------------------------------------------------------------------

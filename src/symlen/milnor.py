@@ -33,10 +33,11 @@ image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
 Hauptsatz for fields; for schemes the tests check it against a Witt
 decomposition search).  One walk of the sorted slot prefixes, keeping the
 least prefix of each nonzero image, reaches them all: they are the pure
-symbols.  Each degree's walk reads its rows off one table, and keeps,
-per image, the image of its least tuple's prefix one degree down and the
-last slot; a class's least slot tuple is read off these links.  Every
-degree below n is kept, so the tensor cap bounds n as well as d^n.
+symbols.  Each degree is walked once, when its algebra is constructed:
+the walk reads its rows off one table, and keeps, per image, the image of
+its least tuple's prefix one degree down and the last slot; a class's
+least slot tuple is read off these links.  Every degree below n is kept,
+so the tensor cap bounds n as well as d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -51,6 +52,7 @@ over the heads of the ball of radius k - 1 saturated by W_x,
 S |= translate(S, w) per unit image w.
 A pass keeps only the classes not yet reached, and stops as soon as its
 saturations cover them all; the search ends when every class is reached.
+cayley_layers runs it on plain data and reads no scheme.
 
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
@@ -192,9 +194,9 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}
-    by _quotient.  The degrees below n are built first, and cached, by
-    kn_space; a degree whose d^n or n exceeds the tensor cap is refused
-    before any of them.  A constructed algebra starts with cold memos.
+    by _quotient and walked by _walk when constructed; kn_space builds and
+    caches the degrees below first, and refuses a degree whose d^n or n
+    exceeds the tensor cap before any of them.  Memos start cold.
     """
 
     def __init__(self, scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP):
@@ -210,11 +212,12 @@ class SymbolAlgebra:
         self.dim = len(self.free_cols)
         self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
-        self._link_map: dict[int, tuple[int, int]] | None = None
-        self._bases: list[tuple[int, ...]] | None = None
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._pure: tuple[int, ...] | None = None
         self._layers: list[int] | None = None
+        # k_0: the empty tuple has image 1, and its extensions start at 0
+        self._link_map, self._bases = self._walk(
+            {1: (0, 0)} if self.lower is None else self.lower._link_map)
 
     def __repr__(self):
         return "SymbolAlgebra(d=%d, n=%d, dim=%d)" % (self.scheme.d, self.n, self.dim)
@@ -287,35 +290,22 @@ class SymbolAlgebra:
         """Sorted coords of the distinct nonzero pure symbols: the images
         the class walk reaches."""
         if self._pure is None:
-            self._pure = tuple(sorted(self._links()))
+            self._pure = tuple(sorted(self._link_map))
         return self._pure
 
-    def _links(self) -> dict[int, tuple[int, int]]:
-        """Map of each nonzero image to (image of its least slot tuple's
-        prefix one degree down, its last slot), in least-tuple order.
+    def _walk(self, links: dict[int, tuple[int, int]]
+              ) -> tuple[dict[int, tuple[int, int]], list[tuple[int, ...]]]:
+        """This degree's link map and head bases, from the links one degree
+        down: each least prefix x extended in order by every slot from its
+        last one up.  A prefix P that is not the least P' of its image is
+        not needed: P + (e) has the image of sorted(P' + (e)).
 
-        Built degree by degree by _walk and kept on each degree's algebra:
-        a degree that already has its map is not walked again.
-        """
-        if self._link_map is None:
-            # k_0: the empty tuple has image 1, and its extensions start at 0
-            links: dict[int, tuple[int, int]] = {1: (0, 0)}
-            for alg in self._chain():
-                if alg._link_map is None:
-                    alg._walk(links)
-                links = alg._link_map
-        return self._link_map
-
-    def _walk(self, links: dict[int, tuple[int, int]]) -> None:
-        """Set this degree's link map and head bases from the links one
-        degree down, each least prefix x extended in order by every slot
-        from its last one up.  A prefix P that is not the least P' of its
-        image is not needed: P + (e) has the image of sorted(P' + (e)).
-
-        Row x, mu_n(x, v) over v, is the entry at the low bits of x of a
-        table of the XORs of the first min(d, dim k_{n-1}) rows of _mul,
-        XOR the rows at its other bits.  A head is an x whose row adds an
-        image; its basis is its nonzero unit images row[e_i].
+        The link map takes each nonzero image to (image of its least slot
+        tuple's prefix one degree down, its last slot), in least-tuple
+        order.  Row x, mu_n(x, v) over v, is the entry at the low bits of x
+        of a table of the XORs of the first min(d, dim k_{n-1}) rows of
+        _mul, XOR the rows at its other bits.  A head is an x whose row
+        adds an image; its basis is its nonzero unit images row[e_i].
         """
         d, size, eps = self.scheme.d, self.scheme.size, self.scheme.eps
         mul = self._mul
@@ -338,8 +328,7 @@ class SymbolAlgebra:
                     nxt[image] = (x, c)
             if len(nxt) > known:
                 bases.append(tuple([row[1 << i] for i in range(d) if row[1 << i]]))
-        self._link_map = nxt
-        self._bases = bases
+        return nxt, bases
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
@@ -353,7 +342,7 @@ class SymbolAlgebra:
         if self._classes is None:
             chain = self._chain()[::-1]
             least = {}
-            for image in self._links():
+            for image in self._link_map:
                 slots = []
                 x = image
                 for alg in chain:
@@ -363,12 +352,6 @@ class SymbolAlgebra:
             self._classes = least
         return self._classes
 
-    def _head_bases(self) -> list[tuple[int, ...]]:
-        """The nonzero mu_n(x, e_i), i < d, for each head x of the class
-        walk in link order, as the walk recorded them.  Not to be modified."""
-        self._links()
-        return self._bases
-
     def _bfs_layers(self, cap: int) -> list[int]:
         """Layer k of the pure-symbol Cayley graph, as a bitset, at index k.
 
@@ -376,36 +359,14 @@ class SymbolAlgebra:
         cold cache is refused identically on a warm one.  The layers are
         memoized, and one algebra serves every label of the table, so the
         search, and its read of layer 1, the pure symbols, runs once per
-        (table, n).  The saturation passes read the head bases that the
-        class walk recorded (_head_bases), fetched once per search."""
+        (table, n).  cayley_layers saturates by the head bases that the
+        class walk recorded."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
             )
         if self._layers is None:
-            packed = bytearray(((1 << self.dim) + 7) >> 3)
-            for g in self.pure_symbols():
-                packed[g >> 3] |= 1 << (g & 7)
-            gens = int.from_bytes(packed, "little")
-            masks = clear_bit_masks(self.dim)
-            full = (1 << (1 << self.dim)) - 1
-            layers = [1]
-            reached = 1
-            heads = list(self._head_bases())
-            while reached != full:
-                todo = full ^ reached
-                if len(layers) == 1:
-                    nxt = gens & todo
-                else:
-                    nxt = _union_of_saturations(reached, heads, masks, todo)
-                if not nxt:
-                    raise VerificationFailure(
-                        "pure symbols span only %d of %d classes"
-                        % (reached.bit_count(), 1 << self.dim)
-                    )
-                reached |= nxt
-                layers.append(nxt)
-            self._layers = layers
+            self._layers = cayley_layers(self.dim, self.pure_symbols(), self._bases)
         return self._layers
 
     def symbol_length(self, x: SymbolVector, cap: int = DEFAULT_SL_CAP) -> int:
@@ -426,18 +387,43 @@ class SymbolAlgebra:
         return len(layers) - 1, SymbolVector(witness, self.dim)
 
 
-def _union_of_saturations(ball: int, bases, masks: list[int], todo: int) -> int:
-    """The union over the bases of ball + span(basis), intersected with todo,
-    saturating by each basis vector w in turn; it stops once it covers todo."""
-    out = 0
-    for basis in bases:
-        s = ball
-        for w in basis:
-            s |= _swap_runs(s, w, masks, 1)
-        out |= s & todo
-        if out == todo:
-            break
-    return out
+def cayley_layers(dim: int, generators, bases) -> list[int]:
+    """Layer k of the Cayley graph of F2^dim, as a bitset, at index k.
+
+    The generators must be the nonzero elements of the union of the spans
+    of the bases: radius k is then the union over the bases of radius
+    k - 1 saturated by the basis.  Generators that do not span F2^dim
+    raise VerificationFailure.
+    """
+    packed = bytearray(((1 << dim) + 7) >> 3)
+    for g in generators:
+        packed[g >> 3] |= 1 << (g & 7)
+    gens = int.from_bytes(packed, "little")
+    masks = clear_bit_masks(dim)
+    full = (1 << (1 << dim)) - 1
+    layers = [1]
+    reached = 1
+    while reached != full:
+        todo = full ^ reached
+        if len(layers) == 1:
+            nxt = gens & todo
+        else:
+            nxt = 0
+            for basis in bases:
+                s = reached
+                for w in basis:
+                    s |= _swap_runs(s, w, masks, 1)
+                nxt |= s & todo
+                if nxt == todo:
+                    break
+        if not nxt:
+            raise VerificationFailure(
+                "pure symbols span only %d of %d classes"
+                % (reached.bit_count(), 1 << dim)
+            )
+        reached |= nxt
+        layers.append(nxt)
+    return layers
 
 
 def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> SymbolAlgebra:

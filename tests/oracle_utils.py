@@ -1054,8 +1054,8 @@ def generate_dyadic_table() -> dict:
     b is a value of <1,a> exactly when the ternary form <1, a, -b> is
     isotropic over the dyadic field; for a not in the class of -1 that is
     the symbol condition (b, -a) = 1, and for a in the class of -1 the form
-    <1,a> is hyperbolic, hence universal.  The shipped JSON file freezes
-    this table.
+    <1,a> is hyperbolic, hence universal.  builders._q2_table holds this
+    table as a literal.
     """
     eps = 1
     rows = []

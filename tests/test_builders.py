@@ -36,7 +36,6 @@ from symlen.builders import (
     product_table,
     standard_expressions,
     standard_library,
-    DATA_DIR,
 )
 from symlen.decompose import build_basis_chain, make_sum, run_decomposition
 from symlen.errors import ParseError, TooLarge
@@ -70,10 +69,11 @@ def test_build_caches():
     assert build(parse_scheme_expr("F1")) is build(parse_scheme_expr("laurent(QC)"))
 
 
-def test_dyadic_frozen_file_matches_generator():
-    with open(DATA_DIR / "dyadic_table.json") as fh:
-        frozen = json.load(fh)
-    assert generate_dyadic_table() == frozen
+def test_dyadic_literal_table_matches_generator():
+    generated = generate_dyadic_table()
+    group, values = builders._q2_table()
+    assert (group.dim, group.minus_one, values.rows) == (
+        generated["dim"], generated["minus_one"], tuple(generated["rows"]))
 
 
 def _two_adic_class(t: int) -> int:

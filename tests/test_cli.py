@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -276,6 +278,50 @@ def test_unreadable_file_named_in_error(capsys, tmp_path, argv, text):
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith("error: ")
     assert str(path) in captured.err
+
+
+def tower(head, tail, depth):
+    """An expression nesting depth combinators around QC."""
+    return head * depth + "QC" + tail * depth
+
+
+def run_symlen(*argv):
+    """(exit code, stdout, stderr) of symlen in a child process, so that an
+    uncaught error shows as a traceback in stderr."""
+    run = subprocess.run([sys.executable, "-m", "symlen", *argv],
+                         capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.parametrize("expr", [
+    tower("laurent(", ")", 1200),
+    tower("product(", ",QC)", 1200),
+    # dimension 0, which exited 0 up to about 990 levels
+    tower("product(QC,", ")", builders.MAX_NESTING + 1),
+], ids=["laurent", "product", "qc-product-past-bound"])
+def test_deep_expression_refused_as_cap(expr):
+    code, out, err = run_symlen("sl", "--scheme", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("cap exceeded: ") and "Traceback" not in err
+    assert "nests deeper than %d" % builders.MAX_NESTING in err
+
+
+def test_expression_at_nesting_bound_parses():
+    expr = tower("product(QC,", ")", builders.MAX_NESTING)
+    code, out, err = run_symlen("sl", "--scheme", expr, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dim_kn"] == 0
+    assert builders.expr_dim(builders.parse_scheme_expr(
+        tower("laurent(", ")", builders.MAX_NESTING))) == builders.MAX_NESTING
+
+
+def test_deeply_nested_table_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_symlen("build", "--unsafe-table", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(path) in err
 
 
 def test_unsafe_table_huge_dimension_hits_cap(capsys, tmp_path):

@@ -45,14 +45,15 @@ from symlen.builders import (
 )
 from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import iter_bits, rank_ints, rref_ints
-from symlen.scheme import Scheme, _swap_runs, clear_bit_masks, subgroup_rows
+from symlen.decompose import make_sum, run_decomposition
+from symlen.scheme import Scheme, _swap_runs, pfister_classes, subgroup_rows
 from symlen import milnor
 from symlen.milnor import (
     DEFAULT_SL_CAP,
     DEFAULT_TENSOR_CAP,
     SymbolAlgebra,
     SymbolVector,
-    _union_of_saturations,
+    cayley_layers,
     kn_space,
     sl_field,
     split_pair_basis,
@@ -426,8 +427,8 @@ def test_walk_matches_row_oracle():
     for s in schemes:
         alg = kn_space(s, 3)
         for low, oracle in zip(alg._chain(), row_walk_links(alg)):
-            assert list(low._links().items()) == list(oracle.items()), low
-            assert low._head_bases() == derived_head_bases(low, oracle), low
+            assert list(low._link_map.items()) == list(oracle.items()), low
+            assert low._bases == derived_head_bases(low, oracle), low
 
 
 def test_layers_match_dict_bfs():
@@ -478,50 +479,14 @@ def test_head_bases_span_the_pure_symbols():
                  for expr in (LAURENT5_RC, rigid_label(6)) for n in (2, 3)]
     assert [a.dim for a in algebras[-4:]] == [16, 26, 15, 20]
     for alg in algebras:
-        bases = list(alg._head_bases())
+        bases = alg._bases
         assert all(len(basis) <= alg.scheme.d for basis in bases), alg
         assert {0}.union(*map(span, bases)) == {0, *alg.pure_symbols()}, alg
 
 
-def test_bfs_stops_without_an_empty_pass(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _union_of_saturations(*args)
-
-    monkeypatch.setattr(milnor, "_union_of_saturations", counted)
-    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
-    layers = alg._bfs_layers(DEFAULT_SL_CAP)
-    assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
-    # layer 1 is the generator set; each later layer is one pass
-    assert len(calls) == len(layers) - 2
-
-
-def test_head_bases_derived_once_per_search(monkeypatch):
-    # passes 2 and 3 both saturate by the head bases, which the class walk
-    # records: one _head_bases call per search, and one basis per head
-    head_bases = SymbolAlgebra._head_bases
-    calls, derived = [], []
-
-    def counted(self):
-        calls.append(self)
-        for basis in head_bases(self):
-            derived.append(basis)
-            yield basis
-
-    monkeypatch.setattr(SymbolAlgebra, "_head_bases", counted)
-    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
-    assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
-    assert calls == [alg]
-    heads = dict.fromkeys(x for x, _ in alg._links().values())
-    assert len(derived) == len(heads)
-
-
-def test_bfs_swap_count(monkeypatch):
-    # the swaps are deterministic: the n = 2 searches of the two dim 15-16
-    # towers take at most 500 each (a translate per generator took 1,480
-    # and 1,276); a translate by w swaps once per set bit of w
+def counted_swaps(monkeypatch):
+    """The bit count of each translate of the search, in call order: a
+    translate by w swaps once per set bit of w."""
     swaps = []
 
     def counted(s, w, masks, unit):
@@ -529,48 +494,115 @@ def test_bfs_swap_count(monkeypatch):
         return _swap_runs(s, w, masks, unit)
 
     monkeypatch.setattr(milnor, "_swap_runs", counted)
-    for expr in (LAURENT5_RC, rigid_label(6)):
+    return swaps
+
+
+def test_bfs_stops_without_an_empty_pass(monkeypatch):
+    swaps = counted_swaps(monkeypatch)
+    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
+    layers = alg._bfs_layers(DEFAULT_SL_CAP)
+    assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
+    # layer 1 is the generator set; each later layer is at most one pass
+    # over the head bases, and the last one stops once it covers the rest
+    assert (len(swaps), sum(swaps)) == (188, 422)
+    assert len(swaps) < (len(layers) - 2) * sum(map(len, alg._bases))
+
+
+def test_head_bases_derived_once_per_search(monkeypatch):
+    # passes 2 and 3 both saturate by the head bases, which the class walk
+    # records: one kernel call per search, given the walk's own list, with
+    # one basis per distinct head
+    calls = []
+
+    def counted(dim, generators, bases):
+        calls.append((dim, generators, bases))
+        return cayley_layers(dim, generators, bases)
+
+    monkeypatch.setattr(milnor, "cayley_layers", counted)
+    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
+    assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
+    assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
+    assert len(calls) == 1
+    dim, generators, bases = calls[0]
+    assert (dim, generators) == (alg.dim, alg.pure_symbols())
+    assert bases is alg._bases
+    heads = dict.fromkeys(x for x, _ in alg._link_map.values())
+    assert len(bases) == len(heads)
+
+
+def test_bfs_swap_count(monkeypatch):
+    # the swaps are deterministic: the n = 2 searches of the two dim 15-16
+    # towers and the n = 3 search of laurent^6(QC), translate calls and bit
+    # swaps (a translate per generator took 1,480 and 1,276 bit swaps at
+    # n = 2)
+    swaps = counted_swaps(monkeypatch)
+    cases = [(LAURENT5_RC, 2, 188, 422, [1, 683, 23188, 41664]),
+             (rigid_label(6), 2, 186, 405, [1, 651, 18228, 13888]),
+             (rigid_label(6), 3, 868, 2576, [1, 1395, 411804, 635376])]
+    for expr, n, calls, bits, sizes in cases:
+        alg = kn_space(build_from_text(expr), n)
         swaps.clear()
-        SymbolAlgebra(build_from_text(expr), 2)._bfs_layers(DEFAULT_SL_CAP)
-        assert 0 < sum(swaps) <= 500, (expr, sum(swaps))
+        layers = alg._bfs_layers(DEFAULT_SL_CAP)
+        assert (len(swaps), sum(swaps)) == (calls, bits), (expr, n)
+        assert [layer.bit_count() for layer in layers] == sizes, (expr, n)
 
 
 def test_bfs_refuses_non_spanning_generators(monkeypatch):
     # the pure symbols 1 and 2 of laurent^3(QC) span 4 of its 8 classes;
-    # the heads are replaced by one line through each, so that the nonzero
-    # elements of their spans are those two generators
+    # with one line through each as the bases, the nonzero elements of
+    # their spans are those two generators
     alg = SymbolAlgebra(build_from_text(rigid_label(3)), 2)
     gens = alg.pure_symbols()[:2]
-    assert gens == (1, 2)
-    monkeypatch.setattr(alg, "pure_symbols", lambda: gens)
-    monkeypatch.setattr(alg, "_head_bases", lambda: [[g] for g in gens])
-    message = "^pure symbols span only 4 of %d classes$" % (1 << alg.dim)
+    assert (gens, alg.dim) == ((1, 2), 3)
+    message = "^pure symbols span only 4 of 8 classes$"
     with pytest.raises(VerificationFailure, match=message):
-        alg._bfs_layers(DEFAULT_SL_CAP)
+        cayley_layers(3, gens, [[1], [2]])
+    monkeypatch.setattr(alg, "pure_symbols", lambda: gens)
     with pytest.raises(VerificationFailure, match=message):
         bfs_layers_by_full_passes(alg)
 
 
-def subsets(dim):
-    return st.sets(st.integers(0, (1 << dim) - 1))
+def set_bfs_layers(dim, generators):
+    """The layers of the Cayley graph of F2^dim as sets, and the vectors
+    reached: the plain reference for cayley_layers."""
+    layers = [{0}]
+    reached = {0}
+    while True:
+        nxt = {x ^ g for x in layers[-1] for g in generators} - reached
+        if not nxt:
+            return layers, reached
+        reached |= nxt
+        layers.append(nxt)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 7).flatmap(lambda dim: st.tuples(
     st.just(dim),
-    subsets(dim),
-    st.lists(st.lists(st.integers(0, (1 << dim) - 1), max_size=4), max_size=4),
-    subsets(dim))))
-def test_union_of_saturations_matches_sets(case):
-    dim, members, bases, kept = case
-    ball = sum(1 << x for x in members)
-    masks = clear_bit_masks(dim)
-    union = sum(1 << y for y in {x ^ w for basis in bases
-                                 for w in span(basis) for x in members})
-    everything = (1 << (1 << dim)) - 1
-    assert _union_of_saturations(ball, bases, masks, everything) == union
-    todo = sum(1 << y for y in kept)
-    assert _union_of_saturations(ball, bases, masks, todo) == union & todo
+    st.lists(st.lists(st.integers(0, (1 << dim) - 1), max_size=4), max_size=4))))
+def test_cayley_layers_match_set_bfs(case):
+    # the generators are the nonzero elements of the union of the spans
+    dim, bases = case
+    gens = sorted(set().union(*map(span, bases)) - {0})
+    layers, reached = set_bfs_layers(dim, gens)
+    if len(reached) < 1 << dim:
+        message = "^pure symbols span only %d of %d classes$" % (len(reached), 1 << dim)
+        with pytest.raises(VerificationFailure, match=message):
+            cayley_layers(dim, gens, bases)
+    else:
+        assert cayley_layers(dim, gens, bases) == [
+            sum(1 << x for x in layer) for layer in layers]
+
+
+def test_cayley_layers_of_unit_vectors_are_weights():
+    # plain data, no scheme: with the unit vectors as the generators and a
+    # line through each as the bases, layer k is the vectors of weight k
+    for dim in range(9):
+        units = [1 << i for i in range(dim)]
+        layers = cayley_layers(dim, units, [[u] for u in units])
+        assert len(layers) == dim + 1
+        for k, layer in enumerate(layers):
+            assert layer.bit_count() == math.comb(dim, k), (dim, k)
+            assert all(x.bit_count() == k for x in iter_bits(layer)), (dim, k)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -663,6 +695,35 @@ def test_class_maps_kept_per_degree(monkeypatch):
         assert list(kn_space(low_first, 3).classes().items()) == list(high.items()), name
     # the guard is live: each low_first table walks its k_3 under it
     assert walked == [kn_space(low_first, 3) for *_, low_first, _ in cases]
+
+
+def test_every_degree_walked_once_at_construction(monkeypatch):
+    # a cold chain is walked as it is built, each degree once per table;
+    # the search, the class maps and a decomposition walk nothing more
+    walk = SymbolAlgebra._walk
+    walked = []
+
+    def counted(self, links):
+        walked.append(self)
+        return walk(self, links)
+
+    monkeypatch.setattr(SymbolAlgebra, "_walk", counted)
+    for label in ("laurent(laurent(F2))", rigid_label(4)):
+        s = fresh_scheme(label)
+        alg = kn_space(s, 3)
+        chain = alg._chain()
+        assert walked == chain, label
+        for low in chain:
+            assert isinstance(low._link_map, dict), low
+            assert len(low._bases) <= len(low._link_map), low
+        sl_field(s, 2)
+        sl_field(s, 3)
+        alg.classes()
+        pfister_classes(s, 2)
+        pfister_classes(s, 3)
+        run_decomposition(s, make_sum(s, 3, [(1, 2, 3), (0, 1, 3)]))
+        assert walked == chain, label
+        walked.clear()
 
 
 def test_degree_above_tensor_cap_refused(monkeypatch):
