@@ -3,14 +3,15 @@
 Five base schemes are provided: QC (one square class), RC (two classes,
 binary form <1,1> definite), F1 and F2 (two classes with universal binary
 forms; -1 a square for F1, a nonsquare for F2), and Q2 (the eight-class
-dyadic local scheme, a literal table).  Larger schemes come from
+dyadic local scheme), each a literal table.  Larger schemes come from
 two combinators: laurent(S) adjoins a uniformizer coordinate with the usual
 two-residue-form value sets, product(S1, S2) takes the direct product of the
 class groups with componentwise value sets.
 
 A small expression language (see parse_scheme_expr) names these
 constructions; build() caches schemes by canonical label and by table.
-The combinators map tables to tables, so a sub-expression is a table, not
+A table is the triple (d, minus_one, rows) that Scheme takes, and the
+combinators map triples to triples, so a sub-expression is a table, not
 a Scheme: only the requested label is constructed and validated.  Many
 labels name one table (the d <= 4 library has 550 labels on 272 tables),
 and every label of a table gets the one Scheme of that table, so each
@@ -30,18 +31,14 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError, TooLarge
 from .f2space import iter_bits
-from .scheme import (
-    SCHEME_DIM_CAP,
-    Scheme,
-    SquareClassGroup,
-    ValueSetTable,
-)
+from .scheme import SCHEME_DIM_CAP, Scheme
 
 if TYPE_CHECKING:
     from .bounds import ProfileBounds
     from .scheme import InvariantProfile
 
-BASE_KINDS = ("QC", "RC", "F1", "F2", "Q2")
+# a table: (d, minus_one, rows), the arguments of Scheme
+Table = tuple[int, int, tuple[int, ...]]
 # laurent and product nest at most this deep: far inside the recursion limit
 MAX_NESTING = 64
 
@@ -68,7 +65,7 @@ class ProductExpr:
 
 def expr_dim(expr) -> int:
     if isinstance(expr, BaseExpr):
-        return {"QC": 0, "RC": 1, "F1": 1, "F2": 1, "Q2": 3}[expr.kind]
+        return _BASE_TABLES[expr.kind][0]
     if isinstance(expr, LaurentExpr):
         return expr_dim(expr.child) + 1
     if isinstance(expr, ProductExpr):
@@ -90,45 +87,23 @@ def expr_label(expr) -> str:
 # base tables
 
 
-def _qc_table():
-    return SquareClassGroup(0, 0), ValueSetTable((1,))
-
-
-def _rc_table():
+# (d, minus_one, rows) of each base kind
+_BASE_TABLES: dict[str, Table] = {
+    "QC": (0, 0, (1,)),
     # classes {1, -1}; <1,1> is definite, <1,-1> universal
-    return SquareClassGroup(1, 1), ValueSetTable((0b01, 0b11))
-
-
-def _f1_table():
+    "RC": (1, 1, (0b01, 0b11)),
     # two classes, -1 a square, every binary form universal
-    return SquareClassGroup(1, 0), ValueSetTable((0b11, 0b11))
-
-
-def _f2_table():
+    "F1": (1, 0, (0b11, 0b11)),
     # two classes, -1 the nonsquare, every binary form universal
-    return SquareClassGroup(1, 1), ValueSetTable((0b11, 0b11))
-
-
-def _q2_table():
+    "F2": (1, 1, (0b11, 0b11)),
     # coordinates (-1, 2, 5); the 2-adic Hilbert symbol gives the rows, and
     # the tests regenerate them
-    return SquareClassGroup(3, 1), ValueSetTable((85, 255, 165, 15, 153, 51, 105, 195))
-
-
-_BASE_TABLES = {
-    "QC": _qc_table,
-    "RC": _rc_table,
-    "F1": _f1_table,
-    "F2": _f2_table,
-    "Q2": _q2_table,
+    "Q2": (3, 1, (85, 255, 165, 15, 153, 51, 105, 195)),
 }
 
 
 # ---------------------------------------------------------------------------
 # combinators
-
-
-Table = tuple[SquareClassGroup, ValueSetTable]
 
 
 def laurent_table(table: Table) -> Table:
@@ -140,43 +115,39 @@ def laurent_table(table: Table) -> Table:
     universal; classes carrying the new coordinate have rigid two-element
     value sets.
     """
-    group, values = table
-    d = group.dim
+    d, eps, base = table
     size = 1 << d
     new_size = size * 2
     full = (1 << new_size) - 1
-    eps = group.minus_one
     rows = []
     for a in range(new_size):
         if a == eps:
             rows.append(full)
         elif a < size:
-            rows.append(values.rows[a])
+            rows.append(base[a])
         else:
             rows.append(1 | (1 << a))
-    return SquareClassGroup(d + 1, eps), ValueSetTable(tuple(rows))
+    return d + 1, eps, tuple(rows)
 
 
 def product_table(left: Table, right: Table) -> Table:
     """Table of the direct product of two tables: class pairs,
     componentwise value sets."""
-    (g1, v1), (g2, v2) = left, right
-    d = g1.dim + g2.dim
-    shift = 1 << g1.dim
-    eps = g1.minus_one | (g2.minus_one << g1.dim)
+    (d1, eps1, rows1), (d2, eps2, rows2) = left, right
+    shift = 1 << d1
     # D<1,a>: row a % shift of the left table in each slot y of row
-    # a >> g1.dim of the right one
-    spread = [sum(1 << (y * shift) for y in iter_bits(row2)) for row2 in v2.rows]
-    rows = [v1.rows[a & (shift - 1)] * spread[a >> g1.dim] for a in range(1 << d)]
-    return SquareClassGroup(d, eps), ValueSetTable(tuple(rows))
+    # a >> d1 of the right one
+    spread = [sum(1 << (y * shift) for y in iter_bits(row2)) for row2 in rows2]
+    rows = [rows1[a & (shift - 1)] * spread[a >> d1] for a in range(1 << (d1 + d2))]
+    return d1 + d2, eps1 | (eps2 << d1), tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # building from expressions
 
 
-# canonical label -> the scheme of its table, (group, table) -> that
-# scheme, and (profile, n) -> the bound data of that profile in degree n
+# canonical label -> the scheme of its table, the table -> that scheme,
+# and (profile, n) -> the bound data of that profile in degree n
 # (bounds.profile_bounds); clearing it makes every later build and bound
 # evaluation cold
 _CACHE: dict[str | Table | tuple[InvariantProfile, int],
@@ -206,13 +177,13 @@ def build(expr) -> Scheme:
 
 
 def _table(expr) -> Table:
-    """(group, table) of expr: a cached label gives its scheme's, any other
+    """The table of expr: a cached label gives its scheme's, any other
     node is computed from its children's, with no Scheme constructed."""
     hit = _CACHE.get(expr_label(expr))
     if hit is not None:
-        return hit.group, hit.values
+        return hit.d, hit.eps, hit.rows
     if isinstance(expr, BaseExpr):
-        return _BASE_TABLES[expr.kind]()
+        return _BASE_TABLES[expr.kind]
     if isinstance(expr, LaurentExpr):
         return laurent_table(_table(expr.child))
     return product_table(_table(expr.left), _table(expr.right))
@@ -254,7 +225,7 @@ def parse_scheme_expr(text: str) -> object:
             raise TooLarge("scheme expression nests deeper than %d" % MAX_NESTING)
         w, start = word()
         up = w.upper()
-        if up in BASE_KINDS:
+        if up in _BASE_TABLES:
             return BaseExpr(up)
         low = w.lower()
         if low == "laurent":

@@ -31,7 +31,7 @@ from .decompose import build_basis_chain, make_sum, run_decomposition
 from .errors import ParseError, SymlenError, TooLarge, VerificationFailure
 from .f2space import mask_to_str
 from .milnor import DEFAULT_SL_CAP, DEFAULT_TENSOR_CAP, kn_space
-from .scheme import SCHEME_DIM_CAP, Scheme, SquareClassGroup, ValueSetTable
+from .scheme import SCHEME_DIM_CAP, Scheme
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -172,8 +172,7 @@ def load_table_file(path: str) -> tuple[str, Scheme]:
     name = data.get("name", "table:%s" % path)
     if not isinstance(name, str):
         raise ParseError("table file %s: name must be a string" % path)
-    return name, Scheme(SquareClassGroup(d, data["minus_one"]),
-                        ValueSetTable(tuple(rows)))
+    return name, Scheme(d, data["minus_one"], rows)
 
 
 def load_scheme(args: argparse.Namespace) -> tuple[str, Scheme]:
@@ -267,7 +266,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[dict, int]:
         "size": scheme.size,
         "minus_one": scheme.eps,
         "validated": True,
-        "table": [mask_to_str(row, scheme.size) for row in scheme.values.rows],
+        "table": [mask_to_str(row, scheme.size) for row in scheme.rows],
     }
     return payload, EXIT_OK
 

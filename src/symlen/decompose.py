@@ -70,7 +70,7 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     yet spanned.  The span is a class mask, and grows by its translate by
     each class that joins the basis.  The first ranks[m] vectors then span
     exactly +-D(2^m), with no rank test needed: pm_d2m reads D(2^m), which
-    d2m_chain has checked is a subgroup; D u eps*D is the group generated
+    invariants has checked is a subgroup; D u eps*D is the group generated
     by D and eps; and the chain is nested, as sos_chain checks that it
     increases.  Built once per table.
     """
@@ -177,7 +177,7 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
     scheme = algebra.scheme
     chain = build_basis_chain(scheme)
     n = psum.degree
-    d2m = scheme.d2m_chain()
+    d2m = scheme.invariants().chain
     # work items: (slots, settled); unsettled entries still need their
     # maximal-ones representative computed
     work = [(slots, False) for slots in psum.entries]
@@ -267,7 +267,8 @@ def _linked_pair(algebra: SymbolAlgebra, entries):
     images = [algebra.image_coords(slots) for slots in entries]
     # an isotropic entry (image 0) is in every row, at c = 1, yet links nothing
     nonzero = [i for i, image in enumerate(images) if image]
-    divisors = algebra.lower.classes()
+    # fewer than two nonzero entries link nothing: no class map is needed
+    divisors = algebra.lower.classes() if len(nonzero) > 1 else {}
     for i, j in itertools.combinations(nonzero, 2):
         for x, divisor in divisors.items():
             row = algebra.last_slot_row(x)

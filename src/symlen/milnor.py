@@ -36,8 +36,9 @@ least prefix of each nonzero image, reaches them all: they are the pure
 symbols.  Each degree is walked once, when its algebra is constructed:
 the walk reads its rows off one table, and keeps, per image, the image of
 its least tuple's prefix one degree down and the last slot; a class's
-least slot tuple is read off these links.  Every degree below n is kept,
-so the tensor cap bounds n as well as d^n.
+least slot tuple is read off these links.  kn_space is the one builder:
+it keeps the degrees 1, 2, ... in one list on the scheme and appends the
+missing ones in order, so the tensor cap bounds n as well as d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -118,7 +119,7 @@ def split_pair_basis(scheme: Scheme) -> list[int]:
         spread = [0]
         for j in range(d):
             spread += [x | (1 << (d * j)) for x in spread]
-        rows = scheme.values.rows
+        rows = scheme.rows
         scheme._split_pairs = rref_ints(
             a * spread[b] for a in range(1, scheme.size)
             for b in scheme._subgroups[rows[a ^ scheme.eps]])
@@ -193,22 +194,24 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 
 
 class SymbolAlgebra:
-    """k_n of a scheme with a fixed coordinate choice, built on k_{n-1}
-    by _quotient and walked by _walk when constructed; kn_space builds and
-    caches the degrees below first, and refuses a degree whose d^n or n
-    exceeds the tensor cap before any of them.  Memos start cold.
+    """k_n of a scheme with a fixed coordinate choice, built by _quotient
+    on lower, the algebra of k_{n-1} (None at n = 1), and walked by _walk
+    when constructed.  kn_space is the one builder: it checks the tensor
+    cap and builds the degrees in order, each on the last one in
+    scheme._kn, so the degrees below n are scheme._kn[:n - 1].  Memos
+    start cold.
     """
 
-    def __init__(self, scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP):
+    def __init__(self, scheme: Scheme, lower: SymbolAlgebra | None):
         d = scheme.d
-        _check_degree(d, n, tensor_cap)
         self.scheme = scheme
-        self.n = n
-        self.lower = kn_space(scheme, n - 1, tensor_cap) if n > 1 else None
-        if self.lower is None:  # k_1 is G, and mu_1(1, v) = v
+        self.lower = lower
+        if lower is None:  # k_1 is G, and mu_1(1, v) = v
+            self.n = 1
             self.free_cols, self._mul = tuple(range(d)), [list(range(scheme.size))]
         else:
-            self.free_cols, self._mul = _quotient(self.lower, scheme, n)
+            self.n = lower.n + 1
+            self.free_cols, self._mul = _quotient(lower, scheme, self.n)
         self.dim = len(self.free_cols)
         self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
@@ -217,7 +220,7 @@ class SymbolAlgebra:
         self._layers: list[int] | None = None
         # k_0: the empty tuple has image 1, and its extensions start at 0
         self._link_map, self._bases = self._walk(
-            {1: (0, 0)} if self.lower is None else self.lower._link_map)
+            {1: (0, 0)} if lower is None else lower._link_map)
 
     def __repr__(self):
         return "SymbolAlgebra(d=%d, n=%d, dim=%d)" % (self.scheme.d, self.n, self.dim)
@@ -239,16 +242,6 @@ class SymbolAlgebra:
             row = mul[j] if row is None else [a ^ b for a, b in zip(row, mul[j])]
         return row if row is not None else [0] * self.scheme.size
 
-    def _chain(self) -> list[SymbolAlgebra]:
-        """The algebras of degrees 1..n, lowest first."""
-        chain = []
-        alg = self
-        while alg is not None:
-            chain.append(alg)
-            alg = alg.lower
-        chain.reverse()
-        return chain
-
     def image_coords(self, slots) -> int:
         """Coords of the image of <<slots>>: mu of each degree applied to
         the image below, from 1 in k_0."""
@@ -257,7 +250,8 @@ class SymbolAlgebra:
                 "form has %d slots, algebra degree is %d" % (len(slots), self.n)
             )
         if self._tables is None:
-            self._tables = [alg._mul for alg in self._chain()]
+            self._tables = [alg._mul for alg in self.scheme._kn[:self.n - 1]]
+            self._tables.append(self._mul)
         eps = self.scheme.eps
         x = 1
         for mul, a in zip(self._tables, slots):
@@ -340,13 +334,15 @@ class SymbolAlgebra:
         most.
         """
         if self._classes is None:
-            chain = self._chain()[::-1]
+            maps = [alg._link_map for alg in self.scheme._kn[:self.n - 1]]
+            maps.append(self._link_map)
+            maps.reverse()
             least = {}
             for image in self._link_map:
                 slots = []
                 x = image
-                for alg in chain:
-                    x, c = alg._link_map[x]
+                for links in maps:
+                    x, c = links[x]
                     slots.append(c)
                 least[image] = tuple(reversed(slots))
             self._classes = least
@@ -430,19 +426,17 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
     """The degree n symbol algebra of a scheme, cached on the scheme: one
     algebra per (table, n), as builders.build gives a table one scheme.
 
-    The missing degrees up to n are built bottom-up, each on the one below,
-    and cached too.  The cap is enforced on cache hits too, so that a
-    request refused on a cold cache is refused identically on a warm one.
+    The one builder of k_n: scheme._kn is the list of the degrees 1, 2, ...
+    built so far, and the missing ones up to n are appended in order, each
+    built on the last.  The cap is checked once per call, on cache hits
+    too, so that a request refused on a cold cache is refused identically
+    on a warm one.
     """
     _check_degree(scheme.d, n, tensor_cap)
-    cache = scheme._kn
-    if n not in cache:
-        low = n
-        while low > 1 and low - 1 not in cache:
-            low -= 1
-        for m in range(low, n + 1):
-            cache[m] = SymbolAlgebra(scheme, m, tensor_cap)
-    return cache[n]
+    chain = scheme._kn
+    while len(chain) < n:
+        chain.append(SymbolAlgebra(scheme, chain[-1] if chain else None))
+    return chain[n - 1]
 
 
 def sl_field(scheme: Scheme, n: int) -> tuple[int, SymbolVector]:

@@ -5,12 +5,15 @@ A scheme packages a group of square classes G = F2^d (classes are int masks
 together with a distinguished class eps for -1 and a table of binary value
 sets.  The table row for a class a is the set D<1,a> of classes represented
 by the form <1,a>, stored as a bitmask over the 2^d classes (bit b set iff
-class b is represented).
+class b is represented).  A table is the one triple (d, minus_one, rows):
+Scheme takes it, and builders computes and caches it.
 
 Everything else is derived from the table: the chain of subgroups
-represented by sums of squares, the level / Pythagoras number /
-quotient-dimension invariants, and the classes of anisotropic Pfister forms
-with their stratification by how many slots can be rewritten as 1.  A
+represented by sums of squares, the invariant profile (level, Pythagoras
+number, quotient dimensions, and the D(2^m) chain that the plus-minus
+groups and the decomposition read), and the classes of anisotropic
+Pfister forms with their stratification by how many slots can be
+rewritten as 1.  A
 Pfister form is isotropic iff its image in the symbol algebra k_n is 0, and
 two anisotropic ones are isometric iff their images are equal, so the
 classes are keyed by image coords, read from the class map of
@@ -103,38 +106,7 @@ def subgroup_rows(values: int, d: int) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# value data
-
-
-@dataclass(frozen=True)
-class SquareClassGroup:
-    """The group of square classes: F2^dim with a distinguished class of -1."""
-
-    dim: int
-    minus_one: int
-
-    def __post_init__(self):
-        if self.dim < 0:
-            raise NotAGroup("negative group dimension")
-        # bit_length, not 1 << dim: a huge dim must reach the cap check
-        # in Scheme.__init__ without building a number of dim bits
-        if self.minus_one < 0 or self.minus_one.bit_length() > self.dim:
-            raise NotAGroup(
-                "class of -1 (%d) outside the group of dimension %d"
-                % (self.minus_one, self.dim)
-            )
-
-
-@dataclass(frozen=True)
-class ValueSetTable:
-    """Binary value sets D<1,a>, one bitmask over the classes per class a."""
-
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        size = len(self.rows)
-        if size & (size - 1):
-            raise NotAGroup("table size %d is not a power of two" % size)
+# invariants
 
 
 @dataclass(frozen=True)
@@ -184,71 +156,72 @@ class InvariantProfile:
 class Scheme:
     """A finite quadratic form scheme with memoized derived data.
 
-    The constructor validates the table (validate_scheme), so a Scheme that
-    exists satisfies the axioms.  Everything else is derived from the table
+    The table is the triple (d, minus_one, rows): the dimension of G, the
+    class of -1, and the 2^d rows D<1,a>, held as the tuple rows.  The
+    constructor validates it (validate_scheme), so a Scheme that exists
+    satisfies the axioms.  Everything else is derived from the table
     alone and memoized here on first use: the subgroup rows of each
-    distinct value set, kept from validation; the square-sum and D(2^m)
-    chains; the invariant profile; the split pairs; the basis chain; and,
-    per degree n, the k_n algebra (kn_space).  A scheme carries no name:
-    builders.build gives every label of one table the same scheme, and the
-    CLI names each answer by the label it was asked for.
+    distinct value set, kept from validation; the invariant profile, which
+    holds the D(2^m) chain; the split pairs; the basis chain; and the k_n
+    algebras of degrees 1, 2, ..., in the list _kn (kn_space).  A scheme
+    carries no name: builders.build gives every label of one table the
+    same scheme, and the CLI names each answer by the label it was asked
+    for.
     """
 
-    def __init__(self, group: SquareClassGroup, values: ValueSetTable):
-        if group.dim > SCHEME_DIM_CAP:
-            raise TooLarge(
-                "scheme dimension %d exceeds cap %d" % (group.dim, SCHEME_DIM_CAP)
-            )
-        if len(values.rows) != (1 << group.dim):
+    def __init__(self, d: int, minus_one: int, rows):
+        rows = tuple(rows)
+        if d < 0:
+            raise NotAGroup("negative group dimension")
+        # bit_length, not 1 << d: a huge d must reach the cap check below
+        # without building a number of d bits
+        if minus_one < 0 or minus_one.bit_length() > d:
             raise NotAGroup(
-                "table has %d rows for group of order %d"
-                % (len(values.rows), 1 << group.dim)
+                "class of -1 (%d) outside the group of dimension %d" % (minus_one, d)
             )
-        self.group = group
-        self.values = values
-        self.d = group.dim
-        self.size = 1 << group.dim
-        self.eps = group.minus_one
-        full = (1 << self.size) - 1
-        for a, row in enumerate(values.rows):
-            if row < 0 or row > full:
+        if len(rows) & (len(rows) - 1):
+            raise NotAGroup("table size %d is not a power of two" % len(rows))
+        if d > SCHEME_DIM_CAP:
+            raise TooLarge("scheme dimension %d exceeds cap %d" % (d, SCHEME_DIM_CAP))
+        if len(rows) != (1 << d):
+            raise NotAGroup(
+                "table has %d rows for group of order %d" % (len(rows), 1 << d)
+            )
+        self.d = d
+        self.eps = minus_one
+        self.rows = rows
+        self.size = 1 << d
+        self.full_mask = (1 << self.size) - 1
+        for a, row in enumerate(rows):
+            if row < 0 or row > self.full_mask:
                 raise NotAGroup("value set row %d out of range" % a)
         self._subgroups = validate_scheme(self)
-        self._sos_chain: list[int] | None = None
-        self._d2m: list[int] | None = None
         self._profile: InvariantProfile | None = None
         self._split_pairs: list[int] | None = None
         self._basis_chain: BasisChain | None = None
-        self._kn: dict[int, SymbolAlgebra] = {}
+        self._kn: list[SymbolAlgebra] = []
 
     def __repr__(self):
         return "Scheme(d=%d, eps=%d)" % (self.d, self.eps)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
     # -- sums of squares and invariants ---------------------------------
 
     def sos_chain(self) -> list[int]:
         """Bitmasks of D(k ones) for k = 1.. until the chain stabilizes."""
-        if self._sos_chain is None:
-            chain = [1]  # D of a single <1> is {identity}
-            while True:
-                cur = chain[-1]
-                nxt = 0
-                m = cur
-                while m:
-                    low = m & -m
-                    nxt |= self.values.rows[low.bit_length() - 1]
-                    m ^= low
-                if nxt == cur:
-                    break
-                if nxt & cur != cur:
-                    raise ProfileInconsistency("sum of squares chain not increasing")
-                chain.append(nxt)
-            self._sos_chain = chain
-        return self._sos_chain
+        chain = [1]  # D of a single <1> is {identity}
+        while True:
+            cur = chain[-1]
+            nxt = 0
+            m = cur
+            while m:
+                low = m & -m
+                nxt |= self.rows[low.bit_length() - 1]
+                m ^= low
+            if nxt == cur:
+                return chain
+            if nxt & cur != cur:
+                raise ProfileInconsistency("sum of squares chain not increasing")
+            chain.append(nxt)
 
     def _check_subgroup(self, setmask: int) -> None:
         if not setmask & 1:
@@ -257,32 +230,14 @@ class Scheme:
             raise NotAGroup("represented set of size %d is not a subgroup"
                             % setmask.bit_count())
 
-    def d2m_chain(self) -> list[int]:
-        """Subgroup chain D(2^m) for m = 0..stabilization, as bitmasks."""
-        if self._d2m is not None:
-            return self._d2m
-        chain = self.sos_chain()
-        p = len(chain)
-        masks = [chain[0]]
-        m = 1
-        while True:
-            nxt = chain[min(1 << m, p) - 1]
-            if nxt == masks[-1]:
-                break
-            masks.append(nxt)
-            m += 1
-        for sm in masks:
-            self._check_subgroup(sm)
-        self._d2m = masks
-        return masks
-
     def pm_d2m(self, m: int) -> int:
         """Bitmask of +-D(2^m) (the chain step joined with its -1 translate)."""
-        masks = self.d2m_chain()
+        masks = self.invariants().chain
         sm = masks[min(m, len(masks) - 1)]
         return sm | translate(sm, self.eps)
 
     def invariants(self) -> InvariantProfile:
+        """The invariant profile, memoized; its chain is the D(2^m) chain."""
         if self._profile is not None:
             return self._profile
         chain = self.sos_chain()
@@ -301,7 +256,12 @@ class Scheme:
                 raise ProfileInconsistency(
                     "Pythagoras number %d outside [level, level+1]" % p
                 )
-        masks = self.d2m_chain()
+        # D(2^m) for m = 0..stabilization, read off the sum-of-squares chain
+        masks = [chain[0]]
+        while (nxt := chain[min(1 << len(masks), p) - 1]) != masks[-1]:
+            masks.append(nxt)
+        for sm in masks:
+            self._check_subgroup(sm)
         big_m = len(masks) - 1
         q = []
         for m in range(1, big_m + 1):
@@ -391,7 +351,7 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     """
     size = scheme.size
     eps = scheme.eps
-    rows = scheme.values.rows
+    rows = scheme.rows
     for a in range(size):
         row = rows[a]
         if not (row >> 0) & 1:

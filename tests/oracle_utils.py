@@ -152,7 +152,7 @@ def all_pairs_split_basis(scheme):
     """RREF of a (x) b over every a != 0 and every b in D<1, -a>, b != 0."""
     rows = []
     for a in range(1, scheme.size):
-        for b in iter_bits(scheme.values.rows[a ^ scheme.eps] & ~1):
+        for b in iter_bits(scheme.rows[a ^ scheme.eps] & ~1):
             rows.append(tensor_of_vectors((a, b), scheme.d))
     return list_rref(rows)
 
@@ -165,7 +165,7 @@ def value_set_split_basis(scheme):
     The reference for split_pair_basis, which takes one product per class
     and subgroup row: both RREFs are canonical, so they are equal.
     """
-    rows = scheme.values.rows
+    rows = scheme.rows
     classes_of = {}
     for a in range(1, scheme.size):
         classes_of.setdefault(rows[a ^ scheme.eps], []).append(a)
@@ -235,7 +235,7 @@ def reduced_relations(scheme, n):
 
 def binary(scheme, x, y):
     """Value set D<x,y> as a class bitmask: the x-translate of D<1,xy>."""
-    return translate(scheme.values.rows[x ^ y], x)
+    return translate(scheme.rows[x ^ y], x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,7 +244,7 @@ def tensor_split_pair_basis(scheme):
     value set row reduced from its elements."""
     rows = []
     for a in range(1, scheme.size):
-        for b in rref_ints(iter_bits(scheme.values.rows[a ^ scheme.eps] & ~1)):
+        for b in rref_ints(iter_bits(scheme.rows[a ^ scheme.eps] & ~1)):
             rows.append(sum(a << (scheme.d * j) for j in iter_bits(b)))
     return rref_ints(rows)
 
@@ -471,7 +471,7 @@ def gray_pure_symbols(algebra):
     """
     d = algebra.scheme.d
     pures = tuple(range(1, algebra.scheme.size))
-    for alg in algebra._chain()[1:]:
+    for alg in algebra.scheme._kn[1:algebra.n]:
         # cols[i][k] = mu(p_k, e_i)
         mul = alg._mul
         cols = [[0] * len(pures) for _ in range(d)]
@@ -503,7 +503,7 @@ def row_walk_links(algebra):
     eps = algebra.scheme.eps
     links = {1: (0, 0)}
     maps = []
-    for alg in algebra._chain():
+    for alg in algebra.scheme._kn[:algebra.n]:
         nxt = {}
         for x, (_, last) in links.items():
             row = alg._row(x)
@@ -1007,7 +1007,7 @@ def d6_rare_failure_rows():
     bit 25 of rows[29] flipped: the pairwise axioms still hold, and 64
     sorted triples fail the ternary one, the first being (0, 0, 16).
     """
-    rows = list(build_from_text("product(Q2,laurent(laurent(F2)))").values.rows)
+    rows = list(build_from_text("product(Q2,laurent(laurent(F2)))").rows)
     rows[16] ^= 1 << 20
     rows[29] ^= 1 << 25
     return rows

@@ -388,7 +388,7 @@ def test_memo_never_changes_an_answer(monkeypatch, tmp_path):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({
         "name": "raw", "d": raw.d, "minus_one": raw.eps,
-        "rows": [format(row, "b") for row in raw.values.rows],
+        "rows": [format(row, "b") for row in raw.rows],
     }))
     cases.append(cli.load_table_file(str(path)) + (3, [[1, 2, 4], [3, 5, 9]]))
     n = 4000
@@ -410,7 +410,7 @@ def test_memo_never_changes_an_answer(monkeypatch, tmp_path):
                                   "linked": direct["linked-power"]}
         assert cert["strata"]["caps"] == [bound_strata_count(profile, n, m)
                                           for m in range(n + 1)]
-        cold = Scheme(s.group, s.values)
+        cold = Scheme(s.d, s.eps, s.rows)
         monkeypatch.setattr(builders, "_CACHE", {})
         assert make_bound_report(cold, n, exact).as_dict() == report, (label, n)
         builders._CACHE.clear()

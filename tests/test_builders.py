@@ -44,10 +44,10 @@ from symlen.scheme import Scheme, pfister_classes, validate_scheme
 
 
 def test_base_tables_exact():
-    assert build(BaseExpr("QC")).values.rows == (1,)
-    assert build(BaseExpr("RC")).values.rows == (0b01, 0b11)
-    assert build(BaseExpr("F1")).values.rows == (0b11, 0b11)
-    assert build(BaseExpr("F2")).values.rows == (0b11, 0b11)
+    assert build(BaseExpr("QC")).rows == (1,)
+    assert build(BaseExpr("RC")).rows == (0b01, 0b11)
+    assert build(BaseExpr("F1")).rows == (0b11, 0b11)
+    assert build(BaseExpr("F2")).rows == (0b11, 0b11)
     assert build(BaseExpr("F1")).eps == 0
     assert build(BaseExpr("F2")).eps == 1
 
@@ -71,8 +71,7 @@ def test_build_caches():
 
 def test_dyadic_literal_table_matches_generator():
     generated = generate_dyadic_table()
-    group, values = builders._q2_table()
-    assert (group.dim, group.minus_one, values.rows) == (
+    assert builders._BASE_TABLES["Q2"] == (
         generated["dim"], generated["minus_one"], tuple(generated["rows"]))
 
 
@@ -99,7 +98,7 @@ def test_dyadic_against_primitive_search_oracle():
                 t = x * x + big_a * y * y
                 if t:
                     reachable |= 1 << _two_adic_class(t)
-        assert reachable == q2.values.rows[a], "row %d" % a
+        assert reachable == q2.rows[a], "row %d" % a
 
 
 def test_dyadic_invariants():
@@ -113,17 +112,17 @@ def test_dyadic_invariants():
 
 def test_laurent_tables():
     lqc = build(parse_scheme_expr("laurent(QC)"))
-    assert lqc.values.rows == (3, 3) and lqc.eps == 0
+    assert lqc.rows == (3, 3) and lqc.eps == 0
     q3 = build(parse_scheme_expr("laurent(F2)"))
-    assert q3.values.rows == (3, 15, 5, 9) and q3.eps == 1
+    assert q3.rows == (3, 15, 5, 9) and q3.eps == 1
     rigid2 = build(parse_scheme_expr("laurent(laurent(QC))"))
-    assert rigid2.values.rows == (15, 3, 5, 9)
+    assert rigid2.rows == (15, 3, 5, 9)
 
 
 def test_laurent_preserves_level_and_realness():
     for text in ("QC", "RC", "F1", "F2", "laurent(QC)", "laurent(RC)"):
         base = build(parse_scheme_expr(text))
-        ext = Scheme(*laurent_table((base.group, base.values)))
+        ext = Scheme(*laurent_table((base.d, base.eps, base.rows)))
         bp, ep = base.invariants(), ext.invariants()
         assert bp.is_real == ep.is_real
         assert bp.level_exponent == ep.level_exponent
@@ -139,8 +138,8 @@ def test_rigid_towers():
         for a in range(1, s.size):
             if a == s.eps:
                 continue
-            assert s.values.rows[a].bit_count() == 2
-            assert s.values.rows[a] == 1 | (1 << a)
+            assert s.rows[a].bit_count() == 2
+            assert s.rows[a] == 1 | (1 << a)
 
 
 def test_product_tables():
@@ -152,8 +151,8 @@ def test_product_tables():
     assert mixed.invariants().is_real
     f2 = build(BaseExpr("F2"))
     qc = build(BaseExpr("QC"))
-    same = Scheme(*product_table((qc.group, qc.values), (f2.group, f2.values)))
-    assert same.values.rows == f2.values.rows and same.eps == f2.eps
+    same = Scheme(*product_table((qc.d, qc.eps, qc.rows), (f2.d, f2.eps, f2.rows)))
+    assert same.rows == f2.rows and same.eps == f2.eps
 
 
 def test_parser():
@@ -250,7 +249,7 @@ def test_twin_matches_cold_build(monkeypatch, capsys):
     for expr in standard_expressions(4):
         label = expr_label(expr)
         cold = cold_build(expr)
-        key = (cold.group, cold.values)
+        key = (cold.d, cold.eps, cold.rows)
         twin = key in builders._CACHE
         s = build(expr)
         assert s is builders._CACHE[key]
@@ -293,7 +292,7 @@ def test_twin_matches_cold_build(monkeypatch, capsys):
         for cap in (["--cap-bfs", "2"], ["--cap-tensor", "8"]):
             argv = ["sl", "--scheme", label, "--n", "3", "--format", "json"] + cap
             outcomes = []
-            for s in (warm, Scheme(warm.group, warm.values)):
+            for s in (warm, Scheme(warm.d, warm.eps, warm.rows)):
                 monkeypatch.setattr(cli, "load_scheme",
                                     lambda cfg, named=(label, s): named)
                 outcomes.append(run_cli(capsys, argv))
@@ -309,17 +308,17 @@ def test_each_table_validated_once(monkeypatch):
     calls = []
 
     def counted(scheme):
-        calls.append((scheme.group, scheme.values))
+        calls.append((scheme.d, scheme.eps, scheme.rows))
         return validate_scheme(scheme)
 
     monkeypatch.setattr(builders, "_CACHE", {})
     monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     library = standard_library(4)
-    tables = {(s.group, s.values) for _, s in library}
+    tables = {(s.d, s.eps, s.rows) for _, s in library}
     assert (len(library), len(tables), len(calls)) == (550, 272, 272)
     assert set(calls) == tables
     for _, s in library:
-        first = builders._CACHE[(s.group, s.values)]
+        first = builders._CACHE[(s.d, s.eps, s.rows)]
         assert s is first and s._validated
 
 
@@ -369,15 +368,15 @@ def test_only_the_requested_label_is_validated(monkeypatch):
     calls = []
 
     def counted(scheme):
-        calls.append((scheme.group, scheme.values))
+        calls.append((scheme.d, scheme.eps, scheme.rows))
         return validate_scheme(scheme)
 
     monkeypatch.setattr(builders, "_CACHE", {})
     monkeypatch.setattr(scheme_module, "validate_scheme", counted)
     label = "laurent(laurent(laurent(laurent(laurent(RC)))))"
     s = build_from_text(label)
-    assert calls == [(s.group, s.values)]
-    assert builders._CACHE == {label: s, (s.group, s.values): s}
+    assert calls == [(s.d, s.eps, s.rows)]
+    assert builders._CACHE == {label: s, (s.d, s.eps, s.rows): s}
     rc = build_from_text("laurent(RC)")
-    assert calls == [(s.group, s.values), (rc.group, rc.values)]
+    assert calls == [(s.d, s.eps, s.rows), (rc.d, rc.eps, rc.rows)]
     assert len(builders._CACHE) == 4

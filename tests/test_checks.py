@@ -20,7 +20,7 @@ def test_determinism_check_starts_cold(monkeypatch):
     validated = []
 
     def counted(s):
-        validated.append(s.values.rows)
+        validated.append(s.rows)
         return validate_scheme(s)
 
     def fake_report(max_d, seed, progress=None):

@@ -150,6 +150,32 @@ def test_unsafe_table_value_set_off_subgroup_rejected(capsys, tmp_path):
     assert run_cli(capsys, "sl", "--unsafe-table", str(path), "--n", "2") == (1, "")
 
 
+@pytest.mark.parametrize("data, code, err", [
+    ({"d": 1, "minus_one": 2, "rows": [1, 3]}, 1,
+     "error: class of -1 (2) outside the group of dimension 1"),
+    ({"d": 1, "minus_one": 2 ** 200, "rows": [1, 3]}, 1,
+     "error: class of -1 (%d) outside the group of dimension 1" % 2 ** 200),
+    ({"d": 1, "minus_one": 1, "rows": [1, 3, 3]}, 1,
+     "error: table size 3 is not a power of two"),
+    ({"d": 2, "minus_one": 1, "rows": [1, 3]}, 1,
+     "error: table has 2 rows for group of order 4"),
+    ({"d": 1, "minus_one": 1, "rows": [1, 7]}, 1,
+     "error: value set row 1 out of range"),
+    ({"d": 1, "minus_one": 1, "rows": [-1, 3]}, 1,
+     "error: value set row 0 out of range"),
+    ({"d": 7, "minus_one": 0, "rows": [1] * 128}, 2,
+     "cap exceeded: scheme dimension 7 exceeds cap 6"),
+], ids=["eps-outside", "eps-huge", "size-not-power", "size-mismatch",
+        "row-too-large", "row-negative", "dimension-cap"])
+def test_unsafe_table_refused_by_scheme(capsys, tmp_path, data, code, err):
+    # the refusals of Scheme itself, each with its exact text
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["build", "--unsafe-table", str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err + "\n")
+
+
 def test_bfs_cap_enforced_on_warm_cache(capsys):
     # dim k_2 = 10, so 2^10 elements exceed a cap of 100 whether or not an
     # uncapped run has cached the layers

@@ -101,7 +101,7 @@ def test_chain_coordinates_roundtrip():
 
 def test_chain_matches_rref_oracle():
     # the class-mask span against RREF rows, on each distinct d <= 5 table
-    tables = {(s.eps, s.values.rows): s for _, s in standard_library(5)}
+    tables = {(s.eps, s.rows): s for _, s in standard_library(5)}
     assert len(tables) == 1255
     for s in tables.values():
         chain = build_basis_chain(s)
@@ -202,7 +202,7 @@ def test_rewrite_does_not_depend_on_earlier_sums():
     # the stratum 0 witness of a class is chosen within one call; a class
     # seen in an earlier sum on the same scheme must not carry its slots over
     cached = build_from_text("product(F1,product(RC,laurent(laurent(QC))))")
-    s = Scheme(cached.group, cached.values)
+    s = Scheme(cached.d, cached.eps, cached.rows)
     earlier = make_sum(s, 2, [(13, 7), (14, 5), (13, 4), (15, 7), (0, 8),
                               (12, 5), (10, 6)])
     run_decomposition(s, earlier)
@@ -275,6 +275,23 @@ def test_merge_leaves_unlinked_pair():
     psum = make_sum(r4, 2, [(1, 2), (4, 8)])
     assert find_linked_pair(r4, psum) is None
     assert merge_linked(kn_space(r4, 2), psum).entries == ((1, 2), (4, 8))
+
+
+def test_merge_builds_no_divisor_map_below_two_nonzero_entries():
+    # no pair of nonzero entries, nothing to link: the class map of k_2 is
+    # left unbuilt; (1, 2, 4) has the slot -1 and image 0
+    cached = build_from_text("laurent(laurent(RC))")
+    for entries in ([], [(0, 2, 4)], [(1, 2, 4)], [(1, 2, 4), (0, 0, 2), (1, 1, 4)]):
+        s = Scheme(cached.d, cached.eps, cached.rows)
+        k3 = kn_space(s, 3)
+        psum = make_sum(s, 3, entries)
+        assert sum(map(bool, map(k3.image_coords, psum.entries))) <= 1
+        assert merge_linked(k3, psum) == psum
+        assert kn_space(s, 2)._classes is None, entries
+    # two nonzero entries build it
+    s = Scheme(cached.d, cached.eps, cached.rows)
+    merge_linked(kn_space(s, 3), make_sum(s, 3, [(0, 2, 4), (0, 0, 2)]))
+    assert kn_space(s, 2)._classes is not None
 
 
 def test_find_linked_pair_at_d6_degree_four():
@@ -475,13 +492,13 @@ def test_random_sums_certify_and_do_not_depend_on_order(case):
     # rewrites alike from each of its members, so memo order cannot show;
     # the rewrite is compared too, as the merge often hides a difference
     s, sums = case
-    warm = Scheme(s.group, s.values)
+    warm = Scheme(s.d, s.eps, s.rows)
     for psum in sums:
         final, cert = run_decomposition(warm, psum)
         assert cert.passed
         assert find_linked_pair(warm, final) is None
         # each sum again on a scheme with cold memos
-        cold = Scheme(s.group, s.values)
+        cold = Scheme(s.d, s.eps, s.rows)
         n = psum.degree
         assert (rewrite_to_basis(kn_space(cold, n), psum)
                 == rewrite_to_basis(kn_space(warm, n), psum))

@@ -70,6 +70,12 @@ def rigid_label(k):
     return out
 
 
+def fresh_algebra(s, n):
+    """k_n of s built anew on the cached k_{n-1}, with cold memos and not
+    cached itself."""
+    return SymbolAlgebra(s, kn_space(s, n - 1) if n > 1 else None)
+
+
 def test_tensor_of_vectors_frozen():
     assert tensor_of_vectors((1, 2), 2) == 1 << 2
     assert tensor_of_vectors((3, 3), 2) == 15
@@ -137,7 +143,7 @@ def assert_matches_reduction_oracle(alg):
 def test_relations_match_list_reduction():
     for _, s in standard_library(3):
         for n in (1, 2, 3, 4):
-            assert_matches_reduction_oracle(SymbolAlgebra(s, n))
+            assert_matches_reduction_oracle(fresh_algebra(s, n))
 
 
 D4_EXPRESSIONS = [e for e in standard_expressions(4) if expr_dim(e) == 4]
@@ -162,7 +168,7 @@ def test_tables_match_tensor_space_path():
         assert alg._mul == tensor_space_mul_table(s, n), (s, n)
     # every value set there is a subgroup, read off without a reduction
     for s in library + sample + towers:
-        for values in s.values.rows:
+        for values in s.rows:
             rows = rref_ints(iter_bits(values & ~1))
             assert subgroup_rows(values, s.d) == rows, (s, values)
 
@@ -187,7 +193,8 @@ def test_build_matches_dict_image_oracle(monkeypatch):
     for label, n in cases:
         reduced.clear()
         s = fresh_scheme(label)
-        for alg in kn_space(s, n)._chain()[1:]:
+        kn_space(s, n)
+        for alg in s._kn[1:n]:
             oracle = dict_image_quotient(alg.lower, s, alg.n)
             assert (alg.free_cols, alg._mul) == oracle, (label, alg.n)
         # the split pairs from n = 2 up, then one row set per degree from 3 up
@@ -210,7 +217,7 @@ def test_value_set_rows_span_any_set():
 @given(st.sampled_from(D4_EXPRESSIONS) | st.sampled_from(D5_EXPRESSIONS),
        st.sampled_from((2, 3)))
 def test_random_d45_relations_match_list_reduction(expr, n):
-    assert_matches_reduction_oracle(SymbolAlgebra(build(expr), n))
+    assert_matches_reduction_oracle(fresh_algebra(build(expr), n))
 
 
 def test_dimensions_frozen():
@@ -355,11 +362,11 @@ def test_sl_bounded_by_pure_symbol_count():
 def test_caps_and_degree_errors():
     q3 = build_from_text("laurent(F2)")
     with pytest.raises(TooLarge):
-        SymbolAlgebra(q3, 2, tensor_cap=3)
+        kn_space(q3, 2, tensor_cap=3)
     with pytest.raises(TooLarge):
-        SymbolAlgebra(build_from_text(rigid_label(4)), 2).max_symbol_length(cap=32)
+        fresh_algebra(build_from_text(rigid_label(4)), 2).max_symbol_length(cap=32)
     with pytest.raises(DegreeMismatch):
-        SymbolAlgebra(q3, 0)
+        kn_space(q3, 0)
     with pytest.raises(DegreeMismatch):
         SymbolVector(4, 2)
     with pytest.raises(DegreeMismatch):
@@ -403,7 +410,7 @@ def assert_matches_oracles(alg):
 def test_pure_symbols_match_tuple_oracle():
     for label, s in standard_library(3):
         for n in (2, 3):
-            alg = SymbolAlgebra(s, n)
+            alg = fresh_algebra(s, n)
             assert alg.pure_symbols() == tuple_pure_symbols(alg), (label, n)
 
 
@@ -426,7 +433,7 @@ def test_walk_matches_row_oracle():
     schemes += [build_from_text(expr) for expr in (LAURENT5_RC, rigid_label(6))]
     for s in schemes:
         alg = kn_space(s, 3)
-        for low, oracle in zip(alg._chain(), row_walk_links(alg)):
+        for low, oracle in zip(s._kn[:3], row_walk_links(alg)):
             assert list(low._link_map.items()) == list(oracle.items()), low
             assert low._bases == derived_head_bases(low, oracle), low
 
@@ -438,13 +445,13 @@ def test_layers_match_dict_bfs():
     schemes += [build_from_text(rigid_label(k)) for k in range(4, 6)]
     schemes.append(build_from_text("laurent(product(F1,laurent(product(F1,RC))))"))
     for s in schemes:
-        assert_matches_oracles(SymbolAlgebra(s, 2))
+        assert_matches_oracles(fresh_algebra(s, 2))
 
 
 def test_layers_match_full_pass_oracle():
     # the d <= 4 library at n = 2, 3, laurent^5(RC) and laurent^6(QC) at n = 2
-    algebras = [SymbolAlgebra(s, n) for _, s in standard_library(4) for n in (2, 3)]
-    algebras += [SymbolAlgebra(build_from_text(expr), 2)
+    algebras = [fresh_algebra(s, n) for _, s in standard_library(4) for n in (2, 3)]
+    algebras += [fresh_algebra(build_from_text(expr), 2)
                  for expr in (LAURENT5_RC, rigid_label(6))]
     assert [a.dim for a in algebras[-2:]] == [16, 15]
     for alg in algebras:
@@ -459,7 +466,7 @@ def test_layers_match_full_pass_oracle_on_large_kn_sample():
     # witness
     ops = json.loads(LARGE_KN.read_text(encoding="utf-8"))["ops"]
     for op in random.Random(22).sample(ops, 20):
-        alg = SymbolAlgebra(build_from_text(op["scheme"]), op["n"])
+        alg = fresh_algebra(build_from_text(op["scheme"]), op["n"])
         assert alg._bfs_layers(DEFAULT_SL_CAP) == bfs_layers_by_full_passes(alg), alg
         sl, witness = alg.max_symbol_length()
         assert (alg.dim, sl, witness.coords) == (
@@ -474,7 +481,7 @@ def span(basis):
 
 
 def test_head_bases_span_the_pure_symbols():
-    algebras = [SymbolAlgebra(s, n) for _, s in standard_library(4) for n in (1, 2, 3)]
+    algebras = [fresh_algebra(s, n) for _, s in standard_library(4) for n in (1, 2, 3)]
     algebras += [kn_space(build_from_text(expr), n)
                  for expr in (LAURENT5_RC, rigid_label(6)) for n in (2, 3)]
     assert [a.dim for a in algebras[-4:]] == [16, 26, 15, 20]
@@ -499,7 +506,7 @@ def counted_swaps(monkeypatch):
 
 def test_bfs_stops_without_an_empty_pass(monkeypatch):
     swaps = counted_swaps(monkeypatch)
-    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
+    alg = fresh_algebra(build_from_text(LAURENT5_RC), 2)
     layers = alg._bfs_layers(DEFAULT_SL_CAP)
     assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
     # layer 1 is the generator set; each later layer is at most one pass
@@ -519,7 +526,7 @@ def test_head_bases_derived_once_per_search(monkeypatch):
         return cayley_layers(dim, generators, bases)
 
     monkeypatch.setattr(milnor, "cayley_layers", counted)
-    alg = SymbolAlgebra(build_from_text(LAURENT5_RC), 2)
+    alg = fresh_algebra(build_from_text(LAURENT5_RC), 2)
     assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
     assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
     assert len(calls) == 1
@@ -551,7 +558,7 @@ def test_bfs_refuses_non_spanning_generators(monkeypatch):
     # the pure symbols 1 and 2 of laurent^3(QC) span 4 of its 8 classes;
     # with one line through each as the bases, the nonzero elements of
     # their spans are those two generators
-    alg = SymbolAlgebra(build_from_text(rigid_label(3)), 2)
+    alg = fresh_algebra(build_from_text(rigid_label(3)), 2)
     gens = alg.pure_symbols()[:2]
     assert (gens, alg.dim) == ((1, 2), 3)
     message = "^pure symbols span only 4 of 8 classes$"
@@ -608,7 +615,7 @@ def test_cayley_layers_of_unit_vectors_are_weights():
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(D4_EXPRESSIONS), st.sampled_from((2, 3)))
 def test_random_d4_schemes_match_oracles(expr, n):
-    assert_matches_oracles(SymbolAlgebra(build(expr), n))
+    assert_matches_oracles(fresh_algebra(build(expr), n))
 
 
 def assert_images_match_projection(alg, tuples):
@@ -649,7 +656,7 @@ def test_random_d56_table_matches_projection(expr, n, data):
 def fresh_scheme(label):
     """An uncached copy of a library scheme, with no algebra built yet."""
     s = build_from_text(label)
-    return Scheme(s.group, s.values)
+    return Scheme(s.d, s.eps, s.rows)
 
 
 def test_large_degree_builds_bottom_up():
@@ -657,7 +664,7 @@ def test_large_degree_builds_bottom_up():
     n = 5000
     rc = fresh_scheme("RC")
     alg = kn_space(rc, n)
-    assert sorted(rc._kn) == list(range(1, n + 1))
+    assert [low.n for low in rc._kn] == list(range(1, n + 1))
     assert alg.dim == 1
     assert sl_field(rc, n) == (1, SymbolVector(1, 1))
     assert alg.image_coords((0,) * n) == 1
@@ -667,16 +674,44 @@ def test_large_degree_builds_bottom_up():
     assert sl_field(qc, n) == (0, SymbolVector(0, 0))
 
 
+def test_kn_space_is_the_one_builder(monkeypatch):
+    # a cold kn_space(s, 4) is one call of kn_space, with no nested fetch:
+    # it constructs each degree once, in order, each on the one before it
+    calls = []
+    built = []
+    original_kn_space = milnor.kn_space
+    original_init = SymbolAlgebra.__init__
+
+    def counted_kn_space(*args, **kwargs):
+        calls.append(args)
+        return original_kn_space(*args, **kwargs)
+
+    def recorded_init(self, scheme, lower):
+        original_init(self, scheme, lower)
+        built.append(self)
+
+    monkeypatch.setattr(milnor, "kn_space", counted_kn_space)
+    monkeypatch.setattr(SymbolAlgebra, "__init__", recorded_init)
+    s = fresh_scheme("laurent(laurent(F2))")
+    top = milnor.kn_space(s, 4)
+    assert calls == [(s, 4)]
+    assert built == s._kn and top is s._kn[-1]
+    assert [alg.n for alg in s._kn] == [1, 2, 3, 4]
+    assert [alg.lower for alg in s._kn] == [None] + s._kn[:-1]
+    # a warm call builds nothing
+    assert milnor.kn_space(s, 2) is s._kn[1] and len(built) == 4
+
+
 def test_class_maps_kept_per_degree(monkeypatch):
     # k_2's class map, cold, left by the walk of k_3's, and tuple by tuple:
     # the same least tuples in the same order; and no degree is walked
     # twice, whichever of k_2 and k_3 is asked for first
     cases = []
     for label, s in standard_library(4):
-        low_first = Scheme(s.group, s.values)
+        low_first = Scheme(s.d, s.eps, s.rows)
         cold = kn_space(low_first, 2).classes()
         oracle = tuple_pfister_classes(kn_space(s, 2))
-        high_first = Scheme(s.group, s.values)
+        high_first = Scheme(s.d, s.eps, s.rows)
         high = kn_space(high_first, 3).classes()
         cases.append((label, cold, oracle, high, low_first, high_first))
     walk = SymbolAlgebra._walk
@@ -711,7 +746,7 @@ def test_every_degree_walked_once_at_construction(monkeypatch):
     for label in ("laurent(laurent(F2))", rigid_label(4)):
         s = fresh_scheme(label)
         alg = kn_space(s, 3)
-        chain = alg._chain()
+        chain = list(s._kn)
         assert walked == chain, label
         for low in chain:
             assert isinstance(low._link_map, dict), low
@@ -737,8 +772,8 @@ def test_degree_above_tensor_cap_refused(monkeypatch):
     with pytest.raises(TooLarge, match="n = %d" % n):
         kn_space(rc, n)
     with pytest.raises(TooLarge, match="n = %d" % n):
-        SymbolAlgebra(rc, n)
-    assert rc._kn == {}
+        sl_field(rc, n)
+    assert rc._kn == []
 
 
 def test_wrong_slot_count_raises():

@@ -54,8 +54,6 @@ from symlen.f2space import iter_bits, rank_ints, rref_ints
 from symlen.milnor import kn_space
 from symlen.scheme import (
     Scheme,
-    SquareClassGroup,
-    ValueSetTable,
     enumerate_pfister_strata,
     pfister_classes,
     pfister_ones_witness,
@@ -64,25 +62,21 @@ from symlen.scheme import (
 )
 
 
-def make(dim, eps, rows):
-    return Scheme(SquareClassGroup(dim, eps), ValueSetTable(tuple(rows)))
-
-
 @pytest.fixture(scope="module")
 def rc():
-    return make(1, 1, (0b01, 0b11))
+    return Scheme(1, 1, (0b01, 0b11))
 
 
 @pytest.fixture(scope="module")
 def q3():
     # laurent extension of the two-class universal table with -1 nonsquare
-    return make(2, 1, (3, 15, 5, 9))
+    return Scheme(2, 1, (3, 15, 5, 9))
 
 
 @pytest.fixture(scope="module")
 def rigid2():
     # twice Laurent over one class: every nontrivial binary set has 2 elements
-    return make(2, 0, (15, 3, 5, 9))
+    return Scheme(2, 0, (15, 3, 5, 9))
 
 
 def test_translate():
@@ -92,6 +86,12 @@ def test_translate():
     assert translate(0b0101, 3) == 0b1010
 
 
+def test_negative_dimension_refused_first():
+    # before the class of -1 and the row count, which are also wrong here
+    with pytest.raises(NotAGroup, match="^negative group dimension$"):
+        Scheme(-1, 5, (1, 3, 3))
+
+
 def test_validator_accepts_real_closed(rc):
     validate_scheme(rc)
     assert rc._validated
@@ -99,29 +99,29 @@ def test_validator_accepts_real_closed(rc):
 
 def test_validator_rejects_missing_identity():
     with pytest.raises(AxiomViolation):
-        make(1, 1, (0b10, 0b11))
+        Scheme(1, 1, (0b10, 0b11))
 
 
 def test_validator_rejects_missing_self():
     with pytest.raises(AxiomViolation, match="not in D"):
-        make(2, 1, (1, 15, 1, 9))
+        Scheme(2, 1, (1, 15, 1, 9))
 
 
 def test_validator_rejects_non_universal_hyperbolic():
     with pytest.raises(AxiomViolation, match="whole group"):
-        make(2, 1, (3, 0b1011, 5, 9))
+        Scheme(2, 1, (3, 0b1011, 5, 9))
 
 
 def test_validator_rejects_asymmetric_table():
     with pytest.raises(AxiomViolation):
-        make(2, 1, (3, 15, 7, 9))
+        Scheme(2, 1, (3, 15, 7, 9))
 
 
 def test_validator_rejects_order_dependent_ternary():
     # passes every binary axiom but the ternary value set depends on the order
     with pytest.raises(AxiomViolation,
                        match=r"^ternary value set of \(0,1,2\) depends on the order$"):
-        make(2, 0, (15, 3, 13, 13))
+        Scheme(2, 0, (15, 3, 13, 13))
 
 
 def test_validator_rejects_rare_ternary_failure():
@@ -129,7 +129,7 @@ def test_validator_rejects_rare_ternary_failure():
     rows = d6_rare_failure_rows()
     with pytest.raises(AxiomViolation,
                        match=r"^ternary value set of \(0,0,16\) depends on the order$"):
-        make(6, 9, rows)
+        Scheme(6, 9, rows)
     assert not table_axioms_hold(9, rows)
 
 
@@ -153,30 +153,29 @@ def test_packed_validation_agrees_with_loop_oracle():
     d5_exprs = rng.sample([e for e in standard_expressions(5) if expr_dim(e) == 5], 4)
     d5 = [build(e) for e in d5_exprs]
     d6 = [build(LaurentExpr(e)) for e in d5_exprs]
-    tables = [(s.eps, s.values.rows) for s in library + d5 + d6]
+    tables = [(s.eps, s.rows) for s in library + d5 + d6]
     for s in library:
         if s.d == 3:
-            tables += [(s.eps, rows) for rows in symmetric_mutants(s.eps, s.values.rows)]
+            tables += [(s.eps, rows) for rows in symmetric_mutants(s.eps, s.rows)]
     mutated = [(s, 3) for s in rng.sample([s for s in library if s.d == 4], 20)]
     mutated += [(s, 5) for s in d5] + [(s, 2) for s in d6]
     for s, count in mutated:
-        mutants = list(symmetric_mutants(s.eps, s.values.rows))
+        mutants = list(symmetric_mutants(s.eps, s.rows))
         tables += [(s.eps, rows) for rows in rng.sample(mutants, min(count, len(mutants)))]
     tables.append((9, tuple(d6_rare_failure_rows())))
     # only the pairwise axiom fails: one bit flipped, or two, so that the
     # first failure in row-major order must be found among several
     for s in rng.sample([s for s in library if s.d >= 3], 10) + d5[:2] + d6[:2]:
-        flips = list(pairwise_mutants(s.eps, s.values.rows))
+        flips = list(pairwise_mutants(s.eps, s.rows))
         tables += [(s.eps, rows) for rows in rng.sample(flips, 2)]
         x, y = rng.sample(flips, 2)
-        tables.append((s.eps, tuple(r ^ u ^ v for r, u, v in zip(s.values.rows, x, y))))
+        tables.append((s.eps, tuple(r ^ u ^ v for r, u, v in zip(s.rows, x, y))))
     # d = 6 products, whose value sets reach 64 classes and whose rows
     # repeat, with 2 symmetric and 1 pairwise mutant each
     for _ in range(2):
         s1 = rng.choice([s for s in library if s.d >= 2])
         s2 = rng.choice([s for s in library if s.d == 6 - s1.d])
-        group, table = product_table((s1.group, s1.values), (s2.group, s2.values))
-        eps, rows = group.minus_one, table.rows
+        _, eps, rows = product_table((s1.d, s1.eps, s1.rows), (s2.d, s2.eps, s2.rows))
         tables.append((eps, rows))
         tables += [(eps, mutant) for mutant in
                    rng.sample(list(symmetric_mutants(eps, rows)), 2)]
@@ -197,7 +196,7 @@ def test_packed_validation_agrees_with_loop_oracle():
     verdicts = {}
     for eps, rows in tables:
         d = len(rows).bit_length() - 1
-        got = _violation(make, d, eps, rows)
+        got = _violation(Scheme, d, eps, rows)
         assert got == _violation(validate_by_loops, eps, rows), (eps, rows)
         verdicts.setdefault(d, set()).add(got is None)
     assert all(verdicts[d] == {True, False} for d in (3, 4, 5, 6))
@@ -221,7 +220,7 @@ def test_construction_agrees_with_axiom_oracle():
     tables = [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
               (1, (73, 255, 247, 41, 29, 41, 73, 203))]
     library = [s for _, s in standard_library(3)]
-    tables += [(s.eps, s.values.rows) for s in library]
+    tables += [(s.eps, s.rows) for s in library]
     known = set(tables)
     # the symmetric mutants of d = 3 are all rejected; each d = 3 table
     # relabelled by a seeded basis change of G is a scheme not in the library
@@ -229,11 +228,11 @@ def test_construction_agrees_with_axiom_oracle():
     relabelled = []
     for s in library:
         if s.d == 3:
-            tables.extend((s.eps, rows) for rows in symmetric_mutants(s.eps, s.values.rows))
+            tables.extend((s.eps, rows) for rows in symmetric_mutants(s.eps, s.rows))
             images = [0, 0, 0]
             while rank_ints(images) < 3:
                 images = [rng.randrange(1, 8) for _ in range(3)]
-            moved = relabel(s.eps, s.values.rows, images)
+            moved = relabel(s.eps, s.rows, images)
             if moved not in known:
                 known.add(moved)
                 relabelled.append(moved)
@@ -242,7 +241,7 @@ def test_construction_agrees_with_axiom_oracle():
     verdicts = []
     for eps, rows in tables:
         try:
-            make(len(rows).bit_length() - 1, eps, rows)
+            Scheme(len(rows).bit_length() - 1, eps, rows)
             accepted = True
         except AxiomViolation:
             accepted = False
@@ -257,7 +256,7 @@ def test_construction_agrees_with_axiom_oracle():
 def test_validator_rejects_value_set_off_subgroup():
     # every other axiom holds, but D<1,1> = {0, 1, 2}
     with pytest.raises(AxiomViolation, match=r"^D<1,1> is not a subgroup$"):
-        make(2, 0, (15, 7, 15, 13))
+        Scheme(2, 0, (15, 7, 15, 13))
 
 
 def test_represented_set_must_be_subgroup(q3):
@@ -282,7 +281,7 @@ def test_subgroup_axiom_exhaustive_small():
                       for a in range(size)]):
                 closed = [all(r >> (x ^ y) & 1 for x in iter_bits(r)
                               for y in iter_bits(r)) for r in rows]
-                got = _violation(make, d, eps, rows)
+                got = _violation(Scheme, d, eps, rows)
                 if got is None:
                     assert all(closed), (eps, rows)
                     accepted += 1
@@ -297,7 +296,7 @@ def test_subgroup_axiom_exhaustive_small():
 def test_binary_value_sets(q3):
     assert binary(q3, 0, 0) == 0b0011
     assert binary(q3, 2, 3) == 0b1111
-    assert binary(q3, 2, 2) == translate(q3.values.rows[0], 2) == 0b1100
+    assert binary(q3, 2, 2) == translate(q3.rows[0], 2) == 0b1100
 
 
 def test_represents(rc, q3):
@@ -364,8 +363,8 @@ def test_witt_cancellation(q3, rigid2):
 
 
 def test_d2m_chain_frozen(rc, q3):
-    assert rc.d2m_chain() == [0b01]
-    assert q3.d2m_chain() == [0b0001, 0b0011, 0b1111]
+    assert rc.invariants().chain == (0b01,)
+    assert q3.invariants().chain == (0b0001, 0b0011, 0b1111)
 
 
 def test_invariants_rc(rc):
@@ -390,7 +389,7 @@ def test_invariants_q3(q3):
 
 
 def test_invariants_laurent_qc():
-    s = make(1, 0, (3, 3))
+    s = Scheme(1, 0, (3, 3))
     prof = s.invariants()
     assert not prof.is_real
     assert prof.level == 1 and prof.level_exponent == 0
@@ -427,7 +426,7 @@ def test_pfister_ones_witness_lex(q3):
 
 
 def test_strata_counts(rc, q3, rigid2):
-    qc = make(0, 0, (1,))
+    qc = Scheme(0, 0, (1,))
     assert enumerate_pfister_strata(qc, 2) == {0: 0, 1: 0, 2: 0}
     assert enumerate_pfister_strata(rc, 2) == {0: 0, 1: 0, 2: 1}
     assert enumerate_pfister_strata(q3, 2) == {0: 0, 1: 1, 2: 0}
@@ -472,7 +471,7 @@ def test_subspace_map_well_defined(rigid2, q3):
 
 
 def test_sos_chain_gives_two_power_value_sets():
-    # d2m_chain reads D(2^m) off the sum-of-squares chain
+    # invariants reads D(2^m) off the sum-of-squares chain
     for _, s in standard_library(3):
         chain = s.sos_chain()
         for m in range(4):
@@ -586,7 +585,7 @@ def test_random_d4_ensure_round_m3_matches_witt(expr):
 
 
 def test_d0_scheme_classes_and_strata():
-    qc = make(0, 0, (1,))
+    qc = Scheme(0, 0, (1,))
     for n in (1, 2, 3):
         alg = kn_space(qc, n)
         assert alg.image_coords((0,) * n) == 0
