@@ -37,8 +37,8 @@ and both corrections are observable on small schemes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import builders
 from .errors import DegreeViolation, InvalidCase, LemmaViolation, VerificationFailure
@@ -231,8 +231,7 @@ def bound_sl_split_basis(profile, n: int) -> int:
 # exact polynomial side
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(NamedTuple):
     """Polynomial with exact rational coefficients, lowest degree first."""
 
     coeffs: tuple
@@ -369,15 +368,13 @@ def bound_sl_polynomial(d0: int, n: int):
 # reports
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     bound_id: str
     value: int
     formula: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     degree: int
     rows: tuple
     exact_sl: int
@@ -417,8 +414,7 @@ BOUND_FORMULAS = {
 }
 
 
-@dataclass(frozen=True)
-class ProfileBounds:
+class ProfileBounds(NamedTuple):
     """The bound data of one (profile, n): the six report rows, in report
     order, and the stratum caps bound_strata_count(profile, n, m) for
     m = 0..n."""

@@ -26,8 +26,7 @@ profile.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, TooLarge
 from .f2space import iter_bits
@@ -47,18 +46,15 @@ MAX_NESTING = 64
 # expression AST
 
 
-@dataclass(frozen=True)
-class BaseExpr:
+class BaseExpr(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class LaurentExpr:
+class LaurentExpr(NamedTuple):
     child: object
 
 
-@dataclass(frozen=True)
-class ProductExpr:
+class ProductExpr(NamedTuple):
     left: object
     right: object
 
@@ -148,7 +144,8 @@ def product_table(left: Table, right: Table) -> Table:
 
 # canonical label -> the scheme of its table, the table -> that scheme,
 # and (profile, n) -> the bound data of that profile in degree n
-# (bounds.profile_bounds); clearing it makes every later build and bound
+# (bounds.profile_bounds); a table is a triple and a bound key a pair, so
+# the keys never collide.  Clearing it makes every later build and bound
 # evaluation cold
 _CACHE: dict[str | Table | tuple[InvariantProfile, int],
              Scheme | ProfileBounds] = {}

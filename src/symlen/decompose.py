@@ -25,7 +25,7 @@ number of basis factors hidden in non-basic slots.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import profile_bounds
 from .errors import (
@@ -44,8 +44,7 @@ REWRITE_STEP_CAP = 1 << 20
 # basis chains
 
 
-@dataclass(frozen=True)
-class BasisChain:
+class BasisChain(NamedTuple):
     """A basis of the square class group adapted to the square-sum tower.
 
     The first ranks[m] vectors span the subgroup generated by +-D(2^m); the
@@ -57,7 +56,7 @@ class BasisChain:
 
     basis: tuple[int, ...]
     ranks: tuple[int, ...]
-    coordinates: tuple[int, ...] = field(compare=False, repr=False)
+    coordinates: tuple[int, ...]
 
     def rank(self, m: int) -> int:
         return self.ranks[min(m, len(self.ranks) - 1)]
@@ -107,8 +106,7 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
 # formal sums of Pfister forms
 
 
-@dataclass(frozen=True)
-class PfisterSum:
+class PfisterSum(NamedTuple):
     """A formal sum of n-fold Pfister forms, entries as sorted slot tuples."""
 
     degree: int
@@ -306,8 +304,7 @@ def merge_linked(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
 # certificates
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(NamedTuple):
     """Verification record tying an input sum to its decomposition."""
 
     degree: int

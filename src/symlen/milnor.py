@@ -65,7 +65,7 @@ dimensions are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
 from .f2space import iter_bits, rref_ints
@@ -89,19 +89,23 @@ def _check_degree(d: int, n: int, tensor_cap: int) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class SymbolVector:
-    """An element of k_n in the free-column coordinates of its algebra."""
-
+class _SymbolVectorFields(NamedTuple):
     coords: int
     dim: int
 
-    def __post_init__(self):
-        if self.coords < 0 or self.coords >> self.dim:
+
+class SymbolVector(_SymbolVectorFields):
+    """An element of k_n in the free-column coordinates of its algebra,
+    ordered by (coords, dim)."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: int, dim: int):
+        if dim < 0 or coords < 0 or coords >> dim:
             raise DegreeMismatch(
-                "coordinate mask %d does not fit dimension %d"
-                % (self.coords, self.dim)
+                "coordinate mask %d does not fit dimension %d" % (coords, dim)
             )
+        return super().__new__(cls, coords, dim)
 
 
 def split_pair_basis(scheme: Scheme) -> list[int]:

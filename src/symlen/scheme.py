@@ -23,8 +23,7 @@ milnor.SymbolAlgebra.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     AxiomViolation,
@@ -109,8 +108,7 @@ def subgroup_rows(values: int, d: int) -> list[int] | None:
 # invariants
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     """Derived numeric invariants of a scheme.
 
     chain[m] is the set of classes represented by 2^m squares, as a bitmask,

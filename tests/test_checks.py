@@ -1,6 +1,5 @@
 """Tests for the verification driver behind verify-paper."""
 
-import dataclasses
 import re
 import subprocess
 import sys
@@ -126,7 +125,7 @@ def test_invariant_formulas_report_a_wrong_profile(monkeypatch):
     # the s_m rule at m = 1, the d_m identity from m = 1 on, one degree past
     # stabilization included, and the level bound q_1 >= 4
     q2 = builders.build_from_text("Q2")
-    doctored = dataclasses.replace(q2.invariants(), q=(1, 2), s_seq=(2, 1, 1))
+    doctored = q2.invariants()._replace(q=(1, 2), s_seq=(2, 1, 1))
 
     class Doctored:
         def invariants(self):
@@ -257,7 +256,7 @@ def test_decomposition_certificates_report_a_failed_certificate(monkeypatch):
     def failed_third(algebra, input_sum, output_sum):
         calls.append(input_sum)
         cert = certify(algebra, input_sum, output_sum)
-        return dataclasses.replace(cert, passed=cert.passed and len(calls) != 3)
+        return cert._replace(passed=cert.passed and len(calls) != 3)
 
     monkeypatch.setattr(decompose, "certify", failed_third)
     res = checks.check_decomposition_certificates(runs=5, max_d=2)
