@@ -26,7 +26,7 @@ from .bounds import (
 )
 from . import builders
 from .builders import build_from_text, standard_library
-from .decompose import find_linked_pair, make_sum, run_decomposition
+from .decompose import find_linked_pair, make_sum, run_decomposition, strata_counts
 from .errors import (
     DegreeViolation,
     LemmaViolation,
@@ -35,13 +35,7 @@ from .errors import (
 )
 from .f2space import count_upper_bound, gaussian_count, iter_bits, mask_to_str, rank_ints
 from .milnor import SymbolVector, kn_space, sl_field
-from .scheme import (
-    SCHEME_DIM_CAP,
-    enumerate_pfister_strata,
-    pfister_classes,
-    subgroup_rows,
-    translate,
-)
+from .scheme import SCHEME_DIM_CAP, pfister_classes, subgroup_rows, translate
 
 
 def rigid_tower_expr(k: int) -> str:
@@ -371,7 +365,7 @@ def check_rigid_strata_bijection(max_k: int = 4, max_n: int = 3) -> dict:
         s = build_from_text(rigid_tower_expr(k))
         prof = s.invariants()
         for n in range(2, max_n + 1):
-            counts = enumerate_pfister_strata(s, n)
+            counts = strata_counts(kn_space(s, n).classes().values(), n)
             for m in range(n + 1):
                 dead = (not prof.is_real and prof.level_exponent is not None
                         and m > prof.level_exponent)

@@ -7,6 +7,11 @@ preserved the class of the sum in the degree-n symbol algebra.  Every
 stage takes that algebra, k_n, which run_decomposition fetches once per
 request under the caller's tensor cap.
 
+The stratum of a sorted slot tuple is its number of leading 1 slots.  The
+least tuple of a class, read off the class map of k_n, has the most of
+the class; the certificate and the strata check of verify-paper count
+tuples by stratum with strata_counts.
+
 The engine works with the shifted slot vectors v = a + eps rather than the
 slot classes a themselves, because the image of <<a_1,...,a_n>> in the
 symbol algebra is the tensor of the shifted vectors and tensors are exactly
@@ -34,8 +39,9 @@ from .errors import (
     InvalidCase,
     VerificationFailure,
 )
+from .f2space import iter_bits
 from .milnor import DEFAULT_TENSOR_CAP, SymbolAlgebra, SymbolVector, kn_space
-from .scheme import Scheme, entry_stratum, iter_bits, pfister_ones_witness, translate
+from .scheme import Scheme, translate
 
 REWRITE_STEP_CAP = 1 << 20
 
@@ -116,14 +122,26 @@ class PfisterSum(NamedTuple):
     def length(self) -> int:
         return len(self.entries)
 
-    def strata_counts(self) -> dict[int, int]:
-        counts = {m: 0 for m in range(self.degree + 1)}
-        for slots in self.entries:
-            counts[entry_stratum(slots)] += 1
-        return counts
-
     def as_lists(self) -> list[list[int]]:
         return [list(slots) for slots in self.entries]
+
+
+def entry_stratum(slots) -> int:
+    """Number of leading slots equal to the class 1."""
+    m = 0
+    for a in slots:
+        if a:
+            break
+        m += 1
+    return m
+
+
+def strata_counts(entries, n: int) -> tuple[int, ...]:
+    """Counts of the sorted n-slot tuples in entries by stratum m = 0..n."""
+    counts = [0] * (n + 1)
+    for slots in entries:
+        counts[entry_stratum(slots)] += 1
+    return tuple(counts)
 
 
 def make_sum(scheme: Scheme, n: int, entries) -> PfisterSum:
@@ -180,8 +198,8 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
     # maximal-ones representative computed
     work = [(slots, False) for slots in psum.entries]
     parity: dict[tuple[int, ...], int] = {}
-    # stratum 0 entries of one class share the first witness seen in this
-    # call, so the output does not depend on earlier calls
+    # stratum 0 entries of one class share the first sorted slots seen in
+    # this call, so the output does not depend on earlier calls
     zero_witness: dict[int, tuple[int, ...]] = {}
     steps = 0
     while work:
@@ -193,9 +211,11 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
             image = algebra.image_coords(slots)
             if not image:
                 continue
-            m, canonical = pfister_ones_witness(algebra, slots)
-            if m == 0:
-                canonical = zero_witness.setdefault(image, canonical)
+            # the class's least tuple has its most leading 1 slots; in
+            # stratum 0 the entry keeps its own sorted slots instead
+            canonical = algebra.classes()[image]
+            if not entry_stratum(canonical):
+                canonical = zero_witness.setdefault(image, tuple(sorted(slots)))
             work.append((canonical, True))
             continue
         m = entry_stratum(slots)
@@ -362,8 +382,8 @@ def certify(algebra: SymbolAlgebra, input_sum: PfisterSum,
     residues_equal = r_in == r_out
     record = profile_bounds(scheme.invariants(), n)
     caps = record.strata_caps
-    strata_in = tuple(input_sum.strata_counts().values())
-    strata_out = tuple(output_sum.strata_counts().values())
+    strata_in = strata_counts(input_sum.entries, n)
+    strata_out = strata_counts(output_sum.entries, n)
     counts_ok = all(strata_out[m] <= caps[m] for m in range(n + 1))
     binomial = record.value("binomial")
     linked = record.value("linked-power")

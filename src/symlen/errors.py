@@ -22,10 +22,6 @@ class SymlenError(Exception):
 # exit code 1
 
 
-class IsotropicInput(SymlenError):
-    """An operation requiring an anisotropic input received an isotropic one."""
-
-
 class DegreeMismatch(SymlenError):
     """A symbol degree, slot count or coordinate mask that does not fit
     its algebra or Pfister sum."""

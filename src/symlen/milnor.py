@@ -44,7 +44,7 @@ The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
 every set bit b of g, the blocks of positions with bit b clear and set:
 ((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b marks the positions with
-bit b clear; scheme._swap_runs does it, as for sets of classes.  Layer 1
+bit b clear; f2space._swap_runs does it, as for sets of classes.  Layer 1
 is the pure symbols.  For a head x of the class walk, W_x =
 {mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i),
 which the walk records, its nonzero elements are pure symbols, and each
@@ -61,15 +61,20 @@ are SymbolVector values whose coordinates are indexed by the non-pivot
 columns of the relations row reduced over the d^n tensor columns (found in
 k_{n-1} (x) G coordinates, see _quotient), so representatives and
 dimensions are deterministic.
+
+Scheme appears here in annotations only: scheme imports this module, for
+pfister_classes, and importing it loads no scheme module.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
-from .f2space import iter_bits, rref_ints
-from .scheme import Scheme, _swap_runs, clear_bit_masks
+from .f2space import _swap_runs, clear_bit_masks, iter_bits, rref_ints
+
+if TYPE_CHECKING:
+    from .scheme import Scheme
 
 DEFAULT_SL_CAP = 1 << 24
 # bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
@@ -369,13 +374,13 @@ class SymbolAlgebra:
             self._layers = cayley_layers(self.dim, self.pure_symbols(), self._bases)
         return self._layers
 
-    def symbol_length(self, x: SymbolVector, cap: int = DEFAULT_SL_CAP) -> int:
+    def symbol_length(self, x: SymbolVector) -> int:
         if x.dim != self.dim:
             raise DegreeMismatch(
                 "element dimension %d does not match algebra dimension %d"
                 % (x.dim, self.dim)
             )
-        layers = self._bfs_layers(cap)
+        layers = self._bfs_layers(DEFAULT_SL_CAP)
         return next(k for k, layer in enumerate(layers)
                     if (layer >> x.coords) & 1)
 

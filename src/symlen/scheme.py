@@ -9,15 +9,17 @@ class b is represented).  A table is the one triple (d, minus_one, rows):
 Scheme takes it, and builders computes and caches it.
 
 Everything else is derived from the table: the chain of subgroups
-represented by sums of squares, the invariant profile (level, Pythagoras
-number, quotient dimensions, and the D(2^m) chain that the plus-minus
-groups and the decomposition read), and the classes of anisotropic
-Pfister forms with their stratification by how many slots can be
-rewritten as 1.  A
-Pfister form is isotropic iff its image in the symbol algebra k_n is 0, and
-two anisotropic ones are isometric iff their images are equal, so the
-classes are keyed by image coords, read from the class map of
-milnor.SymbolAlgebra.
+represented by sums of squares and the invariant profile (level,
+Pythagoras number, quotient dimensions, and the D(2^m) chain that the
+plus-minus groups and the decomposition read).  A set of classes is
+translated by f2space._swap_runs.
+
+The symbol algebras k_n are built on the table by milnor, which does not
+import this module.  pfister_classes reads the classes of anisotropic
+n-fold Pfister forms off k_n: a Pfister form is isotropic iff its image in
+k_n is 0, and two anisotropic ones are isometric iff their images are
+equal, so the classes are keyed by image coords, read from the class map
+of milnor.SymbolAlgebra.  decompose counts them by stratum.
 """
 
 from __future__ import annotations
@@ -25,18 +27,12 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    AxiomViolation,
-    IsotropicInput,
-    NotAGroup,
-    ProfileInconsistency,
-    TooLarge,
-)
-from .f2space import iter_bits
+from .errors import AxiomViolation, NotAGroup, ProfileInconsistency, TooLarge
+from .f2space import _swap_runs, clear_bit_masks, iter_bits
+from .milnor import SymbolAlgebra, kn_space
 
 if TYPE_CHECKING:
     from .decompose import BasisChain
-    from .milnor import SymbolAlgebra
 
 SCHEME_DIM_CAP = 6
 
@@ -44,34 +40,6 @@ SCHEME_DIM_CAP = 6
 # validate_scheme packs one class set per 64-bit block of an int, the
 # struct format 'Q'; 2^SCHEME_DIM_CAP classes fill one block
 _BLOCK = 64
-
-
-def clear_bit_masks(dim: int) -> list[int]:
-    """keep[k] for k < dim: the x < 2^dim whose bit k is clear, as a set of
-    2^dim bits; a set bit k of a translate swaps every aligned block of 2^k
-    bits with its neighbour.  Built by doubling: int() of a 2^dim-character
-    string took 4 ms per search at dim 16 (2-vCPU VM, CPython 3.11)."""
-    masks = []
-    for k in range(dim):
-        mask, width = (1 << (1 << k)) - 1, 2 << k
-        while width < 1 << dim:
-            mask |= mask << width
-            width *= 2
-        masks.append(mask)
-    return masks
-
-
-def _swap_runs(mask: int, x: int, keep: list[int], unit: int) -> int:
-    """For each set bit k of x, swap the runs of unit * 2^k bits marked by
-    keep[k] with the runs just above them: the index permutation i -> i ^ x
-    on runs of unit bits."""
-    while x:
-        low = x & -x
-        k = low.bit_length() - 1
-        shift = unit * low
-        mask = ((mask & keep[k]) << shift) | ((mask >> shift) & keep[k])
-        x ^= low
-    return mask
 
 
 # _KEEP[k]: the classes below 2^SCHEME_DIM_CAP whose bit k is clear
@@ -450,47 +418,7 @@ def _transpose(packed: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pfister strata
-
-
-def pfister_ones_witness(algebra: SymbolAlgebra, slots) -> tuple[int, tuple[int, ...]]:
-    """The stratum of the anisotropic Pfister form <<slots>> of the
-    algebra's degree plus a witnessing slot tuple.
-
-    The stratum is the largest number m of leading 1 slots over the sorted
-    slot tuples of the class.  In a stratum m >= 1 the witness is the
-    class's lexicographically least sorted slot tuple, so it depends only
-    on the isometry class.  In stratum 0 the witness is the form's own
-    slots, sorted.
-    """
-    image = algebra.image_coords(slots)
-    if not image:
-        raise IsotropicInput("Pfister form %r is isotropic" % (tuple(slots),))
-    least = algebra.classes()[image]
-    m = entry_stratum(least)
-    return (m, least) if m else (0, tuple(sorted(slots)))
-
-
-def entry_stratum(slots) -> int:
-    """Number of leading slots equal to the class 1."""
-    m = 0
-    for a in slots:
-        if a:
-            break
-        m += 1
-    return m
-
-
-def enumerate_pfister_strata(scheme: Scheme, n: int) -> dict[int, int]:
-    """Counts of anisotropic degree-n Pfister classes by ones-stratum.
-
-    Returns a dict with keys 0..n; the sum of the values is the number of
-    anisotropic isometry classes of n-fold Pfister forms of the scheme.
-    """
-    counts = {m: 0 for m in range(n + 1)}
-    for slots in pfister_classes(scheme, n).values():
-        counts[entry_stratum(slots)] += 1
-    return counts
+# Pfister classes
 
 
 def pfister_classes(scheme: Scheme, n: int) -> dict[int, tuple[int, ...]]:
@@ -498,5 +426,4 @@ def pfister_classes(scheme: Scheme, n: int) -> dict[int, tuple[int, ...]]:
     only: a copy of the class map of kn_space(scheme, n), which the BFS
     walks for its generators too.  A degree over the default tensor cap is
     refused with TooLarge before anything is built."""
-    from .milnor import kn_space  # milnor imports this module
     return dict(kn_space(scheme, n).classes())

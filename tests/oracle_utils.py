@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from symlen.bounds import _sm_exponent, floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
-from symlen.f2space import rank_ints, rref_ints
+from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
 from symlen.milnor import SymbolVector, kn_space, split_pair_basis
-from symlen.scheme import _swap_runs, clear_bit_masks, iter_bits, translate
+from symlen.scheme import translate
 
 WITT_STATE_CAP = 1 << 21
 

@@ -10,7 +10,7 @@ import pytest
 from symlen import bounds, builders, checks, cli, decompose
 from symlen import scheme as scheme_module
 from symlen.errors import DegreeViolation, LemmaViolation
-from symlen.milnor import DEFAULT_SL_CAP, SymbolAlgebra
+from symlen.milnor import SymbolAlgebra
 from symlen.scheme import validate_scheme
 
 
@@ -164,8 +164,8 @@ def test_rigid_oracle_reports_a_wrong_search_length(monkeypatch):
     # of two of them, a matrix of rank 2 and symbol length 1
     symbol_length = SymbolAlgebra.symbol_length
 
-    def one_too_many(self, x, cap=DEFAULT_SL_CAP):
-        return symbol_length(self, x, cap) + (self.dim == 3 and x.coords == 5)
+    def one_too_many(self, x):
+        return symbol_length(self, x) + (self.dim == 3 and x.coords == 5)
 
     monkeypatch.setattr(SymbolAlgebra, "symbol_length", one_too_many)
     assert checks.check_rigid_oracle_agreement(max_k=3) == {

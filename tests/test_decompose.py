@@ -24,6 +24,7 @@ from symlen.decompose import (
     merge_linked,
     rewrite_to_basis,
     run_decomposition,
+    strata_counts,
     sum_residue,
 )
 from symlen.errors import (
@@ -124,7 +125,7 @@ def test_make_sum_normalizes():
     psum = make_sum(q3, 2, [(2, 0), (3, 1)])
     assert psum.entries == ((0, 2), (1, 3))
     assert psum.length == 2
-    assert psum.strata_counts() == {0: 1, 1: 1, 2: 0}
+    assert strata_counts(psum.entries, 2) == (1, 1, 0)
     assert psum.as_lists() == [[0, 2], [1, 3]]
 
 
@@ -191,6 +192,26 @@ def test_rewrite_keeps_settled_entries():
     rr = build_from_text("laurent(laurent(RC))")
     out = rewrite_to_basis(kn_space(rr, 2), make_sum(rr, 2, [(0, 2), (2, 4)]))
     assert out.entries == ((0, 2), (2, 4))
+
+
+def test_rewrite_projects_each_unsettled_entry_once():
+    # <<3, 3>> is in stratum 1 with the least tuple (0, 3), and <<2, 4>> in
+    # stratum 0.  The unsettled entries (3, 3), its parity slot (0, 0) and
+    # (2, 4) are projected once each, and their least tuples read off the
+    # class map; the final entries (0, 0), (0, 2) and (2, 4) once more each
+    cached = build_from_text("laurent(laurent(RC))")
+    alg = kn_space(Scheme(cached.d, cached.eps, cached.rows), 2)
+    image_coords = alg.image_coords
+    calls = []
+
+    def recorded(slots):
+        calls.append(slots)
+        return image_coords(slots)
+
+    alg.image_coords = recorded
+    out = rewrite_to_basis(alg, make_sum(alg.scheme, 2, [(2, 4), (3, 3)]))
+    assert out.entries == ((0, 0), (0, 2), (2, 4))
+    assert calls == [(3, 3), (0, 0), (0, 0), (0, 2), (2, 4), (2, 4)]
 
 
 def test_rewrite_empty_sum():

@@ -44,9 +44,9 @@ from symlen.builders import (
     standard_library,
 )
 from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
-from symlen.f2space import iter_bits, rank_ints, rref_ints
+from symlen.f2space import _swap_runs, iter_bits, rank_ints, rref_ints
 from symlen.decompose import make_sum, run_decomposition
-from symlen.scheme import Scheme, _swap_runs, pfister_classes, subgroup_rows
+from symlen.scheme import Scheme, pfister_classes, subgroup_rows
 from symlen import milnor
 from symlen.milnor import (
     DEFAULT_SL_CAP,

@@ -43,9 +43,9 @@ from symlen.builders import (
     standard_expressions,
     standard_library,
 )
+from symlen.decompose import entry_stratum, strata_counts
 from symlen.errors import (
     AxiomViolation,
-    IsotropicInput,
     NotAGroup,
     ProfileInconsistency,
     TooLarge,
@@ -54,9 +54,7 @@ from symlen.f2space import iter_bits, rank_ints, rref_ints
 from symlen.milnor import kn_space
 from symlen.scheme import (
     Scheme,
-    enumerate_pfister_strata,
     pfister_classes,
-    pfister_ones_witness,
     translate,
     validate_scheme,
 )
@@ -411,26 +409,34 @@ def test_pfister_expand():
     assert len(pfister_expand((1, 2, 3))) == 8
 
 
+def least_tuple(alg, slots):
+    """The least sorted slot tuple of the class of an anisotropic <<slots>>."""
+    return alg.classes()[alg.image_coords(slots)]
+
+
+def class_strata(s, n):
+    """Anisotropic degree-n Pfister classes counted by stratum m = 0..n."""
+    return strata_counts(pfister_classes(s, n).values(), n)
+
+
 def test_pfister_ones_rank(rc, q3, rigid2):
-    assert pfister_ones_witness(kn_space(rc, 2), (0, 0))[0] == 2
-    assert pfister_ones_witness(kn_space(rigid2, 2), (1, 2))[0] == 0
-    assert pfister_ones_witness(kn_space(q3, 2), (0, 2))[0] == 1
-    assert pfister_ones_witness(kn_space(q3, 2), (2, 2))[0] == 1
-    with pytest.raises(IsotropicInput):
-        pfister_ones_witness(kn_space(q3, 2), (1, 2))
+    assert entry_stratum(least_tuple(kn_space(rc, 2), (0, 0))) == 2
+    assert entry_stratum(least_tuple(kn_space(rigid2, 2), (1, 2))) == 0
+    assert entry_stratum(least_tuple(kn_space(q3, 2), (0, 2))) == 1
+    assert entry_stratum(least_tuple(kn_space(q3, 2), (2, 2))) == 1
+    assert kn_space(q3, 2).image_coords((1, 2)) == 0
 
 
 def test_pfister_ones_witness_lex(q3):
-    m, slots = pfister_ones_witness(kn_space(q3, 2), (2, 2))
-    assert m == 1 and slots == (0, 2)
+    assert least_tuple(kn_space(q3, 2), (2, 2)) == (0, 2)
 
 
 def test_strata_counts(rc, q3, rigid2):
     qc = Scheme(0, 0, (1,))
-    assert enumerate_pfister_strata(qc, 2) == {0: 0, 1: 0, 2: 0}
-    assert enumerate_pfister_strata(rc, 2) == {0: 0, 1: 0, 2: 1}
-    assert enumerate_pfister_strata(q3, 2) == {0: 0, 1: 1, 2: 0}
-    assert enumerate_pfister_strata(rigid2, 2) == {0: 1, 1: 0, 2: 0}
+    assert class_strata(qc, 2) == (0, 0, 0)
+    assert class_strata(rc, 2) == (0, 0, 1)
+    assert class_strata(q3, 2) == (0, 1, 0)
+    assert class_strata(rigid2, 2) == (1, 0, 0)
 
 
 def test_pfister_classes_are_isometry_classes(q3, rigid2):
@@ -448,8 +454,8 @@ def test_pfister_classes_are_isometry_classes(q3, rigid2):
 def test_stratum_images_linearly_independent(q3, rigid2, rc):
     """Non-1 slots of a maximal-ones witness are independent mod +-D(2^m)."""
     for s in (rc, q3, rigid2):
-        for slots in pfister_classes(s, 2).values():
-            m, witness = pfister_ones_witness(kn_space(s, 2), slots)
+        for witness in pfister_classes(s, 2).values():
+            m = entry_stratum(witness)
             rest = witness[m:]
             pm_rows = rref_ints(iter_bits(s.pm_d2m(m)))
             vecs = [r for r in rest]
@@ -494,7 +500,10 @@ def assert_images_match_witt(s, n, tuples):
         if image:
             assert kernel_of_image.setdefault(image, wc.kernel) == wc.kernel
             assert image_of_kernel.setdefault(wc.kernel, image) == image
-            assert (pfister_ones_witness(alg, slots)
+            # the stratum 0 witness is the form's own sorted slots
+            least = alg.classes()[image]
+            m = entry_stratum(least)
+            assert ((m, least if m else tuple(sorted(slots)))
                     == kernel_ones_witness(s, slots)), (s, slots)
 
 
@@ -536,13 +545,14 @@ def assert_class_map_matches_scans(s, n):
     ones = scan_ones_witnesses(alg)
     # the same classes, least tuples and order
     assert list(pfister_classes(s, n).items()) == list(classes.items())
-    strata = {m: 0 for m in range(n + 1)}
+    strata = [0] * (n + 1)
     for image in classes:
         strata[ones.get(image, (0,))[0]] += 1
-    assert enumerate_pfister_strata(s, n) == strata
+    assert class_strata(s, n) == tuple(strata)
     for image, least in classes.items():
         for slots in {least, least[::-1], tuple(sorted(least, reverse=True))}:
-            assert (pfister_ones_witness(alg, slots)
+            witness = least_tuple(alg, slots)
+            assert ((entry_stratum(witness), witness)
                     == ones.get(image, (0, least))), (s, slots)
 
 
@@ -592,7 +602,7 @@ def test_d0_scheme_classes_and_strata():
         assert last_slot_images(alg, (0,) * (n - 1)) == [0]
         assert alg.pure_symbols() == ()
         assert pfister_classes(qc, n) == {}
-        assert enumerate_pfister_strata(qc, n) == {m: 0 for m in range(n + 1)}
+        assert class_strata(qc, n) == (0,) * (n + 1)
 
 
 def test_huge_degree_refused_before_building():
