@@ -29,6 +29,7 @@ number of basis factors hidden in non-basic slots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -201,6 +202,8 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
     # stratum 0 entries of one class share the first sorted slots seen in
     # this call, so the output does not depend on earlier calls
     zero_witness: dict[int, tuple[int, ...]] = {}
+    # one projection per tuple and call: final entries repeat unsettled ones
+    image_of = functools.cache(algebra.image_coords)
     steps = 0
     while work:
         steps += 1
@@ -208,7 +211,7 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
             raise VerificationFailure("rewrite did not terminate within the step cap")
         slots, settled = work.pop()
         if not settled:
-            image = algebra.image_coords(slots)
+            image = image_of(slots)
             if not image:
                 continue
             # the class's least tuple has its most leading 1 slots; in
@@ -261,7 +264,7 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
                 work.append(((0,) * m + tuple(tail), False))
                 continue
             final = (0,) * m + tuple(tail)
-            if not algebra.image_coords(final):
+            if not image_of(final):
                 continue
             parity[final] = parity.get(final, 0) ^ 1
     kept = sorted(slots for slots, odd in parity.items() if odd)

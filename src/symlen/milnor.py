@@ -33,12 +33,13 @@ image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
 Hauptsatz for fields; for schemes the tests check it against a Witt
 decomposition search).  One walk of the sorted slot prefixes, keeping the
 least prefix of each nonzero image, reaches them all: they are the pure
-symbols.  Each degree is walked once, when its algebra is constructed:
-the walk reads its rows off one table, and keeps, per image, the image of
-its least tuple's prefix one degree down and the last slot; a class's
-least slot tuple is read off these links.  kn_space is the one builder:
-it keeps the degrees 1, 2, ... in one list on the scheme and appends the
-missing ones in order, so the tensor cap bounds n as well as d^n.
+symbols.  Each degree is walked once, on the first read of its pure
+symbols, class map or search, after the degrees below it: the walk reads
+its rows off one table, and keeps, per image, the image of its least
+tuple's prefix one degree down and the last slot; a class's least slot
+tuple is read off these links.  kn_space is the one builder: it keeps the
+degrees 1, 2, ... in one list on the scheme and appends the missing ones
+in order, so the tensor cap bounds n as well as d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -205,10 +206,10 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built by _quotient
     on lower, the algebra of k_{n-1} (None at n = 1), and walked by _walk
-    when constructed.  kn_space is the one builder: it checks the tensor
-    cap and builds the degrees in order, each on the last one in
-    scheme._kn, so the degrees below n are scheme._kn[:n - 1].  Memos
-    start cold.
+    when _walked is first read, not when constructed.  kn_space is the one
+    builder: it checks the tensor cap and builds the degrees in order, each
+    on the last one in scheme._kn, so the degrees below n are
+    scheme._kn[:n - 1].  Memos, the walk among them, start cold.
     """
 
     def __init__(self, scheme: Scheme, lower: SymbolAlgebra | None):
@@ -227,9 +228,8 @@ class SymbolAlgebra:
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._pure: tuple[int, ...] | None = None
         self._layers: list[int] | None = None
-        # k_0: the empty tuple has image 1, and its extensions start at 0
-        self._link_map, self._bases = self._walk(
-            {1: (0, 0)} if lower is None else lower._link_map)
+        self._link_map: dict[int, tuple[int, int]] | None = None
+        self._bases: list[tuple[int, ...]] | None = None
 
     def __repr__(self):
         return "SymbolAlgebra(d=%d, n=%d, dim=%d)" % (self.scheme.d, self.n, self.dim)
@@ -293,8 +293,24 @@ class SymbolAlgebra:
         """Sorted coords of the distinct nonzero pure symbols: the images
         the class walk reaches."""
         if self._pure is None:
-            self._pure = tuple(sorted(self._link_map))
+            self._pure = tuple(sorted(self._walked()[0]))
         return self._pure
+
+    def _walked(self) -> tuple[dict[int, tuple[int, int]], list[tuple[int, ...]]]:
+        """This degree's link map and head bases.  The first read walks the
+        degrees from the highest one walked below up to this one, in a loop."""
+        if self._link_map is None:
+            todo = []
+            alg = self
+            while alg is not None and alg._link_map is None:
+                todo.append(alg)
+                alg = alg.lower
+            # k_0: the empty tuple has image 1, and its extensions start at 0
+            links = {1: (0, 0)} if alg is None else alg._link_map
+            for alg in reversed(todo):
+                alg._link_map, alg._bases = alg._walk(links)
+                links = alg._link_map
+        return self._link_map, self._bases
 
     def _walk(self, links: dict[int, tuple[int, int]]
               ) -> tuple[dict[int, tuple[int, int]], list[tuple[int, ...]]]:
@@ -343,11 +359,11 @@ class SymbolAlgebra:
         most.
         """
         if self._classes is None:
-            maps = [alg._link_map for alg in self.scheme._kn[:self.n - 1]]
-            maps.append(self._link_map)
-            maps.reverse()
+            # walking this degree walks the ones below
+            maps = [self._walked()[0]]
+            maps += [alg._link_map for alg in reversed(self.scheme._kn[:self.n - 1])]
             least = {}
-            for image in self._link_map:
+            for image in maps[0]:
                 slots = []
                 x = image
                 for links in maps:
@@ -365,13 +381,13 @@ class SymbolAlgebra:
         memoized, and one algebra serves every label of the table, so the
         search, and its read of layer 1, the pure symbols, runs once per
         (table, n).  cayley_layers saturates by the head bases that the
-        class walk recorded."""
+        class walk records, read through _walked like the pure symbols."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
             )
         if self._layers is None:
-            self._layers = cayley_layers(self.dim, self.pure_symbols(), self._bases)
+            self._layers = cayley_layers(self.dim, self.pure_symbols(), self._walked()[1])
         return self._layers
 
     def symbol_length(self, x: SymbolVector) -> int:

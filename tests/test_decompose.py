@@ -37,7 +37,7 @@ from oracle_utils import (
     rref_basis_chain,
     witt_decompose,
 )
-from symlen.milnor import kn_space
+from symlen.milnor import SymbolAlgebra, kn_space
 from symlen.scheme import Scheme
 
 
@@ -196,9 +196,10 @@ def test_rewrite_keeps_settled_entries():
 
 def test_rewrite_projects_each_unsettled_entry_once():
     # <<3, 3>> is in stratum 1 with the least tuple (0, 3), and <<2, 4>> in
-    # stratum 0.  The unsettled entries (3, 3), its parity slot (0, 0) and
-    # (2, 4) are projected once each, and their least tuples read off the
-    # class map; the final entries (0, 0), (0, 2) and (2, 4) once more each
+    # stratum 0.  Each tuple is projected once per call: the unsettled
+    # entries (3, 3), its parity slot (0, 0) and (2, 4), whose least tuples
+    # are read off the class map, and the final entry (0, 2); the final
+    # entries (0, 0) and (2, 4) reuse their projections as unsettled entries
     cached = build_from_text("laurent(laurent(RC))")
     alg = kn_space(Scheme(cached.d, cached.eps, cached.rows), 2)
     image_coords = alg.image_coords
@@ -211,7 +212,27 @@ def test_rewrite_projects_each_unsettled_entry_once():
     alg.image_coords = recorded
     out = rewrite_to_basis(alg, make_sum(alg.scheme, 2, [(2, 4), (3, 3)]))
     assert out.entries == ((0, 0), (0, 2), (2, 4))
-    assert calls == [(3, 3), (0, 0), (0, 0), (0, 2), (2, 4), (2, 4)]
+    assert calls == [(3, 3), (0, 0), (0, 2), (2, 4)]
+
+
+def test_isotropic_decomposition_walks_no_degree(monkeypatch):
+    # entries of image 0 read no class map, so a cold decomposition of a
+    # sum of them walks no degree of the chain it builds
+    walk = SymbolAlgebra._walk
+    walked = []
+
+    def counted(self, links):
+        walked.append(self)
+        return walk(self, links)
+
+    monkeypatch.setattr(SymbolAlgebra, "_walk", counted)
+    cached = build_from_text("laurent(F2)")
+    s = Scheme(cached.d, cached.eps, cached.rows)
+    for n, entries in ((2, [(1, 2), (2, 1), (1, 2)]), (3, [(1, 2, 3), (0, 1, 2)])):
+        final, cert = run_decomposition(s, make_sum(s, n, entries))
+        assert final.entries == () and cert.passed, n
+    assert [alg.n for alg in s._kn] == [1, 2, 3]
+    assert walked == []
 
 
 def test_rewrite_empty_sum():

@@ -434,8 +434,30 @@ def test_walk_matches_row_oracle():
     for s in schemes:
         alg = kn_space(s, 3)
         for low, oracle in zip(s._kn[:3], row_walk_links(alg)):
-            assert list(low._link_map.items()) == list(oracle.items()), low
-            assert low._bases == derived_head_bases(low, oracle), low
+            links, bases = low._walked()
+            assert list(links.items()) == list(oracle.items()), low
+            assert bases == derived_head_bases(low, oracle), low
+
+
+def test_walk_does_not_depend_on_read_order():
+    # k_3 read first walks k_1 and k_2 on its way up; k_1 read first walks
+    # only k_1.  Either way every degree's link map, items and order, and
+    # head bases equal the row oracle's
+    for label, s in standard_library(4):
+        top_first = Scheme(s.d, s.eps, s.rows)
+        bottom_first = Scheme(s.d, s.eps, s.rows)
+        kn_space(top_first, 3)._walked()
+        kn_space(bottom_first, 3)
+        for n in (1, 2, 3):
+            bottom_first._kn[n - 1]._walked()
+            # a read walks no degree above its own
+            assert [low._link_map is not None for low in bottom_first._kn] == [
+                k <= n for k in (1, 2, 3)], label
+        for chain in (top_first._kn, bottom_first._kn):
+            for low, oracle in zip(chain, row_walk_links(chain[-1])):
+                links, bases = low._walked()
+                assert list(links.items()) == list(oracle.items()), (label, low)
+                assert bases == derived_head_bases(low, oracle), (label, low)
 
 
 def test_layers_match_dict_bfs():
@@ -486,7 +508,7 @@ def test_head_bases_span_the_pure_symbols():
                  for expr in (LAURENT5_RC, rigid_label(6)) for n in (2, 3)]
     assert [a.dim for a in algebras[-4:]] == [16, 26, 15, 20]
     for alg in algebras:
-        bases = alg._bases
+        bases = alg._walked()[1]
         assert all(len(basis) <= alg.scheme.d for basis in bases), alg
         assert {0}.union(*map(span, bases)) == {0, *alg.pure_symbols()}, alg
 
@@ -547,7 +569,9 @@ def test_bfs_swap_count(monkeypatch):
              (rigid_label(6), 2, 186, 405, [1, 651, 18228, 13888]),
              (rigid_label(6), 3, 868, 2576, [1, 1395, 411804, 635376])]
     for expr, n, calls, bits, sizes in cases:
-        alg = kn_space(build_from_text(expr), n)
+        # a fresh algebra, so that no earlier search of the shared cache
+        # leaves its layers memoized
+        alg = fresh_algebra(build_from_text(expr), n)
         swaps.clear()
         layers = alg._bfs_layers(DEFAULT_SL_CAP)
         assert (len(swaps), sum(swaps)) == (calls, bits), (expr, n)
@@ -732,9 +756,10 @@ def test_class_maps_kept_per_degree(monkeypatch):
     assert walked == [kn_space(low_first, 3) for *_, low_first, _ in cases]
 
 
-def test_every_degree_walked_once_at_construction(monkeypatch):
-    # a cold chain is walked as it is built, each degree once per table;
-    # the search, the class maps and a decomposition walk nothing more
+def test_every_degree_walked_once_on_first_read(monkeypatch):
+    # a cold chain walks nothing as it is built; the first read of k_3
+    # walks each degree once, bottom up, and the searches, the class maps
+    # and a decomposition walk nothing more
     walk = SymbolAlgebra._walk
     walked = []
 
@@ -746,14 +771,15 @@ def test_every_degree_walked_once_at_construction(monkeypatch):
     for label in ("laurent(laurent(F2))", rigid_label(4)):
         s = fresh_scheme(label)
         alg = kn_space(s, 3)
+        assert walked == [], label
+        assert all(low._link_map is None for low in s._kn), label
+        alg.classes()
         chain = list(s._kn)
         assert walked == chain, label
         for low in chain:
-            assert isinstance(low._link_map, dict), low
             assert len(low._bases) <= len(low._link_map), low
         sl_field(s, 2)
         sl_field(s, 3)
-        alg.classes()
         pfister_classes(s, 2)
         pfister_classes(s, 3)
         run_decomposition(s, make_sum(s, 3, [(1, 2, 3), (0, 1, 3)]))
