@@ -428,36 +428,24 @@ def test_pure_symbols_match_gray_oracle():
 def test_walk_matches_row_oracle():
     # the table walk against a row per key: the same link maps, items and
     # order, at every degree up to 3, and the recorded head bases equal to
-    # those derived from the tables
+    # those derived from the tables, whether k_3 is read first, walking k_1
+    # and k_2 on its way up, or k_1 is, walking no degree above its own
     schemes = [s for _, s in standard_library(4)]
     schemes += [build_from_text(expr) for expr in (LAURENT5_RC, rigid_label(6))]
     for s in schemes:
-        alg = kn_space(s, 3)
-        for low, oracle in zip(s._kn[:3], row_walk_links(alg)):
-            links, bases = low._walked()
-            assert list(links.items()) == list(oracle.items()), low
-            assert bases == derived_head_bases(low, oracle), low
-
-
-def test_walk_does_not_depend_on_read_order():
-    # k_3 read first walks k_1 and k_2 on its way up; k_1 read first walks
-    # only k_1.  Either way every degree's link map, items and order, and
-    # head bases equal the row oracle's
-    for label, s in standard_library(4):
         top_first = Scheme(s.d, s.eps, s.rows)
-        bottom_first = Scheme(s.d, s.eps, s.rows)
         kn_space(top_first, 3)._walked()
+        bottom_first = Scheme(s.d, s.eps, s.rows)
         kn_space(bottom_first, 3)
         for n in (1, 2, 3):
             bottom_first._kn[n - 1]._walked()
-            # a read walks no degree above its own
             assert [low._link_map is not None for low in bottom_first._kn] == [
-                k <= n for k in (1, 2, 3)], label
+                k <= n for k in (1, 2, 3)], (s, n)
         for chain in (top_first._kn, bottom_first._kn):
             for low, oracle in zip(chain, row_walk_links(chain[-1])):
                 links, bases = low._walked()
-                assert list(links.items()) == list(oracle.items()), (label, low)
-                assert bases == derived_head_bases(low, oracle), (label, low)
+                assert list(links.items()) == list(oracle.items()), low
+                assert bases == derived_head_bases(low, oracle), low
 
 
 def test_layers_match_dict_bfs():
