@@ -39,6 +39,7 @@ from symlen.builders import (
     build,
     build_from_text,
     expr_dim,
+    laurent_table,
     product_table,
     standard_expressions,
     standard_library,
@@ -55,6 +56,7 @@ from symlen.milnor import kn_space
 from symlen.scheme import (
     Scheme,
     pfister_classes,
+    subgroup_rows,
     translate,
     validate_scheme,
 )
@@ -191,6 +193,22 @@ def test_packed_validation_agrees_with_loop_oracle():
     tables += [(4, (47, 31, 143, 77, 255, 121, 241, 243)),
                (1, (73, 255, 247, 41, 29, 41, 73, 203)),
                (7, (227, 175, 223, 63, 121, 113, 241, 255))]
+    # every value set a subgroup and the ternary axiom failing: a d = 3
+    # table and its lifts to d = 4, 5, 6, each with the pair named first
+    t = (3, 1, (3, 255, 5, 105, 85, 33, 65, 165))
+    rc, lf2 = (build_from_text(e) for e in ("RC", "laurent(F2)"))
+    subgroup_valued = [
+        (t, 2), (laurent_table(t), 2),
+        (laurent_table(laurent_table(laurent_table(t))), 2),
+        (product_table(t, (lf2.d, lf2.eps, lf2.rows)), 2),
+        (product_table(t, t), 2),
+        (product_table((rc.d, rc.eps, rc.rows), t), 4),
+    ]
+    for (d, eps, rows), c in subgroup_valued:
+        assert all(subgroup_rows(row, d) is not None for row in rows)
+        assert _violation(Scheme, d, eps, rows) == (
+            "ternary value set of (0,0,%d) depends on the order" % c)
+        tables.append((eps, rows))
     verdicts = {}
     for eps, rows in tables:
         d = len(rows).bit_length() - 1
