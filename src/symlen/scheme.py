@@ -295,25 +295,29 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     give a + (b + c) = b + (a + c) = c + (a + b).  As D<t^x,t^y> is the
     t-translate of D<x,y>, the check on (a, b, c) is the a-translate of the
     check on (0, a^b, a^c), so the triples (0, b, c) over all ordered pairs
-    (b, c) cover every triple.  Each b + (0 + c) is computed once and
-    compared for both (b, c) and (c, b).
+    (b, c) cover every triple.  When every D<1,a> is a subgroup, the check
+    is the one equality S: b + (0 + c) = c + (0 + b) for all b, c.  Proof:
+    D<1,a> holds a, so a D<1,a> = D<1,a>.  Let U(b, c) be the union of
+    D<1,t> over t in c D<1,b>; then U(b, c) = U(b, b^c), as (b^c) D<1,b> =
+    c D<1,b>.  Translation gives U(b, c) = c (c + (0 + b)), which S makes
+    c (b + (0 + c)); so c (b + (0 + c)) = (b^c) (b + (0 + (b^c))), and
+    multiplying by c, b + (0 + c) = b (b + (0 + (b^c))), which is
+    0 + (b + c) on any table.  Conversely S is one of the equalities.
 
     The sets are bit-packed, one class set per 64-bit block.  The pairwise
     axiom, b in D<1,a> implying a^eps in D<1,b^eps>, compares the packed
-    rows with the transpose of their eps-conjugate.  For the ternary one,
-    the t-th of 2^d block-permuted copies of the table holds D<1,b^t> in
-    block b.  Per distinct row D<1,y>, the OR of the copies over t in it
-    holds in block b the union of D<1,t> over t in the b-translate of
-    D<1,y>; read with stride 2^d, column b is one int with that union in
-    block y.  Translating within each block by b gives b + (0 + c) in block
-    c, and permuting the blocks by b gives 0 + (b + c) there, so the first
-    equality is one int comparison per b.  The symmetry in (b, c) compares
-    the unpacked blocks with their transpose.  On a failure of either
-    axiom the first pair in row-major order is named.
+    rows with the transpose of their eps-conjugate.  For S, pair[t] holds
+    D<b,t>, the b-translate of D<1,b^t>, in block b: pair[0] is the packed
+    table with each block translated by its index, and pair[t] is
+    pair[t & (t - 1)] with its blocks permuted and then translated by the
+    low bit of t.  The OR of pair[t] over t in D<1,c> holds b + (0 + c) in
+    block b, and S says the matrix with these rows is symmetric: one
+    compare of each row with its column.
 
-    Last, each D<1,a> must be a subgroup of G, as the value sets of a field
-    are (norm groups).  subgroup_rows tests each distinct row once, and the
-    least a with a row that is not a subgroup is named.
+    A table is rejected when S fails or some D<1,a> is not a subgroup, with
+    the witness of a check of every pair before the subgroup axiom: the
+    first (b, c) in row-major order whose three orderings differ, reading
+    0 + (b + c) as b (b + (0 + (b^c))), else the least a whose D<1,a> is not.
     """
     size = scheme.size
     eps = scheme.eps
@@ -340,45 +344,37 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
             "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
         )
 
-    # shifted[t] holds D<1,b^t> in block b, one swap from shifted[t & (t - 1)]
-    shifted = [packed]
+    # distinct rows in the order of their least a
+    subgroups = {row: subgroup_rows(row, scheme.d) for row in dict.fromkeys(rows)}
+    own = packed
+    for k in range(scheme.d):  # block b translated by b
+        t = ((own >> (1 << k)) ^ own) & _OWN[k]
+        own ^= t ^ (t << (1 << k))
+    pair = [own]
     for t in range(1, size):
-        shifted.append(_swap_runs(shifted[t & (t - 1)], t & -t, _ACROSS, _BLOCK))
+        low = t & -t
+        pair.append(_swap_runs(_swap_runs(pair[t & (t - 1)], low, _ACROSS, _BLOCK),
+                               low, _WITHIN, 1))
     union_of = {}
-    for row in set(rows):
+    for row in subgroups:
         acc = 0
         for t in iter_bits(row):
-            acc |= shifted[t]
+            acc |= pair[t]
         union_of[row] = acc
-    flat = _blocks([union_of[row] for row in rows], size)
-    # column b of flat holds the union for D<1,y> in block y.  inner[b]
-    # holds 0 + (b + c) in block c: the union in block b ^ c, as D<b,c> is
-    # the b-translate of D<1,b^c>; last[b] holds b + (0 + c) in block c,
-    # the b-translate of the union in block c
-    inner = []
-    last = []
-    for b in range(size):
-        unions = int.from_bytes(flat[b::size], "little")
-        inner.append(_swap_runs(unions, b, _ACROSS, _BLOCK))
-        last.append(_swap_runs(unions, b, _WITHIN, 1))
-    # table[b * size + c] is last[b][c], so row b of the matrix is compared
-    # with column b; the byte order of a block does not change equalities
-    table = _blocks(last, size)
-    if inner != last or any(table[b * size:(b + 1) * size] != table[b::size]
-                            for b in range(size)):
+    # table[c * size + b] is b + (0 + c); the byte order of a block does
+    # not change equalities
+    table = _blocks([union_of[row] for row in rows], size)
+    if None in subgroups.values() or any(table[b * size:(b + 1) * size] != table[b::size]
+                                         for b in range(size)):
         for b in range(size):
-            line = _blocks([inner[b]], size)
             for c in range(size):
-                if not line[c] == table[b * size + c] == table[c * size + b]:
+                if not (translate(table[(b ^ c) * size + b], b)
+                        == table[c * size + b] == table[b * size + c]):
                     raise AxiomViolation(
                         "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                     )
-    # distinct rows in the order of their least a
-    subgroups = {}
-    for row in dict.fromkeys(rows):
-        basis = subgroups[row] = subgroup_rows(row, scheme.d)
-        if basis is None:
-            raise AxiomViolation("D<1,%d> is not a subgroup" % rows.index(row))
+        raise AxiomViolation("D<1,%d> is not a subgroup"
+                             % next(a for a, row in enumerate(rows) if subgroups[row] is None))
     scheme._validated = True
     return subgroups
 
@@ -405,6 +401,9 @@ _LOWER = [_pack([0 if r >> k & 1 else ((1 << _BLOCK) - 1) ^ keep
 _WITHIN = [keep * _pack([1] * _BLOCK) for keep in _KEEP]
 _ACROSS = [_pack([((1 << _BLOCK) - 1) * (keep >> y & 1) for y in range(_BLOCK)])
            for keep in _KEEP]
+# _OWN[k]: _KEEP[k] in the blocks whose index has bit k set
+_OWN = [within & (across << (_BLOCK << k))
+        for k, (within, across) in enumerate(zip(_WITHIN, _ACROSS))]
 
 
 def _transpose(packed: int, d: int) -> int:
