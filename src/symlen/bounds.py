@@ -2,10 +2,12 @@
 
 Every bound here is a pure function of the invariant profile of a scheme
 (dimension d, realness, level, Pythagoras number p, the tower sizes q_k,
-the two-element invariants s_m and the quotient dimensions d_m).  The s
-entering the case splits is the Kaplansky exponent with 2^s <= p < 2^{s+1};
-summation limits that depend on the level of a nonreal scheme use the level
-exponent instead.  Exponents in the closed-form stratum caps can be negative
+the two-element invariants s_m and the quotient dimensions d_m), and each
+helper takes the profile and integer indices alone: it reads s, the parity
+of p, the level exponent and realness off the profile.  The s entering the
+case splits is the Kaplansky exponent with 2^s <= p < 2^{s+1}; summation
+limits that depend on the level of a nonreal scheme use the level exponent
+instead.  Exponents in the closed-form stratum caps can be negative
 on small profiles, so a sum of powers of two is floored once at the end,
 exactly, by carrying from the smallest exponent up.
 
@@ -72,16 +74,12 @@ def floor_pow2_sum(exponents: list[int]) -> int:
     return carry + sum(1 << e for e in exponents if e >= 0)
 
 
-def _sm_exponent(m: int, is_real: bool, level_exponent) -> int:
+def _sm_exponent(profile, m: int) -> int:
     """log2 of the index of D(2^m) in its plus-minus closure."""
-    if is_real:
-        return 1
-    if level_exponent is None:
-        raise InvalidCase("nonreal case needs the level exponent")
-    return 1 if m < level_exponent else 0
+    return 1 if profile.is_real or m < profile.level_exponent else 0
 
 
-def bound_dm_estimate(d, s, m, is_real, p_equals_power=None, level_exponent=None):
+def dm_estimate_for_profile(profile, m: int) -> int:
     """Case-split upper bound for d_m from the square-sum tower sizes.
 
     The drop through degree m is sum_{k<=m}(s+1-k) = m(2s-m+1)/2 plus the
@@ -89,28 +87,13 @@ def bound_dm_estimate(d, s, m, is_real, p_equals_power=None, level_exponent=None
     whose Pythagoras number is not a power of two gains one further factor
     of two at degree s+1.  The nonreal value for m > s is exactly 0.
     """
-    if d < 0 or s < 0 or m < 0:
-        raise InvalidCase("arguments must be nonnegative: d=%r s=%r m=%r" % (d, s, m))
-    if m <= s:
-        return d - m * (2 * s - m + 1) // 2 - _sm_exponent(m, is_real, level_exponent)
-    if not is_real:
-        return 0
-    if p_equals_power is None:
-        raise InvalidCase("real case with m > s needs to know if p is a power of two")
-    return d - s * (s + 1) // 2 - (1 if p_equals_power else 2)
-
-
-def dm_estimate_for_profile(profile, m: int) -> int:
-    """bound_dm_estimate on the invariants of a profile."""
     p = profile.pythagoras
-    return bound_dm_estimate(
-        profile.d,
-        kaplansky_s(p),
-        m,
-        profile.is_real,
-        p_equals_power=(p & (p - 1) == 0),
-        level_exponent=profile.level_exponent,
-    )
+    s = kaplansky_s(p)
+    if m <= s:
+        return profile.d - m * (2 * s - m + 1) // 2 - _sm_exponent(profile, m)
+    if not profile.is_real:
+        return 0
+    return profile.d - s * (s + 1) // 2 - (1 if p & (p - 1) == 0 else 2)
 
 
 def bound_strata_count(profile, n: int, m: int) -> int:
@@ -128,7 +111,7 @@ def bound_strata_count(profile, n: int, m: int) -> int:
         raise InvalidCase("stratum index %d outside [0, %d]" % (m, n))
     if not profile.is_real and m > profile.level_exponent:
         return 0
-    codim = profile.d_m(m) + _sm_exponent(m, profile.is_real, profile.level_exponent)
+    codim = profile.d_m(m) + _sm_exponent(profile, m)
     return floor_pow2_sum([(n - m) * (codim - n + m + 1)])
 
 
@@ -144,36 +127,30 @@ def bound_sl_exponential(profile, n: int) -> int:
                            for m in range(top + 1)])
 
 
-def linked_stratum_cap(d, d_m, n, m, is_real, s, use_exact_subspace_count=False):
-    """Stratum contribution to the linkage-based bound.
+def bound_sl_linked(profile, n: int, use_exact_subspace_count=False) -> int:
+    """Symbol length bound from linkage, one summand per stratum.
 
     Any two distinct stratum-m forms whose slot spans fit in a common
     (n-m+1)-dimensional subspace are linked and merge into one summand, so
     the stratum needs at most one form per such subspace, and each subspace
-    is counted once per (n-m)-dimensional hyperplane of it.
+    is counted once per (n-m)-dimensional hyperplane of it.  A nonreal
+    scheme stops at m = s, as the exponential bound does.
     """
-    if not is_real and m > s:
-        return 0
-    if n - m >= d_m - 1:
-        return 1
-    # d_m <= d, so n - m < d_m - 1 leaves d - n + m >= 2
-    if use_exact_subspace_count:
-        numerator = gaussian_count(d, n - m + 1)
-    else:
-        numerator = 1 << ((n - m + 1) * (d - n + m))
-    return numerator // ((1 << (d - n + m)) - 1)
-
-
-def bound_sl_linked(profile, n: int, use_exact_subspace_count=False) -> int:
-    p = profile.pythagoras
-    s = kaplansky_s(p)
-    return sum(
-        linked_stratum_cap(
-            profile.d, profile.d_m(m), n, m, profile.is_real, s,
-            use_exact_subspace_count,
-        )
-        for m in range(n + 1)
-    )
+    d = profile.d
+    top = n if profile.is_real else min(kaplansky_s(profile.pythagoras), n)
+    total = 0
+    for m in range(top + 1):
+        if n - m >= profile.d_m(m) - 1:
+            total += 1
+            continue
+        # d_m <= d, so n - m < d_m - 1 leaves k = d - n + m >= 2
+        k = d - n + m
+        if use_exact_subspace_count:
+            numerator = gaussian_count(d, n - m + 1)
+        else:
+            numerator = 1 << ((n - m + 1) * k)
+        total += numerator // ((1 << k) - 1)
+    return total
 
 
 def _comb0(a: int, b: int) -> int:
@@ -223,8 +200,8 @@ def split_basis_term(d_m: int, j: int) -> int:
 
 
 def bound_sl_split_basis(profile, n: int) -> int:
-    top = n - 1 if profile.is_real else min(profile.level_exponent, n - 1)
-    return sum(split_basis_term(profile.d_m(m), n - m - 1) for m in range(top + 1))
+    return sum(split_basis_term(profile.d_m(m), n - m - 1)
+               for m in range(_nonreal_top(profile, n - 1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +240,7 @@ class RationalPolynomial(NamedTuple):
         )
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        width = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial.make(
-            self.coefficient(i) - other.coefficient(i) for i in range(width)
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):

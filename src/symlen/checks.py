@@ -114,7 +114,7 @@ def check_invariant_formulas(max_d: int = 4) -> dict:
         prof = s.invariants()
         for m in range(prof.stabilization + 2):
             sm = prof.s_m(m)
-            expected_sm = 2 if _sm_exponent(m, prof.is_real, prof.level_exponent) else 1
+            expected_sm = 2 if _sm_exponent(prof, m) else 1
             if sm != expected_sm:
                 mismatches.append([label, m, "s_m", sm, expected_sm])
             acc = prof.d - (sm.bit_length() - 1)
@@ -122,7 +122,7 @@ def check_invariant_formulas(max_d: int = 4) -> dict:
                 acc -= prof.q_m(i).bit_length() - 1
             if prof.d_m(m) != acc:
                 mismatches.append([label, m, "d_m", prof.d_m(m), acc])
-        if not prof.is_real and prof.level_exponent is not None:
+        if not prof.is_real:
             sig = prof.level_exponent
             for k in range(1, sig + 1):
                 if prof.q_m(k) < (1 << (sig + 1 - k)):
@@ -367,8 +367,7 @@ def check_rigid_strata_bijection(max_k: int = 4, max_n: int = 3) -> dict:
         for n in range(2, max_n + 1):
             counts = strata_counts(kn_space(s, n).classes().values(), n)
             for m in range(n + 1):
-                dead = (not prof.is_real and prof.level_exponent is not None
-                        and m > prof.level_exponent)
+                dead = not prof.is_real and m > prof.level_exponent
                 expected = 0 if dead else gaussian_count(prof.d_m(m), n - m)
                 if counts[m] != expected:
                     mismatches.append([k, n, m, counts[m], expected])

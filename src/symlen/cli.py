@@ -275,20 +275,7 @@ def cmd_invariants(args: argparse.Namespace) -> tuple[dict, int]:
     """Print the invariant profile of a scheme."""
     name, scheme = load_scheme(args)
     prof = scheme.invariants()
-    payload = {
-        "scheme": name,
-        "d": prof.d,
-        "is_real": prof.is_real,
-        "level_exponent": prof.level_exponent,
-        "level": prof.level,
-        "pythagoras": prof.pythagoras,
-        "stabilization": prof.stabilization,
-        "q": list(prof.q),
-        "s_seq": list(prof.s_seq),
-        "d_seq": list(prof.d_seq),
-        "chain": list(prof.chain),
-    }
-    return payload, EXIT_OK
+    return dict(prof._asdict(), scheme=name, level=prof.level), EXIT_OK
 
 
 def cmd_sl(args: argparse.Namespace) -> tuple[dict, int]:

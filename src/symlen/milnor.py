@@ -23,10 +23,9 @@ its relations are R_{n-1} (x) G plus the split 2-tensors in the last slot
 pair (the same span).  As R_{n-1} (x) G lies in R_n, x (x) v has a
 bilinear class mu_n(x, v) for x in k_{n-1} and v in G, so k_n is
 k_{n-1} (x) G modulo x (x) s for the basis vectors x of k_{n-2} and the
-split pairs s, rows read off the table of degree n - 1 and reduced once
-(at n = 2 they are the split pairs, already reduced).  Degree n keeps
-mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every v:
-dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
+split pairs s, rows read off the table of degree n - 1 and reduced once.
+Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
+v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
 <<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2.
 An anisotropic n-fold Pfister form is determined up to isometry by its
 image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
@@ -141,9 +140,9 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the split pair
     s, the sum of a_b (x) e_b, x (x) s is mu_{n-1}(x, a_b) in block b; at
-    n = 2, x is 1 in k_0 and the rows are the split pairs themselves,
-    already reduced.  Reducing modulo R_{n-1} (x) G first keeps every
-    pivot, and column i * dim k_{n-1} + j maps in order to
+    n = 2, x is 1 in k_0 and the rows are the split pairs themselves, which
+    rref_ints returns unchanged.  Reducing modulo R_{n-1} (x) G first keeps
+    every pivot, and column i * dim k_{n-1} + j maps in order to
     f_j + i * d^(n-1), the tensor column of rep(e_j) (x) e_i: the free
     columns are those of the reduction over d^n columns.  The image of a
     free column is its coordinate, and that of a pivot the XOR of the
@@ -151,30 +150,27 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     """
     d = scheme.d
     width = lower.dim
-    if n == 2:
-        rows = split_pair_basis(scheme)
-    else:
-        # each split pair as its nonzero (a_b, b * width), d bits at a time
-        mask = scheme.size - 1
-        chunks = []
-        for s in split_pair_basis(scheme):
-            pair = []
-            shift = 0
-            while s:
-                if s & mask:
-                    pair.append((s & mask, shift))
-                s >>= d
-                shift += width
-            chunks.append(pair)
-        # x (x) s for each basis vector x, whose row of lower._mul is m
-        rows = []
-        for m in lower._mul:
-            for pair in chunks:
-                y = 0
-                for a, shift in pair:
-                    y |= m[a] << shift
-                rows.append(y)
-        rows = rref_ints(rows)
+    # each split pair as its nonzero (a_b, b * width), d bits at a time
+    mask = scheme.size - 1
+    chunks = []
+    for s in split_pair_basis(scheme):
+        pair = []
+        shift = 0
+        while s:
+            if s & mask:
+                pair.append((s & mask, shift))
+            s >>= d
+            shift += width
+        chunks.append(pair)
+    # x (x) s for each basis vector x, whose row of lower._mul is m
+    rows = []
+    for m in lower._mul:
+        for pair in chunks:
+            y = 0
+            for a, shift in pair:
+                y |= m[a] << shift
+            rows.append(y)
+    rows = rref_ints(rows)
     pivots = 0
     for r in rows:
         pivots |= 1 << (r.bit_length() - 1)

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
-from symlen.bounds import _sm_exponent, floor_pow2_sum, kaplansky_s
+from symlen.bounds import floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
@@ -552,11 +552,11 @@ def exponential_bound_by_cases(profile, n: int) -> int:
     exponents = []
     if s > n:
         for m in range(n + 1):
-            sm = _sm_exponent(m, profile.is_real, sigma)
+            sm = 1 if profile.is_real or m < sigma else 0
             exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
     elif not profile.is_real:
         for m in range(s):
-            sm = _sm_exponent(m, False, sigma)
+            sm = 1 if m < sigma else 0
             exponents.append(_stratum_cap_exponent(d, s, n, m, sm))
         exponents.append((n - s) * (d - s * (s - 1) // 2 - n + 1))
     else:

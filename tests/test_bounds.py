@@ -16,7 +16,6 @@ from symlen.bounds import (
     BOUND_NOTES,
     RationalPolynomial,
     binom_poly,
-    bound_dm_estimate,
     bound_sl_binomial,
     bound_sl_exponential,
     bound_sl_linked,
@@ -65,26 +64,21 @@ def test_kaplansky_s_frozen():
 
 
 def test_dm_estimate_cases_frozen():
+    def estimate(d, is_real, level_exponent, pythagoras, m):
+        profile = FakeProfile(d, is_real, level_exponent, pythagoras, (d,))
+        return dm_estimate_for_profile(profile, m)
+
     # below the stationary range, with the level-aware two-element term
-    assert bound_dm_estimate(20, 3, 1, False, level_exponent=3) == 16
-    assert bound_dm_estimate(20, 3, 1, True) == 16
+    assert estimate(20, False, 3, 8, 1) == 16
+    assert estimate(20, True, None, 8, 1) == 16
     # at the stationary index
-    assert bound_dm_estimate(2, 1, 1, False, level_exponent=1) == 1
-    assert bound_dm_estimate(2, 1, 1, True) == 0
+    assert estimate(2, False, 1, 2, 1) == 1
+    assert estimate(2, True, None, 2, 1) == 0
     # nonreal beyond the level is exactly zero
-    assert bound_dm_estimate(5, 1, 2, False, level_exponent=1) == 0
+    assert estimate(5, False, 1, 2, 2) == 0
     # real beyond the stationary index, by pythagoras parity
-    assert bound_dm_estimate(3, 1, 2, True, p_equals_power=True) == 1
-    assert bound_dm_estimate(3, 1, 2, True, p_equals_power=False) == 0
-
-
-def test_dm_estimate_errors():
-    with pytest.raises(InvalidCase):
-        bound_dm_estimate(-1, 0, 0, True)
-    with pytest.raises(InvalidCase):
-        bound_dm_estimate(3, 1, 2, True)
-    with pytest.raises(InvalidCase):
-        bound_dm_estimate(3, 1, 0, False)
+    assert estimate(3, True, None, 2, 2) == 1
+    assert estimate(3, True, None, 3, 2) == 0
 
 
 def test_dm_estimate_dominates_family():

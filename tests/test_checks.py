@@ -70,7 +70,7 @@ def test_invariant_formulas_catch_a_wrong_dm_estimate(monkeypatch):
         s = bounds.kaplansky_s(profile.pythagoras)
         if m > s:
             return bounds.dm_estimate_for_profile(profile, m)
-        sm = bounds._sm_exponent(m, profile.is_real, profile.level_exponent)
+        sm = bounds._sm_exponent(profile, m)
         return profile.d - m * (2 * s + m + 3) // 2 - sm
 
     assert checks.check_invariant_formulas(max_d=3)["passed"]
