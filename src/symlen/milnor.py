@@ -34,9 +34,11 @@ decomposition search).  One walk of the sorted slot prefixes, keeping the
 least prefix of each nonzero image, reaches them all: they are the pure
 symbols.  Each degree is walked once, on the first read of its pure
 symbols, class map or search, after the degrees below it: the walk reads
-its rows off one table, and keeps, per image, the image of its least
-tuple's prefix one degree down and the last slot; a class's least slot
-tuple is read off these links.  kn_space is the one builder: it keeps the
+its rows off one table, and keeps three flat sequences in least-tuple
+order: the images (a tuple), their least tuples' last slots (bytes), and
+the positions of those tuples' prefixes among the images one degree down
+(an array of unsigned ints).  A class's least slot tuple is read off
+these, from its position down.  kn_space is the one builder: it keeps the
 degrees 1, 2, ... in one list on the scheme and appends the missing ones
 in order, so the tensor cap bounds n as well as d^n.
 
@@ -68,6 +70,7 @@ pfister_classes, and importing it loads no scheme module.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegreeMismatch, TooLarge, VerificationFailure
@@ -224,7 +227,9 @@ class SymbolAlgebra:
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._pure: tuple[int, ...] | None = None
         self._layers: list[int] | None = None
-        self._link_map: dict[int, tuple[int, int]] | None = None
+        self._images: tuple[int, ...] | None = None
+        self._last: bytes | None = None
+        self._prefix: array | None = None
         self._bases: list[tuple[int, ...]] | None = None
 
     def __repr__(self):
@@ -292,35 +297,40 @@ class SymbolAlgebra:
             self._pure = tuple(sorted(self._walked()[0]))
         return self._pure
 
-    def _walked(self) -> tuple[dict[int, tuple[int, int]], list[tuple[int, ...]]]:
-        """This degree's link map and head bases.  The first read walks the
+    def _walked(self) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        """This degree's images and head bases.  The first read walks the
         degrees from the highest one walked below up to this one, in a loop."""
-        if self._link_map is None:
+        if self._images is None:
             todo = []
             alg = self
-            while alg is not None and alg._link_map is None:
+            while alg is not None and alg._images is None:
                 todo.append(alg)
                 alg = alg.lower
             # k_0: the empty tuple has image 1, and its extensions start at 0
-            links = {1: (0, 0)} if alg is None else alg._link_map
+            below = ((1,), b"\0") if alg is None else (alg._images, alg._last)
             for alg in reversed(todo):
-                alg._link_map, alg._bases = alg._walk(links)
-                links = alg._link_map
-        return self._link_map, self._bases
+                alg._images, alg._last, alg._prefix, alg._bases = alg._walk(below)
+                below = (alg._images, alg._last)
+        return self._images, self._bases
 
-    def _walk(self, links: dict[int, tuple[int, int]]
-              ) -> tuple[dict[int, tuple[int, int]], list[tuple[int, ...]]]:
-        """This degree's link map and head bases, from the links one degree
-        down: each least prefix x extended in order by every slot from its
-        last one up.  A prefix P that is not the least P' of its image is
-        not needed: P + (e) has the image of sorted(P' + (e)).
+    def _walk(self, below: tuple[tuple[int, ...], bytes]
+              ) -> tuple[tuple[int, ...], bytes, array, list[tuple[int, ...]]]:
+        """This degree's images, last slots, prefix positions and head
+        bases, from the images and last slots one degree down: each least
+        prefix x extended in order by every slot from its last one up.  A
+        prefix P that is not the least P' of its image is not needed:
+        P + (e) has the image of sorted(P' + (e)).
 
-        The link map takes each nonzero image to (image of its least slot
-        tuple's prefix one degree down, its last slot), in least-tuple
-        order.  Row x, mu_n(x, v) over v, is the entry at the low bits of x
-        of a table of the XORs of the first min(d, dim k_{n-1}) rows of
-        _mul, XOR the rows at its other bits.  A head is an x whose row
-        adds an image; its basis is its nonzero unit images row[e_i].
+        The nonzero images come in least-tuple order; the one at position k
+        has its least slot tuple's last slot at last[k], and the image of
+        that tuple's prefix at position prefix[k] of the images one degree
+        down.  A slot is below 2^d <= 64, so it fits a byte.  The dict of
+        each image's last slot and the list of prefix positions live only
+        while the walk runs.  Row x, mu_n(x, v) over v, is the entry at the
+        low bits of x of a table of the XORs of the first min(d, dim
+        k_{n-1}) rows of _mul, XOR the rows at its other bits.  A head is
+        an x whose row adds an image; its basis is its nonzero unit images
+        row[e_i].
         """
         d, size, eps = self.scheme.d, self.scheme.size, self.scheme.eps
         mul = self._mul
@@ -328,44 +338,53 @@ class SymbolAlgebra:
         table = [[0] * size]
         for m in mul[:low]:
             table += [m] + [[a ^ b for a, b in zip(r, m)] for r in table[1:]]
-        nxt: dict[int, tuple[int, int]] = {}
+        last: dict[int, int] = {}
+        prefix = []
         bases = []
         mask = (1 << low) - 1
-        for x, (_, last) in links.items():
+        images, slots = below
+        for k in range(len(images)):
+            x = images[k]
             row = table[x & mask]
             if x > mask:
                 for j in iter_bits(x >> low):
                     row = [a ^ b for a, b in zip(row, mul[low + j])]
-            known = len(nxt)
-            for c in range(last, size):
+            known = len(last)
+            for c in range(slots[k], size):
                 image = row[c ^ eps]
-                if image and image not in nxt:
-                    nxt[image] = (x, c)
-            if len(nxt) > known:
+                if image and image not in last:
+                    last[image] = c
+            if len(last) > known:
+                prefix += [k] * (len(last) - known)
                 bases.append(tuple([row[1 << i] for i in range(d) if row[1 << i]]))
-        return nxt, bases
+        return tuple(last), bytes(last.values()), array("I", prefix), bases
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Map of each nonzero image to its lexicographically least sorted
         slot tuple, in the order of those tuples.
 
-        Each tuple is read off the link maps of degrees n down to 1, and
-        the map is kept for this degree only.  Sorted tuples with more
+        Each tuple is read off the last slots of degrees n down to 1, each
+        degree's prefix position naming the entry to read one degree down,
+        and the map is kept for this degree only.  Sorted tuples with more
         leading 1 slots come first, so a class's least tuple also has the
         most.
         """
         if self._classes is None:
             # walking this degree walks the ones below
-            maps = [self._walked()[0]]
-            maps += [alg._link_map for alg in reversed(self.scheme._kn[:self.n - 1])]
+            images = self._walked()[0]
+            chain = []
+            alg = self
+            while alg is not None:
+                chain.append((alg._last, alg._prefix))
+                alg = alg.lower
             least = {}
-            for image in maps[0]:
+            for k, image in enumerate(images):
                 slots = []
-                x = image
-                for links in maps:
-                    x, c = links[x]
-                    slots.append(c)
-                least[image] = tuple(reversed(slots))
+                for last, prefix in chain:
+                    slots.append(last[k])
+                    k = prefix[k]
+                slots.reverse()
+                least[image] = tuple(slots)
             self._classes = least
         return self._classes
 

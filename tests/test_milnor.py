@@ -1,9 +1,11 @@
 """Tests for the symbol algebra: k_n dimensions, images, symbol lengths."""
 
+import gc
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -425,11 +427,22 @@ def test_pure_symbols_match_gray_oracle():
         assert alg.pure_symbols() == gray_pure_symbols(alg), alg
 
 
+def walk_triples(alg):
+    """(image, prefix image, last slot) of each class of the walk of alg,
+    in walk order: the prefix image is the entry of the images one degree
+    down (1 alone in k_0) at the class's prefix position."""
+    images = alg._walked()[0]
+    below = (1,) if alg.lower is None else alg.lower._walked()[0]
+    return [(image, below[k], c)
+            for image, k, c in zip(images, alg._prefix, alg._last, strict=True)]
+
+
 def test_walk_matches_row_oracle():
-    # the table walk against a row per key: the same link maps, items and
-    # order, at every degree up to 3, and the recorded head bases equal to
-    # those derived from the tables, whether k_3 is read first, walking k_1
-    # and k_2 on its way up, or k_1 is, walking no degree above its own
+    # the table walk against a row per key: the same (image, prefix image,
+    # last slot) triples, in order, as the oracle's link map items at every
+    # degree up to 3, and the recorded head bases equal to those derived
+    # from the tables, whether k_3 is read first, walking k_1 and k_2 on
+    # its way up, or k_1 is, walking no degree above its own
     schemes = [s for _, s in standard_library(4)]
     schemes += [build_from_text(expr) for expr in (LAURENT5_RC, rigid_label(6))]
     for s in schemes:
@@ -439,13 +452,13 @@ def test_walk_matches_row_oracle():
         kn_space(bottom_first, 3)
         for n in (1, 2, 3):
             bottom_first._kn[n - 1]._walked()
-            assert [low._link_map is not None for low in bottom_first._kn] == [
+            assert [low._images is not None for low in bottom_first._kn] == [
                 k <= n for k in (1, 2, 3)], (s, n)
         for chain in (top_first._kn, bottom_first._kn):
             for low, oracle in zip(chain, row_walk_links(chain[-1])):
-                links, bases = low._walked()
-                assert list(links.items()) == list(oracle.items()), low
-                assert bases == derived_head_bases(low, oracle), low
+                assert walk_triples(low) == [
+                    (image, x, c) for image, (x, c) in oracle.items()], low
+                assert low._walked()[1] == derived_head_bases(low, oracle), low
 
 
 def test_layers_match_dict_bfs():
@@ -543,8 +556,8 @@ def test_head_bases_derived_once_per_search(monkeypatch):
     dim, generators, bases = calls[0]
     assert (dim, generators) == (alg.dim, alg.pure_symbols())
     assert bases is alg._bases
-    heads = dict.fromkeys(x for x, _ in alg._link_map.values())
-    assert len(bases) == len(heads)
+    # the heads are the distinct prefixes
+    assert len(bases) == len(set(alg._prefix))
 
 
 def test_bfs_swap_count(monkeypatch):
@@ -760,12 +773,12 @@ def test_every_degree_walked_once_on_first_read(monkeypatch):
         s = fresh_scheme(label)
         alg = kn_space(s, 3)
         assert walked == [], label
-        assert all(low._link_map is None for low in s._kn), label
+        assert all(low._images is None for low in s._kn), label
         alg.classes()
         chain = list(s._kn)
         assert walked == chain, label
         for low in chain:
-            assert len(low._bases) <= len(low._link_map), low
+            assert len(low._bases) <= len(low._images), low
         sl_field(s, 2)
         sl_field(s, 3)
         pfister_classes(s, 2)
@@ -773,6 +786,28 @@ def test_every_degree_walked_once_on_first_read(monkeypatch):
         run_decomposition(s, make_sum(s, 3, [(1, 2, 3), (0, 1, 3)]))
         assert walked == chain, label
         walked.clear()
+
+
+def test_walk_keeps_under_80_bytes_per_class():
+    # the walk keeps, per class, its image, last slot and prefix position,
+    # and per head a basis: under tracemalloc, what walking k_1..k_n of a
+    # fresh tower leaves allocated, over the classes of all n degrees (a
+    # dict of per-class (prefix image, last slot) tuples kept 139 and 144)
+    for label, n in ((LAURENT5_RC, 2), (rigid_label(6), 3)):
+        s = fresh_scheme(label)
+        alg = kn_space(s, n)
+        tracemalloc.start()
+        try:
+            # a full collection empties the free lists, so that a tuple the
+            # walk keeps is allocated where tracemalloc sees it
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            alg._walked()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        classes = sum(len(low._walked()[0]) for low in s._kn)
+        assert kept < 80 * classes, (label, n, kept / classes)
 
 
 def test_degree_above_tensor_cap_refused(monkeypatch):
