@@ -792,7 +792,7 @@ def test_walk_keeps_under_80_bytes_per_class():
     # the walk keeps, per class, its image, last slot and prefix position,
     # and per head a basis: under tracemalloc, what walking k_1..k_n of a
     # fresh tower leaves allocated, over the classes of all n degrees (a
-    # dict of per-class (prefix image, last slot) tuples kept 139 and 144)
+    # dict of per-class (prefix image, last slot) tuples kept 143 and 146)
     for label, n in ((LAURENT5_RC, 2), (rigid_label(6), 3)):
         s = fresh_scheme(label)
         alg = kn_space(s, n)

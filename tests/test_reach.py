@@ -274,10 +274,10 @@ def test_every_import_is_read():
     # reason left to be listed
     stale = []
     for entry, importer in REEXPORTED.items():
-        path, name = entry.split(":")
+        module, name = entry.split(":")
         tree = ast.parse((SRC.parent / importer).read_text())
         if not any(isinstance(node, ast.ImportFrom)
-                   and node.module == "symlen." + path.removesuffix(".py")
+                   and node.module == "symlen." + module.removesuffix(".py")
                    and name in (alias.name for alias in node.names)
                    for node in ast.walk(tree)):
             stale.append(entry)
