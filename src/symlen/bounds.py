@@ -275,18 +275,16 @@ def poly_affine(p: RationalPolynomial, a, b) -> RationalPolynomial:
     return out
 
 
-def poly_binom_sum(n: int, m: int):
+def poly_binom_sum(j: int):
     """The two split-basis stratum counts as exact polynomials.
 
-    With j = n - m - 1, returns sum_r C(X,2r) C(X,j-2r) and
-    sum_r C(X,2r) C(X+1,j-2r).  Both have degree at most j; for j >= 1 the
-    coefficient of X^j is at most 2^j / (2 j!).  The j = 0 sums are the
-    constant 1, which exceeds the half bound, so that edge is exempt from
-    the leading-coefficient check.
+    Returns sum_r C(X,2r) C(X,j-2r) and sum_r C(X,2r) C(X+1,j-2r).  Both
+    have degree at most j; for j >= 1 the coefficient of X^j is at most
+    2^j / (2 j!).  The j = 0 sums are the constant 1, which exceeds the
+    half bound, so that edge is exempt from the leading-coefficient check.
     """
-    j = n - m - 1
     if j < 0:
-        raise InvalidCase("need n - m - 1 >= 0, got n=%d m=%d" % (n, m))
+        raise InvalidCase("need j >= 0, got j=%d" % j)
     plain = RationalPolynomial.make([0])
     shifted = RationalPolynomial.make([0])
     for r in range(j // 2 + 1):
@@ -297,12 +295,12 @@ def poly_binom_sum(n: int, m: int):
     for poly in (plain, shifted):
         if poly.degree > j:
             raise LemmaViolation(
-                "degree %d exceeds %d for n=%d m=%d" % (poly.degree, j, n, m)
+                "degree %d exceeds j=%d" % (poly.degree, j)
             )
         if j >= 1 and poly.coefficient(j) > cap:
             raise LemmaViolation(
-                "leading coefficient %s exceeds %s for n=%d m=%d"
-                % (poly.coefficient(j), cap, n, m)
+                "leading coefficient %s exceeds %s for j=%d"
+                % (poly.coefficient(j), cap, j)
             )
     return plain, shifted
 
@@ -321,7 +319,7 @@ def bound_sl_polynomial(d0: int, n: int):
         raise InvalidCase("d0 must be nonnegative, got %d" % d0)
     total = RationalPolynomial.make([0])
     for j in range(n):
-        plain, shifted = poly_binom_sum(j + 1, 0)
+        plain, shifted = poly_binom_sum(j)
         if d0 % 2 == 0:
             total = total + poly_affine(plain, Fraction(1, 2), 0)
         else:

@@ -34,7 +34,7 @@ from .errors import (
     VerificationFailure,
 )
 from .f2space import count_upper_bound, gaussian_count, iter_bits, mask_to_str, rank_ints
-from .milnor import SymbolVector, kn_space, sl_field
+from .milnor import kn_space, sl_field
 from .scheme import SCHEME_DIM_CAP, pfister_classes, subgroup_rows, translate
 
 
@@ -196,7 +196,10 @@ def check_rigid_oracle_agreement(max_k: int = 5) -> dict:
             mismatches.append([k, "pair images are not a basis"])
             continue
         # the pair images are a basis: each element x is their sum over the
-        # bits of one mask t, whose matrix has the pairs at those bits
+        # bits of one mask t, whose matrix has the pairs at those bits; its
+        # search length is the index of the layer holding it
+        length = {x: k for k, layer in enumerate(alg.layers())
+                  for x in iter_bits(layer)}
         for t in range(1 << alg.dim):
             x = 0
             mat = [0] * k
@@ -206,7 +209,7 @@ def check_rigid_oracle_agreement(max_k: int = 5) -> dict:
                 mat[i] |= 1 << j
                 mat[j] |= 1 << i
             r = rank_ints(mat)
-            bfs = alg.symbol_length(SymbolVector(x, alg.dim))
+            bfs = length[x]
             if r % 2 or bfs != r // 2:
                 mismatches.append([k, x, "rank", r, "bfs", bfs])
         best, _ = sl_field(s, 2)
@@ -256,7 +259,7 @@ def check_polynomial_lemma(max_j: int = 10) -> dict:
     failures = []
     for j in range(max_j + 1):
         try:
-            plain, shifted = poly_binom_sum(j + 1, 0)
+            plain, shifted = poly_binom_sum(j)
         except (LemmaViolation, DegreeViolation) as exc:
             failures.append([j, str(exc)])
             continue

@@ -55,7 +55,8 @@ over the heads of the ball of radius k - 1 saturated by W_x,
 S |= translate(S, w) per unit image w.
 A pass keeps only the classes not yet reached, and stops as soon as its
 saturations cover them all; the search ends when every class is reached.
-cayley_layers runs it on plain data and reads no scheme.
+cayley_layers runs it on plain data and reads no scheme.  A degree keeps
+its answer, sl and the least witness, and not its layers.
 
 Tensors are int bitmasks over d^n coordinates; the flat index of the basis
 tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
@@ -225,8 +226,7 @@ class SymbolAlgebra:
         self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
         self._classes: dict[int, tuple[int, ...]] | None = None
-        self._pure: tuple[int, ...] | None = None
-        self._layers: list[int] | None = None
+        self._max: tuple[int, SymbolVector] | None = None
         self._images: tuple[int, ...] | None = None
         self._last: bytes | None = None
         self._prefix: array | None = None
@@ -292,10 +292,8 @@ class SymbolAlgebra:
 
     def pure_symbols(self) -> tuple[int, ...]:
         """Sorted coords of the distinct nonzero pure symbols: the images
-        the class walk reaches."""
-        if self._pure is None:
-            self._pure = tuple(sorted(self._walked()[0]))
-        return self._pure
+        the class walk reaches, sorted on each call."""
+        return tuple(sorted(self._walked()[0]))
 
     def _walked(self) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
         """This degree's images and head bases.  The first read walks the
@@ -388,39 +386,27 @@ class SymbolAlgebra:
             self._classes = least
         return self._classes
 
-    def _bfs_layers(self, cap: int) -> list[int]:
-        """Layer k of the pure-symbol Cayley graph, as a bitset, at index k.
-
-        The cap is checked on every call, so that a search refused on a
-        cold cache is refused identically on a warm one.  The layers are
-        memoized, and one algebra serves every label of the table, so the
-        search, and its read of layer 1, the pure symbols, runs once per
-        (table, n).  cayley_layers saturates by the head bases that the
-        class walk records, read through _walked like the pure symbols."""
+    def layers(self, cap: int = DEFAULT_SL_CAP) -> list[int]:
+        """Layer k of the pure-symbol Cayley graph, as a bitset, at index k:
+        cayley_layers on the pure symbols and the walk's head bases, after
+        the cap check.  Nothing is memoized."""
         if (1 << self.dim) > cap:
             raise TooLarge(
                 "k_n has 2^%d elements, enumeration cap is %d" % (self.dim, cap)
             )
-        if self._layers is None:
-            self._layers = cayley_layers(self.dim, self.pure_symbols(), self._walked()[1])
-        return self._layers
-
-    def symbol_length(self, x: SymbolVector) -> int:
-        if x.dim != self.dim:
-            raise DegreeMismatch(
-                "element dimension %d does not match algebra dimension %d"
-                % (x.dim, self.dim)
-            )
-        layers = self._bfs_layers(DEFAULT_SL_CAP)
-        return next(k for k, layer in enumerate(layers)
-                    if (layer >> x.coords) & 1)
+        return cayley_layers(self.dim, self.pure_symbols(), self._walked()[1])
 
     def max_symbol_length(self, cap: int = DEFAULT_SL_CAP) -> tuple[int, SymbolVector]:
-        """Largest symbol length over k_n and the least witness attaining it."""
-        layers = self._bfs_layers(cap)
-        last = layers[-1]
-        witness = (last & -last).bit_length() - 1
-        return len(layers) - 1, SymbolVector(witness, self.dim)
+        """Largest symbol length over k_n and the least witness attaining it,
+        memoized: one search per (table, n), as one algebra serves every
+        label of the table.  The cap is checked on every call, so that a
+        search refused on a cold cache is refused identically on a warm one."""
+        if self._max is None or (1 << self.dim) > cap:  # past the cap, layers raises
+            layers = self.layers(cap)
+            last = layers[-1]
+            witness = (last & -last).bit_length() - 1
+            self._max = len(layers) - 1, SymbolVector(witness, self.dim)
+        return self._max
 
 
 def cayley_layers(dim: int, generators, bases) -> list[int]:

@@ -602,7 +602,7 @@ def dict_bfs_max_length(algebra):
 def bfs_layers_by_full_passes(algebra):
     """The bitset layers with every translate pass run to its end.
 
-    The reference for SymbolAlgebra._bfs_layers: each pass walks every
+    The reference for SymbolAlgebra.layers: each pass walks every
     shift and is cut to the unreached classes afterwards, and the search
     stops at the first empty pass.
     """

@@ -251,18 +251,18 @@ def test_rational_polynomial_basics():
 
 
 def test_poly_binom_sum_frozen():
-    plain0, shifted0 = poly_binom_sum(1, 0)
+    plain0, shifted0 = poly_binom_sum(0)
     assert plain0.coeffs == (1,) and shifted0.coeffs == (1,)
-    plain2, shifted2 = poly_binom_sum(3, 0)
+    plain2, shifted2 = poly_binom_sum(2)
     assert plain2.coeffs == (0, -1, 1)  # 2 C(X,2) = X^2 - X
     assert shifted2.coeffs == (0, 0, 1)  # C(X+1,2) + C(X,2) = X^2
     with pytest.raises(InvalidCase):
-        poly_binom_sum(2, 2)
+        poly_binom_sum(-1)
 
 
 def test_poly_binom_sum_claims_hold_through_ten():
     for j in range(11):
-        plain, shifted = poly_binom_sum(j + 1, 0)
+        plain, shifted = poly_binom_sum(j)
         cap = Fraction(2 ** j, 2 * math.factorial(j))
         for poly in (plain, shifted):
             assert poly.degree == (j if j >= 1 else 0)
@@ -275,7 +275,7 @@ def test_poly_binom_sum_claims_hold_through_ten():
 
 def test_poly_binom_sum_matches_integer_sums():
     for j in range(8):
-        plain, shifted = poly_binom_sum(j + 1, 0)
+        plain, shifted = poly_binom_sum(j)
         for k in range(13):
             direct = sum(
                 math.comb(k, 2 * r) * math.comb(k, j - 2 * r)

@@ -161,13 +161,20 @@ def test_bound_dominance_reports_an_exact_length_above_the_bounds(monkeypatch):
 
 def test_rigid_oracle_reports_a_wrong_search_length(monkeypatch):
     # on the 3-fold tower k_2 has the pair images 1, 2, 4: x = 5 is the sum
-    # of two of them, a matrix of rank 2 and symbol length 1
-    symbol_length = SymbolAlgebra.symbol_length
+    # of two of them, a matrix of rank 2 and symbol length 1.  The field
+    # length is memoized first, so only the check's own read of the layers
+    # finds x one layer too far out
+    layers = SymbolAlgebra.layers
+    checks.sl_field(builders.build_from_text(checks.rigid_tower_expr(3)), 2)
 
-    def one_too_many(self, x):
-        return symbol_length(self, x) + (self.dim == 3 and x.coords == 5)
+    def one_too_many(self, *args):
+        out = layers(self, *args)
+        if self.dim == 3:
+            assert (out[1] >> 5) & 1 and len(out) == 2
+            out = [out[0], out[1] ^ (1 << 5), 1 << 5]
+        return out
 
-    monkeypatch.setattr(SymbolAlgebra, "symbol_length", one_too_many)
+    monkeypatch.setattr(SymbolAlgebra, "layers", one_too_many)
     assert checks.check_rigid_oracle_agreement(max_k=3) == {
         "passed": False, "max_k": 3, "towers": [[1, 0, 0], [2, 1, 1], [3, 3, 1]],
         "mismatches": [[3, 5, "rank", 2, "bfs", 2]]}
@@ -191,7 +198,7 @@ def test_rigid_oracle_reports_pair_images_short_of_a_basis(monkeypatch):
         def __init__(self, alg):
             self.alg = alg
             self.dim = alg.dim
-            self.symbol_length = alg.symbol_length
+            self.layers = alg.layers
 
         def image_coords(self, slots):
             return self.alg.image_coords((1, 2))
@@ -206,10 +213,10 @@ def test_rigid_oracle_reports_pair_images_short_of_a_basis(monkeypatch):
 def test_polynomial_lemma_reports_a_violation(monkeypatch):
     poly_binom_sum = checks.poly_binom_sum
 
-    def violated(n, m):
-        if n == 4:
+    def violated(j):
+        if j == 3:
             raise LemmaViolation("leading coefficient too large")
-        return poly_binom_sum(n, m)
+        return poly_binom_sum(j)
 
     monkeypatch.setattr(checks, "poly_binom_sum", violated)
     assert checks.check_polynomial_lemma(max_j=4) == {

@@ -51,7 +51,6 @@ from symlen.decompose import make_sum, run_decomposition
 from symlen.scheme import Scheme, pfister_classes, subgroup_rows
 from symlen import milnor
 from symlen.milnor import (
-    DEFAULT_SL_CAP,
     DEFAULT_TENSOR_CAP,
     SymbolAlgebra,
     SymbolVector,
@@ -70,6 +69,12 @@ def rigid_label(k):
     for _ in range(k):
         out = "laurent(%s)" % out
     return out
+
+
+def search_lengths(alg):
+    """Each element's coords mapped to its symbol length: the index of the
+    layer of alg.layers() that holds it."""
+    return {x: k for k, layer in enumerate(alg.layers()) for x in iter_bits(layer)}
 
 
 def fresh_algebra(s, n):
@@ -298,8 +303,9 @@ def test_sl_rigid_frozen():
     a = SymbolVector(alg.image_coords((1, 2)), alg.dim)
     b = SymbolVector(alg.image_coords((4, 8)), alg.dim)
     x = SymbolVector(a.coords ^ b.coords, alg.dim)
-    assert alg.symbol_length(a) == 1
-    assert alg.symbol_length(x) == 2
+    length = search_lengths(alg)
+    assert length[a.coords] == 1
+    assert length[x.coords] == 2
     assert sl_field(r4, 2) == (2, SymbolVector(12, 6))
     sl3, _ = sl_field(build_from_text(rigid_label(3)), 2)
     assert sl3 == 1
@@ -321,16 +327,18 @@ def test_sl_field_frozen_small():
     for label, n, sl in expected:
         got, witness = sl_field(build_from_text(label), n)
         assert got == sl, (label, n)
-        assert kn_space(build_from_text(label), n).symbol_length(witness) == sl
+        length = search_lengths(kn_space(build_from_text(label), n))
+        assert length[witness.coords] == sl
 
 
 def test_sl_matches_alternating_rank_oracle():
     for k in range(2, 6):
         s = build_from_text(rigid_label(k))
         alg = kn_space(s, 2)
+        length = search_lengths(alg)
         for coords in range(1 << alg.dim):
             x = SymbolVector(coords, alg.dim)
-            assert alg.symbol_length(x) == alternating_rank_sl(alg, x)
+            assert length[coords] == alternating_rank_sl(alg, x)
 
 
 def test_rigid_sl_is_half_dimension():
@@ -356,7 +364,7 @@ def test_sl_bounded_by_pure_symbol_count():
         alg = kn_space(s, 2)
         sl, witness = alg.max_symbol_length()
         assert sl <= max(1, len(alg.pure_symbols()))
-        assert alg.symbol_length(witness) == sl
+        assert search_lengths(alg)[witness.coords] == sl
         if alg.dim == 0:
             assert sl == 0
 
@@ -371,8 +379,6 @@ def test_caps_and_degree_errors():
         kn_space(q3, 0)
     with pytest.raises(DegreeMismatch):
         SymbolVector(4, 2)
-    with pytest.raises(DegreeMismatch):
-        kn_space(q3, 2).symbol_length(SymbolVector(0, 3))
 
 
 def test_project_representative_roundtrip():
@@ -403,8 +409,7 @@ def assert_matches_oracles(alg):
     assert alg.pure_symbols() == tuple_pure_symbols(alg)
     dist = dict_bfs_distances(alg)
     assert len(dist) == 1 << alg.dim
-    for coords, k in dist.items():
-        assert alg.symbol_length(SymbolVector(coords, alg.dim)) == k
+    assert search_lengths(alg) == dist
     best, witness = dict_bfs_max_length(alg)
     assert alg.max_symbol_length() == (best, SymbolVector(witness, alg.dim))
 
@@ -478,7 +483,7 @@ def test_layers_match_full_pass_oracle():
                  for expr in (LAURENT5_RC, rigid_label(6))]
     assert [a.dim for a in algebras[-2:]] == [16, 15]
     for alg in algebras:
-        assert alg._bfs_layers(DEFAULT_SL_CAP) == bfs_layers_by_full_passes(alg), alg
+        assert alg.layers() == bfs_layers_by_full_passes(alg), alg
 
 
 LARGE_KN = Path(__file__).resolve().parents[1] / "perfbench/reference/large-kn.json"
@@ -490,7 +495,7 @@ def test_layers_match_full_pass_oracle_on_large_kn_sample():
     ops = json.loads(LARGE_KN.read_text(encoding="utf-8"))["ops"]
     for op in random.Random(22).sample(ops, 20):
         alg = fresh_algebra(build_from_text(op["scheme"]), op["n"])
-        assert alg._bfs_layers(DEFAULT_SL_CAP) == bfs_layers_by_full_passes(alg), alg
+        assert alg.layers() == bfs_layers_by_full_passes(alg), alg
         sl, witness = alg.max_symbol_length()
         assert (alg.dim, sl, witness.coords) == (
             op["expect"]["dim_kn"], op["expect"]["sl"], op["expect"]["witness"]), alg
@@ -530,7 +535,7 @@ def counted_swaps(monkeypatch):
 def test_bfs_stops_without_an_empty_pass(monkeypatch):
     swaps = counted_swaps(monkeypatch)
     alg = fresh_algebra(build_from_text(LAURENT5_RC), 2)
-    layers = alg._bfs_layers(DEFAULT_SL_CAP)
+    layers = alg.layers()
     assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
     # layer 1 is the generator set; each later layer is at most one pass
     # over the head bases, and the last one stops once it covers the rest
@@ -541,7 +546,8 @@ def test_bfs_stops_without_an_empty_pass(monkeypatch):
 def test_head_bases_derived_once_per_search(monkeypatch):
     # passes 2 and 3 both saturate by the head bases, which the class walk
     # records: one kernel call per search, given the walk's own list, with
-    # one basis per distinct head
+    # one basis per distinct head, and none when the memoized length is
+    # read again
     calls = []
 
     def counted(dim, generators, bases):
@@ -550,8 +556,8 @@ def test_head_bases_derived_once_per_search(monkeypatch):
 
     monkeypatch.setattr(milnor, "cayley_layers", counted)
     alg = fresh_algebra(build_from_text(LAURENT5_RC), 2)
-    assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
-    assert len(alg._bfs_layers(DEFAULT_SL_CAP)) == 4
+    assert alg.max_symbol_length()[0] == 3
+    assert alg.max_symbol_length()[0] == 3
     assert len(calls) == 1
     dim, generators, bases = calls[0]
     assert (dim, generators) == (alg.dim, alg.pure_symbols())
@@ -570,11 +576,9 @@ def test_bfs_swap_count(monkeypatch):
              (rigid_label(6), 2, 186, 405, [1, 651, 18228, 13888]),
              (rigid_label(6), 3, 868, 2576, [1, 1395, 411804, 635376])]
     for expr, n, calls, bits, sizes in cases:
-        # a fresh algebra, so that no earlier search of the shared cache
-        # leaves its layers memoized
-        alg = fresh_algebra(build_from_text(expr), n)
+        alg = kn_space(build_from_text(expr), n)
         swaps.clear()
-        layers = alg._bfs_layers(DEFAULT_SL_CAP)
+        layers = alg.layers()
         assert (len(swaps), sum(swaps)) == (calls, bits), (expr, n)
         assert [layer.bit_count() for layer in layers] == sizes, (expr, n)
 
@@ -808,6 +812,26 @@ def test_walk_keeps_under_80_bytes_per_class():
             tracemalloc.stop()
         classes = sum(len(low._walked()[0]) for low in s._kn)
         assert kept < 80 * classes, (label, n, kept / classes)
+
+
+def test_search_keeps_its_answer_not_its_layers():
+    # after the walk, the search leaves only its (sl, witness) pair
+    # allocated: under tracemalloc, well under one 2^dim-bit layer of the
+    # dim 16 and dim 20 towers (memoizing the layers and the sorted pure
+    # symbols left 32,888 and 430,224 bytes)
+    for label, n in ((LAURENT5_RC, 2), (rigid_label(6), 3)):
+        alg = kn_space(fresh_scheme(label), n)
+        alg._walked()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            sl = alg.max_symbol_length()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert alg.max_symbol_length() is sl
+        assert kept < 1024, (label, n, alg.dim, kept)
 
 
 def test_degree_above_tensor_cap_refused(monkeypatch):
