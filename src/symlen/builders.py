@@ -204,7 +204,7 @@ def parse_scheme_expr(text: str) -> object:
         nonlocal pos
         skip_ws()
         if pos >= len(text) or text[pos] != ch:
-            raise ParseError("expected %r at offset %d" % (ch, pos), position=pos)
+            raise ParseError("expected %r at offset %d" % (ch, pos))
         pos += 1
 
     def word():
@@ -214,7 +214,7 @@ def parse_scheme_expr(text: str) -> object:
         while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
             pos += 1
         if start == pos:
-            raise ParseError("expected a name at offset %d" % pos, position=pos)
+            raise ParseError("expected a name at offset %d" % pos)
         return text[start:pos], start
 
     def expr(depth):
@@ -237,12 +237,12 @@ def parse_scheme_expr(text: str) -> object:
             right = expr(depth + 1)
             expect(")")
             return ProductExpr(left, right)
-        raise ParseError("unknown scheme name %r at offset %d" % (w, start), position=start)
+        raise ParseError("unknown scheme name %r at offset %d" % (w, start))
 
     result = expr(0)
     skip_ws()
     if pos != len(text):
-        raise ParseError("trailing input at offset %d" % pos, position=pos)
+        raise ParseError("trailing input at offset %d" % pos)
     return result
 
 

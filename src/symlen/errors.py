@@ -32,14 +32,8 @@ class InvalidCase(SymlenError):
 
 
 class ParseError(SymlenError):
-    """A textual expression could not be parsed.
-
-    Carries the character position at which parsing failed.
-    """
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    """A textual expression could not be parsed; the message names the
+    offset at which parsing failed."""
 
 
 class AxiomViolation(SymlenError):

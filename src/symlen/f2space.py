@@ -8,10 +8,11 @@ vector e0 (mask 1) and "10" denotes e1 (mask 2).
 
 rref_ints reduces rows of any width (the k_n relations) to reduced row
 echelon form, with the pivot of each row at its highest set bit and rows
-ordered by decreasing mask.  Each incoming row is reduced by the echelon
-rows at the pivots it meets, highest first, and the rows are fully reduced
-once, at the end.  A subgroup of the square class group is held elsewhere
-as a class mask, not as rows.
+ordered by decreasing mask.  It has one path for every input: each
+incoming row is reduced by the echelon rows at the pivots it meets,
+highest first, and the rows are fully reduced once, at the end.  A
+subgroup of the square class group is held elsewhere as a class mask,
+not as rows.
 
 A set of vectors of F2^dim is also one int, bit x standing for the vector
 x.  Its translate by a vector w, the index permutation x -> x ^ w, is
@@ -75,24 +76,13 @@ def rref_ints(rows) -> list[int]:
     """Reduced row echelon form of integer bitmask rows.
 
     Pivot of a row is its highest set bit.  Returns the canonical basis of
-    the span, sorted by decreasing mask; the zero span gives [].  Rows that
-    already are that basis are returned as they are, after one check: read
-    from the last, each row must exceed the pivots below it and meet none
-    of them.  Otherwise each incoming row is reduced from its highest
-    pivot hit downward by an echelon basis, a row per pivot with no bit at
-    a pivot above its own, and a nonzero remainder joins it at its highest
-    bit.  One back substitution in increasing pivot order then clears the
-    lower pivots from each row, by rows already fully reduced.
+    the span, sorted by decreasing mask; the zero span gives [].  Each
+    incoming row is reduced from its highest pivot hit downward by an
+    echelon basis, a row per pivot with no bit at a pivot above its own,
+    and a nonzero remainder joins it at its highest bit.  One back
+    substitution in increasing pivot order then clears the lower pivots
+    from each row, by rows already fully reduced.
     """
-    rows = list(rows)
-    below = 0
-    for row in reversed(rows):
-        # also fails on a zero row, or a pivot at or below one of below's
-        if row & below or row <= below:
-            break
-        below |= 1 << (row.bit_length() - 1)
-    else:
-        return rows
     # pivot -> its row, echelon, then fully reduced in increasing pivot order
     pivot_rows: dict[int, int] = {}
     pivmask = 0

@@ -22,8 +22,10 @@ K-theory and quadratic forms", 1970), so degree n is built on degree n - 1:
 its relations are R_{n-1} (x) G plus the split 2-tensors in the last slot
 pair (the same span).  As R_{n-1} (x) G lies in R_n, x (x) v has a
 bilinear class mu_n(x, v) for x in k_{n-1} and v in G, so k_n is
-k_{n-1} (x) G modulo x (x) s for the basis vectors x of k_{n-2} and the
-split pairs s, rows read off the table of degree n - 1 and reduced once.
+k_{n-1} (x) G modulo x (x) a (x) b for the basis vectors x of k_{n-2}
+and the split generators (a, b), whose tensors a (x) b form a basis of
+the split 2-tensors: rows mu_{n-1}(x, a) (x) b read off the table of
+degree n - 1 and reduced once.
 Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
 v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
 <<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2.
@@ -117,36 +119,54 @@ class SymbolVector(_SymbolVectorFields):
         return super().__new__(cls, coords, dim)
 
 
-def split_pair_basis(scheme: Scheme) -> list[int]:
-    """RREF basis of the split 2-tensors a (x) b with b in D<1, -a>.
+def _spread(d: int, width: int) -> list[int]:
+    """spread[b] for every b < 2^d: bit width * j for each bit j of b, so
+    that y * spread[b] is y (x) b for any y below 2^width."""
+    spread = [0]
+    for j in range(d):
+        spread += [x | (1 << (width * j)) for x in spread]
+    return spread
 
-    a (x) b is a * spread[b], the sum of the disjoint shifts a << d*j over
-    the bits j of b.  Every value set is a subgroup (validate_scheme), so
-    the tensors of a class a are spanned by a times the subgroup_rows of
-    D<1, -a>, kept by the scheme from validation: one product per class
-    and row, then one row reduction.  Built once per table.
+
+def split_generators(scheme: Scheme) -> list[tuple[int, int]]:
+    """The pairs (a, b) whose tensors a (x) b = a * spread[b] form a basis
+    of the split 2-tensors, b in D<1, -a>.
+
+    Every value set is a subgroup (validate_scheme), so the tensors of a
+    class a are spanned by a times the subgroup_rows of D<1, -a>, kept by
+    the scheme from validation.  The pairs are listed for a = 1, 2, ...
+    and each a's rows in order, and a pair is kept when its tensor is
+    independent of those kept before it: reduced at its leading bit by
+    the kept tensor with that leading bit until it is 0 or has a new one.
+    Built once per table.
     """
     if scheme._split_pairs is None:
-        d = scheme.d
-        # spread[b] has bit d*j for each bit j of b: a (x) b = a * spread[b]
-        spread = [0]
-        for j in range(d):
-            spread += [x | (1 << (d * j)) for x in spread]
+        spread = _spread(scheme.d, scheme.d)
         rows = scheme.rows
-        scheme._split_pairs = rref_ints(
-            a * spread[b] for a in range(1, scheme.size)
-            for b in scheme._subgroups[rows[a ^ scheme.eps]])
+        leading: dict[int, int] = {}
+        kept = []
+        for a in range(1, scheme.size):
+            for b in scheme._subgroups[rows[a ^ scheme.eps]]:
+                t = a * spread[b]
+                while t:
+                    p = t.bit_length() - 1
+                    if p not in leading:
+                        leading[p] = t
+                        kept.append((a, b))
+                        break
+                    t ^= leading[p]
+        scheme._split_pairs = kept
     return scheme._split_pairs
 
 
 def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}.
 
-    Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the split pair
-    s, the sum of a_b (x) e_b, x (x) s is mu_{n-1}(x, a_b) in block b; at
-    n = 2, x is 1 in k_0 and the rows are the split pairs themselves, which
-    rref_ints returns unchanged.  Reducing modulo R_{n-1} (x) G first keeps
-    every pivot, and column i * dim k_{n-1} + j maps in order to
+    Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the basis
+    vector x of k_{n-2} whose row of lower._mul is m and the split
+    generator (a, b), x (x) a (x) b is mu_{n-1}(x, a) (x) b, which is
+    m[a] * spread[b] at this width.  Reducing modulo R_{n-1} (x) G first
+    keeps every pivot, and column i * dim k_{n-1} + j maps in order to
     f_j + i * d^(n-1), the tensor column of rep(e_j) (x) e_i: the free
     columns are those of the reduction over d^n columns.  The image of a
     free column is its coordinate, and that of a pivot the XOR of the
@@ -154,27 +174,9 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     """
     d = scheme.d
     width = lower.dim
-    # each split pair as its nonzero (a_b, b * width), d bits at a time
-    mask = scheme.size - 1
-    chunks = []
-    for s in split_pair_basis(scheme):
-        pair = []
-        shift = 0
-        while s:
-            if s & mask:
-                pair.append((s & mask, shift))
-            s >>= d
-            shift += width
-        chunks.append(pair)
-    # x (x) s for each basis vector x, whose row of lower._mul is m
-    rows = []
-    for m in lower._mul:
-        for pair in chunks:
-            y = 0
-            for a, shift in pair:
-                y |= m[a] << shift
-            rows.append(y)
-    rows = rref_ints(rows)
+    spread = _spread(d, width)
+    rows = rref_ints([m[a] * spread[b] for m in lower._mul
+                      for a, b in split_generators(scheme)])
     pivots = 0
     for r in rows:
         pivots |= 1 << (r.bit_length() - 1)
@@ -205,11 +207,12 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built by _quotient
-    on lower, the algebra of k_{n-1} (None at n = 1), and walked by _walk
-    when _walked is first read, not when constructed.  kn_space is the one
-    builder: it checks the tensor cap and builds the degrees in order, each
-    on the last one in scheme._kn, so the degrees below n are
-    scheme._kn[:n - 1].  Memos, the walk among them, start cold.
+    on lower, the algebra of k_{n-1} (None at n = 1), from the scheme's
+    split generators, and walked by _walk when _walked is first read, not
+    when constructed.  kn_space is the one builder: it checks the tensor
+    cap and builds the degrees in order, each on the last one in
+    scheme._kn, so the degrees below n are scheme._kn[:n - 1].  Memos, the
+    walk among them, start cold.
     """
 
     def __init__(self, scheme: Scheme, lower: SymbolAlgebra | None):

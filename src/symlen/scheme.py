@@ -128,11 +128,12 @@ class Scheme:
     satisfies the axioms.  Everything else is derived from the table
     alone and memoized here on first use: the subgroup rows of each
     distinct value set, kept from validation; the invariant profile, which
-    holds the D(2^m) chain; the split pairs; the basis chain; and the k_n
-    algebras of degrees 1, 2, ..., in the list _kn (kn_space).  A scheme
-    carries no name: builders.build gives every label of one table the
-    same scheme, and the CLI names each answer by the label it was asked
-    for.
+    holds the D(2^m) chain; the split generators, pairs (a, b) whose
+    tensors a (x) b span the split 2-tensors (milnor.split_generators);
+    the basis chain; and the k_n algebras of degrees 1, 2, ..., in the
+    list _kn (kn_space).  A scheme carries no name: builders.build gives
+    every label of one table the same scheme, and the CLI names each
+    answer by the label it was asked for.
     """
 
     def __init__(self, d: int, minus_one: int, rows):
@@ -163,7 +164,7 @@ class Scheme:
                 raise NotAGroup("value set row %d out of range" % a)
         self._subgroups = validate_scheme(self)
         self._profile: InvariantProfile | None = None
-        self._split_pairs: list[int] | None = None
+        self._split_pairs: list[tuple[int, int]] | None = None
         self._basis_chain: BasisChain | None = None
         self._kn: list[SymbolAlgebra] = []
 

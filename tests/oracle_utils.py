@@ -10,7 +10,7 @@ from symlen.bounds import floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
-from symlen.milnor import SymbolVector, kn_space, split_pair_basis
+from symlen.milnor import SymbolVector, kn_space
 from symlen.scheme import translate
 
 WITT_STATE_CAP = 1 << 21
@@ -69,14 +69,6 @@ def holder_rref_ints(rows):
     The reference for rref_ints, which keeps an echelon basis and back
     substitutes once.
     """
-    rows = list(rows)
-    below = 0
-    for row in reversed(rows):
-        if row & below or row <= below:
-            break
-        below |= 1 << (row.bit_length() - 1)
-    else:
-        return rows
     basis = {}
     pivmask = 0
     # non-pivot column -> mask of the pivots whose rows have that bit
@@ -162,8 +154,10 @@ def value_set_split_basis(scheme):
     value set H and the classes A_H with D<1, -a> = H, row reduced per
     A_H and then once over all.
 
-    The reference for split_pair_basis, which takes one product per class
-    and subgroup row: both RREFs are canonical, so they are equal.
+    The reference for the span of milnor.split_generators, which keeps one
+    product per class and subgroup row when it is independent of those
+    kept before it: the RREF of the kept tensors and this one are
+    canonical, so they are equal.
     """
     rows = scheme.rows
     classes_of = {}
@@ -323,17 +317,19 @@ def tensor_space_mul_table(scheme, n):
 
 def dict_image_quotient(lower, scheme, n):
     """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}:
-    the relation rows read d bits of each split pair at a time, reduced by
-    holder_rref_ints, and the images of the columns kept in a dict.
+    the relation rows read d bits of each row of tensor_split_pair_basis
+    at a time, reduced by holder_rref_ints, and the images of the columns
+    kept in a dict.
 
-    The reference for milnor._quotient, which decodes each split pair once
-    and keeps the images in a flat list.
+    The reference for milnor._quotient, which builds each row from a split
+    generator (a, b) as mu_{n-1}(x, a) (x) b and keeps the images in a
+    flat list.
     """
     d = scheme.d
     width = lower.dim
     rows = []
     for m in lower._mul:
-        for s in split_pair_basis(scheme):
+        for s in tensor_split_pair_basis(scheme):
             y = shift = 0
             while s:
                 y |= m[s & (scheme.size - 1)] << shift

@@ -167,17 +167,11 @@ def test_parser():
 
 
 def test_parser_errors():
-    with pytest.raises(ParseError) as exc:
-        parse_scheme_expr("laurent(")
-    assert exc.value.position == 8
-    with pytest.raises(ParseError):
-        parse_scheme_expr("laurent(QC)extra")
-    with pytest.raises(ParseError):
-        parse_scheme_expr("frobenius(QC)")
-    with pytest.raises(ParseError):
-        parse_scheme_expr("")
-    with pytest.raises(ParseError):
-        parse_scheme_expr("product(RC RC)")
+    # each message names the offset at which parsing failed
+    for text, offset in [("laurent(", 8), ("laurent(QC)extra", 11),
+                         ("frobenius(QC)", 0), ("", 0), ("product(RC RC)", 11)]:
+        with pytest.raises(ParseError, match="at offset %d$" % offset):
+            parse_scheme_expr(text)
 
 
 def test_dimension_cap():

@@ -56,8 +56,8 @@ def test_rref_matches_list_oracle(rows, data):
 
 
 def test_rref_of_near_reduced_rows():
-    # rref_ints returns rows that already are the reduced basis after one
-    # check; each way of missing that shape must still be reduced
+    # rows that already are the reduced basis come back as they are, and
+    # each way of missing that shape must still be reduced
     rng = random.Random(25)
     for _ in range(300):
         d = rng.randrange(2, 12)

@@ -57,7 +57,7 @@ from symlen.milnor import (
     cayley_layers,
     kn_space,
     sl_field,
-    split_pair_basis,
+    split_generators,
 )
 
 
@@ -92,24 +92,49 @@ def test_tensor_of_vectors_frozen():
     assert tensor_of_vectors((2, 2, 2), 2) == 1 << 7
 
 
-def test_split_pair_basis_q3():
+def split_tensors(s):
+    """The tensors a (x) b of the split generators of s, in order."""
+    return [tensor_of_vectors(pair, s.d) for pair in split_generators(s)]
+
+
+def test_split_generators_q3():
     q3 = build_from_text("laurent(F2)")
-    basis = split_pair_basis(q3)
+    basis = split_tensors(q3)
     assert len(basis) == 3
     assert rank_ints(basis + [tensor_of_vectors((1, 1), 2)]) == 3
     assert rank_ints(basis + [tensor_of_vectors((2, 2), 2)]) == 4
 
 
-def test_split_pair_basis_matches_all_pairs():
+def test_split_generators_match_all_pairs():
     for label, s in standard_library(4):
-        basis = split_pair_basis(s)
+        pairs = split_generators(s)
+        basis = rref_ints(split_tensors(s))
         assert basis == all_pairs_split_basis(s), label
         assert basis == value_set_split_basis(s), label
-        assert split_pair_basis(s) is basis
-    # the d = 5, 6 towers of the large-kn population
-    for op in json.loads(LARGE_KN.read_text(encoding="utf-8"))["ops"]:
-        s = build_from_text(op["scheme"])
-        assert split_pair_basis(s) == value_set_split_basis(s), op["scheme"]
+        assert split_generators(s) is pairs
+
+
+def test_split_generators_independent_and_spanning():
+    # each generator (a, b), listed by a and then D<1, -a>'s subgroup rows,
+    # is kept iff its tensor is independent of the kept ones before it: so
+    # the kept tensors are independent and span every split tensor; the
+    # d <= 4 library and the d = 5, 6 towers of the large-kn population
+    schemes = [(label, s) for label, s in standard_library(4)]
+    schemes += [(op["scheme"], build_from_text(op["scheme"]))
+                for op in json.loads(LARGE_KN.read_text(encoding="utf-8"))["ops"]]
+    for label, s in schemes:
+        kept = split_generators(s)
+        tensors = split_tensors(s)
+        assert rank_ints(tensors) == len(kept), label
+        assert rref_ints(tensors) == value_set_split_basis(s), label
+        greedy, span = [], []
+        for a in range(1, s.size):
+            for b in s._subgroups[s.rows[a ^ s.eps]]:
+                t = tensor_of_vectors((a, b), s.d)
+                if rank_ints(span + [t]) > len(span):
+                    greedy.append((a, b))
+                    span.append(t)
+        assert kept == greedy, label
 
 
 def assert_images_match_table(alg, table):
@@ -204,8 +229,9 @@ def test_build_matches_dict_image_oracle(monkeypatch):
         for alg in s._kn[1:n]:
             oracle = dict_image_quotient(alg.lower, s, alg.n)
             assert (alg.free_cols, alg._mul) == oracle, (label, alg.n)
-        # from n = 2 up, the split pairs and then one row set per degree
-        assert len(reduced) == (n if n >= 2 else 0), (label, n)
+        # one row set per degree from n = 2 up: choosing the split
+        # generators reduces nothing
+        assert len(reduced) == n - 1, (label, n)
         for rows, out in reduced:
             assert out == holder_rref_ints(rows), (label, n)
 
