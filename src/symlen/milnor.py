@@ -27,22 +27,26 @@ and the split generators (a, b), whose tensors a (x) b form a basis of
 the split 2-tensors: rows mu_{n-1}(x, a) (x) b read off the table of
 degree n - 1 and reduced once.
 Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
-v: dim k_{n-1} * 2^d entries, read off the reduced rows.  The image of
-<<a_1, ..., a_n>> walks the slots through these tables from 1 in k_0 = F2.
+v: dim k_{n-1} * 2^d entries, read off the reduced rows.  Each row j is
+kept packed into one int of 32-bit fields, so that the row of any x in
+k_{n-1}, the XOR of the rows at the bits of x, is a few int XORs, and as
+a list, unpacked on its first read.  The image of <<a_1, ..., a_n>>
+walks the slots through these tables from 1 in k_0 = F2.
 An anisotropic n-fold Pfister form is determined up to isometry by its
 image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
 Hauptsatz for fields; for schemes the tests check it against a Witt
 decomposition search).  One walk of the sorted slot prefixes, keeping the
 least prefix of each nonzero image, reaches them all: they are the pure
 symbols.  Each degree is walked once, on the first read of its pure
-symbols, class map or search, after the degrees below it: the walk reads
-its rows off one table, and keeps three flat sequences in least-tuple
-order: the images (a tuple), their least tuples' last slots (bytes), and
-the positions of those tuples' prefixes among the images one degree down
-(an array of unsigned ints).  A class's least slot tuple is read off
-these, from its position down.  kn_space is the one builder: it keeps the
-degrees 1, 2, ... in one list on the scheme and appends the missing ones
-in order, so the tensor cap bounds n as well as d^n.
+symbols, class map or search, after the degrees below it: the walk forms
+each prefix's row from the packed rows, and keeps three flat sequences
+in least-tuple order: the images (a tuple), their least tuples' last
+slots (bytes), and the positions of those tuples' prefixes among the
+images one degree down (an array of unsigned ints).  A class's least slot
+tuple is read off these, from its position down.  kn_space is the one
+builder: it keeps the degrees 1, 2, ... in one list on the scheme and
+appends the missing ones in order, so the tensor cap bounds n as well as
+d^n.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -73,6 +77,8 @@ pfister_classes, and importing it loads no scheme module.
 
 from __future__ import annotations
 
+import functools
+import sys
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -85,6 +91,14 @@ if TYPE_CHECKING:
 DEFAULT_SL_CAP = 1 << 24
 # bounds d^n, the tensor coordinates of k_n, and n, the degrees kept
 DEFAULT_TENSOR_CAP = 1 << 13
+# the bits of one entry of a packed table row, an unsigned int of array
+# "I".  a (x) b + b (x) a and a (x) a + a (x) eps are relations in every
+# adjacent slot pair, so k_n is spanned by the sorted monomials
+# eps^(n - |S|) e_S for the sets S of at most n vectors of a basis of a
+# complement of eps (of exactly n basis vectors of G when eps = 0): so
+# dim k_n <= 2^(d - 1) <= 32 at d <= SCHEME_DIM_CAP = 6, and
+# laurent^5(RC) reaches 32 at n = 5
+_FIELD = 32
 
 
 def _check_degree(d: int, n: int, tensor_cap: int) -> None:
@@ -159,8 +173,49 @@ def split_generators(scheme: Scheme) -> list[tuple[int, int]]:
     return scheme._split_pairs
 
 
+@functools.cache
+def _doubling_steps(d: int) -> tuple[tuple[int, int], ...]:
+    """(ones, shift) for each unit vector i < d: a 1 in each of the 2^i
+    fields of the vectors below 2^i, and the bit offset _FIELD * 2^i of
+    the vectors with bit i set."""
+    steps = []
+    ones = 1
+    for i in range(d):
+        steps.append((ones, _FIELD << i))
+        ones |= ones << (_FIELD << i)
+    return tuple(steps)
+
+
+def _packed_rows(d: int, units) -> list[int]:
+    """Each row of the table v -> XOR of u[i] over the bits i of v, for the
+    d unit images u in units, packed into one int: the entry of v is field
+    v, at bit _FIELD * v.  Doubled over the unit vectors: the fields of the
+    vectors with bit i set are those below them XOR u[i] in each field."""
+    steps = _doubling_steps(d)
+    packed = []
+    for u in units:
+        row = 0
+        for x, (ones, shift) in zip(u, steps):
+            row |= (row ^ x * ones) << shift
+        packed.append(row)
+    return packed
+
+
+@functools.cache
+def _identity_row(d: int) -> int:
+    """k_1's one packed row, mu_1(1, v) = v, the same for every table of
+    dimension d."""
+    return _packed_rows(d, [[1 << i for i in range(d)]])[0]
+
+
+def _unpack(row: int, size: int) -> list[int]:
+    """The entries of a packed row in vector order, as a new list."""
+    return array("I", row.to_bytes(size * _FIELD >> 3, sys.byteorder)).tolist()
+
+
 def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
-    """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}.
+    """(free columns, packed multiplication table rows) of k_n for n >= 2,
+    on k_{n-1}.
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the basis
     vector x of k_{n-2} whose row of lower._mul is m and the split
@@ -170,13 +225,15 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
     f_j + i * d^(n-1), the tensor column of rep(e_j) (x) e_i: the free
     columns are those of the reduction over d^n columns.  The image of a
     free column is its coordinate, and that of a pivot the XOR of the
-    images of its reduced row's other bits, all of them free.
+    images of its reduced row's other bits, all of them free.  Row j,
+    mu_n(e_j, v) over v, is packed from the d images of the columns of
+    e_j (x) e_i, built once here and unpacked once by SymbolAlgebra.
     """
     d = scheme.d
     width = lower.dim
     spread = _spread(d, width)
-    rows = rref_ints([m[a] * spread[b] for m in lower._mul
-                      for a, b in split_generators(scheme)])
+    pairs = split_generators(scheme)
+    rows = rref_ints([m[a] * spread[b] for m in lower._mul for a, b in pairs])
     pivots = 0
     for r in rows:
         pivots |= 1 << (r.bit_length() - 1)
@@ -195,24 +252,21 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
         image[p] = x
     free_cols = tuple(lower.free_cols[c % width] + (c // width) * d ** (n - 1)
                       for c in free)
-    mul = []
-    for j in range(width):
-        row = [0]
-        for i in range(d):
-            x = image[i * width + j]
-            row += [y ^ x for y in row]
-        mul.append(row)
-    return free_cols, mul
+    return free_cols, _packed_rows(d, [image[j::width] for j in range(width)])
 
 
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built by _quotient
     on lower, the algebra of k_{n-1} (None at n = 1), from the scheme's
     split generators, and walked by _walk when _walked is first read, not
-    when constructed.  kn_space is the one builder: it checks the tensor
-    cap and builds the degrees in order, each on the last one in
-    scheme._kn, so the degrees below n are scheme._kn[:n - 1].  Memos, the
-    walk among them, start cold.
+    when constructed.  Each table row is kept twice: packed in _packed, for
+    _row, and as a list in _mul, unpacked on its first read, whose single
+    entries image_coords and the next degree's relations read; k_1's one
+    row is mu_1(1, v) = v.
+    kn_space is the one builder: it checks the tensor cap and builds the
+    degrees in order, each on the last one in scheme._kn, so the degrees
+    below n are scheme._kn[:n - 1].  Memos, the walk among them, start
+    cold.
     """
 
     def __init__(self, scheme: Scheme, lower: SymbolAlgebra | None):
@@ -221,10 +275,13 @@ class SymbolAlgebra:
         self.lower = lower
         if lower is None:  # k_1 is G, and mu_1(1, v) = v
             self.n = 1
-            self.free_cols, self._mul = tuple(range(d)), [list(range(scheme.size))]
+            self.free_cols = tuple(range(d))
+            self._packed = [_identity_row(d)]
+            self._unpacked: list[list[int]] | None = [list(range(scheme.size))]
         else:
             self.n = lower.n + 1
-            self.free_cols, self._mul = _quotient(lower, scheme, self.n)
+            self.free_cols, self._packed = _quotient(lower, scheme, self.n)
+            self._unpacked = None
         self.dim = len(self.free_cols)
         self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
@@ -238,6 +295,15 @@ class SymbolAlgebra:
     def __repr__(self):
         return "SymbolAlgebra(d=%d, n=%d, dim=%d)" % (self.scheme.d, self.n, self.dim)
 
+    @property
+    def _mul(self) -> list[list[int]]:
+        """The table rows as lists, each packed row unpacked on the first
+        read: the walk and the search read none."""
+        if self._unpacked is None:
+            size = self.scheme.size
+            self._unpacked = [_unpack(row, size) for row in self._packed]
+        return self._unpacked
+
     def representative(self, x: SymbolVector) -> int:
         """Canonical tensor bitmask representing x (supported on free columns)."""
         mask = 0
@@ -247,13 +313,15 @@ class SymbolAlgebra:
 
     def _row(self, x: int) -> list[int]:
         """mu_n(x, v) for every vector v, in vector order, for x in k_{n-1}:
-        the XOR of the table rows at the bits of x.  Not to be modified: it
-        may be a row of the table."""
-        mul = self._mul
-        row = None
-        for j in iter_bits(x):
-            row = mul[j] if row is None else [a ^ b for a, b in zip(row, mul[j])]
-        return row if row is not None else [0] * self.scheme.size
+        the XOR of the packed table rows at the bits of x, unpacked into a
+        new list, which never aliases a row of _mul."""
+        packed = self._packed
+        row = 0
+        while x:  # the loop of iter_bits, inlined: hot
+            low = x & -x
+            row ^= packed[low.bit_length() - 1]
+            x ^= low
+        return _unpack(row, self.scheme.size)
 
     def image_coords(self, slots) -> int:
         """Coords of the image of <<slots>>: mu of each degree applied to
@@ -279,7 +347,8 @@ class SymbolAlgebra:
 
     def last_slot_row(self, x: int) -> list[int]:
         """Images of <<X, c>> for every class c, in class order, for a head
-        X whose image in k_{n-1} is x.  Not to be modified.
+        X whose image in k_{n-1} is x: a list of its own, read off _row.
+        Not to be modified, as it is memoized.
 
         Memoized by x, a pure symbol or 0, as the merge asks for the row of
         every class of k_{n-1}.
@@ -327,29 +396,17 @@ class SymbolAlgebra:
         that tuple's prefix at position prefix[k] of the images one degree
         down.  A slot is below 2^d <= 64, so it fits a byte.  The dict of
         each image's last slot and the list of prefix positions live only
-        while the walk runs.  Row x, mu_n(x, v) over v, is the entry at the
-        low bits of x of a table of the XORs of the first min(d, dim
-        k_{n-1}) rows of _mul, XOR the rows at its other bits.  A head is
-        an x whose row adds an image; its basis is its nonzero unit images
-        row[e_i].
+        while the walk runs.  Row x, mu_n(x, v) over v, is _row(x): one
+        int XOR per bit of x, and one unpacking.  A head is an x whose row
+        adds an image; its basis is its nonzero unit images row[e_i].
         """
         d, size, eps = self.scheme.d, self.scheme.size, self.scheme.eps
-        mul = self._mul
-        low = min(d, len(mul))
-        table = [[0] * size]
-        for m in mul[:low]:
-            table += [m] + [[a ^ b for a, b in zip(r, m)] for r in table[1:]]
         last: dict[int, int] = {}
         prefix = []
         bases = []
-        mask = (1 << low) - 1
         images, slots = below
         for k in range(len(images)):
-            x = images[k]
-            row = table[x & mask]
-            if x > mask:
-                for j in iter_bits(x >> low):
-                    row = [a ^ b for a, b in zip(row, mul[low + j])]
+            row = self._row(images[k])
             known = len(last)
             for c in range(slots[k], size):
                 image = row[c ^ eps]

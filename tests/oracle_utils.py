@@ -489,10 +489,11 @@ def gray_pure_symbols(algebra):
 
 def row_walk_links(algebra):
     """The link map of each degree 1..n, lowest first, by the class walk
-    with one row per key, the XOR of the table rows at the bits of the key.
+    with one row per key, the entry-wise XOR of the table rows of _mul at
+    the bits of the key.
 
-    The reference for SymbolAlgebra._walk, which reads its rows off one
-    table per degree: each least prefix extended in order by every slot
+    The reference for SymbolAlgebra._walk, which forms each row from the
+    packed table rows: each least prefix extended in order by every slot
     from its last one up.
     """
     size = algebra.scheme.size
@@ -502,7 +503,9 @@ def row_walk_links(algebra):
     for alg in algebra.scheme._kn[:algebra.n]:
         nxt = {}
         for x, (_, last) in links.items():
-            row = alg._row(x)
+            row = [0] * size
+            for j in iter_bits(x):
+                row = [a ^ b for a, b in zip(row, alg._mul[j])]
             for c in range(last, size):
                 image = row[c ^ eps]
                 if image and image not in nxt:

@@ -492,6 +492,44 @@ def test_walk_matches_row_oracle():
                 assert low._walked()[1] == derived_head_bases(low, oracle), low
 
 
+def test_packed_rows_unpack_to_the_table_within_the_field_width():
+    # each degree keeps row j of its table, mu_n(e_j, v) over v, also as one
+    # int of milnor._FIELD-bit fields, entry v in field v: every packed row
+    # unpacks to its _mul row, which is linear in v with entries below
+    # 2^dim k_n, and dim k_n <= 2^(d - 1) fits a field; on every degree of
+    # the d <= 4 library up to n = 3 and of the fan laurent^5(RC) up to
+    # n = 5 (dim k_4 = 31, dim k_5 = 32), where the walk of k_4 and k_5
+    # also matches the list-row oracle
+    fan = fresh_scheme(LAURENT5_RC)
+    kn_space(fan, 5)
+    assert [alg.dim for alg in fan._kn] == [6, 16, 26, 31, 32]
+    chains = [fan._kn]
+    for _, s in standard_library(4):
+        kn_space(s, 3)
+        chains.append(s._kn[:3])
+    width = milnor._FIELD
+    mask = (1 << width) - 1
+    for chain in chains:
+        for alg in chain:
+            s = alg.scheme
+            assert 2 * alg.dim <= 1 << s.d and alg.dim <= width, alg
+            assert len(alg._packed) == len(alg._mul) == (
+                1 if alg.lower is None else alg.lower.dim), alg
+            for packed, row in zip(alg._packed, alg._mul):
+                assert packed >> (width * s.size) == 0, alg
+                assert [(packed >> (width * v)) & mask
+                        for v in range(s.size)] == row, alg
+                for v in range(s.size):
+                    unit_sum = 0
+                    for i in iter_bits(v):
+                        unit_sum ^= row[1 << i]
+                    assert row[v] == unit_sum < 1 << alg.dim, (alg, v)
+    for low, oracle in list(zip(fan._kn, row_walk_links(fan._kn[-1])))[3:]:
+        assert walk_triples(low) == [
+            (image, x, c) for image, (x, c) in oracle.items()], low
+        assert low._walked()[1] == derived_head_bases(low, oracle), low
+
+
 def test_layers_match_dict_bfs():
     # the last scheme has sl 3 in degree 2, so a wrong translate cannot hide
     # in a second layer that already covers everything left
