@@ -289,7 +289,8 @@ def _linked_pair(algebra: SymbolAlgebra, entries):
     # an isotropic entry (image 0) is in every row, at c = 1, yet links nothing
     nonzero = [i for i, image in enumerate(images) if image]
     # fewer than two nonzero entries link nothing: no class map is needed
-    divisors = algebra.lower.classes() if len(nonzero) > 1 else {}
+    divisors = (algebra.scheme._kn[algebra.n - 2].classes()
+                if len(nonzero) > 1 else {})
     for i, j in itertools.combinations(nonzero, 2):
         for x, divisor in divisors.items():
             row = algebra.last_slot_row(x)

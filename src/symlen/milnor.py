@@ -28,10 +28,11 @@ the split 2-tensors: rows mu_{n-1}(x, a) (x) b read off the table of
 degree n - 1 and reduced once.
 Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
 v: dim k_{n-1} * 2^d entries, read off the reduced rows.  Each row j is
-kept packed into one int of 32-bit fields, so that the row of any x in
-k_{n-1}, the XOR of the rows at the bits of x, is a few int XORs, and as
-a list, unpacked on its first read.  The image of <<a_1, ..., a_n>>
-walks the slots through these tables from 1 in k_0 = F2.
+kept only packed into one int of 32-bit fields, so that the row of any x
+in k_{n-1}, the XOR of the rows at the bits of x, is a few int XORs; a
+reader of single entries unpacks the rows it needs.  The image of
+<<a_1, ..., a_n>> walks the slots through these tables from 1 in
+k_0 = F2.
 An anisotropic n-fold Pfister form is determined up to isometry by its
 image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
 Hauptsatz for fields; for schemes the tests check it against a Witt
@@ -46,7 +47,8 @@ images one degree down (an array of unsigned ints).  A class's least slot
 tuple is read off these, from its position down.  kn_space is the one
 builder: it keeps the degrees 1, 2, ... in one list on the scheme and
 appends the missing ones in order, so the tensor cap bounds n as well as
-d^n.
+d^n.  That list is the one chain: a degree reads the degrees below it
+there and keeps no link to them.
 
 The search holds each BFS layer as one 2^dim-bit int, bit x standing for
 the element with coords x.  Translating a set by an element g swaps, for
@@ -213,27 +215,29 @@ def _unpack(row: int, size: int) -> list[int]:
     return array("I", row.to_bytes(size * _FIELD >> 3, sys.byteorder)).tolist()
 
 
-def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
+def _quotient(scheme: Scheme, n: int):
     """(free columns, packed multiplication table rows) of k_n for n >= 2,
-    on k_{n-1}.
+    on k_{n-1}, the algebra scheme._kn[n - 2].
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the basis
-    vector x of k_{n-2} whose row of lower._mul is m and the split
-    generator (a, b), x (x) a (x) b is mu_{n-1}(x, a) (x) b, which is
-    m[a] * spread[b] at this width.  Reducing modulo R_{n-1} (x) G first
-    keeps every pivot, and column i * dim k_{n-1} + j maps in order to
-    f_j + i * d^(n-1), the tensor column of rep(e_j) (x) e_i: the free
-    columns are those of the reduction over d^n columns.  The image of a
-    free column is its coordinate, and that of a pivot the XOR of the
-    images of its reduced row's other bits, all of them free.  Row j,
-    mu_n(e_j, v) over v, is packed from the d images of the columns of
-    e_j (x) e_i, built once here and unpacked once by SymbolAlgebra.
+    vector x of k_{n-2} whose table row in k_{n-1} is m, unpacked here and
+    not kept, and the split generator (a, b), x (x) a (x) b is
+    mu_{n-1}(x, a) (x) b, which is m[a] * spread[b] at this width.
+    Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
+    i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
+    column of rep(e_j) (x) e_i: the free columns are those of the
+    reduction over d^n columns.  The image of a free column is its
+    coordinate, and that of a pivot the XOR of the images of its reduced
+    row's other bits, all of them free.  Row j, mu_n(e_j, v) over v, is
+    packed from the d images of the columns of e_j (x) e_i.
     """
     d = scheme.d
+    lower = scheme._kn[n - 2]
     width = lower.dim
     spread = _spread(d, width)
     pairs = split_generators(scheme)
-    rows = rref_ints([m[a] * spread[b] for m in lower._mul for a, b in pairs])
+    mul = [_unpack(row, scheme.size) for row in lower._packed]
+    rows = rref_ints([m[a] * spread[b] for m in mul for a, b in pairs])
     pivots = 0
     for r in rows:
         pivots |= 1 << (r.bit_length() - 1)
@@ -257,31 +261,24 @@ def _quotient(lower: SymbolAlgebra, scheme: Scheme, n: int):
 
 class SymbolAlgebra:
     """k_n of a scheme with a fixed coordinate choice, built by _quotient
-    on lower, the algebra of k_{n-1} (None at n = 1), from the scheme's
-    split generators, and walked by _walk when _walked is first read, not
-    when constructed.  Each table row is kept twice: packed in _packed, for
-    _row, and as a list in _mul, unpacked on its first read, whose single
-    entries image_coords and the next degree's relations read; k_1's one
-    row is mu_1(1, v) = v.
+    on the degree below it in scheme._kn, from the scheme's split
+    generators, and walked by _walk when _walked is first read, not when
+    constructed.  The table is kept only as its packed rows, in _packed,
+    which _row and image_coords read; k_1's one row is mu_1(1, v) = v.
     kn_space is the one builder: it checks the tensor cap and builds the
     degrees in order, each on the last one in scheme._kn, so the degrees
-    below n are scheme._kn[:n - 1].  Memos, the walk among them, start
-    cold.
+    below n are scheme._kn[:n - 1], the one chain.  Memos, the walk among
+    them, start cold.
     """
 
-    def __init__(self, scheme: Scheme, lower: SymbolAlgebra | None):
-        d = scheme.d
+    def __init__(self, scheme: Scheme, n: int):
         self.scheme = scheme
-        self.lower = lower
-        if lower is None:  # k_1 is G, and mu_1(1, v) = v
-            self.n = 1
-            self.free_cols = tuple(range(d))
-            self._packed = [_identity_row(d)]
-            self._unpacked: list[list[int]] | None = [list(range(scheme.size))]
+        self.n = n
+        if n == 1:  # k_1 is G, and mu_1(1, v) = v
+            self.free_cols = tuple(range(scheme.d))
+            self._packed = [_identity_row(scheme.d)]
         else:
-            self.n = lower.n + 1
-            self.free_cols, self._packed = _quotient(lower, scheme, self.n)
-            self._unpacked = None
+            self.free_cols, self._packed = _quotient(scheme, n)
         self.dim = len(self.free_cols)
         self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
@@ -295,14 +292,10 @@ class SymbolAlgebra:
     def __repr__(self):
         return "SymbolAlgebra(d=%d, n=%d, dim=%d)" % (self.scheme.d, self.n, self.dim)
 
-    @property
-    def _mul(self) -> list[list[int]]:
-        """The table rows as lists, each packed row unpacked on the first
-        read: the walk and the search read none."""
-        if self._unpacked is None:
-            size = self.scheme.size
-            self._unpacked = [_unpack(row, size) for row in self._packed]
-        return self._unpacked
+    def _degrees(self) -> list[SymbolAlgebra]:
+        """k_1, ..., k_n: the degrees below this one in scheme._kn, then
+        this one."""
+        return self.scheme._kn[:self.n - 1] + [self]
 
     def representative(self, x: SymbolVector) -> int:
         """Canonical tensor bitmask representing x (supported on free columns)."""
@@ -314,7 +307,7 @@ class SymbolAlgebra:
     def _row(self, x: int) -> list[int]:
         """mu_n(x, v) for every vector v, in vector order, for x in k_{n-1}:
         the XOR of the packed table rows at the bits of x, unpacked into a
-        new list, which never aliases a row of _mul."""
+        new list."""
         packed = self._packed
         row = 0
         while x:  # the loop of iter_bits, inlined: hot
@@ -325,14 +318,16 @@ class SymbolAlgebra:
 
     def image_coords(self, slots) -> int:
         """Coords of the image of <<slots>>: mu of each degree applied to
-        the image below, from 1 in k_0."""
+        the image below, from 1 in k_0.  The first call unpacks the packed
+        rows of degrees 1..n into lists, kept for this degree only."""
         if len(slots) != self.n:
             raise DegreeMismatch(
                 "form has %d slots, algebra degree is %d" % (len(slots), self.n)
             )
         if self._tables is None:
-            self._tables = [alg._mul for alg in self.scheme._kn[:self.n - 1]]
-            self._tables.append(self._mul)
+            size = self.scheme.size
+            self._tables = [[_unpack(row, size) for row in alg._packed]
+                            for alg in self._degrees()]
         eps = self.scheme.eps
         x = 1
         for mul, a in zip(self._tables, slots):
@@ -369,17 +364,14 @@ class SymbolAlgebra:
 
     def _walked(self) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
         """This degree's images and head bases.  The first read walks the
-        degrees from the highest one walked below up to this one, in a loop."""
+        degrees 1..n in order, each one not yet walked on the images and
+        last slots of the one below."""
         if self._images is None:
-            todo = []
-            alg = self
-            while alg is not None and alg._images is None:
-                todo.append(alg)
-                alg = alg.lower
             # k_0: the empty tuple has image 1, and its extensions start at 0
-            below = ((1,), b"\0") if alg is None else (alg._images, alg._last)
-            for alg in reversed(todo):
-                alg._images, alg._last, alg._prefix, alg._bases = alg._walk(below)
+            below = ((1,), b"\0")
+            for alg in self._degrees():
+                if alg._images is None:
+                    alg._images, alg._last, alg._prefix, alg._bases = alg._walk(below)
                 below = (alg._images, alg._last)
         return self._images, self._bases
 
@@ -430,11 +422,7 @@ class SymbolAlgebra:
         if self._classes is None:
             # walking this degree walks the ones below
             images = self._walked()[0]
-            chain = []
-            alg = self
-            while alg is not None:
-                chain.append((alg._last, alg._prefix))
-                alg = alg.lower
+            chain = [(alg._last, alg._prefix) for alg in reversed(self._degrees())]
             least = {}
             for k, image in enumerate(images):
                 slots = []
@@ -521,7 +509,7 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
     _check_degree(scheme.d, n, tensor_cap)
     chain = scheme._kn
     while len(chain) < n:
-        chain.append(SymbolAlgebra(scheme, chain[-1] if chain else None))
+        chain.append(SymbolAlgebra(scheme, len(chain) + 1))
     return chain[n - 1]
 
 

@@ -10,6 +10,7 @@ from symlen.bounds import floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
 from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
 from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
+from symlen import milnor
 from symlen.milnor import SymbolVector, kn_space
 from symlen.scheme import translate
 
@@ -298,6 +299,19 @@ def _reduce(space, tensor_mask):
     return coords
 
 
+def packed_table(algebra):
+    """The multiplication table of algebra as lists, row j, mu_n(e_j, v)
+    over v, read off its packed row field by field: entry v is the
+    milnor._FIELD bits at bit milnor._FIELD * v.  Reads the packed rows by
+    shift and mask, not through milnor._unpack, so that the oracles check
+    the packed form itself."""
+    width = milnor._FIELD
+    mask = (1 << width) - 1
+    size = algebra.scheme.size
+    return [[(row >> (width * v)) & mask for v in range(size)]
+            for row in algebra._packed]
+
+
 def tensor_space_mul_table(scheme, n):
     """mul[j][v]: coords of mu_n(e_j, v) for the basis vector e_j of
     k_{n-1} and the vector v.  rep(e_j) (x) e_i is the basis tensor at
@@ -328,7 +342,7 @@ def dict_image_quotient(lower, scheme, n):
     d = scheme.d
     width = lower.dim
     rows = []
-    for m in lower._mul:
+    for m in packed_table(lower):
         for s in tensor_split_pair_basis(scheme):
             y = shift = 0
             while s:
@@ -369,7 +383,7 @@ def last_slot_images(algebra, head):
         raise DegreeMismatch(
             "form has %d slots, algebra degree is %d" % (len(head) + 1, algebra.n)
         )
-    x = algebra.lower.image_coords(head) if head else 1
+    x = algebra.scheme._kn[algebra.n - 2].image_coords(head) if head else 1
     return list(algebra.last_slot_row(x))
 
 
@@ -469,7 +483,7 @@ def gray_pure_symbols(algebra):
     pures = tuple(range(1, algebra.scheme.size))
     for alg in algebra.scheme._kn[1:algebra.n]:
         # cols[i][k] = mu(p_k, e_i)
-        mul = alg._mul
+        mul = packed_table(alg)
         cols = [[0] * len(pures) for _ in range(d)]
         for k, p in enumerate(pures):
             for j in iter_bits(p):
@@ -489,7 +503,7 @@ def gray_pure_symbols(algebra):
 
 def row_walk_links(algebra):
     """The link map of each degree 1..n, lowest first, by the class walk
-    with one row per key, the entry-wise XOR of the table rows of _mul at
+    with one row per key, the entry-wise XOR of the packed_table rows at
     the bits of the key.
 
     The reference for SymbolAlgebra._walk, which forms each row from the
@@ -501,11 +515,12 @@ def row_walk_links(algebra):
     links = {1: (0, 0)}
     maps = []
     for alg in algebra.scheme._kn[:algebra.n]:
+        mul = packed_table(alg)
         nxt = {}
         for x, (_, last) in links.items():
             row = [0] * size
             for j in iter_bits(x):
-                row = [a ^ b for a, b in zip(row, alg._mul[j])]
+                row = [a ^ b for a, b in zip(row, mul[j])]
             for c in range(last, size):
                 image = row[c ^ eps]
                 if image and image not in nxt:
@@ -521,7 +536,7 @@ def derived_head_bases(algebra, links):
 
     The reference for the head bases that the class walk records.
     """
-    mul = algebra._mul
+    mul = packed_table(algebra)
     units = [1 << i for i in range(algebra.scheme.d)]
     bases = []
     for x in dict.fromkeys(x for x, _ in links.values()):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from oracle_utils import (
     holder_rref_ints,
     isometric,
     last_slot_images,
+    packed_table,
     pfister_expand,
     project,
     project_image,
@@ -80,7 +82,9 @@ def search_lengths(alg):
 def fresh_algebra(s, n):
     """k_n of s built anew on the cached k_{n-1}, with cold memos and not
     cached itself."""
-    return SymbolAlgebra(s, kn_space(s, n - 1) if n > 1 else None)
+    if n > 1:
+        kn_space(s, n - 1)
+    return SymbolAlgebra(s, n)
 
 
 def test_tensor_of_vectors_frozen():
@@ -197,7 +201,7 @@ def test_tables_match_tensor_space_path():
         alg = kn_space(s, n)
         assert alg.free_cols == tensor_space(s, n).free_cols, (s, n)
         assert alg.dim == len(alg.free_cols)
-        assert alg._mul == tensor_space_mul_table(s, n), (s, n)
+        assert packed_table(alg) == tensor_space_mul_table(s, n), (s, n)
     # every value set there is a subgroup, read off without a reduction
     for s in library + sample + towers:
         for values in s.rows:
@@ -227,8 +231,8 @@ def test_build_matches_dict_image_oracle(monkeypatch):
         s = fresh_scheme(label)
         kn_space(s, n)
         for alg in s._kn[1:n]:
-            oracle = dict_image_quotient(alg.lower, s, alg.n)
-            assert (alg.free_cols, alg._mul) == oracle, (label, alg.n)
+            oracle = dict_image_quotient(s._kn[alg.n - 2], s, alg.n)
+            assert (alg.free_cols, packed_table(alg)) == oracle, (label, alg.n)
         # one row set per degree from n = 2 up: choosing the split
         # generators reduces nothing
         assert len(reduced) == n - 1, (label, n)
@@ -463,7 +467,7 @@ def walk_triples(alg):
     in walk order: the prefix image is the entry of the images one degree
     down (1 alone in k_0) at the class's prefix position."""
     images = alg._walked()[0]
-    below = (1,) if alg.lower is None else alg.lower._walked()[0]
+    below = (1,) if alg.n == 1 else alg.scheme._kn[alg.n - 2]._walked()[0]
     return [(image, below[k], c)
             for image, k, c in zip(images, alg._prefix, alg._last, strict=True)]
 
@@ -493,9 +497,10 @@ def test_walk_matches_row_oracle():
 
 
 def test_packed_rows_unpack_to_the_table_within_the_field_width():
-    # each degree keeps row j of its table, mu_n(e_j, v) over v, also as one
+    # each degree keeps row j of its table, mu_n(e_j, v) over v, only as one
     # int of milnor._FIELD-bit fields, entry v in field v: every packed row
-    # unpacks to its _mul row, which is linear in v with entries below
+    # has nothing above its last field, milnor._unpack gives its fields
+    # read by shift and mask, which are linear in v with entries below
     # 2^dim k_n, and dim k_n <= 2^(d - 1) fits a field; on every degree of
     # the d <= 4 library up to n = 3 and of the fan laurent^5(RC) up to
     # n = 5 (dim k_4 = 31, dim k_5 = 32), where the walk of k_4 and k_5
@@ -508,17 +513,15 @@ def test_packed_rows_unpack_to_the_table_within_the_field_width():
         kn_space(s, 3)
         chains.append(s._kn[:3])
     width = milnor._FIELD
-    mask = (1 << width) - 1
     for chain in chains:
         for alg in chain:
             s = alg.scheme
             assert 2 * alg.dim <= 1 << s.d and alg.dim <= width, alg
-            assert len(alg._packed) == len(alg._mul) == (
-                1 if alg.lower is None else alg.lower.dim), alg
-            for packed, row in zip(alg._packed, alg._mul):
+            assert len(alg._packed) == (
+                1 if alg.n == 1 else s._kn[alg.n - 2].dim), alg
+            for packed, row in zip(alg._packed, packed_table(alg), strict=True):
                 assert packed >> (width * s.size) == 0, alg
-                assert [(packed >> (width * v)) & mask
-                        for v in range(s.size)] == row, alg
+                assert milnor._unpack(packed, s.size) == row, alg
                 for v in range(s.size):
                     unit_sum = 0
                     for i in iter_bits(v):
@@ -769,9 +772,11 @@ def test_large_degree_builds_bottom_up():
 
 def test_kn_space_is_the_one_builder(monkeypatch):
     # a cold kn_space(s, 4) is one call of kn_space, with no nested fetch:
-    # it constructs each degree once, in order, each on the one before it
+    # it constructs each degree once, in order, each while scheme._kn holds
+    # exactly the degrees below it
     calls = []
     built = []
+    held = []
     original_kn_space = milnor.kn_space
     original_init = SymbolAlgebra.__init__
 
@@ -779,8 +784,9 @@ def test_kn_space_is_the_one_builder(monkeypatch):
         calls.append(args)
         return original_kn_space(*args, **kwargs)
 
-    def recorded_init(self, scheme, lower):
-        original_init(self, scheme, lower)
+    def recorded_init(self, scheme, n):
+        held.append(list(scheme._kn))
+        original_init(self, scheme, n)
         built.append(self)
 
     monkeypatch.setattr(milnor, "kn_space", counted_kn_space)
@@ -790,7 +796,7 @@ def test_kn_space_is_the_one_builder(monkeypatch):
     assert calls == [(s, 4)]
     assert built == s._kn and top is s._kn[-1]
     assert [alg.n for alg in s._kn] == [1, 2, 3, 4]
-    assert [alg.lower for alg in s._kn] == [None] + s._kn[:-1]
+    assert held == [s._kn[:n - 1] for n in (1, 2, 3, 4)]
     # a warm call builds nothing
     assert milnor.kn_space(s, 2) is s._kn[1] and len(built) == 4
 
@@ -854,6 +860,76 @@ def test_every_degree_walked_once_on_first_read(monkeypatch):
         run_decomposition(s, make_sum(s, 3, [(1, 2, 3), (0, 1, 3)]))
         assert walked == chain, label
         walked.clear()
+
+
+def test_walk_and_image_coords_independent_of_chain_state(monkeypatch):
+    # over the 60 distinct d <= 3 tables at n = 2, 3: image_coords of every
+    # sorted slot tuple is the projection of its tensor whether its first
+    # call comes cold, after the degree above is built, or after the degree
+    # above has answered image_coords; and a fresh SymbolAlgebra(s, n) on
+    # the chain below walks to the chain's own images, head bases and class
+    # map, walking each unwalked degree below once, bottom up, and no
+    # walked one again
+    walk = SymbolAlgebra._walk
+    walked = []
+
+    def counted(self, below):
+        walked.append(self)
+        return walk(self, below)
+
+    monkeypatch.setattr(SymbolAlgebra, "_walk", counted)
+    tables = sorted({(s.d, s.eps, s.rows) for _, s in standard_library(3)})
+    assert len(tables) == 60
+    for table in tables:
+        for n in (2, 3):
+            tuples = list(itertools.combinations_with_replacement(
+                range(1 << table[0]), n))
+            cold = kn_space(Scheme(*table), n)
+            coords = [cold.image_coords(t) for t in tuples]
+            assert coords == [project_image(cold, t) for t in tuples], (table, n)
+            built_above = Scheme(*table)
+            kn_space(built_above, n + 1)
+            above_read = Scheme(*table)
+            kn_space(above_read, n + 1).image_coords((0,) * (n + 1))
+            for s in (built_above, above_read):
+                alg = s._kn[n - 1]
+                assert [alg.image_coords(t) for t in tuples] == coords, (table, n)
+
+            chain = kn_space(Scheme(*table), n)
+            expected = (chain._walked(), list(chain.classes().items()))
+            for lower_walked in (False, True):
+                s = Scheme(*table)
+                lower = kn_space(s, n - 1)
+                if lower_walked:
+                    lower._walked()
+                walked.clear()
+                fresh = SymbolAlgebra(s, n)
+                got = (fresh._walked(), list(fresh.classes().items()))
+                assert got == expected, (table, n, lower_walked)
+                assert walked == ([] if lower_walked else s._kn) + [fresh]
+                assert len(s._kn) == n - 1
+
+
+def test_degree_keeps_only_its_packed_rows():
+    # building degree n on a built degree n - 1 of a fresh scheme leaves,
+    # under tracemalloc, the packed rows of degree n and under 2 KiB more:
+    # no list form of its table or of the one below (keeping them, k_3 of
+    # laurent^6(QC) and k_3, k_4 of laurent^5(RC) left 15.9, 16.8 and
+    # 42.3 KB against 4.6, 4.9 and 8.1 KB of packed rows)
+    for label, n in ((rigid_label(6), 3), (LAURENT5_RC, 3), (LAURENT5_RC, 4)):
+        s = fresh_scheme(label)
+        kn_space(s, n - 1)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            alg = kn_space(s, n)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = sys.getsizeof(alg._packed) + sum(map(sys.getsizeof, alg._packed))
+        assert kept <= rows + 2048, (label, n, kept, rows)
 
 
 def test_walk_keeps_under_80_bytes_per_class():
