@@ -29,10 +29,9 @@ degree n - 1 and reduced once.
 Degree n keeps mu_n(e_j, v) for the basis vectors e_j of k_{n-1} and every
 v: dim k_{n-1} * 2^d entries, read off the reduced rows.  Each row j is
 kept only packed into one int of 32-bit fields, so that the row of any x
-in k_{n-1}, the XOR of the rows at the bits of x, is a few int XORs; a
-reader of single entries unpacks the rows it needs.  The image of
-<<a_1, ..., a_n>> walks the slots through these tables from 1 in
-k_0 = F2.
+in k_{n-1}, the XOR of the rows at the bits of x, is a few int XORs, and
+one entry of it is one shift and mask.  The image of <<a_1, ..., a_n>>
+walks the slots through these tables from 1 in k_0 = F2.
 An anisotropic n-fold Pfister form is determined up to isometry by its
 image, and it is hyperbolic iff the image is 0 (the Arason-Pfister
 Hauptsatz for fields; for schemes the tests check it against a Witt
@@ -84,7 +83,7 @@ import sys
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegreeMismatch, TooLarge, VerificationFailure
+from .errors import DegreeMismatch, InvalidCase, TooLarge, VerificationFailure
 from .f2space import _swap_runs, clear_bit_masks, iter_bits, rref_ints
 
 if TYPE_CHECKING:
@@ -101,6 +100,7 @@ DEFAULT_TENSOR_CAP = 1 << 13
 # dim k_n <= 2^(d - 1) <= 32 at d <= SCHEME_DIM_CAP = 6, and
 # laurent^5(RC) reaches 32 at n = 5
 _FIELD = 32
+_MASK = (1 << _FIELD) - 1
 
 
 def _check_degree(d: int, n: int, tensor_cap: int) -> None:
@@ -220,9 +220,9 @@ def _quotient(scheme: Scheme, n: int):
     on k_{n-1}, the algebra scheme._kn[n - 2].
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the basis
-    vector x of k_{n-2} whose table row in k_{n-1} is m, unpacked here and
-    not kept, and the split generator (a, b), x (x) a (x) b is
-    mu_{n-1}(x, a) (x) b, which is m[a] * spread[b] at this width.
+    vector x of k_{n-2} whose packed table row in k_{n-1} is m, and the
+    split generator (a, b), x (x) a (x) b is mu_{n-1}(x, a) (x) b: field
+    a of m, one shift and mask, times spread[b] at this width.
     Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
     i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
     column of rep(e_j) (x) e_i: the free columns are those of the
@@ -235,9 +235,9 @@ def _quotient(scheme: Scheme, n: int):
     lower = scheme._kn[n - 2]
     width = lower.dim
     spread = _spread(d, width)
-    pairs = split_generators(scheme)
-    mul = [_unpack(row, scheme.size) for row in lower._packed]
-    rows = rref_ints([m[a] * spread[b] for m in mul for a, b in pairs])
+    pairs = [(_FIELD * a, spread[b]) for a, b in split_generators(scheme)]
+    rows = rref_ints([((m >> shift) & _MASK) * spread_b
+                      for m in lower._packed for shift, spread_b in pairs])
     pivots = 0
     for r in rows:
         pivots |= 1 << (r.bit_length() - 1)
@@ -264,7 +264,8 @@ class SymbolAlgebra:
     on the degree below it in scheme._kn, from the scheme's split
     generators, and walked by _walk when _walked is first read, not when
     constructed.  The table is kept only as its packed rows, in _packed,
-    which _row and image_coords read; k_1's one row is mu_1(1, v) = v.
+    which _packed_row XORs: _row unpacks the result whole, image_coords
+    reads one field of it; k_1's one row is mu_1(1, v) = v.
     kn_space is the one builder: it checks the tensor cap and builds the
     degrees in order, each on the last one in scheme._kn, so the degrees
     below n are scheme._kn[:n - 1], the one chain.  Memos, the walk among
@@ -280,7 +281,6 @@ class SymbolAlgebra:
         else:
             self.free_cols, self._packed = _quotient(scheme, n)
         self.dim = len(self.free_cols)
-        self._tables: list[list[list[int]]] | None = None
         self._last_slot_rows: dict[int, list[int]] = {}
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._max: tuple[int, SymbolVector] | None = None
@@ -304,40 +304,39 @@ class SymbolAlgebra:
             mask |= 1 << self.free_cols[j]
         return mask
 
-    def _row(self, x: int) -> list[int]:
-        """mu_n(x, v) for every vector v, in vector order, for x in k_{n-1}:
-        the XOR of the packed table rows at the bits of x, unpacked into a
-        new list."""
+    def _packed_row(self, x: int) -> int:
+        """The XOR of the packed table rows at the bits of x in k_{n-1}:
+        mu_n(x, v) for every vector v, packed, at field v."""
         packed = self._packed
         row = 0
         while x:  # the loop of iter_bits, inlined: hot
             low = x & -x
             row ^= packed[low.bit_length() - 1]
             x ^= low
-        return _unpack(row, self.scheme.size)
+        return row
+
+    def _row(self, x: int) -> list[int]:
+        """mu_n(x, v) for every vector v, in vector order, for x in k_{n-1}:
+        _packed_row(x) unpacked into a new list."""
+        return _unpack(self._packed_row(x), self.scheme.size)
 
     def image_coords(self, slots) -> int:
         """Coords of the image of <<slots>>: mu of each degree applied to
-        the image below, from 1 in k_0.  The first call unpacks the packed
-        rows of degrees 1..n into lists, kept for this degree only."""
+        the image below, from 1 in k_0, each one field of that degree's
+        _packed_row read by shift and mask.  A slot outside 0..size - 1
+        raises InvalidCase."""
         if len(slots) != self.n:
             raise DegreeMismatch(
                 "form has %d slots, algebra degree is %d" % (len(slots), self.n)
             )
-        if self._tables is None:
-            size = self.scheme.size
-            self._tables = [[_unpack(row, size) for row in alg._packed]
-                            for alg in self._degrees()]
-        eps = self.scheme.eps
+        d, eps = self.scheme.d, self.scheme.eps
         x = 1
-        for mul, a in zip(self._tables, slots):
+        for alg, a in zip(self._degrees(), slots):
             v = a ^ eps
-            y = 0
-            while x:  # the loop of iter_bits, inlined: hot
-                low = x & -x
-                y ^= mul[low.bit_length() - 1][v]
-                x ^= low
-            x = y
+            if v >> d:  # nonzero exactly for a slot outside 0..2^d - 1
+                raise InvalidCase("slot %r is not one of the %d classes"
+                                  % (a, self.scheme.size))
+            x = (alg._packed_row(x) >> (_FIELD * v)) & _MASK
         return x
 
     def last_slot_row(self, x: int) -> list[int]:

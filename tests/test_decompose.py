@@ -16,6 +16,7 @@ import symlen
 from symlen import decompose
 from symlen.builders import build, build_from_text, standard_expressions, standard_library
 from symlen.decompose import (
+    PfisterSum,
     build_basis_chain,
     certify,
     entry_stratum,
@@ -139,6 +140,23 @@ def test_make_sum_rejects_bad_input():
             make_sum(q3, n, [])
     with pytest.raises(InvalidCase):
         make_sum(q3, 2, [(1, 4)])
+
+
+def test_image_coords_refuses_slots_outside_the_classes():
+    # a slot below 0 or at size is refused with make_sum's message, in
+    # either place, through image_coords and through a sum that did not
+    # pass make_sum (a slot of -1 read as a list index gave the image of
+    # slot 7, and a slot of 8 raised IndexError)
+    s = build_from_text("laurent(laurent(RC))")
+    k2 = kn_space(s, 2)
+    assert s.size == 8
+    for a in (-1, s.size):
+        message = "slot %r is not one of the 8 classes" % a
+        for slots in ((a, 3), (3, a)):
+            with pytest.raises(InvalidCase, match=message):
+                k2.image_coords(slots)
+            with pytest.raises(InvalidCase, match=message):
+                sum_residue(k2, PfisterSum(2, ((0, 1), slots)))
 
 
 # ---------------------------------------------------------------------------

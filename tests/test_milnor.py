@@ -214,7 +214,9 @@ def test_build_matches_dict_image_oracle(monkeypatch):
     # index and the dict of images: the same free columns and tables at
     # every degree built, and the same reduction of every row set that a
     # cold build reduces; the d <= 4 library at n = 1..4, laurent^5(RC)
-    # and laurent^6(QC) at n = 3..5
+    # and laurent^6(QC) at n = 3..5, and laurent^5(RC) at n = 6, whose
+    # k_6 reads the 32-bit entries of k_5 (dim 32): a field mask of 31
+    # bits gave it dim 37
     reduced = []
 
     def recorded(rows):
@@ -226,10 +228,11 @@ def test_build_matches_dict_image_oracle(monkeypatch):
     monkeypatch.setattr(milnor, "rref_ints", recorded)
     cases = [(label, n) for label, _ in standard_library(4) for n in (1, 2, 3, 4)]
     cases += [(label, n) for label in (LAURENT5_RC, rigid_label(6)) for n in (3, 4, 5)]
+    cases.append((LAURENT5_RC, 6))
     for label, n in cases:
         reduced.clear()
         s = fresh_scheme(label)
-        kn_space(s, n)
+        kn_space(s, n, tensor_cap=1 << 16)
         for alg in s._kn[1:n]:
             oracle = dict_image_quotient(s._kn[alg.n - 2], s, alg.n)
             assert (alg.free_cols, packed_table(alg)) == oracle, (label, alg.n)
@@ -504,7 +507,11 @@ def test_packed_rows_unpack_to_the_table_within_the_field_width():
     # 2^dim k_n, and dim k_n <= 2^(d - 1) fits a field; on every degree of
     # the d <= 4 library up to n = 3 and of the fan laurent^5(RC) up to
     # n = 5 (dim k_4 = 31, dim k_5 = 32), where the walk of k_4 and k_5
-    # also matches the list-row oracle
+    # also matches the list-row oracle, and image_coords, which reads one
+    # field of each degree's packed row by shift and mask, equals the
+    # chain of whole rows read through milnor._unpack on 2,000 seeded
+    # sorted slot tuples at n = 5, some of whose images have bit 31 set
+    # (a field mask of 31 bits got all of those wrong)
     fan = fresh_scheme(LAURENT5_RC)
     kn_space(fan, 5)
     assert [alg.dim for alg in fan._kn] == [6, 16, 26, 31, 32]
@@ -531,6 +538,16 @@ def test_packed_rows_unpack_to_the_table_within_the_field_width():
         assert walk_triples(low) == [
             (image, x, c) for image, (x, c) in oracle.items()], low
         assert low._walked()[1] == derived_head_bases(low, oracle), low
+    rng = random.Random(7)
+    high = 0
+    for _ in range(2000):
+        slots = tuple(sorted(rng.randrange(fan.size) for _ in range(5)))
+        y = slots[0] ^ fan.eps
+        for low, c in zip(fan._kn[1:5], slots[1:]):
+            y = low._row(y)[c ^ fan.eps]
+        assert fan._kn[4].image_coords(slots) == y, slots
+        high += y >> 31
+    assert high, high
 
 
 def test_layers_match_dict_bfs():
@@ -911,11 +928,13 @@ def test_walk_and_image_coords_independent_of_chain_state(monkeypatch):
 
 
 def test_degree_keeps_only_its_packed_rows():
-    # building degree n on a built degree n - 1 of a fresh scheme leaves,
-    # under tracemalloc, the packed rows of degree n and under 2 KiB more:
-    # no list form of its table or of the one below (keeping them, k_3 of
-    # laurent^6(QC) and k_3, k_4 of laurent^5(RC) left 15.9, 16.8 and
-    # 42.3 KB against 4.6, 4.9 and 8.1 KB of packed rows)
+    # building degree n on a built degree n - 1 of a fresh scheme and
+    # reading one image off it leaves, under tracemalloc, the packed rows
+    # of degree n and under 2 KiB more: no list form of its table or of
+    # those below (keeping them, k_3 of laurent^6(QC) and k_3, k_4 of
+    # laurent^5(RC) left 15.9, 16.8 and 42.3 KB after the build, and
+    # 44.0, 51.0 and 109.7 KB after the read, against 4.6, 4.9 and 8.1 KB
+    # of packed rows)
     for label, n in ((rigid_label(6), 3), (LAURENT5_RC, 3), (LAURENT5_RC, 4)):
         s = fresh_scheme(label)
         kn_space(s, n - 1)
@@ -924,6 +943,7 @@ def test_degree_keeps_only_its_packed_rows():
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             alg = kn_space(s, n)
+            alg.image_coords((1,) * n)
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
