@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import builders
-from .errors import DegreeViolation, InvalidCase, LemmaViolation, VerificationFailure
+from .errors import InvalidCase, VerificationFailure
 from .f2space import gaussian_count
 
 BOUND_NOTES = (
@@ -135,6 +135,11 @@ def bound_sl_linked(profile, n: int, use_exact_subspace_count=False) -> int:
     the stratum needs at most one form per such subspace, and each subspace
     is counted once per (n-m)-dimensional hyperplane of it.  A nonreal
     scheme stops at m = s, as the exponential bound does.
+
+    Stratum m adds 1 when n - m >= d_m - 1, else floor(2^((n-m+1)k) /
+    (2^k - 1)) with k = d - n + m: at n = 2, laurent^5(QC) gets 73 + 1 = 74
+    and laurent^4(RC) gets 73 + 17 + 1 = 91.  The frozen payload text
+    "min(1, floor(...))" of linked-power misstates both cases.
     """
     d = profile.d
     top = n if profile.is_real else min(kaplansky_s(profile.pythagoras), n)
@@ -278,10 +283,9 @@ def poly_affine(p: RationalPolynomial, a, b) -> RationalPolynomial:
 def poly_binom_sum(j: int):
     """The two split-basis stratum counts as exact polynomials.
 
-    Returns sum_r C(X,2r) C(X,j-2r) and sum_r C(X,2r) C(X+1,j-2r).  Both
-    have degree at most j; for j >= 1 the coefficient of X^j is at most
-    2^j / (2 j!).  The j = 0 sums are the constant 1, which exceeds the
-    half bound, so that edge is exempt from the leading-coefficient check.
+    Returns sum_r C(X,2r) C(X,j-2r) and sum_r C(X,2r) C(X+1,j-2r).  The
+    lemma that both have degree at most j, with a coefficient of X^j at
+    most 2^j / (2 j!) for j >= 1, is judged by verify-paper's check 6.
     """
     if j < 0:
         raise InvalidCase("need j >= 0, got j=%d" % j)
@@ -291,17 +295,6 @@ def poly_binom_sum(j: int):
         even = binom_poly(2 * r)
         plain = plain + even * binom_poly(j - 2 * r)
         shifted = shifted + even * poly_affine(binom_poly(j - 2 * r), 1, 1)
-    cap = Fraction(2 ** j, 2 * math.factorial(j))
-    for poly in (plain, shifted):
-        if poly.degree > j:
-            raise LemmaViolation(
-                "degree %d exceeds j=%d" % (poly.degree, j)
-            )
-        if j >= 1 and poly.coefficient(j) > cap:
-            raise LemmaViolation(
-                "leading coefficient %s exceeds %s for j=%d"
-                % (poly.coefficient(j), cap, j)
-            )
     return plain, shifted
 
 
@@ -310,8 +303,8 @@ def bound_sl_polynomial(d0: int, n: int):
 
     Substitutes d_m := d_0 throughout the split-basis bound and expands the
     halving floors for the parity of d0.  Returns (leading, f) with
-    leading = X^{n-1} / (2 (n-1)!) and f of degree at most n - 2 such that
-    leading(d0) + f(d0) is the expanded bound.
+    leading = X^{n-1} / (2 (n-1)!) and f the rest of the expanded bound;
+    verify-paper's check 7 judges that f has degree at most n - 2.
     """
     if n < 2:
         raise InvalidCase("polynomial bound needs degree at least 2, got %d" % n)
@@ -327,13 +320,7 @@ def bound_sl_polynomial(d0: int, n: int):
     leading = RationalPolynomial.make(
         [0] * (n - 1) + [Fraction(1, 2 * math.factorial(n - 1))]
     )
-    remainder = total - leading
-    if remainder.degree > n - 2:
-        raise DegreeViolation(
-            "remainder degree %d exceeds %d for n=%d parity=%d"
-            % (remainder.degree, n - 2, n, d0 % 2)
-        )
-    return leading, remainder
+    return leading, total - leading
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ serialized payloads.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
+from fractions import Fraction
 
 from .bounds import (
     _sm_exponent,
@@ -27,12 +29,7 @@ from .bounds import (
 from . import builders
 from .builders import build_from_text, standard_library
 from .decompose import find_linked_pair, make_sum, run_decomposition, strata_counts
-from .errors import (
-    DegreeViolation,
-    LemmaViolation,
-    TooLarge,
-    VerificationFailure,
-)
+from .errors import TooLarge, VerificationFailure
 from .f2space import count_upper_bound, gaussian_count, iter_bits, mask_to_str, rank_ints
 from .milnor import kn_space, sl_field
 from .scheme import SCHEME_DIM_CAP, pfister_classes, subgroup_rows, translate
@@ -252,18 +249,25 @@ def check_small_field_facts() -> dict:
 def check_polynomial_lemma(max_j: int = 10) -> dict:
     """Degree and leading coefficient caps for both expansion variants.
 
-    The construction itself raises on a violation; the degenerate j = 0
-    sums are the constant 1, above the half cap, and stay exempt.
+    Each sum of poly_binom_sum(j) has degree at most j and, for j >= 1, an
+    X^j coefficient at most 2^j / (2 j!); the degenerate j = 0 sums are
+    the constant 1, above the half cap, and stay exempt.
     """
     checked = []
     failures = []
     for j in range(max_j + 1):
-        try:
-            plain, shifted = poly_binom_sum(j)
-        except (LemmaViolation, DegreeViolation) as exc:
-            failures.append([j, str(exc)])
-            continue
-        checked.append([j, plain.degree, shifted.degree])
+        plain, shifted = poly_binom_sum(j)
+        cap = Fraction(2 ** j, 2 * math.factorial(j))
+        for poly in (plain, shifted):
+            if poly.degree > j:
+                failures.append([j, "degree %d exceeds j=%d" % (poly.degree, j)])
+                break
+            if j >= 1 and poly.coefficient(j) > cap:
+                failures.append([j, "leading coefficient %s exceeds %s for j=%d"
+                                 % (poly.coefficient(j), cap, j)])
+                break
+        else:
+            checked.append([j, plain.degree, shifted.degree])
     return {
         "passed": not failures,
         "max_j": max_j,
@@ -290,17 +294,14 @@ class _ConstantProfile:
 
 
 def check_constant_profile_corollary(max_n: int = 4, max_d0: int = 12) -> dict:
-    """Split-basis bound matches its closed polynomial form in d0."""
+    """Split-basis bound matches its closed polynomial form in d0, and the
+    remainder f of bound_sl_polynomial has degree at most n - 2."""
     cases = 0
     failures = []
     for n in range(2, max_n + 1):
         for d0 in range(max_d0 + 1):
             direct = bound_sl_split_basis(_ConstantProfile(d0), n)
-            try:
-                leading, f = bound_sl_polynomial(d0, n)
-            except DegreeViolation as exc:
-                failures.append([n, d0, str(exc)])
-                continue
+            leading, f = bound_sl_polynomial(d0, n)
             value = leading(d0) + f(d0)
             if value != direct:
                 failures.append([n, d0, "poly %s != direct %d" % (value, direct)])

@@ -384,7 +384,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         args = parse_args(argv)
         payload, code = COMMANDS[args.command](args)
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(render(payload, args.format))
     if args.verbose:
-        print("elapsed %.2fs" % (time.time() - t0), file=sys.stderr)
+        print("elapsed %.2fs" % (time.perf_counter() - t0), file=sys.stderr)
     return code
 
 

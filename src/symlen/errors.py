@@ -6,9 +6,8 @@ the exit code cli.main gives them:
 
 * 1, invalid input: every SymlenError not listed below.  Besides malformed
   text, tables and arguments, this covers the consistency errors
-  (AxiomViolation, ProfileInconsistency, LemmaViolation, DegreeViolation,
-  ChainInconsistency); verify-paper catches the two polynomial ones and
-  reports them as failed checks.
+  (AxiomViolation, ProfileInconsistency, ChainInconsistency).  The paper's
+  polynomial and index identities raise nothing: verify-paper judges them.
 * 2, a resource cap: TooLarge alone.
 * 3, a verification failure: VerificationFailure alone.
 """
@@ -46,14 +45,6 @@ class NotAGroup(SymlenError):
 
 class ProfileInconsistency(SymlenError):
     """Two independent routes to an invariant disagree."""
-
-
-class LemmaViolation(SymlenError):
-    """A polynomial identity check failed."""
-
-
-class DegreeViolation(SymlenError):
-    """A polynomial has the wrong degree or leading coefficient."""
 
 
 class ChainInconsistency(SymlenError):

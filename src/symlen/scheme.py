@@ -252,15 +252,8 @@ class Scheme:
             s_seq.append(psize // size)
             if psize & (psize - 1):
                 raise ProfileInconsistency("plus-minus set size not a 2-power")
-            dm = self.d - (psize.bit_length() - 1)
-            formula = self.d - (s_seq[m].bit_length() - 1)
-            for i in range(m):
-                formula -= q[i].bit_length() - 1
-            if dm != formula:
-                raise ProfileInconsistency(
-                    "direct d_%d = %d but index formula gives %d" % (m, dm, formula)
-                )
-            d_seq.append(dm)
+            # d_m = d - log2 |+-D(2^m)|; check 2 judges the index formula
+            d_seq.append(self.d - (psize.bit_length() - 1))
         profile = InvariantProfile(
             d=self.d,
             is_real=is_real,

@@ -9,7 +9,6 @@ import pytest
 
 from symlen import bounds, builders, checks, cli, decompose
 from symlen import scheme as scheme_module
-from symlen.errors import DegreeViolation, LemmaViolation
 from symlen.milnor import SymbolAlgebra
 from symlen.scheme import validate_scheme
 
@@ -211,18 +210,46 @@ def test_rigid_oracle_reports_pair_images_short_of_a_basis(monkeypatch):
 
 
 def test_polynomial_lemma_reports_a_violation(monkeypatch):
+    # at j = 3 the shifted sum doubled: its X^3 coefficient 2/3 becomes 4/3,
+    # above the cap 2^3 / (2 * 3!) = 2/3; at j = 2 an X^3 term in the plain
+    # sum as well, and the degree is judged first, plain sum before shifted
     poly_binom_sum = checks.poly_binom_sum
+    cube = bounds.RationalPolynomial.make([0, 0, 0, 1])
 
     def violated(j):
+        plain, shifted = poly_binom_sum(j)
+        if j == 2:
+            return plain + cube, shifted * 2
         if j == 3:
-            raise LemmaViolation("leading coefficient too large")
-        return poly_binom_sum(j)
+            return plain, shifted * 2
+        return plain, shifted
 
     monkeypatch.setattr(checks, "poly_binom_sum", violated)
     assert checks.check_polynomial_lemma(max_j=4) == {
         "passed": False, "max_j": 4, "exempt_edge": 0,
-        "checked": [[0, 0, 0], [1, 1, 1], [2, 2, 2], [4, 4, 4]],
-        "failures": [[3, "leading coefficient too large"]]}
+        "checked": [[0, 0, 0], [1, 1, 1], [4, 4, 4]],
+        "failures": [[2, "degree 3 exceeds j=2"],
+                     [3, "leading coefficient 4/3 exceeds 2/3 for j=3"]]}
+
+
+def test_polynomial_checks_report_a_wrong_binomial_without_raising(monkeypatch):
+    # C(X, 2) doubled reaches check 6 through poly_binom_sum and check 7
+    # through bound_sl_polynomial; each reports it in its own payload
+    binom_poly = bounds.binom_poly
+    monkeypatch.setattr(bounds, "binom_poly",
+                        lambda r: binom_poly(r) * (2 if r == 2 else 1))
+    lemma = checks.check_polynomial_lemma()
+    assert not lemma["passed"]
+    assert lemma["checked"] == [[0, 0, 0], [1, 1, 1]]
+    assert [j for j, _ in lemma["failures"]] == list(range(2, 11))
+    assert lemma["failures"][0] == [2, "leading coefficient 2 exceeds 1 for j=2"]
+    corollary = checks.check_constant_profile_corollary()
+    assert (corollary["passed"], corollary["cases"]) == (False, 39)
+    # degree 2 reads C(X, j) for j <= 1 only, so every failure has n >= 3
+    assert corollary["failures"][:4] == [
+        [3, 0, "remainder degree 2"], [3, 1, "remainder degree 2"],
+        [3, 2, "remainder degree 2"], [3, 3, "poly 5 != direct 4"]]
+    assert min(n for n, _, _ in corollary["failures"]) == 3
 
 
 def test_constant_profile_corollary_reports_a_wrong_direct_bound(monkeypatch):
@@ -235,24 +262,22 @@ def test_constant_profile_corollary_reports_a_wrong_direct_bound(monkeypatch):
 
 
 def test_constant_profile_corollary_reports_a_wrong_polynomial(monkeypatch):
-    # a refused expansion at (d0, n) = (2, 2), and at (4, 3) a cube moved
-    # from the leading monomial into the remainder: the same value, of
-    # too high a degree
+    # at (d0, n) = (2, 2) and (4, 3) a cube moved from the leading monomial
+    # into the remainder: the same value, of too high a degree; every case
+    # is counted, the wrong ones too
     polynomial = checks.bound_sl_polynomial
     cube = bounds.RationalPolynomial.make([0, 0, 0, 1])
 
     def wrong(d0, n):
-        if (d0, n) == (2, 2):
-            raise DegreeViolation("remainder degree 1 exceeds 0")
         leading, f = polynomial(d0, n)
-        if (d0, n) == (4, 3):
+        if (d0, n) in ((2, 2), (4, 3)):
             return leading - cube, f + cube
         return leading, f
 
     monkeypatch.setattr(checks, "bound_sl_polynomial", wrong)
     res = checks.check_constant_profile_corollary(max_n=3, max_d0=6)
-    assert (res["passed"], res["cases"]) == (False, 13)
-    assert res["failures"] == [[2, 2, "remainder degree 1 exceeds 0"],
+    assert (res["passed"], res["cases"]) == (False, 14)
+    assert res["failures"] == [[2, 2, "remainder degree 3"],
                                [3, 4, "remainder degree 3"]]
 
 
