@@ -77,8 +77,8 @@ def build_basis_chain(scheme: Scheme) -> BasisChain:
     each class that joins the basis.  The first ranks[m] vectors then span
     exactly +-D(2^m), with no rank test needed: pm_d2m reads D(2^m), which
     invariants has checked is a subgroup; D u eps*D is the group generated
-    by D and eps; and the chain is nested, as sos_chain checks that it
-    increases.  Built once per table.
+    by D and eps; and the chain is nested, as each step of sos_chain
+    contains the one before.  Built once per table.
     """
     if scheme._basis_chain is not None:
         return scheme._basis_chain

@@ -55,13 +55,15 @@ every set bit b of g, the blocks of positions with bit b clear and set:
 ((S & M_b) << 2^b) | ((S >> 2^b) & M_b), where M_b marks the positions with
 bit b clear; f2space._swap_runs does it, as for sets of classes.  Layer 1
 is the pure symbols.  For a head x of the class walk, W_x =
-{mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i),
-which the walk records, its nonzero elements are pure symbols, and each
-image lies in the W_x of its head; so the ball of radius k is the union
-over the heads of the ball of radius k - 1 saturated by W_x,
-S |= translate(S, w) per unit image w.
-A pass keeps only the classes not yet reached, and stops as soon as its
-saturations cover them all; the search ends when every class is reached.
+{mu_n(x, v) : v in G} is spanned by the d unit images mu_n(x, e_i), its
+nonzero elements are pure symbols, and each image lies in the W_x of its
+head; so the ball of radius k is the union over the heads of the ball of
+radius k - 1 saturated by W_x, S |= translate(S, w) per vector w of a
+basis of W_x: the unit images not in the span of those before them,
+recorded by the walk.  _saturate does one such step, in five big-int ops
+for a w = 2^b: U = (S | (S >> 2^b)) & M_b and S = U | (U << 2^b).  A pass
+ORs each head's saturated ball into the reached set, and stops, as the
+search does, once that is every class.
 cayley_layers runs it on plain data and reads no scheme.  A degree keeps
 its answer, sl and the least witness, and not its layers.
 
@@ -389,9 +391,13 @@ class SymbolAlgebra:
         each image's last slot and the list of prefix positions live only
         while the walk runs.  Row x, mu_n(x, v) over v, is _row(x): one
         int XOR per bit of x, and one unpacking.  A head is an x whose row
-        adds an image; its basis is its nonzero unit images row[e_i].
+        adds an image; its basis is the unit images row[u], u = 2^i for
+        i < d, not in the span of those before them.  The row is linear in
+        v, so that span is row[:u]: row[u] is kept iff its first position
+        in the row is u, and 0 never is.
         """
         d, size, eps = self.scheme.d, self.scheme.size, self.scheme.eps
+        units = [1 << i for i in range(d)]
         last: dict[int, int] = {}
         prefix = []
         bases = []
@@ -405,7 +411,7 @@ class SymbolAlgebra:
                     last[image] = c
             if len(last) > known:
                 prefix += [k] * (len(last) - known)
-                bases.append(tuple([row[1 << i] for i in range(d) if row[1 << i]]))
+                bases.append(tuple([row[u] for u in units if row.index(row[u]) == u]))
         return tuple(last), bytes(last.values()), array("I", prefix), bases
 
     def classes(self) -> dict[int, tuple[int, ...]]:
@@ -456,13 +462,27 @@ class SymbolAlgebra:
         return self._max
 
 
+def _saturate(s: int, w: int, masks: list[int]) -> int:
+    """s joined with its translate by w, s a set of vectors of F2^dim as a
+    2^dim-bit int and masks the clear_bit_masks of dim.  A unit w = 2^k
+    takes five big-int ops: u marks each x with bit k clear such that x
+    or x ^ w is in s, and u << w is its translate; any other w, 0
+    included, takes the swap of _swap_runs and an OR."""
+    if w & (w - 1) or not w:
+        return s | _swap_runs(s, w, masks, 1)
+    u = (s | (s >> w)) & masks[w.bit_length() - 1]
+    return u | (u << w)
+
+
 def cayley_layers(dim: int, generators, bases) -> list[int]:
     """Layer k of the Cayley graph of F2^dim, as a bitset, at index k.
 
     The generators must be the nonzero elements of the union of the spans
-    of the bases: radius k is then the union over the bases of radius
-    k - 1 saturated by the basis.  Generators that do not span F2^dim
-    raise VerificationFailure.
+    of the bases, which may hold zero, repeated and dependent vectors:
+    radius k is then the union over the bases of radius k - 1 saturated
+    by the basis, one _saturate per vector, and a pass stops once the
+    union is every class.  Generators that do not span F2^dim raise
+    VerificationFailure.
     """
     packed = bytearray(((1 << dim) + 7) >> 3)
     for g in generators:
@@ -473,24 +493,24 @@ def cayley_layers(dim: int, generators, bases) -> list[int]:
     layers = [1]
     reached = 1
     while reached != full:
-        todo = full ^ reached
         if len(layers) == 1:
-            nxt = gens & todo
+            acc = reached | gens
         else:
-            nxt = 0
+            acc = reached
             for basis in bases:
                 s = reached
                 for w in basis:
-                    s |= _swap_runs(s, w, masks, 1)
-                nxt |= s & todo
-                if nxt == todo:
+                    s = _saturate(s, w, masks)
+                acc |= s
+                if acc == full:
                     break
+        nxt = acc ^ reached
         if not nxt:
             raise VerificationFailure(
                 "pure symbols span only %d of %d classes"
                 % (reached.bit_count(), 1 << dim)
             )
-        reached |= nxt
+        reached = acc
         layers.append(nxt)
     return layers
 

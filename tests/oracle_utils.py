@@ -531,8 +531,10 @@ def row_walk_links(algebra):
 
 
 def derived_head_bases(algebra, links):
-    """The nonzero mu_n(x, e_i), i < d, for each distinct head x of a link
-    map of algebra, in link order: d table entries per bit of x.
+    """The mu_n(x, e_i), i < d, each not in the span of those before it,
+    for each distinct head x of a link map of algebra, in link order: d
+    table entries per bit of x, kept while the rank_ints of the kept ones
+    grows.
 
     The reference for the head bases that the class walk records.
     """
@@ -540,10 +542,14 @@ def derived_head_bases(algebra, links):
     units = [1 << i for i in range(algebra.scheme.d)]
     bases = []
     for x in dict.fromkeys(x for x, _ in links.values()):
-        basis = [0] * len(units)
+        images = [0] * len(units)
         for j in iter_bits(x):
-            basis = [w ^ mul[j][u] for w, u in zip(basis, units)]
-        bases.append(tuple(w for w in basis if w))
+            images = [w ^ mul[j][u] for w, u in zip(images, units)]
+        basis = []
+        for w in images:
+            if rank_ints(basis + [w]) > len(basis):
+                basis.append(w)
+        bases.append(tuple(basis))
     return bases
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import (
@@ -48,7 +48,7 @@ from symlen.builders import (
     standard_library,
 )
 from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
-from symlen.f2space import _swap_runs, iter_bits, rank_ints, rref_ints
+from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
 from symlen.decompose import make_sum, run_decomposition
 from symlen.scheme import Scheme, pfister_classes, subgroup_rows
 from symlen import milnor
@@ -599,20 +599,25 @@ def test_head_bases_span_the_pure_symbols():
     assert [a.dim for a in algebras[-4:]] == [16, 26, 15, 20]
     for alg in algebras:
         bases = alg._walked()[1]
-        assert all(len(basis) <= alg.scheme.d for basis in bases), alg
+        # each basis is independent: no vector is 0 or in the span of those
+        # before it
+        assert all(rank_ints(basis) == len(basis) <= alg.scheme.d
+                   for basis in bases), alg
         assert {0}.union(*map(span, bases)) == {0, *alg.pure_symbols()}, alg
 
 
 def counted_swaps(monkeypatch):
     """The bit count of each translate of the search, in call order: a
-    translate by w swaps once per set bit of w."""
+    saturation by w swaps once per set bit of w, the five-op step of a
+    unit vector included."""
     swaps = []
+    saturate = milnor._saturate
 
-    def counted(s, w, masks, unit):
+    def counted(s, w, masks):
         swaps.append(w.bit_count())
-        return _swap_runs(s, w, masks, unit)
+        return saturate(s, w, masks)
 
-    monkeypatch.setattr(milnor, "_swap_runs", counted)
+    monkeypatch.setattr(milnor, "_saturate", counted)
     return swaps
 
 
@@ -623,7 +628,7 @@ def test_bfs_stops_without_an_empty_pass(monkeypatch):
     assert [layer.bit_count() for layer in layers] == [1, 683, 23188, 41664]
     # layer 1 is the generator set; each later layer is at most one pass
     # over the head bases, and the last one stops once it covers the rest
-    assert (len(swaps), sum(swaps)) == (188, 422)
+    assert (len(swaps), sum(swaps)) == (162, 373)
     assert len(swaps) < (len(layers) - 2) * sum(map(len, alg._bases))
 
 
@@ -652,13 +657,14 @@ def test_head_bases_derived_once_per_search(monkeypatch):
 
 def test_bfs_swap_count(monkeypatch):
     # the swaps are deterministic: the n = 2 searches of the two dim 15-16
-    # towers and the n = 3 search of laurent^6(QC), translate calls and bit
+    # towers and the n = 3 search of laurent^6(QC), saturations and bit
     # swaps (a translate per generator took 1,480 and 1,276 bit swaps at
-    # n = 2)
+    # n = 2; every nonzero unit image of each head, dependent ones
+    # included, took (188, 422), (186, 405) and (868, 2576))
     swaps = counted_swaps(monkeypatch)
-    cases = [(LAURENT5_RC, 2, 188, 422, [1, 683, 23188, 41664]),
-             (rigid_label(6), 2, 186, 405, [1, 651, 18228, 13888]),
-             (rigid_label(6), 3, 868, 2576, [1, 1395, 411804, 635376])]
+    cases = [(LAURENT5_RC, 2, 162, 373, [1, 683, 23188, 41664]),
+             (rigid_label(6), 2, 160, 356, [1, 651, 18228, 13888]),
+             (rigid_label(6), 3, 632, 1974, [1, 1395, 411804, 635376])]
     for expr, n, calls, bits, sizes in cases:
         alg = kn_space(build_from_text(expr), n)
         swaps.clear()
@@ -699,8 +705,12 @@ def set_bfs_layers(dim, generators):
 @given(st.integers(0, 7).flatmap(lambda dim: st.tuples(
     st.just(dim),
     st.lists(st.lists(st.integers(0, (1 << dim) - 1), max_size=4), max_size=4))))
+@example((3, [[0, 1], [4, 0, 2]]))
+@example((3, [[0, 1], [4, 0]]))
 def test_cayley_layers_match_set_bfs(case):
-    # the generators are the nonzero elements of the union of the spans
+    # the generators are the nonzero elements of the union of the spans; a
+    # basis may hold zero, repeated and dependent vectors (a zero read as
+    # the unit 2^-1 fails the two examples)
     dim, bases = case
     gens = sorted(set().union(*map(span, bases)) - {0})
     layers, reached = set_bfs_layers(dim, gens)
@@ -711,6 +721,22 @@ def test_cayley_layers_match_set_bfs(case):
     else:
         assert cayley_layers(dim, gens, bases) == [
             sum(1 << x for x in layer) for layer in layers]
+
+
+def test_saturate_joins_each_set_with_its_translate():
+    # the search's one step, on plain data: for every w < 2^dim, zero and
+    # the unit vectors included, and 20 seeded sets per dim, s joined with
+    # its translate by w, as a set of vectors and as the swap of _swap_runs
+    rng = random.Random(55)
+    for dim in range(8):
+        masks = clear_bit_masks(dim)
+        for _ in range(20):
+            s = rng.getrandbits(1 << dim)
+            for w in range(1 << dim):
+                joined = milnor._saturate(s, w, masks)
+                assert joined == s | _swap_runs(s, w, masks, 1), (dim, s, w)
+                assert set(iter_bits(joined)) == {
+                    x ^ y for x in iter_bits(s) for y in (0, w)}, (dim, s, w)
 
 
 def test_cayley_layers_of_unit_vectors_are_weights():

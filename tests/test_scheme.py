@@ -560,9 +560,11 @@ def test_subspace_map_well_defined(rigid2, q3):
 
 
 def test_sos_chain_gives_two_power_value_sets():
-    # invariants reads D(2^m) off the sum-of-squares chain
+    # invariants reads D(2^m) off the sum-of-squares chain, each step of
+    # which contains the one before
     for _, s in standard_library(3):
         chain = s.sos_chain()
+        assert all(low & high == low for low, high in zip(chain, chain[1:])), s
         for m in range(4):
             assert chain[min(1 << m, len(chain)) - 1] == value_set(s, (0,) * (1 << m))
 
