@@ -138,8 +138,7 @@ def bound_sl_linked(profile, n: int, use_exact_subspace_count=False) -> int:
 
     Stratum m adds 1 when n - m >= d_m - 1, else floor(2^((n-m+1)k) /
     (2^k - 1)) with k = d - n + m: at n = 2, laurent^5(QC) gets 73 + 1 = 74
-    and laurent^4(RC) gets 73 + 17 + 1 = 91.  The frozen payload text
-    "min(1, floor(...))" of linked-power misstates both cases.
+    and laurent^4(RC) gets 73 + 17 + 1 = 91.
     """
     d = profile.d
     top = n if profile.is_real else min(kaplansky_s(profile.pythagoras), n)
@@ -365,7 +364,7 @@ class BoundReport(NamedTuple):
 
 BOUND_FORMULAS = {
     "exponential": "sum over strata of 2^((n-m)(d_m_cap - n + m + 1))",
-    "linked-power": "sum over strata of min(1, floor(2^((n-m+1)(d-n+m)) / (2^(d-n+m)-1)))",
+    "linked-power": "sum over strata of 1 if n-m >= d_m-1, else floor(2^((n-m+1)(d-n+m)) / (2^(d-n+m)-1))",
     "linked-exact": "linked cap with the exact subspace count as numerator",
     "binomial": "sum over strata of C(d_m, n-m)",
     "paired": "sum over even strata of C(d_2m, n-2m-1), plus the all-ones stratum",

@@ -78,7 +78,7 @@ OPTIONS = [
           help="largest order 2^dim of k_n searched for symbol lengths")),
     (("--cap-tensor",), ("sl", "bounds", "decompose"),
      dict(type=partial(int_at_least, 1), default=DEFAULT_TENSOR_CAP,
-          help="bound on the d^n tensor coordinates of k_n and on n")),
+          help="bound on n * 2^(d-1), the coordinates that k_1..k_n can hold")),
     (("--form",), ("decompose",),
      dict(help="entries 'c1,c2;c1,c2' as coordinate bitstrings over the "
                "chain basis (rightmost bit first)")),

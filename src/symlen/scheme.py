@@ -232,16 +232,9 @@ class Scheme:
         for sm in masks:
             self._check_subgroup(sm)
         big_m = len(masks) - 1
-        q = []
-        for m in range(1, big_m + 1):
-            lo = masks[m - 1].bit_count()
-            hi = masks[m].bit_count()
-            if hi % lo:
-                raise ProfileInconsistency("chain index at step %d not integral" % m)
-            qm = hi // lo
-            if qm & (qm - 1):
-                raise ProfileInconsistency("chain index at step %d not a 2-power" % m)
-            q.append(qm)
+        # nested (sos_chain) subgroups of G: each index is a power of two
+        q = [masks[m].bit_count() // masks[m - 1].bit_count()
+             for m in range(1, big_m + 1)]
         s_seq = []
         d_seq = []
         for m in range(big_m + 1):
@@ -416,6 +409,7 @@ def _transpose(packed: int, d: int) -> int:
 def pfister_classes(scheme: Scheme, n: int) -> dict[int, tuple[int, ...]]:
     """Map of image coords -> least sorted slot tuple, anisotropic classes
     only: a copy of the class map of kn_space(scheme, n), which the BFS
-    walks for its generators too.  A degree over the default tensor cap is
-    refused with TooLarge before anything is built."""
+    walks for its generators too.  A degree whose n * 2^(d - 1)
+    coordinates exceed the default tensor cap is refused with TooLarge
+    before anything is built."""
     return dict(kn_space(scheme, n).classes())

@@ -10,6 +10,7 @@ import pytest
 from oracle_utils import d6_rare_failure_rows
 from symlen import builders, checks, cli, decompose, milnor
 from symlen.errors import VerificationFailure
+from symlen.scheme import Scheme
 
 
 def run_cli(capsys, *argv):
@@ -101,9 +102,9 @@ def test_exit_code_cap_exceeded(capsys):
 
 
 def test_bounds_honors_tensor_cap(capsys):
-    # d = 3, n = 2 needs 9 tensor coordinates
+    # d = 3: k_1 and k_2 can hold 2 * 2^2 = 8 coordinates
     code, _ = run_cli(capsys, "bounds", "--scheme", "laurent(laurent(RC))",
-                      "--n", "2", "--cap-tensor", "8")
+                      "--n", "2", "--cap-tensor", "7")
     assert code == 2
 
 
@@ -374,7 +375,8 @@ def test_decompose_tensor_cap_checked_before_rewrite(capsys, monkeypatch):
 
 
 def test_huge_degree_exits_cap_without_big_powers(capsys):
-    # d^n here has more digits than int -> str conversion allows
+    # d^n here would have more digits than int -> str conversion allows;
+    # the cap reads n * 2^(d - 1) and forms no power of d
     for label, n in (("laurent(RC)", "20000"),
                      ("laurent(laurent(RC))", "3000000")):
         code = cli.main(["sl", "--scheme", label, "--n", n])
@@ -396,8 +398,55 @@ def test_sl_degree_five_at_d6(capsys):
     assert data["dim_kn"] == 6
 
 
+@pytest.mark.parametrize("command", ["sl", "bounds"])
+def test_top_degree_of_the_qc_tower_answers(capsys, command):
+    # k_6 of laurent^6(QC) is the top exterior power of F2^6: dim C(6, 6)
+    # = 1, with [6, 6]_2 = 1 pure symbol, so sl is 1; its 6 degrees hold
+    # at most 192 coordinates, against d^n = 46656
+    code, out = run_cli(capsys, command, "--scheme",
+                        "laurent(laurent(laurent(laurent(laurent(laurent(QC))))))",
+                        "--n", "6", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    if command == "sl":
+        assert data["dim_kn"] == 1
+        assert data["sl"] == 1
+        assert data["witness"] == {"coords": 1, "dim": 1}
+        assert data["anisotropic_classes"] == 1
+    else:
+        assert data["exact_sl"] == 1
+        assert data["dominance"] == "pass"
+
+
+def test_tensor_cap_admits_the_degrees_it_can_hold(capsys, monkeypatch):
+    # d = 6: dim k_m <= 2^5, so n degrees hold up to 32 n coordinates,
+    # 8192 at n = 256, the default cap
+    def no_reduction(*args):
+        raise AssertionError("reduced relations past the tensor cap")
+
+    label = "laurent(laurent(laurent(laurent(laurent(RC)))))"
+    s = builders.build_from_text(label)
+    cold = Scheme(s.d, s.eps, s.rows)
+    monkeypatch.setattr(cli, "load_scheme", lambda args: (label, cold))
+    with monkeypatch.context() as patched:
+        patched.setattr(milnor, "rref_ints", no_reduction)
+        code = cli.main(["sl", "--scheme", label, "--n", "257"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: k_1..k_n ")
+        assert cold._kn == []
+    # n = 256 builds every degree, and only the search's cap refuses it
+    code = cli.main(["sl", "--scheme", label, "--n", "256"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cap exceeded: k_n has 2^32 elements")
+    assert len(cold._kn) == 256
+
+
 def test_raised_tensor_cap_reaches_class_map(capsys):
-    # d^n = 2^14 is over the default tensor cap, under the raised one
+    # 14 degrees of d = 2 hold at most 28 coordinates, under the default
+    # cap and the raised one
     code, out = run_cli(capsys, "sl", "--scheme", "laurent(RC)", "--n", "14",
                         "--cap-tensor", "65536", "--format", "json")
     assert code == 0

@@ -691,6 +691,7 @@ def test_d0_scheme_classes_and_strata():
 
 
 def test_huge_degree_refused_before_building():
-    # d^n is 1, but n is over the tensor cap, which bounds the degrees kept
+    # d = 1: each degree holds at most one coordinate, and n is over the
+    # tensor cap, which bounds the coordinates of the degrees kept
     with pytest.raises(TooLarge, match="n = 100000"):
         pfister_classes(build_from_text("F1"), 100000)
