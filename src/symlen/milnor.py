@@ -68,9 +68,12 @@ search does, once that is every class.
 cayley_layers runs it on plain data and reads no scheme.  A degree keeps
 its answer, sl and the least witness, and not its layers.
 
-Elements of k_n are SymbolVector values over the free columns of the
-relations reduced in k_{n-1} (x) G (see _quotient), so coordinates and
-dimensions are deterministic; no d^n tensor column is kept.
+Tensors are int bitmasks over d^n coordinates; the flat index of the basis
+tensor e_{i_0} (x) ... (x) e_{i_{n-1}} is sum_j i_j * d^j.  Elements of k_n
+are SymbolVector values whose coordinates are indexed by the non-pivot
+columns of the relations row reduced over the d^n tensor columns (found in
+k_{n-1} (x) G coordinates, see _quotient), so representatives and
+dimensions are deterministic.
 
 Scheme appears here in annotations only: scheme imports this module, for
 pfister_classes, and importing it loads no scheme module.
@@ -109,8 +112,8 @@ class _SymbolVectorFields(NamedTuple):
 
 
 class SymbolVector(_SymbolVectorFields):
-    """An element of k_n in the coordinates of its algebra, the free
-    columns of its build (see _quotient), ordered by (coords, dim)."""
+    """An element of k_n in the free-column coordinates of its algebra,
+    ordered by (coords, dim)."""
 
     __slots__ = ()
 
@@ -202,19 +205,21 @@ def _unpack(row: int, size: int) -> list[int]:
     return array("I", row.to_bytes(size * _FIELD >> 3, sys.byteorder)).tolist()
 
 
-def _quotient(scheme: Scheme, n: int) -> tuple[int, list[int]]:
-    """(dim k_n, packed multiplication table rows) for n >= 2, on k_{n-1},
-    the algebra scheme._kn[n - 2].
+def _quotient(scheme: Scheme, n: int):
+    """(free columns, packed multiplication table rows) of k_n for n >= 2,
+    on k_{n-1}, the algebra scheme._kn[n - 2].
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the basis
     vector x of k_{n-2} whose packed table row in k_{n-1} is m, and the
     split generator (a, b), x (x) a (x) b is mu_{n-1}(x, a) (x) b: field
-    a of m, one shift and mask, times spread[b] at this width.  The free
-    columns, those of no pivot, are the coordinates of k_n in order: the
-    image of the k-th is e_k, and that of a pivot the XOR of the images
-    of its reduced row's other bits, all of them free.  Row j,
-    mu_n(e_j, v) over v, is packed from the d images of the columns of
-    e_j (x) e_i.
+    a of m, one shift and mask, times spread[b] at this width.
+    Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
+    i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
+    column of rep(e_j) (x) e_i: the free columns are those of the
+    reduction over d^n columns.  The image of a free column is its
+    coordinate, and that of a pivot the XOR of the images of its reduced
+    row's other bits, all of them free.  Row j, mu_n(e_j, v) over v, is
+    packed from the d images of the columns of e_j (x) e_i.
     """
     d = scheme.d
     lower = scheme._kn[n - 2]
@@ -239,7 +244,9 @@ def _quotient(scheme: Scheme, n: int) -> tuple[int, list[int]]:
             x ^= image[low.bit_length() - 1]
             r ^= low
         image[p] = x
-    return len(free), _packed_rows(d, [image[j::width] for j in range(width)])
+    free_cols = tuple(lower.free_cols[c % width] + (c // width) * d ** (n - 1)
+                      for c in free)
+    return free_cols, _packed_rows(d, [image[j::width] for j in range(width)])
 
 
 class SymbolAlgebra:
@@ -259,10 +266,11 @@ class SymbolAlgebra:
         self.scheme = scheme
         self.n = n
         if n == 1:  # k_1 is G, and mu_1(1, v) = v
-            self.dim = scheme.d
+            self.free_cols = tuple(range(scheme.d))
             self._packed = [_identity_row(scheme.d)]
         else:
-            self.dim, self._packed = _quotient(scheme, n)
+            self.free_cols, self._packed = _quotient(scheme, n)
+        self.dim = len(self.free_cols)
         self._last_slot_rows: dict[int, list[int]] = {}
         self._classes: dict[int, tuple[int, ...]] | None = None
         self._max: tuple[int, SymbolVector] | None = None
@@ -280,28 +288,11 @@ class SymbolAlgebra:
         return self.scheme._kn[:self.n - 1] + [self]
 
     def representative(self, x: SymbolVector) -> int:
-        """Canonical tensor bitmask of x over the d^n columns, where
-        e_{i_0} (x) ... (x) e_{i_{n-1}} is column sum_j i_j * d^j.
-
-        No column is kept: degree by degree from k_0's one column at 0,
-        the k-th free column of k_{m-1} (x) G is the least column
-        i * dim k_{m-1} + j whose image mu_m(e_j, e_i), field 2^i of
-        packed row j, is e_k, as a pivot p of image e_k has the reduced
-        row e_p + e_{f_k}, f_k < p.  Its tensor column is
-        col(e_j) + i * d^(m-1), that of rep(e_j) (x) e_i: reducing modulo
-        R_{m-1} (x) G first keeps every pivot, and the columns map in
-        order, so these are the free columns of the reduction over all d^n
-        columns (the tests compare them).
-        """
-        d, cols, block = self.scheme.d, [0], 1
-        for alg in self._degrees():
-            least: dict[int, int] = {}
-            for i in range(d):  # in column order, keeping the least
-                for j, row in enumerate(alg._packed):
-                    least.setdefault((row >> (_FIELD << i)) & _MASK, cols[j] + i * block)
-            cols = [least[1 << k] for k in range(alg.dim)]
-            block *= d
-        return sum(1 << cols[k] for k in iter_bits(x.coords))
+        """Canonical tensor bitmask representing x (supported on free columns)."""
+        mask = 0
+        for j in iter_bits(x.coords):
+            mask |= 1 << self.free_cols[j]
+        return mask
 
     def _packed_row(self, x: int) -> int:
         """The XOR of the packed table rows at the bits of x in k_{n-1}:

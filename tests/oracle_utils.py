@@ -330,12 +330,10 @@ def tensor_space_mul_table(scheme, n):
 
 
 def dict_image_quotient(lower, scheme, n):
-    """(free tensor columns, multiplication table) of k_n for n >= 2, on
-    k_{n-1}: the relation rows read d bits of each row of
-    tensor_split_pair_basis at a time, reduced by holder_rref_ints, and
-    the images of the columns kept in a dict.  Free column
-    i * dim k_{n-1} + j has the tensor column c_j + i * d^(n-1), c_j the
-    j-th free column of tensor_space(scheme, n - 1).
+    """(free columns, multiplication table) of k_n for n >= 2, on k_{n-1}:
+    the relation rows read d bits of each row of tensor_split_pair_basis
+    at a time, reduced by holder_rref_ints, and the images of the columns
+    kept in a dict.
 
     The reference for milnor._quotient, which builds each row from a split
     generator (a, b) as mu_{n-1}(x, a) (x) b and keeps the images in a
@@ -359,8 +357,7 @@ def dict_image_quotient(lower, scheme, n):
     for r in rows:
         p = r.bit_length() - 1
         image[p] = sum(image[c] for c in iter_bits(r ^ (1 << p)))
-    lower_cols = tensor_space(scheme, n - 1).free_cols
-    free_cols = tuple(lower_cols[c % width] + (c // width) * d ** (n - 1)
+    free_cols = tuple(lower.free_cols[c % width] + (c // width) * d ** (n - 1)
                       for c in free)
     mul = []
     for j in range(width):

@@ -444,22 +444,28 @@ def test_tensor_cap_admits_the_degrees_it_can_hold(capsys, monkeypatch):
     assert len(cold._kn) == 256
 
 
+# 4097 degrees of d = 2 hold up to 8194 coordinates: over the default
+# cap, under the raised one
+RAISED = ["--scheme", "laurent(RC)", "--n", "4097", "--cap-tensor", "8194"]
+
+
 def test_raised_tensor_cap_reaches_class_map(capsys):
-    # 14 degrees of d = 2 hold at most 28 coordinates, under the default
-    # cap and the raised one
-    code, out = run_cli(capsys, "sl", "--scheme", "laurent(RC)", "--n", "14",
-                        "--cap-tensor", "65536", "--format", "json")
+    code, _ = run_cli(capsys, "sl", *RAISED[:4])
+    assert code == 2
+    code, out = run_cli(capsys, "sl", *RAISED, "--format", "json")
     assert code == 0
     assert json.loads(out)["anisotropic_classes"] == 3
+    code, out = run_cli(capsys, "bounds", *RAISED, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["exact_sl"] == 1
 
 
 @pytest.mark.parametrize("form, merge, output", [
-    (",".join(["10"] * 14), False, [[0] * 13 + [2]]),
-    (",".join(["11"] * 14) + ";" + ",".join(["10"] * 14), True, [[0] * 14]),
+    (",".join(["10"] * 4097), False, [[0] * 4096 + [2]]),
+    (",".join(["11"] * 4097) + ";" + ",".join(["10"] * 4097), True, [[0] * 4097]),
 ])
 def test_raised_tensor_cap_reaches_rewrite_and_merge(capsys, form, merge, output):
-    argv = ["decompose", "--scheme", "laurent(RC)", "--n", "14",
-            "--cap-tensor", "65536", "--form", form, "--format", "json"]
+    argv = ["decompose", *RAISED, "--form", form, "--format", "json"]
     code, out = run_cli(capsys, *(argv if merge else argv + ["--no-merge"]))
     assert code == 0
     data = json.loads(out)

@@ -1,7 +1,6 @@
 """Tests for the symbol algebra: k_n dimensions, images, symbol lengths."""
 
 import gc
-import hashlib
 import itertools
 import json
 import math
@@ -88,12 +87,6 @@ def fresh_algebra(s, n):
     return SymbolAlgebra(s, n)
 
 
-def unit_representatives(alg):
-    """The tensor bitmask of each coordinate vector e_k of alg, in order:
-    the bits at the free columns of the reduction over d^n columns."""
-    return [alg.representative(SymbolVector(1 << k, alg.dim)) for k in range(alg.dim)]
-
-
 def test_tensor_of_vectors_frozen():
     assert tensor_of_vectors((1, 2), 2) == 1 << 2
     assert tensor_of_vectors((3, 3), 2) == 15
@@ -174,11 +167,12 @@ def assert_matches_reduction_oracle(alg):
     of each basis tensor: the row with pivot p is e_p plus the
     representative of its class."""
     relations, free_cols, table = reduced_relations(alg.scheme, alg.n)
-    assert unit_representatives(alg) == [1 << c for c in free_cols]
     rebuilt = [(1 << p) | alg.representative(project(alg, 1 << p))
                for p in reversed(range(alg.scheme.d ** alg.n))
-               if p not in free_cols]
+               if p not in alg.free_cols]
     assert rebuilt == relations
+    assert alg.free_cols == free_cols
+    assert alg.dim == len(free_cols)
     assert_images_match_table(alg, table)
 
 
@@ -193,11 +187,10 @@ D5_EXPRESSIONS = [e for e in standard_expressions(5) if expr_dim(e) == 5]
 
 
 def test_tables_match_tensor_space_path():
-    # the k_{n-1} (x) G reduction against the reduction over d^n columns,
-    # whose free columns representative derives: the d <= 4 library at
-    # n = 1..4, a seeded sample of 500 of the 3,294 d = 5 schemes at
-    # n = 2, 3 (all of them take about 4 s more), and two d = 6 towers at
-    # n = 3, 4
+    # the k_{n-1} (x) G reduction against the reduction over d^n columns:
+    # the d <= 4 library at n = 1..4, a seeded sample of 500 of the 3,294
+    # d = 5 schemes at n = 2, 3 (all of them take about 4 s more), and two
+    # d = 6 towers at n = 3, 4
     sample = [build(e) for e in random.Random(19).sample(D5_EXPRESSIONS, 500)]
     towers = [build_from_text(expr) for expr in (rigid_label(6), LAURENT5_RC)]
     library = [s for _, s in standard_library(4)]
@@ -206,8 +199,8 @@ def test_tables_match_tensor_space_path():
     cases += [(s, n) for s in towers for n in (3, 4)]
     for s, n in cases:
         alg = kn_space(s, n)
-        free_cols = tensor_space(s, n).free_cols
-        assert unit_representatives(alg) == [1 << c for c in free_cols], (s, n)
+        assert alg.free_cols == tensor_space(s, n).free_cols, (s, n)
+        assert alg.dim == len(alg.free_cols)
         assert packed_table(alg) == tensor_space_mul_table(s, n), (s, n)
     # every value set there is a subgroup, read off without a reduction
     for s in library + sample + towers:
@@ -241,9 +234,8 @@ def test_build_matches_dict_image_oracle(monkeypatch):
         s = fresh_scheme(label)
         kn_space(s, n, tensor_cap=1 << 16)
         for alg in s._kn[1:n]:
-            free_cols, mul = dict_image_quotient(s._kn[alg.n - 2], s, alg.n)
-            assert unit_representatives(alg) == [1 << c for c in free_cols], (label, alg.n)
-            assert packed_table(alg) == mul, (label, alg.n)
+            oracle = dict_image_quotient(s._kn[alg.n - 2], s, alg.n)
+            assert (alg.free_cols, packed_table(alg)) == oracle, (label, alg.n)
         # one row set per degree from n = 2 up: choosing the split
         # generators reduces nothing
         assert len(reduced) == n - 1, (label, n)
@@ -1045,20 +1037,9 @@ def test_degree_above_tensor_cap_refused(monkeypatch):
 
 
 def test_representative_masks_are_frozen():
-    # the tensor bitmask of each coordinate vector and of the sum of all
-    # of them, over the d <= 4 library at n = 1..4, frozen from free
-    # columns kept over the d^n columns
-    digest = hashlib.sha256()
-    for label, s in standard_library(4):
-        for n in (1, 2, 3, 4):
-            alg = kn_space(s, n)
-            masks = unit_representatives(alg)
-            masks.append(alg.representative(SymbolVector((1 << alg.dim) - 1, alg.dim)))
-            digest.update(("%s %d %r\n" % (label, n, masks)).encode())
-    assert digest.hexdigest() == (
-        "44c7d884b7cdc4924865a53b5f7a41c61105c2d865046a52246cd99c426e10ad")
-    # a few masks, the last two at d^n over 8192: k_6 of laurent^6(QC)
-    # is e_5 (x) ... (x) e_0, column 1865 = 12345 in base 6
+    # the tensor bitmask of the sum of all coordinate vectors, the last
+    # two at d^n over 8192: k_6 of laurent^6(QC) is e_5 (x) ... (x) e_0,
+    # column 1865 = 12345 in base 6
     for label, n, dim, mask in [("laurent(laurent(RC))", 2, 4, 0x27),
                                 ("product(RC,RC)", 3, 2, 0x81),
                                 (rigid_label(4), 2, 6, 0x8ce),
