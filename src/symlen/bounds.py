@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import builders
-from .errors import InvalidCase, VerificationFailure
+from .errors import InvalidInput, VerificationFailure
 from .f2space import gaussian_count
 
 BOUND_NOTES = (
@@ -56,7 +56,7 @@ BOUND_NOTES = (
 def kaplansky_s(p: int) -> int:
     """The exponent s with 2^s <= p < 2^{s+1}."""
     if p < 1:
-        raise InvalidCase("pythagoras number must be positive, got %d" % p)
+        raise InvalidInput("pythagoras number must be positive, got %d" % p)
     return p.bit_length() - 1
 
 
@@ -108,7 +108,7 @@ def bound_strata_count(profile, n: int, m: int) -> int:
     quotient minus the line of -1).
     """
     if not 0 <= m <= n:
-        raise InvalidCase("stratum index %d outside [0, %d]" % (m, n))
+        raise InvalidInput("stratum index %d outside [0, %d]" % (m, n))
     if not profile.is_real and m > profile.level_exponent:
         return 0
     codim = profile.d_m(m) + _sm_exponent(profile, m)
@@ -261,7 +261,7 @@ class RationalPolynomial(NamedTuple):
 def binom_poly(r: int) -> RationalPolynomial:
     """C(X, r) as an exact polynomial in X."""
     if r < 0:
-        raise InvalidCase("binomial index must be nonnegative, got %d" % r)
+        raise InvalidInput("binomial index must be nonnegative, got %d" % r)
     out = RationalPolynomial.make([1])
     for i in range(r):
         out = out * RationalPolynomial.make([-i, 1])
@@ -287,7 +287,7 @@ def poly_binom_sum(j: int):
     most 2^j / (2 j!) for j >= 1, is judged by verify-paper's check 6.
     """
     if j < 0:
-        raise InvalidCase("need j >= 0, got j=%d" % j)
+        raise InvalidInput("need j >= 0, got j=%d" % j)
     plain = RationalPolynomial.make([0])
     shifted = RationalPolynomial.make([0])
     for r in range(j // 2 + 1):
@@ -306,9 +306,9 @@ def bound_sl_polynomial(d0: int, n: int):
     verify-paper's check 7 judges that f has degree at most n - 2.
     """
     if n < 2:
-        raise InvalidCase("polynomial bound needs degree at least 2, got %d" % n)
+        raise InvalidInput("polynomial bound needs degree at least 2, got %d" % n)
     if d0 < 0:
-        raise InvalidCase("d0 must be nonnegative, got %d" % d0)
+        raise InvalidInput("d0 must be nonnegative, got %d" % d0)
     total = RationalPolynomial.make([0])
     for j in range(n):
         plain, shifted = poly_binom_sum(j)

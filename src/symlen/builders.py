@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ParseError, TooLarge
+from .errors import InvalidInput, TooLarge
 from .f2space import iter_bits
 from .scheme import SCHEME_DIM_CAP, Scheme
 
@@ -204,7 +204,7 @@ def parse_scheme_expr(text: str) -> object:
         nonlocal pos
         skip_ws()
         if pos >= len(text) or text[pos] != ch:
-            raise ParseError("expected %r at offset %d" % (ch, pos))
+            raise InvalidInput("expected %r at offset %d" % (ch, pos))
         pos += 1
 
     def word():
@@ -214,7 +214,7 @@ def parse_scheme_expr(text: str) -> object:
         while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
             pos += 1
         if start == pos:
-            raise ParseError("expected a name at offset %d" % pos)
+            raise InvalidInput("expected a name at offset %d" % pos)
         return text[start:pos], start
 
     def expr(depth):
@@ -237,12 +237,12 @@ def parse_scheme_expr(text: str) -> object:
             right = expr(depth + 1)
             expect(")")
             return ProductExpr(left, right)
-        raise ParseError("unknown scheme name %r at offset %d" % (w, start))
+        raise InvalidInput("unknown scheme name %r at offset %d" % (w, start))
 
     result = expr(0)
     skip_ws()
     if pos != len(text):
-        raise ParseError("trailing input at offset %d" % pos)
+        raise InvalidInput("trailing input at offset %d" % pos)
     return result
 
 

@@ -28,7 +28,7 @@ from .bounds import make_bound_report
 from .builders import build, expr_label, parse_scheme_expr
 from .checks import render_report, run_verification
 from .decompose import build_basis_chain, make_sum, run_decomposition
-from .errors import ParseError, SymlenError, TooLarge, VerificationFailure
+from .errors import InvalidInput, SymlenError, TooLarge, VerificationFailure
 from .f2space import mask_to_str
 from .milnor import DEFAULT_SL_CAP, DEFAULT_TENSOR_CAP, kn_space
 from .scheme import SCHEME_DIM_CAP, Scheme
@@ -37,10 +37,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
-
-
-class InvalidConfig(SymlenError):
-    """Command line or config file options are unusable."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +102,7 @@ def read_config_file(path: str) -> dict:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
-            raise InvalidConfig("%s: %s" % (path, exc))
+            raise InvalidInput("%s: %s" % (path, exc))
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -114,13 +110,13 @@ def read_config_file(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise InvalidConfig(
+            raise InvalidInput(
                 "%s:%d: expected key=value, got %r" % (path, lineno, line)
             )
         name = key.strip()
         key = name.replace("_", "-")
         if key not in CONFIG_KEYS:
-            raise InvalidConfig(
+            raise InvalidInput(
                 "%s:%d: unknown config key %r" % (path, lineno, name)
             )
         out[key] = value.strip()
@@ -144,34 +140,34 @@ def load_table_file(path: str) -> tuple[str, Scheme]:
         except (ValueError, RecursionError) as exc:
             # a JSONDecodeError, a UnicodeDecodeError, an int past Python's
             # digit limit for str -> int conversion, or too deep a nesting
-            raise ParseError("table file %s: %s" % (path, exc))
+            raise InvalidInput("table file %s: %s" % (path, exc))
     if not isinstance(data, dict):
-        raise ParseError("table file %s: expected a JSON object" % path)
+        raise InvalidInput("table file %s: expected a JSON object" % path)
     for key in ("d", "minus_one", "rows"):
         if key not in data:
-            raise ParseError("table file %s: missing key %r" % (path, key))
+            raise InvalidInput("table file %s: missing key %r" % (path, key))
     # type() is int, not isinstance(): a JSON true or false is a bool
     d = data["d"]
     if type(d) is not int or d < 0:
-        raise ParseError("table file %s: d must be a nonnegative integer" % path)
+        raise InvalidInput("table file %s: d must be a nonnegative integer" % path)
     if type(data["minus_one"]) is not int:
-        raise ParseError("table file %s: minus_one must be an integer" % path)
+        raise InvalidInput("table file %s: minus_one must be an integer" % path)
     if not isinstance(data["rows"], list):
-        raise ParseError("table file %s: rows must be a list" % path)
+        raise InvalidInput("table file %s: rows must be a list" % path)
     rows = []
     for i, row in enumerate(data["rows"]):
         if isinstance(row, str):
             # only 0 and 1: int(row, 2) alone also takes "0b1", "1_1", " 1"
             if not row or set(row) - {"0", "1"}:
-                raise ParseError("table file %s: row %d is not binary" % (path, i))
+                raise InvalidInput("table file %s: row %d is not binary" % (path, i))
             rows.append(int(row, 2))
         elif type(row) is int:
             rows.append(row)
         else:
-            raise ParseError("table file %s: row %d has unusable type" % (path, i))
+            raise InvalidInput("table file %s: row %d has unusable type" % (path, i))
     name = data.get("name", "table:%s" % path)
     if not isinstance(name, str):
-        raise ParseError("table file %s: name must be a string" % path)
+        raise InvalidInput("table file %s: name must be a string" % path)
     return name, Scheme(d, data["minus_one"], rows)
 
 
@@ -180,10 +176,10 @@ def load_scheme(args: argparse.Namespace) -> tuple[str, Scheme]:
     the table file's name; every payload names its answer by it."""
     if args.unsafe_table is not None:
         if args.scheme is not None:
-            raise InvalidConfig("--scheme and --unsafe-table exclude each other")
+            raise InvalidInput("--scheme and --unsafe-table exclude each other")
         return load_table_file(args.unsafe_table)
     if not args.scheme:
-        raise InvalidConfig("no scheme given; use --scheme or --unsafe-table")
+        raise InvalidInput("no scheme given; use --scheme or --unsafe-table")
     expr = parse_scheme_expr(args.scheme)
     return expr_label(expr), build(expr)
 
@@ -203,9 +199,9 @@ def parse_form_text(text: str, scheme: Scheme) -> list[tuple[int, ...]]:
         for token in part.split(","):
             token = token.strip()
             if set(token) - {"0", "1"}:
-                raise ParseError("slot %r is not a bitstring" % token)
+                raise InvalidInput("slot %r is not a bitstring" % token)
             if len(token) != width:
-                raise ParseError(
+                raise InvalidInput(
                     "slot %r has %d coordinates, the chain basis has %d"
                     % (token, len(token), width)
                 )
@@ -311,7 +307,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[dict, int]:
     """Rewrite a Pfister sum and emit the certificate."""
     name, scheme = load_scheme(args)
     if not args.form:
-        raise InvalidConfig("decompose needs --form")
+        raise InvalidInput("decompose needs --form")
     psum = make_sum(scheme, args.n, parse_form_text(args.form, scheme))
     _, cert = run_decomposition(scheme, psum, merge=not args.no_merge,
                                 tensor_cap=args.cap_tensor)

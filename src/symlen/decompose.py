@@ -34,12 +34,7 @@ import itertools
 from typing import NamedTuple
 
 from .bounds import profile_bounds
-from .errors import (
-    ChainInconsistency,
-    DegreeMismatch,
-    InvalidCase,
-    VerificationFailure,
-)
+from .errors import InvalidInput, VerificationFailure
 from .f2space import iter_bits
 from .milnor import DEFAULT_TENSOR_CAP, SymbolAlgebra, SymbolVector, kn_space
 from .scheme import Scheme, translate
@@ -147,18 +142,18 @@ def strata_counts(entries, n: int) -> tuple[int, ...]:
 
 def make_sum(scheme: Scheme, n: int, entries) -> PfisterSum:
     if n < 2:
-        raise DegreeMismatch("degree must be at least 2, got %d" % n)
+        raise InvalidInput("degree must be at least 2, got %d" % n)
     normalized = []
     for slots in entries:
         slots = tuple(slots)
         if len(slots) != n:
-            raise DegreeMismatch(
+            raise InvalidInput(
                 "entry %r has %d slots, expected %d" % (slots, len(slots), n)
             )
         for a in slots:
             if not 0 <= a < scheme.size:
-                raise InvalidCase("slot %r is not one of the %d classes"
-                                  % (a, scheme.size))
+                raise InvalidInput("slot %r is not one of the %d classes"
+                                   % (a, scheme.size))
         normalized.append(tuple(sorted(slots)))
     normalized.sort()
     return PfisterSum(n, tuple(normalized))
@@ -241,16 +236,12 @@ def rewrite_to_basis(algebra: SymbolAlgebra, psum: PfisterSum) -> PfisterSum:
             w = 0
             for j in iter_bits(low):
                 w ^= chain.basis[j]
-            if w:
-                leftover = scheme.eps ^ w
-                if leftover == 0 or (d_mask >> leftover) & 1:
-                    # the slot reduces to 1: the stratum rises
-                    work.append((slots[:i] + (0,) + slots[i + 1:], False))
-                elif not (d_mask >> w) & 1:
-                    raise ChainInconsistency(
-                        "remainder %d escapes +-D(2^%d)" % (w, m)
-                    )
-                # else the slot reduces to eps and the entry is hyperbolic
+            # w lies in +-D(2^m) = D u eps*D, the span of the first a_rank
+            # basis vectors: if eps*w is not in D, then w is
+            if w and (d_mask >> (scheme.eps ^ w)) & 1:
+                # the slot reduces to 1: the stratum rises
+                work.append((slots[:i] + (0,) + slots[i + 1:], False))
+            # else the slot reduces to eps and the entry is hyperbolic
             break
         else:
             tail = sorted(slots[m:])
@@ -377,7 +368,7 @@ def certify(algebra: SymbolAlgebra, input_sum: PfisterSum,
     """
     scheme, n = algebra.scheme, algebra.n
     if input_sum.degree != n or output_sum.degree != n:
-        raise DegreeMismatch(
+        raise InvalidInput(
             "certificate degree %d does not match the sums (%d, %d)"
             % (n, input_sum.degree, output_sum.degree)
         )

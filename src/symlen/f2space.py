@@ -24,7 +24,7 @@ of verify-paper.
 
 from __future__ import annotations
 
-from .errors import InvalidCase
+from .errors import InvalidInput
 
 
 def mask_to_str(mask: int, ambient_dim: int) -> str:
@@ -126,7 +126,7 @@ def gaussian_count(d: int, m: int) -> int:
     big integers.
     """
     if d < 0 or m < 0:
-        raise InvalidCase("gaussian_count needs d >= 0, m >= 0")
+        raise InvalidInput("gaussian_count needs d >= 0, m >= 0")
     if m > d:
         return 0
     num = 1
@@ -141,5 +141,5 @@ def gaussian_count(d: int, m: int) -> int:
 def count_upper_bound(d: int, m: int) -> int:
     """Upper bound 2^{m(d-m+1)} for the number of m-dim subspaces of F2^d."""
     if not 0 <= m <= d:
-        raise InvalidCase("count_upper_bound needs 0 <= m <= d")
+        raise InvalidInput("count_upper_bound needs 0 <= m <= d")
     return 1 << (m * (d - m + 1))

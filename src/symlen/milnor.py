@@ -86,7 +86,7 @@ import sys
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegreeMismatch, InvalidCase, TooLarge, VerificationFailure
+from .errors import InvalidInput, TooLarge, VerificationFailure
 from .f2space import _swap_runs, clear_bit_masks, iter_bits, rref_ints
 
 if TYPE_CHECKING:
@@ -119,7 +119,7 @@ class SymbolVector(_SymbolVectorFields):
 
     def __new__(cls, coords: int, dim: int):
         if dim < 0 or coords < 0 or coords >> dim:
-            raise DegreeMismatch(
+            raise InvalidInput(
                 "coordinate mask %d does not fit dimension %d" % (coords, dim)
             )
         return super().__new__(cls, coords, dim)
@@ -211,8 +211,8 @@ def _quotient(scheme: Scheme, n: int):
 
     Column i * dim k_{n-1} + j stands for e_j (x) e_i.  For the basis
     vector x of k_{n-2} whose packed table row in k_{n-1} is m, and the
-    split generator (a, b), x (x) a (x) b is mu_{n-1}(x, a) (x) b: field
-    a of m, one shift and mask, times spread[b] at this width.
+    split generator (a, b), x (x) a (x) b is mu_{n-1}(x, a) (x) b: entry
+    a of m, unpacked once per row, times spread[b] at this width.
     Reducing modulo R_{n-1} (x) G first keeps every pivot, and column
     i * dim k_{n-1} + j maps in order to f_j + i * d^(n-1), the tensor
     column of rep(e_j) (x) e_i: the free columns are those of the
@@ -225,9 +225,9 @@ def _quotient(scheme: Scheme, n: int):
     lower = scheme._kn[n - 2]
     width = lower.dim
     spread = _spread(d, width)
-    pairs = [(_FIELD * a, spread[b]) for a, b in split_generators(scheme)]
-    rows = rref_ints([((m >> shift) & _MASK) * spread_b
-                      for m in lower._packed for shift, spread_b in pairs])
+    pairs = [(a, spread[b]) for a, b in split_generators(scheme)]
+    unpacked = [_unpack(m, scheme.size) for m in lower._packed]
+    rows = rref_ints([row[a] * spread_b for row in unpacked for a, spread_b in pairs])
     pivots = 0
     for r in rows:
         pivots |= 1 << (r.bit_length() - 1)
@@ -314,9 +314,9 @@ class SymbolAlgebra:
         """Coords of the image of <<slots>>: mu of each degree applied to
         the image below, from 1 in k_0, each one field of that degree's
         _packed_row read by shift and mask.  A slot outside 0..size - 1
-        raises InvalidCase."""
+        raises InvalidInput."""
         if len(slots) != self.n:
-            raise DegreeMismatch(
+            raise InvalidInput(
                 "form has %d slots, algebra degree is %d" % (len(slots), self.n)
             )
         d, eps = self.scheme.d, self.scheme.eps
@@ -324,8 +324,8 @@ class SymbolAlgebra:
         for alg, a in zip(self._degrees(), slots):
             v = a ^ eps
             if v >> d:  # nonzero exactly for a slot outside 0..2^d - 1
-                raise InvalidCase("slot %r is not one of the %d classes"
-                                  % (a, self.scheme.size))
+                raise InvalidInput("slot %r is not one of the %d classes"
+                                   % (a, self.scheme.size))
             x = (alg._packed_row(x) >> (_FIELD * v)) & _MASK
         return x
 
@@ -515,7 +515,7 @@ def kn_space(scheme: Scheme, n: int, tensor_cap: int = DEFAULT_TENSOR_CAP) -> Sy
     coordinates that k_1..k_n can hold (dim k_m <= 2^(d - 1), see _FIELD).
     """
     if n < 1:
-        raise DegreeMismatch("symbol degree must be at least 1, got %d" % n)
+        raise InvalidInput("symbol degree must be at least 1, got %d" % n)
     held = n << max(scheme.d - 1, 0)
     if held > tensor_cap:
         raise TooLarge("k_1..k_n with d = %d, n = %d can hold %d coordinates, "

@@ -27,7 +27,7 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import AxiomViolation, NotAGroup, ProfileInconsistency, TooLarge
+from .errors import InvalidInput, TooLarge
 from .f2space import _swap_runs, clear_bit_masks, iter_bits
 from .milnor import SymbolAlgebra, kn_space
 
@@ -109,7 +109,7 @@ class InvariantProfile(NamedTuple):
 
     def q_m(self, m: int) -> int:
         if m < 1:
-            raise ProfileInconsistency("q_m defined for m >= 1")
+            raise InvalidInput("q_m defined for m >= 1")
         if m > self.stabilization:
             return 1
         return self.q[m - 1]
@@ -139,19 +139,19 @@ class Scheme:
     def __init__(self, d: int, minus_one: int, rows):
         rows = tuple(rows)
         if d < 0:
-            raise NotAGroup("negative group dimension")
+            raise InvalidInput("negative group dimension")
         # bit_length, not 1 << d: a huge d must reach the cap check below
         # without building a number of d bits
         if minus_one < 0 or minus_one.bit_length() > d:
-            raise NotAGroup(
+            raise InvalidInput(
                 "class of -1 (%d) outside the group of dimension %d" % (minus_one, d)
             )
         if len(rows) & (len(rows) - 1):
-            raise NotAGroup("table size %d is not a power of two" % len(rows))
+            raise InvalidInput("table size %d is not a power of two" % len(rows))
         if d > SCHEME_DIM_CAP:
             raise TooLarge("scheme dimension %d exceeds cap %d" % (d, SCHEME_DIM_CAP))
         if len(rows) != (1 << d):
-            raise NotAGroup(
+            raise InvalidInput(
                 "table has %d rows for group of order %d" % (len(rows), 1 << d)
             )
         self.d = d
@@ -161,7 +161,7 @@ class Scheme:
         self.full_mask = (1 << self.size) - 1
         for a, row in enumerate(rows):
             if row < 0 or row > self.full_mask:
-                raise NotAGroup("value set row %d out of range" % a)
+                raise InvalidInput("value set row %d out of range" % a)
         self._subgroups = validate_scheme(self)
         self._profile: InvariantProfile | None = None
         self._split_pairs: list[tuple[int, int]] | None = None
@@ -194,10 +194,10 @@ class Scheme:
 
     def _check_subgroup(self, setmask: int) -> None:
         if not setmask & 1:
-            raise NotAGroup("represented set lacks the identity class")
+            raise InvalidInput("represented set lacks the identity class")
         if subgroup_rows(setmask, self.d) is None:
-            raise NotAGroup("represented set of size %d is not a subgroup"
-                            % setmask.bit_count())
+            raise InvalidInput("represented set of size %d is not a subgroup"
+                               % setmask.bit_count())
 
     def pm_d2m(self, m: int) -> int:
         """Bitmask of +-D(2^m) (the chain step joined with its -1 translate)."""
@@ -219,10 +219,10 @@ class Scheme:
         else:
             level = next(k for k, sm in enumerate(chain, start=1) if (sm >> eps) & 1)
             if level & (level - 1):
-                raise ProfileInconsistency("finite level %d is not a power of two" % level)
+                raise InvalidInput("finite level %d is not a power of two" % level)
             level_exponent = level.bit_length() - 1
             if not (1 << level_exponent) <= p <= (1 << level_exponent) + 1:
-                raise ProfileInconsistency(
+                raise InvalidInput(
                     "Pythagoras number %d outside [level, level+1]" % p
                 )
         # D(2^m) for m = 0..stabilization, read off the sum-of-squares chain
@@ -269,7 +269,7 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     """Check the table axioms, order-independence of ternary value sets and
     that every value set is a subgroup.
 
-    Raises AxiomViolation with a witness description at the first failure.
+    Raises InvalidInput with a witness description at the first failure.
     Otherwise it marks the scheme validated and returns the subgroup_rows
     of each distinct value set, which Scheme.__init__ keeps.  Every Scheme
     is validated once, when it is constructed; builders.build constructs
@@ -311,11 +311,11 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     for a in range(size):
         row = rows[a]
         if not (row >> 0) & 1:
-            raise AxiomViolation("identity not in D<1,%d>" % a)
+            raise InvalidInput("identity not in D<1,%d>" % a)
         if not (row >> a) & 1:
-            raise AxiomViolation("class %d not in D<1,%d>" % (a, a))
+            raise InvalidInput("class %d not in D<1,%d>" % (a, a))
     if rows[eps] != scheme.full_mask:
-        raise AxiomViolation("D<1,-1> is not the whole group")
+        raise InvalidInput("D<1,-1> is not the whole group")
 
     packed = _pack(rows)
     # b in D<1,a> must give a^eps in D<1,b^eps>: block x of conj is the
@@ -326,7 +326,7 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
     if bad:
         # the lowest bit is the first (a, b) in row-major order
         a, b = divmod((bad & -bad).bit_length() - 1, _BLOCK)
-        raise AxiomViolation(
+        raise InvalidInput(
             "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
         )
 
@@ -356,11 +356,11 @@ def validate_scheme(scheme: Scheme) -> dict[int, list[int]]:
             for c in range(size):
                 if not (translate(table[(b ^ c) * size + b], b)
                         == table[c * size + b] == table[b * size + c]):
-                    raise AxiomViolation(
+                    raise InvalidInput(
                         "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                     )
-        raise AxiomViolation("D<1,%d> is not a subgroup"
-                             % next(a for a, row in enumerate(rows) if subgroups[row] is None))
+        raise InvalidInput("D<1,%d> is not a subgroup"
+                           % next(a for a, row in enumerate(rows) if subgroups[row] is None))
     scheme._validated = True
     return subgroups
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from symlen.bounds import floor_pow2_sum, kaplansky_s
 from symlen.builders import build_from_text
-from symlen.errors import AxiomViolation, DegreeMismatch, TooLarge, VerificationFailure
+from symlen.errors import InvalidInput, TooLarge, VerificationFailure
 from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
 from symlen import milnor
 from symlen.milnor import SymbolVector, kn_space
@@ -380,7 +380,7 @@ def last_slot_images(algebra, head):
     """Images of <<head, c>> for every class c, in class order, read off
     the multiplication tables."""
     if len(head) + 1 != algebra.n:
-        raise DegreeMismatch(
+        raise InvalidInput(
             "form has %d slots, algebra degree is %d" % (len(head) + 1, algebra.n)
         )
     x = algebra.scheme._kn[algebra.n - 2].image_coords(head) if head else 1
@@ -415,7 +415,7 @@ def project_image(algebra, slots):
     relations per call, no table.
     """
     if len(slots) != algebra.n:
-        raise DegreeMismatch(
+        raise InvalidInput(
             "form has %d slots, algebra degree is %d" % (len(slots), algebra.n)
         )
     eps = algebra.scheme.eps
@@ -927,7 +927,7 @@ def table_axioms_hold(eps, rows):
 
 def validate_by_loops(eps, rows):
     """validate_scheme as one loop per class pair: the reference for the
-    bit-packed ternary check, raising the same AxiomViolation texts.
+    bit-packed ternary check, raising the same InvalidInput texts.
 
     Checks the triples (0, b, c) over all ordered pairs, with each union
     b + (0 + c) built class by class and translated set by set, and last
@@ -937,15 +937,15 @@ def validate_by_loops(eps, rows):
     for a in range(size):
         row = rows[a]
         if not (row >> 0) & 1:
-            raise AxiomViolation("identity not in D<1,%d>" % a)
+            raise InvalidInput("identity not in D<1,%d>" % a)
         if not (row >> a) & 1:
-            raise AxiomViolation("class %d not in D<1,%d>" % (a, a))
+            raise InvalidInput("class %d not in D<1,%d>" % (a, a))
     if rows[eps] != (1 << size) - 1:
-        raise AxiomViolation("D<1,-1> is not the whole group")
+        raise InvalidInput("D<1,-1> is not the whole group")
     for a in range(size):
         for b in iter_bits(rows[a]):
             if not (rows[b ^ eps] >> (a ^ eps)) & 1:
-                raise AxiomViolation(
+                raise InvalidInput(
                     "%d in D<1,%d> but %d not in D<1,%d>" % (b, a, a ^ eps, b ^ eps)
                 )
     # unions[b][y]: the union of D<1,t> over t in the b-translate of D<1,y>
@@ -965,14 +965,14 @@ def validate_by_loops(eps, rows):
     for b in range(size):
         for c in range(size):
             if not unions[b][b ^ c] == last[b][c] == last[c][b]:
-                raise AxiomViolation(
+                raise InvalidInput(
                     "ternary value set of (0,%d,%d) depends on the order" % (b, c)
                 )
     for a in range(size):
         for x in iter_bits(rows[a]):
             for y in iter_bits(rows[a]):
                 if not (rows[a] >> (x ^ y)) & 1:
-                    raise AxiomViolation("D<1,%d> is not a subgroup" % a)
+                    raise InvalidInput("D<1,%d> is not a subgroup" % a)
 
 
 def symmetric_mutants(eps, rows):

@@ -34,7 +34,7 @@ from symlen.bounds import (
 )
 from symlen.builders import build_from_text, standard_library
 from symlen.decompose import make_sum, run_decomposition, strata_counts
-from symlen.errors import InvalidCase, VerificationFailure
+from symlen.errors import InvalidInput, VerificationFailure
 from symlen.milnor import sl_field
 from symlen.scheme import Scheme, pfister_classes
 
@@ -59,7 +59,8 @@ def profile_of(label):
 
 def test_kaplansky_s_frozen():
     assert [kaplansky_s(p) for p in (1, 2, 3, 4, 5, 8)] == [0, 1, 1, 2, 2, 3]
-    with pytest.raises(InvalidCase):
+    with pytest.raises(InvalidInput,
+                       match="^pythagoras number must be positive, got 0$"):
         kaplansky_s(0)
 
 
@@ -256,7 +257,7 @@ def test_poly_binom_sum_frozen():
     plain2, shifted2 = poly_binom_sum(2)
     assert plain2.coeffs == (0, -1, 1)  # 2 C(X,2) = X^2 - X
     assert shifted2.coeffs == (0, 0, 1)  # C(X+1,2) + C(X,2) = X^2
-    with pytest.raises(InvalidCase):
+    with pytest.raises(InvalidInput, match="^need j >= 0, got j=-1$"):
         poly_binom_sum(-1)
 
 
@@ -299,9 +300,10 @@ def test_polynomial_bound_frozen():
     assert f3.coeffs == (1,)
     _, f3_odd = bound_sl_polynomial(5, 3)
     assert f3_odd.coeffs == (Fraction(7, 4),)
-    with pytest.raises(InvalidCase):
+    with pytest.raises(InvalidInput,
+                       match="^polynomial bound needs degree at least 2, got 1$"):
         bound_sl_polynomial(4, 1)
-    with pytest.raises(InvalidCase):
+    with pytest.raises(InvalidInput, match="^d0 must be nonnegative, got -1$"):
         bound_sl_polynomial(-1, 2)
 
 

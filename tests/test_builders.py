@@ -38,7 +38,7 @@ from symlen.builders import (
     standard_library,
 )
 from symlen.decompose import build_basis_chain, make_sum, run_decomposition
-from symlen.errors import ParseError, TooLarge
+from symlen.errors import InvalidInput, TooLarge
 from symlen.milnor import sl_field
 from symlen.scheme import Scheme, pfister_classes, validate_scheme
 
@@ -170,7 +170,7 @@ def test_parser_errors():
     # each message names the offset at which parsing failed
     for text, offset in [("laurent(", 8), ("laurent(QC)extra", 11),
                          ("frobenius(QC)", 0), ("", 0), ("product(RC RC)", 11)]:
-        with pytest.raises(ParseError, match="at offset %d$" % offset):
+        with pytest.raises(InvalidInput, match="at offset %d$" % offset):
             parse_scheme_expr(text)
 
 

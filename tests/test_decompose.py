@@ -28,10 +28,7 @@ from symlen.decompose import (
     strata_counts,
     sum_residue,
 )
-from symlen.errors import (
-    DegreeMismatch,
-    InvalidCase,
-)
+from symlen.errors import InvalidInput
 from oracle_utils import (
     find_linked_pair_by_multisets,
     pfister_expand,
@@ -132,13 +129,15 @@ def test_make_sum_normalizes():
 
 def test_make_sum_rejects_bad_input():
     q3 = build_from_text("laurent(F2)")
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput,
+                       match=r"^entry \(1, 2, 3\) has 3 slots, expected 2$"):
         make_sum(q3, 2, [(1, 2, 3)])
     # the merge reads its divisors in k_{n-1}, so n >= 2
     for n in (0, 1):
-        with pytest.raises(DegreeMismatch):
+        with pytest.raises(InvalidInput,
+                           match="^degree must be at least 2, got %d$" % n):
             make_sum(q3, n, [])
-    with pytest.raises(InvalidCase):
+    with pytest.raises(InvalidInput, match="^slot 4 is not one of the 4 classes$"):
         make_sum(q3, 2, [(1, 4)])
 
 
@@ -153,9 +152,9 @@ def test_image_coords_refuses_slots_outside_the_classes():
     for a in (-1, s.size):
         message = "slot %r is not one of the 8 classes" % a
         for slots in ((a, 3), (3, a)):
-            with pytest.raises(InvalidCase, match=message):
+            with pytest.raises(InvalidInput, match=message):
                 k2.image_coords(slots)
-            with pytest.raises(InvalidCase, match=message):
+            with pytest.raises(InvalidInput, match=message):
                 sum_residue(k2, PfisterSum(2, ((0, 1), slots)))
 
 
@@ -502,7 +501,8 @@ def test_certify_detects_corruption():
 
 def test_certify_degree_mismatch():
     r3 = build_from_text("laurent(laurent(laurent(QC)))")
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput, match=r"^certificate degree 3 does not "
+                       r"match the sums \(2, 2\)$"):
         certify(kn_space(r3, 3), make_sum(r3, 2, [(3, 4)]), make_sum(r3, 2, []))
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracle_utils import brute_force_subspaces, list_rref
 
 from symlen.checks import subgroup_layers
-from symlen.errors import InvalidCase
+from symlen.errors import InvalidInput
 from symlen.f2space import (
     count_upper_bound,
     gaussian_count,
@@ -102,7 +102,7 @@ def test_gaussian_count_frozen():
     assert gaussian_count(6, 3) == 1395
     assert gaussian_count(5, 7) == 0
     assert gaussian_count(0, 0) == 1
-    with pytest.raises(InvalidCase):
+    with pytest.raises(InvalidInput, match="^gaussian_count needs d >= 0, m >= 0$"):
         gaussian_count(-1, 0)
 
 

@@ -47,7 +47,7 @@ from symlen.builders import (
     standard_expressions,
     standard_library,
 )
-from symlen.errors import DegreeMismatch, TooLarge, VerificationFailure
+from symlen.errors import InvalidInput, TooLarge, VerificationFailure
 from symlen.f2space import _swap_runs, clear_bit_masks, iter_bits, rank_ints, rref_ints
 from symlen.decompose import make_sum, run_decomposition
 from symlen.scheme import Scheme, pfister_classes, subgroup_rows
@@ -292,7 +292,8 @@ def test_symbol_image_frozen_q3():
     assert nonzero != 0
     assert alg.image_coords((1, 2)) == 0
     assert alg.image_coords((2, 2)) == nonzero
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput,
+                       match="^form has 2 slots, algebra degree is 3$"):
         kn_space(q3, 3).image_coords((0, 2))
 
 
@@ -408,9 +409,11 @@ def test_caps_and_degree_errors():
         kn_space(q3, 2, tensor_cap=3)
     with pytest.raises(TooLarge):
         fresh_algebra(build_from_text(rigid_label(4)), 2).max_symbol_length(cap=32)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput,
+                       match="^symbol degree must be at least 1, got 0$"):
         kn_space(q3, 0)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput,
+                       match="^coordinate mask 4 does not fit dimension 2$"):
         SymbolVector(4, 2)
 
 
@@ -1053,7 +1056,9 @@ def test_representative_masks_are_frozen():
 
 def test_wrong_slot_count_raises():
     alg = kn_space(build_from_text("laurent(F2)"), 3)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput,
+                       match="^form has 2 slots, algebra degree is 3$"):
         alg.image_coords((1, 2))
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput,
+                       match="^form has 2 slots, algebra degree is 3$"):
         last_slot_images(alg, (1,))

@@ -37,7 +37,7 @@ from symlen.decompose import (
     make_sum,
     run_decomposition,
 )
-from symlen.errors import DegreeMismatch
+from symlen.errors import InvalidInput
 from symlen.milnor import SymbolVector, sl_field
 from symlen.scheme import InvariantProfile, Scheme
 
@@ -104,7 +104,7 @@ def test_cache_keys_of_one_scheme_stay_distinct(monkeypatch):
 
 def test_symbol_vector_refusals_and_order():
     for coords, dim in ((4, 2), (-1, 3), (0, -1)):
-        with pytest.raises(DegreeMismatch, match="coordinate mask %d does not "
+        with pytest.raises(InvalidInput, match="coordinate mask %d does not "
                            "fit dimension %d" % (coords, dim)):
             SymbolVector(coords, dim)
     assert SymbolVector(1, 1) < SymbolVector(1, 2) < SymbolVector(2, 2)

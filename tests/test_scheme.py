@@ -9,6 +9,7 @@ symbol computations) before the code existed.
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,12 +46,7 @@ from symlen.builders import (
     standard_library,
 )
 from symlen.decompose import entry_stratum, strata_counts
-from symlen.errors import (
-    AxiomViolation,
-    NotAGroup,
-    ProfileInconsistency,
-    TooLarge,
-)
+from symlen.errors import InvalidInput, TooLarge
 from symlen.f2space import iter_bits, rank_ints, rref_ints
 from symlen.milnor import kn_space
 from symlen.scheme import (
@@ -88,7 +84,7 @@ def test_translate():
 
 def test_negative_dimension_refused_first():
     # before the class of -1 and the row count, which are also wrong here
-    with pytest.raises(NotAGroup, match="^negative group dimension$"):
+    with pytest.raises(InvalidInput, match="^negative group dimension$"):
         Scheme(-1, 5, (1, 3, 3))
 
 
@@ -98,28 +94,29 @@ def test_validator_accepts_real_closed(rc):
 
 
 def test_validator_rejects_missing_identity():
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(InvalidInput, match="^identity not in D<1,0>$"):
         Scheme(1, 1, (0b10, 0b11))
 
 
 def test_validator_rejects_missing_self():
-    with pytest.raises(AxiomViolation, match="not in D"):
+    with pytest.raises(InvalidInput, match="not in D"):
         Scheme(2, 1, (1, 15, 1, 9))
 
 
 def test_validator_rejects_non_universal_hyperbolic():
-    with pytest.raises(AxiomViolation, match="whole group"):
+    with pytest.raises(InvalidInput, match="whole group"):
         Scheme(2, 1, (3, 0b1011, 5, 9))
 
 
 def test_validator_rejects_asymmetric_table():
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(InvalidInput,
+                       match="^1 in D<1,2> but 3 not in D<1,0>$"):
         Scheme(2, 1, (3, 15, 7, 9))
 
 
 def test_validator_rejects_order_dependent_ternary():
     # passes every binary axiom but the ternary value set depends on the order
-    with pytest.raises(AxiomViolation,
+    with pytest.raises(InvalidInput,
                        match=r"^ternary value set of \(0,1,2\) depends on the order$"):
         Scheme(2, 0, (15, 3, 13, 13))
 
@@ -127,17 +124,28 @@ def test_validator_rejects_order_dependent_ternary():
 def test_validator_rejects_rare_ternary_failure():
     # only 64 of the 45,760 sorted triples of this d = 6 table fail
     rows = d6_rare_failure_rows()
-    with pytest.raises(AxiomViolation,
+    with pytest.raises(InvalidInput,
                        match=r"^ternary value set of \(0,0,16\) depends on the order$"):
         Scheme(6, 9, rows)
     assert not table_axioms_hold(9, rows)
 
 
+# the texts of the table axioms that validate_scheme and validate_by_loops
+# raise; any other InvalidInput, say a table of the wrong size, is no verdict
+AXIOM_TEXT = re.compile(
+    r"identity not in D<1,\d+>|class \d+ not in D<1,\d+>"
+    r"|D<1,-1> is not the whole group|\d+ in D<1,\d+> but \d+ not in D<1,\d+>"
+    r"|ternary value set of \(0,\d+,\d+\) depends on the order"
+    r"|D<1,\d+> is not a subgroup")
+
+
 def _violation(check, *args):
-    """The AxiomViolation text check raises on args, None if it passes."""
+    """The axiom text check raises on args, None if it passes."""
     try:
         check(*args)
-    except AxiomViolation as exc:
+    except InvalidInput as exc:
+        if not AXIOM_TEXT.fullmatch(str(exc)):
+            raise
         return str(exc)
     return None
 
@@ -256,11 +264,7 @@ def test_construction_agrees_with_axiom_oracle():
     tables += relabelled
     verdicts = []
     for eps, rows in tables:
-        try:
-            Scheme(len(rows).bit_length() - 1, eps, rows)
-            accepted = True
-        except AxiomViolation:
-            accepted = False
+        accepted = _violation(Scheme, len(rows).bit_length() - 1, eps, rows) is None
         assert accepted == table_axioms_hold(eps, rows), (eps, rows)
         verdicts.append(accepted)
     # the first two are rejected, and the tables past the library get both
@@ -336,14 +340,14 @@ def test_every_subgroup_valued_table_at_small_d():
 
 def test_validator_rejects_value_set_off_subgroup():
     # every other axiom holds, but D<1,1> = {0, 1, 2}
-    with pytest.raises(AxiomViolation, match=r"^D<1,1> is not a subgroup$"):
+    with pytest.raises(InvalidInput, match=r"^D<1,1> is not a subgroup$"):
         Scheme(2, 0, (15, 7, 15, 13))
 
 
 def test_represented_set_must_be_subgroup(q3):
-    with pytest.raises(NotAGroup, match="lacks the identity class"):
+    with pytest.raises(InvalidInput, match="lacks the identity class"):
         q3._check_subgroup(0b0110)
-    with pytest.raises(NotAGroup, match="of size 3 is not a subgroup"):
+    with pytest.raises(InvalidInput, match="of size 3 is not a subgroup"):
         q3._check_subgroup(0b0111)
     q3._check_subgroup(0b1001)
 
@@ -480,8 +484,8 @@ def test_invariants_laurent_qc():
 
 def test_profile_inconsistency_hook_never_fires(rc, q3, rigid2):
     for s in (rc, q3, rigid2):
-        s.invariants()  # would raise ProfileInconsistency on mismatch
-    with pytest.raises(ProfileInconsistency):
+        s.invariants()  # would raise InvalidInput on mismatch
+    with pytest.raises(InvalidInput, match="^q_m defined for m >= 1$"):
         rc.invariants().q_m(0)
 
 
